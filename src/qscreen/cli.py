@@ -211,10 +211,8 @@ def cmd_eval(config):
     if bool(config.vector) == bool(config.l):
         raise ValueError("give either a vector spec or screening counts l, not both")
     quad = config.quadrature()
-    tight = QuadratureSpec(
-        nodes_per_panel=config.quad_order + 8,
-        max_subdivisions=config.max_subdiv,
-        rel_tol=config.rel_tol * 1e-2,
+    tight = replace(
+        quad, nodes_per_panel=config.quad_order + 8, rel_tol=config.rel_tol * 1e-2
     )
     rows = []
     for pts in config.x:
@@ -256,20 +254,7 @@ def cmd_eval(config):
 
 def format_rows(rows, fmt):
     if fmt == "json":
-        payload = [
-            {
-                "kappa": r["kappa"],
-                "dims": list(r["dims"]),
-                "config": r["config"],
-                "x0": r["x0"],
-                "x": list(r["x"]),
-                "re": r["re"],
-                "im": r["im"],
-                "err_est": r["err_est"],
-            }
-            for r in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(rows, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
     n = len(rows[0]["x"]) if rows else 0

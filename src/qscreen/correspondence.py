@@ -24,6 +24,7 @@ from .coulomb import (
     ChamberPoint,
     QuadratureSpec,
     ScreeningConfig,
+    _dims_counts,
     b_const,
     delta_fusion,
     h_weight,
@@ -50,7 +51,6 @@ from .uqsl2 import (
     project,
     r_minus,
     r_plus,
-    submodule_vector,
 )
 
 _SEPARATIONS = (1e-2, 1e-3, 1e-4)
@@ -190,22 +190,6 @@ def _table_entries(dims, counts):
     return entries
 
 
-def _dims_counts(dims, l, n=None):
-    dims = tuple(int(d) for d in dims)
-    counts = l.counts if isinstance(l, ScreeningConfig) else tuple(int(c) for c in l)
-    if any(d < 1 for d in dims):
-        raise ValueError("dimensions must be positive integers")
-    if any(c < 0 for c in counts):
-        raise ValueError("screening counts must be nonnegative")
-    if len(counts) != len(dims):
-        raise ValueError(
-            f"{len(counts)} screening counts for {len(dims)} dimensions"
-        )
-    if n is not None and len(dims) != n:
-        raise ValueError(f"expected {n} dimensions, got {len(dims)}")
-    return dims, counts
-
-
 def reduction_coeffs(dims, l) -> ReductionTable:
     """Exact table taking one basis function to the real integrals.
 
@@ -308,62 +292,7 @@ def F_hwv(v: TensorVector, x, kappa, quad: QuadratureSpec | None = None,
     return val
 
 
-# -- mixed functions and asymptotics ---------------------------------------
-
-
-def _check_pair_summand(d1, d2, d):
-    two_m = d1 + d2 - 1 - d
-    if two_m < 0 or two_m % 2 or two_m // 2 > min(d1, d2) - 1:
-        raise ValueError(f"d={d} not in decomposition of the pair ({d1}, {d2})")
-    return two_m // 2
-
-
-def _embed_pair(hat, j, d1, d2):
-    """Replace tensorand j of hat by the matching vector of the pair
-    summand with dimensions (d1, d2)."""
-    dims_hat = hat.space.dims
-    d = dims_hat[j - 1]
-    m = _check_pair_summand(d1, d2, d)
-    space = TensorSpace(dims_hat[: j - 1] + (d1, d2) + dims_hat[j:])
-    cols = {l: submodule_vector(d1, d2, m, l).coeffs for l in range(d)}
-    coeffs = {}
-    for idx, cv in hat.coeffs.items():
-        for pair_idx, base in cols[idx[j - 1]].items():
-            full = idx[: j - 1] + pair_idx + idx[j:]
-            prev = coeffs.get(full)
-            coeffs[full] = cv * base if prev is None else prev + cv * base
-    return TensorVector(space, coeffs)
-
-
-def alpha_mixed(c: ChamberPoint, dims, j, d, l, outer, kappa,
-                quad: QuadratureSpec | None = None) -> complex:
-    """Mixed function: the pair (j, j+1) carries the l-th vector of its
-    d-dimensional summand, every other point a plain basis vector.
-
-    outer lists the basis indices of the points outside the pair, in
-    coordinate order.
-    """
-    dims = tuple(int(d_) for d_ in dims)
-    n = len(dims)
-    if n != c.n:
-        raise ValueError(f"expected {c.n} dimensions, got {n}")
-    if any(d_ < 1 for d_ in dims):
-        raise ValueError("dimensions must be positive integers")
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"pair position {j} out of range for n={n}")
-    d1, d2 = dims[j - 1], dims[j]
-    _check_pair_summand(d1, d2, d)
-    if not 0 <= l < d:
-        raise ValueError(f"l={l} outside the d={d} summand")
-    outer = tuple(int(o) for o in outer)
-    if len(outer) != n - 2:
-        raise ValueError(f"expected {n - 2} outer indices, got {len(outer)}")
-    hat_space = TensorSpace(dims[: j - 1] + (d,) + dims[j + 1:])
-    hat_idx = outer[: j - 1] + (l,) + outer[j - 1:]
-    if not hat_space.contains_index(hat_idx):
-        raise ValueError(f"outer indices {outer} out of range")
-    hat = TensorVector.basis(hat_space, hat_idx)
-    return F_anchor(_embed_pair(hat, j, d1, d2), c, kappa, quad)
+# -- collapse asymptotics and the point at infinity ------------------------
 
 
 def _power_fit(seps, values):

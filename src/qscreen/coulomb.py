@@ -10,7 +10,6 @@ along the path.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,17 +63,14 @@ class ScreeningConfig:
 class QuadratureSpec:
     """Controls for the nested panel quadrature.
 
-    nodes_per_panel is the Gauss rule size on each panel, max_subdivisions
-    the number of geometric refinement levels toward each endpoint, and
-    pair_split_exponent the geometric ratio of the refinement (it controls
-    how strongly panels cluster where screening variables approach each
-    other or a charged endpoint).
+    nodes_per_panel is the Gauss rule size on each panel and
+    max_subdivisions the number of geometric refinement levels toward each
+    endpoint; successive panels shrink by _SPLIT_RATIO.
     """
 
     nodes_per_panel: int = 12
     max_subdivisions: int = 20
     rel_tol: float = 1e-9
-    pair_split_exponent: float = 0.5
 
     def __post_init__(self):
         if self.nodes_per_panel < 4:
@@ -83,26 +79,22 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be positive")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if not 0.0 < self.pair_split_exponent < 1.0:
-            raise ValueError("pair_split_exponent must lie in (0, 1)")
 
 
-def _check_dims(dims, n):
+def _dims_counts(dims, m, n=None):
+    """Validated dimensions and screening counts, one of each per point;
+    n, when given, is the number of marked points of the chamber."""
     dims = tuple(int(d) for d in dims)
-    if len(dims) != n:
+    counts = m.counts if isinstance(m, ScreeningConfig) else tuple(int(c) for c in m)
+    if n is not None and len(dims) != n:
         raise ValueError(f"expected {n} dimensions, got {len(dims)}")
     if any(d < 1 for d in dims):
         raise ValueError("dimensions must be positive integers")
-    return dims
-
-
-def _counts_of(m, n):
-    counts = m.counts if isinstance(m, ScreeningConfig) else tuple(int(c) for c in m)
-    if len(counts) != n:
-        raise ValueError(f"expected {n} screening counts, got {len(counts)}")
+    if len(counts) != len(dims):
+        raise ValueError(f"expected {len(dims)} screening counts, got {len(counts)}")
     if any(c < 0 for c in counts):
         raise ValueError("screening counts must be nonnegative")
-    return counts
+    return dims, counts
 
 
 def _betas(dims, kappa):
@@ -131,54 +123,20 @@ def _x_prefactor(c, dims, kappa):
     return total
 
 
-def integrand_real(c: ChamberPoint, dims, w, kappa) -> float:
-    """Positive integrand at a real screening configuration.
-
-    w lists the screening points grouped per interval: group i holds the
-    points lying in (x_{i-1}, x_i), with x_0 the anchor, in increasing
-    order.  Coincident points are rejected.
-    """
-    dims = _check_dims(dims, c.n)
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    groups = [tuple(float(v) for v in grp) for grp in w]
-    if len(groups) != c.n:
-        raise ValueError(f"expected {c.n} screening groups, got {len(groups)}")
-    pts = (c.x0,) + c.xs
-    flat = []
-    for i, grp in enumerate(groups, start=1):
-        lo, hi = pts[i - 1], pts[i]
-        prev = lo
-        for v in grp:
-            if not prev < v:
-                raise ValueError("coincident or unordered screening points rejected")
-            if not v < hi:
-                raise ValueError(
-                    f"screening point {v} outside its interval ({lo}, {hi})"
-                )
-            prev = v
-        flat.extend(grp)
-    betas = _betas(dims, kappa)
-    total = _x_prefactor(c, dims, kappa)
-    for v in flat:
-        for j in range(1, c.n + 1):
-            if betas[j]:
-                total *= abs(v - pts[j]) ** (-betas[j])
-    for a in range(len(flat)):
-        for b in range(a + 1, len(flat)):
-            total *= (flat[b] - flat[a]) ** (8.0 / kappa)
-    return total
+# geometric ratio of successive panels toward each endpoint: it sets how
+# strongly nodes cluster where a variable meets a charge or its neighbour
+_SPLIT_RATIO = 0.5
 
 
 @lru_cache(maxsize=None)
-def _unit_rule_build(aL, aR, nodes, subdivisions, ratio):
+def _unit_rule_build(aL, aR, nodes, subdivisions):
     # nodes and weights approximating int_0^1 t^aL (1-t)^aR g(t) dt as
     # sum w_k g(t_k); the endpoint powers are folded into the weights,
     # exactly on the edge panels via Gauss-Jacobi rules.
     if aL <= -1.0 or aR <= -1.0:
         raise ValueError("endpoint exponents must exceed -1")
     xg, wg = roots_legendre(nodes)
-    edge = 0.5 * ratio ** subdivisions
+    edge = 0.5 * _SPLIT_RATIO ** subdivisions
     t_parts, w_parts = [], []
 
     def interior(a, b):
@@ -198,9 +156,9 @@ def _unit_rule_build(aL, aR, nodes, subdivisions, ratio):
     t_parts.append(t)
     w_parts.append(w)
     for k in range(subdivisions - 1, -1, -1):
-        interior(0.5 * ratio ** (k + 1), 0.5 * ratio ** k)
+        interior(0.5 * _SPLIT_RATIO ** (k + 1), 0.5 * _SPLIT_RATIO ** k)
     for k in range(subdivisions):
-        interior(1.0 - 0.5 * ratio ** k, 1.0 - 0.5 * ratio ** (k + 1))
+        interior(1.0 - 0.5 * _SPLIT_RATIO ** k, 1.0 - 0.5 * _SPLIT_RATIO ** (k + 1))
     if abs(aR) < 1e-13:
         t = 1.0 - edge * 0.5 * (1.0 - xg)
         w = edge * 0.5 * wg * t ** aL
@@ -219,7 +177,6 @@ def _unit_rule(aL, aR, spec):
         round(aR, 12),
         spec.nodes_per_panel,
         spec.max_subdivisions,
-        round(spec.pair_split_exponent, 12),
     )
 
 
@@ -273,13 +230,12 @@ def _level_value(levels, idx, ws, t, om, x_ext, betas, kappa, spec):
     U = x_ext[lev.group] if lev.top else ws[-1]
     expo = 1.0 + lev.aL + lev.aR
     if isinstance(U, np.ndarray):
-        S = U - A
-        w = A + S[..., None] * t
-        G = om * S[..., None] ** expo
+        S = (U - A)[..., None]
     else:
         S = U - A
-        w = (A + S * t).reshape((1,) * idx + (-1,))
-        G = om * S ** expo
+        t = t.reshape((1,) * idx + (-1,))
+    w = A + S * t
+    G = om * S ** expo
     for j in range(1, len(x_ext)):
         if j == lev.group - 1:
             continue
@@ -288,7 +244,9 @@ def _level_value(levels, idx, ws, t, om, x_ext, betas, kappa, spec):
         if betas[j]:
             G = G * np.abs(w - x_ext[j]) ** (-betas[j])
     if lev.env:
-        G = G * (w - A) ** (-lev.env)
+        # the offset S*t, not w - A: at deep levels it falls below ulp(A),
+        # where w - A rounds to zero and its negative power overflows
+        G = G * (S * t) ** (-lev.env)
     for p in range(idx):
         pl = levels[p]
         if pl.group == lev.group and pl.r == lev.r + 1:
@@ -317,7 +275,7 @@ def _effective_spec(spec, ell):
             nodes -= 1
         else:
             raise ValueError("screening configuration too large for direct quadrature")
-    return QuadratureSpec(nodes, sub, spec.rel_tol, spec.pair_split_exponent)
+    return QuadratureSpec(nodes, sub, spec.rel_tol)
 
 
 def rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> float:
@@ -327,8 +285,7 @@ def rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> 
     kappa to exceed 4(max d_i - 1); outside that regime the integral
     diverges and the call is refused.
     """
-    dims = _check_dims(dims, c.n)
-    counts = _counts_of(m, c.n)
+    dims, counts = _dims_counts(dims, m, c.n)
     _check_convergent(dims, kappa)
     quad = quad if quad is not None else QuadratureSpec()
     pref = _x_prefactor(c, dims, kappa)
@@ -346,7 +303,7 @@ def rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> 
 
 def tilde_rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> complex:
     """Rephased variant: exact q-prefactor times the real integral."""
-    counts = _counts_of(m, c.n)
+    dims, counts = _dims_counts(dims, m, c.n)
     base = rho(c, dims, counts, kappa, quad)
     kp = KappaParams(kappa)
     pref = complex(1.0)
@@ -433,126 +390,6 @@ def delta_scaling(l, dims, kappa) -> float:
     return (2.0 * cross - 4.0 * l * stot + 4.0 * l * (l - 1)) / kappa + l
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Straight path piece for the screening variable `var`."""
-
-    var: int
-    z0: complex
-    z1: complex
-
-    @property
-    def start(self) -> complex:
-        return complex(self.z0)
-
-    @property
-    def end(self) -> complex:
-        return complex(self.z1)
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Circular path piece; sweep runs from angle a0 to a1 (radians)."""
-
-    var: int
-    center: complex
-    radius: float
-    a0: float
-    a1: float
-
-    @property
-    def start(self) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self.a0)
-
-    @property
-    def end(self) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self.a1)
-
-
-@dataclass(frozen=True)
-class ContourPath:
-    """Piecewise path moving one screening variable at a time.
-
-    base_value is the integrand value at the start configuration; the path
-    must keep clearance distance from every marked point and from the
-    parked screening variables.
-    """
-
-    xs: tuple
-    start: tuple
-    pieces: tuple
-    base_value: complex
-    clearance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
-        object.__setattr__(self, "start", tuple(complex(z) for z in self.start))
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not self.clearance > 0:
-            raise ValueError("clearance must be positive")
-        for piece in self.pieces:
-            if not 0 <= piece.var < len(self.start):
-                raise ValueError("path piece references an unknown variable")
-
-
-def _piece_points(piece, clearance):
-    if isinstance(piece, Segment):
-        length = abs(piece.z1 - piece.z0)
-        nsub = max(2, int(math.ceil(length / (0.45 * clearance))))
-        ts = np.linspace(0.0, 1.0, nsub + 1)
-        return piece.z0 + (piece.z1 - piece.z0) * ts
-    sweep = piece.a1 - piece.a0
-    arclen = abs(sweep) * piece.radius
-    nsub = max(
-        4,
-        int(math.ceil(arclen / (0.45 * clearance))),
-        int(math.ceil(abs(sweep) / (math.pi / 4))),
-    )
-    th = np.linspace(piece.a0, piece.a1, nsub + 1)
-    return piece.center + piece.radius * np.exp(1j * th)
-
-
-def branch_continue(path: ContourPath, dims, kappa) -> complex:
-    """Continue the chosen branch of the integrand along the path.
-
-    Accumulates the exact logarithmic increments of every factor over
-    substeps short enough that each principal logarithm is unambiguous,
-    and returns base_value times the exponential of the total.
-    """
-    dims = _check_dims(dims, len(path.xs))
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    charges = [4.0 * (d - 1) / kappa for d in dims]
-    pos = [complex(z) for z in path.start]
-    span = max(
-        [abs(a - b) for a in path.xs for b in path.xs] + [1.0]
-    )
-    log_acc = 0j
-    for piece in path.pieces:
-        v = piece.var
-        if abs(piece.start - pos[v]) > 1e-9 * span:
-            raise ValueError("path pieces are not connected")
-        pts = _piece_points(piece, path.clearance)
-        lim = path.clearance * (1.0 - 1e-9)
-        for x in path.xs:
-            if np.abs(pts - x).min() < lim:
-                raise ValueError("clearance violated near a marked point")
-        for u in range(len(pos)):
-            if u != v and np.abs(pts - pos[u]).min() < lim:
-                raise ValueError("clearance violated between screening variables")
-        for j, x in enumerate(path.xs):
-            if charges[j]:
-                ratios = (pts[1:] - x) / (pts[:-1] - x)
-                log_acc += (-charges[j]) * np.sum(np.log(ratios))
-        for u in range(len(pos)):
-            if u == v:
-                continue
-            ratios = (pts[1:] - pos[u]) / (pts[:-1] - pos[u])
-            log_acc += (8.0 / kappa) * np.sum(np.log(ratios))
-        pos[v] = complex(piece.end)
-    return complex(path.base_value) * cmath.exp(log_acc)
-
-
 class _Chain:
     """Accumulates quadrature nodes along one loop, with a zero-weight
     marker node at the reference point where the branch phase is fixed."""
@@ -569,13 +406,14 @@ class _Chain:
         self.dzs.append(dz)
         self._count += len(z)
 
-    def seg(self, z0, z1, panels=1, grade_start=False, grade_end=False,
-            levels=16, ratio=0.5):
+    def seg(self, z0, z1, panels=1, grade_start=False, grade_end=False):
         z0, z1 = complex(z0), complex(z1)
+        # graded ends halve 16 times toward the anchor
+        graded = [0.0] + [0.5 ** k for k in range(16, -1, -1)]
         if grade_start:
-            bounds = [0.0] + [ratio ** k for k in range(levels, -1, -1)]
+            bounds = graded
         elif grade_end:
-            bounds = [1.0 - b for b in ([0.0] + [ratio ** k for k in range(levels, -1, -1)])][::-1]
+            bounds = [1.0 - b for b in graded][::-1]
         else:
             bounds = np.linspace(0.0, 1.0, max(1, panels) + 1).tolist()
         for a, b in zip(bounds, bounds[1:]):
@@ -672,16 +510,10 @@ def _anchored_log(z, pole, ref):
 
 
 def _unwrap_from(a, r):
+    # unwrap along axis 0 outward from row r in both directions
     out = np.empty_like(a)
-    out[r:] = np.unwrap(a[r:])
-    out[: r + 1] = np.unwrap(a[r::-1])[::-1]
-    return out
-
-
-def _unwrap_axis0_from(a, r):
-    out = np.empty_like(a)
-    out[r:, :] = np.unwrap(a[r:, :], axis=0)
-    out[: r + 1, :] = np.unwrap(a[r::-1, :], axis=0)[::-1, :]
+    out[r:] = np.unwrap(a[r:], axis=0)
+    out[: r + 1] = np.unwrap(a[r::-1], axis=0)[::-1]
     return out
 
 
@@ -699,7 +531,7 @@ def _pair_sum(z1, a1, z2, a2, ref1, ref2, expo):
         zb = z2[s : s + block]
         D = zb[None, :] - z1[:, None]
         A = np.angle(D)
-        U = _unwrap_axis0_from(A, ref1)
+        U = _unwrap_from(A, ref1)
         TH = U + (row_u[s : s + block] - row_pr[s : s + block])[None, :]
         T = (
             a1[:, None]
@@ -743,7 +575,10 @@ def _oracle_eval(c, betas, groups, kappa, m):
     return _pair_sum(z1, factors[0], z2, factors[1], r1, r2, 8.0 / kappa)
 
 
-def contour_phi_oracle(c: ChamberPoint, dims, l, kappa, resolution: int = 12) -> complex:
+_ORACLE_NODES = 12
+
+
+def contour_phi_oracle(c: ChamberPoint, dims, l, kappa) -> complex:
     """Direct contour integral over nested anchored loops.
 
     Builds the loops explicitly for at most two screening variables,
@@ -751,12 +586,9 @@ def contour_phi_oracle(c: ChamberPoint, dims, l, kappa, resolution: int = 12) ->
     where the integrand is positive, and refines the node count until two
     successive evaluations agree.
     """
-    dims = _check_dims(dims, c.n)
-    counts = _counts_of(l, c.n)
+    dims, counts = _dims_counts(dims, l, c.n)
     if not kappa > 0:
         raise ValueError("kappa must be positive")
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4")
     ell = sum(counts)
     if ell > 2:
         raise ValueError("contour oracle supports at most two screening loops")
@@ -767,7 +599,7 @@ def contour_phi_oracle(c: ChamberPoint, dims, l, kappa, resolution: int = 12) ->
     groups = [i for i, li in enumerate(counts, start=1) for _ in range(li)]
     prev = None
     for mult in (1, 2, 4):
-        val, gross = _oracle_eval(c, betas, groups, kappa, resolution * mult)
+        val, gross = _oracle_eval(c, betas, groups, kappa, _ORACLE_NODES * mult)
         val *= xpref
         gross *= xpref
         if prev is not None:
@@ -776,5 +608,5 @@ def contour_phi_oracle(c: ChamberPoint, dims, l, kappa, resolution: int = 12) ->
                 return val
         prev = val
     raise RuntimeError(
-        "contour oracle did not converge; increase the path resolution"
+        "contour oracle did not converge at four times the base node count"
     )

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .coulomb import h_weight
 from .correspondence import F_hwv
@@ -26,20 +27,20 @@ class FdScheme:
     """Finite difference settings.
 
     The step is relative: the stencil spacing is h times the smallest gap
-    between consecutive coordinates of the evaluation point.
+    between consecutive coordinates of the evaluation point.  Stencils are
+    of order _STENCIL_ORDER and extrapolated over _RICHARDSON_LEVELS
+    strides.
     """
 
     h: float = 1e-3
-    stencil_order: int = 4
-    richardson_levels: int = 2
 
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("step must be positive")
-        if self.stencil_order not in (2, 4):
-            raise ValueError("only stencil orders 2 and 4 are implemented")
-        if self.richardson_levels < 1:
-            raise ValueError("at least one refinement level is needed")
+
+
+_STENCIL_ORDER = 4
+_RICHARDSON_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -124,31 +125,18 @@ def _min_gap(x):
     return min(b - a for a, b in zip(x, x[1:]))
 
 
-def _cached(fn):
-    memo = {}
-
-    def wrapped(key):
-        if key not in memo:
-            memo[key] = fn(key)
-        return memo[key]
-
-    return wrapped
-
-
 def _lattice(f, x, h_fine):
     def base(k):
         return f(tuple(xi + h_fine * ki for xi, ki in zip(x, k)))
 
-    return _cached(base)
+    return cache(base)
 
 
 def _shift(k, i, step):
     return k[:i] + (k[i] + step,) + k[i + 1 :]
 
 
-def _derivative(g, k, i, stride, h, order):
-    if order == 2:
-        return (g(_shift(k, i, stride)) - g(_shift(k, i, -stride))) / (2.0 * h)
+def _derivative(g, k, i, stride, h):
     return (
         -g(_shift(k, i, 2 * stride))
         + 8.0 * g(_shift(k, i, stride))
@@ -157,11 +145,7 @@ def _derivative(g, k, i, stride, h, order):
     ) / (12.0 * h)
 
 
-def _second_derivative(g, k, i, stride, h, order):
-    if order == 2:
-        return (g(_shift(k, i, stride)) - 2.0 * g(k) + g(_shift(k, i, -stride))) / (
-            h * h
-        )
+def _second_derivative(g, k, i, stride, h):
     return (
         -g(_shift(k, i, 2 * stride))
         + 16.0 * g(_shift(k, i, stride))
@@ -171,7 +155,7 @@ def _second_derivative(g, k, i, stride, h, order):
     ) / (12.0 * h * h)
 
 
-def _lower(p, g, j0, x, h_fine, stride, order, weights):
+def _lower(p, g, j0, x, h_fine, stride, weights):
     h = h_fine * stride
     n = len(x)
 
@@ -182,7 +166,7 @@ def _lower(p, g, j0, x, h_fine, stride, order, weights):
             if i == j0:
                 continue
             dy = x[i] + h_fine * k[i] - yj
-            total += dy ** (1 + p) * _derivative(g, k, i, stride, h, order)
+            total += dy ** (1 + p) * _derivative(g, k, i, stride, h)
             if p != -1:
                 total += (1 + p) * weights[i] * dy**p * g(k)
         return -total
@@ -190,11 +174,11 @@ def _lower(p, g, j0, x, h_fine, stride, order, weights):
     return lowered
 
 
-def _composition_term(base, factors, j0, x, h_fine, stride, order, weights):
+def _composition_term(base, factors, j0, x, h_fine, stride, weights):
     h = h_fine * stride
     g = base
     for n_a in reversed(factors[1:]):
-        g = _cached(_lower(-n_a, g, j0, x, h_fine, stride, order, weights))
+        g = cache(_lower(-n_a, g, j0, x, h_fine, stride, weights))
     p = -factors[0]
     origin = (0,) * len(x)
     total = 0.0j
@@ -203,7 +187,7 @@ def _composition_term(base, factors, j0, x, h_fine, stride, order, weights):
         if i == j0:
             continue
         dy = x[i] - x[j0]
-        piece = dy ** (1 + p) * _derivative(g, origin, i, stride, h, order)
+        piece = dy ** (1 + p) * _derivative(g, origin, i, stride, h)
         if p != -1:
             piece += (1 + p) * weights[i] * dy**p * g(origin)
         total += piece
@@ -211,10 +195,10 @@ def _composition_term(base, factors, j0, x, h_fine, stride, order, weights):
     return -total, largest
 
 
-def _richardson(values, base_order):
+def _richardson(values):
     # values listed coarse to fine; stencil error expands in even powers
     table = list(values)
-    order = base_order
+    order = _STENCIL_ORDER
     while len(table) > 1:
         factor = 2**order
         table = [
@@ -226,13 +210,15 @@ def _richardson(values, base_order):
 
 
 def _steps(scheme, x, total_order):
+    if scheme is None:
+        scheme = FdScheme()
     gap = _min_gap(x)
     h_abs = scheme.h * gap
     if gap < (total_order + 1) * h_abs:
         raise ValueError(
             f"clearance {gap:g} is below ({total_order}+1) stencil steps of {h_abs:g}"
         )
-    levels = scheme.richardson_levels
+    levels = _RICHARDSON_LEVELS
     h_fine = h_abs / 2 ** (levels - 1)
     strides = tuple(2 ** (levels - 1 - t) for t in range(levels))
     return h_fine, strides
@@ -246,10 +232,6 @@ def apply_bsa(op, f, x, scheme=None):
     auxiliary parameter of the evaluator (an anchor point for instance)
     must stay fixed while the points move.
     """
-    if scheme is None:
-        scheme = FdScheme()
-    if op.order >= 3 and scheme.stencil_order < 4:
-        raise ValueError(f"stencil order 2 is too low for operator order {op.order}")
     x = tuple(float(xi) for xi in x)
     if len(x) != len(op.dims):
         raise ValueError(f"point has {len(x)} coordinates, operator wants {len(op.dims)}")
@@ -265,10 +247,10 @@ def apply_bsa(op, f, x, scheme=None):
         largest = 0.0
         for stride in strides:
             value, largest = _composition_term(
-                base, term.factors, j0, x, h_fine, stride, scheme.stencil_order, weights
+                base, term.factors, j0, x, h_fine, stride, weights
             )
             values.append(term.coefficient * value)
-        extrapolated = _richardson(values, scheme.stencil_order)
+        extrapolated = _richardson(values)
         residual += extrapolated
         scale = max(scale, abs(values[-1]), abs(term.coefficient) * largest)
     return residual, scale
@@ -289,6 +271,21 @@ def vertex_prefactor(dims, kappa):
     return ev
 
 
+def _extrapolated_sum(f, x, total_order, scheme, pieces_at):
+    # pieces_at(g, stride, h) lists the terms of the operator on the lattice
+    # evaluator g; their sum is Richardson extrapolated over the strides and
+    # the scale is the largest term at the finest stride
+    h_fine, strides = _steps(scheme, x, total_order)
+    base = _lattice(f, x, h_fine)
+    values = []
+    largest = 0.0
+    for stride in strides:
+        pieces = pieces_at(base, stride, h_fine * stride)
+        values.append(sum(pieces))
+        largest = max(abs(p) for p in pieces)
+    return _richardson(values), max(largest, abs(values[-1]))
+
+
 def sle_pde_check(f, x, kappa, j, scheme=None):
     """Second order growth process equation applied directly at x.
 
@@ -296,34 +293,25 @@ def sle_pde_check(f, x, kappa, j, scheme=None):
     with h = (6-kappa)/(2 kappa); all points carry that same weight.
     Returns (residual, scale) like apply_bsa.
     """
-    if scheme is None:
-        scheme = FdScheme()
     x = tuple(float(xi) for xi in x)
     _check_ascending(x)
     if not 1 <= j <= len(x):
         raise ValueError(f"position {j} out of range for n={len(x)}")
-    h_fine, strides = _steps(scheme, x, 2)
-    base = _lattice(f, x, h_fine)
     hw = (6.0 - kappa) / (2.0 * kappa)
     j0 = j - 1
     origin = (0,) * len(x)
-    values = []
-    largest = 0.0
-    for stride in strides:
-        h = h_fine * stride
-        pieces = [
-            0.5 * kappa * _second_derivative(base, origin, j0, stride, h, scheme.stencil_order)
-        ]
+
+    def pieces_at(g, stride, h):
+        pieces = [0.5 * kappa * _second_derivative(g, origin, j0, stride, h)]
         for i in range(len(x)):
             if i == j0:
                 continue
             dy = x[i] - x[j0]
-            pieces.append(2.0 / dy * _derivative(base, origin, i, stride, h, scheme.stencil_order))
-            pieces.append(-2.0 * hw / dy**2 * base(origin))
-        values.append(sum(pieces))
-        largest = max(abs(p) for p in pieces)
-    residual = _richardson(values, scheme.stencil_order)
-    return residual, max(largest, abs(values[-1]))
+            pieces.append(2.0 / dy * _derivative(g, origin, i, stride, h))
+            pieces.append(-2.0 * hw / dy**2 * g(origin))
+        return pieces
+
+    return _extrapolated_sum(f, x, 2, scheme, pieces_at)
 
 
 def sle_proportionality_check(x, kappa, j, count=20, seed=7):
@@ -363,47 +351,28 @@ def sle_proportionality_check(x, kappa, j, count=20, seed=7):
 
 def translation_check(f, x, scheme=None):
     """Sum of all first derivatives at x; scale is the largest one."""
-    if scheme is None:
-        scheme = FdScheme()
     x = tuple(float(xi) for xi in x)
     _check_ascending(x)
-    h_fine, strides = _steps(scheme, x, 1)
-    base = _lattice(f, x, h_fine)
     origin = (0,) * len(x)
-    values = []
-    largest = 0.0
-    for stride in strides:
-        h = h_fine * stride
-        derivs = [
-            _derivative(base, origin, i, stride, h, scheme.stencil_order)
-            for i in range(len(x))
-        ]
-        values.append(sum(derivs))
-        largest = max(abs(d_) for d_ in derivs)
-    return _richardson(values, scheme.stencil_order), max(largest, abs(values[-1]))
+
+    def pieces_at(g, stride, h):
+        return [_derivative(g, origin, i, stride, h) for i in range(len(x))]
+
+    return _extrapolated_sum(f, x, 1, scheme, pieces_at)
 
 
 def euler_check(f, x, degree, scheme=None):
     """Euler operator sum x_i d/dx_i minus the homogeneity degree."""
-    if scheme is None:
-        scheme = FdScheme()
     x = tuple(float(xi) for xi in x)
     _check_ascending(x)
-    h_fine, strides = _steps(scheme, x, 1)
-    base = _lattice(f, x, h_fine)
     origin = (0,) * len(x)
-    values = []
-    largest = 0.0
-    for stride in strides:
-        h = h_fine * stride
-        pieces = [
-            x[i] * _derivative(base, origin, i, stride, h, scheme.stencil_order)
-            for i in range(len(x))
-        ]
-        pieces.append(-degree * base(origin))
-        values.append(sum(pieces))
-        largest = max(abs(p) for p in pieces)
-    return _richardson(values, scheme.stencil_order), max(largest, abs(values[-1]))
+
+    def pieces_at(g, stride, h):
+        pieces = [x[i] * _derivative(g, origin, i, stride, h) for i in range(len(x))]
+        pieces.append(-degree * g(origin))
+        return pieces
+
+    return _extrapolated_sum(f, x, 1, scheme, pieces_at)
 
 
 def mobius_check(v, mu, x, kappa, quad=None):

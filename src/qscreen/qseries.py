@@ -63,13 +63,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
 
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for v in self.coeffs.values():
-            g = gcd(g, v)
-        return g
-
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by q^e."""
         return LaurentPoly({k + e: v for k, v in self.coeffs.items()})
@@ -258,17 +251,6 @@ def _dense_divexact(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division of Laurent polynomials; raises when not divisible."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return ZERO
-    va, da = _to_dense(a)
-    vb, db = _to_dense(b)
-    return _from_dense(va - vb, _dense_divexact(da, db))
-
-
 class QScalar:
     """Quotient of two Laurent polynomials in canonical reduced form.
 
@@ -442,6 +424,4 @@ def qmultinom(total: int, parts) -> QScalar:
 def eval_q(s: QScalar | LaurentPoly, params: KappaParams | complex) -> complex:
     """Evaluate an exact coefficient at the numeric q of the given kappa."""
     z = params.q_num if isinstance(params, KappaParams) else params
-    if isinstance(s, LaurentPoly):
-        return s.eval(z)
     return s.eval(z)

@@ -19,17 +19,6 @@ Q_COMM = QScalar.from_poly(LaurentPoly({1: 1, -1: -1}))  # q - 1/q
 
 
 @dataclass(frozen=True)
-class IrrepSpec:
-    """The d-dimensional irreducible with basis e_0, ..., e_{d-1}."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"irrep dimension must be >= 1, got {self.d}")
-
-
-@dataclass(frozen=True)
 class TensorSpace:
     """Tensor product of irreducibles, dims[i-1] = d_i for position i."""
 
@@ -43,12 +32,6 @@ class TensorSpace:
     @property
     def n(self) -> int:
         return len(self.dims)
-
-    def total_dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
 
     def indices(self):
         """All multi-indices in ascending lexicographic storage order."""
@@ -206,26 +189,6 @@ def submodule_vector(d1: int, d2: int, m: int, l: int) -> TensorVector:
 # -- exact linear algebra over QScalar ------------------------------------
 
 
-def _invert_matrix(mat):
-    """Gauss-Jordan inverse of a square matrix of QScalars."""
-    n = len(mat)
-    aug = [list(row) + [Q_ONE if i == j else Q_ZERO for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()),
-                   None)
-        if piv is None:
-            raise ArithmeticError("singular matrix in exact inversion")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _rref(rows, ncols):
     """Reduced row echelon form in place terms; returns (rows, pivot cols)."""
     rows = [list(r) for r in rows]
@@ -248,6 +211,17 @@ def _rref(rows, ncols):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def _invert_matrix(mat):
+    """Exact inverse of a square matrix of QScalars: row reduce [A | I]."""
+    n = len(mat)
+    aug = [list(row) + [Q_ONE if i == j else Q_ZERO for j in range(n)]
+           for i, row in enumerate(mat)]
+    rows, pivots = _rref(aug, n)
+    if pivots != list(range(n)):
+        raise ArithmeticError("singular matrix in exact inversion")
+    return [row[n:] for row in rows]
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qscreen.coulomb import (
     ChamberPoint,
-    QuadratureSpec,
     ScreeningConfig,
     b_const,
     contour_phi_oracle,
@@ -21,7 +20,6 @@ from qscreen.correspondence import (
     F_anchor,
     F_hwv,
     ReductionTable,
-    alpha_mixed,
     asymptotics_check,
     general_asymptotics_check,
     infinity_limit,
@@ -35,7 +33,6 @@ from qscreen.uqsl2 import (
     hwv_pair,
     hwv_space_basis,
     is_hwv,
-    submodule_vector,
 )
 
 KAPPA = 10.0
@@ -273,44 +270,37 @@ def test_f_hwv_coordinates_must_increase():
         F_hwv(hwv_pair(2, 2, 1), (1.0, 0.5), 8.0)
 
 
-# -- mixed functions -------------------------------------------------------
+# -- mixed functions ---------------------------------------------------------
+# the pair (j, j+1) carries a vector of one summand, every other point a
+# plain basis vector; F_anchor evaluates it like any other vector
 
 
 def test_alpha_two_point_closed_form():
     c = ChamberPoint(-1.0, (0.0, 1.0))
-    assert alpha_mixed(c, (2, 2), 1, 1, 0, (), 8.0) == pytest.approx(
+    assert F_anchor(hwv_pair(2, 2, 1), c, 8.0) == pytest.approx(
         rho(c, (2, 2), (0, 1), 8.0), rel=1e-10
     )
-    assert alpha_mixed(c, (2, 3), 1, 2, 0, (), KAPPA) == pytest.approx(
+    assert F_anchor(hwv_pair(2, 3, 1), c, KAPPA) == pytest.approx(
         rho(c, (2, 3), (0, 1), KAPPA), rel=1e-10
     )
 
 
 def test_alpha_leading_summand_reduces_to_phi():
     c = ChamberPoint(-1.0, (0.0, 1.0))
-    got = alpha_mixed(c, (2, 3), 1, 4, 0, (), KAPPA)
+    got = F_anchor(hwv_pair(2, 3, 0), c, KAPPA)
     assert got == pytest.approx(phi(c, (2, 3), (0, 0), KAPPA), rel=1e-12)
 
 
 def test_alpha_three_point_matches_linear_extension():
-    got = alpha_mixed(C3, (2, 2, 2), 2, 1, 0, (1,), KAPPA)
-    tau = submodule_vector(2, 2, 1, 0)
+    tau = hwv_pair(2, 2, 1)
+    e1 = TensorVector.basis(TensorSpace((2,)), (1,))
+    got = F_anchor(tensor_product(e1, tau), C3, KAPPA)
     kp = KappaParams(KAPPA)
     want = sum(
         eval_q(cv, kp) * phi(C3, (2, 2, 2), (1,) + idx, KAPPA)
         for idx, cv in tau.coeffs.items()
     )
     assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_alpha_rejects_bad_inputs():
-    c = ChamberPoint(-1.0, (0.0, 1.0))
-    with pytest.raises(ValueError, match="not in decomposition"):
-        alpha_mixed(c, (2, 2), 1, 2, 0, (), KAPPA)
-    with pytest.raises(ValueError, match="summand"):
-        alpha_mixed(c, (2, 2), 1, 1, 1, (), KAPPA)
-    with pytest.raises(ValueError, match="outer"):
-        alpha_mixed(c, (2, 2), 1, 1, 0, (0,), KAPPA)
 
 
 # -- pair collapse asymptotics ---------------------------------------------

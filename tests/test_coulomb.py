@@ -4,22 +4,19 @@ import cmath
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from qscreen.coulomb import (
-    Arc,
     ChamberPoint,
-    ContourPath,
     QuadratureSpec,
     ScreeningConfig,
-    Segment,
+    _anchored_log,
     b_const,
-    branch_continue,
     contour_phi_oracle,
     delta_fusion,
     delta_scaling,
     h_weight,
-    integrand_real,
     rho,
     selberg_oracle,
     tilde_rho,
@@ -53,35 +50,28 @@ def test_quadrature_spec_validation():
         QuadratureSpec(nodes_per_panel=3)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(pair_split_exponent=1.0)
-
-
-def test_integrand_prefactor_only():
-    c = ChamberPoint(-1.0, (0.0, 1.0))
-    assert integrand_real(c, (2, 2), [(), ()], 8.0) == pytest.approx(1.0, abs=1e-15)
-    c2 = ChamberPoint(-1.0, (0.0, 2.0))
-    assert integrand_real(c2, (2, 2), [(), ()], 8.0) == pytest.approx(
-        2.0 ** 0.25, rel=1e-14
-    )
 
 
 def test_integrand_trivial_dimension_drops_out():
-    # a dimension-one point carries no charge, so moving it changes nothing
-    w = [(), (2.6,)]
-    a = integrand_real(ChamberPoint(0.0, (1.0, 3.0)), (1, 3), w, 10.0)
-    b = integrand_real(ChamberPoint(0.0, (2.0, 3.0)), (1, 3), w, 10.0)
+    # a dimension-one point carries no charge, so moving it outside the
+    # screening interval leaves the integral unchanged
+    a = rho(ChamberPoint(0.0, (1.0, 2.0)), (3, 1), (1, 0), 10.0)
+    b = rho(ChamberPoint(0.0, (1.0, 3.0)), (3, 1), (1, 0), 10.0)
     assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_integrand_rejects_bad_configurations():
     c = ChamberPoint(0.0, (1.0, 2.0))
-    with pytest.raises(ValueError):
-        integrand_real(c, (2, 2), [(0.5, 0.5), ()], 8.0)
-    with pytest.raises(ValueError):
-        integrand_real(c, (2, 2), [(1.5,), ()], 8.0)
-    with pytest.raises(ValueError):
-        integrand_real(c, (2, 2), [(), ()], 0.0)
+    with pytest.raises(ValueError, match="expected 2 dimensions"):
+        rho(c, (2,), (1,), 8.0)
+    with pytest.raises(ValueError, match="positive integers"):
+        rho(c, (2, 0), (1, 0), 8.0)
+    with pytest.raises(ValueError, match="expected 2 screening counts"):
+        contour_phi_oracle(c, (2, 2), (1,), 8.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        rho(c, (2, 2), (1, -1), 8.0)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        rho(c, (2, 2), (1, 0), 0.0)
 
 
 def test_rho_empty_configuration_is_prefactor():
@@ -113,6 +103,17 @@ def test_rho_selberg_family():
             ref = selberg_oracle(ell, 1.0, beta, 4.0 / kappa) / math.factorial(ell)
             val = rho(c, (d,), (ell,), kappa, quad)
             assert val == pytest.approx(ref, rel=1e-6), (d, ell)
+
+
+def test_rho_deep_offsets_below_ulp_stay_finite():
+    # near the edge kappa > 12 the innermost offsets from x_1 = 1.35 fall
+    # below ulp(1.35), where w - x_1 would round to zero
+    kappa = 12.604
+    c = ChamberPoint(0.0, (1.35, 2.369))
+    alpha = 1.0 - 12.0 / kappa
+    ref = selberg_oracle(3, alpha, alpha, 4.0 / kappa) / math.factorial(3)
+    ref *= (2.369 - 1.35) ** delta_scaling(3, (4, 4), kappa)
+    assert rho(c, (4, 4), (0, 3), kappa) == pytest.approx(ref, rel=1e-6)
 
 
 def test_rho_doubling_convergence():
@@ -287,110 +288,61 @@ def test_delta_scaling_matches_weight_difference():
                 ), (dims, kappa, ell)
 
 
+# branch continuation: the oracle continues each factor (z - pole)^expo
+# along a sampled path with _anchored_log; its endpoint difference gives
+# the factor the branch picks up
+
+
+def polyline(*corners, n=64):
+    pieces = [np.linspace(a, b, n, endpoint=False) for a, b in zip(corners, corners[1:])]
+    return np.concatenate(pieces + [np.array([complex(corners[-1])])])
+
+
+def arc(center, radius, a0, a1, n=256):
+    return center + radius * np.exp(1j * np.linspace(a0, a1, n))
+
+
+def continued(z, pole, expo):
+    logs = _anchored_log(np.asarray(z, dtype=complex), pole, 0)
+    return complex(np.exp(expo * (logs[-1] - logs[0])))
+
+
+def charge(d, kappa):
+    return -4.0 * (d - 1) / kappa
+
+
 def test_branch_continue_contractible_loop():
-    path = ContourPath(
-        xs=(0.5,),
-        start=(2.0,),
-        pieces=(
-            Segment(0, 2.0, 2.0 + 0.6j),
-            Segment(0, 2.0 + 0.6j, 1.4 + 0.6j),
-            Segment(0, 1.4 + 0.6j, 1.4),
-            Segment(0, 1.4, 2.0),
-        ),
-        base_value=2.3,
-        clearance=0.2,
-    )
-    val = branch_continue(path, (2,), 8.0)
+    path = polyline(2.0, 2.0 + 0.6j, 1.4 + 0.6j, 1.4, 2.0)
+    val = 2.3 * continued(path, 0.5, charge(2, 8.0))
     assert val == pytest.approx(2.3, abs=1e-10)
 
 
 def test_branch_continue_full_loop_monodromy():
     kappa = 10.0
     d = 3
-    path = ContourPath(
-        xs=(1.0,),
-        start=(1.4,),
-        pieces=(Arc(0, 1.0, 0.4, 0.0, 2.0 * math.pi),),
-        base_value=1.0,
-        clearance=0.1,
-    )
-    val = branch_continue(path, (d,), kappa)
+    val = continued(arc(1.0, 0.4, 0.0, 2.0 * math.pi), 1.0, charge(d, kappa))
     assert val == pytest.approx(q_of(kappa) ** (-2 * (d - 1)), abs=1e-10)
 
 
 def test_branch_continue_half_turn_below():
-    path = ContourPath(
-        xs=(1.0,),
-        start=(1.4,),
-        pieces=(Arc(0, 1.0, 0.4, 0.0, -math.pi),),
-        base_value=1.0,
-        clearance=0.1,
-    )
-    val = branch_continue(path, (2,), 8.0)
+    val = continued(arc(1.0, 0.4, 0.0, -math.pi), 1.0, charge(2, 8.0))
     assert val == pytest.approx(1j, abs=1e-10)
 
 
 def test_branch_continue_pair_factor_loop():
     # moving one screening variable around another picks up q^4
     kappa = 10.0
-    path = ContourPath(
-        xs=(5.0,),
-        start=(2.3, 2.0),
-        pieces=(Arc(0, 2.0, 0.3, 0.0, 2.0 * math.pi),),
-        base_value=1.0,
-        clearance=0.1,
-    )
-    val = branch_continue(path, (1,), kappa)
+    val = continued(arc(2.0, 0.3, 0.0, 2.0 * math.pi), 2.0, 8.0 / kappa)
     assert val == pytest.approx(q_of(kappa) ** 4, abs=1e-10)
 
 
 def test_branch_continue_path_independence():
     base = 0.8 + 0.1j
-    arc = ContourPath(
-        xs=(1.0,),
-        start=(1.5,),
-        pieces=(Arc(0, 1.0, 0.5, 0.0, math.pi),),
-        base_value=base,
-        clearance=0.3,
-    )
-    square = ContourPath(
-        xs=(1.0,),
-        start=(1.5,),
-        pieces=(
-            Segment(0, 1.5, 1.5 + 2.0j),
-            Segment(0, 1.5 + 2.0j, 0.5 + 2.0j),
-            Segment(0, 0.5 + 2.0j, 0.5),
-        ),
-        base_value=base,
-        clearance=0.3,
-    )
-    va = branch_continue(arc, (3,), 10.0)
-    vb = branch_continue(square, (3,), 10.0)
+    expo = charge(3, 10.0)
+    va = base * continued(arc(1.0, 0.5, 0.0, math.pi), 1.0, expo)
+    square = polyline(1.5, 1.5 + 2.0j, 0.5 + 2.0j, 0.5)
+    vb = base * continued(square, 1.0, expo)
     assert va == pytest.approx(vb, abs=1e-10 * abs(va))
-
-
-def test_branch_continue_rejects_clearance_violation():
-    path = ContourPath(
-        xs=(1.0,),
-        start=(2.0,),
-        pieces=(Segment(0, 2.0, 0.0),),
-        base_value=1.0,
-        clearance=0.2,
-    )
-    with pytest.raises(ValueError, match="clearance"):
-        branch_continue(path, (2,), 8.0)
-
-
-def test_branch_continue_rejects_disconnected_pieces():
-    path = ContourPath(
-        xs=(1.0,),
-        start=(2.0,),
-        pieces=(Segment(0, 2.5, 3.0),),
-        base_value=1.0,
-        clearance=0.2,
-    )
-    with pytest.raises(ValueError, match="not connected"):
-        branch_continue(path, (2,), 8.0)
 
 
 def test_oracle_empty_configuration():
@@ -465,5 +417,3 @@ def test_oracle_rejects_too_many_loops():
     c = ChamberPoint(0.0, (1.0,))
     with pytest.raises(ValueError, match="at most two"):
         contour_phi_oracle(c, (4,), (3,), 20.0)
-    with pytest.raises(ValueError):
-        contour_phi_oracle(c, (2,), (1,), 8.0, resolution=2)

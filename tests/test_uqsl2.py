@@ -7,7 +7,6 @@ import pytest
 
 from qscreen.qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO
 from qscreen.uqsl2 import (
-    IrrepSpec,
     TensorSpace,
     TensorVector,
     act,
@@ -324,12 +323,9 @@ def test_cyclic_constant_rejects_zero_space():
 
 def test_space_validation():
     with pytest.raises(ValueError):
-        IrrepSpec(0)
-    with pytest.raises(ValueError):
         TensorSpace(())
     with pytest.raises(ValueError):
         TensorVector(TensorSpace((2, 2)), {(0, 5): Q_ONE})
-    assert TensorSpace((3, 4)).total_dim() == 12
 
 
 def test_serialization_order():
