@@ -19,6 +19,7 @@ from .coulomb import ChamberPoint, QuadratureSpec, contour_phi_oracle, h_weight
 from .correspondence import (
     F_hwv,
     asymptotics_check,
+    default_anchor,
     general_asymptotics_check,
     infinity_limit,
     phi,
@@ -214,27 +215,25 @@ def cmd_eval(config):
     tight = replace(
         quad, nodes_per_panel=config.quad_order + 8, rel_tol=config.rel_tol * 1e-2
     )
+    if config.l:
+        if not config.dims:
+            raise ValueError("screening evaluation needs dims")
+        dims = tuple(config.dims)
+        label = "l=" + ",".join(str(k) for k in config.l)
+    else:
+        v = vector_from_spec(config.vector, config.dims)
+        dims = v.space.dims
+        label = "v=" + config.vector
     rows = []
     for pts in config.x:
         if config.l:
-            if not config.dims:
-                raise ValueError("screening evaluation needs dims")
-            x0 = config.x0
-            if x0 is None:
-                span = (pts[-1] - pts[0]) if len(pts) > 1 else 0.0
-                x0 = pts[0] - (span or 1.0)
-            c = ChamberPoint(x0, pts)
-            value = complex(phi(c, config.dims, config.l, config.kappa, quad))
-            refined = complex(phi(c, config.dims, config.l, config.kappa, tight))
-            dims = tuple(config.dims)
-            label = "l=" + ",".join(str(k) for k in config.l)
-            anchor = x0
+            anchor = config.x0 if config.x0 is not None else default_anchor(pts)
+            c = ChamberPoint(anchor, pts)
+            value = complex(phi(c, dims, config.l, config.kappa, quad))
+            refined = complex(phi(c, dims, config.l, config.kappa, tight))
         else:
-            v = vector_from_spec(config.vector, config.dims)
             value = complex(F_hwv(v, pts, config.kappa, quad, x0=config.x0))
             refined = complex(F_hwv(v, pts, config.kappa, tight, x0=config.x0))
-            dims = v.space.dims
-            label = "v=" + config.vector
             anchor = config.x0
         rows.append(
             {
@@ -275,44 +274,6 @@ def format_rows(rows, fmt):
             + [repr(r["re"]), repr(r["im"]), repr(r["err_est"])]
         )
     return buf.getvalue()
-
-
-def parse_rows(text, fmt):
-    """Read back rows emitted by format_rows; floats are bit exact."""
-    if fmt == "json":
-        return [
-            {
-                "kappa": r["kappa"],
-                "dims": tuple(r["dims"]),
-                "config": r["config"],
-                "x0": r["x0"],
-                "x": tuple(r["x"]),
-                "re": r["re"],
-                "im": r["im"],
-                "err_est": r["err_est"],
-            }
-            for r in json.loads(text)
-        ]
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        return []
-    n = len(header) - 7
-    rows = []
-    for cells in reader:
-        rows.append(
-            {
-                "kappa": float(cells[0]),
-                "dims": _parse_ints(cells[1]),
-                "config": cells[2],
-                "x0": None if cells[3] == "auto" else float(cells[3]),
-                "x": tuple(float(c) for c in cells[4 : 4 + n]),
-                "re": float(cells[4 + n]),
-                "im": float(cells[5 + n]),
-                "err_est": float(cells[6 + n]),
-            }
-        )
-    return rows
 
 
 # -- verify ----------------------------------------------------------------

@@ -24,6 +24,7 @@ from .coulomb import (
     ChamberPoint,
     QuadratureSpec,
     ScreeningConfig,
+    _check_increasing,
     _dims_counts,
     b_const,
     delta_fusion,
@@ -210,6 +211,14 @@ def _rho_tilde(c, dims, m, kappa, quad):
     return tilde_rho(c, dims, m, kappa, quad)
 
 
+def _evaluate(weights, c, dims, kappa, quad):
+    kp = KappaParams(kappa)
+    total = 0j
+    for m, w in weights.items():
+        total += eval_q(w, kp) * _rho_tilde(c, dims, m, kappa, quad)
+    return total
+
+
 def phi(c: ChamberPoint, dims, l, kappa, quad: QuadratureSpec | None = None) -> complex:
     """Basis function at one chamber point, through the reduction table.
 
@@ -217,12 +226,7 @@ def phi(c: ChamberPoint, dims, l, kappa, quad: QuadratureSpec | None = None) -> 
     touching the quadrature.
     """
     dims, counts = _dims_counts(dims, l, c.n)
-    quad = quad if quad is not None else QuadratureSpec()
-    kp = KappaParams(kappa)
-    total = 0j
-    for m, coeff in _table_entries(dims, counts).items():
-        total += eval_q(coeff, kp) * _rho_tilde(c, dims, m, kappa, quad)
-    return total
+    return _evaluate(_table_entries(dims, counts), c, dims, kappa, quad)
 
 
 def _vector_weights(v):
@@ -249,47 +253,27 @@ def F_anchor(v: TensorVector, c: ChamberPoint, kappa,
         raise ValueError(
             f"vector lives on {len(dims)} points but the chamber has {c.n}"
         )
-    quad = quad if quad is not None else QuadratureSpec()
-    kp = KappaParams(kappa)
-    total = 0j
-    for m, w in _vector_weights(v).items():
-        total += eval_q(w, kp) * _rho_tilde(c, dims, m, kappa, quad)
-    return total
+    return _evaluate(_vector_weights(v), c, dims, kappa, quad)
+
+
+def default_anchor(xs):
+    """One chamber span left of the first point (one unit for a single point)."""
+    return xs[0] - ((xs[-1] - xs[0]) or 1.0)
 
 
 def F_hwv(v: TensorVector, x, kappa, quad: QuadratureSpec | None = None,
-          x0=None, check_anchor: bool = False, anchor_rtol: float = 1e-8) -> complex:
+          x0=None) -> complex:
     """Function of a highest weight vector on the chamber itself.
 
-    The default anchor sits one chamber span left of the first point.
-    With check_anchor=True the value is recomputed at a second anchor and
-    the two must agree within anchor_rtol, which bounds the quadrature
-    error on the closed integration surface.
+    x0 defaults to default_anchor(x); for a highest weight vector the
+    value does not depend on it up to quadrature error.
     """
     if not act("E", v).is_zero():
         raise ValueError("not a highest weight vector (E.v != 0)")
     xs = tuple(float(xi) for xi in x)
-    for a, b in zip(xs, xs[1:]):
-        if not a < b:
-            raise ValueError("coordinates must increase strictly")
-    span = xs[-1] - xs[0]
-    if span == 0.0:
-        span = 1.0
-    anchor = float(x0) if x0 is not None else xs[0] - span
-    val = F_anchor(v, ChamberPoint(anchor, xs), kappa, quad)
-    if check_anchor:
-        second = xs[0] - 2.0 * span - 1.0
-        if second == anchor:
-            second -= 1.0
-        other = F_anchor(v, ChamberPoint(second, xs), kappa, quad)
-        scale = max(abs(val), abs(other))
-        if scale > 0.0 and abs(val - other) > anchor_rtol * scale:
-            raise ArithmeticError(
-                f"anchor dependence {abs(val - other) / scale:.2e} exceeds"
-                f" {anchor_rtol:g}: {val} at x0={anchor:g},"
-                f" {other} at x0={second:g}"
-            )
-    return val
+    _check_increasing(xs)
+    anchor = float(x0) if x0 is not None else default_anchor(xs)
+    return F_anchor(v, ChamberPoint(anchor, xs), kappa, quad)
 
 
 # -- collapse asymptotics and the point at infinity ------------------------
@@ -312,9 +296,29 @@ def _power_fit(seps, values):
     return slopes, slopes[-1] + (slopes[-1] - slopes[-2]) * r / (1.0 - r)
 
 
+def _collapse_series(v, points_at, exponent_ref, kappa, quad):
+    """F_anchor of v at points_at(s) for each separation s in _SEPARATIONS,
+    the ratios after dividing out s**exponent_ref, and the fitted power."""
+    values = []
+    ratios = []
+    for sep in _SEPARATIONS:
+        val = F_anchor(v, ChamberPoint(0.0, points_at(sep)), kappa, quad)
+        values.append(val)
+        ratios.append(val / sep ** exponent_ref)
+    slopes, fit = _power_fit(_SEPARATIONS, values)
+    return {
+        "separations": _SEPARATIONS,
+        "values": tuple(values),
+        "ratios": tuple(ratios),
+        "slopes": slopes,
+        "exponent": fit,
+        "exponent_ref": exponent_ref,
+        "constant": ratios[-1],
+    }
+
+
 def asymptotics_check(v: TensorVector, j, d, kappa,
-                      quad: QuadratureSpec | None = None,
-                      separations=_SEPARATIONS) -> dict:
+                      quad: QuadratureSpec | None = None) -> dict:
     """Collapse the neighbor pair (j, j+1) and compare with the predicted
     power law and constant.
 
@@ -329,40 +333,26 @@ def asymptotics_check(v: TensorVector, j, d, kappa,
         raise ValueError(
             f"vector is not in the d={d} summand of the pair ({j}, {j + 1})"
         )
-    quad = quad if quad is not None else QuadratureSpec()
-    separations = tuple(float(s) for s in separations)
     xi = j + 0.5
     base = [float(i) for i in range(1, n + 1)]
-    exponent_ref = delta_fusion(d, dims[j - 1], dims[j], kappa)
-    values = []
-    ratios = []
-    for sep in separations:
+
+    def points_at(sep):
         pts = list(base)
         pts[j - 1] = xi - sep / 2.0
         pts[j] = xi + sep / 2.0
-        val = F_anchor(v, ChamberPoint(0.0, tuple(pts)), kappa, quad)
-        values.append(val)
-        ratios.append(val / sep ** exponent_ref)
+        return tuple(pts)
+
+    exponent_ref = delta_fusion(d, dims[j - 1], dims[j], kappa)
+    report = _collapse_series(v, points_at, exponent_ref, kappa, quad)
     collapsed = tuple(base[: j - 1] + [xi] + base[j + 1:])
-    reference = b_const(d, dims[j - 1], dims[j], kappa, quad) * F_anchor(
+    report["reference"] = b_const(d, dims[j - 1], dims[j], kappa, quad) * F_anchor(
         hat, ChamberPoint(0.0, collapsed), kappa, quad
     )
-    slopes, fit = _power_fit(separations, values)
-    return {
-        "separations": separations,
-        "values": tuple(values),
-        "ratios": tuple(ratios),
-        "slopes": slopes,
-        "exponent": fit,
-        "exponent_ref": exponent_ref,
-        "constant": ratios[-1],
-        "reference": reference,
-    }
+    return report
 
 
 def infinity_limit(v: TensorVector, side, kappa,
-                   quad: QuadratureSpec | None = None,
-                   s_values=_S_VALUES) -> dict:
+                   quad: QuadratureSpec | None = None) -> dict:
     """Send the outermost point to infinity and compare the rescaled trend
     against the function with one variable less.
 
@@ -378,7 +368,6 @@ def infinity_limit(v: TensorVector, side, kappa,
     n = len(dims)
     if n < 2:
         raise ValueError("need at least two tensorands")
-    quad = quad if quad is not None else QuadratureSpec()
     kp = KappaParams(kappa)
     finite = tuple(float(i) for i in range(1, n))
     if side == "plus":
@@ -392,9 +381,8 @@ def infinity_limit(v: TensorVector, side, kappa,
         edge_scalar = drop ** (d_edge - 1) * qfact(d_edge - 1) ** 2
     constant = eval_q(edge_scalar, kp) * b_const(1, d_edge, d_edge, kappa, quad)
     exponent = 2.0 * h_weight(d_edge, kappa)
-    s_values = tuple(float(s) for s in s_values)
     scaled = []
-    for s in s_values:
+    for s in _S_VALUES:
         pts = finite + (s,) if side == "plus" else (-s,) + finite
         scaled.append(s ** exponent * F_hwv(v, pts, kappa, quad))
     reference = constant * F_hwv(reduced, finite, kappa, quad)
@@ -405,7 +393,7 @@ def infinity_limit(v: TensorVector, side, kappa,
         errors = tuple(abs(z) for z in scaled)
     return {
         "side": side,
-        "s_values": s_values,
+        "s_values": _S_VALUES,
         "scaled": tuple(scaled),
         "constant": constant,
         "reference": reference,
@@ -463,8 +451,7 @@ def _ladder_root(u, d):
 
 
 def general_asymptotics_check(v: TensorVector, j, k, d, eta, kappa,
-                              quad: QuadratureSpec | None = None,
-                              separations=_SEPARATIONS) -> dict:
+                              quad: QuadratureSpec | None = None) -> dict:
     """Collapse the points x_j..x_k at fixed ratios and compare with the
     product of the block function and the reduced function.
 
@@ -484,39 +471,26 @@ def general_asymptotics_check(v: TensorVector, j, k, d, eta, kappa,
         raise ValueError("ratios must start at 0 and end at 1")
     if any(not a < b for a, b in zip(eta, eta[1:])):
         raise ValueError("ratios must increase strictly")
-    quad = quad if quad is not None else QuadratureSpec()
-    separations = tuple(float(s) for s in separations)
     exponent_ref = h_weight(d, kappa) - sum(
         h_weight(dims[i], kappa) for i in range(j - 1, k)
     )
     xi = (j + k) / 2.0
     base = [float(i) for i in range(1, n + 1)]
-    values = []
-    ratios = []
-    for sep in separations:
+
+    def points_at(sep):
         pts = list(base)
         for off, e in enumerate(eta):
             pts[j - 1 + off] = xi - sep / 2.0 + e * sep
-        val = F_anchor(v, ChamberPoint(0.0, tuple(pts)), kappa, quad)
-        values.append(val)
-        ratios.append(val / sep ** exponent_ref)
+        return tuple(pts)
+
+    report = _collapse_series(v, points_at, exponent_ref, kappa, quad)
     block_value = F_hwv(tau0, eta, kappa, quad)
     hat_space = TensorSpace(dims[: j - 1] + (d,) + dims[k:])
     hat = TensorVector.basis(hat_space, outer[: j - 1] + (l,) + outer[j - 1:])
     collapsed = tuple(base[: j - 1] + [xi] + base[k:])
-    reference = block_value * F_anchor(
+    report["eta"] = eta
+    report["reference"] = block_value * F_anchor(
         hat, ChamberPoint(0.0, collapsed), kappa, quad
     )
-    slopes, fit = _power_fit(separations, values)
-    return {
-        "separations": separations,
-        "eta": eta,
-        "values": tuple(values),
-        "ratios": tuple(ratios),
-        "slopes": slopes,
-        "exponent": fit,
-        "exponent_ref": exponent_ref,
-        "constant": ratios[-1],
-        "reference": reference,
-        "block_value": block_value,
-    }
+    report["block_value"] = block_value
+    return report

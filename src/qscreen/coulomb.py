@@ -113,13 +113,19 @@ def _check_convergent(dims, kappa):
         )
 
 
-def _x_prefactor(c, dims, kappa):
+def _check_increasing(xs):
+    for a, b in zip(xs, xs[1:]):
+        if not a < b:
+            raise ValueError("coordinates must increase strictly")
+
+
+def _x_prefactor(xs, dims, kappa):
     total = 1.0
-    for i in range(c.n):
-        for j in range(i + 1, c.n):
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
             e = 2.0 * (dims[i] - 1) * (dims[j] - 1) / kappa
             if e:
-                total *= (c.xs[j] - c.xs[i]) ** e
+                total *= (xs[j] - xs[i]) ** e
     return total
 
 
@@ -146,26 +152,18 @@ def _unit_rule_build(aL, aR, nodes, subdivisions):
         t_parts.append(t)
         w_parts.append(w)
 
-    if abs(aL) < 1e-13:
-        t = edge * 0.5 * (1.0 + xg)
-        w = edge * 0.5 * wg * (1.0 - t) ** aR
-    else:
-        xj, wj = roots_jacobi(nodes, 0.0, aL)
-        t = edge * 0.5 * (1.0 + xj)
-        w = wj * (edge * 0.5) ** (1.0 + aL) * (1.0 - t) ** aR
+    xj, wj = roots_jacobi(nodes, 0.0, aL)
+    t = edge * 0.5 * (1.0 + xj)
+    w = wj * (edge * 0.5) ** (1.0 + aL) * (1.0 - t) ** aR
     t_parts.append(t)
     w_parts.append(w)
     for k in range(subdivisions - 1, -1, -1):
         interior(0.5 * _SPLIT_RATIO ** (k + 1), 0.5 * _SPLIT_RATIO ** k)
     for k in range(subdivisions):
         interior(1.0 - 0.5 * _SPLIT_RATIO ** k, 1.0 - 0.5 * _SPLIT_RATIO ** (k + 1))
-    if abs(aR) < 1e-13:
-        t = 1.0 - edge * 0.5 * (1.0 - xg)
-        w = edge * 0.5 * wg * t ** aL
-    else:
-        xj, wj = roots_jacobi(nodes, aR, 0.0)
-        t = 1.0 - edge * 0.5 * (1.0 - xj)
-        w = wj * (edge * 0.5) ** (1.0 + aR) * t ** aL
+    xj, wj = roots_jacobi(nodes, aR, 0.0)
+    t = 1.0 - edge * 0.5 * (1.0 - xj)
+    w = wj * (edge * 0.5) ** (1.0 + aR) * t ** aL
     t_parts.append(t)
     w_parts.append(w)
     return np.concatenate(t_parts), np.concatenate(w_parts)
@@ -288,7 +286,7 @@ def rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> 
     dims, counts = _dims_counts(dims, m, c.n)
     _check_convergent(dims, kappa)
     quad = quad if quad is not None else QuadratureSpec()
-    pref = _x_prefactor(c, dims, kappa)
+    pref = _x_prefactor(c.xs, dims, kappa)
     ell = sum(counts)
     if ell == 0:
         return pref
@@ -325,7 +323,6 @@ def b_const(d, d1, d2, kappa, quad: QuadratureSpec | None = None) -> float:
     mm = two_m // 2
     if mm == 0:
         return 1.0
-    _check_convergent((d1, d2), kappa)
     c = ChamberPoint(-1.0, (0.0, 1.0))
     return rho(c, (d1, d2), (0, mm), kappa, quad)
 
@@ -592,7 +589,7 @@ def contour_phi_oracle(c: ChamberPoint, dims, l, kappa) -> complex:
     ell = sum(counts)
     if ell > 2:
         raise ValueError("contour oracle supports at most two screening loops")
-    xpref = _x_prefactor(c, dims, kappa)
+    xpref = _x_prefactor(c.xs, dims, kappa)
     if ell == 0:
         return complex(xpref)
     betas = _betas(dims, kappa)[1:]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .coulomb import h_weight
+from .coulomb import _check_increasing, _x_prefactor, h_weight
 from .correspondence import F_hwv
 from .uqsl2 import is_hwv
 
@@ -35,7 +35,7 @@ class FdScheme:
     h: float = 1e-3
 
     def __post_init__(self):
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError("step must be positive")
 
 
@@ -111,12 +111,6 @@ def build_bsa(j, dims, kappa):
 
 
 # -- finite difference engine ----------------------------------------------
-
-
-def _check_ascending(x):
-    for a, b in zip(x, x[1:]):
-        if b <= a:
-            raise ValueError("coordinates must increase strictly")
 
 
 def _min_gap(x):
@@ -235,7 +229,7 @@ def apply_bsa(op, f, x, scheme=None):
     x = tuple(float(xi) for xi in x)
     if len(x) != len(op.dims):
         raise ValueError(f"point has {len(x)} coordinates, operator wants {len(op.dims)}")
-    _check_ascending(x)
+    _check_increasing(x)
     h_fine, strides = _steps(scheme, x, op.order)
     base = _lattice(f, x, h_fine)
     weights = tuple(h_weight(d_, op.kappa) for d_ in op.dims)
@@ -259,16 +253,7 @@ def apply_bsa(op, f, x, scheme=None):
 def vertex_prefactor(dims, kappa):
     """Evaluator for the no-screening product of powered differences,
     prod_{i<k} (x_k - x_i)**(2 (d_i-1)(d_k-1)/kappa)."""
-    dims = tuple(int(d_) for d_ in dims)
-
-    def ev(y):
-        out = 1.0
-        for i in range(len(y)):
-            for k in range(i + 1, len(y)):
-                out *= (y[k] - y[i]) ** (2.0 * (dims[i] - 1) * (dims[k] - 1) / kappa)
-        return out
-
-    return ev
+    return lambda y: _x_prefactor(y, dims, kappa)
 
 
 def _extrapolated_sum(f, x, total_order, scheme, pieces_at):
@@ -294,7 +279,7 @@ def sle_pde_check(f, x, kappa, j, scheme=None):
     Returns (residual, scale) like apply_bsa.
     """
     x = tuple(float(xi) for xi in x)
-    _check_ascending(x)
+    _check_increasing(x)
     if not 1 <= j <= len(x):
         raise ValueError(f"position {j} out of range for n={len(x)}")
     hw = (6.0 - kappa) / (2.0 * kappa)
@@ -314,7 +299,11 @@ def sle_pde_check(f, x, kappa, j, scheme=None):
     return _extrapolated_sum(f, x, 2, scheme, pieces_at)
 
 
-def sle_proportionality_check(x, kappa, j, count=20, seed=7):
+_PROPORTIONALITY_SAMPLES = 20
+_IDENTITY_SAMPLES = 100
+
+
+def sle_proportionality_check(x, kappa, j, seed=7):
     """Largest relative gap between the direct second order equation and
     kappa/2 times the composed operator, over random smooth translation
     invariant test functions.
@@ -329,7 +318,7 @@ def sle_proportionality_check(x, kappa, j, count=20, seed=7):
     rng = random.Random(seed)
     pairs = [(i, k) for i in range(len(x)) for k in range(i + 1, len(x))]
     worst = 0.0
-    for _ in range(count):
+    for _ in range(_PROPORTIONALITY_SAMPLES):
         coeffs = {pair: (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for pair in pairs}
 
         def f(y, coeffs=coeffs):
@@ -352,7 +341,7 @@ def sle_proportionality_check(x, kappa, j, count=20, seed=7):
 def translation_check(f, x, scheme=None):
     """Sum of all first derivatives at x; scale is the largest one."""
     x = tuple(float(xi) for xi in x)
-    _check_ascending(x)
+    _check_increasing(x)
     origin = (0,) * len(x)
 
     def pieces_at(g, stride, h):
@@ -364,7 +353,7 @@ def translation_check(f, x, scheme=None):
 def euler_check(f, x, degree, scheme=None):
     """Euler operator sum x_i d/dx_i minus the homogeneity degree."""
     x = tuple(float(xi) for xi in x)
-    _check_ascending(x)
+    _check_increasing(x)
     origin = (0,) * len(x)
 
     def pieces_at(g, stride, h):
@@ -387,7 +376,7 @@ def mobius_check(v, mu, x, kappa, quad=None):
     if not is_hwv(v, 1):
         raise ValueError("vector is not in the trivial subrepresentation")
     x = tuple(float(xi) for xi in x)
-    _check_ascending(x)
+    _check_increasing(x)
     if any(c * xi + d == 0.0 for xi in x):
         raise ValueError("map has a pole at one of the points")
     mapped = tuple((a * xi + b) / (c * xi + d) for xi in x)
@@ -425,7 +414,7 @@ def _separated_points(rng, count, low, high, min_dist):
             return pts
 
 
-def special_conformal_identity_check(dims, samples=100, seed=2026, perturbation=0.0):
+def special_conformal_identity_check(dims, seed=2026, perturbation=0.0):
     """Largest relative size of the rational expression
 
         sum_r prod_i (w_r-x_i)**(d_i-1) prod_{s != r} (w_r-w_s)**-2
@@ -445,7 +434,7 @@ def special_conformal_identity_check(dims, samples=100, seed=2026, perturbation=
     n = len(dims)
     rng = random.Random(seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(_IDENTITY_SAMPLES):
         pts = _separated_points(rng, n + ell, -2.0, 2.0, 0.4)
         xs = sorted(pts[:n])
         ws = pts[n:]

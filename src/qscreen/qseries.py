@@ -63,10 +63,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
 
-    def shift(self, e: int) -> "LaurentPoly":
-        """Multiply by q^e."""
-        return LaurentPoly({k + e: v for k, v in self.coeffs.items()})
-
     def stretch(self, m: int) -> "LaurentPoly":
         """Substitute q -> q^m (exponents multiplied by m)."""
         return LaurentPoly({k * m: v for k, v in self.coeffs.items()})
@@ -189,17 +185,6 @@ def _dense_primitive(a: list[int]) -> list[int]:
     if a[-1] < 0:
         g = -g
     return [c // g for c in a]
-
-
-def _dense_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _dense_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -421,7 +406,6 @@ def qmultinom(total: int, parts) -> QScalar:
     return out
 
 
-def eval_q(s: QScalar | LaurentPoly, params: KappaParams | complex) -> complex:
+def eval_q(s: QScalar | LaurentPoly, params: KappaParams) -> complex:
     """Evaluate an exact coefficient at the numeric q of the given kappa."""
-    z = params.q_num if isinstance(params, KappaParams) else params
-    return s.eval(z)
+    return s.eval(params.q_num)

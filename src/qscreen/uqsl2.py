@@ -175,17 +175,6 @@ def hwv_pair(d1: int, d2: int, m: int) -> TensorVector:
     return TensorVector(space, coeffs)
 
 
-def submodule_vector(d1: int, d2: int, m: int, l: int) -> TensorVector:
-    """F^l applied to the m-th highest weight vector; exactly zero once l
-    exceeds the summand dimension."""
-    if not 0 <= l <= d1 + d2 - 2:
-        raise ValueError(f"l={l} out of range for dims ({d1},{d2})")
-    v = hwv_pair(d1, d2, m)
-    for _ in range(l):
-        v = act("F", v)
-    return v
-
-
 # -- exact linear algebra over QScalar ------------------------------------
 
 
@@ -382,23 +371,6 @@ def r_plus(v: TensorVector) -> TensorVector:
     coeffs = {idx[:-1]: c for idx, c in v.coeffs.items()
               if idx[-1] == d - 1}
     return TensorVector(sub, coeffs)
-
-
-def r_plus_inv(u: TensorVector, d: int) -> TensorVector:
-    """Rebuild the invariant vector of M_d tensor (printed left) from its
-    highest component."""
-    _require_hwv(u, d)
-    space = TensorSpace(u.space.dims + (d,))
-    coeffs: dict[tuple, QScalar] = {}
-    w = u
-    for l in range(d - 1, -1, -1):
-        a = QScalar.q_power((l + 1) * (d - 1 - l), (-1) ** (d - 1 - l))
-        for idx, c in w.coeffs.items():
-            full = idx + (l,)
-            coeffs[full] = coeffs.get(full, Q_ZERO) + a * c
-        if l > 0:
-            w = act("F", w)
-    return TensorVector(space, coeffs)
 
 
 def r_minus(v: TensorVector) -> TensorVector:

@@ -1,17 +1,20 @@
 """Tests for the batch front end."""
 
+import csv
+import io
 import json
 import math
 
 import pytest
 
+from qscreen import cli
 from qscreen.cli import (
     RunConfig,
+    _parse_ints,
     cmd_eval,
     format_rows,
     load_config,
     main,
-    parse_rows,
     vector_from_spec,
 )
 from qscreen.uqsl2 import hwv_pair, is_hwv
@@ -21,6 +24,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_rows(text, fmt):
+    """Read back rows emitted by format_rows; floats are bit exact."""
+    if fmt == "json":
+        return [
+            dict(r, dims=tuple(r["dims"]), x=tuple(r["x"])) for r in json.loads(text)
+        ]
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
+        return []
+    n = len(header) - 7
+    return [
+        {
+            "kappa": float(cells[0]),
+            "dims": _parse_ints(cells[1]),
+            "config": cells[2],
+            "x0": None if cells[3] == "auto" else float(cells[3]),
+            "x": tuple(float(c) for c in cells[4 : 4 + n]),
+            "re": float(cells[4 + n]),
+            "im": float(cells[5 + n]),
+            "err_est": float(cells[6 + n]),
+        }
+        for cells in reader
+    ]
 
 
 # -- configuration ---------------------------------------------------------
@@ -179,6 +208,31 @@ def test_eval_round_trip_is_exact(tmp_path):
         assert parse_rows(format_rows(rows, fmt), fmt) == rows
     text = (tmp_path / "rows.csv").read_text(encoding="utf-8")
     assert parse_rows(text, "csv") == rows
+
+
+def test_eval_builds_the_vector_once(monkeypatch, capsys):
+    calls = []
+    build = cli.hwv_space_basis
+
+    def counted(space, d):
+        calls.append((space.dims, d))
+        return build(space, d)
+
+    monkeypatch.setattr(cli, "hwv_space_basis", counted)
+    code, out, _ = run(
+        capsys,
+        "eval",
+        "--dims", "2,2,2,2",
+        "--vector", "trivial:0",
+        "--kappa", "10",
+        "--quad-order", "4",
+        "--max-subdiv", "3",
+        "--x", "0,1,2,4;0,1,2,5;0,1,3,5",
+        "--format", "json",
+    )
+    assert code == 0
+    assert len(parse_rows(out, "json")) == 3
+    assert calls == [((2, 2, 2, 2), 1)]
 
 
 # -- verify ----------------------------------------------------------------

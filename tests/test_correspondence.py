@@ -256,8 +256,7 @@ def test_f_hwv_anchor_independence():
     a = F_hwv(v, x, KAPPA, x0=-1.0)
     b = F_hwv(v, x, KAPPA, x0=-10.0)
     assert a == pytest.approx(b, rel=1e-8)
-    checked = F_hwv(v, x, KAPPA, check_anchor=True)
-    assert checked == pytest.approx(a, rel=1e-8)
+    assert F_hwv(v, x, KAPPA) == a
 
 
 def test_f_hwv_one_point_constant():

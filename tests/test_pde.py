@@ -87,6 +87,8 @@ def test_bsa_rejects_bad_positions():
 def test_fd_scheme_validation():
     with pytest.raises(ValueError, match="step"):
         FdScheme(h=0.0)
+    with pytest.raises(ValueError, match="step"):
+        FdScheme(h=float("nan"))
 
 
 # -- residuals on known solutions ------------------------------------------
@@ -135,6 +137,15 @@ def test_apply_bsa_input_checks():
         apply_bsa(op, f, (0.0, 1.0))
     with pytest.raises(ValueError, match="increase"):
         apply_bsa(op, f, (0.0, 2.5, 1.0))
+    nan_point = (0.0, float("nan"), 2.0)
+    with pytest.raises(ValueError, match="increase"):
+        apply_bsa(op, f, nan_point)
+    with pytest.raises(ValueError, match="increase"):
+        sle_pde_check(f, nan_point, KAPPA, 1)
+    with pytest.raises(ValueError, match="increase"):
+        translation_check(f, nan_point)
+    with pytest.raises(ValueError, match="increase"):
+        euler_check(f, nan_point, 0.0)
 
 
 # -- the second order growth process equation ------------------------------

@@ -224,6 +224,6 @@ def test_eval_q_values():
 
 def test_laurent_poly_stretch_and_shift():
     p = Q(2) + Q(0, 3) + Q(-1)
-    assert p.shift(2) == Q(4) + Q(2, 3) + Q(1)
+    assert p * LaurentPoly.q_power(2) == Q(4) + Q(2, 3) + Q(1)
     assert p.stretch(2) == Q(4) + Q(0, 3) + Q(-2)
     assert p.stretch(1) == p

