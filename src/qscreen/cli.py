@@ -1,10 +1,11 @@
 """Batch front end: evaluate functions, run verification suites, dump bases.
 
 Configuration comes from an optional key=value file plus command line
-flags; flags win.  Evaluation rows carry a quadrature error estimate
-obtained by re-running with a tighter quadrature.  Verification reports
-are JSON with per-check tolerances and measured values; the exit status
-is zero exactly when every check passed.
+flags; flags win.  Evaluation rows carry the quadrature's own absolute
+error estimate; a row whose integrals cannot meet rel_tol stops the run
+with exit status 3.  Verification reports are JSON with per-check
+tolerances and measured values; the exit status is zero exactly when
+every check passed.
 """
 
 import argparse
@@ -15,7 +16,13 @@ import json
 import sys
 from dataclasses import dataclass, replace
 
-from .coulomb import ChamberPoint, QuadratureSpec, contour_phi_oracle, h_weight
+from .coulomb import (
+    ChamberPoint,
+    QuadratureSpec,
+    contour_phi_oracle,
+    eval_stats,
+    h_weight,
+)
 from .correspondence import (
     F_hwv,
     asymptotics_check,
@@ -67,8 +74,6 @@ class RunConfig:
     x: tuple = ()
     x0: float = None
     d: int = 1
-    quad_order: int = 12
-    max_subdiv: int = 20
     rel_tol: float = 1e-9
     tol: float = None
     seed: int = 2026
@@ -76,11 +81,7 @@ class RunConfig:
     format: str = "csv"
 
     def quadrature(self):
-        return QuadratureSpec(
-            nodes_per_panel=self.quad_order,
-            max_subdivisions=self.max_subdiv,
-            rel_tol=self.rel_tol,
-        )
+        return QuadratureSpec(rel_tol=self.rel_tol)
 
 
 def _parse_ints(text):
@@ -119,8 +120,6 @@ _PARSERS = {
     "x": _parse_rows,
     "x0": _parse_anchor,
     "d": int,
-    "quad_order": int,
-    "max_subdiv": int,
     "rel_tol": float,
     "tol": float,
     "seed": int,
@@ -204,17 +203,15 @@ def vector_from_spec(spec, dims=()):
 def cmd_eval(config):
     """Evaluate the configured function at every chamber row.
 
-    Returns the rows and writes them in the configured format.  The error
-    estimate is the difference against a run with a deeper quadrature.
+    Returns the rows and writes them in the configured format.  err_est
+    is the quadrature's own absolute error estimate of the row: the sum of
+    |weight * prefactor| * estimate over its integrals.
     """
     if not config.x:
         raise ValueError("no evaluation points given (key x)")
     if bool(config.vector) == bool(config.l):
         raise ValueError("give either a vector spec or screening counts l, not both")
     quad = config.quadrature()
-    tight = replace(
-        quad, nodes_per_panel=config.quad_order + 8, rel_tol=config.rel_tol * 1e-2
-    )
     if config.l:
         if not config.dims:
             raise ValueError("screening evaluation needs dims")
@@ -226,15 +223,14 @@ def cmd_eval(config):
         label = "v=" + config.vector
     rows = []
     for pts in config.x:
-        if config.l:
-            anchor = config.x0 if config.x0 is not None else default_anchor(pts)
-            c = ChamberPoint(anchor, pts)
-            value = complex(phi(c, dims, config.l, config.kappa, quad))
-            refined = complex(phi(c, dims, config.l, config.kappa, tight))
-        else:
-            value = complex(F_hwv(v, pts, config.kappa, quad, x0=config.x0))
-            refined = complex(F_hwv(v, pts, config.kappa, tight, x0=config.x0))
-            anchor = config.x0
+        with eval_stats() as stats:
+            if config.l:
+                anchor = config.x0 if config.x0 is not None else default_anchor(pts)
+                c = ChamberPoint(anchor, pts)
+                value = complex(phi(c, dims, config.l, config.kappa, quad))
+            else:
+                value = complex(F_hwv(v, pts, config.kappa, quad, x0=config.x0))
+                anchor = config.x0
         rows.append(
             {
                 "kappa": config.kappa,
@@ -244,7 +240,7 @@ def cmd_eval(config):
                 "x": tuple(pts),
                 "re": value.real,
                 "im": value.imag,
-                "err_est": abs(value - refined),
+                "err_est": stats.err_est,
             }
         )
     _emit(format_rows(rows, config.format), config.out)

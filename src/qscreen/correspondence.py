@@ -26,8 +26,10 @@ from .coulomb import (
     ScreeningConfig,
     _check_increasing,
     _dims_counts,
+    _record,
     b_const,
     delta_fusion,
+    eval_stats,
     h_weight,
     tilde_rho,
 )
@@ -208,15 +210,42 @@ def reduction_coeffs(dims, l) -> ReductionTable:
 
 @lru_cache(maxsize=4096)
 def _rho_tilde(c, dims, m, kappa, quad):
-    return tilde_rho(c, dims, m, kappa, quad)
+    # the value with its error estimate, so a cached term still reports one
+    with eval_stats() as stats:
+        value = tilde_rho(c, dims, m, kappa, quad)
+    return value, stats.err_est
 
 
 def _evaluate(weights, c, dims, kappa, quad):
-    kp = KappaParams(kappa)
     total = 0j
-    for m, w in weights.items():
-        total += eval_q(w, kp) * _rho_tilde(c, dims, m, kappa, quad)
+    err = 0.0
+    for m, w in weights:
+        value, est = _rho_tilde(c, dims, m, kappa, quad)
+        total += w * value
+        err += abs(w) * est
+    _record(err)
     return total
+
+
+@lru_cache(maxsize=1024)
+def _kappa_weights(dims, coeffs, kappa):
+    """Per-assignment weights of the linear extension at the numeric q of
+    kappa, sorted by assignment, for the vector with the given frozenset
+    of (index, coefficient); the exact sums are formed first."""
+    weights = {}
+    for idx, cv in coeffs:
+        for m, ck in _table_entries(dims, idx).items():
+            prev = weights.get(m)
+            weights[m] = ck * cv if prev is None else prev + ck * cv
+    kp = KappaParams(kappa)
+    return tuple(
+        (m, eval_q(w, kp)) for m, w in sorted(weights.items()) if not w.is_zero()
+    )
+
+
+@lru_cache(maxsize=1024)
+def _killed_by_E(dims, coeffs):
+    return act("E", TensorVector(TensorSpace(dims), dict(coeffs))).is_zero()
 
 
 def phi(c: ChamberPoint, dims, l, kappa, quad: QuadratureSpec | None = None) -> complex:
@@ -226,18 +255,8 @@ def phi(c: ChamberPoint, dims, l, kappa, quad: QuadratureSpec | None = None) -> 
     touching the quadrature.
     """
     dims, counts = _dims_counts(dims, l, c.n)
-    return _evaluate(_table_entries(dims, counts), c, dims, kappa, quad)
-
-
-def _vector_weights(v):
-    """Exact per-assignment weights of the linear extension."""
-    dims = v.space.dims
-    weights = {}
-    for idx, cv in v.coeffs.items():
-        for m, ck in _table_entries(dims, idx).items():
-            prev = weights.get(m)
-            weights[m] = ck * cv if prev is None else prev + ck * cv
-    return {m: w for m, w in weights.items() if not w.is_zero()}
+    weights = _kappa_weights(dims, frozenset({(counts, Q_ONE)}), kappa)
+    return _evaluate(weights, c, dims, kappa, quad)
 
 
 def F_anchor(v: TensorVector, c: ChamberPoint, kappa,
@@ -253,7 +272,8 @@ def F_anchor(v: TensorVector, c: ChamberPoint, kappa,
         raise ValueError(
             f"vector lives on {len(dims)} points but the chamber has {c.n}"
         )
-    return _evaluate(_vector_weights(v), c, dims, kappa, quad)
+    weights = _kappa_weights(dims, frozenset(v.coeffs.items()), kappa)
+    return _evaluate(weights, c, dims, kappa, quad)
 
 
 def default_anchor(xs):
@@ -268,7 +288,7 @@ def F_hwv(v: TensorVector, x, kappa, quad: QuadratureSpec | None = None,
     x0 defaults to default_anchor(x); for a highest weight vector the
     value does not depend on it up to quadrature error.
     """
-    if not act("E", v).is_zero():
+    if not _killed_by_E(v.space.dims, frozenset(v.coeffs.items())):
         raise ValueError("not a highest weight vector (E.v != 0)")
     xs = tuple(float(xi) for xi in x)
     _check_increasing(xs)

@@ -1,28 +1,31 @@
 """Coulomb gas integrals on the real chamber.
 
 Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
-the screened integrals over nested ordered simplices, the rephased
-hypercube variants, the boundary fusion constants, conformal weight and
-exponent helpers, and a direct contour oracle that integrates the same
-density over explicitly constructed nested loops with the branch tracked
-along the path.
+the screened integrals over nested ordered simplices (a tanh-sinh rule per
+screening variable, each level's step halved until the quadrature's own
+error estimate meets the requested tolerance), the rephased hypercube
+variants, the boundary fusion constants, conformal weight and exponent
+helpers, and a direct contour oracle that integrates the same density over
+explicitly constructed nested loops with the branch tracked along the path.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, roots_jacobi, roots_legendre
+from scipy.special import gammaln, gammasgn, roots_legendre
 
 from .qseries import KappaParams, QScalar, eval_q, qfact
 
 
 @dataclass(frozen=True)
 class ChamberPoint:
-    """Anchor and marked points with x0 < x_1 < ... < x_n strictly."""
+    """Anchor and marked points with x0 < x_1 < ... < x_n strictly, all finite."""
 
     x0: float
     xs: tuple
@@ -32,10 +35,7 @@ class ChamberPoint:
         object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
         if not self.xs:
             raise ValueError("at least one marked point is required")
-        pts = (self.x0,) + self.xs
-        for a, b in zip(pts, pts[1:]):
-            if not a < b:
-                raise ValueError("chamber requires x0 < x_1 < ... < x_n strictly")
+        _check_increasing((self.x0,) + self.xs)
 
     @property
     def n(self) -> int:
@@ -61,24 +61,45 @@ class ScreeningConfig:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the nested panel quadrature.
+    """Relative error the nested quadrature must meet, by its own estimate."""
 
-    nodes_per_panel is the Gauss rule size on each panel and
-    max_subdivisions the number of geometric refinement levels toward each
-    endpoint; successive panels shrink by _SPLIT_RATIO.
-    """
-
-    nodes_per_panel: int = 12
-    max_subdivisions: int = 20
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.nodes_per_panel < 4:
-            raise ValueError("nodes_per_panel must be at least 4")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+
+
+@dataclass
+class EvalStats:
+    """What the evaluations inside an eval_stats() block report.
+
+    err_est is the absolute error estimate of the values they returned:
+    rho adds its own, and each sum of rho values (tilde_rho, phi,
+    F_anchor, F_hwv) adds |weight| times the estimate of every term.
+    """
+
+    err_est: float = 0.0
+
+
+_STATS = contextvars.ContextVar("qscreen_eval_stats", default=None)
+
+
+@contextmanager
+def eval_stats():
+    """Collect an EvalStats of the evaluations made inside the block."""
+    stats = EvalStats()
+    token = _STATS.set(stats)
+    try:
+        yield stats
+    finally:
+        _STATS.reset(token)
+
+
+def _record(err):
+    stats = _STATS.get()
+    if stats is not None:
+        stats.err_est += err
 
 
 def _dims_counts(dims, m, n=None):
@@ -114,9 +135,10 @@ def _check_convergent(dims, kappa):
 
 
 def _check_increasing(xs):
-    for a, b in zip(xs, xs[1:]):
-        if not a < b:
-            raise ValueError("coordinates must increase strictly")
+    if not all(math.isfinite(x) for x in xs) or any(
+        not a < b for a, b in zip(xs, xs[1:])
+    ):
+        raise ValueError("coordinates must be finite and increase strictly")
 
 
 def _x_prefactor(xs, dims, kappa):
@@ -129,63 +151,63 @@ def _x_prefactor(xs, dims, kappa):
     return total
 
 
-# geometric ratio of successive panels toward each endpoint: it sets how
-# strongly nodes cluster where a variable meets a charge or its neighbour
-_SPLIT_RATIO = 0.5
+# Each level of the nested integral is int_0^1 t^aL (1-t)^aR g(t) dt.  The
+# double-exponential substitution t = 1/(1 + exp(-pi sinh u)) (Takahasi-Mori
+# 1974) turns it into an integral over the real line that decays double
+# exponentially, whatever the endpoint powers; the trapezoidal rule with
+# step h in u then converges like exp(-c/h).
+
+# nodes nearer than exp(_LOG_EDGE) to an end of (0, 1), or lighter than
+# exp(_LOG_LIGHT) times the heaviest node, are not kept
+_LOG_EDGE = math.log(1e-300)
+_LOG_LIGHT = math.log(1e-20)
 
 
 @lru_cache(maxsize=None)
-def _unit_rule_build(aL, aR, nodes, subdivisions):
-    # nodes and weights approximating int_0^1 t^aL (1-t)^aR g(t) dt as
-    # sum w_k g(t_k); the endpoint powers are folded into the weights,
-    # exactly on the edge panels via Gauss-Jacobi rules.
+def _unit_rule_build(aL, aR, grow, h, shift):
+    """Tanh-sinh rule sum_k w_k g(t_k) for int_0^1 t^aL (1-t)^aR g(t) dt.
+
+    The nodes sit at u = (k + shift) h.  Returns t, 1 - t, log t and log w:
+    t and 1 - t are each formed from u, so both keep full relative
+    precision at their end, and the endpoint powers are folded into the
+    weights in log space.  g may grow like (1-t)^(-grow) toward t = 1.
+    The weight of every node that is not kept is added to the outermost
+    kept node on its side, where g has reached its limit: that adds the
+    tails beyond the nodes analytically.
+    """
     if aL <= -1.0 or aR <= -1.0:
         raise ValueError("endpoint exponents must exceed -1")
-    xg, wg = roots_legendre(nodes)
-    edge = 0.5 * _SPLIT_RATIO ** subdivisions
-    t_parts, w_parts = [], []
-
-    def interior(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * xg
-        w = half * wg * t ** aL * (1.0 - t) ** aR
-        t_parts.append(t)
-        w_parts.append(w)
-
-    xj, wj = roots_jacobi(nodes, 0.0, aL)
-    t = edge * 0.5 * (1.0 + xj)
-    w = wj * (edge * 0.5) ** (1.0 + aL) * (1.0 - t) ** aR
-    t_parts.append(t)
-    w_parts.append(w)
-    for k in range(subdivisions - 1, -1, -1):
-        interior(0.5 * _SPLIT_RATIO ** (k + 1), 0.5 * _SPLIT_RATIO ** k)
-    for k in range(subdivisions):
-        interior(1.0 - 0.5 * _SPLIT_RATIO ** k, 1.0 - 0.5 * _SPLIT_RATIO ** (k + 1))
-    xj, wj = roots_jacobi(nodes, aR, 0.0)
-    t = 1.0 - edge * 0.5 * (1.0 - xj)
-    w = wj * (edge * 0.5) ** (1.0 + aR) * t ** aL
-    t_parts.append(t)
-    w_parts.append(w)
-    return np.concatenate(t_parts), np.concatenate(w_parts)
+    # beyond these u the weights have fallen by more than exp(-60)
+    u_lo = -math.asinh(80.0 / (math.pi * (1.0 + aL)))
+    u_hi = math.asinh(80.0 / (math.pi * (1.0 + aR)))
+    u = (np.arange(math.floor(u_lo / h - shift), math.ceil(u_hi / h - shift) + 1) + shift) * h
+    s = math.pi * np.sinh(u)
+    logt = -np.logaddexp(0.0, -s)
+    log1mt = -np.logaddexp(0.0, s)
+    logw = np.log(h * math.pi * np.cosh(u)) + (1.0 + aL) * logt + (1.0 + aR) * log1mt
+    heavy = logw - grow * log1mt >= logw.max() + _LOG_LIGHT
+    kept = np.flatnonzero((logt >= _LOG_EDGE) & (log1mt >= _LOG_EDGE) & heavy)
+    a, b = kept[0], kept[-1]
+    logw[a] = np.logaddexp.reduce(logw[: a + 1])
+    logw[b] = np.logaddexp.reduce(logw[b:])
+    logt, log1mt, logw = logt[a : b + 1], log1mt[a : b + 1], logw[a : b + 1]
+    return np.exp(logt), np.exp(log1mt), logt, logw
 
 
-def _unit_rule(aL, aR, spec):
-    return _unit_rule_build(
-        round(aL, 12),
-        round(aR, 12),
-        spec.nodes_per_panel,
-        spec.max_subdivisions,
-    )
+def _unit_rule(level, h, shift):
+    return _unit_rule_build(level.aL, level.aR, level.grow, h, shift)
 
 
 @dataclass(frozen=True)
 class _Level:
     group: int
-    r: int
     top: bool
     aL: float
     aR: float
     env: float
+    # an inner variable's integrand grows toward its upper end like the
+    # group's upper charge, where its ancestors may all have piled up
+    grow: float
 
 
 def _build_levels(counts, betas, kappa):
@@ -201,79 +223,199 @@ def _build_levels(counts, betas, kappa):
             env = k * (1.0 - betas[i - 1]) + (8.0 / kappa) * (0.5 * k * (k - 1) + k)
             aL = -betas[i - 1] + env
             aR = -betas[i] if r == mi else 8.0 / kappa
-            levels.append(_Level(i, r, r == mi, aL, aR, env))
+            levels.append(_Level(i, r == mi, aL, aR, env, 0.0 if r == mi else betas[i]))
     return levels
 
 
-_CHUNK_CAP = 4_000_000
+@dataclass(frozen=True)
+class _Geometry:
+    """The chamber as the levels see it.  charges[idx] lists, for every
+    charge that level idx does not fold into its rule, (beta, c, side):
+    the distance is c + lo (side 0, charges left of the interval) or
+    c + hi (side 1, charges at or right of its upper end).  between[i][g]
+    is x_{i-1} - x_g, the gap from group g's upper end to group i's lower."""
+
+    gaps: tuple
+    charges: tuple
+    between: tuple
+    pair: float
 
 
-def _level_value(levels, idx, ws, t, om, x_ext, betas, kappa, spec):
-    lev = levels[idx]
-    last = idx == len(levels) - 1
-    if not last:
-        t_next, om_next = _unit_rule(levels[idx + 1].aL, levels[idx + 1].aR, spec)
-        outer = ws[-1].size if ws else 1
-        budget = max(1, _CHUNK_CAP // max(1, outer * len(t_next)))
-        if len(t) > budget:
-            acc = None
-            for s in range(0, len(t), budget):
-                part = _level_value(
-                    levels, idx, ws, t[s : s + budget], om[s : s + budget],
-                    x_ext, betas, kappa, spec,
-                )
-                acc = part if acc is None else acc + part
-            return acc
-    A = x_ext[lev.group - 1]
-    U = x_ext[lev.group] if lev.top else ws[-1]
-    expo = 1.0 + lev.aL + lev.aR
-    if isinstance(U, np.ndarray):
-        S = (U - A)[..., None]
-    else:
-        S = U - A
-        t = t.reshape((1,) * idx + (-1,))
-    w = A + S * t
-    G = om * S ** expo
-    for j in range(1, len(x_ext)):
-        if j == lev.group - 1:
-            continue
-        if lev.top and j == lev.group:
-            continue
-        if betas[j]:
-            G = G * np.abs(w - x_ext[j]) ** (-betas[j])
-    if lev.env:
-        # the offset S*t, not w - A: at deep levels it falls below ulp(A),
-        # where w - A rounds to zero and its negative power overflows
-        G = G * (S * t) ** (-lev.env)
-    for p in range(idx):
-        pl = levels[p]
-        if pl.group == lev.group and pl.r == lev.r + 1:
-            continue
-        wp = ws[p]
-        if isinstance(wp, np.ndarray) and wp.ndim < w.ndim:
-            wp = wp.reshape(wp.shape + (1,) * (w.ndim - wp.ndim))
-        G = G * np.abs(w - wp) ** (8.0 / kappa)
-    if last:
-        return (G * np.ones_like(w)).sum(axis=-1)
-    inner = _level_value(
-        levels, idx + 1, ws + [w], t_next, om_next, x_ext, betas, kappa, spec
+def _geometry(levels, x_ext, betas, kappa):
+    gaps = tuple(b - a for a, b in zip(x_ext, x_ext[1:]))
+    charges = []
+    for lev in levels:
+        i = lev.group
+        own = []
+        for j, beta in enumerate(betas):
+            if not beta or j == i - 1 or (j == i and lev.top):
+                continue
+            if j < i:
+                own.append((beta, x_ext[i - 1] - x_ext[j], 0))
+            else:
+                own.append((beta, x_ext[j] - x_ext[i], 1))
+        charges.append(tuple(own))
+    between = tuple(
+        tuple(x_ext[i - 1] - x_ext[g] for g in range(i)) for i in range(len(x_ext))
     )
-    return (G * inner).sum(axis=-1)
+    return _Geometry(gaps, tuple(charges), between, 8.0 / kappa)
 
 
-def _effective_spec(spec, ell):
-    if ell <= 3:
-        return spec
-    nodes, sub = spec.nodes_per_panel, spec.max_subdivisions
-    cap = int(3.0e8 ** (1.0 / ell))
-    while nodes * (2 * sub + 2) > cap:
-        if sub > 3:
-            sub -= 1
-        elif nodes > 4:
-            nodes -= 1
+# elements per array at the innermost level: bounds the memory a level holds
+_CHUNK_CAP = 1 << 16
+
+
+def _level_sum(levels, idx, rule, rules, outer, geo):
+    """Sum over the nodes of level idx, and nested inside it over every
+    later level, for each node of the outer grid.
+
+    A variable is carried as offsets, never as a position: lo is its
+    distance to its lower end (with log lo), hi to its group's upper
+    charge, up to its own upper end.  Every distance the integrand needs
+    is a sum of these and of gaps between the marked points, so none is
+    lost to cancellation however close a node sits to an end.  outer
+    holds (lo, log lo, hi, up) of each outer level, flat over the outer
+    grid; this level's arrays are (nodes, outer grid).
+    """
+    lev = levels[idx]
+    n = len(rule[0])
+    size = outer[0][0].size if outer else 1
+    if n * size > _CHUNK_CAP and size > 1:
+        step = max(1, _CHUNK_CAP // n)
+        return np.concatenate([
+            _level_sum(levels, idx, rule, rules,
+                       [tuple(a[s : s + step] for a in carried) for carried in outer], geo)
+            for s in range(0, size, step)
+        ])
+    t, omt, logt, logw = (a[:, None] for a in rule)
+    if lev.top:
+        S = geo.gaps[lev.group - 1]
+        logS = math.log(S)
+    else:
+        S, logS = outer[-1][0], outer[-1][1]
+    last = idx == len(levels) - 1
+    shape = (n, size)
+    up = S * omt
+    hi = up if lev.top else outer[-1][2] + up
+    # the innermost level needs lo only for charges left of its interval
+    # and for variables of earlier groups
+    needs_lo = (
+        not last
+        or levels[0].group != lev.group
+        or any(side == 0 for _, _, side in geo.charges[idx])
+    )
+    lo = S * t if needs_lo else None
+    # G, the log of weight times integrand, starts from the rule's column
+    # and the row of the parent's offset; the envelope lo^(-env) splits
+    # the same way
+    G = np.empty(shape)
+    np.add(logw - lev.env * logt, (1.0 + lev.aL + lev.aR - lev.env) * logS, out=G)
+    tmp = np.empty(shape)
+    for beta, c, side in geo.charges[idx]:
+        dist = hi if side else lo
+        np.log(np.add(dist, c, out=tmp) if c else dist, out=tmp)
+        np.multiply(tmp, -beta, out=tmp)
+        np.add(G, tmp, out=G)
+    # pair factors with every outer variable but the parent, which the
+    # rule holds; they share one exponent, so one log of their product
+    pairs = None
+    ancestor = up
+    for p in range(idx - 1, -1, -1):
+        if levels[p].group == lev.group:
+            if p == idx - 1:
+                continue
+            ancestor = ancestor + outer[p + 1][3]
+            factor = ancestor
         else:
-            raise ValueError("screening configuration too large for direct quadrature")
-    return QuadratureSpec(nodes, sub, spec.rel_tol)
+            gap = geo.between[lev.group][levels[p].group]
+            factor = np.add(lo, outer[p][2] + gap, out=tmp)
+        if pairs is None:
+            pairs = factor.copy() if factor is tmp else factor
+        else:
+            np.multiply(pairs, factor, out=pairs)
+    if pairs is not None:
+        # a product that underflowed to zero leaves a term far below
+        # rounding: its log is -inf and the term exactly zero
+        with np.errstate(divide="ignore"):
+            np.log(pairs, out=pairs)
+        np.multiply(pairs, geo.pair, out=pairs)
+        np.add(G, pairs, out=G)
+    np.exp(G, out=G)
+    if last:
+        return G.sum(axis=0)
+    carried = [tuple(np.broadcast_to(a, shape).reshape(-1) for a in c) for c in outer]
+    own = tuple(np.broadcast_to(a, shape).reshape(-1) for a in (lo, logS + logt, hi, up))
+    inner = _level_sum(levels, idx + 1, rules[idx + 1], rules, carried + [own], geo)
+    G *= inner.reshape(shape)
+    return G.sum(axis=0)
+
+
+def _nested(levels, rules, geo):
+    return float(_level_sum(levels, 0, rules[0], rules, [], geo)[0])
+
+
+class QuadratureError(ArithmeticError):
+    """The nested quadrature cannot meet the requested rel_tol."""
+
+
+def _first_step(rel_tol):
+    # a level's error is typically near 1e-4, 1e-6 and 1e-9 at these steps
+    return 0.5 if rel_tol >= 1e-4 else 0.25 if rel_tol >= 1e-6 else 0.125
+
+
+# no step goes below _MIN_STEP and no grid holds more than _GRID_BUDGET
+# nodes
+_MIN_STEP = 2.0 ** -6
+_GRID_BUDGET = 2.5e8
+# relative rounding error of the nested sum, per level
+_ROUNDING = 4.0 * float(np.finfo(float).eps)
+# steps that met rel_tol for (dims, counts, kappa, rel_tol): later points
+# start from them, so nearby points use one rule and the values stay
+# smooth in x, which the finite-difference checks rely on
+_STEPS = {}
+
+
+def _quadrature(levels, geo, rel_tol, key):
+    """The nested sum and its error estimate, with the step of one level
+    at a time halved until the estimate meets rel_tol.
+
+    The estimate for a level shifts that level's nodes by half a step and
+    keeps every other level: the difference is twice that level's error.
+    The error of a tensor grid belongs to the levels one by one; a shift of
+    all levels at once, or the every-other-node subgrid, misses it.  The
+    estimate adds the rounding floor of the sum.
+    """
+    ell = len(levels)
+    steps = list(_STEPS.get(key, (_first_step(rel_tol),) * ell))
+    head = f"rho with l={ell} screening variables at rel_tol={rel_tol:g}"
+    halved = ""
+    while True:
+        rules = [_unit_rule(lev, h, 0.0) for lev, h in zip(levels, steps)]
+        grid = math.prod(len(r[0]) for r in rules)
+        if grid > _GRID_BUDGET:
+            raise QuadratureError(
+                f"{head}: {grid:.2e} nodes exceed the budget of"
+                f" {_GRID_BUDGET:.1e}{halved}"
+            )
+        value = _nested(levels, rules, geo)
+        ests = []
+        for k, (lev, h) in enumerate(zip(levels, steps)):
+            moved = rules[:k] + [_unit_rule(lev, h, 0.5)] + rules[k + 1 :]
+            ests.append(abs(_nested(levels, moved, geo) - value))
+        floor = ell * _ROUNDING * value
+        est = sum(ests) + floor
+        if est <= rel_tol * value:
+            _STEPS[key] = tuple(steps)
+            return value, est
+        k = int(np.argmax(ests))
+        if ests[k] <= floor or steps[k] <= _MIN_STEP:
+            raise QuadratureError(
+                f"{head}: error estimate {est / value:.2e}; level {k}, the"
+                f" largest share ({ests[k] / value:.2e}), is at the"
+                + (" rounding floor" if ests[k] <= floor else " smallest step")
+            )
+        halved = f" after halving level {k} (error estimate {ests[k] / value:.2e})"
+        steps[k] /= 2.0
 
 
 def rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> float:
@@ -281,33 +423,36 @@ def rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> 
 
     m gives the number of screening variables per interval.  Requires
     kappa to exceed 4(max d_i - 1); outside that regime the integral
-    diverges and the call is refused.
+    diverges and the call is refused.  The value meets quad.rel_tol by the
+    quadrature's own estimate, which an eval_stats() block receives, or
+    the call raises QuadratureError.
     """
     dims, counts = _dims_counts(dims, m, c.n)
     _check_convergent(dims, kappa)
     quad = quad if quad is not None else QuadratureSpec()
     pref = _x_prefactor(c.xs, dims, kappa)
-    ell = sum(counts)
-    if ell == 0:
+    if sum(counts) == 0:
         return pref
-    spec = _effective_spec(quad, ell)
     betas = _betas(dims, kappa)
-    x_ext = (c.x0,) + c.xs
     levels = _build_levels(counts, betas, kappa)
-    t0, om0 = _unit_rule(levels[0].aL, levels[0].aR, spec)
-    val = _level_value(levels, 0, [], t0, om0, x_ext, betas, kappa, spec)
-    return pref * float(val)
+    geo = _geometry(levels, (c.x0,) + c.xs, betas, kappa)
+    key = (dims, counts, float(kappa), quad.rel_tol)
+    value, est = _quadrature(levels, geo, quad.rel_tol, key)
+    _record(pref * est)
+    return pref * value
 
 
 def tilde_rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> complex:
     """Rephased variant: exact q-prefactor times the real integral."""
     dims, counts = _dims_counts(dims, m, c.n)
-    base = rho(c, dims, counts, kappa, quad)
+    with eval_stats() as stats:
+        base = rho(c, dims, counts, kappa, quad)
     kp = KappaParams(kappa)
     pref = complex(1.0)
     for mi in counts:
         scalar = qfact(mi) * QScalar.q_power(-(mi * (mi - 1) // 2))
         pref *= eval_q(scalar, kp)
+    _record(abs(pref) * stats.err_est)
     return pref * base
 
 
@@ -391,8 +536,8 @@ class _Chain:
     """Accumulates quadrature nodes along one loop, with a zero-weight
     marker node at the reference point where the branch phase is fixed."""
 
-    def __init__(self, nodes_per_panel):
-        self._xg, self._wg = roots_legendre(nodes_per_panel)
+    def __init__(self, nodes):
+        self._xg, self._wg = roots_legendre(nodes)
         self.zs = []
         self.dzs = []
         self.ref = None

@@ -225,8 +225,6 @@ def test_eval_builds_the_vector_once(monkeypatch, capsys):
         "--dims", "2,2,2,2",
         "--vector", "trivial:0",
         "--kappa", "10",
-        "--quad-order", "4",
-        "--max-subdiv", "3",
         "--x", "0,1,2,4;0,1,2,5;0,1,3,5",
         "--format", "json",
     )
@@ -310,3 +308,24 @@ def test_bad_flag_value_reports_and_exits(capsys):
     assert code == 2
     assert "error:" in err
     assert "--format" in err
+
+
+def test_eval_unreachable_rel_tol_exits_3(capsys):
+    code, out, err = run(
+        capsys,
+        "eval",
+        "--dims", "4,4",
+        "--l", "0,3",
+        "--kappa", "12.5",
+        "--x", "0.37,1.61",
+        "--rel-tol", "1e-15",
+    )
+    assert code == 3
+    assert out == ""
+    assert "numeric failure" in err
+    assert "l=3" in err
+
+
+def test_removed_quadrature_flags_are_rejected(capsys):
+    with pytest.raises(SystemExit):
+        main(["eval", "--quad-order", "4", "--x", "0,1"])

@@ -9,6 +9,7 @@ import pytest
 
 from qscreen.coulomb import (
     ChamberPoint,
+    QuadratureError,
     QuadratureSpec,
     ScreeningConfig,
     _anchored_log,
@@ -16,6 +17,7 @@ from qscreen.coulomb import (
     contour_phi_oracle,
     delta_fusion,
     delta_scaling,
+    eval_stats,
     h_weight,
     rho,
     selberg_oracle,
@@ -37,6 +39,12 @@ def test_chamber_point_validation():
         ChamberPoint(0.0, (2.0, 1.0))
     with pytest.raises(ValueError):
         ChamberPoint(0.0, ())
+    with pytest.raises(ValueError, match="finite"):
+        ChamberPoint(float("-inf"), (0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        ChamberPoint(0.0, (1.0, float("inf")))
+    with pytest.raises(ValueError, match="finite"):
+        ChamberPoint(0.0, (float("nan"), 1.0))
 
 
 def test_screening_config_validation():
@@ -47,9 +55,9 @@ def test_screening_config_validation():
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
-        QuadratureSpec(nodes_per_panel=3)
-    with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+    with pytest.raises(ValueError):
+        QuadratureSpec(rel_tol=float("nan"))
 
 
 def test_integrand_trivial_dimension_drops_out():
@@ -94,7 +102,7 @@ def test_rho_two_screening_variables_matches_selberg():
 
 
 def test_rho_selberg_family():
-    quad = QuadratureSpec(nodes_per_panel=10, max_subdivisions=16)
+    quad = QuadratureSpec(rel_tol=1e-7)
     kappa = 10.0
     c = ChamberPoint(0.0, (1.0,))
     for d in (2, 3):
@@ -118,15 +126,93 @@ def test_rho_deep_offsets_below_ulp_stay_finite():
 
 def test_rho_doubling_convergence():
     c = ChamberPoint(0.0, (1.0, 2.5))
-    base = QuadratureSpec(nodes_per_panel=10)
-    fine = QuadratureSpec(nodes_per_panel=20)
+    base = QuadratureSpec(rel_tol=1e-9)
+    fine = QuadratureSpec(rel_tol=1e-12)
     v1 = rho(c, (2, 3), (1, 1), 10.0, base)
     v2 = rho(c, (2, 3), (1, 1), 10.0, fine)
     assert abs(v2 - v1) <= base.rel_tol * abs(v2)
     c1 = ChamberPoint(0.0, (1.0,))
-    w1 = rho(c1, (2,), (3,), 8.0, QuadratureSpec(nodes_per_panel=8, max_subdivisions=14))
-    w2 = rho(c1, (2,), (3,), 8.0, QuadratureSpec(nodes_per_panel=16, max_subdivisions=14))
+    w1 = rho(c1, (2,), (3,), 8.0, base)
+    w2 = rho(c1, (2,), (3,), 8.0, fine)
     assert abs(w2 - w1) <= 1e-9 * abs(w2)
+
+
+# Selberg gates near the convergence edge 4(d-1): the value meets rel_tol,
+# and the quadrature's own estimate covers the true error unless that is
+# below _ORACLE_FLOOR, a margin above the oracle's own rounding
+_ORACLE_FLOOR = 1e-11
+# the two-point form's chamber; its kappa = 16.75, l = 4 case is the
+# reproducer whose error lives in the tensor grid and in the tails
+_PAIR = ChamberPoint(-0.63, (0.37, 1.61))
+
+
+def _selberg_one(ell, d, kappa):
+    # one group on (0, 1): the anchor carries no charge, x_1 = 1 carries d
+    beta = 1.0 - 4.0 * (d - 1) / kappa
+    return selberg_oracle(ell, 1.0, beta, 4.0 / kappa) / math.factorial(ell)
+
+
+def _selberg_pair(ell, d, kappa):
+    alpha = 1.0 - 4.0 * (d - 1) / kappa
+    ref = selberg_oracle(ell, alpha, alpha, 4.0 / kappa) / math.factorial(ell)
+    x1, x2 = _PAIR.xs
+    return ref * (x2 - x1) ** delta_scaling(ell, (d, d), kappa)
+
+
+def _assert_gate(c, dims, m, kappa, rel_tol, ref):
+    with eval_stats() as stats:
+        val = rho(c, dims, m, kappa, QuadratureSpec(rel_tol=rel_tol))
+    rel = abs(val - ref) / abs(ref)
+    assert rel <= rel_tol, rel
+    assert max(stats.err_est / abs(val), _ORACLE_FLOOR) >= rel, (stats.err_est, rel)
+
+
+@pytest.mark.parametrize("edge", (0.5, 0.9))
+@pytest.mark.parametrize("ell", (1, 2, 3))
+def test_rho_selberg_gate_one_group(ell, edge):
+    d = ell + 1
+    kappa = 4.0 * (d - 1) + edge
+    ref = _selberg_one(ell, d, kappa)
+    _assert_gate(ChamberPoint(0.0, (1.0,)), (d,), (ell,), kappa, 1e-9, ref)
+
+
+@pytest.mark.parametrize("edge", (0.5, 0.9))
+@pytest.mark.parametrize("ell", (1, 2, 3))
+def test_rho_selberg_gate_two_point(ell, edge):
+    d = ell + 1
+    kappa = 4.0 * (d - 1) + edge
+    ref = _selberg_pair(ell, d, kappa)
+    _assert_gate(_PAIR, (d, d), (0, ell), kappa, 1e-9, ref)
+
+
+def test_rho_selberg_gate_mass_beyond_the_nodes():
+    # the nodes stop 1e-300 from each end; at d = 5, kappa = 16.5 the mass
+    # beyond them is (1e-300)^(1 - beta), about 8e-10 of the integral per
+    # end, and the rule must add it back
+    kappa = 16.5
+    c = ChamberPoint(0.0, (1.0,))
+    _assert_gate(c, (5,), (1,), kappa, 1e-9, _selberg_one(1, 5, kappa))
+    _assert_gate(_PAIR, (5, 5), (0, 1), kappa, 1e-9, _selberg_pair(1, 5, kappa))
+
+
+def test_rho_selberg_gate_four_variables():
+    ref = _selberg_pair(4, 5, 16.75)
+    _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-7, ref)
+
+
+def test_rho_selberg_gate_five_variables():
+    ref = _selberg_pair(5, 6, 20.5)
+    _assert_gate(_PAIR, (6, 6), (0, 5), 20.5, 1e-4, ref)
+
+
+def test_rho_unreachable_rel_tol_raises():
+    # below the rounding floor of a three-level sum no step is fine enough
+    with pytest.raises(QuadratureError, match=r"l=3 .*level \d"):
+        rho(_PAIR, (4, 4), (0, 3), 12.5, QuadratureSpec(rel_tol=1e-15))
+    # five levels at the first step for 1e-9 already exceed the node budget,
+    # which is checked before any evaluation
+    with pytest.raises(QuadratureError, match=r"l=5 .*budget"):
+        rho(_PAIR, (6, 6), (0, 5), 20.5)
 
 
 def test_rho_deterministic():
@@ -188,7 +274,8 @@ def test_tilde_rho_two_variable_prefactor():
 def test_tilde_rho_prefactor_matches_inversion_generating_function():
     # the exact prefactor per group equals the sum of q^(-2 inversions)
     # over permutations
-    quad = QuadratureSpec(nodes_per_panel=4, max_subdivisions=2)
+    # five screening variables: a loose tolerance keeps the rule coarse
+    quad = QuadratureSpec(rel_tol=1e-2)
     c = ChamberPoint(0.0, (1.0, 2.0))
     kappa = 10.0
     counts = (2, 3)

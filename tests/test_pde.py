@@ -146,6 +146,15 @@ def test_apply_bsa_input_checks():
         translation_check(f, nan_point)
     with pytest.raises(ValueError, match="increase"):
         euler_check(f, nan_point, 0.0)
+    inf_point = (0.0, 1.0, float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        apply_bsa(op, f, inf_point)
+    with pytest.raises(ValueError, match="finite"):
+        sle_pde_check(f, inf_point, KAPPA, 1)
+    with pytest.raises(ValueError, match="finite"):
+        translation_check(f, inf_point)
+    with pytest.raises(ValueError, match="finite"):
+        euler_check(f, (float("-inf"), 1.0, 2.0), 0.0)
 
 
 # -- the second order growth process equation ------------------------------
