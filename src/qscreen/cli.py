@@ -16,13 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 
-from .coulomb import (
-    ChamberPoint,
-    QuadratureSpec,
-    contour_phi_oracle,
-    eval_stats,
-    h_weight,
-)
+from .coulomb import ChamberPoint, contour_phi_oracle, eval_stats, h_weight
 from .correspondence import (
     F_hwv,
     asymptotics_check,
@@ -33,7 +27,6 @@ from .correspondence import (
     reduction_coeffs,
 )
 from .pde import (
-    FdScheme,
     apply_bsa,
     build_bsa,
     euler_check,
@@ -80,9 +73,6 @@ class RunConfig:
     out: str = ""
     format: str = "csv"
 
-    def quadrature(self):
-        return QuadratureSpec(rel_tol=self.rel_tol)
-
 
 def _parse_ints(text):
     text = text.strip()
@@ -105,6 +95,13 @@ def _parse_anchor(text):
     return float(text)
 
 
+def _parse_rel_tol(text):
+    value = float(text)
+    if not value > 0:
+        raise ValueError("rel_tol must be positive")
+    return value
+
+
 def _parse_format(text):
     t = text.strip().lower()
     if t not in ("csv", "json"):
@@ -120,7 +117,7 @@ _PARSERS = {
     "x": _parse_rows,
     "x0": _parse_anchor,
     "d": int,
-    "rel_tol": float,
+    "rel_tol": _parse_rel_tol,
     "tol": float,
     "seed": int,
     "out": str,
@@ -205,13 +202,12 @@ def cmd_eval(config):
 
     Returns the rows and writes them in the configured format.  err_est
     is the quadrature's own absolute error estimate of the row: the sum of
-    |weight * prefactor| * estimate over its integrals.
+    |weight| * estimate over its integrals.
     """
     if not config.x:
         raise ValueError("no evaluation points given (key x)")
     if bool(config.vector) == bool(config.l):
         raise ValueError("give either a vector spec or screening counts l, not both")
-    quad = config.quadrature()
     if config.l:
         if not config.dims:
             raise ValueError("screening evaluation needs dims")
@@ -227,9 +223,11 @@ def cmd_eval(config):
             if config.l:
                 anchor = config.x0 if config.x0 is not None else default_anchor(pts)
                 c = ChamberPoint(anchor, pts)
-                value = complex(phi(c, dims, config.l, config.kappa, quad))
+                value = complex(phi(c, dims, config.l, config.kappa, config.rel_tol))
             else:
-                value = complex(F_hwv(v, pts, config.kappa, quad, x0=config.x0))
+                value = complex(
+                    F_hwv(v, pts, config.kappa, config.rel_tol, x0=config.x0)
+                )
                 anchor = config.x0
         rows.append(
             {
@@ -334,7 +332,6 @@ def _qg_checks(config):
 
 def _reduction_checks(config):
     kappa = 10.0
-    quad = config.quadrature()
     cases = (
         (ChamberPoint(-0.6, (0.5,)), (2,), (1,)),
         (ChamberPoint(-0.7, (0.0, 1.1)), (2, 2), (1, 1)),
@@ -342,13 +339,13 @@ def _reduction_checks(config):
     )
     worst = 0.0
     for c, dims, l in cases:
-        got = phi(c, dims, l, kappa, quad)
+        got = phi(c, dims, l, kappa, config.rel_tol)
         want = contour_phi_oracle(c, dims, l, kappa)
         worst = max(worst, abs(got - want) / abs(want))
     checks = [_check("reduction.contour_oracle", worst, _scaled(config, 1e-6))]
     defects = 0
     for dims, l in (((2, 2), (2, 0)), ((2, 3), (1, 3))):
-        if phi(ChamberPoint(-0.7, (0.0, 1.1)), dims, l, kappa, quad) != 0:
+        if phi(ChamberPoint(-0.7, (0.0, 1.1)), dims, l, kappa, config.rel_tol) != 0:
             defects += 1
         if reduction_coeffs(dims, l).entries:
             defects += 1
@@ -362,9 +359,8 @@ def _reduction_checks(config):
 
 def _pde_checks(config):
     kappa = 10.0
-    quad = config.quadrature()
     v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
-    ev = lambda y: F_hwv(v, y, kappa, quad)
+    ev = lambda y: F_hwv(v, y, kappa, config.rel_tol)
     x = (0.0, 1.0, 2.0, 4.0)
     worst = 0.0
     for j in (1, 2):
@@ -377,7 +373,7 @@ def _pde_checks(config):
     )
     op = build_bsa(2, (2, 3, 2), kappa)
     residual, scale = apply_bsa(
-        op, vertex_prefactor((2, 3, 2), kappa), (0.0, 1.0, 2.5), FdScheme(h=1e-2)
+        op, vertex_prefactor((2, 3, 2), kappa), (0.0, 1.0, 2.5), h=1e-2
     )
     checks.append(
         _check("pde.vertex_prefactor_null", abs(residual) / scale, _scaled(config, 1e-6))
@@ -387,27 +383,27 @@ def _pde_checks(config):
 
 def _cov_checks(config):
     kappa = 10.0
-    quad = config.quadrature()
+    rel_tol = config.rel_tol
     v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
     x = (-1.5, -0.5, 0.5, 1.5)
     checks = [
         _check(
             "cov.translation",
-            mobius_check(v, (1.0, 3.0, 0.0, 1.0), x, kappa, quad)["deviation"],
+            mobius_check(v, (1.0, 3.0, 0.0, 1.0), x, kappa, rel_tol)["deviation"],
             _scaled(config, 1e-8),
         ),
         _check(
             "cov.scaling",
-            mobius_check(v, (1.7, 0.0, 0.0, 1.0), x, kappa, quad)["deviation"],
+            mobius_check(v, (1.7, 0.0, 0.0, 1.0), x, kappa, rel_tol)["deviation"],
             _scaled(config, 1e-8),
         ),
         _check(
             "cov.special_conformal",
-            mobius_check(v, (1.0, 0.0, 0.05, 1.0), x, kappa, quad)["deviation"],
+            mobius_check(v, (1.0, 0.0, 0.05, 1.0), x, kappa, rel_tol)["deviation"],
             _scaled(config, 1e-6),
         ),
     ]
-    ev = lambda y: F_hwv(v, y, kappa, quad)
+    ev = lambda y: F_hwv(v, y, kappa, rel_tol)
     grid = (0.0, 1.0, 2.0, 4.0)
     residual, scale = translation_check(ev, grid)
     checks.append(
@@ -433,8 +429,7 @@ def _cov_checks(config):
 
 def _asy_checks(config):
     kappa = 10.0
-    quad = config.quadrature()
-    report = asymptotics_check(hwv_pair(2, 2, 1), 1, 1, kappa, quad)
+    report = asymptotics_check(hwv_pair(2, 2, 1), 1, 1, kappa, config.rel_tol)
     checks = [
         _check(
             "asy.pair_exponent",
@@ -448,7 +443,9 @@ def _asy_checks(config):
         ),
     ]
     tau = hwv_space_basis(TensorSpace((2, 2, 2)), 2)[0]
-    report = general_asymptotics_check(tau, 1, 3, 2, (0.0, 0.4, 1.0), kappa, quad)
+    report = general_asymptotics_check(
+        tau, 1, 3, 2, (0.0, 0.4, 1.0), kappa, config.rel_tol
+    )
     checks.append(
         _check(
             "asy.block_collapse",
@@ -460,14 +457,13 @@ def _asy_checks(config):
 
 
 def _infinity_checks(config):
-    quad = config.quadrature()
     worst = 0.0
     for side in ("plus", "minus"):
-        report = infinity_limit(hwv_pair(2, 2, 1), side, 8.0, quad)
+        report = infinity_limit(hwv_pair(2, 2, 1), side, 8.0, config.rel_tol)
         worst = max(worst, report["relative_errors"][-1])
     checks = [_check("infinity.two_point", worst, _scaled(config, 2e-2))]
     w = hwv_space_basis(TensorSpace((2, 2, 3)), 1)[0]
-    report = infinity_limit(w, "plus", 10.0, quad)
+    report = infinity_limit(w, "plus", 10.0, config.rel_tol)
     checks.append(
         _check(
             "infinity.three_point",
@@ -506,7 +502,6 @@ def cmd_verify(config, suite):
     checks.sort(key=lambda c: c["name"])
     report = {
         "suite": suite,
-        "kappa": config.kappa,
         "seed": config.seed,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),

@@ -22,16 +22,14 @@ from itertools import product
 
 from .coulomb import (
     ChamberPoint,
-    QuadratureSpec,
     ScreeningConfig,
     _check_increasing,
     _dims_counts,
     _record,
+    _rho,
     b_const,
     delta_fusion,
-    eval_stats,
     h_weight,
-    tilde_rho,
 )
 from .qseries import (
     KappaParams,
@@ -66,8 +64,8 @@ _S_VALUES = (1e2, 1e3, 1e4)
 @dataclass(frozen=True, eq=False)
 class ReductionTable:
     """Exact coefficients carrying one basis function onto the rephased
-    real integrals: the function equals sum over entries of
-    coefficient * tilde_rho at the assignment m."""
+    real integrals: the function equals the sum over entries of
+    coefficient * _rephasing(m) * rho at the assignment m."""
 
     dims: tuple
     l: ScreeningConfig
@@ -205,22 +203,27 @@ def reduction_coeffs(dims, l) -> ReductionTable:
     return ReductionTable(dims, ScreeningConfig(counts), entries)
 
 
+def _rephasing(m):
+    """Exact factor prod_i [m_i]! q^(-m_i (m_i - 1)/2) taking the real
+    integral at the assignment m to its rephased variant."""
+    out = Q_ONE
+    for mi in m:
+        out = out * qfact(mi) * QScalar.q_power(-(mi * (mi - 1) // 2))
+    return out
+
+
 # -- numeric evaluation ----------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _rho_tilde(c, dims, m, kappa, quad):
-    # the value with its error estimate, so a cached term still reports one
-    with eval_stats() as stats:
-        value = tilde_rho(c, dims, m, kappa, quad)
-    return value, stats.err_est
+# the value with its error estimate, so a cached term still reports one
+_rho_cached = lru_cache(maxsize=4096)(_rho)
 
 
-def _evaluate(weights, c, dims, kappa, quad):
+def _evaluate(weights, c, dims, kappa, rel_tol):
     total = 0j
     err = 0.0
     for m, w in weights:
-        value, est = _rho_tilde(c, dims, m, kappa, quad)
+        value, est = _rho_cached(c, dims, m, kappa, rel_tol)
         total += w * value
         err += abs(w) * est
     _record(err)
@@ -231,7 +234,8 @@ def _evaluate(weights, c, dims, kappa, quad):
 def _kappa_weights(dims, coeffs, kappa):
     """Per-assignment weights of the linear extension at the numeric q of
     kappa, sorted by assignment, for the vector with the given frozenset
-    of (index, coefficient); the exact sums are formed first."""
+    of (index, coefficient); the exact sums, rephasing included, are
+    formed first."""
     weights = {}
     for idx, cv in coeffs:
         for m, ck in _table_entries(dims, idx).items():
@@ -239,7 +243,9 @@ def _kappa_weights(dims, coeffs, kappa):
             weights[m] = ck * cv if prev is None else prev + ck * cv
     kp = KappaParams(kappa)
     return tuple(
-        (m, eval_q(w, kp)) for m, w in sorted(weights.items()) if not w.is_zero()
+        (m, eval_q(w * _rephasing(m), kp))
+        for m, w in sorted(weights.items())
+        if not w.is_zero()
     )
 
 
@@ -248,7 +254,7 @@ def _killed_by_E(dims, coeffs):
     return act("E", TensorVector(TensorSpace(dims), dict(coeffs))).is_zero()
 
 
-def phi(c: ChamberPoint, dims, l, kappa, quad: QuadratureSpec | None = None) -> complex:
+def phi(c: ChamberPoint, dims, l, kappa, rel_tol: float = 1e-9) -> complex:
     """Basis function at one chamber point, through the reduction table.
 
     Exactly zero whenever some count reaches its group dimension, without
@@ -256,11 +262,11 @@ def phi(c: ChamberPoint, dims, l, kappa, quad: QuadratureSpec | None = None) -> 
     """
     dims, counts = _dims_counts(dims, l, c.n)
     weights = _kappa_weights(dims, frozenset({(counts, Q_ONE)}), kappa)
-    return _evaluate(weights, c, dims, kappa, quad)
+    return _evaluate(weights, c, dims, kappa, rel_tol)
 
 
 def F_anchor(v: TensorVector, c: ChamberPoint, kappa,
-             quad: QuadratureSpec | None = None) -> complex:
+             rel_tol: float = 1e-9) -> complex:
     """Linear extension of the basis functions to a tensor vector.
 
     Coefficients of all basis components are combined exactly before any
@@ -273,7 +279,7 @@ def F_anchor(v: TensorVector, c: ChamberPoint, kappa,
             f"vector lives on {len(dims)} points but the chamber has {c.n}"
         )
     weights = _kappa_weights(dims, frozenset(v.coeffs.items()), kappa)
-    return _evaluate(weights, c, dims, kappa, quad)
+    return _evaluate(weights, c, dims, kappa, rel_tol)
 
 
 def default_anchor(xs):
@@ -281,7 +287,7 @@ def default_anchor(xs):
     return xs[0] - ((xs[-1] - xs[0]) or 1.0)
 
 
-def F_hwv(v: TensorVector, x, kappa, quad: QuadratureSpec | None = None,
+def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9,
           x0=None) -> complex:
     """Function of a highest weight vector on the chamber itself.
 
@@ -293,7 +299,7 @@ def F_hwv(v: TensorVector, x, kappa, quad: QuadratureSpec | None = None,
     xs = tuple(float(xi) for xi in x)
     _check_increasing(xs)
     anchor = float(x0) if x0 is not None else default_anchor(xs)
-    return F_anchor(v, ChamberPoint(anchor, xs), kappa, quad)
+    return F_anchor(v, ChamberPoint(anchor, xs), kappa, rel_tol)
 
 
 # -- collapse asymptotics and the point at infinity ------------------------
@@ -316,13 +322,13 @@ def _power_fit(seps, values):
     return slopes, slopes[-1] + (slopes[-1] - slopes[-2]) * r / (1.0 - r)
 
 
-def _collapse_series(v, points_at, exponent_ref, kappa, quad):
+def _collapse_series(v, points_at, exponent_ref, kappa, rel_tol):
     """F_anchor of v at points_at(s) for each separation s in _SEPARATIONS,
     the ratios after dividing out s**exponent_ref, and the fitted power."""
     values = []
     ratios = []
     for sep in _SEPARATIONS:
-        val = F_anchor(v, ChamberPoint(0.0, points_at(sep)), kappa, quad)
+        val = F_anchor(v, ChamberPoint(0.0, points_at(sep)), kappa, rel_tol)
         values.append(val)
         ratios.append(val / sep ** exponent_ref)
     slopes, fit = _power_fit(_SEPARATIONS, values)
@@ -338,7 +344,7 @@ def _collapse_series(v, points_at, exponent_ref, kappa, quad):
 
 
 def asymptotics_check(v: TensorVector, j, d, kappa,
-                      quad: QuadratureSpec | None = None) -> dict:
+                      rel_tol: float = 1e-9) -> dict:
     """Collapse the neighbor pair (j, j+1) and compare with the predicted
     power law and constant.
 
@@ -363,16 +369,16 @@ def asymptotics_check(v: TensorVector, j, d, kappa,
         return tuple(pts)
 
     exponent_ref = delta_fusion(d, dims[j - 1], dims[j], kappa)
-    report = _collapse_series(v, points_at, exponent_ref, kappa, quad)
+    report = _collapse_series(v, points_at, exponent_ref, kappa, rel_tol)
     collapsed = tuple(base[: j - 1] + [xi] + base[j + 1:])
-    report["reference"] = b_const(d, dims[j - 1], dims[j], kappa, quad) * F_anchor(
-        hat, ChamberPoint(0.0, collapsed), kappa, quad
-    )
+    report["reference"] = b_const(
+        d, dims[j - 1], dims[j], kappa, rel_tol
+    ) * F_anchor(hat, ChamberPoint(0.0, collapsed), kappa, rel_tol)
     return report
 
 
 def infinity_limit(v: TensorVector, side, kappa,
-                   quad: QuadratureSpec | None = None) -> dict:
+                   rel_tol: float = 1e-9) -> dict:
     """Send the outermost point to infinity and compare the rescaled trend
     against the function with one variable less.
 
@@ -399,13 +405,13 @@ def infinity_limit(v: TensorVector, side, kappa,
         reduced = r_minus(v)
         drop = QScalar.from_poly(LaurentPoly({-2: 1, 0: -1}))
         edge_scalar = drop ** (d_edge - 1) * qfact(d_edge - 1) ** 2
-    constant = eval_q(edge_scalar, kp) * b_const(1, d_edge, d_edge, kappa, quad)
+    constant = eval_q(edge_scalar, kp) * b_const(1, d_edge, d_edge, kappa, rel_tol)
     exponent = 2.0 * h_weight(d_edge, kappa)
     scaled = []
     for s in _S_VALUES:
         pts = finite + (s,) if side == "plus" else (-s,) + finite
-        scaled.append(s ** exponent * F_hwv(v, pts, kappa, quad))
-    reference = constant * F_hwv(reduced, finite, kappa, quad)
+        scaled.append(s ** exponent * F_hwv(v, pts, kappa, rel_tol))
+    reference = constant * F_hwv(reduced, finite, kappa, rel_tol)
     denom = abs(reference)
     if denom > 0.0:
         errors = tuple(abs(z - reference) / denom for z in scaled)
@@ -471,7 +477,7 @@ def _ladder_root(u, d):
 
 
 def general_asymptotics_check(v: TensorVector, j, k, d, eta, kappa,
-                              quad: QuadratureSpec | None = None) -> dict:
+                              rel_tol: float = 1e-9) -> dict:
     """Collapse the points x_j..x_k at fixed ratios and compare with the
     product of the block function and the reduced function.
 
@@ -503,14 +509,14 @@ def general_asymptotics_check(v: TensorVector, j, k, d, eta, kappa,
             pts[j - 1 + off] = xi - sep / 2.0 + e * sep
         return tuple(pts)
 
-    report = _collapse_series(v, points_at, exponent_ref, kappa, quad)
-    block_value = F_hwv(tau0, eta, kappa, quad)
+    report = _collapse_series(v, points_at, exponent_ref, kappa, rel_tol)
+    block_value = F_hwv(tau0, eta, kappa, rel_tol)
     hat_space = TensorSpace(dims[: j - 1] + (d,) + dims[k:])
     hat = TensorVector.basis(hat_space, outer[: j - 1] + (l,) + outer[j - 1:])
     collapsed = tuple(base[: j - 1] + [xi] + base[k:])
     report["eta"] = eta
     report["reference"] = block_value * F_anchor(
-        hat, ChamberPoint(0.0, collapsed), kappa, quad
+        hat, ChamberPoint(0.0, collapsed), kappa, rel_tol
     )
     report["block_value"] = block_value
     return report

@@ -3,10 +3,11 @@
 Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
 the screened integrals over nested ordered simplices (a tanh-sinh rule per
 screening variable, each level's step halved until the quadrature's own
-error estimate meets the requested tolerance), the rephased hypercube
-variants, the boundary fusion constants, conformal weight and exponent
-helpers, and a direct contour oracle that integrates the same density over
-explicitly constructed nested loops with the branch tracked along the path.
+error estimate meets the requested tolerance), the boundary fusion
+constants, conformal weight and exponent helpers, and a direct contour
+oracle that integrates the same density over explicitly constructed nested
+loops with the branch tracked along the path.  Everything here is numeric;
+the exact q-dependent factors live in correspondence.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, roots_legendre
-
-from .qseries import KappaParams, QScalar, eval_q, qfact
 
 
 @dataclass(frozen=True)
@@ -59,24 +57,13 @@ class ScreeningConfig:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Relative error the nested quadrature must meet, by its own estimate."""
-
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-
-
 @dataclass
 class EvalStats:
     """What the evaluations inside an eval_stats() block report.
 
     err_est is the absolute error estimate of the values they returned:
-    rho adds its own, and each sum of rho values (tilde_rho, phi,
-    F_anchor, F_hwv) adds |weight| times the estimate of every term.
+    rho adds its own, and each sum of rho values (phi, F_anchor, F_hwv)
+    adds |weight| times the estimate of every term.
     """
 
     err_est: float = 0.0
@@ -418,45 +405,38 @@ def _quadrature(levels, geo, rel_tol, key):
         steps[k] /= 2.0
 
 
-def rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> float:
+def _rho(c, dims, m, kappa, rel_tol):
+    """The screened integral and its absolute error estimate."""
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
+    dims, counts = _dims_counts(dims, m, c.n)
+    _check_convergent(dims, kappa)
+    pref = _x_prefactor(c.xs, dims, kappa)
+    if sum(counts) == 0:
+        return pref, 0.0
+    betas = _betas(dims, kappa)
+    levels = _build_levels(counts, betas, kappa)
+    geo = _geometry(levels, (c.x0,) + c.xs, betas, kappa)
+    key = (dims, counts, float(kappa), rel_tol)
+    value, est = _quadrature(levels, geo, rel_tol, key)
+    return pref * value, pref * est
+
+
+def rho(c: ChamberPoint, dims, m, kappa, rel_tol: float = 1e-9) -> float:
     """Screened integral over the nested ordered simplices.
 
     m gives the number of screening variables per interval.  Requires
     kappa to exceed 4(max d_i - 1); outside that regime the integral
-    diverges and the call is refused.  The value meets quad.rel_tol by the
+    diverges and the call is refused.  The value meets rel_tol by the
     quadrature's own estimate, which an eval_stats() block receives, or
     the call raises QuadratureError.
     """
-    dims, counts = _dims_counts(dims, m, c.n)
-    _check_convergent(dims, kappa)
-    quad = quad if quad is not None else QuadratureSpec()
-    pref = _x_prefactor(c.xs, dims, kappa)
-    if sum(counts) == 0:
-        return pref
-    betas = _betas(dims, kappa)
-    levels = _build_levels(counts, betas, kappa)
-    geo = _geometry(levels, (c.x0,) + c.xs, betas, kappa)
-    key = (dims, counts, float(kappa), quad.rel_tol)
-    value, est = _quadrature(levels, geo, quad.rel_tol, key)
-    _record(pref * est)
-    return pref * value
+    value, est = _rho(c, dims, m, kappa, rel_tol)
+    _record(est)
+    return value
 
 
-def tilde_rho(c: ChamberPoint, dims, m, kappa, quad: QuadratureSpec | None = None) -> complex:
-    """Rephased variant: exact q-prefactor times the real integral."""
-    dims, counts = _dims_counts(dims, m, c.n)
-    with eval_stats() as stats:
-        base = rho(c, dims, counts, kappa, quad)
-    kp = KappaParams(kappa)
-    pref = complex(1.0)
-    for mi in counts:
-        scalar = qfact(mi) * QScalar.q_power(-(mi * (mi - 1) // 2))
-        pref *= eval_q(scalar, kp)
-    _record(abs(pref) * stats.err_est)
-    return pref * base
-
-
-def b_const(d, d1, d2, kappa, quad: QuadratureSpec | None = None) -> float:
+def b_const(d, d1, d2, kappa, rel_tol: float = 1e-9) -> float:
     """Fusion constant: the simplex integral on [0, 1] with endpoint
     charges d1, d2 and (d1 + d2 - 1 - d)/2 screening variables."""
     d, d1, d2 = int(d), int(d1), int(d2)
@@ -469,43 +449,7 @@ def b_const(d, d1, d2, kappa, quad: QuadratureSpec | None = None) -> float:
     if mm == 0:
         return 1.0
     c = ChamberPoint(-1.0, (0.0, 1.0))
-    return rho(c, (d1, d2), (0, mm), kappa, quad)
-
-
-def selberg_oracle(l, alpha, beta, gamma) -> float:
-    """Selberg product formula for the l-dimensional hypercube integral.
-
-    Divide by l! to compare with integrals over the ordered simplex.
-    """
-    l = int(l)
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if l == 0:
-        return 1.0
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("parameters outside the convergence region")
-    if l >= 2:
-        if gamma <= -min(1.0 / l, alpha / (l - 1), beta / (l - 1)):
-            raise ValueError("parameters outside the convergence region")
-    elif gamma <= -1.0:
-        raise ValueError("parameters outside the convergence region")
-
-    def lg(x):
-        if x <= 0 and abs(x - round(x)) < 1e-12:
-            raise ValueError(f"Gamma pole at argument {x:g}")
-        return float(gammaln(x)), float(gammasgn(x))
-
-    log_total, sign = 0.0, 1.0
-    for j in range(l):
-        for arg in (alpha + j * gamma, beta + j * gamma, 1.0 + (j + 1) * gamma):
-            v, s = lg(arg)
-            log_total += v
-            sign *= s
-        for arg in (alpha + beta + (l + j - 1) * gamma, 1.0 + gamma):
-            v, s = lg(arg)
-            log_total -= v
-            sign *= s
-    return sign * math.exp(log_total)
+    return rho(c, (d1, d2), (0, mm), kappa, rel_tol)
 
 
 def h_weight(d, kappa) -> float:
@@ -520,24 +464,12 @@ def delta_fusion(d, d1, d2, kappa) -> float:
     )
 
 
-def delta_scaling(l, dims, kappa) -> float:
-    """Homogeneity degree of the screened integrals under scaling."""
-    dims = tuple(int(d) for d in dims)
-    cross = sum(
-        (dims[i] - 1) * (dims[j] - 1)
-        for i in range(len(dims))
-        for j in range(i + 1, len(dims))
-    )
-    stot = sum(d - 1 for d in dims)
-    return (2.0 * cross - 4.0 * l * stot + 4.0 * l * (l - 1)) / kappa + l
-
-
 class _Chain:
     """Accumulates quadrature nodes along one loop, with a zero-weight
     marker node at the reference point where the branch phase is fixed."""
 
     def __init__(self, nodes):
-        self._xg, self._wg = roots_legendre(nodes)
+        self._xg, self._wg = np.polynomial.legendre.leggauss(nodes)
         self.zs = []
         self.dzs = []
         self.ref = None

@@ -9,6 +9,11 @@ so callers can judge them relatively.
 Stencil points live on a shared lattice at the finest refinement level,
 so evaluator calls are cached once across all Richardson levels.  That
 matters when the evaluator hides a quadrature.
+
+The finite-difference step h is relative: the stencil spacing is h times
+the smallest gap between consecutive coordinates of the evaluation point.
+Stencils are of order _STENCIL_ORDER and extrapolated over
+_RICHARDSON_LEVELS strides.
 """
 
 import math
@@ -20,23 +25,6 @@ from functools import cache
 from .coulomb import _check_increasing, _x_prefactor, h_weight
 from .correspondence import F_hwv
 from .uqsl2 import is_hwv
-
-
-@dataclass(frozen=True)
-class FdScheme:
-    """Finite difference settings.
-
-    The step is relative: the stencil spacing is h times the smallest gap
-    between consecutive coordinates of the evaluation point.  Stencils are
-    of order _STENCIL_ORDER and extrapolated over _RICHARDSON_LEVELS
-    strides.
-    """
-
-    h: float = 1e-3
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("step must be positive")
 
 
 _STENCIL_ORDER = 4
@@ -203,11 +191,11 @@ def _richardson(values):
     return table[0]
 
 
-def _steps(scheme, x, total_order):
-    if scheme is None:
-        scheme = FdScheme()
+def _steps(h, x, total_order):
+    if not h > 0:
+        raise ValueError("step must be positive")
     gap = _min_gap(x)
-    h_abs = scheme.h * gap
+    h_abs = h * gap
     if gap < (total_order + 1) * h_abs:
         raise ValueError(
             f"clearance {gap:g} is below ({total_order}+1) stencil steps of {h_abs:g}"
@@ -218,19 +206,19 @@ def _steps(scheme, x, total_order):
     return h_fine, strides
 
 
-def apply_bsa(op, f, x, scheme=None):
+def apply_bsa(op, f, x, h=1e-3):
     """Residual of the operator on the evaluator f at the point x.
 
     Returns (residual, scale).  The scale is the largest term that entered
     the cancellation, so residual/scale is the meaningful smallness.  Any
     auxiliary parameter of the evaluator (an anchor point for instance)
-    must stay fixed while the points move.
+    must stay fixed while the points move.  h is the relative step.
     """
     x = tuple(float(xi) for xi in x)
     if len(x) != len(op.dims):
         raise ValueError(f"point has {len(x)} coordinates, operator wants {len(op.dims)}")
     _check_increasing(x)
-    h_fine, strides = _steps(scheme, x, op.order)
+    h_fine, strides = _steps(h, x, op.order)
     base = _lattice(f, x, h_fine)
     weights = tuple(h_weight(d_, op.kappa) for d_ in op.dims)
     j0 = op.j - 1
@@ -256,11 +244,11 @@ def vertex_prefactor(dims, kappa):
     return lambda y: _x_prefactor(y, dims, kappa)
 
 
-def _extrapolated_sum(f, x, total_order, scheme, pieces_at):
-    # pieces_at(g, stride, h) lists the terms of the operator on the lattice
-    # evaluator g; their sum is Richardson extrapolated over the strides and
-    # the scale is the largest term at the finest stride
-    h_fine, strides = _steps(scheme, x, total_order)
+def _extrapolated_sum(f, x, total_order, h, pieces_at):
+    # pieces_at(g, stride, step) lists the terms of the operator on the
+    # lattice evaluator g; their sum is Richardson extrapolated over the
+    # strides and the scale is the largest term at the finest stride
+    h_fine, strides = _steps(h, x, total_order)
     base = _lattice(f, x, h_fine)
     values = []
     largest = 0.0
@@ -271,11 +259,11 @@ def _extrapolated_sum(f, x, total_order, scheme, pieces_at):
     return _richardson(values), max(largest, abs(values[-1]))
 
 
-def sle_pde_check(f, x, kappa, j, scheme=None):
+def sle_pde_check(f, x, kappa, j, h=1e-3):
     """Second order growth process equation applied directly at x.
 
-    kappa/2 d^2/dx_j^2 + sum_{i != j} (2/(x_i-x_j) d/dx_i - 2h/(x_i-x_j)^2)
-    with h = (6-kappa)/(2 kappa); all points carry that same weight.
+    kappa/2 d^2/dx_j^2 + sum_{i != j} (2/(x_i-x_j) d/dx_i - 2hw/(x_i-x_j)^2)
+    with hw = (6-kappa)/(2 kappa); all points carry that same weight.
     Returns (residual, scale) like apply_bsa.
     """
     x = tuple(float(xi) for xi in x)
@@ -286,17 +274,17 @@ def sle_pde_check(f, x, kappa, j, scheme=None):
     j0 = j - 1
     origin = (0,) * len(x)
 
-    def pieces_at(g, stride, h):
-        pieces = [0.5 * kappa * _second_derivative(g, origin, j0, stride, h)]
+    def pieces_at(g, stride, step):
+        pieces = [0.5 * kappa * _second_derivative(g, origin, j0, stride, step)]
         for i in range(len(x)):
             if i == j0:
                 continue
             dy = x[i] - x[j0]
-            pieces.append(2.0 / dy * _derivative(g, origin, i, stride, h))
+            pieces.append(2.0 / dy * _derivative(g, origin, i, stride, step))
             pieces.append(-2.0 * hw / dy**2 * g(origin))
         return pieces
 
-    return _extrapolated_sum(f, x, 2, scheme, pieces_at)
+    return _extrapolated_sum(f, x, 2, h, pieces_at)
 
 
 _PROPORTIONALITY_SAMPLES = 20
@@ -314,7 +302,6 @@ def sle_proportionality_check(x, kappa, j, seed=7):
     x = tuple(float(xi) for xi in x)
     dims = (2,) * len(x)
     op = build_bsa(j, dims, kappa)
-    scheme = FdScheme(h=1e-2)
     rng = random.Random(seed)
     pairs = [(i, k) for i in range(len(x)) for k in range(i + 1, len(x))]
     worst = 0.0
@@ -328,8 +315,8 @@ def sle_proportionality_check(x, kappa, j, seed=7):
                 s += b * dy + c * dy * dy
             return math.exp(s)
 
-        direct, _ = sle_pde_check(f, x, kappa, j, scheme)
-        composed, _ = apply_bsa(op, f, x, scheme)
+        direct, _ = sle_pde_check(f, x, kappa, j, h=1e-2)
+        composed, _ = apply_bsa(op, f, x, h=1e-2)
         target = 0.5 * kappa * composed
         denom = max(abs(direct), abs(target))
         if denom == 0.0:
@@ -338,33 +325,35 @@ def sle_proportionality_check(x, kappa, j, seed=7):
     return worst
 
 
-def translation_check(f, x, scheme=None):
+def translation_check(f, x, h=1e-3):
     """Sum of all first derivatives at x; scale is the largest one."""
     x = tuple(float(xi) for xi in x)
     _check_increasing(x)
     origin = (0,) * len(x)
 
-    def pieces_at(g, stride, h):
-        return [_derivative(g, origin, i, stride, h) for i in range(len(x))]
+    def pieces_at(g, stride, step):
+        return [_derivative(g, origin, i, stride, step) for i in range(len(x))]
 
-    return _extrapolated_sum(f, x, 1, scheme, pieces_at)
+    return _extrapolated_sum(f, x, 1, h, pieces_at)
 
 
-def euler_check(f, x, degree, scheme=None):
+def euler_check(f, x, degree, h=1e-3):
     """Euler operator sum x_i d/dx_i minus the homogeneity degree."""
     x = tuple(float(xi) for xi in x)
     _check_increasing(x)
     origin = (0,) * len(x)
 
-    def pieces_at(g, stride, h):
-        pieces = [x[i] * _derivative(g, origin, i, stride, h) for i in range(len(x))]
+    def pieces_at(g, stride, step):
+        pieces = [
+            x[i] * _derivative(g, origin, i, stride, step) for i in range(len(x))
+        ]
         pieces.append(-degree * g(origin))
         return pieces
 
-    return _extrapolated_sum(f, x, 1, scheme, pieces_at)
+    return _extrapolated_sum(f, x, 1, h, pieces_at)
 
 
-def mobius_check(v, mu, x, kappa, quad=None):
+def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
     """Compare the function of v against its pullback under a Mobius map.
 
     mu = (a, b, c, d) acts as z -> (a z + b)/(c z + d) and must preserve
@@ -387,8 +376,8 @@ def mobius_check(v, mu, x, kappa, quad=None):
     prefactor = 1.0
     for xi, dim in zip(x, v.space.dims):
         prefactor *= (det / (c * xi + d) ** 2) ** h_weight(dim, kappa)
-    value = F_hwv(v, x, kappa, quad)
-    transformed = prefactor * F_hwv(v, mapped, kappa, quad)
+    value = F_hwv(v, x, kappa, rel_tol)
+    transformed = prefactor * F_hwv(v, mapped, kappa, rel_tol)
     if value == 0:
         deviation = abs(transformed)
     else:

@@ -317,21 +317,18 @@ def hwv_space_basis(space: TensorSpace, d: int) -> list[TensorVector]:
         img = act("E", TensorVector.basis(space, idx))
         for tgt, val in img.coeffs.items():
             emat[row_pos[tgt]][c] = val
-    if row_idx:
-        reduced, pivots = _rref(emat, len(col_idx))
-        pivset = set(pivots)
-        kernel = []
-        for free in range(len(col_idx)):
-            if free in pivset:
-                continue
-            vec = [Q_ZERO] * len(col_idx)
-            vec[free] = Q_ONE
-            for r, p in enumerate(pivots):
-                vec[p] = -reduced[r][free]
-            kernel.append(vec)
-    else:
-        kernel = [[Q_ONE if i == f else Q_ZERO for i in range(len(col_idx))]
-                  for f in range(len(col_idx))]
+    # with no rows the echelon form is empty and every column is free
+    reduced, pivots = _rref(emat, len(col_idx))
+    pivset = set(pivots)
+    kernel = []
+    for free in range(len(col_idx)):
+        if free in pivset:
+            continue
+        vec = [Q_ZERO] * len(col_idx)
+        vec[free] = Q_ONE
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][free]
+        kernel.append(vec)
     if not kernel:
         return []
     # canonicalize: echelon form over the fixed multi-index order

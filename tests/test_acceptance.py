@@ -9,13 +9,14 @@ import itertools
 import math
 import time
 
+from closed_forms import selberg_oracle
+
 from qscreen.coulomb import (
     ChamberPoint,
     b_const,
     contour_phi_oracle,
     h_weight,
     rho,
-    selberg_oracle,
 )
 from qscreen.correspondence import (
     F_hwv,
@@ -25,7 +26,6 @@ from qscreen.correspondence import (
     phi,
 )
 from qscreen.pde import (
-    FdScheme,
     apply_bsa,
     build_bsa,
     euler_check,
@@ -254,14 +254,14 @@ def test_08_pde_residuals():
     assert cross <= 1e-8
 
     # the product of pair powers is a null function of every operator
-    coarse = FdScheme(h=1e-2)
+    coarse = 1e-2
     points = (0.0, 1.0, 2.5, 3.6)
     null_worst = 0.0
     for dims in ((2, 2), (3, 2), (2, 2, 2), (2, 3, 2), (3, 3, 3)):
         f = vertex_prefactor(dims, KAPPA)
         pts = points[: len(dims)]
         for j in range(1, len(dims) + 1):
-            residual, scale = apply_bsa(build_bsa(j, dims, KAPPA), f, pts, coarse)
+            residual, scale = apply_bsa(build_bsa(j, dims, KAPPA), f, pts, h=coarse)
             rel = abs(residual) / scale
             null_worst = max(null_worst, rel)
             assert rel <= 1e-6, (dims, j, rel)

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -266,6 +269,13 @@ def test_verify_failure_gives_nonzero_exit(capsys):
     assert report["passed"] is False
 
 
+def test_verify_reports_no_kappa(capsys):
+    # every suite fixes its own kappa, so the report carries none
+    code, out, _ = run(capsys, "verify", "cyclic", "--kappa", "6")
+    assert code == 0
+    assert "kappa" not in json.loads(out)
+
+
 def test_verify_writes_report_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "cyclic", "--out", str(out_path))
@@ -324,6 +334,28 @@ def test_eval_unreachable_rel_tol_exits_3(capsys):
     assert out == ""
     assert "numeric failure" in err
     assert "l=3" in err
+
+
+def test_eval_bad_rel_tol_exits_2(capsys):
+    # (2, 0) on dims (2, 2) vanishes exactly and runs no integral, so the
+    # flag itself must be refused
+    for bad in ("0", "-1e-9", "nan"):
+        code, out, err = run(
+            capsys, "eval", "--dims", "2,2", "--l", "2,0", "--x", "0,1", f"--rel-tol={bad}"
+        )
+        assert code == 2, bad
+        assert out == ""
+        assert "--rel-tol" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, qscreen.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_removed_quadrature_flags_are_rejected(capsys):

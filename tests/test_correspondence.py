@@ -1,10 +1,13 @@
 """Tests for the reduction tables and the functions built on them."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from closed_forms import delta_scaling
 
 from qscreen.coulomb import (
     ChamberPoint,
@@ -12,7 +15,6 @@ from qscreen.coulomb import (
     b_const,
     contour_phi_oracle,
     delta_fusion,
-    delta_scaling,
     h_weight,
     rho,
 )
@@ -20,6 +22,7 @@ from qscreen.correspondence import (
     F_anchor,
     F_hwv,
     ReductionTable,
+    _rephasing,
     asymptotics_check,
     general_asymptotics_check,
     infinity_limit,
@@ -116,6 +119,39 @@ def test_reduction_table_rejects_bad_assignments():
         ReductionTable((2, 2), (1, 0), {(1, 1): Q_ONE})
     with pytest.raises(ValueError, match="away from the anchor"):
         ReductionTable((2, 2), (1, 0), {(0, 1): Q_ONE})
+
+
+# -- rephasing of the real integrals ---------------------------------------
+
+
+def test_rephasing_trivial_counts():
+    assert _rephasing((1, 1)) == Q_ONE
+    assert _rephasing((0, 1, 0)) == Q_ONE
+
+
+def test_rephasing_two_variables():
+    assert _rephasing((2,)) == Q_ONE + QScalar.q_power(-2)
+    # at kappa = 8, q = i and the factor 1 + q^-2 vanishes
+    assert abs(eval_q(_rephasing((2,)), KappaParams(8.0))) <= 1e-12
+
+
+def _inversions(perm):
+    return sum(
+        1
+        for a in range(len(perm))
+        for b in range(a + 1, len(perm))
+        if perm[a] > perm[b]
+    )
+
+
+def test_rephasing_matches_inversion_generating_function():
+    # [m]! q^(-m(m-1)/2) is the sum of q^(-2 inversions) over permutations
+    for m in range(6):
+        brute = QScalar.from_int(0)
+        for perm in itertools.permutations(range(m)):
+            brute = brute + QScalar.q_power(-2 * _inversions(perm))
+        assert _rephasing((m,)) == brute, m
+    assert _rephasing((2, 3)) == _rephasing((2,)) * _rephasing((3,))
 
 
 # -- basis functions -------------------------------------------------------

@@ -1,27 +1,24 @@
 """Tests for the Coulomb gas integrals and the contour oracle."""
 
 import cmath
-import itertools
 import math
 
 import numpy as np
 import pytest
 
+from closed_forms import delta_scaling, selberg_oracle
+
 from qscreen.coulomb import (
     ChamberPoint,
     QuadratureError,
-    QuadratureSpec,
     ScreeningConfig,
     _anchored_log,
     b_const,
     contour_phi_oracle,
     delta_fusion,
-    delta_scaling,
     eval_stats,
     h_weight,
     rho,
-    selberg_oracle,
-    tilde_rho,
 )
 from qscreen.qseries import KappaParams, eval_q, qfact
 
@@ -53,11 +50,12 @@ def test_screening_config_validation():
         ScreeningConfig((1, -1))
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=float("nan"))
+def test_rho_rel_tol_validation():
+    # checked before the early return of a configuration with no screening
+    for m in ((1, 0), (0, 0)):
+        for rel_tol in (0.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError, match="rel_tol"):
+                rho(ChamberPoint(0.0, (1.0, 2.0)), (2, 2), m, 8.0, rel_tol=rel_tol)
 
 
 def test_integrand_trivial_dimension_drops_out():
@@ -102,14 +100,13 @@ def test_rho_two_screening_variables_matches_selberg():
 
 
 def test_rho_selberg_family():
-    quad = QuadratureSpec(rel_tol=1e-7)
     kappa = 10.0
     c = ChamberPoint(0.0, (1.0,))
     for d in (2, 3):
         beta = 1.0 - 4.0 * (d - 1) / kappa
         for ell in (1, 2, 3):
             ref = selberg_oracle(ell, 1.0, beta, 4.0 / kappa) / math.factorial(ell)
-            val = rho(c, (d,), (ell,), kappa, quad)
+            val = rho(c, (d,), (ell,), kappa, rel_tol=1e-7)
             assert val == pytest.approx(ref, rel=1e-6), (d, ell)
 
 
@@ -126,14 +123,12 @@ def test_rho_deep_offsets_below_ulp_stay_finite():
 
 def test_rho_doubling_convergence():
     c = ChamberPoint(0.0, (1.0, 2.5))
-    base = QuadratureSpec(rel_tol=1e-9)
-    fine = QuadratureSpec(rel_tol=1e-12)
-    v1 = rho(c, (2, 3), (1, 1), 10.0, base)
-    v2 = rho(c, (2, 3), (1, 1), 10.0, fine)
-    assert abs(v2 - v1) <= base.rel_tol * abs(v2)
+    v1 = rho(c, (2, 3), (1, 1), 10.0, rel_tol=1e-9)
+    v2 = rho(c, (2, 3), (1, 1), 10.0, rel_tol=1e-12)
+    assert abs(v2 - v1) <= 1e-9 * abs(v2)
     c1 = ChamberPoint(0.0, (1.0,))
-    w1 = rho(c1, (2,), (3,), 8.0, base)
-    w2 = rho(c1, (2,), (3,), 8.0, fine)
+    w1 = rho(c1, (2,), (3,), 8.0, rel_tol=1e-9)
+    w2 = rho(c1, (2,), (3,), 8.0, rel_tol=1e-12)
     assert abs(w2 - w1) <= 1e-9 * abs(w2)
 
 
@@ -161,7 +156,7 @@ def _selberg_pair(ell, d, kappa):
 
 def _assert_gate(c, dims, m, kappa, rel_tol, ref):
     with eval_stats() as stats:
-        val = rho(c, dims, m, kappa, QuadratureSpec(rel_tol=rel_tol))
+        val = rho(c, dims, m, kappa, rel_tol)
     rel = abs(val - ref) / abs(ref)
     assert rel <= rel_tol, rel
     assert max(stats.err_est / abs(val), _ORACLE_FLOOR) >= rel, (stats.err_est, rel)
@@ -208,7 +203,7 @@ def test_rho_selberg_gate_five_variables():
 def test_rho_unreachable_rel_tol_raises():
     # below the rounding floor of a three-level sum no step is fine enough
     with pytest.raises(QuadratureError, match=r"l=3 .*level \d"):
-        rho(_PAIR, (4, 4), (0, 3), 12.5, QuadratureSpec(rel_tol=1e-15))
+        rho(_PAIR, (4, 4), (0, 3), 12.5, rel_tol=1e-15)
     # five levels at the first step for 1e-9 already exceed the node budget,
     # which is checked before any evaluation
     with pytest.raises(QuadratureError, match=r"l=5 .*budget"):
@@ -251,52 +246,6 @@ def test_rho_refuses_divergent_kappa():
         rho(c, (2,), (1,), 4.0)
     with pytest.raises(ValueError, match="outside convergent regime"):
         rho(c, (3,), (1,), 8.0)
-
-
-def test_tilde_rho_trivial_prefactor():
-    c = ChamberPoint(0.0, (1.0, 2.0))
-    base = rho(c, (2, 2), (1, 1), 10.0)
-    val = tilde_rho(c, (2, 2), (1, 1), 10.0)
-    assert val == pytest.approx(complex(base), rel=1e-14)
-
-
-def test_tilde_rho_two_variable_prefactor():
-    c = ChamberPoint(0.0, (1.0,))
-    kappa = 10.0
-    q = q_of(kappa)
-    base = rho(c, (2,), (2,), kappa)
-    val = tilde_rho(c, (2,), (2,), kappa)
-    assert val == pytest.approx((1.0 + q ** -2) * base, rel=1e-12)
-    # at kappa=8 the prefactor 1 + q^-2 vanishes identically
-    assert abs(tilde_rho(c, (2,), (2,), 8.0)) <= 1e-12 * rho(c, (2,), (2,), 8.0)
-
-
-def test_tilde_rho_prefactor_matches_inversion_generating_function():
-    # the exact prefactor per group equals the sum of q^(-2 inversions)
-    # over permutations
-    # five screening variables: a loose tolerance keeps the rule coarse
-    quad = QuadratureSpec(rel_tol=1e-2)
-    c = ChamberPoint(0.0, (1.0, 2.0))
-    kappa = 10.0
-    counts = (2, 3)
-    base = rho(c, (2, 2), counts, kappa, quad)
-    val = tilde_rho(c, (2, 2), counts, kappa, quad)
-    q = q_of(kappa)
-    brute = complex(1.0)
-    for m in counts:
-        brute *= sum(
-            q ** (-2 * _inversions(perm)) for perm in itertools.permutations(range(m))
-        )
-    assert val == pytest.approx(brute * base, rel=1e-10)
-
-
-def _inversions(perm):
-    return sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
 
 
 def test_b_const_empty():

@@ -7,7 +7,6 @@ import pytest
 from qscreen.coulomb import h_weight
 from qscreen.correspondence import F_hwv
 from qscreen.pde import (
-    FdScheme,
     apply_bsa,
     build_bsa,
     euler_check,
@@ -23,7 +22,7 @@ KAPPA = 10.0
 
 # analytic evaluators get a coarser step: truncation still vanishes under
 # Richardson while rounding noise stays far below the 1e-6 targets
-COARSE = FdScheme(h=1e-2)
+COARSE = 1e-2
 
 
 def power_product(dims, kappa):
@@ -85,10 +84,17 @@ def test_bsa_rejects_bad_positions():
 
 
 def test_fd_scheme_validation():
-    with pytest.raises(ValueError, match="step"):
-        FdScheme(h=0.0)
-    with pytest.raises(ValueError, match="step"):
-        FdScheme(h=float("nan"))
+    f = power_product((2, 2), KAPPA)
+    op = build_bsa(1, (2, 2), KAPPA)
+    for h in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="step"):
+            apply_bsa(op, f, (0.0, 1.0), h=h)
+        with pytest.raises(ValueError, match="step"):
+            sle_pde_check(f, (0.0, 1.0), KAPPA, 1, h=h)
+        with pytest.raises(ValueError, match="step"):
+            translation_check(f, (0.0, 1.0), h=h)
+        with pytest.raises(ValueError, match="step"):
+            euler_check(f, (0.0, 1.0), 0.0, h=h)
 
 
 # -- residuals on known solutions ------------------------------------------
@@ -106,18 +112,18 @@ def test_power_product_is_annihilated():
     f = power_product(dims, KAPPA)
     for j in (1, 2, 3):
         op = build_bsa(j, dims, KAPPA)
-        residual, scale = apply_bsa(op, f, (0.0, 1.0, 2.5), COARSE)
+        residual, scale = apply_bsa(op, f, (0.0, 1.0, 2.5), h=COARSE)
         assert abs(residual) / scale <= 1e-6
 
     op = build_bsa(1, (3, 3), KAPPA)
-    residual, scale = apply_bsa(op, power_product((3, 3), KAPPA), (0.2, 1.9), COARSE)
+    residual, scale = apply_bsa(op, power_product((3, 3), KAPPA), (0.2, 1.9), h=COARSE)
     assert abs(residual) / scale <= 1e-6
 
 
 def test_generic_function_is_not_annihilated():
     op = build_bsa(2, (2, 3, 2), KAPPA)
     bad = lambda y: ((y[1] - y[0]) * (y[2] - y[0]) * (y[2] - y[1])) ** 0.3
-    residual, scale = apply_bsa(op, bad, (0.0, 1.0, 2.5), COARSE)
+    residual, scale = apply_bsa(op, bad, (0.0, 1.0, 2.5), h=COARSE)
     assert abs(residual) / scale >= 1e-2
 
 
@@ -132,7 +138,7 @@ def test_apply_bsa_input_checks():
     op = build_bsa(2, (2, 3, 2), KAPPA)
     f = power_product((2, 3, 2), KAPPA)
     with pytest.raises(ValueError, match="clearance"):
-        apply_bsa(op, f, (0.0, 1.0, 2.5), FdScheme(h=0.3))
+        apply_bsa(op, f, (0.0, 1.0, 2.5), h=0.3)
     with pytest.raises(ValueError, match="coordinates"):
         apply_bsa(op, f, (0.0, 1.0))
     with pytest.raises(ValueError, match="increase"):
