@@ -24,6 +24,7 @@ from .coulomb import (
     ChamberPoint,
     ScreeningConfig,
     _check_increasing,
+    _check_rel_tol,
     _dims_counts,
     _record,
     _rho,
@@ -220,6 +221,8 @@ _rho_cached = lru_cache(maxsize=4096)(_rho)
 
 
 def _evaluate(weights, c, dims, kappa, rel_tol):
+    # checked here too: a sum whose weights all vanish runs no integral
+    _check_rel_tol(rel_tol)
     total = 0j
     err = 0.0
     for m, w in weights:

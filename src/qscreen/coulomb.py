@@ -2,8 +2,10 @@
 
 Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
 the screened integrals over nested ordered simplices (a tanh-sinh rule per
-screening variable, each level's step halved until the quadrature's own
-error estimate meets the requested tolerance), the boundary fusion
+screening variable; each level's step is planned on cheap probes, with
+every other level coarse, and then checked on the full grid, where a
+level's step is halved until the quadrature's own error estimate meets
+the requested tolerance), the boundary fusion
 constants, conformal weight and exponent helpers, and a direct contour
 oracle that integrates the same density over explicitly constructed nested
 loops with the branch tracked along the path.  Everything here is numeric;
@@ -63,10 +65,14 @@ class EvalStats:
 
     err_est is the absolute error estimate of the values they returned:
     rho adds its own, and each sum of rho values (phi, F_anchor, F_hwv)
-    adds |weight| times the estimate of every term.
+    adds |weight| times the estimate of every term.  grid_evals counts the
+    nested sums the quadrature evaluated on the full tensor grid, and
+    probe_evals those on a probe grid (one level fine, the others coarse).
     """
 
     err_est: float = 0.0
+    grid_evals: int = 0
+    probe_evals: int = 0
 
 
 _STATS = contextvars.ContextVar("qscreen_eval_stats", default=None)
@@ -83,10 +89,12 @@ def eval_stats():
         _STATS.reset(token)
 
 
-def _record(err):
+def _record(err_est=0.0, grid_evals=0, probe_evals=0):
     stats = _STATS.get()
     if stats is not None:
-        stats.err_est += err
+        stats.err_est += err_est
+        stats.grid_evals += grid_evals
+        stats.probe_evals += probe_evals
 
 
 def _dims_counts(dims, m, n=None):
@@ -345,15 +353,13 @@ class QuadratureError(ArithmeticError):
     """The nested quadrature cannot meet the requested rel_tol."""
 
 
-def _first_step(rel_tol):
-    # a level's error is typically near 1e-4, 1e-6 and 1e-9 at these steps
-    return 0.5 if rel_tol >= 1e-4 else 0.25 if rel_tol >= 1e-6 else 0.125
-
-
 # no step goes below _MIN_STEP and no grid holds more than _GRID_BUDGET
 # nodes
 _MIN_STEP = 2.0 ** -6
 _GRID_BUDGET = 2.5e8
+# a cold plan starts every level at _PROBE_STEP, and a probe keeps every
+# level but the probed one there
+_PROBE_STEP = 0.5
 # relative rounding error of the nested sum, per level
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 # steps that met rel_tol for (dims, counts, kappa, rel_tol): later points
@@ -362,33 +368,93 @@ _ROUNDING = 4.0 * float(np.finfo(float).eps)
 _STEPS = {}
 
 
-def _quadrature(levels, geo, rel_tol, key):
-    """The nested sum and its error estimate, with the step of one level
-    at a time halved until the estimate meets rel_tol.
+def _shifted(levels, rules, k, h, geo):
+    # the nested sum on rules with level k's rule at step h moved by half
+    # a step: it differs from the unmoved sum by twice that level's error
+    moved = rules[:k] + [_unit_rule(levels[k], h, 0.5)] + rules[k + 1 :]
+    return _nested(levels, moved, geo)
 
-    The estimate for a level shifts that level's nodes by half a step and
-    keeps every other level: the difference is twice that level's error.
-    The error of a tensor grid belongs to the levels one by one; a shift of
-    all levels at once, or the every-other-node subgrid, misses it.  The
-    estimate adds the rounding floor of the sum.
+
+def _check_budget(levels, steps, head, halved):
+    grid = math.prod(
+        len(_unit_rule(lev, h, 0.0)[0]) for lev, h in zip(levels, steps)
+    )
+    if grid > _GRID_BUDGET:
+        raise QuadratureError(
+            f"{head}: {grid:.2e} nodes exceed the budget of"
+            f" {_GRID_BUDGET:.1e}{halved}"
+        )
+
+
+def _plan(levels, geo, rel_tol, head):
+    """Steps that the probes expect to meet rel_tol / 2.
+
+    Every level starts at _PROBE_STEP.  The probe of level k is the
+    half-step shift estimate of level k at its planned step with every
+    other level at _PROBE_STEP, a grid far smaller than the full one.
+    The level with the largest relative estimate is halved until the
+    estimates sum to at most rel_tol / 2, or until that level is at the
+    smallest step or the rounding floor, where the full-grid check
+    decides.  A halving reuses the probe's two sums: the rule at step h/2
+    is the mean of the rule at h and its shifted copy, tails folded
+    alike, so each new probe costs one evaluation.  A planned grid over
+    the budget raises before anything else is evaluated.
     """
     ell = len(levels)
-    steps = list(_STEPS.get(key, (_first_step(rel_tol),) * ell))
+    steps = [_PROBE_STEP] * ell
+    coarse = [_unit_rule(lev, _PROBE_STEP, 0.0) for lev in levels]
+    # values[k] is the probe sum of level k at its planned step
+    values = [_nested(levels, coarse, geo)] * ell
+    moved = [_shifted(levels, coarse, k, _PROBE_STEP, geo) for k in range(ell)]
+    _record(probe_evals=ell + 1)
+
+    def relative(k):
+        return abs(moved[k] - values[k]) / values[k] if values[k] > 0 else 0.0
+
+    ests = [relative(k) for k in range(ell)]
+    while sum(ests) > 0.5 * rel_tol:
+        k = int(np.argmax(ests))
+        if ests[k] <= ell * _ROUNDING or steps[k] <= _MIN_STEP:
+            break
+        steps[k] /= 2.0
+        _check_budget(
+            levels, steps, head,
+            f" after halving level {k} (probe estimate {ests[k]:.2e})",
+        )
+        values[k] = 0.5 * (values[k] + moved[k])
+        moved[k] = _shifted(levels, coarse, k, steps[k], geo)
+        _record(probe_evals=1)
+        ests[k] = relative(k)
+    return steps
+
+
+def _quadrature(levels, geo, rel_tol, key):
+    """The nested sum and its error estimate.
+
+    A key seen before starts from the steps that met rel_tol for it;
+    otherwise _plan chooses the steps on probes.  The full-grid check
+    then evaluates the value and, for each level, the sum with that
+    level's nodes shifted by half a step and every other level kept: the
+    difference is twice that level's error.  The error of a tensor grid
+    belongs to the levels one by one; a shift of all levels at once, or
+    the every-other-node subgrid, misses it.  The estimate adds the
+    rounding floor of the sum; while it exceeds rel_tol the level with
+    the largest share is halved and the grid checked again, so the
+    returned estimate is always the full grid's, never a probe's.
+    """
+    ell = len(levels)
     head = f"rho with l={ell} screening variables at rel_tol={rel_tol:g}"
+    steps = list(_STEPS.get(key) or _plan(levels, geo, rel_tol, head))
     halved = ""
     while True:
+        _check_budget(levels, steps, head, halved)
         rules = [_unit_rule(lev, h, 0.0) for lev, h in zip(levels, steps)]
-        grid = math.prod(len(r[0]) for r in rules)
-        if grid > _GRID_BUDGET:
-            raise QuadratureError(
-                f"{head}: {grid:.2e} nodes exceed the budget of"
-                f" {_GRID_BUDGET:.1e}{halved}"
-            )
         value = _nested(levels, rules, geo)
-        ests = []
-        for k, (lev, h) in enumerate(zip(levels, steps)):
-            moved = rules[:k] + [_unit_rule(lev, h, 0.5)] + rules[k + 1 :]
-            ests.append(abs(_nested(levels, moved, geo) - value))
+        ests = [
+            abs(_shifted(levels, rules, k, h, geo) - value)
+            for k, h in enumerate(steps)
+        ]
+        _record(grid_evals=ell + 1)
         floor = ell * _ROUNDING * value
         est = sum(ests) + floor
         if est <= rel_tol * value:
@@ -405,10 +471,14 @@ def _quadrature(levels, geo, rel_tol, key):
         steps[k] /= 2.0
 
 
-def _rho(c, dims, m, kappa, rel_tol):
-    """The screened integral and its absolute error estimate."""
+def _check_rel_tol(rel_tol):
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
+
+
+def _rho(c, dims, m, kappa, rel_tol):
+    """The screened integral and its absolute error estimate."""
+    _check_rel_tol(rel_tol)
     dims, counts = _dims_counts(dims, m, c.n)
     _check_convergent(dims, kappa)
     pref = _x_prefactor(c.xs, dims, kappa)

@@ -194,6 +194,16 @@ def test_phi_vanishing_configs_return_exact_zero():
     assert phi(C1, (2,), (5,), KAPPA) == 0
 
 
+def test_phi_rejects_bad_rel_tol_without_integrals():
+    # every weight vanishes, so no integral would check rel_tol
+    c = ChamberPoint(-1.0, (0.0, 1.0))
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="rel_tol"):
+            phi(c, (2, 2), (2, 0), 8.0, rel_tol=bad)
+        with pytest.raises(ValueError, match="rel_tol"):
+            F_anchor(TensorVector.zero(TensorSpace((2, 2))), c, 8.0, rel_tol=bad)
+
+
 def test_phi_ignores_points_with_unit_dimension():
     a = phi(ChamberPoint(-0.5, (0.0, 0.8, 2.0)), (2, 1, 2), (1, 0, 1), KAPPA)
     b = phi(ChamberPoint(-0.5, (0.0, 1.6, 2.0)), (2, 1, 2), (1, 0, 1), KAPPA)

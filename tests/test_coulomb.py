@@ -8,6 +8,7 @@ import pytest
 
 from closed_forms import delta_scaling, selberg_oracle
 
+from qscreen import coulomb
 from qscreen.coulomb import (
     ChamberPoint,
     QuadratureError,
@@ -154,12 +155,13 @@ def _selberg_pair(ell, d, kappa):
     return ref * (x2 - x1) ** delta_scaling(ell, (d, d), kappa)
 
 
-def _assert_gate(c, dims, m, kappa, rel_tol, ref):
+def _assert_gate(c, dims, m, kappa, rel_tol, ref, floor=_ORACLE_FLOOR):
     with eval_stats() as stats:
         val = rho(c, dims, m, kappa, rel_tol)
     rel = abs(val - ref) / abs(ref)
     assert rel <= rel_tol, rel
-    assert max(stats.err_est / abs(val), _ORACLE_FLOOR) >= rel, (stats.err_est, rel)
+    assert max(stats.err_est / abs(val), floor) >= rel, (stats.err_est, rel)
+    return stats
 
 
 @pytest.mark.parametrize("edge", (0.5, 0.9))
@@ -192,7 +194,40 @@ def test_rho_selberg_gate_mass_beyond_the_nodes():
 
 def test_rho_selberg_gate_four_variables():
     ref = _selberg_pair(4, 5, 16.75)
-    _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-7, ref)
+    _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
+
+
+def test_rho_cold_plan_checks_the_full_grid_once(monkeypatch):
+    # with no cached steps the probes plan every level, and the full grid
+    # is evaluated once: the value and one half-step shift per level
+    monkeypatch.setattr(coulomb, "_STEPS", {})
+    ref = _selberg_pair(4, 5, 16.75)
+    stats = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
+    assert stats.grid_evals <= 4 + 1, stats
+    assert stats.probe_evals > 0, stats
+
+
+@pytest.mark.parametrize(
+    "c, dims, m, kappa, tight",
+    [
+        # level 1's probe is 1.7e-14, its full-grid shift 4e-13; the probe
+        # sum (6e-13) is below the true error (1.1e-12)
+        (ChamberPoint(-3.25, (-1.4, -0.13)), (2, 3), (1, 1), 8.8, 1e-14),
+        # the planned grid misses rel_tol (2e-9): the full-grid check halves
+        # level 1 once more
+        (ChamberPoint(-2.7, (-1.4, 2.0)), (2, 3), (1, 1), 8.8, 1e-14),
+        # level 2's probe is 4e-12, its full-grid shift 3.6e-11
+        (ChamberPoint(-1.0, (0.0, 1.0, 2.5, 4.0)), (2,) * 4, (1,) * 4, 10.0, 1e-12),
+    ],
+)
+def test_rho_estimate_covers_where_probes_under_estimate(
+    monkeypatch, c, dims, m, kappa, tight
+):
+    # the reference is the same integral at a far tighter rel_tol; the
+    # returned estimate must come from the full grid, not from the probes
+    monkeypatch.setattr(coulomb, "_STEPS", {})
+    ref = rho(c, dims, m, kappa, rel_tol=tight)
+    _assert_gate(c, dims, m, kappa, 1e-9, ref, floor=0.0)
 
 
 def test_rho_selberg_gate_five_variables():
@@ -204,10 +239,12 @@ def test_rho_unreachable_rel_tol_raises():
     # below the rounding floor of a three-level sum no step is fine enough
     with pytest.raises(QuadratureError, match=r"l=3 .*level \d"):
         rho(_PAIR, (4, 4), (0, 3), 12.5, rel_tol=1e-15)
-    # five levels at the first step for 1e-9 already exceed the node budget,
-    # which is checked before any evaluation
-    with pytest.raises(QuadratureError, match=r"l=5 .*budget"):
+    # the steps the probes plan for five levels at 1e-9 exceed the node
+    # budget: the plan raises as soon as they do, before any evaluation of
+    # the full grid
+    with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=5 .*budget"):
         rho(_PAIR, (6, 6), (0, 5), 20.5)
+    assert stats.grid_evals == 0 and stats.probe_evals > 0, stats
 
 
 def test_rho_deterministic():
