@@ -4,6 +4,11 @@ Every coefficient appearing in the representation-theoretic layer is a
 rational function of q with integer coefficients.  This module provides the
 two value types (LaurentPoly, QScalar), the q-combinatorial functions built
 from them, and the bridge to numeric evaluation at q = exp(4*pi*i/kappa).
+
+A Laurent polynomial over denominator 1 is already in canonical form, so
+sums, products and negatives of such scalars are built without the
+polynomial gcd that reduces a true quotient; the q-binomials and
+q-multinomials come from the q-Pascal recurrence and never divide.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 
@@ -242,7 +248,8 @@ class QScalar:
     Canonical form: numerator and denominator share no polynomial factor and
     no integer content; the denominator is an ordinary polynomial with
     positive nonzero constant coefficient (all q-power freedom is pushed into
-    the numerator).
+    the numerator).  Results known to be canonical, such as sums and
+    products of Laurent polynomials and negatives, skip the reduction.
     """
 
     __slots__ = ("num", "den")
@@ -271,15 +278,23 @@ class QScalar:
 
     @classmethod
     def from_int(cls, a: int) -> "QScalar":
-        return cls(LaurentPoly.const(a))
+        return cls.from_poly(LaurentPoly.const(a))
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "QScalar":
-        return cls(p)
+        """p over denominator 1, which is canonical as it stands."""
+        return cls._canonical(p, ONE)
+
+    @classmethod
+    def _canonical(cls, num: LaurentPoly, den: LaurentPoly) -> "QScalar":
+        """Wrap a pair already in canonical form, skipping the reduction."""
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
 
     @classmethod
     def q_power(cls, e: int, a: int = 1) -> "QScalar":
-        return cls(LaurentPoly.q_power(e, a))
+        return cls.from_poly(LaurentPoly.q_power(e, a))
 
     # -- structure ----------------------------------------------------
 
@@ -297,16 +312,21 @@ class QScalar:
     # -- field arithmetic ---------------------------------------------
 
     def __add__(self, other: "QScalar") -> "QScalar":
+        if self.den.is_one() and other.den.is_one():
+            return QScalar.from_poly(self.num + other.num)
         return QScalar(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
     def __neg__(self) -> "QScalar":
-        return QScalar(-self.num, self.den)
+        # negating the numerator keeps the canonical form
+        return QScalar._canonical(-self.num, self.den)
 
     def __sub__(self, other: "QScalar") -> "QScalar":
         return self + (-other)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
+        if self.den.is_one() and other.den.is_one():
+            return QScalar.from_poly(self.num * other.num)
         return QScalar(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "QScalar") -> "QScalar":
@@ -375,7 +395,7 @@ def qint(m: int) -> QScalar:
     q^{1-m}; odd in m."""
     if m < 0:
         return -qint(-m)
-    return QScalar(LaurentPoly({m - 1 - 2 * j: 1 for j in range(m)}))
+    return QScalar.from_poly(LaurentPoly({m - 1 - 2 * j: 1 for j in range(m)}))
 
 
 def qfact(n: int) -> QScalar:
@@ -388,22 +408,39 @@ def qfact(n: int) -> QScalar:
     return out
 
 
+@lru_cache(maxsize=None)
+def _qbinom_poly(n: int, k: int) -> LaurentPoly:
+    """[n over k] by the q-Pascal rule
+    [n over k] = q^-k [n-1 over k] + q^(n-k) [n-1 over k-1]."""
+    if k == 0 or k == n:
+        return ONE
+    return (LaurentPoly.q_power(-k) * _qbinom_poly(n - 1, k)
+            + LaurentPoly.q_power(n - k) * _qbinom_poly(n - 1, k - 1))
+
+
 def qbinom(n: int, k: int) -> QScalar:
-    """q-binomial [n over k]; always reduces to a Laurent polynomial."""
+    """q-binomial [n over k] = [n]! / ([k]! [n-k]!), a Laurent polynomial."""
     if not 0 <= k <= n:
         raise ValueError(f"qbinom({n},{k}) out of range")
-    return qfact(n) / (qfact(k) * qfact(n - k))
+    return QScalar.from_poly(_qbinom_poly(n, k))
+
+
+@lru_cache(maxsize=None)
+def _qmultinom_poly(parts: tuple) -> LaurentPoly:
+    out, run = ONE, 0
+    for p in parts:
+        run += p
+        out = out * _qbinom_poly(run, p)
+    return out
 
 
 def qmultinom(total: int, parts) -> QScalar:
-    """q-multinomial [total; parts] = [total]! / prod [part]!."""
-    parts = list(parts)
+    """q-multinomial [total; parts] = [total]! / prod [part]!, as the
+    product of the q-binomials [p_1 + ... + p_j over p_j]."""
+    parts = tuple(parts)
     if any(p < 0 for p in parts) or sum(parts) != total:
-        raise ValueError(f"qmultinom parts {parts} do not sum to {total}")
-    out = qfact(total)
-    for p in parts:
-        out = out / qfact(p)
-    return out
+        raise ValueError(f"qmultinom parts {list(parts)} do not sum to {total}")
+    return QScalar.from_poly(_qmultinom_poly(parts))
 
 
 def eval_q(s: QScalar | LaurentPoly, params: KappaParams) -> complex:

@@ -5,6 +5,11 @@ sparse vectors whose coefficients are exact rational functions of q.  The
 storage order of a multi-index (l_1, ..., l_n) follows the variable order:
 index i belongs to the point x_i, and the printed tensor runs right to
 left, e_{l_n} (x) ... (x) e_{l_1}.
+
+Highest weight bases are built by fusion recursion: the vectors on n
+factors come from those on the first n-1 factors fused with M_{d_n}
+through the two-point Clebsch-Gordan vectors.  Their coefficients stay
+Laurent polynomials until one final echelon normalization.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO, qfact, qint
+from .qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO, qbinom, qfact, qint
 
 Q_COMM = QScalar.from_poly(LaurentPoly({1: 1, -1: -1}))  # q - 1/q
 
@@ -158,21 +163,26 @@ def is_hwv(v: TensorVector, d: int) -> bool:
     return act("K", v) == v.scale(QScalar.q_power(d - 1))
 
 
+def _pair_weights(d1: int, d2: int, m: int) -> dict:
+    """Laurent-polynomial coefficients of hwv_pair(d1, d2, m) times
+    [m]! [d1-1]! [d2-1]! (q - 1/q)^m, keyed by pair index."""
+    out = {}
+    for l1 in range(max(0, m - (d2 - 1)), min(m, d1 - 1) + 1):
+        l2 = m - l1
+        out[(l1, l2)] = (qbinom(m, l1) * qfact(d1 - 1 - l1) * qfact(d2 - 1 - l2)
+                         * QScalar.q_power(l1 * (d1 - l1), (-1) ** l1))
+    return out
+
+
 def hwv_pair(d1: int, d2: int, m: int) -> TensorVector:
     """Highest weight vector generating the d = d1+d2-1-2m summand of the
     two-point tensor product."""
     if not 0 <= m <= min(d1, d2) - 1:
         raise ValueError(f"no summand with m={m} in dims ({d1},{d2})")
-    space = TensorSpace((d1, d2))
-    comm_pow = Q_COMM ** (-m)
-    coeffs = {}
-    for l1 in range(max(0, m - (d2 - 1)), min(m, d1 - 1) + 1):
-        l2 = m - l1
-        num = qfact(d1 - 1 - l1) * qfact(d2 - 1 - l2)
-        den = qfact(l1) * qfact(d1 - 1) * qfact(l2) * qfact(d2 - 1)
-        c = (num / den) * QScalar.q_power(l1 * (d1 - l1), (-1) ** l1)
-        coeffs[(l1, l2)] = c * comm_pow
-    return TensorVector(space, coeffs)
+    scale = (qfact(m) * qfact(d1 - 1) * qfact(d2 - 1) * Q_COMM ** m).inverse()
+    return TensorVector(TensorSpace((d1, d2)),
+                        {pi: c * scale
+                         for pi, c in _pair_weights(d1, d2, m).items()})
 
 
 # -- exact linear algebra over QScalar ------------------------------------
@@ -194,7 +204,9 @@ def _rref(rows, ncols):
         for i in range(len(rows)):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                # x - f*0 is x: skipping it spares a gcd on each rational x
+                rows[i] = [x if y.is_zero() else x - f * y
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -295,50 +307,59 @@ def project(v: TensorVector, j: int, d: int):
             TensorVector(hat_space, hat_coeffs))
 
 
+def _fused_hwvs(dims: tuple, d: int, memo: dict) -> list[TensorVector]:
+    """A basis, not normalized, of the highest weight vectors of weight
+    q^(d-1) on the factors dims, with Laurent-polynomial coefficients.
+
+    Each highest weight vector u of weight q^(d'-1) on the first n-1
+    factors spans a copy of M_d' through e_l -> F^l.u; fusing that copy
+    with M_{d_n} by the pair vector of the summand M_d gives one vector.
+    Over all d' and u these vectors form a basis, since the first n-1
+    factors are the direct sum of such copies.
+    """
+    key = (dims, d)
+    if key in memo:
+        return memo[key]
+    space = TensorSpace(dims)
+    out = []
+    if len(dims) == 1:
+        if d == dims[0]:
+            out.append(TensorVector.basis(space, (0,)))
+    else:
+        head, dn = dims[:-1], dims[-1]
+        for m in range(dn):
+            dp = d - dn + 1 + 2 * m
+            # M_d sits in M_dp (x) M_dn at this m only if m < min(dp, dn)
+            if m > dp - 1:
+                continue
+            weights = _pair_weights(dp, dn, m)
+            for u in _fused_hwvs(head, dp, memo):
+                f_powers = [u]
+                for _ in range(max(l1 for l1, _ in weights)):
+                    f_powers.append(act("F", f_powers[-1]))
+                out.append(TensorVector(space, {
+                    idx + (l2,): c * val
+                    for (l1, l2), c in weights.items()
+                    for idx, val in f_powers[l1].coeffs.items()}))
+    memo[key] = out
+    return out
+
+
 def hwv_space_basis(space: TensorSpace, d: int) -> list[TensorVector]:
     """Exact basis of highest weight vectors of weight q^(d-1).
 
-    Kernel of the E-action on the K-eigenspace, computed by exact Gaussian
-    elimination; echelon-normalized against ascending multi-index order.
+    The vectors come from fusion recursion over the factors (the
+    Clebsch-Gordan fusion-tree basis) and are then echelon-normalized
+    against ascending multi-index order, so the basis depends only on
+    the space it spans.
     """
-    total = sum(dd - 1 for dd in space.dims)
-    twice_s = total - (d - 1)
-    if twice_s < 0 or twice_s % 2:
-        return []
-    s = twice_s // 2
-    col_idx = sorted(i for i in space.indices() if sum(i) == s)
-    if not col_idx:
-        return []
-    row_idx = sorted(i for i in space.indices() if sum(i) == s - 1)
-    row_pos = {i: r for r, i in enumerate(row_idx)}
-    # E-matrix: rows are target indices, columns the weight-space basis
-    emat = [[Q_ZERO] * len(col_idx) for _ in row_idx]
-    for c, idx in enumerate(col_idx):
-        img = act("E", TensorVector.basis(space, idx))
-        for tgt, val in img.coeffs.items():
-            emat[row_pos[tgt]][c] = val
-    # with no rows the echelon form is empty and every column is free
-    reduced, pivots = _rref(emat, len(col_idx))
-    pivset = set(pivots)
-    kernel = []
-    for free in range(len(col_idx)):
-        if free in pivset:
-            continue
-        vec = [Q_ZERO] * len(col_idx)
-        vec[free] = Q_ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][free]
-        kernel.append(vec)
-    if not kernel:
-        return []
-    # canonicalize: echelon form over the fixed multi-index order
-    canon, _ = _rref(kernel, len(col_idx))
-    out = []
-    for row in canon:
-        coeffs = {col_idx[i]: val for i, val in enumerate(row)
-                  if not val.is_zero()}
-        out.append(TensorVector(space, coeffs))
-    return out
+    vectors = _fused_hwvs(space.dims, d, {})
+    cols = sorted({idx for v in vectors for idx in v.coeffs})
+    canon, _ = _rref([[v.coeffs.get(i, Q_ZERO) for i in cols] for v in vectors],
+                     len(cols))
+    return [TensorVector(space, {cols[i]: val for i, val in enumerate(row)
+                                 if not val.is_zero()})
+            for row in canon]
 
 
 # -- trivial subrepresentation and the cyclic structure -------------------

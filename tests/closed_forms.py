@@ -1,6 +1,9 @@
-"""Closed forms the tests compare the quadrature against."""
+"""Closed forms and reference kernels the tests compare against."""
 
 import math
+
+from qscreen.qseries import Q_ONE, Q_ZERO
+from qscreen.uqsl2 import TensorVector, _rref, act
 
 
 def selberg_oracle(l, alpha, beta, gamma) -> float:
@@ -40,3 +43,43 @@ def delta_scaling(l, dims, kappa) -> float:
     )
     stot = sum(d - 1 for d in dims)
     return (2.0 * cross - 4.0 * l * stot + 4.0 * l * (l - 1)) / kappa + l
+
+
+def hwv_basis_by_elimination(space, d):
+    """Highest weight basis of weight q^(d-1) as the kernel of the E-matrix
+    on the K-eigenspace, by exact Gaussian elimination, echelon-normalized
+    against ascending multi-index order."""
+    total = sum(dd - 1 for dd in space.dims)
+    twice_s = total - (d - 1)
+    if twice_s < 0 or twice_s % 2:
+        return []
+    s = twice_s // 2
+    col_idx = sorted(i for i in space.indices() if sum(i) == s)
+    if not col_idx:
+        return []
+    row_idx = sorted(i for i in space.indices() if sum(i) == s - 1)
+    row_pos = {i: r for r, i in enumerate(row_idx)}
+    # rows are target indices, columns the weight-space basis
+    emat = [[Q_ZERO] * len(col_idx) for _ in row_idx]
+    for c, idx in enumerate(col_idx):
+        img = act("E", TensorVector.basis(space, idx))
+        for tgt, val in img.coeffs.items():
+            emat[row_pos[tgt]][c] = val
+    # with no rows the echelon form is empty and every column is free
+    reduced, pivots = _rref(emat, len(col_idx))
+    pivset = set(pivots)
+    kernel = []
+    for free in range(len(col_idx)):
+        if free in pivset:
+            continue
+        vec = [Q_ZERO] * len(col_idx)
+        vec[free] = Q_ONE
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][free]
+        kernel.append(vec)
+    if not kernel:
+        return []
+    canon, _ = _rref(kernel, len(col_idx))
+    return [TensorVector(space, {col_idx[i]: val for i, val in enumerate(row)
+                                 if not val.is_zero()})
+            for row in canon]

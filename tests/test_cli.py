@@ -310,6 +310,22 @@ def test_dump_basis_json(capsys):
     assert len(payload["basis"]) == 2
 
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("dims,d,name", [
+    ("3,3,3,3", "3", "dump_basis_3333_d3.json"),
+    ("2,2,2,3,3", "2", "dump_basis_22233_d2.json"),
+])
+def test_dump_basis_json_is_pinned(capsys, dims, d, name):
+    # recorded from the elimination kernel the fusion basis replaced
+    code, out, _ = run(capsys, "dump-basis", "--dims", dims, "--d", d,
+                       "--format", "json")
+    assert code == 0
+    with open(os.path.join(DATA, name), "rb") as handle:
+        assert out.encode("utf-8") == handle.read()
+
+
 # -- error paths -----------------------------------------------------------
 
 

@@ -58,14 +58,27 @@ def test_qmultinom_agrees_with_iterated_binomials():
 
 
 def test_qbinom_is_laurent_polynomial_up_to_12():
-    # denominators must cancel completely
+    # the q-Pascal polynomial is the factorial quotient, whose
+    # denominators cancel completely
     for n in range(13):
         for k in range(n + 1):
             b = qbinom(n, k)
             assert b.is_poly(), (n, k)
+            assert b == qfact(n) / (qfact(k) * qfact(n - k)), (n, k)
             # symmetric under q -> 1/q
             p = b.as_poly()
             assert p == LaurentPoly({-e: c for e, c in p.coeffs.items()})
+
+
+def test_qmultinom_is_the_factorial_quotient():
+    for total in range(7):
+        for parts in itertools.product(range(total + 1), repeat=3):
+            if sum(parts) != total:
+                continue
+            quotient = qfact(total)
+            for p in parts:
+                quotient = quotient / qfact(p)
+            assert qmultinom(total, parts) == quotient, parts
 
 
 def test_qbinom_at_q_one_is_binomial():
@@ -170,6 +183,46 @@ small_scalars = st.builds(
     small_polys,
     small_polys.filter(lambda p: not p.is_zero()),
 )
+
+
+laurent_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(-8, 8), st.integers(-40, 40), max_size=6),
+)
+
+
+def _same(got, want):
+    return got == want and hash(got) == hash(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys, laurent_polys, laurent_polys,
+       laurent_polys.filter(lambda p: not p.is_zero()))
+def test_polynomial_fast_path_matches_general_constructor(a, b, c, den):
+    # QScalar(num, den) always reduces by the gcd; the operators on
+    # scalars over denominator 1 skip it
+    x, y = qs(a), qs(b)
+    assert _same(qs(a), QScalar(a, LaurentPoly.const(1)))
+    assert _same(x + y, QScalar(a + b))
+    assert _same(x - y, QScalar(a - b))
+    assert _same(x * y, QScalar(a * b))
+    assert _same(-x, QScalar(-a))
+    # sums that cancel to zero
+    assert _same(x + (-x), QScalar.from_int(0))
+    assert _same((x + qs(c)) - (qs(c) + x), QScalar.from_int(0))
+    # mixed polynomial and rational operands
+    r = QScalar(c, den)
+    assert _same(x + r, QScalar(a * den + c, den))
+    assert _same(r + x, QScalar(a * den + c, den))
+    assert _same(x - r, QScalar(a * den - c, den))
+    assert _same(x * r, QScalar(a * c, den))
+    assert _same(r * x, QScalar(a * c, den))
+    assert _same(-r, QScalar(-c, den))
+
+
+@given(st.integers(-20, 20), st.integers(-9, 9))
+def test_q_power_is_canonical(e, a):
+    assert _same(QScalar.q_power(e, a), QScalar(LaurentPoly.q_power(e, a)))
 
 
 @settings(max_examples=60, deadline=None)

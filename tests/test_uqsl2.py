@@ -4,6 +4,7 @@ decompositions, invariant vectors and the rotation maps."""
 import random
 
 import pytest
+from closed_forms import hwv_basis_by_elimination
 
 from qscreen.qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO
 from qscreen.uqsl2 import (
@@ -217,7 +218,7 @@ def test_hwv_space_basis_pair():
     assert v == b.scale(lam)
 
 
-@pytest.mark.parametrize("n_pairs,expected", [(1, 1), (2, 2), (3, 5)])
+@pytest.mark.parametrize("n_pairs,expected", [(1, 1), (2, 2), (3, 5), (4, 14)])
 def test_trivial_space_catalan_dimension(n_pairs, expected):
     space = TensorSpace((2,) * (2 * n_pairs))
     out = hwv_space_basis(space, 1)
@@ -239,6 +240,42 @@ def test_hwv_space_basis_weights():
     out4 = hwv_space_basis(TensorSpace((3, 3)), 1)
     assert len(out4) == 1
     assert is_hwv(out4[0], 1)
+
+
+# the spaces on which the elimination kernel takes at most half a second,
+# with every weight of (2,)^n
+ELIMINATION_SPACES = [
+    ((2,) * n, d) for n in range(2, 7) for d in range(n % 2 + 1, n + 2, 2)
+] + [((3,) * 4, 1), ((3,) * 4, 3), ((2, 2, 2, 3, 3), 2), ((2, 2, 2, 2, 3), 1),
+     ((3, 2, 3, 2), 1)]
+
+
+@pytest.mark.parametrize("dims,d", ELIMINATION_SPACES)
+def test_fusion_basis_equals_elimination_reference(dims, d):
+    space = TensorSpace(dims)
+    assert hwv_space_basis(space, d) == hwv_basis_by_elimination(space, d)
+
+
+def _cg_multiplicity(dims, d):
+    """Multiplicity of M_d from the character: the number of basis indices
+    of weight d-1 minus the number of weight d+1."""
+    weights = [sum(dd - 1 - 2 * l for dd, l in zip(dims, idx))
+               for idx in TensorSpace(dims).indices()]
+    return weights.count(d - 1) - weights.count(d + 1)
+
+
+@pytest.mark.parametrize("dims", [(1,), (5,), (2, 2), (1, 2, 3), (2, 3, 4),
+                                  (4, 2, 3), (3, 3, 3, 3), (2, 2, 2, 3, 3),
+                                  (3, 2, 2, 3, 2), (4, 4, 4, 4), (3,) * 5])
+def test_basis_sizes_are_clebsch_gordan_multiplicities(dims):
+    top = 1 + sum(dd - 1 for dd in dims)
+    for d in range(0, top + 2):
+        out = hwv_space_basis(TensorSpace(dims), d)
+        assert len(out) == _cg_multiplicity(dims, d), d
+        for v in out:
+            assert act("E", v).is_zero()
+            assert act("K", v) == v.scale(QP(d - 1))
+            assert v.coeffs[min(v.coeffs)] == Q_ONE
 
 
 # -- rotation maps --------------------------------------------------------
