@@ -59,7 +59,6 @@ class RunConfig:
     suites; x0 None means the automatic anchor.
     """
 
-    command: str = ""
     kappa: float = 8.0
     dims: tuple = ()
     vector: str = ""
@@ -568,7 +567,7 @@ def _config_from_args(args):
             values[key] = _PARSERS[key](raw)
         except ValueError as exc:
             raise ValueError(f"flag --{key.replace('_', '-')}: {exc}")
-    return replace(RunConfig(command=args.command), **values)
+    return replace(RunConfig(), **values)
 
 
 def main(argv=None):

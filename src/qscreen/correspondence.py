@@ -22,7 +22,6 @@ from itertools import product
 
 from .coulomb import (
     ChamberPoint,
-    ScreeningConfig,
     _check_increasing,
     _check_rel_tol,
     _dims_counts,
@@ -69,31 +68,25 @@ class ReductionTable:
     coefficient * _rephasing(m) * rho at the assignment m."""
 
     dims: tuple
-    l: ScreeningConfig
+    l: tuple
     entries: dict
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims, counts = _dims_counts(self.dims, self.l)
         object.__setattr__(self, "dims", dims)
-        if not isinstance(self.l, ScreeningConfig):
-            object.__setattr__(self, "l", ScreeningConfig(tuple(self.l)))
+        object.__setattr__(self, "l", counts)
         n = len(dims)
-        if len(self.l.counts) != n:
-            raise ValueError(
-                f"screening configuration has {len(self.l.counts)} groups,"
-                f" expected {n}"
-            )
         clean = {}
         for m, coeff in self.entries.items():
             m = tuple(int(mi) for mi in m)
             if len(m) != n or any(mi < 0 for mi in m):
                 raise ValueError(f"bad screening assignment {m}")
-            if sum(m) != self.l.total:
+            if sum(m) != sum(counts):
                 raise ValueError(
                     f"assignment {m} does not conserve the screening count"
                 )
             run_l = run_m = 0
-            for li, mi in zip(self.l.counts, m):
+            for li, mi in zip(counts, m):
                 run_l += li
                 run_m += mi
                 if run_l > run_m:
@@ -201,7 +194,7 @@ def reduction_coeffs(dims, l) -> ReductionTable:
     """
     dims, counts = _dims_counts(dims, l)
     entries = dict(_table_entries(dims, counts))
-    return ReductionTable(dims, ScreeningConfig(counts), entries)
+    return ReductionTable(dims, counts, entries)
 
 
 def _rephasing(m):

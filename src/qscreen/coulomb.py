@@ -42,23 +42,6 @@ class ChamberPoint:
         return len(self.xs)
 
 
-@dataclass(frozen=True)
-class ScreeningConfig:
-    """Counts of screening variables per interval."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ValueError("screening counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 @dataclass
 class EvalStats:
     """What the evaluations inside an eval_stats() block report.
@@ -101,7 +84,7 @@ def _dims_counts(dims, m, n=None):
     """Validated dimensions and screening counts, one of each per point;
     n, when given, is the number of marked points of the chamber."""
     dims = tuple(int(d) for d in dims)
-    counts = m.counts if isinstance(m, ScreeningConfig) else tuple(int(c) for c in m)
+    counts = tuple(int(c) for c in m)
     if n is not None and len(dims) != n:
         raise ValueError(f"expected {n} dimensions, got {len(dims)}")
     if any(d < 1 for d in dims):
@@ -118,9 +101,14 @@ def _betas(dims, kappa):
     return [0.0] + [4.0 * (d - 1) / kappa for d in dims]
 
 
-def _check_convergent(dims, kappa):
+def _check_kappa(kappa):
+    # also rejects nan
     if not kappa > 0:
         raise ValueError("kappa must be positive")
+
+
+def _check_convergent(dims, kappa):
+    _check_kappa(kappa)
     dmax = max(dims)
     if dmax > 1 and not kappa > 4.0 * (dmax - 1):
         raise ValueError(
@@ -260,7 +248,7 @@ def _geometry(levels, x_ext, betas, kappa):
 _CHUNK_CAP = 1 << 16
 
 
-def _level_sum(levels, idx, rule, rules, outer, geo):
+def _level_sum(levels, idx, rules, outer, geo):
     """Sum over the nodes of level idx, and nested inside it over every
     later level, for each node of the outer grid.
 
@@ -272,13 +260,13 @@ def _level_sum(levels, idx, rule, rules, outer, geo):
     holds (lo, log lo, hi, up) of each outer level, flat over the outer
     grid; this level's arrays are (nodes, outer grid).
     """
-    lev = levels[idx]
+    lev, rule = levels[idx], rules[idx]
     n = len(rule[0])
     size = outer[0][0].size if outer else 1
     if n * size > _CHUNK_CAP and size > 1:
         step = max(1, _CHUNK_CAP // n)
         return np.concatenate([
-            _level_sum(levels, idx, rule, rules,
+            _level_sum(levels, idx, rules,
                        [tuple(a[s : s + step] for a in carried) for carried in outer], geo)
             for s in range(0, size, step)
         ])
@@ -340,13 +328,13 @@ def _level_sum(levels, idx, rule, rules, outer, geo):
         return G.sum(axis=0)
     carried = [tuple(np.broadcast_to(a, shape).reshape(-1) for a in c) for c in outer]
     own = tuple(np.broadcast_to(a, shape).reshape(-1) for a in (lo, logS + logt, hi, up))
-    inner = _level_sum(levels, idx + 1, rules[idx + 1], rules, carried + [own], geo)
+    inner = _level_sum(levels, idx + 1, rules, carried + [own], geo)
     G *= inner.reshape(shape)
     return G.sum(axis=0)
 
 
 def _nested(levels, rules, geo):
-    return float(_level_sum(levels, 0, rules[0], rules, [], geo)[0])
+    return float(_level_sum(levels, 0, rules, [], geo)[0])
 
 
 class QuadratureError(ArithmeticError):
@@ -731,8 +719,7 @@ def contour_phi_oracle(c: ChamberPoint, dims, l, kappa) -> complex:
     successive evaluations agree.
     """
     dims, counts = _dims_counts(dims, l, c.n)
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+    _check_kappa(kappa)
     ell = sum(counts)
     if ell > 2:
         raise ValueError("contour oracle supports at most two screening loops")

@@ -2,18 +2,22 @@
 
 The annihilating operators are sums over ordered compositions of first
 order pieces L_{-n}, each applied through central finite differences of
-the full evaluator; nothing is differentiated symbolically.  Residuals
-come with a scale estimate (the largest term entering the cancellation)
-so callers can judge them relatively.
+the full evaluator; nothing is differentiated symbolically.
+
+Every operator check runs through one path.  At each stride the operator
+lists its terms in groups: one per composition of an annihilating
+operator (each term times the composition's coefficient), a single group
+for the growth process, translation and Euler operators.  The residual
+is the Richardson extrapolation of the per-stride total.  It comes with
+a scale, the largest |group sum| or |term| at the finest stride, so
+callers can judge it relatively.
 
 Stencil points live on a shared lattice at the finest refinement level,
-so evaluator calls are cached once across all Richardson levels.  That
-matters when the evaluator hides a quadrature.
-
-The finite-difference step h is relative: the stencil spacing is h times
-the smallest gap between consecutive coordinates of the evaluation point.
-Stencils are of order _STENCIL_ORDER and extrapolated over
-_RICHARDSON_LEVELS strides.
+so evaluator calls are cached once across all Richardson levels and all
+groups.  That matters when the evaluator hides a quadrature.  The step h
+is relative: the stencil spacing is h times the smallest gap between
+consecutive coordinates.  Stencils are of order _STENCIL_ORDER and
+extrapolated over _RICHARDSON_LEVELS strides.
 """
 
 import math
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .coulomb import _check_increasing, _x_prefactor, h_weight
+from .coulomb import _check_increasing, _check_kappa, _x_prefactor, h_weight
 from .correspondence import F_hwv
 from .uqsl2 import is_hwv
 
@@ -82,6 +86,7 @@ def build_bsa(j, dims, kappa):
         raise ValueError("dimensions must be positive")
     if not 1 <= j <= len(dims):
         raise ValueError(f"position {j} out of range for n={len(dims)}")
+    _check_kappa(kappa)
     d = dims[j - 1]
     terms = []
     for comp in _ordered_compositions(d):
@@ -99,12 +104,6 @@ def build_bsa(j, dims, kappa):
 
 
 # -- finite difference engine ----------------------------------------------
-
-
-def _min_gap(x):
-    if len(x) < 2:
-        return 1.0
-    return min(b - a for a, b in zip(x, x[1:]))
 
 
 def _lattice(f, x, h_fine):
@@ -138,43 +137,24 @@ def _second_derivative(g, k, i, stride, h):
 
 
 def _lower(p, g, j0, x, h_fine, stride, weights):
+    # pieces(k) lists the terms of (L_p g)(k), one per point i other than j0
     h = h_fine * stride
     n = len(x)
 
-    def lowered(k):
+    def pieces(k):
         yj = x[j0] + h_fine * k[j0]
-        total = 0.0j
+        out = []
         for i in range(n):
             if i == j0:
                 continue
             dy = x[i] + h_fine * k[i] - yj
-            total += dy ** (1 + p) * _derivative(g, k, i, stride, h)
+            piece = dy ** (1 + p) * _derivative(g, k, i, stride, h)
             if p != -1:
-                total += (1 + p) * weights[i] * dy**p * g(k)
-        return -total
+                piece += (1 + p) * weights[i] * dy**p * g(k)
+            out.append(-piece)
+        return out
 
-    return lowered
-
-
-def _composition_term(base, factors, j0, x, h_fine, stride, weights):
-    h = h_fine * stride
-    g = base
-    for n_a in reversed(factors[1:]):
-        g = cache(_lower(-n_a, g, j0, x, h_fine, stride, weights))
-    p = -factors[0]
-    origin = (0,) * len(x)
-    total = 0.0j
-    largest = 0.0
-    for i in range(len(x)):
-        if i == j0:
-            continue
-        dy = x[i] - x[j0]
-        piece = dy ** (1 + p) * _derivative(g, origin, i, stride, h)
-        if p != -1:
-            piece += (1 + p) * weights[i] * dy**p * g(origin)
-        total += piece
-        largest = max(largest, abs(piece))
-    return -total, largest
+    return pieces
 
 
 def _richardson(values):
@@ -194,7 +174,7 @@ def _richardson(values):
 def _steps(h, x, total_order):
     if not h > 0:
         raise ValueError("step must be positive")
-    gap = _min_gap(x)
+    gap = min((b - a for a, b in zip(x, x[1:])), default=1.0)
     h_abs = h * gap
     if gap < (total_order + 1) * h_abs:
         raise ValueError(
@@ -204,6 +184,20 @@ def _steps(h, x, total_order):
     h_fine = h_abs / 2 ** (levels - 1)
     strides = tuple(2 ** (levels - 1 - t) for t in range(levels))
     return h_fine, strides
+
+
+def _extrapolated_sum(f, x, total_order, h, groups_at):
+    # groups_at(g, stride, step) lists the operator's terms on the lattice
+    # evaluator g in groups; strides run coarse to fine
+    h_fine, strides = _steps(h, x, total_order)
+    base = _lattice(f, x, h_fine)
+    totals = []
+    for stride in strides:
+        groups = groups_at(base, stride, h_fine * stride)
+        sums = [sum(group) for group in groups]
+        totals.append(sum(sums))
+    scale = max(max([abs(s)] + [abs(t) for t in g]) for s, g in zip(sums, groups))
+    return _richardson(totals), scale
 
 
 def apply_bsa(op, f, x, h=1e-3):
@@ -218,45 +212,28 @@ def apply_bsa(op, f, x, h=1e-3):
     if len(x) != len(op.dims):
         raise ValueError(f"point has {len(x)} coordinates, operator wants {len(op.dims)}")
     _check_increasing(x)
-    h_fine, strides = _steps(h, x, op.order)
-    base = _lattice(f, x, h_fine)
     weights = tuple(h_weight(d_, op.kappa) for d_ in op.dims)
     j0 = op.j - 1
-    residual = 0.0j
-    scale = 0.0
-    for term in op.compositions:
-        values = []
-        largest = 0.0
-        for stride in strides:
-            value, largest = _composition_term(
-                base, term.factors, j0, x, h_fine, stride, weights
-            )
-            values.append(term.coefficient * value)
-        extrapolated = _richardson(values)
-        residual += extrapolated
-        scale = max(scale, abs(values[-1]), abs(term.coefficient) * largest)
-    return residual, scale
+
+    def groups_at(g, stride, step):
+        h_fine = step / stride
+        groups = []
+        for term in op.compositions:
+            inner = g
+            for n_a in reversed(term.factors[1:]):
+                pieces = _lower(-n_a, inner, j0, x, h_fine, stride, weights)
+                inner = cache(lambda k, pieces=pieces: sum(pieces(k)))
+            outer = _lower(-term.factors[0], inner, j0, x, h_fine, stride, weights)
+            groups.append([term.coefficient * piece for piece in outer((0,) * len(x))])
+        return groups
+
+    return _extrapolated_sum(f, x, op.order, h, groups_at)
 
 
 def vertex_prefactor(dims, kappa):
     """Evaluator for the no-screening product of powered differences,
     prod_{i<k} (x_k - x_i)**(2 (d_i-1)(d_k-1)/kappa)."""
     return lambda y: _x_prefactor(y, dims, kappa)
-
-
-def _extrapolated_sum(f, x, total_order, h, pieces_at):
-    # pieces_at(g, stride, step) lists the terms of the operator on the
-    # lattice evaluator g; their sum is Richardson extrapolated over the
-    # strides and the scale is the largest term at the finest stride
-    h_fine, strides = _steps(h, x, total_order)
-    base = _lattice(f, x, h_fine)
-    values = []
-    largest = 0.0
-    for stride in strides:
-        pieces = pieces_at(base, stride, h_fine * stride)
-        values.append(sum(pieces))
-        largest = max(abs(p) for p in pieces)
-    return _richardson(values), max(largest, abs(values[-1]))
 
 
 def sle_pde_check(f, x, kappa, j, h=1e-3):
@@ -270,11 +247,12 @@ def sle_pde_check(f, x, kappa, j, h=1e-3):
     _check_increasing(x)
     if not 1 <= j <= len(x):
         raise ValueError(f"position {j} out of range for n={len(x)}")
+    _check_kappa(kappa)
     hw = (6.0 - kappa) / (2.0 * kappa)
     j0 = j - 1
     origin = (0,) * len(x)
 
-    def pieces_at(g, stride, step):
+    def groups_at(g, stride, step):
         pieces = [0.5 * kappa * _second_derivative(g, origin, j0, stride, step)]
         for i in range(len(x)):
             if i == j0:
@@ -282,9 +260,9 @@ def sle_pde_check(f, x, kappa, j, h=1e-3):
             dy = x[i] - x[j0]
             pieces.append(2.0 / dy * _derivative(g, origin, i, stride, step))
             pieces.append(-2.0 * hw / dy**2 * g(origin))
-        return pieces
+        return [pieces]
 
-    return _extrapolated_sum(f, x, 2, h, pieces_at)
+    return _extrapolated_sum(f, x, 2, h, groups_at)
 
 
 _PROPORTIONALITY_SAMPLES = 20
@@ -331,10 +309,10 @@ def translation_check(f, x, h=1e-3):
     _check_increasing(x)
     origin = (0,) * len(x)
 
-    def pieces_at(g, stride, step):
-        return [_derivative(g, origin, i, stride, step) for i in range(len(x))]
+    def groups_at(g, stride, step):
+        return [[_derivative(g, origin, i, stride, step) for i in range(len(x))]]
 
-    return _extrapolated_sum(f, x, 1, h, pieces_at)
+    return _extrapolated_sum(f, x, 1, h, groups_at)
 
 
 def euler_check(f, x, degree, h=1e-3):
@@ -343,14 +321,14 @@ def euler_check(f, x, degree, h=1e-3):
     _check_increasing(x)
     origin = (0,) * len(x)
 
-    def pieces_at(g, stride, step):
+    def groups_at(g, stride, step):
         pieces = [
             x[i] * _derivative(g, origin, i, stride, step) for i in range(len(x))
         ]
         pieces.append(-degree * g(origin))
-        return pieces
+        return [pieces]
 
-    return _extrapolated_sum(f, x, 1, h, pieces_at)
+    return _extrapolated_sum(f, x, 1, h, groups_at)
 
 
 def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
@@ -393,14 +371,15 @@ def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
 
 
 def _separated_points(rng, count, low, high, min_dist):
-    while True:
-        pts = [rng.uniform(low, high) for _ in range(count)]
-        if all(
-            abs(pts[i] - pts[k]) >= min_dist
-            for i in range(count)
-            for k in range(i + 1, count)
-        ):
-            return pts
+    # independent uniforms conditioned on the separation, drawn directly:
+    # the range grows only when the count-1 gaps would not fit in it
+    slack = high - low - (count - 1) * min_dist
+    if slack <= 0:
+        slack = min_dist
+    offsets = sorted(rng.uniform(0.0, slack) for _ in range(count))
+    pts = [low + u + i * min_dist for i, u in enumerate(offsets)]
+    rng.shuffle(pts)
+    return pts
 
 
 def special_conformal_identity_check(dims, seed=2026, perturbation=0.0):

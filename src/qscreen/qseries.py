@@ -69,10 +69,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
 
-    def stretch(self, m: int) -> "LaurentPoly":
-        """Substitute q -> q^m (exponents multiplied by m)."""
-        return LaurentPoly({k * m: v for k, v in self.coeffs.items()})
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -300,14 +296,6 @@ class QScalar:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.den.is_one():
-            raise ArithmeticError(f"not a Laurent polynomial: {self!r}")
-        return self.num
 
     # -- field arithmetic ---------------------------------------------
 

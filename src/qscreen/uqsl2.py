@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO, qbinom, qfact, qint
 
@@ -37,10 +36,6 @@ class TensorSpace:
     @property
     def n(self) -> int:
         return len(self.dims)
-
-    def indices(self):
-        """All multi-indices in ascending lexicographic storage order."""
-        return product(*(range(d) for d in self.dims))
 
     def contains_index(self, idx) -> bool:
         return (len(idx) == self.n
@@ -66,10 +61,6 @@ class TensorVector:
     @classmethod
     def basis(cls, space: TensorSpace, idx) -> "TensorVector":
         return cls(space, {tuple(idx): Q_ONE})
-
-    @classmethod
-    def zero(cls, space: TensorSpace) -> "TensorVector":
-        return cls(space, {})
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -1,9 +1,28 @@
-"""Closed forms and reference kernels the tests compare against."""
+"""Closed forms, reference kernels and q-arithmetic helpers the tests share."""
 
 import math
+from itertools import product
 
-from qscreen.qseries import Q_ONE, Q_ZERO
+from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly
 from qscreen.uqsl2 import TensorVector, _rref, act
+
+
+def is_poly(x) -> bool:
+    """Whether the QScalar x is a Laurent polynomial."""
+    return x.den.is_one()
+
+
+def as_poly(x) -> LaurentPoly:
+    """The Laurent polynomial the QScalar x equals; ArithmeticError when it
+    is a true quotient."""
+    if not is_poly(x):
+        raise ArithmeticError(f"not a Laurent polynomial: {x!r}")
+    return x.num
+
+
+def stretch(p, m) -> LaurentPoly:
+    """The Laurent polynomial p with q -> q^m (exponents multiplied by m)."""
+    return LaurentPoly({k * m: v for k, v in p.coeffs.items()})
 
 
 def selberg_oracle(l, alpha, beta, gamma) -> float:
@@ -54,10 +73,11 @@ def hwv_basis_by_elimination(space, d):
     if twice_s < 0 or twice_s % 2:
         return []
     s = twice_s // 2
-    col_idx = sorted(i for i in space.indices() if sum(i) == s)
+    indices = list(product(*map(range, space.dims)))
+    col_idx = sorted(i for i in indices if sum(i) == s)
     if not col_idx:
         return []
-    row_idx = sorted(i for i in space.indices() if sum(i) == s - 1)
+    row_idx = sorted(i for i in indices if sum(i) == s - 1)
     row_pos = {i: r for r, i in enumerate(row_idx)}
     # rows are target indices, columns the weight-space basis
     emat = [[Q_ZERO] * len(col_idx) for _ in row_idx]

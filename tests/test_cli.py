@@ -199,7 +199,6 @@ def test_eval_requires_exactly_one_mode(capsys):
 
 def test_eval_round_trip_is_exact(tmp_path):
     config = RunConfig(
-        command="eval",
         kappa=8.0,
         vector="hwv_pair:2,2,1",
         x=((0.0, 1.0), (0.3, 2.1)),

@@ -11,7 +11,6 @@ from closed_forms import delta_scaling
 
 from qscreen.coulomb import (
     ChamberPoint,
-    ScreeningConfig,
     b_const,
     contour_phi_oracle,
     delta_fusion,
@@ -67,7 +66,7 @@ def test_reduction_single_group_closed_form():
     assert set(table.entries) == {(2,)}
     assert table.entries[(2,)] == expected
 
-    table = reduction_coeffs((2,), ScreeningConfig((1,)))
+    table = reduction_coeffs((2,), (1,))
     assert table.entries == {(1,): ladder_factor(2, 1)}
 
 
@@ -201,7 +200,7 @@ def test_phi_rejects_bad_rel_tol_without_integrals():
         with pytest.raises(ValueError, match="rel_tol"):
             phi(c, (2, 2), (2, 0), 8.0, rel_tol=bad)
         with pytest.raises(ValueError, match="rel_tol"):
-            F_anchor(TensorVector.zero(TensorSpace((2, 2))), c, 8.0, rel_tol=bad)
+            F_anchor(TensorVector(TensorSpace((2, 2))), c, 8.0, rel_tol=bad)
 
 
 def test_phi_ignores_points_with_unit_dimension():
@@ -239,7 +238,7 @@ def test_f_anchor_basis_vector_matches_phi():
 
 
 def test_f_anchor_zero_vector():
-    assert F_anchor(TensorVector.zero(TensorSpace((2, 2))), C2, KAPPA) == 0
+    assert F_anchor(TensorVector(TensorSpace((2, 2))), C2, KAPPA) == 0
 
 
 def test_f_anchor_is_linear():

@@ -12,7 +12,6 @@ from qscreen import coulomb
 from qscreen.coulomb import (
     ChamberPoint,
     QuadratureError,
-    ScreeningConfig,
     _anchored_log,
     b_const,
     contour_phi_oracle,
@@ -43,12 +42,6 @@ def test_chamber_point_validation():
         ChamberPoint(0.0, (1.0, float("inf")))
     with pytest.raises(ValueError, match="finite"):
         ChamberPoint(0.0, (float("nan"), 1.0))
-
-
-def test_screening_config_validation():
-    assert ScreeningConfig((1, 0, 2)).total == 3
-    with pytest.raises(ValueError):
-        ScreeningConfig((1, -1))
 
 
 def test_rho_rel_tol_validation():

@@ -83,6 +83,15 @@ def test_bsa_rejects_bad_positions():
         build_bsa(1, (2, 0), KAPPA)
 
 
+def test_kappa_must_be_positive():
+    f = power_product((2, 2), KAPPA)
+    for kappa in (0.0, -3.0, float("nan")):
+        with pytest.raises(ValueError, match="kappa"):
+            build_bsa(1, (2, 2), kappa)
+        with pytest.raises(ValueError, match="kappa"):
+            sle_pde_check(f, (0.0, 1.0), kappa, 1)
+
+
 def test_fd_scheme_validation():
     f = power_product((2, 2), KAPPA)
     op = build_bsa(1, (2, 2), KAPPA)
@@ -245,7 +254,7 @@ def test_mobius_rejections():
 # -- the rational identity behind special conformal covariance -------------
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 3, 3)])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 3, 3), (2,) * 6, (2,) * 8])
 def test_special_conformal_identity_vanishes(dims):
     assert special_conformal_identity_check(dims) <= 1e-9
 

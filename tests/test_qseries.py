@@ -5,6 +5,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from closed_forms import as_poly, is_poly, stretch
 from hypothesis import strategies as st
 
 from qscreen.qseries import (
@@ -63,10 +64,10 @@ def test_qbinom_is_laurent_polynomial_up_to_12():
     for n in range(13):
         for k in range(n + 1):
             b = qbinom(n, k)
-            assert b.is_poly(), (n, k)
+            assert is_poly(b), (n, k)
             assert b == qfact(n) / (qfact(k) * qfact(n - k)), (n, k)
             # symmetric under q -> 1/q
-            p = b.as_poly()
+            p = as_poly(b)
             assert p == LaurentPoly({-e: c for e, c in p.coeffs.items()})
 
 
@@ -134,7 +135,7 @@ def test_alternating_binomial_sum_product_form():
             for m in range(n + 1):
                 term = qbinom(n, m) * QScalar.q_power(m * beta, (-1) ** m)
                 lhs = lhs + term
-            lhs_u = lhs.as_poly().stretch(2)
+            lhs_u = stretch(as_poly(lhs), 2)
             rhs_u = LaurentPoly.q_power(n * beta)
             for s in range(n):
                 e = n - 1 - beta - 2 * s
@@ -147,7 +148,7 @@ def test_alternating_binomial_sum_product_form():
 
 def test_qscalar_canonical_reduction():
     # common factor (q + 1/q) must cancel exactly
-    a = QScalar(qint(2).as_poly() * qint(3).as_poly(), qint(2).as_poly())
+    a = QScalar(as_poly(qint(2)) * as_poly(qint(3)), as_poly(qint(2)))
     assert a == qint(3)
     # denominator normalized to positive constant term, q-powers in numerator:
     # 1/(-2 q^3) becomes (-q^-3)/2
@@ -163,7 +164,7 @@ def test_qscalar_zero_and_errors():
     with pytest.raises(ZeroDivisionError):
         qint(2) / QScalar.from_int(0)
     with pytest.raises(ArithmeticError):
-        (QScalar.from_int(1) / qint(2)).as_poly()
+        as_poly(QScalar.from_int(1) / qint(2))
 
 
 def test_divexact():
@@ -278,5 +279,5 @@ def test_eval_q_values():
 def test_laurent_poly_stretch_and_shift():
     p = Q(2) + Q(0, 3) + Q(-1)
     assert p * LaurentPoly.q_power(2) == Q(4) + Q(2, 3) + Q(1)
-    assert p.stretch(2) == Q(4) + Q(0, 3) + Q(-2)
-    assert p.stretch(1) == p
+    assert stretch(p, 2) == Q(4) + Q(0, 3) + Q(-2)
+    assert stretch(p, 1) == p

@@ -2,6 +2,7 @@
 decompositions, invariant vectors and the rotation maps."""
 
 import random
+from itertools import product
 
 import pytest
 from closed_forms import hwv_basis_by_elimination
@@ -31,7 +32,7 @@ def basis(dims, idx):
 
 def random_vector(dims, rng, nterms=4):
     space = TensorSpace(tuple(dims))
-    all_idx = list(space.indices())
+    all_idx = list(product(*map(range, space.dims)))
     coeffs = {}
     for idx in rng.sample(all_idx, min(nterms, len(all_idx))):
         poly = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
@@ -78,7 +79,7 @@ def test_defining_relations(dims):
     comm = QScalar.from_poly(LaurentPoly({1: 1, -1: -1}))
     rng = random.Random(7)
     space = TensorSpace(tuple(dims))
-    vectors = [TensorVector.basis(space, i) for i in space.indices()]
+    vectors = [TensorVector.basis(space, i) for i in product(*map(range, space.dims))]
     if len(vectors) > 24:
         vectors = rng.sample(vectors, 24)
     vectors.append(random_vector(dims, rng))
@@ -98,7 +99,7 @@ def test_action_splits_through_tensor_blocks():
     space = TensorSpace(dims)
     for k in (1, 2):
         lower, upper = dims[:k], dims[k:]
-        for idx in space.indices():
+        for idx in product(*map(range, space.dims)):
             v = TensorVector.basis(space, idx)
             il, iu = idx[:k], idx[k:]
             expect = {}
@@ -185,10 +186,10 @@ def test_projections_sum_to_identity(dims, j):
     summands = [d1 + d2 - 1 - 2 * m for m in range(min(d1, d2))]
     space = TensorSpace(dims)
     rng = random.Random(11)
-    vectors = [TensorVector.basis(space, i) for i in space.indices()]
+    vectors = [TensorVector.basis(space, i) for i in product(*map(range, space.dims))]
     vectors.append(random_vector(dims, rng))
     for v in vectors:
-        total = TensorVector.zero(space)
+        total = TensorVector(space)
         for d in summands:
             pi, _ = project(v, j, d)
             total = total + pi
@@ -260,7 +261,7 @@ def _cg_multiplicity(dims, d):
     """Multiplicity of M_d from the character: the number of basis indices
     of weight d-1 minus the number of weight d+1."""
     weights = [sum(dd - 1 - 2 * l for dd, l in zip(dims, idx))
-               for idx in TensorSpace(dims).indices()]
+               for idx in product(*map(range, dims))]
     return weights.count(d - 1) - weights.count(d + 1)
 
 
@@ -382,7 +383,7 @@ def test_serialization_order():
     v = hwv_pair(2, 2, 1)
     s = str(v)
     assert "e_1⊗e_0" in s and "e_0⊗e_1" in s
-    assert str(TensorVector.zero(TensorSpace((2,)))) == "0"
+    assert str(TensorVector(TensorSpace((2,)))) == "0"
     rng = random.Random(1)
     w = random_vector((2, 3), rng)
     assert " * " in str(w)
