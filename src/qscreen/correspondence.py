@@ -71,33 +71,6 @@ class ReductionTable:
     l: tuple
     entries: dict
 
-    def __post_init__(self):
-        dims, counts = _dims_counts(self.dims, self.l)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "l", counts)
-        n = len(dims)
-        clean = {}
-        for m, coeff in self.entries.items():
-            m = tuple(int(mi) for mi in m)
-            if len(m) != n or any(mi < 0 for mi in m):
-                raise ValueError(f"bad screening assignment {m}")
-            if sum(m) != sum(counts):
-                raise ValueError(
-                    f"assignment {m} does not conserve the screening count"
-                )
-            run_l = run_m = 0
-            for li, mi in zip(counts, m):
-                run_l += li
-                run_m += mi
-                if run_l > run_m:
-                    raise ValueError(
-                        f"assignment {m} moves screening variables away"
-                        " from the anchor"
-                    )
-            if not coeff.is_zero():
-                clean[m] = coeff
-        object.__setattr__(self, "entries", clean)
-
 
 def _compositions(total, parts):
     """Weak compositions of total into the given number of parts."""
@@ -188,9 +161,10 @@ def _table_entries(dims, counts):
 def reduction_coeffs(dims, l) -> ReductionTable:
     """Exact table taking one basis function to the real integrals.
 
-    One- and two-group tables are rebuilt from independent closed forms on
-    every call and must match exactly; a mismatch means the triangular
-    array itself is wrong and raises instead of returning bad data.
+    Each table is built once per (dims, l) and cached.  One- and two-group
+    tables are checked against independent closed forms when built and
+    must match exactly; a mismatch means the triangular array itself is
+    wrong and raises instead of returning bad data.
     """
     dims, counts = _dims_counts(dims, l)
     entries = dict(_table_entries(dims, counts))

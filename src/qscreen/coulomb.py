@@ -2,10 +2,10 @@
 
 Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
 the screened integrals over nested ordered simplices (a tanh-sinh rule per
-screening variable; each level's step is planned on cheap probes, with
-every other level coarse, and then checked on the full grid, where a
-level's step is halved until the quadrature's own error estimate meets
-the requested tolerance), the boundary fusion
+screening variable; one loop halves a level's step until the quadrature's
+own error estimate meets its target, run first on cheap probes with every
+other level coarse when the steps are not known yet, then on the full
+grid against the requested tolerance), the boundary fusion
 constants, conformal weight and exponent helpers, and a direct contour
 oracle that integrates the same density over explicitly constructed nested
 loops with the branch tracked along the path.  Everything here is numeric;
@@ -49,8 +49,9 @@ class EvalStats:
     err_est is the absolute error estimate of the values they returned:
     rho adds its own, and each sum of rho values (phi, F_anchor, F_hwv)
     adds |weight| times the estimate of every term.  grid_evals counts the
-    nested sums the quadrature evaluated on the full tensor grid, and
-    probe_evals those on a probe grid (one level fine, the others coarse).
+    nested sums the full-grid run evaluated, and probe_evals those the
+    probe run evaluated (one level fine, the others coarse); a full-grid
+    sum that the probe run already made is reused and not counted again.
     """
 
     err_est: float = 0.0
@@ -345,7 +346,7 @@ class QuadratureError(ArithmeticError):
 # nodes
 _MIN_STEP = 2.0 ** -6
 _GRID_BUDGET = 2.5e8
-# a cold plan starts every level at _PROBE_STEP, and a probe keeps every
+# a probe run starts every level at _PROBE_STEP, and a probe keeps every
 # level but the probed one there
 _PROBE_STEP = 0.5
 # relative rounding error of the nested sum, per level
@@ -356,107 +357,89 @@ _ROUNDING = 4.0 * float(np.finfo(float).eps)
 _STEPS = {}
 
 
-def _shifted(levels, rules, k, h, geo):
-    # the nested sum on rules with level k's rule at step h moved by half
-    # a step: it differs from the unmoved sum by twice that level's error
-    moved = rules[:k] + [_unit_rule(levels[k], h, 0.5)] + rules[k + 1 :]
-    return _nested(levels, moved, geo)
+def _halve(levels, steps, sums, target, head):
+    """Halve the step of the level with the largest estimate until the
+    relative estimates plus the rounding floor meet target.
 
-
-def _check_budget(levels, steps, head, halved):
-    grid = math.prod(
-        len(_unit_rule(lev, h, 0.0)[0]) for lev, h in zip(levels, steps)
-    )
-    if grid > _GRID_BUDGET:
-        raise QuadratureError(
-            f"{head}: {grid:.2e} nodes exceed the budget of"
-            f" {_GRID_BUDGET:.1e}{halved}"
-        )
-
-
-def _plan(levels, geo, rel_tol, head):
-    """Steps that the probes expect to meet rel_tol / 2.
-
-    Every level starts at _PROBE_STEP.  The probe of level k is the
-    half-step shift estimate of level k at its planned step with every
-    other level at _PROBE_STEP, a grid far smaller than the full one.
-    The level with the largest relative estimate is halved until the
-    estimates sum to at most rel_tol / 2, or until that level is at the
-    smallest step or the rounding floor, where the full-grid check
-    decides.  A halving reuses the probe's two sums: the rule at step h/2
-    is the mean of the rule at h and its shifted copy, tails folded
-    alike, so each new probe costs one evaluation.  A planned grid over
-    the budget raises before anything else is evaluated.
+    sums(steps, k) gives level k's sum and its copy with level k's nodes
+    shifted by half a step, which differs by twice that level's error.
+    No grid over the node budget is summed.  Returns the steps, the
+    estimate, and None or why the largest share cannot be halved.
     """
-    ell = len(levels)
-    steps = [_PROBE_STEP] * ell
-    coarse = [_unit_rule(lev, _PROBE_STEP, 0.0) for lev in levels]
-    # values[k] is the probe sum of level k at its planned step
-    values = [_nested(levels, coarse, geo)] * ell
-    moved = [_shifted(levels, coarse, k, _PROBE_STEP, geo) for k in range(ell)]
-    _record(probe_evals=ell + 1)
-
-    def relative(k):
-        return abs(moved[k] - values[k]) / values[k] if values[k] > 0 else 0.0
-
-    ests = [relative(k) for k in range(ell)]
-    while sum(ests) > 0.5 * rel_tol:
+    steps, halved, floor = list(steps), "", len(levels) * _ROUNDING
+    while True:
+        grid = math.prod(len(_unit_rule(lev, h, 0.0)[0]) for lev, h in zip(levels, steps))
+        if grid > _GRID_BUDGET:
+            raise QuadratureError(
+                f"{head}: {grid:.2e} nodes exceed the budget of"
+                f" {_GRID_BUDGET:.1e}{halved}"
+            )
+        at = tuple(steps)
+        pairs = [sums(at, k) for k in range(len(levels))]
+        ests = [abs(moved - value) / value if value > 0 else 0.0 for value, moved in pairs]
+        est = sum(ests) + floor
+        if est <= target:
+            return steps, est, None
         k = int(np.argmax(ests))
-        if ests[k] <= ell * _ROUNDING or steps[k] <= _MIN_STEP:
-            break
+        if ests[k] <= floor or steps[k] <= _MIN_STEP:
+            where = "rounding floor" if ests[k] <= floor else "smallest step"
+            return steps, est, (
+                f"level {k}, the largest share ({ests[k]:.2e}), is at the {where}"
+            )
+        halved = f" after halving level {k} (estimate {ests[k]:.2e})"
         steps[k] /= 2.0
-        _check_budget(
-            levels, steps, head,
-            f" after halving level {k} (probe estimate {ests[k]:.2e})",
-        )
-        values[k] = 0.5 * (values[k] + moved[k])
-        moved[k] = _shifted(levels, coarse, k, steps[k], geo)
-        _record(probe_evals=1)
-        ests[k] = relative(k)
-    return steps
 
 
 def _quadrature(levels, geo, rel_tol, key):
-    """The nested sum and its error estimate.
+    """The nested sum and its error estimate, from two runs of _halve.
 
-    A key seen before starts from the steps that met rel_tol for it;
-    otherwise _plan chooses the steps on probes.  The full-grid check
-    then evaluates the value and, for each level, the sum with that
-    level's nodes shifted by half a step and every other level kept: the
-    difference is twice that level's error.  The error of a tensor grid
-    belongs to the levels one by one; a shift of all levels at once, or
-    the every-other-node subgrid, misses it.  The estimate adds the
-    rounding floor of the sum; while it exceeds rel_tol the level with
-    the largest share is halved and the grid checked again, so the
-    returned estimate is always the full grid's, never a probe's.
+    A key seen before starts from the steps that met rel_tol for it.  A
+    cold key is first planned for rel_tol / 2 on probes: level k's probe
+    keeps every other level at _PROBE_STEP, and after a halving its
+    unshifted sum is the mean of the sum and its shifted copy at the step
+    before (the rule at h/2 is their mean, tails folded alike).  The
+    full-grid run then checks rel_tol and raises if it gets stuck.  The
+    error of a tensor grid belongs to the levels one by one, so each is
+    shifted with every other level kept.  The value returned is a direct
+    full-grid sum and its estimate the full grid's, never a probe's; the
+    two runs share one memo of direct sums.
     """
     ell = len(levels)
     head = f"rho with l={ell} screening variables at rel_tol={rel_tol:g}"
-    steps = list(_STEPS.get(key) or _plan(levels, geo, rel_tol, head))
-    halved = ""
-    while True:
-        _check_budget(levels, steps, head, halved)
-        rules = [_unit_rule(lev, h, 0.0) for lev, h in zip(levels, steps)]
-        value = _nested(levels, rules, geo)
-        ests = [
-            abs(_shifted(levels, rules, k, h, geo) - value)
-            for k, h in enumerate(steps)
-        ]
-        _record(grid_evals=ell + 1)
-        floor = ell * _ROUNDING * value
-        est = sum(ests) + floor
-        if est <= rel_tol * value:
-            _STEPS[key] = tuple(steps)
-            return value, est
-        k = int(np.argmax(ests))
-        if ests[k] <= floor or steps[k] <= _MIN_STEP:
-            raise QuadratureError(
-                f"{head}: error estimate {est / value:.2e}; level {k}, the"
-                f" largest share ({ests[k] / value:.2e}), is at the"
-                + (" rounding floor" if ests[k] <= floor else " smallest step")
-            )
-        halved = f" after halving level {k} (error estimate {ests[k] / value:.2e})"
-        steps[k] /= 2.0
+    memo = {}
+
+    def direct(steps, shifted, counter):
+        # the nested sum at steps, with level `shifted` moved by half a step
+        if (steps, shifted) not in memo:
+            rules = [_unit_rule(lev, h, 0.0) for lev, h in zip(levels, steps)]
+            if shifted is not None:
+                rules[shifted] = _unit_rule(levels[shifted], steps[shifted], 0.5)
+            memo[steps, shifted] = _nested(levels, rules, geo)
+            _record(**{counter: 1})
+        return memo[steps, shifted]
+
+    def probe(steps, k):
+        def grid(h):
+            return tuple(h if i == k else _PROBE_STEP for i in range(ell))
+
+        h, value = _PROBE_STEP, direct(grid(_PROBE_STEP), None, "probe_evals")
+        while h > steps[k]:
+            value = 0.5 * (value + direct(grid(h), k, "probe_evals"))
+            h /= 2.0
+        return value, direct(grid(h), k, "probe_evals")
+
+    def full(steps, k):
+        return direct(steps, None, "grid_evals"), direct(steps, k, "grid_evals")
+
+    steps = _STEPS.get(key)
+    if steps is None:
+        steps, _, _ = _halve(levels, [_PROBE_STEP] * ell, probe, 0.5 * rel_tol, head)
+    steps, est, stuck = _halve(levels, steps, full, rel_tol, head)
+    if stuck:
+        raise QuadratureError(f"{head}: error estimate {est:.2e}; {stuck}")
+    steps = _STEPS[key] = tuple(steps)
+    value = direct(steps, None, "grid_evals")
+    return value, est * value
 
 
 def _check_rel_tol(rel_tol):

@@ -176,9 +176,11 @@ def _steps(h, x, total_order):
         raise ValueError("step must be positive")
     gap = min((b - a for a, b in zip(x, x[1:])), default=1.0)
     h_abs = h * gap
-    if gap < (total_order + 1) * h_abs:
+    # total_order nested derivatives move a point by up to 2 * total_order
+    # coarse steps, and the points must not meet or cross
+    if not gap > 2 * total_order * h_abs:
         raise ValueError(
-            f"clearance {gap:g} is below ({total_order}+1) stencil steps of {h_abs:g}"
+            f"clearance {gap:g} is not above 2*{total_order} stencil steps of {h_abs:g}"
         )
     levels = _RICHARDSON_LEVELS
     h_fine = h_abs / 2 ** (levels - 1)

@@ -20,7 +20,6 @@ from qscreen.coulomb import (
 from qscreen.correspondence import (
     F_anchor,
     F_hwv,
-    ReductionTable,
     _rephasing,
     asymptotics_check,
     general_asymptotics_check,
@@ -111,13 +110,6 @@ def test_reduction_vanishing_is_exact():
     assert reduction_coeffs((2, 2), (2, 0)).entries == {}
     assert reduction_coeffs((2, 3), (1, 3)).entries == {}
     assert reduction_coeffs((3,), (3,)).entries == {}
-
-
-def test_reduction_table_rejects_bad_assignments():
-    with pytest.raises(ValueError, match="conserve"):
-        ReductionTable((2, 2), (1, 0), {(1, 1): Q_ONE})
-    with pytest.raises(ValueError, match="away from the anchor"):
-        ReductionTable((2, 2), (1, 0), {(0, 1): Q_ONE})
 
 
 # -- rephasing of the real integrals ---------------------------------------

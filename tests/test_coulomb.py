@@ -238,11 +238,28 @@ def test_rho_unreachable_rel_tol_raises():
     with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=5 .*budget"):
         rho(_PAIR, (6, 6), (0, 5), 20.5)
     assert stats.grid_evals == 0 and stats.probe_evals > 0, stats
+    # eight levels at the coarsest probe step already hold about 3e9 nodes:
+    # the budget is checked before the first sum
+    with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=8 .*budget"):
+        rho(ChamberPoint(-1.0, (0.0, 1.0)), (9, 9), (0, 8), 32.5)
+    assert stats.grid_evals == 0 and stats.probe_evals == 0, stats
 
 
-def test_rho_deterministic():
-    c = ChamberPoint(0.0, (1.0, 2.0))
-    assert rho(c, (2, 2), (1, 0), 10.0) == rho(c, (2, 2), (1, 0), 10.0)
+def test_rho_deterministic(monkeypatch):
+    # a cold call plans its steps and a warm one starts from them; both
+    # must return the direct sum on the same full grid, bit for bit, which
+    # the finite-difference lattices rely on
+    monkeypatch.setattr(coulomb, "_STEPS", {})
+    cases = [
+        (ChamberPoint(0.0, (1.0, 2.0)), (2, 2), (1, 0), 10.0),
+        # the full-grid check halves a level the probes planned
+        (ChamberPoint(-2.7, (-1.4, 2.0)), (2, 3), (1, 1), 8.8),
+        (_PAIR, (4, 4), (0, 3), 12.5),
+    ]
+    for c, dims, m, kappa in cases:
+        coulomb._STEPS.clear()
+        cold = rho(c, dims, m, kappa)
+        assert rho(c, dims, m, kappa) == cold, (dims, m)
 
 
 def test_rho_scaling_law():

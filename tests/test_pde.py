@@ -104,6 +104,11 @@ def test_fd_scheme_validation():
             translation_check(f, (0.0, 1.0), h=h)
         with pytest.raises(ValueError, match="step"):
             euler_check(f, (0.0, 1.0), 0.0, h=h)
+    # a composition of order d moves each point by up to 2d coarse steps:
+    # these steps pass a clearance of d+1 steps but would cross the points
+    for dims, h in (((2, 2), 0.3), ((3, 3), 0.2)):
+        with pytest.raises(ValueError, match="clearance"):
+            apply_bsa(build_bsa(1, dims, 8.0), f, (0.0, 1.0), h=h)
 
 
 # -- residuals on known solutions ------------------------------------------
