@@ -2,10 +2,15 @@
 
 Each basis vector of the tensor product maps to a function on the chamber
 through an exact coefficient table that trades the nested contour
-integrals for real ordered ones.  The triangular-array bookkeeping behind
-that table is easy to get wrong, so every build of a one- or two-group
-table is compared against an independently coded closed form, and the
-test suite checks low orders against the direct contour oracle.
+integrals for real ordered ones.  The table is a triangular-array sum
+over the ways each group spreads its loops over the slots at or left of
+it.  A recursion over groups builds it, with the tuple of partial slot
+totals as its state, so tables that share their first groups share
+those states.  The bookkeeping is easy to get wrong, so every build of a
+one- or two-group table is compared against an independently coded
+closed form, and the test suite checks longer tables against a
+slot-by-slot enumeration and low orders against the direct contour
+oracle.
 
 Vectors combine at the exact coefficient level before any quadrature
 runs.  Cancellations that close the integration surface for highest
@@ -18,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate
+from operator import add
 
 from .coulomb import (
     ChamberPoint,
@@ -36,12 +42,11 @@ from .qseries import (
     LaurentPoly,
     QScalar,
     Q_ONE,
-    Q_ZERO,
     eval_q,
+    _qmultinom_poly,
     qbinom,
     qfact,
     qint,
-    qmultinom,
 )
 from .uqsl2 import (
     Q_COMM,
@@ -90,41 +95,80 @@ def _group_prefactor(d, l):
     return out
 
 
-def _general_entries(dims, counts):
-    """Triangular-array sum over loop reassignments.
+def _append_group(states, dims, s):
+    """States after one more group, the group i = len(dims), with s loops.
 
-    Group i distributes its counts[i] loops over slots 1..i; slot j
-    collects the loops of all groups at or beyond it.  Each reassignment
-    carries a q-multinomial and integer q-powers for the crossings it
-    introduces.
+    states pairs the partial slot totals M of groups 0..i-1 with their
+    Laurent polynomial as (exponent, coefficient) pairs; the result maps
+    the new totals to {exponent: coefficient}.  The group spreads its
+    loops over slots 0..i as a composition k with prefix sums P; the
+    assignment gains the q-multinomial of k, a q-power of k alone for the
+    crossings inside the group and with the earlier groups' charges, and
+    q^(-2 P[j] M[j]) for the group's loops left of slot j against the
+    earlier loops in it.
     """
-    n = len(dims)
+    i = len(dims)
+    # tail[j]: the charges that the group's loops in slot j cross, the
+    # sum of d_g - 1 over j <= g < i
+    tail = [0] * (i + 1)
+    for g in range(i - 1, -1, -1):
+        tail[g] = tail[g + 1] + dims[g] - 1
+    moves = []
+    for k in _compositions(s, i + 1):
+        own = sum(kj * tj for kj, tj in zip(k, tail))
+        own -= (s * s - sum(p * p for p in k)) // 2
+        prefix = list(accumulate(k[:-1], initial=0))
+        moves.append((k, own, prefix, _qmultinom_poly(k).coeffs.items()))
+    out = {}
+    for state, poly in states:
+        for k, own, prefix, mult in moves:
+            shift = own - 2 * sum(p * mj for p, mj in zip(prefix, state))
+            acc = out.setdefault(tuple(map(add, state + (0,), k)), {})
+            for e1, v1 in poly:
+                for e2, v2 in mult:
+                    e = e1 + e2 + shift
+                    acc[e] = acc.get(e, 0) + v1 * v2
+    return out
+
+
+@lru_cache(maxsize=None)
+def _prefix_states(dims, counts):
+    """The states after the groups of a proper prefix of a table, shared
+    by every table that starts with it."""
+    if not counts:
+        return (((), ((0, 1),)),)
+    states = _append_group(
+        _prefix_states(dims[:-1], counts[:-1]), dims[:-1], counts[-1]
+    )
+    # tuples of pairs hold a cached state in less memory than dicts
+    return tuple((m, tuple(poly.items())) for m, poly in states.items())
+
+
+def _general_entries(dims, counts):
+    """Triangular-array sum over loop reassignments, as a recursion over
+    groups.
+
+    Group i distributes its counts[i] loops over slots 0..i; slot j
+    collects the loops of all groups at or beyond it, so the slot totals
+    are the assignment m.  The q-power of a reassignment depends on the
+    earlier groups only through their partial slot totals, so the state
+    after each group is the tuple of those totals with the summed Laurent
+    polynomial of the reassignments that reach it.  The states of the
+    proper prefixes are cached; the last group's are not, since
+    _table_entries keeps the finished table.  The product of the group
+    prefactors multiplies every entry once at the end.
+    """
     pref = Q_ONE
     for d, l in zip(dims, counts):
         pref = pref * _group_prefactor(d, l)
     if pref.is_zero():
         return {}
-    entries = {}
-    slot_choices = [_compositions(counts[i], i + 1) for i in range(n)]
-    for arrays in product(*slot_choices):
-        mult = Q_ONE
-        expo = 0
-        for gi, parts in enumerate(arrays):
-            mult = mult * qmultinom(counts[gi], parts)
-            s = sum(parts)
-            expo -= (s * s - sum(p * p for p in parts)) // 2
-        for i in range(n):
-            ki = arrays[i]
-            for ip in range(i + 1, n):
-                kip = arrays[ip]
-                # later-group loops parked strictly left of earlier ones
-                expo -= 2 * sum(ki[j] * sum(kip[:j]) for j in range(1, len(ki)))
-                expo += (dims[i] - 1) * sum(kip[: i + 1])
-        m = tuple(sum(arrays[i][j] for i in range(j, n)) for j in range(n))
-        entries[m] = entries.get(m, Q_ZERO) + mult * QScalar.q_power(expo)
+    states = _append_group(
+        _prefix_states(dims[:-1], counts[:-1]), dims[:-1], counts[-1]
+    )
     out = {}
-    for m, coeff in entries.items():
-        val = pref * coeff
+    for m, poly in states.items():
+        val = pref * QScalar.from_poly(LaurentPoly(poly))
         if not val.is_zero():
             out[m] = val
     return out

@@ -86,6 +86,8 @@ def _dims_counts(dims, m, n=None):
     n, when given, is the number of marked points of the chamber."""
     dims = tuple(int(d) for d in dims)
     counts = tuple(int(c) for c in m)
+    if not dims:
+        raise ValueError("at least one marked point is required")
     if n is not None and len(dims) != n:
         raise ValueError(f"expected {n} dimensions, got {len(dims)}")
     if any(d < 1 for d in dims):
@@ -402,43 +404,59 @@ def _quadrature(levels, geo, rel_tol, key):
     error of a tensor grid belongs to the levels one by one, so each is
     shifted with every other level kept.  The value returned is a direct
     full-grid sum and its estimate the full grid's, never a probe's; the
-    two runs share one memo of direct sums.
+    two runs share one memo of direct sums, and one list of unshifted
+    rules per grid.
     """
     ell = len(levels)
     head = f"rho with l={ell} screening variables at rel_tol={rel_tol:g}"
     memo = {}
+    unshifted = {}
 
-    def direct(steps, shifted, counter):
+    def direct(steps, shifted):
         # the nested sum at steps, with level `shifted` moved by half a step
-        if (steps, shifted) not in memo:
-            rules = [_unit_rule(lev, h, 0.0) for lev, h in zip(levels, steps)]
+        value = memo.get((steps, shifted))
+        if value is None:
+            rules = unshifted.get(steps)
+            if rules is None:
+                rules = unshifted[steps] = [
+                    _unit_rule(lev, h, 0.0) for lev, h in zip(levels, steps)
+                ]
             if shifted is not None:
+                rules = list(rules)
                 rules[shifted] = _unit_rule(levels[shifted], steps[shifted], 0.5)
-            memo[steps, shifted] = _nested(levels, rules, geo)
-            _record(**{counter: 1})
-        return memo[steps, shifted]
+            value = memo[steps, shifted] = _nested(levels, rules, geo)
+        return value
 
     def probe(steps, k):
         def grid(h):
             return tuple(h if i == k else _PROBE_STEP for i in range(ell))
 
-        h, value = _PROBE_STEP, direct(grid(_PROBE_STEP), None, "probe_evals")
+        h, value = _PROBE_STEP, direct(grid(_PROBE_STEP), None)
         while h > steps[k]:
-            value = 0.5 * (value + direct(grid(h), k, "probe_evals"))
+            value = 0.5 * (value + direct(grid(h), k))
             h /= 2.0
-        return value, direct(grid(h), k, "probe_evals")
+        return value, direct(grid(h), k)
 
     def full(steps, k):
-        return direct(steps, None, "grid_evals"), direct(steps, k, "grid_evals")
+        return direct(steps, None), direct(steps, k)
+
+    def run(steps, sums, target, counter):
+        # each run records how many new sums it evaluated, once
+        before = len(memo)
+        try:
+            return _halve(levels, steps, sums, target, head)
+        finally:
+            _record(**{counter: len(memo) - before})
 
     steps = _STEPS.get(key)
     if steps is None:
-        steps, _, _ = _halve(levels, [_PROBE_STEP] * ell, probe, 0.5 * rel_tol, head)
-    steps, est, stuck = _halve(levels, steps, full, rel_tol, head)
+        steps, _, _ = run([_PROBE_STEP] * ell, probe, 0.5 * rel_tol, "probe_evals")
+    steps, est, stuck = run(steps, full, rel_tol, "grid_evals")
     if stuck:
         raise QuadratureError(f"{head}: error estimate {est:.2e}; {stuck}")
     steps = _STEPS[key] = tuple(steps)
-    value = direct(steps, None, "grid_evals")
+    # the full run's last pass summed this grid
+    value = memo[steps, None]
     return value, est * value
 
 

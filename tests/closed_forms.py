@@ -3,7 +3,8 @@
 import math
 from itertools import product
 
-from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly
+from qscreen.correspondence import _compositions, _group_prefactor
+from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qmultinom
 from qscreen.uqsl2 import TensorVector, _rref, act
 
 
@@ -103,3 +104,44 @@ def hwv_basis_by_elimination(space, d):
     return [TensorVector(space, {col_idx[i]: val for i, val in enumerate(row)
                                  if not val.is_zero()})
             for row in canon]
+
+
+def reduction_entries_by_enumeration(dims, counts):
+    """Triangular-array sum over loop reassignments, one slot assignment
+    at a time.
+
+    Group i distributes its counts[i] loops over slots 1..i; slot j
+    collects the loops of all groups at or beyond it.  Each reassignment
+    carries a q-multinomial and integer q-powers for the crossings it
+    introduces.
+    """
+    n = len(dims)
+    pref = Q_ONE
+    for d, l in zip(dims, counts):
+        pref = pref * _group_prefactor(d, l)
+    if pref.is_zero():
+        return {}
+    entries = {}
+    slot_choices = [_compositions(counts[i], i + 1) for i in range(n)]
+    for arrays in product(*slot_choices):
+        mult = Q_ONE
+        expo = 0
+        for gi, parts in enumerate(arrays):
+            mult = mult * qmultinom(counts[gi], parts)
+            s = sum(parts)
+            expo -= (s * s - sum(p * p for p in parts)) // 2
+        for i in range(n):
+            ki = arrays[i]
+            for ip in range(i + 1, n):
+                kip = arrays[ip]
+                # later-group loops parked strictly left of earlier ones
+                expo -= 2 * sum(ki[j] * sum(kip[:j]) for j in range(1, len(ki)))
+                expo += (dims[i] - 1) * sum(kip[: i + 1])
+        m = tuple(sum(arrays[i][j] for i in range(j, n)) for j in range(n))
+        entries[m] = entries.get(m, Q_ZERO) + mult * QScalar.q_power(expo)
+    out = {}
+    for m, coeff in entries.items():
+        val = pref * coeff
+        if not val.is_zero():
+            out[m] = val
+    return out

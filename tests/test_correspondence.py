@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import delta_scaling
+from closed_forms import delta_scaling, reduction_entries_by_enumeration
 
 from qscreen.coulomb import (
     ChamberPoint,
@@ -20,6 +20,7 @@ from qscreen.coulomb import (
 from qscreen.correspondence import (
     F_anchor,
     F_hwv,
+    _prefix_states,
     _rephasing,
     asymptotics_check,
     general_asymptotics_check,
@@ -86,7 +87,7 @@ def test_reduction_two_group_closed_form():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.lists(st.integers(1, 3), min_size=1, max_size=5),
     st.data(),
 )
 def test_reduction_entries_conserve_and_dominate(dims, data):
@@ -94,6 +95,7 @@ def test_reduction_entries_conserve_and_dominate(dims, data):
         data.draw(st.integers(0, 2), label=f"l_{i}") for i in range(len(dims))
     )
     table = reduction_coeffs(tuple(dims), counts)
+    assert table.entries == reduction_entries_by_enumeration(tuple(dims), counts)
     if any(l >= d for l, d in zip(counts, dims)):
         assert table.entries == {}
         return
@@ -104,6 +106,42 @@ def test_reduction_entries_conserve_and_dominate(dims, data):
             run_l += li
             run_m += mi
             assert run_l <= run_m
+
+
+@pytest.mark.parametrize(
+    "dims, d",
+    [
+        pytest.param(dims, d, id=",".join(map(str, dims)) + f"/{d}")
+        for dims, d in [((2,) * 6, 1), ((3,) * 5, 1), ((3,) * 4, 3), ((4, 4, 4, 4), 1)]
+        + [(order, 2) for order in sorted(set(itertools.permutations((2, 2, 2, 3, 3))))]
+    ],
+)
+def test_reduction_tables_equal_enumeration_reference(dims, d):
+    # the runtime cross-check covers one and two groups; longer tables are
+    # compared here with the slot-by-slot enumeration on every index of a
+    # highest weight basis
+    basis = hwv_space_basis(TensorSpace(dims), d)
+    support = sorted({idx for v in basis for idx in v.coeffs})
+    assert support
+    for idx in support:
+        assert reduction_coeffs(dims, idx).entries == (
+            reduction_entries_by_enumeration(dims, idx)
+        ), idx
+
+
+def test_reduction_tables_share_prefix_states():
+    # a table reuses the states of its first groups, which do not depend
+    # on the dimensions of the groups after them
+    reduction_coeffs((3, 3, 3, 5), (2, 2, 1, 1))
+    misses = _prefix_states.cache_info().misses
+    reduction_coeffs((3, 3, 3, 6), (2, 2, 1, 1))
+    reduction_coeffs((3, 3, 3, 6), (2, 2, 1, 3))
+    assert _prefix_states.cache_info().misses == misses
+
+
+def test_reduction_rejects_empty_dims():
+    with pytest.raises(ValueError, match="at least one marked point"):
+        reduction_coeffs((), ())
 
 
 def test_reduction_vanishing_is_exact():
