@@ -4,7 +4,8 @@ Configuration comes from an optional key=value file plus command line
 flags; flags win.  Evaluation rows carry the quadrature's own absolute
 error estimate; a row whose integrals cannot meet rel_tol stops the run
 with exit status 3.  Verification reports are JSON with per-check
-tolerances and measured values; the exit status is zero exactly when
+tolerances and measured values, and the operator checks also report
+their evaluator calls and seconds; the exit status is zero exactly when
 every check passed.
 """
 
@@ -14,6 +15,7 @@ import io
 import itertools
 import json
 import sys
+import time
 from dataclasses import dataclass, replace
 
 from .coulomb import ChamberPoint, contour_phi_oracle, eval_stats, h_weight
@@ -29,6 +31,7 @@ from .correspondence import (
 from .pde import (
     apply_bsa,
     build_bsa,
+    check_stats,
     euler_check,
     mobius_check,
     sle_pde_check,
@@ -272,19 +275,31 @@ def format_rows(rows, fmt):
 # -- verify ----------------------------------------------------------------
 
 
-def _check(name, measured, tolerance, direction="below"):
+def _check(name, measured, tolerance, direction="below", cost=None):
     measured = float(measured)
     if direction == "below":
         passed = measured <= tolerance
     else:
         passed = measured >= tolerance
-    return {
+    report = {
         "name": name,
         "tolerance": tolerance,
         "measured": measured,
         "passed": passed,
         "direction": direction,
     }
+    if cost is not None:
+        report.update(cost)
+    return report
+
+
+def _costed(run):
+    """run()'s result, and what it cost: the evaluator calls the operator
+    checks inside it made and the seconds it took."""
+    start = time.perf_counter()
+    with check_stats() as stats:
+        result = run()
+    return result, {"evals": stats.evals, "seconds": time.perf_counter() - start}
 
 
 def _scaled(config, tolerance):
@@ -361,21 +376,27 @@ def _pde_checks(config):
     v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
     ev = lambda y: F_hwv(v, y, kappa, config.rel_tol)
     x = (0.0, 1.0, 2.0, 4.0)
-    worst = 0.0
-    for j in (1, 2):
-        residual, scale = sle_pde_check(ev, x, kappa, j)
-        worst = max(worst, abs(residual) / scale)
-    checks = [_check("pde.growth_process_equation", worst, _scaled(config, 1e-4))]
-    deviation = sle_proportionality_check(x, kappa, 2, seed=config.seed)
+
+    def growth():
+        worst = 0.0
+        for j in (1, 2):
+            residual, scale = sle_pde_check(ev, x, kappa, j)
+            worst = max(worst, abs(residual) / scale)
+        return worst
+
+    worst, cost = _costed(growth)
+    checks = [_check("pde.growth_process_equation", worst, _scaled(config, 1e-4), cost=cost)]
+    deviation, cost = _costed(lambda: sle_proportionality_check(x, kappa, 2, seed=config.seed))
     checks.append(
-        _check("pde.operator_proportionality", deviation, _scaled(config, 1e-8))
+        _check("pde.operator_proportionality", deviation, _scaled(config, 1e-8), cost=cost)
     )
     op = build_bsa(2, (2, 3, 2), kappa)
-    residual, scale = apply_bsa(
+    (residual, scale), cost = _costed(lambda: apply_bsa(
         op, vertex_prefactor((2, 3, 2), kappa), (0.0, 1.0, 2.5), h=1e-2
-    )
+    ))
     checks.append(
-        _check("pde.vertex_prefactor_null", abs(residual) / scale, _scaled(config, 1e-6))
+        _check("pde.vertex_prefactor_null", abs(residual) / scale, _scaled(config, 1e-6),
+               cost=cost)
     )
     return checks
 
@@ -404,13 +425,14 @@ def _cov_checks(config):
     ]
     ev = lambda y: F_hwv(v, y, kappa, rel_tol)
     grid = (0.0, 1.0, 2.0, 4.0)
-    residual, scale = translation_check(ev, grid)
+    (residual, scale), cost = _costed(lambda: translation_check(ev, grid))
     checks.append(
-        _check("cov.translation_generator", abs(residual) / scale, _scaled(config, 1e-8))
+        _check("cov.translation_generator", abs(residual) / scale, _scaled(config, 1e-8),
+               cost=cost)
     )
-    residual, scale = euler_check(ev, grid, -4.0 * h_weight(2, kappa))
+    (residual, scale), cost = _costed(lambda: euler_check(ev, grid, -4.0 * h_weight(2, kappa)))
     checks.append(
-        _check("cov.euler_generator", abs(residual) / scale, _scaled(config, 1e-8))
+        _check("cov.euler_generator", abs(residual) / scale, _scaled(config, 1e-8), cost=cost)
     )
     worst = max(
         special_conformal_identity_check((2, 2), seed=config.seed),

@@ -26,6 +26,8 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add
 
+import numpy as np
+
 from .coulomb import (
     ChamberPoint,
     _check_increasing,
@@ -37,6 +39,7 @@ from .coulomb import (
     delta_fusion,
     h_weight,
 )
+from .jet import Jet, JetPoint
 from .qseries import (
     KappaParams,
     LaurentPoly,
@@ -227,13 +230,16 @@ def _rephasing(m):
 # -- numeric evaluation ----------------------------------------------------
 
 
-# the value with its error estimate, so a cached term still reports one
+# the value with its error estimate, so a cached term still reports one;
+# a jet's key adds its index set and the anchor's motion
 _rho_cached = lru_cache(maxsize=4096)(_rho)
 
 
-def _evaluate(weights, c, dims, kappa, rel_tol):
+def _evaluate(weights, c, dims, kappa, rel_tol, moves=None):
     # checked here too: a sum whose weights all vanish runs no integral
     _check_rel_tol(rel_tol)
+    if isinstance(c.xs, JetPoint):
+        return _evaluate_jet(weights, c, dims, kappa, rel_tol, moves or (0.0,) * c.n)
     total = 0j
     err = 0.0
     for m, w in weights:
@@ -242,6 +248,19 @@ def _evaluate(weights, c, dims, kappa, rel_tol):
         err += abs(w) * est
     _record(err)
     return total
+
+
+def _evaluate_jet(weights, c, dims, kappa, rel_tol, moves):
+    index = c.xs.index
+    total = np.zeros(len(index), dtype=complex)
+    err = np.zeros(len(index))
+    for m, w in weights:
+        value, est = _rho_cached(c, dims, m, kappa, rel_tol, (index, tuple(moves)))
+        total += w * value
+        err += abs(w) * est
+    # the jet's value coefficient is what an eval_stats() block receives
+    _record(float(err[0]))
+    return Jet(index, dict(zip(index, total.tolist())), dict(zip(index, err.tolist())))
 
 
 @lru_cache(maxsize=1024)
@@ -272,7 +291,8 @@ def phi(c: ChamberPoint, dims, l, kappa, rel_tol: float = 1e-9) -> complex:
     """Basis function at one chamber point, through the reduction table.
 
     Exactly zero whenever some count reaches its group dimension, without
-    touching the quadrature.
+    touching the quadrature.  Marked points given as a JetPoint return
+    the Taylor jet in them, with the anchor held fixed, as a Jet.
     """
     dims, counts = _dims_counts(dims, l, c.n)
     weights = _kappa_weights(dims, frozenset({(counts, Q_ONE)}), kappa)
@@ -285,15 +305,22 @@ def F_anchor(v: TensorVector, c: ChamberPoint, kappa,
 
     Coefficients of all basis components are combined exactly before any
     integral is evaluated, so the linearity holds at the coefficient level
-    and exact cancellations never reach the quadrature.
+    and exact cancellations never reach the quadrature.  Marked points
+    given as a JetPoint return the Taylor jet in them, with the anchor
+    held fixed, as a Jet.
     """
+    return _linear_extension(v, c, kappa, rel_tol, None)
+
+
+def _linear_extension(v, c, kappa, rel_tol, moves):
+    # moves: how the anchor moves with the marked points, for a jet
     dims = v.space.dims
     if len(dims) != c.n:
         raise ValueError(
             f"vector lives on {len(dims)} points but the chamber has {c.n}"
         )
     weights = _kappa_weights(dims, frozenset(v.coeffs.items()), kappa)
-    return _evaluate(weights, c, dims, kappa, rel_tol)
+    return _evaluate(weights, c, dims, kappa, rel_tol, moves)
 
 
 def default_anchor(xs):
@@ -301,19 +328,33 @@ def default_anchor(xs):
     return xs[0] - ((xs[-1] - xs[0]) or 1.0)
 
 
+def _default_anchor_moves(n):
+    # default_anchor is 2 x_1 - x_n, or x_1 - 1 for a single point
+    if n == 1:
+        return (1.0,)
+    return (2.0,) + (0.0,) * (n - 2) + (-1.0,)
+
+
 def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9,
           x0=None) -> complex:
     """Function of a highest weight vector on the chamber itself.
 
     x0 defaults to default_anchor(x); for a highest weight vector the
-    value does not depend on it up to quadrature error.
+    value does not depend on it up to quadrature error.  A JetPoint x
+    returns the Taylor jet of F in x as a Jet, with the default anchor
+    moving along, so translation and scaling act on every term alike.
     """
     if not _killed_by_E(v.space.dims, frozenset(v.coeffs.items())):
         raise ValueError("not a highest weight vector (E.v != 0)")
     xs = tuple(float(xi) for xi in x)
     _check_increasing(xs)
-    anchor = float(x0) if x0 is not None else default_anchor(xs)
-    return F_anchor(v, ChamberPoint(anchor, xs), kappa, rel_tol)
+    if x0 is not None:
+        anchor, moves = float(x0), None
+    else:
+        anchor, moves = default_anchor(xs), _default_anchor_moves(len(xs))
+    if isinstance(x, JetPoint):
+        xs = x
+    return _linear_extension(v, ChamberPoint(anchor, xs), kappa, rel_tol, moves)
 
 
 # -- collapse asymptotics and the point at infinity ------------------------

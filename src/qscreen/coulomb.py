@@ -5,7 +5,8 @@ the screened integrals over nested ordered simplices (a tanh-sinh rule per
 screening variable; one loop halves a level's step until the quadrature's
 own error estimate meets its target, run first on cheap probes with every
 other level coarse when the steps are not known yet, then on the full
-grid against the requested tolerance), the boundary fusion
+grid against the requested tolerance), optionally carrying their Taylor
+jet in the marked points through every level, the boundary fusion
 constants, conformal weight and exponent helpers, and a direct contour
 oracle that integrates the same density over explicitly constructed nested
 loops with the branch tracked along the path.  Everything here is numeric;
@@ -22,17 +23,24 @@ from functools import lru_cache
 
 import numpy as np
 
+from .jet import Jet, JetPoint, exp_series, log_series, product
+from .jet import tables as jet_tables
+
 
 @dataclass(frozen=True)
 class ChamberPoint:
-    """Anchor and marked points with x0 < x_1 < ... < x_n strictly, all finite."""
+    """Anchor and marked points with x0 < x_1 < ... < x_n strictly, all finite.
+
+    Marked points given as a JetPoint stay one, so an evaluator can tell
+    that a jet in them is asked for."""
 
     x0: float
     xs: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "x0", float(self.x0))
-        object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
+        if not isinstance(self.xs, JetPoint):
+            object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
         if not self.xs:
             raise ValueError("at least one marked point is required")
         _check_increasing((self.x0,) + self.xs)
@@ -46,9 +54,10 @@ class ChamberPoint:
 class EvalStats:
     """What the evaluations inside an eval_stats() block report.
 
-    err_est is the absolute error estimate of the values they returned:
-    rho adds its own, and each sum of rho values (phi, F_anchor, F_hwv)
-    adds |weight| times the estimate of every term.  grid_evals counts the
+    err_est is the absolute error estimate of the values they returned
+    (of a Jet, its value coefficient's): rho adds its own, and each sum of
+    rho values (phi, F_anchor, F_hwv) adds |weight| times the estimate of
+    every term.  grid_evals counts the
     nested sums the full-grid run evaluated, and probe_evals those the
     probe run evaluated (one level fine, the others coarse); a full-grid
     sum that the probe run already made is reused and not counted again.
@@ -216,10 +225,11 @@ def _build_levels(counts, betas, kappa):
 @dataclass(frozen=True)
 class _Geometry:
     """The chamber as the levels see it.  charges[idx] lists, for every
-    charge that level idx does not fold into its rule, (beta, c, side):
-    the distance is c + lo (side 0, charges left of the interval) or
-    c + hi (side 1, charges at or right of its upper end).  between[i][g]
-    is x_{i-1} - x_g, the gap from group g's upper end to group i's lower."""
+    charge that level idx does not fold into its rule, (beta, c, side, j):
+    the distance to the point x_j is c + lo (side 0, charges left of the
+    interval) or c + hi (side 1, charges at or right of its upper end).
+    between[i][g] is x_{i-1} - x_g, the gap from group g's upper end to
+    group i's lower."""
 
     gaps: tuple
     charges: tuple
@@ -237,9 +247,9 @@ def _geometry(levels, x_ext, betas, kappa):
             if not beta or j == i - 1 or (j == i and lev.top):
                 continue
             if j < i:
-                own.append((beta, x_ext[i - 1] - x_ext[j], 0))
+                own.append((beta, x_ext[i - 1] - x_ext[j], 0, j))
             else:
-                own.append((beta, x_ext[j] - x_ext[i], 1))
+                own.append((beta, x_ext[j] - x_ext[i], 1, j))
         charges.append(tuple(own))
     between = tuple(
         tuple(x_ext[i - 1] - x_ext[g] for g in range(i)) for i in range(len(x_ext))
@@ -247,11 +257,71 @@ def _geometry(levels, x_ext, betas, kappa):
     return _Geometry(gaps, tuple(charges), between, 8.0 / kappa)
 
 
-# elements per array at the innermost level: bounds the memory a level holds
+# elements per array at the innermost level, counting a jet's coefficients:
+# bounds the memory a level holds
 _CHUNK_CAP = 1 << 16
 
 
-def _level_sum(levels, idx, rules, outer, geo):
+@dataclass(frozen=True)
+class _JetPlan:
+    """What the levels need to carry a Taylor jet in the marked points:
+    the index set's tables, and moves[k], how chamber coordinate k (0 the
+    anchor, k the point x_k) moves with the active variables, as pairs
+    (place in the tables' active, derivative)."""
+
+    tables: object
+    moves: tuple
+
+
+def _motion(jet, terms):
+    # sum_k a_k * (coordinate k's motion), per active variable, for pairs
+    # (k, a_k) of a coordinate and a node array
+    out = {}
+    for k, a in terms:
+        for place, rate in jet.moves[k]:
+            term = a if rate == 1.0 else rate * a
+            out[place] = out[place] + term if place in out else term
+    return out
+
+
+def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
+    """Taylor coefficients of level idx's factor over its value, at every
+    node: the exponential of the log-series of the distances that move
+    with the node.  None when no distance does.
+
+    With its unit coordinates fixed, a variable of group i sits at
+    w = x_(i-1) + lo, and w moves with the points as
+    omega = (hi dx_(i-1) + lo dx_i) / gap_i.  A distance D to a charge at
+    x_j or to an outer variable then moves by omega less that point's
+    motion nu, and d log D = (omega - nu) / D stays below 1 / gap.
+    Distances that scale with the gap alone move with no node and are left
+    to _rho_jet: the level's interval, its own upper charge, its ancestors.
+    """
+    lev = levels[idx]
+    i = lev.group
+    gap = geo.gaps[i - 1]
+    omega = _motion(jet, ((i - 1, hi / gap), (i, lo / gap)))
+    # (exponent, 1 / D with D's sign, nu) of every distance that moves
+    moving = []
+    for beta, c, side, j in geo.charges[idx]:
+        if j != i:
+            # D = w - x_j on side 0, x_j - w on side 1
+            inv = (-1.0 if side else 1.0) / ((hi if side else lo) + c)
+            moving.append((-beta, inv, dict(jet.moves[j])))
+    for p in range(idx):
+        g = levels[p].group
+        if g != i:
+            lo_p, _, hi_p, _ = outer[p]
+            gap_p = geo.gaps[g - 1]
+            # D = w - w_p
+            inv = 1.0 / (lo + (hi_p + geo.between[i][g]))
+            moving.append((geo.pair, inv, _motion(jet, ((g - 1, hi_p / gap_p), (g, lo_p / gap_p)))))
+    if not moving:
+        return None
+    return exp_series(jet.tables, log_series(jet.tables, shape, omega, moving))
+
+
+def _level_sum(levels, idx, rules, outer, geo, jet=None):
     """Sum over the nodes of level idx, and nested inside it over every
     later level, for each node of the outer grid.
 
@@ -262,17 +332,22 @@ def _level_sum(levels, idx, rules, outer, geo):
     lost to cancellation however close a node sits to an end.  outer
     holds (lo, log lo, hi, up) of each outer level, flat over the outer
     grid; this level's arrays are (nodes, outer grid).
+
+    With a _JetPlan the sums carry the Taylor jet of the integrand in the
+    marked points: the result is (2, coefficients, outer grid), row 0 the
+    sums and row 1 the sums of the moduli of their terms.
     """
     lev, rule = levels[idx], rules[idx]
     n = len(rule[0])
     size = outer[0][0].size if outer else 1
-    if n * size > _CHUNK_CAP and size > 1:
-        step = max(1, _CHUNK_CAP // n)
+    width = 1 if jet is None else jet.tables.size
+    if n * size * width > _CHUNK_CAP and size > 1:
+        step = max(1, _CHUNK_CAP // (n * width))
         return np.concatenate([
             _level_sum(levels, idx, rules,
-                       [tuple(a[s : s + step] for a in carried) for carried in outer], geo)
+                       [tuple(a[s : s + step] for a in carried) for carried in outer], geo, jet)
             for s in range(0, size, step)
-        ])
+        ], axis=-1)
     t, omt, logt, logw = (a[:, None] for a in rule)
     if lev.top:
         S = geo.gaps[lev.group - 1]
@@ -284,11 +359,12 @@ def _level_sum(levels, idx, rules, outer, geo):
     up = S * omt
     hi = up if lev.top else outer[-1][2] + up
     # the innermost level needs lo only for charges left of its interval
-    # and for variables of earlier groups
+    # and for variables of earlier groups, unless it carries a jet
     needs_lo = (
         not last
         or levels[0].group != lev.group
-        or any(side == 0 for _, _, side in geo.charges[idx])
+        or any(side == 0 for _, _, side, _ in geo.charges[idx])
+        or jet is not None
     )
     lo = S * t if needs_lo else None
     # G, the log of weight times integrand, starts from the rule's column
@@ -297,7 +373,7 @@ def _level_sum(levels, idx, rules, outer, geo):
     G = np.empty(shape)
     np.add(logw - lev.env * logt, (1.0 + lev.aL + lev.aR - lev.env) * logS, out=G)
     tmp = np.empty(shape)
-    for beta, c, side in geo.charges[idx]:
+    for beta, c, side, _ in geo.charges[idx]:
         dist = hi if side else lo
         np.log(np.add(dist, c, out=tmp) if c else dist, out=tmp)
         np.multiply(tmp, -beta, out=tmp)
@@ -327,17 +403,33 @@ def _level_sum(levels, idx, rules, outer, geo):
         np.multiply(pairs, geo.pair, out=pairs)
         np.add(G, pairs, out=G)
     np.exp(G, out=G)
-    if last:
+    if not last:
+        carried = [tuple(np.broadcast_to(a, shape).reshape(-1) for a in c) for c in outer]
+        own = tuple(np.broadcast_to(a, shape).reshape(-1) for a in (lo, logS + logt, hi, up))
+        inner = _level_sum(levels, idx + 1, rules, carried + [own], geo, jet)
+    if jet is None:
+        if last:
+            return G.sum(axis=0)
+        G *= inner.reshape(shape)
         return G.sum(axis=0)
-    carried = [tuple(np.broadcast_to(a, shape).reshape(-1) for a in c) for c in outer]
-    own = tuple(np.broadcast_to(a, shape).reshape(-1) for a in (lo, logS + logt, hi, up))
-    inner = _level_sum(levels, idx + 1, rules, carried + [own], geo)
-    G *= inner.reshape(shape)
-    return G.sum(axis=0)
+    P = _level_series(jet, levels, idx, geo, lo, hi, outer, shape)
+    if last:
+        out = np.zeros((2, width, size))
+        if P is None:
+            out[:, 0] = G.sum(axis=0)
+        else:
+            out[0] = np.einsum("cts,ts->cs", P, G)
+            out[1] = np.einsum("cts,ts->cs", np.abs(P), G)
+        return out
+    inner = inner.reshape((2, width) + shape)
+    if P is not None:
+        inner = product(jet.tables, P, inner)
+    return np.einsum("kcts,ts->kcs", inner, G)
 
 
-def _nested(levels, rules, geo):
-    return float(_level_sum(levels, 0, rules, [], geo)[0])
+def _nested(levels, rules, geo, jet=None):
+    total = _level_sum(levels, 0, rules, [], geo, jet)
+    return float(total[0]) if jet is None else total[..., 0]
 
 
 class QuadratureError(ArithmeticError):
@@ -353,10 +445,18 @@ _GRID_BUDGET = 2.5e8
 _PROBE_STEP = 0.5
 # relative rounding error of the nested sum, per level
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
-# steps that met rel_tol for (dims, counts, kappa, rel_tol): later points
-# start from them, so nearby points use one rule and the values stay
-# smooth in x, which the finite-difference checks rely on
+# steps that met rel_tol for (dims, counts, kappa, rel_tol), and with the
+# index set appended for a jet: later points start from them and skip the
+# probes, and nearby points use one rule, so the values stay smooth in x
+# for the finite differences of a black-box evaluator
 _STEPS = {}
+
+
+def _relative_change(value, moved):
+    if isinstance(value, float):
+        return abs(moved - value) / value if value > 0 else 0.0
+    change, gross = np.abs(moved[0] - value[0]), value[1]
+    return float(np.max(np.divide(change, gross, out=np.zeros_like(change), where=gross > 0)))
 
 
 def _halve(levels, steps, sums, target, head):
@@ -367,6 +467,8 @@ def _halve(levels, steps, sums, target, head):
     shifted by half a step, which differs by twice that level's error.
     No grid over the node budget is summed.  Returns the steps, the
     estimate, and None or why the largest share cannot be halved.
+    A jet's sums are judged coefficient by coefficient, each against the
+    sum of the moduli of its terms, and the worst one counts.
     """
     steps, halved, floor = list(steps), "", len(levels) * _ROUNDING
     while True:
@@ -378,7 +480,7 @@ def _halve(levels, steps, sums, target, head):
             )
         at = tuple(steps)
         pairs = [sums(at, k) for k in range(len(levels))]
-        ests = [abs(moved - value) / value if value > 0 else 0.0 for value, moved in pairs]
+        ests = [_relative_change(value, moved) for value, moved in pairs]
         est = sum(ests) + floor
         if est <= target:
             return steps, est, None
@@ -392,7 +494,7 @@ def _halve(levels, steps, sums, target, head):
         steps[k] /= 2.0
 
 
-def _quadrature(levels, geo, rel_tol, key):
+def _quadrature(levels, geo, rel_tol, key, jet=None):
     """The nested sum and its error estimate, from two runs of _halve.
 
     A key seen before starts from the steps that met rel_tol for it.  A
@@ -406,15 +508,23 @@ def _quadrature(levels, geo, rel_tol, key):
     full-grid sum and its estimate the full grid's, never a probe's; the
     two runs share one memo of direct sums, and one list of unshifted
     rules per grid.
+
+    With a _JetPlan (key then ends with the index set) the full-grid sums
+    are jets, and every coefficient comes back with its own absolute
+    estimate: the shifts' changes summed over the levels plus the rounding
+    floor of the sum of moduli.  A cold jet starts from the steps of its
+    value's key when those are known and is planned on probes of the
+    value alone when not; the full-grid run then holds every coefficient
+    to rel_tol.
     """
     ell = len(levels)
     head = f"rho with l={ell} screening variables at rel_tol={rel_tol:g}"
     memo = {}
     unshifted = {}
 
-    def direct(steps, shifted):
+    def direct(steps, shifted, plan=jet):
         # the nested sum at steps, with level `shifted` moved by half a step
-        value = memo.get((steps, shifted))
+        value = memo.get((steps, shifted, plan is None))
         if value is None:
             rules = unshifted.get(steps)
             if rules is None:
@@ -424,18 +534,18 @@ def _quadrature(levels, geo, rel_tol, key):
             if shifted is not None:
                 rules = list(rules)
                 rules[shifted] = _unit_rule(levels[shifted], steps[shifted], 0.5)
-            value = memo[steps, shifted] = _nested(levels, rules, geo)
+            value = memo[steps, shifted, plan is None] = _nested(levels, rules, geo, plan)
         return value
 
     def probe(steps, k):
         def grid(h):
             return tuple(h if i == k else _PROBE_STEP for i in range(ell))
 
-        h, value = _PROBE_STEP, direct(grid(_PROBE_STEP), None)
+        h, value = _PROBE_STEP, direct(grid(_PROBE_STEP), None, None)
         while h > steps[k]:
-            value = 0.5 * (value + direct(grid(h), k))
+            value = 0.5 * (value + direct(grid(h), k, None))
             h /= 2.0
-        return value, direct(grid(h), k)
+        return value, direct(grid(h), k, None)
 
     def full(steps, k):
         return direct(steps, None), direct(steps, k)
@@ -449,6 +559,8 @@ def _quadrature(levels, geo, rel_tol, key):
             _record(**{counter: len(memo) - before})
 
     steps = _STEPS.get(key)
+    if steps is None and jet is not None:
+        steps = _STEPS.get(key[:-1])
     if steps is None:
         steps, _, _ = run([_PROBE_STEP] * ell, probe, 0.5 * rel_tol, "probe_evals")
     steps, est, stuck = run(steps, full, rel_tol, "grid_evals")
@@ -456,8 +568,11 @@ def _quadrature(levels, geo, rel_tol, key):
         raise QuadratureError(f"{head}: error estimate {est:.2e}; {stuck}")
     steps = _STEPS[key] = tuple(steps)
     # the full run's last pass summed this grid
-    value = memo[steps, None]
-    return value, est * value
+    value = memo[steps, None, jet is None]
+    if jet is None:
+        return value, est * value
+    change = sum(np.abs(memo[steps, k, False][0] - value[0]) for k in range(ell))
+    return value[0], change + ell * _ROUNDING * value[1]
 
 
 def _check_rel_tol(rel_tol):
@@ -465,12 +580,19 @@ def _check_rel_tol(rel_tol):
         raise ValueError("rel_tol must be positive")
 
 
-def _rho(c, dims, m, kappa, rel_tol):
-    """The screened integral and its absolute error estimate."""
+def _rho(c, dims, m, kappa, rel_tol, jet=None):
+    """The screened integral and its absolute error estimate.
+
+    jet = (index, moves) asks for the Taylor jet in the marked points over
+    the closed index set `index` instead, with the anchor moving as
+    sum_i moves[i] x_i: both come back as arrays over the index set.
+    """
     _check_rel_tol(rel_tol)
     dims, counts = _dims_counts(dims, m, c.n)
     _check_convergent(dims, kappa)
     pref = _x_prefactor(c.xs, dims, kappa)
+    if jet is not None:
+        return _rho_jet(c, dims, counts, kappa, rel_tol, pref, *jet)
     if sum(counts) == 0:
         return pref, 0.0
     betas = _betas(dims, kappa)
@@ -481,6 +603,50 @@ def _rho(c, dims, m, kappa, rel_tol):
     return pref * value, pref * est
 
 
+def _rho_jet(c, dims, counts, kappa, rel_tol, pref, index, moves):
+    # the nested sums carry the distances that move with the nodes; the
+    # prefactor's pair distances and the interval every level scales with
+    # move with no node, so their jet multiplies the sums' once
+    tab = jet_tables(index)
+    units = np.zeros((c.n + 1, len(tab.active)))
+    for a, i in enumerate(tab.active):
+        units[0, a] = moves[i]
+        units[i + 1, a] = 1.0
+    plan = _JetPlan(tab, tuple(tuple((a, u) for a, u in enumerate(row) if u) for row in units))
+    x_ext = (c.x0,) + c.xs
+
+    def between(a, b):
+        # (1 / (y_b - y_a), -(motion of y_b - y_a)) for chamber coordinates a < b
+        return 1.0 / (x_ext[b] - x_ext[a]), {p: r for p, r in enumerate(units[a] - units[b]) if r}
+
+    steady = []
+    for i in range(c.n):
+        for k in range(i + 1, c.n):
+            e = 2.0 * (dims[i] - 1) * (dims[k] - 1) / kappa
+            if e:
+                steady.append((e, *between(i + 1, k + 1)))
+    size = len(index)
+    if sum(counts) == 0:
+        value, est = np.eye(1, size)[0], np.zeros(size)
+    else:
+        betas = _betas(dims, kappa)
+        levels = _build_levels(counts, betas, kappa)
+        geo = _geometry(levels, x_ext, betas, kappa)
+        for idx, lev in enumerate(levels):
+            i = lev.group
+            # the interval's power, pairs with the ancestors but the parent,
+            # and below the top the group's own upper charge
+            e = 1.0 + lev.aL + lev.aR - lev.env
+            e += geo.pair * sum(1 for p in range(idx - 1) if levels[p].group == i)
+            if not lev.top:
+                e -= betas[i]
+            steady.append((e, *between(i - 1, i)))
+        key = (dims, counts, float(kappa), rel_tol, index)
+        value, est = _quadrature(levels, geo, rel_tol, key, plan)
+    out = product(tab, exp_series(tab, log_series(tab, (), {}, steady)), np.stack((value, est)))
+    return pref * out[0], pref * out[1]
+
+
 def rho(c: ChamberPoint, dims, m, kappa, rel_tol: float = 1e-9) -> float:
     """Screened integral over the nested ordered simplices.
 
@@ -488,8 +654,16 @@ def rho(c: ChamberPoint, dims, m, kappa, rel_tol: float = 1e-9) -> float:
     kappa to exceed 4(max d_i - 1); outside that regime the integral
     diverges and the call is refused.  The value meets rel_tol by the
     quadrature's own estimate, which an eval_stats() block receives, or
-    the call raises QuadratureError.
+    the call raises QuadratureError.  Marked points given as a JetPoint
+    return the Taylor jet in them, the anchor held fixed, as a Jet whose
+    coefficients each meet rel_tol against the sum of the moduli of their
+    terms.
     """
+    if isinstance(c.xs, JetPoint):
+        index = c.xs.index
+        value, est = _rho(c, dims, m, kappa, rel_tol, (index, (0.0,) * c.n))
+        _record(float(est[0]))
+        return Jet(index, dict(zip(index, value.tolist())), dict(zip(index, est.tolist())))
     value, est = _rho(c, dims, m, kappa, rel_tol)
     _record(est)
     return value

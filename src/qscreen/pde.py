@@ -1,33 +1,41 @@
 """Numeric checks for the differential equations and Mobius covariance.
 
-The annihilating operators are sums over ordered compositions of first
-order pieces L_{-n}, each applied through central finite differences of
-the full evaluator; nothing is differentiated symbolically.
+Every operator check asks its evaluator once for the Taylor jet of its
+value: it calls it at a JetPoint that lists the multi-indices the
+operator reads.  F_hwv differentiates under the screening integrals and
+returns a Jet, each coefficient with its error estimate.  Any other
+evaluator is a black box: the plain number it returns seeds the origin of
+a lattice, and central differences on that lattice, extrapolated over two
+strides, fill exactly the multi-indices the operator reads.
 
-Every operator check runs through one path.  At each stride the operator
-lists its terms in groups: one per composition of an annihilating
-operator (each term times the composition's coefficient), a single group
-for the growth process, translation and Euler operators.  The residual
-is the Richardson extrapolation of the per-stride total.  It comes with
-a scale, the largest |group sum| or |term| at the finest stride, so
-callers can judge it relatively.
+Each operator is one formula applied to the jet.  It lists its terms in
+groups: one per composition of an annihilating operator, whose first
+order pieces L_{-n} act on jets through the jets of their coefficients
+and d/dx_i, and a single group for the growth process, translation and
+Euler operators.  The residual is the sum of the terms.  It comes with a
+scale, the largest |group sum| or |term|, so callers can judge it
+relatively.  A jet's error estimates propagate to the residual; where
+the scale does not exceed that estimate, F vanishes within its error
+estimate, no ratio of the two means anything, and the check raises.
 
-Stencil points live on a shared lattice at the finest refinement level,
-so evaluator calls are cached once across all Richardson levels and all
-groups.  That matters when the evaluator hides a quadrature.  The step h
-is relative: the stencil spacing is h times the smallest gap between
-consecutive coordinates.  Stencils are of order _STENCIL_ORDER and
-extrapolated over _RICHARDSON_LEVELS strides.
+The step h of the black-box path is relative: the stencil spacing is h
+times the smallest gap between consecutive coordinates.  Stencils are of
+order _STENCIL_ORDER and extrapolated over _RICHARDSON_LEVELS strides.
+Evaluator calls are counted inside a check_stats() block.
 """
 
+import contextvars
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 
 from .coulomb import _check_increasing, _check_kappa, _x_prefactor, h_weight
 from .correspondence import F_hwv
+from .jet import Jet, JetPoint
 from .uqsl2 import is_hwv
 
 
@@ -103,58 +111,111 @@ def build_bsa(j, dims, kappa):
     return BsaOperator(j, d, dims, float(kappa), tuple(terms))
 
 
-# -- finite difference engine ----------------------------------------------
+# -- evaluator calls and jets ----------------------------------------------
 
 
-def _lattice(f, x, h_fine):
-    def base(k):
-        return f(tuple(xi + h_fine * ki for xi, ki in zip(x, k)))
+@dataclass
+class CheckStats:
+    """Evaluator calls made by the checks inside a check_stats() block."""
 
-    return cache(base)
-
-
-def _shift(k, i, step):
-    return k[:i] + (k[i] + step,) + k[i + 1 :]
+    evals: int = 0
 
 
-def _derivative(g, k, i, stride, h):
-    return (
-        -g(_shift(k, i, 2 * stride))
-        + 8.0 * g(_shift(k, i, stride))
-        - 8.0 * g(_shift(k, i, -stride))
-        + g(_shift(k, i, -2 * stride))
-    ) / (12.0 * h)
+_STATS = contextvars.ContextVar("qscreen_check_stats", default=None)
 
 
-def _second_derivative(g, k, i, stride, h):
-    return (
-        -g(_shift(k, i, 2 * stride))
-        + 16.0 * g(_shift(k, i, stride))
-        - 30.0 * g(k)
-        + 16.0 * g(_shift(k, i, -stride))
-        - g(_shift(k, i, -2 * stride))
-    ) / (12.0 * h * h)
+@contextmanager
+def check_stats():
+    """Count the evaluator calls of the checks made inside the block."""
+    stats = CheckStats()
+    token = _STATS.set(stats)
+    try:
+        yield stats
+    finally:
+        _STATS.reset(token)
 
 
-def _lower(p, g, j0, x, h_fine, stride, weights):
-    # pieces(k) lists the terms of (L_p g)(k), one per point i other than j0
-    h = h_fine * stride
-    n = len(x)
+def _call(f, y):
+    stats = _STATS.get()
+    if stats is not None:
+        stats.evals += 1
+    return f(y)
 
-    def pieces(k):
-        yj = x[j0] + h_fine * k[j0]
-        out = []
-        for i in range(n):
-            if i == j0:
-                continue
-            dy = x[i] + h_fine * k[i] - yj
-            piece = dy ** (1 + p) * _derivative(g, k, i, stride, h)
-            if p != -1:
-                piece += (1 + p) * weights[i] * dy**p * g(k)
-            out.append(-piece)
-        return out
 
-    return pieces
+def _multi_index(n, raised=()):
+    # the multi-index over n points raising point i by k for (i, k) in raised
+    alpha = [0] * n
+    for i, k in raised:
+        alpha[i] += k
+    return tuple(alpha)
+
+
+def _term(jet, factor, alpha):
+    """factor times the Taylor coefficient alpha, with its error."""
+    return factor * jet.coeffs[alpha], abs(factor) * jet.errs[alpha]
+
+
+def _operator_check(f, x, reads, order, h, groups_of):
+    """Residual and scale of an operator on the jet of f at x.
+
+    groups_of(jet) lists the operator's terms in groups, each term as
+    (value, error estimate).
+    """
+    if not h > 0:
+        raise ValueError("step must be positive")
+    got = _call(f, JetPoint(x, reads))
+    analytic = isinstance(got, Jet)
+    jet = got if analytic else _fd_jet(f, x, reads, order, h, got)
+    groups = groups_of(jet)
+    sums = [sum(value for value, _ in group) for group in groups]
+    scale = max(max([abs(s)] + [abs(value) for value, _ in group])
+                for s, group in zip(sums, groups))
+    err = sum(e for group in groups for _, e in group)
+    if analytic and not scale > err:
+        raise ValueError(
+            "F vanishes within its error estimate under this operator: its"
+            f" largest term {scale:.2e} does not exceed the residual's estimate {err:.2e}"
+        )
+    return sum(sums), scale
+
+
+# -- the black-box path: a jet from finite differences ---------------------
+
+
+_FIRST = {-2: Fraction(1, 12), -1: Fraction(-2, 3), 1: Fraction(2, 3), 2: Fraction(-1, 12)}
+_SECOND = {-2: Fraction(-1, 12), -1: Fraction(4, 3), 0: Fraction(-5, 2),
+           1: Fraction(4, 3), 2: Fraction(-1, 12)}
+
+
+@cache
+def _stencil(k):
+    """Offsets and weights of a central difference for the k-th derivative
+    with error O(h^4): the second-derivative stencil k // 2 times and the
+    first-derivative one k % 2 times, composed."""
+    weights = {0: Fraction(1)}
+    for factor in [_SECOND] * (k // 2) + [_FIRST] * (k % 2):
+        out = {}
+        for a, wa in weights.items():
+            for b, wb in factor.items():
+                out[a + b] = out.get(a + b, 0) + wa * wb
+        weights = out
+    return tuple((o, float(w)) for o, w in sorted(weights.items()) if w)
+
+
+def _difference(g, alpha, stride, step):
+    # the tensor product of the one-dimensional stencils, as a Taylor
+    # coefficient
+    points = {(0,) * len(alpha): 1.0}
+    for i, k in enumerate(alpha):
+        if k:
+            moved = {}
+            for key, w in points.items():
+                for o, wo in _stencil(k):
+                    at = key[:i] + (key[i] + o * stride,) + key[i + 1:]
+                    moved[at] = moved.get(at, 0.0) + w * wo
+            points = moved
+    total = sum(w * g(key) for key, w in points.items())
+    return total / (step ** sum(alpha) * math.prod(math.factorial(k) for k in alpha))
 
 
 def _richardson(values):
@@ -172,12 +233,11 @@ def _richardson(values):
 
 
 def _steps(h, x, total_order):
-    if not h > 0:
-        raise ValueError("step must be positive")
     gap = min((b - a for a, b in zip(x, x[1:])), default=1.0)
     h_abs = h * gap
-    # total_order nested derivatives move a point by up to 2 * total_order
-    # coarse steps, and the points must not meet or cross
+    # the difference of a multi-index moves point i by up to
+    # 2 ceil(alpha_i / 2) <= 2 alpha_i coarse steps, so two neighbours close
+    # in by at most 2 * total_order of them, and they must not meet or cross
     if not gap > 2 * total_order * h_abs:
         raise ValueError(
             f"clearance {gap:g} is not above 2*{total_order} stencil steps of {h_abs:g}"
@@ -188,18 +248,71 @@ def _steps(h, x, total_order):
     return h_fine, strides
 
 
-def _extrapolated_sum(f, x, total_order, h, groups_at):
-    # groups_at(g, stride, step) lists the operator's terms on the lattice
-    # evaluator g in groups; strides run coarse to fine
+def _fd_jet(f, x, reads, total_order, h, value):
+    """The Taylor coefficients `reads` of the black-box evaluator f, from
+    central differences on a lattice of step h_fine whose origin holds
+    value, extrapolated over the strides."""
     h_fine, strides = _steps(h, x, total_order)
-    base = _lattice(f, x, h_fine)
-    totals = []
-    for stride in strides:
-        groups = groups_at(base, stride, h_fine * stride)
-        sums = [sum(group) for group in groups]
-        totals.append(sum(sums))
-    scale = max(max([abs(s)] + [abs(t) for t in g]) for s, g in zip(sums, groups))
-    return _richardson(totals), scale
+    memo = {(0,) * len(x): value}
+
+    def g(k):
+        got = memo.get(k)
+        if got is None:
+            got = memo[k] = _call(f, tuple(xi + h_fine * ki for xi, ki in zip(x, k)))
+        return got
+
+    coeffs = {}
+    for alpha in reads:
+        if any(alpha):
+            coeffs[alpha] = _richardson([_difference(g, alpha, s, h_fine * s) for s in strides])
+        else:
+            coeffs[alpha] = value
+    return Jet(tuple(coeffs), coeffs, dict.fromkeys(coeffs, 0.0))
+
+
+# -- the operators on jets -------------------------------------------------
+
+
+def _power_series(dy, q, order):
+    # Taylor coefficients of (dy + t)**q in t up to t**order
+    out, c = [], 1.0
+    for m in range(order + 1):
+        out.append(c * dy ** (q - m))
+        c *= (q - m) / (m + 1)
+    return out
+
+
+def _lower(p, jet, j0, x, weights):
+    """L_p on a jet: the jet of L_p f on one total order less, and the
+    terms of (L_p f)(x), one per point i other than j0, as (value, error).
+
+    L_p = -sum_{i != j0} ((x_i-x_j0)**(1+p) d/dx_i + (1+p) h_i (x_i-x_j0)**p),
+    each product taken with the Taylor jet of the coefficient in x_i."""
+    coeffs, errs = jet.coeffs, jet.errs
+    top = max(sum(alpha) for alpha in jet.index)
+    target = [alpha for alpha in jet.index if sum(alpha) < top]
+    out = dict.fromkeys(target, 0.0)
+    out_err = dict.fromkeys(target, 0.0)
+    pieces = []
+    for i in range(len(x)):
+        if i == j0:
+            continue
+        dy = x[i] - x[j0]
+        grow = _power_series(dy, 1 + p, top)
+        scale = [(1 + p) * weights[i] * c for c in _power_series(dy, p, top)]
+        for alpha in target:
+            value = err = 0.0
+            for m in range(alpha[i] + 1):
+                beta = alpha[:i] + (alpha[i] - m,) + alpha[i + 1:]
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                d = beta[i] + 1
+                value += grow[m] * d * coeffs[up] + scale[m] * coeffs[beta]
+                err += abs(grow[m]) * d * errs[up] + abs(scale[m]) * errs[beta]
+            out[alpha] -= value
+            out_err[alpha] += err
+            if not any(alpha):
+                pieces.append((-value, err))
+    return Jet(tuple(target), out, out_err), pieces
 
 
 def apply_bsa(op, f, x, h=1e-3):
@@ -208,7 +321,8 @@ def apply_bsa(op, f, x, h=1e-3):
     Returns (residual, scale).  The scale is the largest term that entered
     the cancellation, so residual/scale is the meaningful smallness.  Any
     auxiliary parameter of the evaluator (an anchor point for instance)
-    must stay fixed while the points move.  h is the relative step.
+    must stay fixed while the points move.  h is the relative step of a
+    black-box evaluator.
     """
     x = tuple(float(xi) for xi in x)
     if len(x) != len(op.dims):
@@ -216,20 +330,26 @@ def apply_bsa(op, f, x, h=1e-3):
     _check_increasing(x)
     weights = tuple(h_weight(d_, op.kappa) for d_ in op.dims)
     j0 = op.j - 1
+    n = len(x)
+    others = [i for i in range(n) if i != j0]
+    reads = [
+        _multi_index(n, [(i, 1) for i in combo])
+        for k in range(op.order + 1)
+        for combo in combinations_with_replacement(others, k)
+    ]
 
-    def groups_at(g, stride, step):
-        h_fine = step / stride
+    def groups_of(jet):
         groups = []
         for term in op.compositions:
-            inner = g
+            inner = jet
             for n_a in reversed(term.factors[1:]):
-                pieces = _lower(-n_a, inner, j0, x, h_fine, stride, weights)
-                inner = cache(lambda k, pieces=pieces: sum(pieces(k)))
-            outer = _lower(-term.factors[0], inner, j0, x, h_fine, stride, weights)
-            groups.append([term.coefficient * piece for piece in outer((0,) * len(x))])
+                inner, _ = _lower(-n_a, inner, j0, x, weights)
+            _, pieces = _lower(-term.factors[0], inner, j0, x, weights)
+            c = term.coefficient
+            groups.append([(c * value, abs(c) * err) for value, err in pieces])
         return groups
 
-    return _extrapolated_sum(f, x, op.order, h, groups_at)
+    return _operator_check(f, x, reads, op.order, h, groups_of)
 
 
 def vertex_prefactor(dims, kappa):
@@ -251,20 +371,22 @@ def sle_pde_check(f, x, kappa, j, h=1e-3):
         raise ValueError(f"position {j} out of range for n={len(x)}")
     _check_kappa(kappa)
     hw = (6.0 - kappa) / (2.0 * kappa)
+    n = len(x)
     j0 = j - 1
-    origin = (0,) * len(x)
+    others = [i for i in range(n) if i != j0]
+    origin = _multi_index(n)
+    reads = [origin, _multi_index(n, [(j0, 2)])] + [_multi_index(n, [(i, 1)]) for i in others]
 
-    def groups_at(g, stride, step):
-        pieces = [0.5 * kappa * _second_derivative(g, origin, j0, stride, step)]
-        for i in range(len(x)):
-            if i == j0:
-                continue
+    def groups_of(jet):
+        # the second derivative is twice its Taylor coefficient
+        terms = [_term(jet, kappa, _multi_index(n, [(j0, 2)]))]
+        for i in others:
             dy = x[i] - x[j0]
-            pieces.append(2.0 / dy * _derivative(g, origin, i, stride, step))
-            pieces.append(-2.0 * hw / dy**2 * g(origin))
-        return [pieces]
+            terms.append(_term(jet, 2.0 / dy, _multi_index(n, [(i, 1)])))
+            terms.append(_term(jet, -2.0 * hw / dy**2, origin))
+        return [terms]
 
-    return _extrapolated_sum(f, x, 2, h, groups_at)
+    return _operator_check(f, x, reads, 2, h, groups_of)
 
 
 _PROPORTIONALITY_SAMPLES = 20
@@ -309,28 +431,27 @@ def translation_check(f, x, h=1e-3):
     """Sum of all first derivatives at x; scale is the largest one."""
     x = tuple(float(xi) for xi in x)
     _check_increasing(x)
-    origin = (0,) * len(x)
+    reads = [_multi_index(len(x), [(i, 1)]) for i in range(len(x))]
 
-    def groups_at(g, stride, step):
-        return [[_derivative(g, origin, i, stride, step) for i in range(len(x))]]
+    def groups_of(jet):
+        return [[_term(jet, 1.0, alpha) for alpha in reads]]
 
-    return _extrapolated_sum(f, x, 1, h, groups_at)
+    return _operator_check(f, x, reads, 1, h, groups_of)
 
 
 def euler_check(f, x, degree, h=1e-3):
     """Euler operator sum x_i d/dx_i minus the homogeneity degree."""
     x = tuple(float(xi) for xi in x)
     _check_increasing(x)
-    origin = (0,) * len(x)
+    n = len(x)
+    firsts = [_multi_index(n, [(i, 1)]) for i in range(n)]
 
-    def groups_at(g, stride, step):
-        pieces = [
-            x[i] * _derivative(g, origin, i, stride, step) for i in range(len(x))
-        ]
-        pieces.append(-degree * g(origin))
-        return [pieces]
+    def groups_of(jet):
+        terms = [_term(jet, x[i], alpha) for i, alpha in enumerate(firsts)]
+        terms.append(_term(jet, -degree, _multi_index(n)))
+        return [terms]
 
-    return _extrapolated_sum(f, x, 1, h, groups_at)
+    return _operator_check(f, x, [_multi_index(n)] + firsts, 1, h, groups_of)
 
 
 def mobius_check(v, mu, x, kappa, rel_tol=1e-9):

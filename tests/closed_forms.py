@@ -145,3 +145,39 @@ def reduction_entries_by_enumeration(dims, counts):
         if not val.is_zero():
             out[m] = val
     return out
+
+
+def _gamma(x) -> float:
+    """Gamma through math.lgamma, with its sign on the negative axis."""
+    if x <= 0 and x == int(x):
+        raise ValueError("Gamma has a pole at non-positive integers")
+    sign = -1.0 if x < 0 and math.ceil(-x) % 2 else 1.0
+    return sign * math.exp(math.lgamma(x))
+
+
+def hyp2f1(a, b, c, z) -> float:
+    """Gauss hypergeometric 2F1(a, b; c; z) for real 0 <= z < 1.
+
+    The power series sums directly for z <= 1/2.  Above that, the
+    z <-> 1 - z connection formula (Abramowitz-Stegun 15.3.6) maps it to
+    two series in 1 - z; it needs c - a - b away from the integers.
+    """
+    if not 0.0 <= z < 1.0:
+        raise ValueError("z must lie in [0, 1)")
+    if z > 0.5:
+        s = c - a - b
+        if s == round(s):
+            raise ValueError("c - a - b is an integer: the connection is degenerate")
+        w = 1.0 - z
+        first = _gamma(c) * _gamma(s) / (_gamma(c - a) * _gamma(c - b))
+        second = _gamma(c) * _gamma(-s) / (_gamma(a) * _gamma(b))
+        return (first * hyp2f1(a, b, 1.0 - s, w)
+                + second * w**s * hyp2f1(c - a, c - b, 1.0 + s, w))
+    term, total, k = 1.0, 1.0, 0
+    while abs(term) > 1e-17 * abs(total):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+        k += 1
+        if k > 10_000:
+            raise ArithmeticError("2F1 series did not converge")
+    return total

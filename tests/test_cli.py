@@ -261,6 +261,38 @@ def test_verify_all_collects_every_suite(capsys):
     assert prefixes == {"qg", "reduction", "pde", "cov", "asy", "infinity", "cyclic"}
 
 
+def test_verify_reports_evaluator_calls_and_seconds(capsys):
+    # the operator checks on F ask it once per check for a jet; the
+    # black-box checks walk a finite-difference lattice
+    report = {}
+    for suite in ("pde", "cov"):
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 0
+        report.update({c["name"]: c for c in json.loads(out)["checks"]})
+    costed = {name for name in report
+              if name.startswith("pde.") or name.endswith("_generator")}
+    assert costed == {
+        "pde.growth_process_equation",
+        "pde.operator_proportionality",
+        "pde.vertex_prefactor_null",
+        "cov.translation_generator",
+        "cov.euler_generator",
+    }
+    for name, check in report.items():
+        if name in costed:
+            assert isinstance(check["evals"], int)
+            assert check["seconds"] >= 0.0
+        else:
+            assert "evals" not in check and "seconds" not in check
+    assert report["pde.growth_process_equation"]["evals"] == 2
+    assert report["cov.translation_generator"]["evals"] == 1
+    assert report["cov.euler_generator"]["evals"] == 1
+    # 20 random functions, each through the direct equation and the composed
+    # operator on its own lattice
+    assert report["pde.operator_proportionality"]["evals"] > 40
+    assert report["pde.vertex_prefactor_null"]["evals"] > 1
+
+
 def test_verify_failure_gives_nonzero_exit(capsys):
     code, out, _ = run(capsys, "verify", "reduction", "--tol", "1e-30")
     assert code == 1

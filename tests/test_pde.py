@@ -6,9 +6,11 @@ import pytest
 
 from qscreen.coulomb import h_weight
 from qscreen.correspondence import F_hwv
+from qscreen.jet import JetPoint
 from qscreen.pde import (
     apply_bsa,
     build_bsa,
+    check_stats,
     euler_check,
     mobius_check,
     sle_pde_check,
@@ -272,3 +274,98 @@ def test_special_conformal_identity_feels_perturbations(dims):
 def test_special_conformal_identity_needs_integer_count():
     with pytest.raises(ValueError, match="even"):
         special_conformal_identity_check((2, 3))
+
+
+# -- one jet pass against the black-box path -------------------------------
+
+
+def _quartet_vector(k):
+    basis = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)
+    return basis[0] + basis[1] if k == "sum" else basis[k]
+
+
+_GRID = (0.0, 1.0, 2.0, 4.0)
+_QUARTET_DEGREE = -4.0 * h_weight(2, KAPPA)
+# every F_hwv evaluator the operator checks of test_pde and test_acceptance
+# see: (vector, kappa, point, check, total order of the operator)
+F_HWV_CASES = (
+    [(("quartet", 0), KAPPA, _GRID, ("bsa", j), 2) for j in (1, 2, 3, 4)]
+    + [(("quartet", 1), KAPPA, _GRID, ("bsa", j), 2) for j in (1, 2, 3, 4)]
+    + [(("quartet", 0), KAPPA, _GRID, ("sle", j), 2) for j in (1, 2)]
+    + [(("quartet", k), KAPPA, _GRID, ("translation",), 1) for k in (0, "sum")]
+    + [(("quartet", k), KAPPA, _GRID, ("euler", _QUARTET_DEGREE), 1) for k in (0, "sum")]
+    + [(("pair",), 8.0, (0.3, 1.4), ("translation",), 1),
+       (("pair",), 8.0, (0.3, 1.4), ("euler", 0.25), 1)]
+)
+# the black-box path's error: its fourth order stencils extrapolated over two
+# strides leave about 1e-7 of the scale at total order two and 1e-11 at one
+FD_ERROR = {1: 1e-10, 2: 1e-6}
+
+
+def _run_case(vector, kappa, x, check, f):
+    if check[0] == "bsa":
+        return apply_bsa(build_bsa(check[1], vector.space.dims, kappa), f, x)
+    if check[0] == "sle":
+        return sle_pde_check(f, x, kappa, check[1])
+    if check[0] == "translation":
+        return translation_check(f, x)
+    return euler_check(f, x, check[1])
+
+
+@pytest.mark.parametrize("which, kappa, x, check, order", F_HWV_CASES)
+def test_jet_path_agrees_with_the_black_box_path(which, kappa, x, check, order):
+    vector = hwv_pair(2, 2, 1) if which[0] == "pair" else _quartet_vector(which[1])
+    points = []
+
+    def jets(y):
+        points.append(y)
+        return F_hwv(vector, y, kappa)
+
+    with check_stats() as stats:
+        residual, scale = _run_case(vector, kappa, x, check, jets)
+    # one evaluator call, asking for a jet, and a jet comes back
+    assert len(points) == 1 and isinstance(points[0], JetPoint)
+    assert stats.evals == 1
+    # tuple() strips the request: the same function as a black box
+    with check_stats() as stats:
+        fd_residual, fd_scale = _run_case(
+            vector, kappa, x, check, lambda y: F_hwv(vector, tuple(y), kappa))
+    assert stats.evals > 1
+    assert abs(residual - fd_residual) <= FD_ERROR[order] * fd_scale
+    assert abs(scale - fd_scale) <= FD_ERROR[order] * fd_scale
+    # and the jet path is held to the quadrature's accuracy, far below the
+    # finite-difference floor
+    assert abs(residual) <= 1e-8 * scale
+
+
+def test_vanishing_function_raises_instead_of_a_ratio():
+    # at kappa = 6 every h_{1,2} is zero and the functions of the trivial
+    # vectors of (2,)^4 are constant, so every term of an operator vanishes
+    # up to quadrature error: a ratio of noise to noise means nothing
+    v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
+    with pytest.raises(ValueError, match="F vanishes within its error estimate"):
+        sle_pde_check(lambda y: F_hwv(v, y, 6.0), _GRID, 6.0, 1)
+    with pytest.raises(ValueError, match="F vanishes within its error estimate"):
+        apply_bsa(build_bsa(2, v.space.dims, 6.0), lambda y: F_hwv(v, y, 6.0), _GRID)
+    with pytest.raises(ValueError, match="F vanishes within its error estimate"):
+        translation_check(lambda y: F_hwv(v, y, 6.0), _GRID)
+    # nearby it does not
+    residual, scale = sle_pde_check(lambda y: F_hwv(v, y, 6.5), _GRID, 6.5, 1)
+    assert abs(residual) <= 1e-8 * scale
+
+
+def test_black_box_evaluators_see_plain_points():
+    # a black box gets the jet request once, at the point itself, and
+    # plain tuples on the lattice; its number seeds the lattice origin
+    seen = []
+
+    def f(y):
+        seen.append(y)
+        return power_product((2, 2), KAPPA)(y)
+
+    with check_stats() as stats:
+        sle_pde_check(f, (0.3, 1.4), KAPPA, 1)
+    assert isinstance(seen[0], JetPoint) and tuple(seen[0]) == (0.3, 1.4)
+    assert all(type(y) is tuple for y in seen[1:])
+    assert (0.3, 1.4) not in seen[1:]
+    assert stats.evals == len(seen)
