@@ -385,17 +385,16 @@ def _pde_checks(config):
         return worst
 
     worst, cost = _costed(growth)
-    checks = [_check("pde.growth_process_equation", worst, _scaled(config, 1e-4), cost=cost)]
+    checks = [_check("pde.growth_process_equation", worst, _scaled(config, 1e-8), cost=cost)]
     deviation, cost = _costed(lambda: sle_proportionality_check(x, kappa, 2, seed=config.seed))
     checks.append(
-        _check("pde.operator_proportionality", deviation, _scaled(config, 1e-8), cost=cost)
+        _check("pde.operator_proportionality", deviation, _scaled(config, 1e-11), cost=cost)
     )
     op = build_bsa(2, (2, 3, 2), kappa)
-    (residual, scale), cost = _costed(lambda: apply_bsa(
-        op, vertex_prefactor((2, 3, 2), kappa), (0.0, 1.0, 2.5), h=1e-2
-    ))
+    (residual, scale), cost = _costed(
+        lambda: apply_bsa(op, vertex_prefactor((2, 3, 2), kappa), (0.0, 1.0, 2.5)))
     checks.append(
-        _check("pde.vertex_prefactor_null", abs(residual) / scale, _scaled(config, 1e-6),
+        _check("pde.vertex_prefactor_null", abs(residual) / scale, _scaled(config, 1e-12),
                cost=cost)
     )
     return checks

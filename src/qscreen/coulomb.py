@@ -73,13 +73,15 @@ _STATS = contextvars.ContextVar("qscreen_eval_stats", default=None)
 
 @contextmanager
 def eval_stats():
-    """Collect an EvalStats of the evaluations made inside the block."""
+    """Collect an EvalStats of the evaluations made inside the block; an
+    enclosing block receives them too."""
     stats = EvalStats()
     token = _STATS.set(stats)
     try:
         yield stats
     finally:
         _STATS.reset(token)
+        _record(stats.err_est, stats.grid_evals, stats.probe_evals)
 
 
 def _record(err_est=0.0, grid_evals=0, probe_evals=0):
@@ -447,8 +449,7 @@ _PROBE_STEP = 0.5
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 # steps that met rel_tol for (dims, counts, kappa, rel_tol), and with the
 # index set appended for a jet: later points start from them and skip the
-# probes, and nearby points use one rule, so the values stay smooth in x
-# for the finite differences of a black-box evaluator
+# probes
 _STEPS = {}
 
 

@@ -42,8 +42,7 @@ class JetPoint(tuple):
     """Marked points at which an evaluator is asked for the Taylor jet of
     its value over `index`, the closure of the multi-indices given.
 
-    It is a tuple of the coordinates, so an evaluator that cannot
-    differentiate reads it as a point; tuple(point) drops the request.
+    It is a tuple of the coordinates; tuple(point) drops the request.
     """
 
     def __new__(cls, x, reads):

@@ -2,11 +2,10 @@
 
 Every operator check asks its evaluator once for the Taylor jet of its
 value: it calls it at a JetPoint that lists the multi-indices the
-operator reads.  F_hwv differentiates under the screening integrals and
-returns a Jet, each coefficient with its error estimate.  Any other
-evaluator is a black box: the plain number it returns seeds the origin of
-a lattice, and central differences on that lattice, extrapolated over two
-strides, fill exactly the multi-indices the operator reads.
+operator reads, and the evaluator returns a Jet, each coefficient with
+its error estimate.  F_hwv differentiates under the screening integrals;
+vertex_prefactor and the test functions of sle_proportionality_check
+have exact jets.  An evaluator that returns anything else is refused.
 
 Each operator is one formula applied to the jet.  It lists its terms in
 groups: one per composition of an annihilating operator, whose first
@@ -14,13 +13,9 @@ order pieces L_{-n} act on jets through the jets of their coefficients
 and d/dx_i, and a single group for the growth process, translation and
 Euler operators.  The residual is the sum of the terms.  It comes with a
 scale, the largest |group sum| or |term|, so callers can judge it
-relatively.  A jet's error estimates propagate to the residual; where
+relatively.  The jet's error estimates propagate to the residual; where
 the scale does not exceed that estimate, F vanishes within its error
 estimate, no ratio of the two means anything, and the check raises.
-
-The step h of the black-box path is relative: the stencil spacing is h
-times the smallest gap between consecutive coordinates.  Stencils are of
-order _STENCIL_ORDER and extrapolated over _RICHARDSON_LEVELS strides.
 Evaluator calls are counted inside a check_stats() block.
 """
 
@@ -30,17 +25,14 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations_with_replacement
 
-from .coulomb import _check_increasing, _check_kappa, _x_prefactor, h_weight
+import numpy as np
+
+from .coulomb import ChamberPoint, _check_increasing, _check_kappa, eval_stats, h_weight, rho
 from .correspondence import F_hwv
-from .jet import Jet, JetPoint
+from .jet import Jet, JetPoint, exp_series, tables
 from .uqsl2 import is_hwv
-
-
-_STENCIL_ORDER = 4
-_RICHARDSON_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -155,119 +147,29 @@ def _term(jet, factor, alpha):
     return factor * jet.coeffs[alpha], abs(factor) * jet.errs[alpha]
 
 
-def _operator_check(f, x, reads, order, h, groups_of):
+def _operator_check(f, x, reads, groups_of):
     """Residual and scale of an operator on the jet of f at x.
 
     groups_of(jet) lists the operator's terms in groups, each term as
     (value, error estimate).
     """
-    if not h > 0:
-        raise ValueError("step must be positive")
-    got = _call(f, JetPoint(x, reads))
-    analytic = isinstance(got, Jet)
-    jet = got if analytic else _fd_jet(f, x, reads, order, h, got)
+    jet = _call(f, JetPoint(x, reads))
+    if not isinstance(jet, Jet):
+        raise TypeError(
+            "an evaluator called at a JetPoint must return a Jet of its Taylor"
+            f" coefficients, not {type(jet).__name__}"
+        )
     groups = groups_of(jet)
     sums = [sum(value for value, _ in group) for group in groups]
     scale = max(max([abs(s)] + [abs(value) for value, _ in group])
                 for s, group in zip(sums, groups))
     err = sum(e for group in groups for _, e in group)
-    if analytic and not scale > err:
+    if not scale > err:
         raise ValueError(
             "F vanishes within its error estimate under this operator: its"
             f" largest term {scale:.2e} does not exceed the residual's estimate {err:.2e}"
         )
     return sum(sums), scale
-
-
-# -- the black-box path: a jet from finite differences ---------------------
-
-
-_FIRST = {-2: Fraction(1, 12), -1: Fraction(-2, 3), 1: Fraction(2, 3), 2: Fraction(-1, 12)}
-_SECOND = {-2: Fraction(-1, 12), -1: Fraction(4, 3), 0: Fraction(-5, 2),
-           1: Fraction(4, 3), 2: Fraction(-1, 12)}
-
-
-@cache
-def _stencil(k):
-    """Offsets and weights of a central difference for the k-th derivative
-    with error O(h^4): the second-derivative stencil k // 2 times and the
-    first-derivative one k % 2 times, composed."""
-    weights = {0: Fraction(1)}
-    for factor in [_SECOND] * (k // 2) + [_FIRST] * (k % 2):
-        out = {}
-        for a, wa in weights.items():
-            for b, wb in factor.items():
-                out[a + b] = out.get(a + b, 0) + wa * wb
-        weights = out
-    return tuple((o, float(w)) for o, w in sorted(weights.items()) if w)
-
-
-def _difference(g, alpha, stride, step):
-    # the tensor product of the one-dimensional stencils, as a Taylor
-    # coefficient
-    points = {(0,) * len(alpha): 1.0}
-    for i, k in enumerate(alpha):
-        if k:
-            moved = {}
-            for key, w in points.items():
-                for o, wo in _stencil(k):
-                    at = key[:i] + (key[i] + o * stride,) + key[i + 1:]
-                    moved[at] = moved.get(at, 0.0) + w * wo
-            points = moved
-    total = sum(w * g(key) for key, w in points.items())
-    return total / (step ** sum(alpha) * math.prod(math.factorial(k) for k in alpha))
-
-
-def _richardson(values):
-    # values listed coarse to fine; stencil error expands in even powers
-    table = list(values)
-    order = _STENCIL_ORDER
-    while len(table) > 1:
-        factor = 2**order
-        table = [
-            (factor * fine - coarse) / (factor - 1)
-            for coarse, fine in zip(table, table[1:])
-        ]
-        order += 2
-    return table[0]
-
-
-def _steps(h, x, total_order):
-    gap = min((b - a for a, b in zip(x, x[1:])), default=1.0)
-    h_abs = h * gap
-    # the difference of a multi-index moves point i by up to
-    # 2 ceil(alpha_i / 2) <= 2 alpha_i coarse steps, so two neighbours close
-    # in by at most 2 * total_order of them, and they must not meet or cross
-    if not gap > 2 * total_order * h_abs:
-        raise ValueError(
-            f"clearance {gap:g} is not above 2*{total_order} stencil steps of {h_abs:g}"
-        )
-    levels = _RICHARDSON_LEVELS
-    h_fine = h_abs / 2 ** (levels - 1)
-    strides = tuple(2 ** (levels - 1 - t) for t in range(levels))
-    return h_fine, strides
-
-
-def _fd_jet(f, x, reads, total_order, h, value):
-    """The Taylor coefficients `reads` of the black-box evaluator f, from
-    central differences on a lattice of step h_fine whose origin holds
-    value, extrapolated over the strides."""
-    h_fine, strides = _steps(h, x, total_order)
-    memo = {(0,) * len(x): value}
-
-    def g(k):
-        got = memo.get(k)
-        if got is None:
-            got = memo[k] = _call(f, tuple(xi + h_fine * ki for xi, ki in zip(x, k)))
-        return got
-
-    coeffs = {}
-    for alpha in reads:
-        if any(alpha):
-            coeffs[alpha] = _richardson([_difference(g, alpha, s, h_fine * s) for s in strides])
-        else:
-            coeffs[alpha] = value
-    return Jet(tuple(coeffs), coeffs, dict.fromkeys(coeffs, 0.0))
 
 
 # -- the operators on jets -------------------------------------------------
@@ -315,14 +217,13 @@ def _lower(p, jet, j0, x, weights):
     return Jet(tuple(target), out, out_err), pieces
 
 
-def apply_bsa(op, f, x, h=1e-3):
+def apply_bsa(op, f, x):
     """Residual of the operator on the evaluator f at the point x.
 
     Returns (residual, scale).  The scale is the largest term that entered
     the cancellation, so residual/scale is the meaningful smallness.  Any
     auxiliary parameter of the evaluator (an anchor point for instance)
-    must stay fixed while the points move.  h is the relative step of a
-    black-box evaluator.
+    must stay fixed while the points move.
     """
     x = tuple(float(xi) for xi in x)
     if len(x) != len(op.dims):
@@ -349,16 +250,18 @@ def apply_bsa(op, f, x, h=1e-3):
             groups.append([(c * value, abs(c) * err) for value, err in pieces])
         return groups
 
-    return _operator_check(f, x, reads, op.order, h, groups_of)
+    return _operator_check(f, x, reads, groups_of)
 
 
 def vertex_prefactor(dims, kappa):
     """Evaluator for the no-screening product of powered differences,
-    prod_{i<k} (x_k - x_i)**(2 (d_i-1)(d_k-1)/kappa)."""
-    return lambda y: _x_prefactor(y, dims, kappa)
+    prod_{i<k} (x_k - x_i)**(2 (d_i-1)(d_k-1)/kappa): rho with no
+    screening variables, whose jet at a JetPoint is exact."""
+    counts = (0,) * len(dims)
+    return lambda y: rho(ChamberPoint(y[0] - 1.0, y), dims, counts, kappa)
 
 
-def sle_pde_check(f, x, kappa, j, h=1e-3):
+def sle_pde_check(f, x, kappa, j):
     """Second order growth process equation applied directly at x.
 
     kappa/2 d^2/dx_j^2 + sum_{i != j} (2/(x_i-x_j) d/dx_i - 2hw/(x_i-x_j)^2)
@@ -386,20 +289,45 @@ def sle_pde_check(f, x, kappa, j, h=1e-3):
             terms.append(_term(jet, -2.0 * hw / dy**2, origin))
         return [terms]
 
-    return _operator_check(f, x, reads, 2, h, groups_of)
+    return _operator_check(f, x, reads, groups_of)
 
 
 _PROPORTIONALITY_SAMPLES = 20
 _IDENTITY_SAMPLES = 100
 
 
+def _exp_quadratic(coeffs):
+    """Evaluator of exp(s), s the sum over pairs (i, k) of b dy + c dy**2
+    with dy = y_k - y_i, whose jet at a JetPoint is exact: s is a
+    quadratic, so its Taylor coefficients stop at order two."""
+
+    def f(point):
+        index = point.index
+        pos = {alpha: p for p, alpha in enumerate(index)}
+        n = len(point)
+        E = np.zeros(len(index))
+        s = 0.0
+        for (i, k), (b, c) in coeffs.items():
+            dy = point[k] - point[i]
+            s += b * dy + c * dy * dy
+            # s moves by (b + 2 c dy) (t_k - t_i) + c (t_k - t_i)**2
+            slope = b + 2.0 * c * dy
+            for raised, value in (([(k, 1)], slope), ([(i, 1)], -slope), ([(k, 2)], c),
+                                  ([(i, 2)], c), ([(i, 1), (k, 1)], -2.0 * c)):
+                p = pos.get(_multi_index(n, raised))
+                if p is not None:
+                    E[p] += value
+        P = math.exp(s) * exp_series(tables(index), E)
+        return Jet(index, dict(zip(index, P.tolist())), dict.fromkeys(index, 0.0))
+
+    return f
+
+
 def sle_proportionality_check(x, kappa, j, seed=7):
     """Largest relative gap between the direct second order equation and
     kappa/2 times the composed operator, over random smooth translation
-    invariant test functions.
-
-    The test functions are analytic, so a coarser step keeps rounding
-    noise far below the truncation floor.
+    invariant test functions, each the exponential of a quadratic in the
+    differences of the points.
     """
     x = tuple(float(xi) for xi in x)
     dims = (2,) * len(x)
@@ -408,17 +336,10 @@ def sle_proportionality_check(x, kappa, j, seed=7):
     pairs = [(i, k) for i in range(len(x)) for k in range(i + 1, len(x))]
     worst = 0.0
     for _ in range(_PROPORTIONALITY_SAMPLES):
-        coeffs = {pair: (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for pair in pairs}
-
-        def f(y, coeffs=coeffs):
-            s = 0.0
-            for (i, k), (b, c) in coeffs.items():
-                dy = y[k] - y[i]
-                s += b * dy + c * dy * dy
-            return math.exp(s)
-
-        direct, _ = sle_pde_check(f, x, kappa, j, h=1e-2)
-        composed, _ = apply_bsa(op, f, x, h=1e-2)
+        f = _exp_quadratic(
+            {pair: (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for pair in pairs})
+        direct, _ = sle_pde_check(f, x, kappa, j)
+        composed, _ = apply_bsa(op, f, x)
         target = 0.5 * kappa * composed
         denom = max(abs(direct), abs(target))
         if denom == 0.0:
@@ -427,7 +348,7 @@ def sle_proportionality_check(x, kappa, j, seed=7):
     return worst
 
 
-def translation_check(f, x, h=1e-3):
+def translation_check(f, x):
     """Sum of all first derivatives at x; scale is the largest one."""
     x = tuple(float(xi) for xi in x)
     _check_increasing(x)
@@ -436,10 +357,10 @@ def translation_check(f, x, h=1e-3):
     def groups_of(jet):
         return [[_term(jet, 1.0, alpha) for alpha in reads]]
 
-    return _operator_check(f, x, reads, 1, h, groups_of)
+    return _operator_check(f, x, reads, groups_of)
 
 
-def euler_check(f, x, degree, h=1e-3):
+def euler_check(f, x, degree):
     """Euler operator sum x_i d/dx_i minus the homogeneity degree."""
     x = tuple(float(xi) for xi in x)
     _check_increasing(x)
@@ -451,7 +372,7 @@ def euler_check(f, x, degree, h=1e-3):
         terms.append(_term(jet, -degree, _multi_index(n)))
         return [terms]
 
-    return _operator_check(f, x, [_multi_index(n)] + firsts, 1, h, groups_of)
+    return _operator_check(f, x, [_multi_index(n)] + firsts, groups_of)
 
 
 def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
@@ -459,6 +380,8 @@ def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
 
     mu = (a, b, c, d) acts as z -> (a z + b)/(c z + d) and must preserve
     the ordering of the points; v must span a trivial subrepresentation.
+    Where |F| does not exceed its error estimate at the points or at their
+    images, F vanishes within its error estimate and the check raises.
     """
     a, b, c, d = (float(t) for t in mu)
     if a * d - b * c <= 0:
@@ -477,20 +400,28 @@ def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
     prefactor = 1.0
     for xi, dim in zip(x, v.space.dims):
         prefactor *= (det / (c * xi + d) ** 2) ** h_weight(dim, kappa)
-    value = F_hwv(v, x, kappa, rel_tol)
-    transformed = prefactor * F_hwv(v, mapped, kappa, rel_tol)
-    if value == 0:
-        deviation = abs(transformed)
-    else:
-        deviation = abs(transformed - value) / abs(value)
+    value = _estimated_F(v, x, kappa, rel_tol)
+    transformed = prefactor * _estimated_F(v, mapped, kappa, rel_tol)
     return {
         "mu": (a, b, c, d),
         "points": x,
         "mapped": mapped,
         "value": value,
         "transformed": transformed,
-        "deviation": deviation,
+        "deviation": abs(transformed - value) / abs(value),
     }
+
+
+def _estimated_F(v, x, kappa, rel_tol):
+    # F at x, refused where its modulus does not exceed its error estimate
+    with eval_stats() as stats:
+        value = F_hwv(v, x, kappa, rel_tol)
+    if not abs(value) > stats.err_est:
+        raise ValueError(
+            f"F vanishes within its error estimate at {x}: |F| = {abs(value):.2e}"
+            f" does not exceed the estimate {stats.err_est:.2e}"
+        )
+    return value
 
 
 def _separated_points(rng, count, low, high, min_dist):

@@ -1,9 +1,12 @@
 """Closed forms, reference kernels and q-arithmetic helpers the tests share."""
 
 import math
+from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from qscreen.correspondence import _compositions, _group_prefactor
+from qscreen.jet import Jet
 from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qmultinom
 from qscreen.uqsl2 import TensorVector, _rref, act
 
@@ -181,3 +184,116 @@ def hyp2f1(a, b, c, z) -> float:
         if k > 10_000:
             raise ArithmeticError("2F1 series did not converge")
     return total
+
+
+# -- the finite-difference reference of the operator checks ----------------
+#
+# Central differences of a plain function on a lattice of points,
+# extrapolated over two strides, give the Taylor coefficients an operator
+# check reads.  The step h is relative: the stencil spacing is h times the
+# smallest gap between consecutive coordinates.  Stencils are of order
+# _STENCIL_ORDER and extrapolated over _RICHARDSON_LEVELS strides.
+
+_STENCIL_ORDER = 4
+_RICHARDSON_LEVELS = 2
+
+_FIRST = {-2: Fraction(1, 12), -1: Fraction(-2, 3), 1: Fraction(2, 3), 2: Fraction(-1, 12)}
+_SECOND = {-2: Fraction(-1, 12), -1: Fraction(4, 3), 0: Fraction(-5, 2),
+           1: Fraction(4, 3), 2: Fraction(-1, 12)}
+
+
+@cache
+def _stencil(k):
+    """Offsets and weights of a central difference for the k-th derivative
+    with error O(h^4): the second-derivative stencil k // 2 times and the
+    first-derivative one k % 2 times, composed."""
+    weights = {0: Fraction(1)}
+    for factor in [_SECOND] * (k // 2) + [_FIRST] * (k % 2):
+        out = {}
+        for a, wa in weights.items():
+            for b, wb in factor.items():
+                out[a + b] = out.get(a + b, 0) + wa * wb
+        weights = out
+    return tuple((o, float(w)) for o, w in sorted(weights.items()) if w)
+
+
+def _difference(g, alpha, stride, step):
+    # the tensor product of the one-dimensional stencils, as a Taylor
+    # coefficient
+    points = {(0,) * len(alpha): 1.0}
+    for i, k in enumerate(alpha):
+        if k:
+            moved = {}
+            for key, w in points.items():
+                for o, wo in _stencil(k):
+                    at = key[:i] + (key[i] + o * stride,) + key[i + 1:]
+                    moved[at] = moved.get(at, 0.0) + w * wo
+            points = moved
+    total = sum(w * g(key) for key, w in points.items())
+    return total / (step ** sum(alpha) * math.prod(math.factorial(k) for k in alpha))
+
+
+def _richardson(values):
+    # values listed coarse to fine; stencil error expands in even powers
+    table = list(values)
+    order = _STENCIL_ORDER
+    while len(table) > 1:
+        factor = 2**order
+        table = [
+            (factor * fine - coarse) / (factor - 1)
+            for coarse, fine in zip(table, table[1:])
+        ]
+        order += 2
+    return table[0]
+
+
+def _steps(h, x, total_order):
+    gap = min((b - a for a, b in zip(x, x[1:])), default=1.0)
+    h_abs = h * gap
+    # the difference of a multi-index moves point i by up to
+    # 2 ceil(alpha_i / 2) <= 2 alpha_i coarse steps, so two neighbours close
+    # in by at most 2 * total_order of them, and they must not meet or cross
+    if not gap > 2 * total_order * h_abs:
+        raise ValueError(
+            f"clearance {gap:g} is not above 2*{total_order} stencil steps of {h_abs:g}"
+        )
+    levels = _RICHARDSON_LEVELS
+    h_fine = h_abs / 2 ** (levels - 1)
+    strides = tuple(2 ** (levels - 1 - t) for t in range(levels))
+    return h_fine, strides
+
+
+def _fd_jet(f, x, reads, total_order, h, value):
+    """The Taylor coefficients `reads` of the plain function f, from
+    central differences on a lattice of step h_fine whose origin holds
+    value, extrapolated over the strides."""
+    h_fine, strides = _steps(h, x, total_order)
+    memo = {(0,) * len(x): value}
+
+    def g(k):
+        got = memo.get(k)
+        if got is None:
+            got = memo[k] = f(tuple(xi + h_fine * ki for xi, ki in zip(x, k)))
+        return got
+
+    coeffs = {}
+    for alpha in reads:
+        if any(alpha):
+            coeffs[alpha] = _richardson([_difference(g, alpha, s, h_fine * s) for s in strides])
+        else:
+            coeffs[alpha] = value
+    return Jet(tuple(coeffs), coeffs, dict.fromkeys(coeffs, 0.0))
+
+
+def fd_jets(f, h=1e-3):
+    """Jet evaluator for the plain function f of a point tuple: called at a
+    JetPoint, it returns the jet over the point's index set from finite
+    differences of f with relative step h, with zero error estimates."""
+    if not h > 0:
+        raise ValueError("step must be positive")
+
+    def ev(point):
+        x = tuple(point)
+        return _fd_jet(f, x, point.index, sum(point.index[-1]), h, f(x))
+
+    return ev

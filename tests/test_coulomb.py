@@ -157,6 +157,16 @@ def _assert_gate(c, dims, m, kappa, rel_tol, ref, floor=_ORACLE_FLOOR):
     return stats
 
 
+def test_eval_stats_blocks_nest():
+    # an enclosing block receives what an inner block collected
+    with eval_stats() as outer:
+        with eval_stats() as inner:
+            rho(ChamberPoint(0.0, (1.0,)), (3,), (2,), 9.0)
+    assert inner.err_est > 0.0 and inner.grid_evals > 0
+    assert (outer.err_est, outer.grid_evals, outer.probe_evals) == (
+        inner.err_est, inner.grid_evals, inner.probe_evals)
+
+
 @pytest.mark.parametrize("edge", (0.5, 0.9))
 @pytest.mark.parametrize("ell", (1, 2, 3))
 def test_rho_selberg_gate_one_group(ell, edge):

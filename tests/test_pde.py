@@ -1,13 +1,17 @@
 """Tests for the differential operator and covariance checks."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from closed_forms import fd_jets, hyp2f1
 
 from qscreen.coulomb import h_weight
 from qscreen.correspondence import F_hwv
 from qscreen.jet import JetPoint
 from qscreen.pde import (
+    _separated_points,
     apply_bsa,
     build_bsa,
     check_stats,
@@ -17,25 +21,11 @@ from qscreen.pde import (
     sle_proportionality_check,
     special_conformal_identity_check,
     translation_check,
+    vertex_prefactor,
 )
 from qscreen.uqsl2 import TensorSpace, hwv_pair, hwv_space_basis
 
 KAPPA = 10.0
-
-# analytic evaluators get a coarser step: truncation still vanishes under
-# Richardson while rounding noise stays far below the 1e-6 targets
-COARSE = 1e-2
-
-
-def power_product(dims, kappa):
-    def ev(y):
-        out = 1.0
-        for i in range(len(y)):
-            for k in range(i + 1, len(y)):
-                out *= (y[k] - y[i]) ** (2.0 * (dims[i] - 1) * (dims[k] - 1) / kappa)
-        return out
-
-    return ev
 
 
 def quartet_function(kappa):
@@ -86,7 +76,7 @@ def test_bsa_rejects_bad_positions():
 
 
 def test_kappa_must_be_positive():
-    f = power_product((2, 2), KAPPA)
+    f = vertex_prefactor((2, 2), KAPPA)
     for kappa in (0.0, -3.0, float("nan")):
         with pytest.raises(ValueError, match="kappa"):
             build_bsa(1, (2, 2), kappa)
@@ -95,51 +85,47 @@ def test_kappa_must_be_positive():
 
 
 def test_fd_scheme_validation():
-    f = power_product((2, 2), KAPPA)
-    op = build_bsa(1, (2, 2), KAPPA)
+    # the finite-difference reference the jet path is compared against
+    f = vertex_prefactor((2, 2), KAPPA)
     for h in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="step"):
-            apply_bsa(op, f, (0.0, 1.0), h=h)
-        with pytest.raises(ValueError, match="step"):
-            sle_pde_check(f, (0.0, 1.0), KAPPA, 1, h=h)
-        with pytest.raises(ValueError, match="step"):
-            translation_check(f, (0.0, 1.0), h=h)
-        with pytest.raises(ValueError, match="step"):
-            euler_check(f, (0.0, 1.0), 0.0, h=h)
+            fd_jets(f, h=h)
     # a composition of order d moves each point by up to 2d coarse steps:
     # these steps pass a clearance of d+1 steps but would cross the points
     for dims, h in (((2, 2), 0.3), ((3, 3), 0.2)):
         with pytest.raises(ValueError, match="clearance"):
-            apply_bsa(build_bsa(1, dims, 8.0), f, (0.0, 1.0), h=h)
+            apply_bsa(build_bsa(1, dims, 8.0), fd_jets(f, h=h), (0.0, 1.0))
 
 
 # -- residuals on known solutions ------------------------------------------
 
 
 def test_pure_power_is_annihilated():
+    # (x_2 - x_1)**(1 - 6/8)
     op = build_bsa(1, (2, 2), 8.0)
-    f = lambda y: (y[1] - y[0]) ** (1.0 - 6.0 / 8.0)
-    residual, scale = apply_bsa(op, f, (0.3, 1.4))
-    assert abs(residual) / scale <= 1e-6
+    residual, scale = apply_bsa(op, vertex_prefactor((2, 2), 8.0), (0.3, 1.4))
+    assert abs(residual) / scale <= 1e-12
 
 
 def test_power_product_is_annihilated():
     dims = (2, 3, 2)
-    f = power_product(dims, KAPPA)
+    f = vertex_prefactor(dims, KAPPA)
     for j in (1, 2, 3):
         op = build_bsa(j, dims, KAPPA)
-        residual, scale = apply_bsa(op, f, (0.0, 1.0, 2.5), h=COARSE)
-        assert abs(residual) / scale <= 1e-6
+        residual, scale = apply_bsa(op, f, (0.0, 1.0, 2.5))
+        assert abs(residual) / scale <= 1e-12
 
     op = build_bsa(1, (3, 3), KAPPA)
-    residual, scale = apply_bsa(op, power_product((3, 3), KAPPA), (0.2, 1.9), h=COARSE)
-    assert abs(residual) / scale <= 1e-6
+    residual, scale = apply_bsa(op, vertex_prefactor((3, 3), KAPPA), (0.2, 1.9))
+    assert abs(residual) / scale <= 1e-12
 
 
 def test_generic_function_is_not_annihilated():
+    # ((x_2 - x_1) (x_3 - x_1) (x_3 - x_2))**0.3, a null function of the
+    # operators of (2, 2, 2) at kappa = 2/0.3 but not of those of (2, 3, 2)
     op = build_bsa(2, (2, 3, 2), KAPPA)
-    bad = lambda y: ((y[1] - y[0]) * (y[2] - y[0]) * (y[2] - y[1])) ** 0.3
-    residual, scale = apply_bsa(op, bad, (0.0, 1.0, 2.5), h=COARSE)
+    bad = vertex_prefactor((2, 2, 2), 2.0 / 0.3)
+    residual, scale = apply_bsa(op, bad, (0.0, 1.0, 2.5))
     assert abs(residual) / scale >= 1e-2
 
 
@@ -152,9 +138,9 @@ def test_quartet_function_satisfies_the_operator():
 
 def test_apply_bsa_input_checks():
     op = build_bsa(2, (2, 3, 2), KAPPA)
-    f = power_product((2, 3, 2), KAPPA)
+    f = vertex_prefactor((2, 3, 2), KAPPA)
     with pytest.raises(ValueError, match="clearance"):
-        apply_bsa(op, f, (0.0, 1.0, 2.5), h=0.3)
+        apply_bsa(op, fd_jets(f, h=0.3), (0.0, 1.0, 2.5))
     with pytest.raises(ValueError, match="coordinates"):
         apply_bsa(op, f, (0.0, 1.0))
     with pytest.raises(ValueError, match="increase"):
@@ -190,14 +176,14 @@ def test_sle_equation_on_quartet_function():
 
 
 def test_sle_equation_on_pure_power():
-    f = lambda y: (y[1] - y[0]) ** (1.0 - 6.0 / 8.0)
-    residual, scale = sle_pde_check(f, (0.3, 1.4), 8.0, 1)
-    assert abs(residual) / scale <= 1e-6
+    # (x_2 - x_1)**(1 - 6/8)
+    residual, scale = sle_pde_check(vertex_prefactor((2, 2), 8.0), (0.3, 1.4), 8.0, 1)
+    assert abs(residual) / scale <= 1e-12
 
 
 def test_sle_equation_matches_composed_operator():
     worst = sle_proportionality_check((0.0, 1.0, 2.0, 4.0), KAPPA, 2)
-    assert worst <= 1e-8
+    assert worst <= 1e-11
 
 
 # -- infinitesimal covariance ----------------------------------------------
@@ -256,6 +242,11 @@ def test_mobius_rejections():
         mobius_check(v, (1.0, 0.0, 1.0, 1.0), x, KAPPA)
     with pytest.raises(ValueError, match="trivial"):
         mobius_check(hwv_pair(2, 3, 1), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0), KAPPA)
+    # at kappa = 6 the function of vector 0 of (2,)^6 is below its error
+    # estimate: a deviation would be a ratio of noise to noise
+    sextet = hwv_space_basis(TensorSpace((2,) * 6), 1)[0]
+    with pytest.raises(ValueError, match="F vanishes within its error estimate"):
+        mobius_check(sextet, (1.7, 0.0, 0.0, 1.0), (0.0, 1.3, 2.0, 3.3, 4.0, 5.3), 6.0)
 
 
 # -- the rational identity behind special conformal covariance -------------
@@ -276,7 +267,7 @@ def test_special_conformal_identity_needs_integer_count():
         special_conformal_identity_check((2, 3))
 
 
-# -- one jet pass against the black-box path -------------------------------
+# -- one jet pass against the finite-difference reference -----------------
 
 
 def _quartet_vector(k):
@@ -297,8 +288,9 @@ F_HWV_CASES = (
     + [(("pair",), 8.0, (0.3, 1.4), ("translation",), 1),
        (("pair",), 8.0, (0.3, 1.4), ("euler", 0.25), 1)]
 )
-# the black-box path's error: its fourth order stencils extrapolated over two
-# strides leave about 1e-7 of the scale at total order two and 1e-11 at one
+# the finite-difference reference's error: its fourth order stencils
+# extrapolated over two strides leave about 1e-7 of the scale at total order
+# two and 1e-11 at one
 FD_ERROR = {1: 1e-10, 2: 1e-6}
 
 
@@ -326,11 +318,17 @@ def test_jet_path_agrees_with_the_black_box_path(which, kappa, x, check, order):
     # one evaluator call, asking for a jet, and a jet comes back
     assert len(points) == 1 and isinstance(points[0], JetPoint)
     assert stats.evals == 1
-    # tuple() strips the request: the same function as a black box
+    # the same function of plain points, its jet from finite differences
+    plain = []
+
+    def values(y):
+        plain.append(y)
+        return F_hwv(vector, y, kappa)
+
     with check_stats() as stats:
-        fd_residual, fd_scale = _run_case(
-            vector, kappa, x, check, lambda y: F_hwv(vector, tuple(y), kappa))
-    assert stats.evals > 1
+        fd_residual, fd_scale = _run_case(vector, kappa, x, check, fd_jets(values))
+    assert stats.evals == 1
+    assert len(plain) > 1 and all(type(y) is tuple for y in plain)
     assert abs(residual - fd_residual) <= FD_ERROR[order] * fd_scale
     assert abs(scale - fd_scale) <= FD_ERROR[order] * fd_scale
     # and the jet path is held to the quadrature's accuracy, far below the
@@ -354,18 +352,57 @@ def test_vanishing_function_raises_instead_of_a_ratio():
     assert abs(residual) <= 1e-8 * scale
 
 
-def test_black_box_evaluators_see_plain_points():
-    # a black box gets the jet request once, at the point itself, and
-    # plain tuples on the lattice; its number seeds the lattice origin
-    seen = []
-
-    def f(y):
-        seen.append(y)
-        return power_product((2, 2), KAPPA)(y)
-
+def test_plain_number_evaluators_are_refused():
+    # called at a JetPoint, an evaluator must return a Jet: a number alone
+    # says nothing about the derivatives the operator reads
+    f = vertex_prefactor((2, 2), KAPPA)
+    plain = lambda y: f(tuple(y))
+    x = (0.3, 1.4)
     with check_stats() as stats:
-        sle_pde_check(f, (0.3, 1.4), KAPPA, 1)
-    assert isinstance(seen[0], JetPoint) and tuple(seen[0]) == (0.3, 1.4)
-    assert all(type(y) is tuple for y in seen[1:])
-    assert (0.3, 1.4) not in seen[1:]
-    assert stats.evals == len(seen)
+        for run in (lambda: apply_bsa(build_bsa(1, (2, 2), KAPPA), plain, x),
+                    lambda: sle_pde_check(plain, x, KAPPA, 1),
+                    lambda: translation_check(plain, x),
+                    lambda: euler_check(plain, x, 0.0)):
+            with pytest.raises(TypeError, match="must return a Jet"):
+                run()
+    assert stats.evals == 4
+
+
+# -- the four-point function against the hypergeometric solutions ---------
+
+
+def _hypergeometric_solutions(x, kappa):
+    # u_1 and u_2 of the ordinary differential equation in the cross ratio z
+    # to which the operators of (2, 2, 2, 2) reduce (Bauer, Bernard and
+    # Kytola 2005)
+    z = (x[1] - x[0]) * (x[3] - x[2]) / ((x[2] - x[0]) * (x[3] - x[1]))
+    r = 8.0 / kappa
+    edge = (1.0 - z) ** (2.0 / kappa)
+    u1 = edge * hyp2f1(r / 2, 1.0 - r / 2, 2.0 - r, z)
+    u2 = z ** (r - 1.0) * edge * hyp2f1(r / 2, 1.5 * r - 1.0, r, z)
+    return u1, u2
+
+
+def _reduced_function(v, x, kappa):
+    # G = F (x_2 - x_1)**(2h) (x_4 - x_3)**(2h), h = (6 - kappa)/(2 kappa)
+    h = (6.0 - kappa) / (2.0 * kappa)
+    return F_hwv(v, x, kappa) * ((x[1] - x[0]) * (x[3] - x[2])) ** (2.0 * h)
+
+
+@pytest.mark.parametrize("kappa", [5.0, 7.3, 10.0])
+def test_quartet_functions_solve_the_hypergeometric_equation(kappa):
+    fit = [(0.0, 1.0, 2.0, 4.0), (0.0, 0.3, 2.0, 2.5)]
+    rng = random.Random(2026)
+    held = [tuple(sorted(_separated_points(rng, 4, -2.0, 2.0, 0.05))) for _ in range(8)]
+    for k, v in enumerate(hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)):
+        # a and b of G = a u_1 + b u_2 from two points, the rest held to them
+        a, b = np.linalg.solve(
+            np.array([_hypergeometric_solutions(x, kappa) for x in fit], dtype=complex),
+            np.array([_reduced_function(v, x, kappa) for x in fit]))
+        for x in held:
+            u1, u2 = _hypergeometric_solutions(x, kappa)
+            G = _reduced_function(v, x, kappa)
+            assert abs(G - a * u1 - b * u2) <= 1e-8 * abs(G), (k, x)
+        if k == 1:
+            # vector 1 is a pure multiple of u_1
+            assert abs(b) <= 1e-8 * abs(a)
