@@ -2,10 +2,10 @@
 
 Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
 the screened integrals over nested ordered simplices (a tanh-sinh rule per
-screening variable; one loop halves a level's step until the quadrature's
-own error estimate meets its target, run first on cheap probes with every
-other level coarse when the steps are not known yet, then on the full
-grid against the requested tolerance), optionally carrying their Taylor
+screening variable; one loop halves a level's step on the full grid until
+the quadrature's own error estimate meets the requested tolerance,
+starting the variables of one group from staggered steps so that their
+tensor grid does not alias), optionally carrying their Taylor
 jet in the marked points through every level, the boundary fusion
 constants, conformal weight and exponent helpers, and a direct contour
 oracle that integrates the same density over explicitly constructed nested
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,15 +58,14 @@ class EvalStats:
     err_est is the absolute error estimate of the values they returned
     (of a Jet, its value coefficient's): rho adds its own, and each sum of
     rho values (phi, F_anchor, F_hwv) adds |weight| times the estimate of
-    every term.  grid_evals counts the
-    nested sums the full-grid run evaluated, and probe_evals those the
-    probe run evaluated (one level fine, the others coarse); a full-grid
-    sum that the probe run already made is reused and not counted again.
+    every term.  grid_evals counts the nested sums the quadrature
+    evaluated, and nodes their node evaluations: for each sum, the product
+    of its rules' lengths.
     """
 
     err_est: float = 0.0
     grid_evals: int = 0
-    probe_evals: int = 0
+    nodes: int = 0
 
 
 _STATS = contextvars.ContextVar("qscreen_eval_stats", default=None)
@@ -81,15 +81,15 @@ def eval_stats():
         yield stats
     finally:
         _STATS.reset(token)
-        _record(stats.err_est, stats.grid_evals, stats.probe_evals)
+        _record(stats.err_est, stats.grid_evals, stats.nodes)
 
 
-def _record(err_est=0.0, grid_evals=0, probe_evals=0):
+def _record(err_est=0.0, grid_evals=0, nodes=0):
     stats = _STATS.get()
     if stats is not None:
         stats.err_est += err_est
         stats.grid_evals += grid_evals
-        stats.probe_evals += probe_evals
+        stats.nodes += nodes
 
 
 def _dims_counts(dims, m, n=None):
@@ -442,15 +442,35 @@ class QuadratureError(ArithmeticError):
 # nodes
 _MIN_STEP = 2.0 ** -6
 _GRID_BUDGET = 2.5e8
-# a probe run starts every level at _PROBE_STEP, and a probe keeps every
-# level but the probed one there
-_PROBE_STEP = 0.5
+# a cold key starts the j-th level from the top of a group of m levels at
+# _START_STEP * 2^(-j/m), so no two levels of a group ever share a step or
+# sit in a rational step ratio
+_START_STEP = 0.5
 # relative rounding error of the nested sum, per level
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 # steps that met rel_tol for (dims, counts, kappa, rel_tol), and with the
 # index set appended for a jet: later points start from them and skip the
-# probes
+# planning passes, as a warm key's first pass usually meets rel_tol
 _STEPS = {}
+
+
+def _start_steps(levels):
+    size = Counter(lev.group for lev in levels)
+    steps, j = [], 0
+    for lev in levels:
+        j = 0 if lev.top else j + 1
+        steps.append(_START_STEP * 2.0 ** (-j / size[lev.group]))
+    return steps
+
+
+def _grids(levels, steps):
+    # the rules of the grid at steps, then of its copy with level k's nodes
+    # shifted by half a step, for every k
+    rules = [_unit_rule(lev, h, 0.0) for lev, h in zip(levels, steps)]
+    return [rules] + [
+        rules[:k] + [_unit_rule(lev, h, 0.5)] + rules[k + 1 :]
+        for k, (lev, h) in enumerate(zip(levels, steps))
+    ]
 
 
 def _relative_change(value, moved):
@@ -460,120 +480,79 @@ def _relative_change(value, moved):
     return float(np.max(np.divide(change, gross, out=np.zeros_like(change), where=gross > 0)))
 
 
-def _halve(levels, steps, sums, target, head):
+def _halve(levels, steps, geo, rel_tol, head, jet=None):
     """Halve the step of the level with the largest estimate until the
-    relative estimates plus the rounding floor meet target.
+    relative estimates plus the rounding floor meet rel_tol.
 
-    sums(steps, k) gives level k's sum and its copy with level k's nodes
-    shifted by half a step, which differs by twice that level's error.
-    No grid over the node budget is summed.  Returns the steps, the
-    estimate, and None or why the largest share cannot be halved.
-    A jet's sums are judged coefficient by coefficient, each against the
-    sum of the moduli of its terms, and the worst one counts.
+    Each pass sums the grid at the current steps and, for every level k,
+    its copy with level k's nodes shifted by half a step, which differs by
+    twice that level's error.  No pass whose grids exceed the node budget
+    is summed.  Returns the steps, the sum, its shifted copies and the
+    estimate, or raises when the largest share cannot be halved.  A jet's
+    sums are judged coefficient by coefficient, each against the sum of
+    the moduli of its terms, and the worst one counts.
     """
     steps, halved, floor = list(steps), "", len(levels) * _ROUNDING
     while True:
-        grid = math.prod(len(_unit_rule(lev, h, 0.0)[0]) for lev, h in zip(levels, steps))
-        if grid > _GRID_BUDGET:
+        grids = _grids(levels, steps)
+        sizes = [math.prod(len(rule[0]) for rule in rules) for rules in grids]
+        if max(sizes) > _GRID_BUDGET:
             raise QuadratureError(
-                f"{head}: {grid:.2e} nodes exceed the budget of"
+                f"{head}: {max(sizes):.2e} nodes exceed the budget of"
                 f" {_GRID_BUDGET:.1e}{halved}"
             )
-        at = tuple(steps)
-        pairs = [sums(at, k) for k in range(len(levels))]
-        ests = [_relative_change(value, moved) for value, moved in pairs]
+        value, *moved = (_nested(levels, rules, geo, jet) for rules in grids)
+        _record(grid_evals=len(grids), nodes=sum(sizes))
+        ests = [_relative_change(value, m) for m in moved]
         est = sum(ests) + floor
-        if est <= target:
-            return steps, est, None
+        if est <= rel_tol:
+            return tuple(steps), value, moved, est
         k = int(np.argmax(ests))
         if ests[k] <= floor or steps[k] <= _MIN_STEP:
             where = "rounding floor" if ests[k] <= floor else "smallest step"
-            return steps, est, (
-                f"level {k}, the largest share ({ests[k]:.2e}), is at the {where}"
+            raise QuadratureError(
+                f"{head}: error estimate {est:.2e}; level {k}, the largest"
+                f" share ({ests[k]:.2e}), is at the {where}"
             )
         halved = f" after halving level {k} (estimate {ests[k]:.2e})"
         steps[k] /= 2.0
 
 
 def _quadrature(levels, geo, rel_tol, key, jet=None):
-    """The nested sum and its error estimate, from two runs of _halve.
+    """The nested sum and its error estimate, from one run of _halve on
+    the full grid.
 
-    A key seen before starts from the steps that met rel_tol for it.  A
-    cold key is first planned for rel_tol / 2 on probes: level k's probe
-    keeps every other level at _PROBE_STEP, and after a halving its
-    unshifted sum is the mean of the sum and its shifted copy at the step
-    before (the rule at h/2 is their mean, tails folded alike).  The
-    full-grid run then checks rel_tol and raises if it gets stuck.  The
-    error of a tensor grid belongs to the levels one by one, so each is
-    shifted with every other level kept.  The value returned is a direct
-    full-grid sum and its estimate the full grid's, never a probe's; the
-    two runs share one memo of direct sums, and one list of unshifted
-    rules per grid.
+    A key seen before starts from the steps that met rel_tol for it, a
+    cold key from _start_steps.  The error of a tensor grid belongs to the
+    levels one by one, so each is shifted with every other level kept.
+    Two variables of one group at one step alias: the distances between
+    them depend on their offsets from the shared end in sum, so the
+    tensor trapezoid rule misses a ridge along u_0 - u_1 = const, and each
+    level's shift reports the joint error of both.  Staggered start steps
+    keep every ratio of a group's steps irrational, so halving never
+    brings a shared step back.
 
-    With a _JetPlan (key then ends with the index set) the full-grid sums
-    are jets, and every coefficient comes back with its own absolute
-    estimate: the shifts' changes summed over the levels plus the rounding
-    floor of the sum of moduli.  A cold jet starts from the steps of its
-    value's key when those are known and is planned on probes of the
-    value alone when not; the full-grid run then holds every coefficient
-    to rel_tol.
+    With a _JetPlan (key then ends with the index set) the sums are jets,
+    and every coefficient comes back with its own absolute estimate: the
+    shifts' changes summed over the levels plus the rounding floor of the
+    sum of moduli.  A cold jet starts from the steps of its value's key,
+    planned first by a run on the value alone when those are not known;
+    its own run then holds every coefficient to rel_tol.
     """
-    ell = len(levels)
-    head = f"rho with l={ell} screening variables at rel_tol={rel_tol:g}"
-    memo = {}
-    unshifted = {}
-
-    def direct(steps, shifted, plan=jet):
-        # the nested sum at steps, with level `shifted` moved by half a step
-        value = memo.get((steps, shifted, plan is None))
-        if value is None:
-            rules = unshifted.get(steps)
-            if rules is None:
-                rules = unshifted[steps] = [
-                    _unit_rule(lev, h, 0.0) for lev, h in zip(levels, steps)
-                ]
-            if shifted is not None:
-                rules = list(rules)
-                rules[shifted] = _unit_rule(levels[shifted], steps[shifted], 0.5)
-            value = memo[steps, shifted, plan is None] = _nested(levels, rules, geo, plan)
-        return value
-
-    def probe(steps, k):
-        def grid(h):
-            return tuple(h if i == k else _PROBE_STEP for i in range(ell))
-
-        h, value = _PROBE_STEP, direct(grid(_PROBE_STEP), None, None)
-        while h > steps[k]:
-            value = 0.5 * (value + direct(grid(h), k, None))
-            h /= 2.0
-        return value, direct(grid(h), k, None)
-
-    def full(steps, k):
-        return direct(steps, None), direct(steps, k)
-
-    def run(steps, sums, target, counter):
-        # each run records how many new sums it evaluated, once
-        before = len(memo)
-        try:
-            return _halve(levels, steps, sums, target, head)
-        finally:
-            _record(**{counter: len(memo) - before})
-
     steps = _STEPS.get(key)
     if steps is None and jet is not None:
-        steps = _STEPS.get(key[:-1])
+        if key[:-1] not in _STEPS:
+            _quadrature(levels, geo, rel_tol, key[:-1])
+        steps = _STEPS[key[:-1]]
     if steps is None:
-        steps, _, _ = run([_PROBE_STEP] * ell, probe, 0.5 * rel_tol, "probe_evals")
-    steps, est, stuck = run(steps, full, rel_tol, "grid_evals")
-    if stuck:
-        raise QuadratureError(f"{head}: error estimate {est:.2e}; {stuck}")
-    steps = _STEPS[key] = tuple(steps)
-    # the full run's last pass summed this grid
-    value = memo[steps, None, jet is None]
+        steps = _start_steps(levels)
+    head = f"rho with l={len(levels)} screening variables at rel_tol={rel_tol:g}"
+    steps, value, moved, est = _halve(levels, steps, geo, rel_tol, head, jet)
+    _STEPS[key] = steps
     if jet is None:
         return value, est * value
-    change = sum(np.abs(memo[steps, k, False][0] - value[0]) for k in range(ell))
-    return value[0], change + ell * _ROUNDING * value[1]
+    change = sum(np.abs(m[0] - value[0]) for m in moved)
+    return value[0], change + len(levels) * _ROUNDING * value[1]
 
 
 def _check_rel_tol(rel_tol):

@@ -162,9 +162,9 @@ def test_eval_stats_blocks_nest():
     with eval_stats() as outer:
         with eval_stats() as inner:
             rho(ChamberPoint(0.0, (1.0,)), (3,), (2,), 9.0)
-    assert inner.err_est > 0.0 and inner.grid_evals > 0
-    assert (outer.err_est, outer.grid_evals, outer.probe_evals) == (
-        inner.err_est, inner.grid_evals, inner.probe_evals)
+    assert inner.err_est > 0.0 and inner.grid_evals > 0 and inner.nodes > 0
+    assert (outer.err_est, outer.grid_evals, outer.nodes) == (
+        inner.err_est, inner.grid_evals, inner.nodes)
 
 
 @pytest.mark.parametrize("edge", (0.5, 0.9))
@@ -200,26 +200,55 @@ def test_rho_selberg_gate_four_variables():
     _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
 
 
-def test_rho_cold_plan_checks_the_full_grid_once(monkeypatch):
-    # with no cached steps the probes plan every level, and the full grid
-    # is evaluated once: the value and one half-step shift per level
+def test_rho_plan_node_counts(monkeypatch):
+    # the cold plan halves from staggered start steps on the full grid
+    # (a plan on probes summed 9.3e7 nodes); a warm call sums the value
+    # and one half-step shift per level, once
     monkeypatch.setattr(coulomb, "_STEPS", {})
     ref = _selberg_pair(4, 5, 16.75)
-    stats = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
-    assert stats.grid_evals <= 4 + 1, stats
-    assert stats.probe_evals > 0, stats
+    cold = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
+    assert cold.nodes <= 4e7, cold
+    warm = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
+    assert warm.grid_evals == 4 + 1 and warm.nodes <= 2e7, warm
+
+
+def _shift_estimates(steps):
+    # the relative change of each level's half-step shift, and the error
+    # against the Selberg product, of the four-variable two-point form at
+    # fixed steps
+    dims, counts, kappa = (5, 5), (0, 4), 16.75
+    betas = coulomb._betas(dims, kappa)
+    levels = coulomb._build_levels(counts, betas, kappa)
+    geo = coulomb._geometry(levels, (_PAIR.x0,) + _PAIR.xs, betas, kappa)
+    value, *moved = (coulomb._nested(levels, rules, geo) for rules in coulomb._grids(levels, steps))
+    ref = _selberg_pair(4, 5, kappa)
+    pref = coulomb._x_prefactor(_PAIR.xs, dims, kappa)
+    return [abs(m - value) / value for m in moved], abs(pref * value - ref) / ref
+
+
+def test_rho_shared_step_aliases_across_a_group():
+    # levels 0 and 1 are nested variables of one group; at one step the
+    # tensor grid misses a ridge along u_0 - u_1 = const, and both shifts
+    # report the same joint error
+    ests, _ = _shift_estimates((1 / 8, 1 / 8, 1 / 4, 1 / 4))
+    assert abs(ests[0] - ests[1]) <= 0.1 * max(ests[0], ests[1]), ests
+    assert min(ests[0], ests[1]) >= 1e-8, ests
+    # an irrational step ratio removes it
+    ests, err = _shift_estimates((1 / 8, 2 ** -3.5, 1 / 4, 1 / 4))
+    assert max(ests[0], ests[1], err) <= 1e-12, (ests, err)
 
 
 @pytest.mark.parametrize(
     "c, dims, m, kappa, tight",
     [
-        # level 1's probe is 1.7e-14, its full-grid shift 4e-13; the probe
-        # sum (6e-13) is below the true error (1.1e-12)
+        # a plan on probes (every other level at h = 1/2) read level 1 at
+        # 1.7e-14 against a full-grid shift of 4e-13, and their sum (6e-13)
+        # below the true error (1.1e-12)
         (ChamberPoint(-3.25, (-1.4, -0.13)), (2, 3), (1, 1), 8.8, 1e-14),
-        # the planned grid misses rel_tol (2e-9): the full-grid check halves
-        # level 1 once more
+        # the steps a plan on probes chose missed rel_tol (2e-9) on the
+        # full grid
         (ChamberPoint(-2.7, (-1.4, 2.0)), (2, 3), (1, 1), 8.8, 1e-14),
-        # level 2's probe is 4e-12, its full-grid shift 3.6e-11
+        # a probe read level 2 at 4e-12, its full-grid shift at 3.6e-11
         (ChamberPoint(-1.0, (0.0, 1.0, 2.5, 4.0)), (2,) * 4, (1,) * 4, 10.0, 1e-12),
     ],
 )
@@ -227,7 +256,7 @@ def test_rho_estimate_covers_where_probes_under_estimate(
     monkeypatch, c, dims, m, kappa, tight
 ):
     # the reference is the same integral at a far tighter rel_tol; the
-    # returned estimate must come from the full grid, not from the probes
+    # returned estimate, the full grid's, must cover its error
     monkeypatch.setattr(coulomb, "_STEPS", {})
     ref = rho(c, dims, m, kappa, rel_tol=tight)
     _assert_gate(c, dims, m, kappa, 1e-9, ref, floor=0.0)
@@ -235,24 +264,39 @@ def test_rho_estimate_covers_where_probes_under_estimate(
 
 def test_rho_selberg_gate_five_variables():
     ref = _selberg_pair(5, 6, 20.5)
-    _assert_gate(_PAIR, (6, 6), (0, 5), 20.5, 1e-4, ref)
+    _assert_gate(_PAIR, (6, 6), (0, 5), 20.5, 1e-6, ref)
 
 
 def test_rho_unreachable_rel_tol_raises():
     # below the rounding floor of a three-level sum no step is fine enough
     with pytest.raises(QuadratureError, match=r"l=3 .*level \d"):
         rho(_PAIR, (4, 4), (0, 3), 12.5, rel_tol=1e-15)
-    # the steps the probes plan for five levels at 1e-9 exceed the node
-    # budget: the plan raises as soon as they do, before any evaluation of
-    # the full grid
-    with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=5 .*budget"):
-        rho(_PAIR, (6, 6), (0, 5), 20.5)
-    assert stats.grid_evals == 0 and stats.probe_evals > 0, stats
-    # eight levels at the coarsest probe step already hold about 3e9 nodes:
-    # the budget is checked before the first sum
+    # eight levels at their start steps already hold about 3e10 nodes: the
+    # budget is checked before the first sum
     with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=8 .*budget"):
         rho(ChamberPoint(-1.0, (0.0, 1.0)), (9, 9), (0, 8), 32.5)
-    assert stats.grid_evals == 0 and stats.probe_evals == 0, stats
+    assert stats.grid_evals == 0 and stats.nodes == 0, stats
+
+
+def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
+    # the four-variable grid that meets 1e-9 holds about 3e6 nodes; under
+    # a smaller budget the plan raises, and no grid it sums exceeds it.
+    # The third pass's grid holds 8.13e5 nodes and its copy with level 1
+    # shifted 8.26e5, so the budget must bound the shifted copies too
+    monkeypatch.setattr(coulomb, "_STEPS", {})
+    monkeypatch.setattr(coulomb, "_GRID_BUDGET", 8.2e5)
+    summed = []
+    nested = coulomb._nested
+
+    def counting(levels, rules, geo, jet=None):
+        summed.append(math.prod(len(rule[0]) for rule in rules))
+        return nested(levels, rules, geo, jet)
+
+    monkeypatch.setattr(coulomb, "_nested", counting)
+    with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=4 .*budget"):
+        rho(_PAIR, (5, 5), (0, 4), 16.75)
+    assert summed and max(summed) <= 8.2e5, summed
+    assert stats.nodes == sum(summed), stats
 
 
 def test_rho_deterministic(monkeypatch):
@@ -262,7 +306,6 @@ def test_rho_deterministic(monkeypatch):
     monkeypatch.setattr(coulomb, "_STEPS", {})
     cases = [
         (ChamberPoint(0.0, (1.0, 2.0)), (2, 2), (1, 0), 10.0),
-        # the full-grid check halves a level the probes planned
         (ChamberPoint(-2.7, (-1.4, 2.0)), (2, 3), (1, 1), 8.8),
         (_PAIR, (4, 4), (0, 3), 12.5),
     ]
