@@ -230,36 +230,29 @@ def _rephasing(m):
 # -- numeric evaluation ----------------------------------------------------
 
 
-# the value with its error estimate, so a cached term still reports one;
-# a jet's key adds its index set and the anchor's motion
+# the jet with its error estimates, so a cached term still reports them;
+# the key holds the index set and the anchor's motion, zero at a plain
+# point, so plain calls share their entries whatever anchor they move
 _rho_cached = lru_cache(maxsize=4096)(_rho)
 
 
 def _evaluate(weights, c, dims, kappa, rel_tol, moves=None):
     # checked here too: a sum whose weights all vanish runs no integral
     _check_rel_tol(rel_tol)
-    if isinstance(c.xs, JetPoint):
-        return _evaluate_jet(weights, c, dims, kappa, rel_tol, moves or (0.0,) * c.n)
-    total = 0j
-    err = 0.0
-    for m, w in weights:
-        value, est = _rho_cached(c, dims, m, kappa, rel_tol)
-        total += w * value
-        err += abs(w) * est
-    _record(err)
-    return total
-
-
-def _evaluate_jet(weights, c, dims, kappa, rel_tol, moves):
-    index = c.xs.index
+    jet = isinstance(c.xs, JetPoint)
+    # a plain point asks for the jet over the zero multi-index alone
+    index = c.xs.index if jet else ((0,) * c.n,)
+    moves = tuple(moves) if jet and moves else (0.0,) * c.n
     total = np.zeros(len(index), dtype=complex)
     err = np.zeros(len(index))
     for m, w in weights:
-        value, est = _rho_cached(c, dims, m, kappa, rel_tol, (index, tuple(moves)))
+        value, est = _rho_cached(c, dims, m, kappa, rel_tol, index, moves)
         total += w * value
         err += abs(w) * est
     # the jet's value coefficient is what an eval_stats() block receives
     _record(float(err[0]))
+    if not jet:
+        return complex(total[0])
     return Jet(index, dict(zip(index, total.tolist())), dict(zip(index, err.tolist())))
 
 
@@ -352,9 +345,8 @@ def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9,
         anchor, moves = float(x0), None
     else:
         anchor, moves = default_anchor(xs), _default_anchor_moves(len(xs))
-    if isinstance(x, JetPoint):
-        xs = x
-    return _linear_extension(v, ChamberPoint(anchor, xs), kappa, rel_tol, moves)
+    # a JetPoint x stays one in the chamber point
+    return _linear_extension(v, ChamberPoint(anchor, x), kappa, rel_tol, moves)
 
 
 # -- collapse asymptotics and the point at infinity ------------------------

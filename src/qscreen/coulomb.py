@@ -5,8 +5,9 @@ the screened integrals over nested ordered simplices (a tanh-sinh rule per
 screening variable; one loop halves a level's step on the full grid until
 the quadrature's own error estimate meets the requested tolerance,
 starting the variables of one group from staggered steps so that their
-tensor grid does not alias), optionally carrying their Taylor
-jet in the marked points through every level, the boundary fusion
+tensor grid does not alias), carrying their Taylor jet in the marked
+points through every level (a plain value is the jet over the zero
+multi-index alone, so one path serves both), the boundary fusion
 constants, conformal weight and exponent helpers, and a direct contour
 oracle that integrates the same density over explicitly constructed nested
 loops with the branch tracked along the path.  Everything here is numeric;
@@ -16,6 +17,7 @@ the exact q-dependent factors live in correspondence.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 from collections import Counter
 from contextlib import contextmanager
@@ -269,15 +271,26 @@ class _JetPlan:
     """What the levels need to carry a Taylor jet in the marked points:
     the index set's tables, and moves[k], how chamber coordinate k (0 the
     anchor, k the point x_k) moves with the active variables, as pairs
-    (place in the tables' active, derivative)."""
+    (place in the tables' active, derivative).  Over the zero multi-index
+    alone no variable is active, and the jet is the value."""
 
     tables: object
     moves: tuple
 
 
+@lru_cache(maxsize=None)
+def _plan(index, moves):
+    # the _JetPlan over the closed index set `index`, with the anchor
+    # moving as sum_i moves[i] x_i
+    tab = jet_tables(index)
+    anchor = tuple((a, moves[i]) for a, i in enumerate(tab.active) if moves[i])
+    points = (((tab.active.index(i), 1.0),) if i in tab.active else () for i in range(len(moves)))
+    return _JetPlan(tab, (anchor, *points))
+
+
 def _motion(jet, terms):
     # sum_k a_k * (coordinate k's motion), per active variable, for pairs
-    # (k, a_k) of a coordinate and a node array
+    # (k, a_k) of a coordinate and a number or node array
     out = {}
     for k, a in terms:
         for place, rate in jet.moves[k]:
@@ -289,7 +302,7 @@ def _motion(jet, terms):
 def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
     """Taylor coefficients of level idx's factor over its value, at every
     node: the exponential of the log-series of the distances that move
-    with the node.  None when no distance does.
+    with the node.  None when no variable is raised or no distance moves.
 
     With its unit coordinates fixed, a variable of group i sits at
     w = x_(i-1) + lo, and w moves with the points as
@@ -297,8 +310,10 @@ def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
     x_j or to an outer variable then moves by omega less that point's
     motion nu, and d log D = (omega - nu) / D stays below 1 / gap.
     Distances that scale with the gap alone move with no node and are left
-    to _rho_jet: the level's interval, its own upper charge, its ancestors.
+    to _rho: the level's interval, its own upper charge, its ancestors.
     """
+    if not jet.tables.active:
+        return None
     lev = levels[idx]
     i = lev.group
     gap = geo.gaps[i - 1]
@@ -323,7 +338,12 @@ def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
     return exp_series(jet.tables, log_series(jet.tables, shape, omega, moving))
 
 
-def _level_sum(levels, idx, rules, outer, geo, jet=None):
+def _flat(a, shape):
+    # a over the grid of the given shape, flat: a view where a spans it
+    return (a if a.shape == shape else a + np.zeros(shape)).reshape(-1)
+
+
+def _level_sum(levels, idx, rules, outer, geo, jet):
     """Sum over the nodes of level idx, and nested inside it over every
     later level, for each node of the outer grid.
 
@@ -335,14 +355,15 @@ def _level_sum(levels, idx, rules, outer, geo, jet=None):
     holds (lo, log lo, hi, up) of each outer level, flat over the outer
     grid; this level's arrays are (nodes, outer grid).
 
-    With a _JetPlan the sums carry the Taylor jet of the integrand in the
-    marked points: the result is (2, coefficients, outer grid), row 0 the
-    sums and row 1 the sums of the moduli of their terms.
+    The sums carry the Taylor jet of the integrand in the marked points
+    over the _JetPlan's index set: the result is (2, coefficients, outer
+    grid), row 0 the sums and row 1 the sums of the moduli of their
+    terms.  Over the zero multi-index alone both rows hold the value.
     """
     lev, rule = levels[idx], rules[idx]
     n = len(rule[0])
     size = outer[0][0].size if outer else 1
-    width = 1 if jet is None else jet.tables.size
+    width = jet.tables.size
     if n * size * width > _CHUNK_CAP and size > 1:
         step = max(1, _CHUNK_CAP // (n * width))
         return np.concatenate([
@@ -361,12 +382,12 @@ def _level_sum(levels, idx, rules, outer, geo, jet=None):
     up = S * omt
     hi = up if lev.top else outer[-1][2] + up
     # the innermost level needs lo only for charges left of its interval
-    # and for variables of earlier groups, unless it carries a jet
+    # and for variables of earlier groups, unless a variable is raised
     needs_lo = (
         not last
         or levels[0].group != lev.group
         or any(side == 0 for _, _, side, _ in geo.charges[idx])
-        or jet is not None
+        or bool(jet.tables.active)
     )
     lo = S * t if needs_lo else None
     # G, the log of weight times integrand, starts from the rule's column
@@ -406,14 +427,9 @@ def _level_sum(levels, idx, rules, outer, geo, jet=None):
         np.add(G, pairs, out=G)
     np.exp(G, out=G)
     if not last:
-        carried = [tuple(np.broadcast_to(a, shape).reshape(-1) for a in c) for c in outer]
-        own = tuple(np.broadcast_to(a, shape).reshape(-1) for a in (lo, logS + logt, hi, up))
+        carried = [tuple(_flat(a, shape) for a in c) for c in outer]
+        own = tuple(_flat(a, shape) for a in (lo, logS + logt, hi, up))
         inner = _level_sum(levels, idx + 1, rules, carried + [own], geo, jet)
-    if jet is None:
-        if last:
-            return G.sum(axis=0)
-        G *= inner.reshape(shape)
-        return G.sum(axis=0)
     P = _level_series(jet, levels, idx, geo, lo, hi, outer, shape)
     if last:
         out = np.zeros((2, width, size))
@@ -426,12 +442,12 @@ def _level_sum(levels, idx, rules, outer, geo, jet=None):
     inner = inner.reshape((2, width) + shape)
     if P is not None:
         inner = product(jet.tables, P, inner)
-    return np.einsum("kcts,ts->kcs", inner, G)
+    inner *= G
+    return inner.sum(axis=2)
 
 
-def _nested(levels, rules, geo, jet=None):
-    total = _level_sum(levels, 0, rules, [], geo, jet)
-    return float(total[0]) if jet is None else total[..., 0]
+def _nested(levels, rules, geo, jet):
+    return _level_sum(levels, 0, rules, [], geo, jet)[..., 0]
 
 
 class QuadratureError(ArithmeticError):
@@ -448,9 +464,10 @@ _GRID_BUDGET = 2.5e8
 _START_STEP = 0.5
 # relative rounding error of the nested sum, per level
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
-# steps that met rel_tol for (dims, counts, kappa, rel_tol), and with the
-# index set appended for a jet: later points start from them and skip the
-# planning passes, as a warm key's first pass usually meets rel_tol
+# steps that met rel_tol for (dims, counts, kappa, rel_tol, index set):
+# later points start from them and skip the planning passes, as a warm
+# key's first pass usually meets rel_tol.  A plain value's key ends with
+# the zero multi-index alone, as does a zero-order jet's
 _STEPS = {}
 
 
@@ -474,23 +491,21 @@ def _grids(levels, steps):
 
 
 def _relative_change(value, moved):
-    if isinstance(value, float):
-        return abs(moved - value) / value if value > 0 else 0.0
-    change, gross = np.abs(moved[0] - value[0]), value[1]
-    return float(np.max(np.divide(change, gross, out=np.zeros_like(change), where=gross > 0)))
+    # a level's share: the largest change of a coefficient against the sum
+    # of the moduli of its terms, a nan change counting as infinite
+    return max((min(math.inf, abs(y - x) / g) if g > 0 else 0.0)
+               for x, g, y in zip(value[0].tolist(), value[1].tolist(), moved[0].tolist()))
 
 
-def _halve(levels, steps, geo, rel_tol, head, jet=None):
+def _halve(levels, steps, geo, rel_tol, head, jet):
     """Halve the step of the level with the largest estimate until the
     relative estimates plus the rounding floor meet rel_tol.
 
     Each pass sums the grid at the current steps and, for every level k,
     its copy with level k's nodes shifted by half a step, which differs by
     twice that level's error.  No pass whose grids exceed the node budget
-    is summed.  Returns the steps, the sum, its shifted copies and the
-    estimate, or raises when the largest share cannot be halved.  A jet's
-    sums are judged coefficient by coefficient, each against the sum of
-    the moduli of its terms, and the worst one counts.
+    is summed.  Returns the steps, the sum and its shifted copies, or
+    raises when the largest share cannot be halved.
     """
     steps, halved, floor = list(steps), "", len(levels) * _ROUNDING
     while True:
@@ -506,7 +521,7 @@ def _halve(levels, steps, geo, rel_tol, head, jet=None):
         ests = [_relative_change(value, m) for m in moved]
         est = sum(ests) + floor
         if est <= rel_tol:
-            return tuple(steps), value, moved, est
+            return tuple(steps), value, moved
         k = int(np.argmax(ests))
         if ests[k] <= floor or steps[k] <= _MIN_STEP:
             where = "rounding floor" if ests[k] <= floor else "smallest step"
@@ -518,9 +533,9 @@ def _halve(levels, steps, geo, rel_tol, head, jet=None):
         steps[k] /= 2.0
 
 
-def _quadrature(levels, geo, rel_tol, key, jet=None):
-    """The nested sum and its error estimate, from one run of _halve on
-    the full grid.
+def _quadrature(levels, geo, rel_tol, key, jet):
+    """The nested sum's jet and every coefficient's absolute error
+    estimate, from one run of _halve on the full grid.
 
     A key seen before starts from the steps that met rel_tol for it, a
     cold key from _start_steps.  The error of a tensor grid belongs to the
@@ -532,25 +547,25 @@ def _quadrature(levels, geo, rel_tol, key, jet=None):
     keep every ratio of a group's steps irrational, so halving never
     brings a shared step back.
 
-    With a _JetPlan (key then ends with the index set) the sums are jets,
-    and every coefficient comes back with its own absolute estimate: the
-    shifts' changes summed over the levels plus the rounding floor of the
-    sum of moduli.  A cold jet starts from the steps of its value's key,
-    planned first by a run on the value alone when those are not known;
-    its own run then holds every coefficient to rel_tol.
+    key ends with the index set.  A coefficient's estimate is the shifts'
+    changes summed over the levels plus the rounding floor of the sum of
+    moduli.  A cold key over more than the zero multi-index starts from
+    the steps of the value's key, planned first by a run on the value
+    alone when those are not known; its own run then holds every
+    coefficient to rel_tol.
     """
+    index = key[-1]
     steps = _STEPS.get(key)
-    if steps is None and jet is not None:
-        if key[:-1] not in _STEPS:
-            _quadrature(levels, geo, rel_tol, key[:-1])
-        steps = _STEPS[key[:-1]]
+    if steps is None and len(index) > 1:
+        plain = key[:-1] + (index[:1],)
+        if plain not in _STEPS:
+            _quadrature(levels, geo, rel_tol, plain, _plan(index[:1], (0.0,) * len(index[0])))
+        steps = _STEPS[plain]
     if steps is None:
         steps = _start_steps(levels)
     head = f"rho with l={len(levels)} screening variables at rel_tol={rel_tol:g}"
-    steps, value, moved, est = _halve(levels, steps, geo, rel_tol, head, jet)
+    steps, value, moved = _halve(levels, steps, geo, rel_tol, head, jet)
     _STEPS[key] = steps
-    if jet is None:
-        return value, est * value
     change = sum(np.abs(m[0] - value[0]) for m in moved)
     return value[0], change + len(levels) * _ROUNDING * value[1]
 
@@ -560,71 +575,60 @@ def _check_rel_tol(rel_tol):
         raise ValueError("rel_tol must be positive")
 
 
-def _rho(c, dims, m, kappa, rel_tol, jet=None):
-    """The screened integral and its absolute error estimate.
+def _steady(plan, x_ext, dims, kappa, levels):
+    # (exponent, 1 / D, -(motion of D)) of every distance that moves with
+    # no node: the prefactor's pairs, and the interval each level scales
+    # with, raised to the level's power, its pairs with the ancestors but
+    # the parent, and below the top the group's own upper charge
+    def between(a, b):
+        # for chamber coordinates a < b
+        return 1.0 / (x_ext[b] - x_ext[a]), _motion(plan, ((a, 1.0), (b, -1.0)))
 
-    jet = (index, moves) asks for the Taylor jet in the marked points over
-    the closed index set `index` instead, with the anchor moving as
-    sum_i moves[i] x_i: both come back as arrays over the index set.
+    steady = []
+    for i, k in itertools.combinations(range(len(dims)), 2):
+        e = 2.0 * (dims[i] - 1) * (dims[k] - 1) / kappa
+        if e:
+            steady.append((e, *between(i + 1, k + 1)))
+    betas = _betas(dims, kappa)
+    for idx, lev in enumerate(levels):
+        i = lev.group
+        e = 1.0 + lev.aL + lev.aR - lev.env
+        e += (8.0 / kappa) * sum(1 for p in range(idx - 1) if levels[p].group == i)
+        if not lev.top:
+            e -= betas[i]
+        steady.append((e, *between(i - 1, i)))
+    return steady
+
+
+def _rho(c, dims, m, kappa, rel_tol, index, moves):
+    """The screened integral's Taylor jet in the marked points over the
+    closed index set `index`, with the anchor moving as sum_i moves[i] x_i,
+    and every coefficient's absolute error estimate, as arrays over the
+    index set.  Over ((0,) * n,) alone they hold the value and its
+    estimate.
+
+    The nested sums carry the distances that move with the nodes; the
+    prefactor's pair distances and the interval every level scales with
+    move with no node, so their jet multiplies the sums' once.
     """
     _check_rel_tol(rel_tol)
     dims, counts = _dims_counts(dims, m, c.n)
     _check_convergent(dims, kappa)
     pref = _x_prefactor(c.xs, dims, kappa)
-    if jet is not None:
-        return _rho_jet(c, dims, counts, kappa, rel_tol, pref, *jet)
-    if sum(counts) == 0:
-        return pref, 0.0
+    plan, tab = _plan(index, moves), jet_tables(index)
+    x_ext = (c.x0,) + c.xs
     betas = _betas(dims, kappa)
     levels = _build_levels(counts, betas, kappa)
-    geo = _geometry(levels, (c.x0,) + c.xs, betas, kappa)
-    key = (dims, counts, float(kappa), rel_tol)
-    value, est = _quadrature(levels, geo, rel_tol, key)
-    return pref * value, pref * est
-
-
-def _rho_jet(c, dims, counts, kappa, rel_tol, pref, index, moves):
-    # the nested sums carry the distances that move with the nodes; the
-    # prefactor's pair distances and the interval every level scales with
-    # move with no node, so their jet multiplies the sums' once
-    tab = jet_tables(index)
-    units = np.zeros((c.n + 1, len(tab.active)))
-    for a, i in enumerate(tab.active):
-        units[0, a] = moves[i]
-        units[i + 1, a] = 1.0
-    plan = _JetPlan(tab, tuple(tuple((a, u) for a, u in enumerate(row) if u) for row in units))
-    x_ext = (c.x0,) + c.xs
-
-    def between(a, b):
-        # (1 / (y_b - y_a), -(motion of y_b - y_a)) for chamber coordinates a < b
-        return 1.0 / (x_ext[b] - x_ext[a]), {p: r for p, r in enumerate(units[a] - units[b]) if r}
-
-    steady = []
-    for i in range(c.n):
-        for k in range(i + 1, c.n):
-            e = 2.0 * (dims[i] - 1) * (dims[k] - 1) / kappa
-            if e:
-                steady.append((e, *between(i + 1, k + 1)))
-    size = len(index)
-    if sum(counts) == 0:
-        value, est = np.eye(1, size)[0], np.zeros(size)
-    else:
-        betas = _betas(dims, kappa)
-        levels = _build_levels(counts, betas, kappa)
+    if levels:
         geo = _geometry(levels, x_ext, betas, kappa)
-        for idx, lev in enumerate(levels):
-            i = lev.group
-            # the interval's power, pairs with the ancestors but the parent,
-            # and below the top the group's own upper charge
-            e = 1.0 + lev.aL + lev.aR - lev.env
-            e += geo.pair * sum(1 for p in range(idx - 1) if levels[p].group == i)
-            if not lev.top:
-                e -= betas[i]
-            steady.append((e, *between(i - 1, i)))
         key = (dims, counts, float(kappa), rel_tol, index)
         value, est = _quadrature(levels, geo, rel_tol, key, plan)
-    out = product(tab, exp_series(tab, log_series(tab, (), {}, steady)), np.stack((value, est)))
-    return pref * out[0], pref * out[1]
+    else:
+        value, est = np.eye(1, tab.size)[0], np.zeros(tab.size)
+    if tab.active:
+        logs = log_series(tab, (), {}, _steady(plan, x_ext, dims, kappa, levels))
+        value, est = product(tab, exp_series(tab, logs), np.stack((value, est)))
+    return pref * value, pref * est
 
 
 def rho(c: ChamberPoint, dims, m, kappa, rel_tol: float = 1e-9) -> float:
@@ -637,16 +641,16 @@ def rho(c: ChamberPoint, dims, m, kappa, rel_tol: float = 1e-9) -> float:
     the call raises QuadratureError.  Marked points given as a JetPoint
     return the Taylor jet in them, the anchor held fixed, as a Jet whose
     coefficients each meet rel_tol against the sum of the moduli of their
-    terms.
+    terms; a plain point is the jet over the zero multi-index, returned
+    as its one coefficient.
     """
-    if isinstance(c.xs, JetPoint):
-        index = c.xs.index
-        value, est = _rho(c, dims, m, kappa, rel_tol, (index, (0.0,) * c.n))
-        _record(float(est[0]))
-        return Jet(index, dict(zip(index, value.tolist())), dict(zip(index, est.tolist())))
-    value, est = _rho(c, dims, m, kappa, rel_tol)
-    _record(est)
-    return value
+    jet = isinstance(c.xs, JetPoint)
+    index = c.xs.index if jet else ((0,) * c.n,)
+    value, est = _rho(c, dims, m, kappa, rel_tol, index, (0.0,) * c.n)
+    _record(float(est[0]))
+    if not jet:
+        return float(value[0])
+    return Jet(index, dict(zip(index, value.tolist())), dict(zip(index, est.tolist())))
 
 
 def b_const(d, d1, d2, kappa, rel_tol: float = 1e-9) -> float:
@@ -871,8 +875,11 @@ def contour_phi_oracle(c: ChamberPoint, dims, l, kappa) -> complex:
     Builds the loops explicitly for at most two screening variables,
     continues the branch along each loop from the reference configuration
     where the integrand is positive, and refines the node count until two
-    successive evaluations agree.
+    successive evaluations agree.  It computes values only: marked points
+    given as a JetPoint raise TypeError rather than drop the request.
     """
+    if isinstance(c.xs, JetPoint):
+        raise TypeError("the contour oracle returns values, not the Taylor jet a JetPoint asks for")
     dims, counts = _dims_counts(dims, l, c.n)
     _check_kappa(kappa)
     ell = sum(counts)

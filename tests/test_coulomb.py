@@ -20,7 +20,11 @@ from qscreen.coulomb import (
     h_weight,
     rho,
 )
+from qscreen.correspondence import F_hwv
+from qscreen.jet import JetPoint
+from qscreen.jet import tables as jet_tables
 from qscreen.qseries import KappaParams, eval_q, qfact
+from qscreen.uqsl2 import hwv_pair
 
 
 def q_of(kappa):
@@ -72,6 +76,9 @@ def test_integrand_rejects_bad_configurations():
         rho(c, (2, 2), (1, -1), 8.0)
     with pytest.raises(ValueError, match="kappa must be positive"):
         rho(c, (2, 2), (1, 0), 0.0)
+    # the oracle computes values only, and refuses a jet rather than drop it
+    with pytest.raises(TypeError, match="JetPoint"):
+        contour_phi_oracle(ChamberPoint(0.0, JetPoint((1.0, 2.0), [(1, 0)])), (2, 3), (1, 0), 10.0)
 
 
 def test_rho_empty_configuration_is_prefactor():
@@ -220,7 +227,10 @@ def _shift_estimates(steps):
     betas = coulomb._betas(dims, kappa)
     levels = coulomb._build_levels(counts, betas, kappa)
     geo = coulomb._geometry(levels, (_PAIR.x0,) + _PAIR.xs, betas, kappa)
-    value, *moved = (coulomb._nested(levels, rules, geo) for rules in coulomb._grids(levels, steps))
+    # the jet over the zero multi-index alone is the value
+    plan = coulomb._JetPlan(jet_tables(((0, 0),)), ((),) * 3)
+    value, *moved = (coulomb._nested(levels, rules, geo, plan)[0, 0]
+                     for rules in coulomb._grids(levels, steps))
     ref = _selberg_pair(4, 5, kappa)
     pref = coulomb._x_prefactor(_PAIR.xs, dims, kappa)
     return [abs(m - value) / value for m in moved], abs(pref * value - ref) / ref
@@ -288,7 +298,7 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
     summed = []
     nested = coulomb._nested
 
-    def counting(levels, rules, geo, jet=None):
+    def counting(levels, rules, geo, jet):
         summed.append(math.prod(len(rule[0]) for rule in rules))
         return nested(levels, rules, geo, jet)
 
@@ -297,6 +307,41 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
         rho(_PAIR, (5, 5), (0, 4), 16.75)
     assert summed and max(summed) <= 8.2e5, summed
     assert stats.nodes == sum(summed), stats
+
+
+@pytest.mark.parametrize(
+    "c, dims, m, kappa",
+    [
+        (ChamberPoint(-2.7, (-1.4, 2.0)), (2, 3), (1, 1), 8.8),
+        (_PAIR, (4, 4), (0, 3), 12.5),
+    ],
+)
+def test_rho_plain_value_is_the_zero_order_jet(monkeypatch, c, dims, m, kappa):
+    # a plain value is the jet over the zero multi-index: the same sums on
+    # the same grid under the same _STEPS key
+    monkeypatch.setattr(coulomb, "_STEPS", {})
+    zero = (0,) * c.n
+    with eval_stats() as plain:
+        value = rho(c, dims, m, kappa)
+    keys = set(coulomb._STEPS)
+    with eval_stats() as stats:
+        jet = rho(ChamberPoint(c.x0, JetPoint(c.xs, [zero])), dims, m, kappa)
+    assert jet.index == (zero,)
+    assert jet[zero] == value and jet.errs[zero] == plain.err_est
+    assert set(coulomb._STEPS) == keys
+    assert stats.grid_evals == sum(m) + 1, stats
+
+
+def test_f_hwv_plain_value_is_the_zero_order_jet(monkeypatch):
+    monkeypatch.setattr(coulomb, "_STEPS", {})
+    v, x, kappa = hwv_pair(3, 3, 2), (0.3, 1.7), 9.1
+    with eval_stats() as plain:
+        value = F_hwv(v, x, kappa)
+    keys = set(coulomb._STEPS)
+    with eval_stats() as stats:
+        jet = F_hwv(v, JetPoint(x, [(0, 0)]), kappa)
+    assert jet[(0, 0)] == value and jet.errs[(0, 0)] == plain.err_est == stats.err_est
+    assert set(coulomb._STEPS) == keys
 
 
 def test_rho_deterministic(monkeypatch):

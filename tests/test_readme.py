@@ -1,7 +1,9 @@
-"""The README's command line examples print what the README shows."""
+"""The README's examples print and return what the README shows."""
 
+import ast
 import csv
 import io
+import math
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qscreen import cli
+from qscreen.coulomb import b_const
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,3 +53,29 @@ def test_readme_example(argv, printed, capsys):
                 assert float(w) / 10 <= float(g) <= 10 * float(w)
             else:
                 assert g == w, key
+
+
+def _quick_start():
+    # runs the Python block under "Library quick start" statement by
+    # statement; returns the values of its bare expressions, which the
+    # README's comments describe
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    namespace, shown = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            shown.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return shown
+
+
+def test_readme_library_quick_start():
+    pair, size, quartet = _quick_start()
+    # plain points give numbers, not jets
+    assert isinstance(pair, complex) and isinstance(quartet, complex)
+    # F_hwv(v, (0, 1), 8) == b_const(1, 2, 2, 8) == pi
+    assert abs(pair - math.pi) <= 1e-9 * math.pi
+    assert abs(b_const(1, 2, 2, 8.0) - math.pi) <= 1e-9 * math.pi
+    # the dimension of the trivial part of (2, 2, 2, 2)
+    assert size == 2
