@@ -3,15 +3,16 @@
 Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
 the screened integrals over nested ordered simplices (a tanh-sinh rule per
 screening variable; one loop halves a level's step on the full grid until
-the quadrature's own error estimate meets the requested tolerance,
-starting the variables of one group from staggered steps so that their
-tensor grid does not alias), carrying their Taylor jet in the marked
-points through every level (a plain value is the jet over the zero
-multi-index alone, so one path serves both), the boundary fusion
-constants, conformal weight and exponent helpers, and a direct contour
-oracle that integrates the same density over explicitly constructed nested
-loops with the branch tracked along the path.  Everything here is numeric;
-the exact q-dependent factors live in correspondence.
+the quadrature's own error estimate meets the requested tolerance, each
+halving summing only the nodes it adds, and starting the variables of
+one group from staggered steps so that their tensor grid does not
+alias), carrying their Taylor jet in the marked points through every
+level (a plain value is the jet over the zero multi-index alone, so one
+path serves both), the boundary fusion constants, conformal weight and
+exponent helpers, and a direct contour oracle that integrates the same
+density over explicitly constructed nested loops with the branch tracked
+along the path.  Everything here is numeric; the exact q-dependent
+factors live in correspondence.
 """
 
 from __future__ import annotations
@@ -356,14 +357,15 @@ def _level_sum(levels, idx, rules, outer, geo, jet):
     grid; this level's arrays are (nodes, outer grid).
 
     The sums carry the Taylor jet of the integrand in the marked points
-    over the _JetPlan's index set: the result is (2, coefficients, outer
-    grid), row 0 the sums and row 1 the sums of the moduli of their
-    terms.  Over the zero multi-index alone both rows hold the value.
+    over the _JetPlan's index set: the result is (rows, coefficients,
+    outer grid), row 0 the sums and the last row the sums of the moduli of
+    their terms.  The integrand is positive, so over the zero multi-index
+    alone the two are one row, the value.
     """
     lev, rule = levels[idx], rules[idx]
     n = len(rule[0])
     size = outer[0][0].size if outer else 1
-    width = jet.tables.size
+    rows, width = (2 if jet.tables.active else 1), jet.tables.size
     if n * size * width > _CHUNK_CAP and size > 1:
         step = max(1, _CHUNK_CAP // (n * width))
         return np.concatenate([
@@ -426,20 +428,22 @@ def _level_sum(levels, idx, rules, outer, geo, jet):
         np.multiply(pairs, geo.pair, out=pairs)
         np.add(G, pairs, out=G)
     np.exp(G, out=G)
+    # the inner levels hold the peak memory: release the temporaries first
+    tmp = pairs = ancestor = factor = None
     if not last:
         carried = [tuple(_flat(a, shape) for a in c) for c in outer]
         own = tuple(_flat(a, shape) for a in (lo, logS + logt, hi, up))
         inner = _level_sum(levels, idx + 1, rules, carried + [own], geo, jet)
     P = _level_series(jet, levels, idx, geo, lo, hi, outer, shape)
     if last:
-        out = np.zeros((2, width, size))
+        out = np.zeros((rows, width, size))
         if P is None:
             out[:, 0] = G.sum(axis=0)
         else:
             out[0] = np.einsum("cts,ts->cs", P, G)
             out[1] = np.einsum("cts,ts->cs", np.abs(P), G)
         return out
-    inner = inner.reshape((2, width) + shape)
+    inner = inner.reshape((rows, width) + shape)
     if P is not None:
         inner = product(jet.tables, P, inner)
     inner *= G
@@ -464,10 +468,11 @@ _GRID_BUDGET = 2.5e8
 _START_STEP = 0.5
 # relative rounding error of the nested sum, per level
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
-# steps that met rel_tol for (dims, counts, kappa, rel_tol, index set):
-# later points start from them and skip the planning passes, as a warm
-# key's first pass usually meets rel_tol.  A plain value's key ends with
-# the zero multi-index alone, as does a zero-order jet's
+# the steps that met rel_tol for (dims, counts, kappa, rel_tol, index set)
+# at the latest point: a cold jet starts from its value's, a warm jet from
+# its own.  A plain value's key ends with the zero multi-index alone, as
+# does a zero-order jet's, and a plain value always starts from
+# _start_steps
 _STEPS = {}
 
 
@@ -480,44 +485,66 @@ def _start_steps(levels):
     return steps
 
 
+def _grid(levels, steps, shifted=()):
+    # the rules of the grid at steps, with the nodes of the levels in
+    # shifted moved by half a step
+    return [_unit_rule(lev, h, 0.5 if k in shifted else 0.0)
+            for k, (lev, h) in enumerate(zip(levels, steps))]
+
+
 def _grids(levels, steps):
-    # the rules of the grid at steps, then of its copy with level k's nodes
-    # shifted by half a step, for every k
-    rules = [_unit_rule(lev, h, 0.0) for lev, h in zip(levels, steps)]
-    return [rules] + [
-        rules[:k] + [_unit_rule(lev, h, 0.5)] + rules[k + 1 :]
-        for k, (lev, h) in enumerate(zip(levels, steps))
-    ]
+    # the grid at steps, then its copy with level k's nodes shifted by half
+    # a step, for every k
+    return [_grid(levels, steps)] + [_grid(levels, steps, (k,)) for k in range(len(levels))]
 
 
 def _relative_change(value, moved):
     # a level's share: the largest change of a coefficient against the sum
-    # of the moduli of its terms, a nan change counting as infinite
+    # of the moduli of its terms (the last row), a nan change counting as
+    # infinite
     return max((min(math.inf, abs(y - x) / g) if g > 0 else 0.0)
-               for x, g, y in zip(value[0].tolist(), value[1].tolist(), moved[0].tolist()))
+               for x, g, y in zip(value[0].tolist(), value[-1].tolist(), moved[0].tolist()))
+
+
+def _nodes(rules):
+    return math.prod(len(rule[0]) for rule in rules)
+
+
+def _check_budget(grids, head, note):
+    size = max(_nodes(rules) for rules in grids)
+    if size > _GRID_BUDGET:
+        raise QuadratureError(f"{head}: {size:.2e} nodes exceed the budget of {_GRID_BUDGET:.1e}{note}")
+
+
+def _summed(levels, grids, geo, jet):
+    sums = [_nested(levels, rules, geo, jet) for rules in grids]
+    _record(grid_evals=len(grids), nodes=sum(_nodes(rules) for rules in grids))
+    return sums
 
 
 def _halve(levels, steps, geo, rel_tol, head, jet):
     """Halve the step of the level with the largest estimate until the
     relative estimates plus the rounding floor meet rel_tol.
 
-    Each pass sums the grid at the current steps and, for every level k,
-    its copy with level k's nodes shifted by half a step, which differs by
-    twice that level's error.  No pass whose grids exceed the node budget
-    is summed.  Returns the steps, the sum and its shifted copies, or
-    raises when the largest share cannot be halved.
+    The first pass sums the grid at the start steps and, for every level
+    k, its copy with level k's nodes shifted by half a step, which differs
+    by twice that level's error.  Halving level k adds no node the sums do
+    not hold: the grid at h_k / 2 is the grid at h_k and its copy shifted
+    in k, at half the weight, so the new value is the mean of the two.
+    Each other level j's copy is likewise the mean of its old copy and
+    the grid with both j and k shifted at the old steps, and only level
+    k's copy at the new step is summed in full.  A pass thus sums about
+    (l + 1) times the old grid's nodes where a full pass sums twice that,
+    and a plan costs about one full pass on its final grid.  No pass whose
+    full copies exceed the node budget is summed.  Returns the final
+    steps, the sum and its shifted copies, or raises when the largest
+    share cannot be halved.
     """
-    steps, halved, floor = list(steps), "", len(levels) * _ROUNDING
+    steps, floor = list(steps), len(levels) * _ROUNDING
+    grids = _grids(levels, steps)
+    _check_budget(grids, head, "")
+    value, *moved = _summed(levels, grids, geo, jet)
     while True:
-        grids = _grids(levels, steps)
-        sizes = [math.prod(len(rule[0]) for rule in rules) for rules in grids]
-        if max(sizes) > _GRID_BUDGET:
-            raise QuadratureError(
-                f"{head}: {max(sizes):.2e} nodes exceed the budget of"
-                f" {_GRID_BUDGET:.1e}{halved}"
-            )
-        value, *moved = (_nested(levels, rules, geo, jet) for rules in grids)
-        _record(grid_evals=len(grids), nodes=sum(sizes))
         ests = [_relative_change(value, m) for m in moved]
         est = sum(ests) + floor
         if est <= rel_tol:
@@ -529,45 +556,52 @@ def _halve(levels, steps, geo, rel_tol, head, jet):
                 f"{head}: error estimate {est:.2e}; level {k}, the largest"
                 f" share ({ests[k]:.2e}), is at the {where}"
             )
-        halved = f" after halving level {k} (estimate {ests[k]:.2e})"
-        steps[k] /= 2.0
+        note = f" after halving level {k} (estimate {ests[k]:.2e})"
+        finer = steps.copy()
+        finer[k] /= 2.0
+        _check_budget(_grids(levels, finer), head, note)
+        grids = [_grid(levels, steps, (j, k)) for j in range(len(levels)) if j != k]
+        *cross, new = _summed(levels, grids + [_grid(levels, finer, (k,))], geo, jet)
+        value = 0.5 * (value + moved[k])
+        cross = iter(cross)
+        moved = [new if j == k else 0.5 * (m + next(cross)) for j, m in enumerate(moved)]
+        steps = finer
 
 
 def _quadrature(levels, geo, rel_tol, key, jet):
     """The nested sum's jet and every coefficient's absolute error
-    estimate, from one run of _halve on the full grid.
+    estimate, from one run of _halve.
 
-    A key seen before starts from the steps that met rel_tol for it, a
-    cold key from _start_steps.  The error of a tensor grid belongs to the
-    levels one by one, so each is shifted with every other level kept.
-    Two variables of one group at one step alias: the distances between
-    them depend on their offsets from the shared end in sum, so the
-    tensor trapezoid rule misses a ridge along u_0 - u_1 = const, and each
-    level's shift reports the joint error of both.  Staggered start steps
-    keep every ratio of a group's steps irrational, so halving never
-    brings a shared step back.
+    A plain value starts from _start_steps at every call, so it depends on
+    its point alone: a repeated call sums the same grids and returns the
+    same bits.  The error of a tensor grid belongs to the levels one by
+    one, so each is shifted with every other level kept.  Two variables of
+    one group at one step alias: the distances between them depend on
+    their offsets from the shared end in sum, so the tensor trapezoid rule
+    misses a ridge along u_0 - u_1 = const, and each level's shift reports
+    the joint error of both.  Staggered start steps keep every ratio of a
+    group's steps irrational, so halving never brings a shared step back.
 
     key ends with the index set.  A coefficient's estimate is the shifts'
     changes summed over the levels plus the rounding floor of the sum of
-    moduli.  A cold key over more than the zero multi-index starts from
-    the steps of the value's key, planned first by a run on the value
+    moduli.  A jet over more than the zero multi-index starts from the
+    steps that met rel_tol for its key before, or when it is cold from the
+    final steps of the value's key, planned first by a run on the value
     alone when those are not known; its own run then holds every
     coefficient to rel_tol.
     """
     index = key[-1]
-    steps = _STEPS.get(key)
-    if steps is None and len(index) > 1:
+    steps = _STEPS.get(key) if len(index) > 1 else _start_steps(levels)
+    if steps is None:
         plain = key[:-1] + (index[:1],)
         if plain not in _STEPS:
             _quadrature(levels, geo, rel_tol, plain, _plan(index[:1], (0.0,) * len(index[0])))
         steps = _STEPS[plain]
-    if steps is None:
-        steps = _start_steps(levels)
     head = f"rho with l={len(levels)} screening variables at rel_tol={rel_tol:g}"
     steps, value, moved = _halve(levels, steps, geo, rel_tol, head, jet)
     _STEPS[key] = steps
     change = sum(np.abs(m[0] - value[0]) for m in moved)
-    return value[0], change + len(levels) * _ROUNDING * value[1]
+    return value[0], change + len(levels) * _ROUNDING * value[-1]
 
 
 def _check_rel_tol(rel_tol):

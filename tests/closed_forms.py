@@ -8,7 +8,7 @@ from itertools import product
 from qscreen.correspondence import _compositions, _group_prefactor
 from qscreen.jet import Jet
 from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qmultinom
-from qscreen.uqsl2 import TensorVector, _rref, act
+from qscreen.uqsl2 import TensorVector, act
 
 
 def is_poly(x) -> bool:
@@ -68,6 +68,28 @@ def delta_scaling(l, dims, kappa) -> float:
     return (2.0 * cross - 4.0 * l * stot + 4.0 * l * (l - 1)) / kappa + l
 
 
+def gauss_jordan(rows, ncols):
+    """Reduced row echelon form of a matrix of QScalars over its first
+    ncols columns: (the nonzero rows, their pivot columns).  The reference
+    keeps its own elimination, so it does not share the library's."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not row[c].is_zero():
+                f = row[c]
+                rows[i] = [x if y.is_zero() else x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
 def hwv_basis_by_elimination(space, d):
     """Highest weight basis of weight q^(d-1) as the kernel of the E-matrix
     on the K-eigenspace, by exact Gaussian elimination, echelon-normalized
@@ -90,7 +112,7 @@ def hwv_basis_by_elimination(space, d):
         for tgt, val in img.coeffs.items():
             emat[row_pos[tgt]][c] = val
     # with no rows the echelon form is empty and every column is free
-    reduced, pivots = _rref(emat, len(col_idx))
+    reduced, pivots = gauss_jordan(emat, len(col_idx))
     pivset = set(pivots)
     kernel = []
     for free in range(len(col_idx)):
@@ -103,7 +125,7 @@ def hwv_basis_by_elimination(space, d):
         kernel.append(vec)
     if not kernel:
         return []
-    canon, _ = _rref(kernel, len(col_idx))
+    canon, _ = gauss_jordan(kernel, len(col_idx))
     return [TensorVector(space, {col_idx[i]: val for i, val in enumerate(row)
                                  if not val.is_zero()})
             for row in canon]
