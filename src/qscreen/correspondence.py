@@ -230,9 +230,9 @@ def _rephasing(m):
 # -- numeric evaluation ----------------------------------------------------
 
 
-# the jet with its error estimates, so a cached term still reports them;
-# the key holds the index set and the anchor's motion, zero at a plain
-# point, so plain calls share their entries whatever anchor they move
+# _rho depends on its arguments alone, so a cached term, estimates included,
+# is what a new call would return; the key holds the index set and the
+# anchor's motion, zero at a plain point, so plain calls share their entries
 _rho_cached = lru_cache(maxsize=4096)(_rho)
 
 

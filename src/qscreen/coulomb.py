@@ -11,8 +11,10 @@ level (a plain value is the jet over the zero multi-index alone, so one
 path serves both), the boundary fusion constants, conformal weight and
 exponent helpers, and a direct contour oracle that integrates the same
 density over explicitly constructed nested loops with the branch tracked
-along the path.  Everything here is numeric; the exact q-dependent
-factors live in correspondence.
+along the path.  A value plans its steps from the start steps at every
+call, and a jet from the final steps of its own point's value plan, so
+every result depends on its arguments alone.  Everything here is
+numeric; the exact q-dependent factors live in correspondence.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def _build_levels(counts, betas, kappa):
             aL = -betas[i - 1] + env
             aR = -betas[i] if r == mi else 8.0 / kappa
             levels.append(_Level(i, r == mi, aL, aR, env, 0.0 if r == mi else betas[i]))
-    return levels
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -462,18 +464,12 @@ class QuadratureError(ArithmeticError):
 # nodes
 _MIN_STEP = 2.0 ** -6
 _GRID_BUDGET = 2.5e8
-# a cold key starts the j-th level from the top of a group of m levels at
+# a plan starts the j-th level from the top of a group of m levels at
 # _START_STEP * 2^(-j/m), so no two levels of a group ever share a step or
 # sit in a rational step ratio
 _START_STEP = 0.5
 # relative rounding error of the nested sum, per level
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
-# the steps that met rel_tol for (dims, counts, kappa, rel_tol, index set)
-# at the latest point: a cold jet starts from its value's, a warm jet from
-# its own.  A plain value's key ends with the zero multi-index alone, as
-# does a zero-order jet's, and a plain value always starts from
-# _start_steps
-_STEPS = {}
 
 
 def _start_steps(levels):
@@ -568,38 +564,41 @@ def _halve(levels, steps, geo, rel_tol, head, jet):
         steps = finer
 
 
-def _quadrature(levels, geo, rel_tol, key, jet):
+def _head(levels, rel_tol):
+    return f"rho with l={len(levels)} screening variables at rel_tol={rel_tol:g}"
+
+
+@lru_cache(maxsize=4096)
+def _value_steps(levels, geo, rel_tol):
+    # the final steps of the value's plan: levels and geo fix the value's
+    # nested sums, so these are a function of the arguments alone, and the
+    # jets at one point share one plan
+    n = len(geo.gaps)
+    plan = _plan(((0,) * n,), (0.0,) * n)
+    return _halve(levels, _start_steps(levels), geo, rel_tol, _head(levels, rel_tol), plan)[0]
+
+
+def _quadrature(levels, geo, rel_tol, jet):
     """The nested sum's jet and every coefficient's absolute error
     estimate, from one run of _halve.
 
-    A plain value starts from _start_steps at every call, so it depends on
-    its point alone: a repeated call sums the same grids and returns the
-    same bits.  The error of a tensor grid belongs to the levels one by
-    one, so each is shifted with every other level kept.  Two variables of
-    one group at one step alias: the distances between them depend on
-    their offsets from the shared end in sum, so the tensor trapezoid rule
-    misses a ridge along u_0 - u_1 = const, and each level's shift reports
-    the joint error of both.  Staggered start steps keep every ratio of a
-    group's steps irrational, so halving never brings a shared step back.
-
-    key ends with the index set.  A coefficient's estimate is the shifts'
-    changes summed over the levels plus the rounding floor of the sum of
-    moduli.  A jet over more than the zero multi-index starts from the
-    steps that met rel_tol for its key before, or when it is cold from the
-    final steps of the value's key, planned first by a run on the value
-    alone when those are not known; its own run then holds every
-    coefficient to rel_tol.
+    A plain value starts from _start_steps, and a jet over more than the
+    zero multi-index from the final steps of the value's plan at the same
+    point; its own run then holds every coefficient to rel_tol.  Either
+    depends on its arguments alone: a repeated call sums the same grids
+    and returns the same bits, whatever was evaluated before.  The error
+    of a tensor grid belongs to the levels one by one, so each is shifted
+    with every other level kept.  Two variables of one group at one step
+    alias: the distances between them depend on their offsets from the
+    shared end in sum, so the tensor trapezoid rule misses a ridge along
+    u_0 - u_1 = const, and each level's shift reports the joint error of
+    both.  Staggered start steps keep every ratio of a group's steps
+    irrational, so halving never brings a shared step back.  A
+    coefficient's estimate is the shifts' changes summed over the levels
+    plus the rounding floor of the sum of moduli.
     """
-    index = key[-1]
-    steps = _STEPS.get(key) if len(index) > 1 else _start_steps(levels)
-    if steps is None:
-        plain = key[:-1] + (index[:1],)
-        if plain not in _STEPS:
-            _quadrature(levels, geo, rel_tol, plain, _plan(index[:1], (0.0,) * len(index[0])))
-        steps = _STEPS[plain]
-    head = f"rho with l={len(levels)} screening variables at rel_tol={rel_tol:g}"
-    steps, value, moved = _halve(levels, steps, geo, rel_tol, head, jet)
-    _STEPS[key] = steps
+    steps = _value_steps(levels, geo, rel_tol) if jet.tables.active else _start_steps(levels)
+    _, value, moved = _halve(levels, steps, geo, rel_tol, _head(levels, rel_tol), jet)
     change = sum(np.abs(m[0] - value[0]) for m in moved)
     return value[0], change + len(levels) * _ROUNDING * value[-1]
 
@@ -655,8 +654,7 @@ def _rho(c, dims, m, kappa, rel_tol, index, moves):
     levels = _build_levels(counts, betas, kappa)
     if levels:
         geo = _geometry(levels, x_ext, betas, kappa)
-        key = (dims, counts, float(kappa), rel_tol, index)
-        value, est = _quadrature(levels, geo, rel_tol, key, plan)
+        value, est = _quadrature(levels, geo, rel_tol, plan)
     else:
         value, est = np.eye(1, tab.size)[0], np.zeros(tab.size)
     if tab.active:

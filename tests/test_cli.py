@@ -188,6 +188,23 @@ def test_eval_saturated_counts_give_zero(capsys):
         assert row["err_est"] == 0.0
 
 
+def test_eval_refuses_a_row_that_vanishes_within_its_estimate(capsys):
+    # the trivial vector's function nearly vanishes here: the row was
+    # 1.95e-9+3.38e-9i against an err_est of 1.06e-7
+    code, out, err = run(
+        capsys,
+        "eval",
+        "--kappa", "6",
+        "--dims", "2,2,2,2,2,2",
+        "--vector", "trivial:0",
+        "--x", "0,1.3,2,3.3,4,5.3",
+    )
+    assert code == 3
+    assert out == ""
+    assert "vanishes within its error estimate" in err
+    assert "|value| = 3.90e-09" in err and "estimate 1.06e-07" in err
+
+
 def test_eval_requires_exactly_one_mode(capsys):
     code, _, err = run(capsys, "eval", "--x", "0,1")
     assert code == 2
@@ -262,7 +279,8 @@ def test_verify_all_collects_every_suite(capsys):
 
 
 def test_verify_reports_evaluator_calls_and_seconds(capsys):
-    # every operator check asks its evaluator once for a jet
+    # every check reports its seconds; every operator check asks its
+    # evaluator once for a jet
     report = {}
     for suite in ("pde", "cov"):
         code, out, _ = run(capsys, "verify", suite)
@@ -278,11 +296,11 @@ def test_verify_reports_evaluator_calls_and_seconds(capsys):
         "cov.euler_generator",
     }
     for name, check in report.items():
+        assert check["seconds"] >= 0.0
         if name in costed:
             assert isinstance(check["evals"], int)
-            assert check["seconds"] >= 0.0
         else:
-            assert "evals" not in check and "seconds" not in check
+            assert "evals" not in check
     assert report["pde.growth_process_equation"]["evals"] == 2
     assert report["cov.translation_generator"]["evals"] == 1
     assert report["cov.euler_generator"]["evals"] == 1

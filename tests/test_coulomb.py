@@ -8,7 +8,7 @@ import pytest
 
 from closed_forms import delta_scaling, selberg_oracle
 
-from qscreen import correspondence, coulomb
+from qscreen import coulomb
 from qscreen.coulomb import (
     ChamberPoint,
     QuadratureError,
@@ -23,8 +23,9 @@ from qscreen.coulomb import (
 from qscreen.correspondence import F_hwv
 from qscreen.jet import JetPoint
 from qscreen.jet import tables as jet_tables
+from qscreen.pde import sle_pde_check, translation_check
 from qscreen.qseries import KappaParams, eval_q, qfact
-from qscreen.uqsl2 import hwv_pair
+from qscreen.uqsl2 import TensorSpace, hwv_pair, hwv_space_basis
 
 
 def q_of(kappa):
@@ -207,12 +208,11 @@ def test_rho_selberg_gate_four_variables():
     _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
 
 
-def test_rho_plan_node_counts(monkeypatch):
+def test_rho_plan_node_counts():
     # the plan halves from staggered start steps, and each halving sums
     # only the nodes it adds (a plan on probes summed 9.3e7 nodes, one
     # re-summing every pass 3.1e7); a plain value plans at every call, so a
     # repeated call sums the same grids
-    monkeypatch.setattr(coulomb, "_STEPS", {})
     ref = _selberg_pair(4, 5, 16.75)
     cold = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
     assert cold.nodes <= 2e7, cold
@@ -250,7 +250,6 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa):
     # each halving composes the new sums from the old ones; on the cold
     # plan's final steps they must equal the direct sums over _grids up to
     # rounding and the tail mass the coarser rules fold into other nodes
-    monkeypatch.setattr(coulomb, "_STEPS", {})
     halve, seen = coulomb._halve, {}
 
     def keep(levels, steps, geo, rel_tol, head, jet):
@@ -283,22 +282,29 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa):
         ((2, 3), (1, 1), 8.8, ChamberPoint(-1.0, (0.0, 0.1)), ChamberPoint(0.0, (1.0, 2.5))),
     ],
 )
-def test_rho_plain_value_does_not_depend_on_earlier_calls(monkeypatch, dims, m, kappa, first,
-                                                          second):
+def test_rho_does_not_depend_on_earlier_calls(dims, m, kappa, first, second):
     # a plain value sums the same grids and returns the same bits whatever
-    # points were evaluated before it under the same key
-    monkeypatch.setattr(coulomb, "_STEPS", {})
-
+    # points were evaluated before it; a jet starts from its own point's
+    # value plan, so its coefficients and estimates do not depend on them
+    # either (a jet at (0; 1, 2.5) that started from the steps of the
+    # latest point moved by 5e-11 relative at first order, 3e-10 at second)
     def run(c):
         with eval_stats() as stats:
             value = rho(c, dims, m, kappa)
         return value, stats.grid_evals, stats.nodes
 
+    def jets(c):
+        return [rho(ChamberPoint(c.x0, JetPoint(c.xs, reads)), dims, m, kappa)
+                for reads in ([(1, 0), (0, 1)], [(2, 0), (1, 1), (0, 2)])]
+
     alone = run(second)
-    coulomb._STEPS.clear()
+    alone_jets = jets(second)
     before = run(first)
+    before_jets = jets(first)
     assert run(second) == alone
+    assert jets(second) == alone_jets
     assert run(first) == before
+    assert jets(first) == before_jets
 
 
 def _shift_estimates(steps):
@@ -344,12 +350,9 @@ def test_rho_shared_step_aliases_across_a_group():
         (ChamberPoint(-1.0, (0.0, 1.0, 2.5, 4.0)), (2,) * 4, (1,) * 4, 10.0, 1e-12),
     ],
 )
-def test_rho_estimate_covers_where_probes_under_estimate(
-    monkeypatch, c, dims, m, kappa, tight
-):
+def test_rho_estimate_covers_where_probes_under_estimate(c, dims, m, kappa, tight):
     # the reference is the same integral at a far tighter rel_tol; the
     # returned estimate, the full grid's, must cover its error
-    monkeypatch.setattr(coulomb, "_STEPS", {})
     ref = rho(c, dims, m, kappa, rel_tol=tight)
     _assert_gate(c, dims, m, kappa, 1e-9, ref, floor=0.0)
 
@@ -375,7 +378,6 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
     # a smaller budget the plan raises, and no grid it sums exceeds it.
     # The third pass's grid holds 8.13e5 nodes and its copy with level 1
     # shifted 8.26e5, so the budget must bound the shifted copies too
-    monkeypatch.setattr(coulomb, "_STEPS", {})
     monkeypatch.setattr(coulomb, "_GRID_BUDGET", 8.2e5)
     summed = []
     nested = coulomb._nested
@@ -398,49 +400,60 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
         (_PAIR, (4, 4), (0, 3), 12.5),
     ],
 )
-def test_rho_plain_value_is_the_zero_order_jet(monkeypatch, c, dims, m, kappa):
+def test_rho_plain_value_is_the_zero_order_jet(c, dims, m, kappa):
     # a plain value is the jet over the zero multi-index: the same sums on
-    # the same grid under the same _STEPS key
-    monkeypatch.setattr(coulomb, "_STEPS", {})
+    # the same grid from the same start steps
     zero = (0,) * c.n
     with eval_stats() as plain:
         value = rho(c, dims, m, kappa)
-    keys = set(coulomb._STEPS)
     with eval_stats() as stats:
         jet = rho(ChamberPoint(c.x0, JetPoint(c.xs, [zero])), dims, m, kappa)
     assert jet.index == (zero,)
     assert jet[zero] == value and jet.errs[zero] == plain.err_est
-    assert set(coulomb._STEPS) == keys
     assert stats.grid_evals == plain.grid_evals, (stats, plain)
 
 
-def test_f_hwv_plain_value_is_the_zero_order_jet(monkeypatch):
-    # the rho terms of this vector at this point may sit in the evaluator's
-    # cache from an earlier test, and would then not reach _STEPS
-    correspondence._rho_cached.cache_clear()
-    monkeypatch.setattr(coulomb, "_STEPS", {})
+def test_f_hwv_plain_value_is_the_zero_order_jet():
     v, x, kappa = hwv_pair(3, 3, 2), (0.3, 1.7), 9.1
     with eval_stats() as plain:
         value = F_hwv(v, x, kappa)
-    keys = set(coulomb._STEPS)
     with eval_stats() as stats:
         jet = F_hwv(v, JetPoint(x, [(0, 0)]), kappa)
     assert jet[(0, 0)] == value and jet.errs[(0, 0)] == plain.err_est == stats.err_est
-    assert set(coulomb._STEPS) == keys
 
 
-def test_rho_deterministic(monkeypatch):
+def test_jets_at_one_point_share_the_value_plan(monkeypatch):
+    # every jet at a point starts from the final steps of the value's plan
+    # there; the SLE check plans the value once, and the translation check
+    # at the same point plans it no more
+    halve, plain_runs = coulomb._halve, []
+
+    def counting(levels, steps, geo, rel_tol, head, jet):
+        if not jet.tables.active:
+            plain_runs.append(steps)
+        return halve(levels, steps, geo, rel_tol, head, jet)
+
+    monkeypatch.setattr(coulomb, "_halve", counting)
+    v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
+    ev = lambda y: F_hwv(v, y, 10.0)
+    x = (-0.4, 0.85, 2.15, 3.7)
+    sle_pde_check(ev, x, 10.0, 1)
+    assert plain_runs
+    planned = len(plain_runs)
+    translation_check(ev, x)
+    assert len(plain_runs) == planned, plain_runs[planned:]
+
+
+def test_rho_deterministic():
     # a plain value plans its steps from the start steps at every call, so
     # a repeated call must sum the same grids in the same order and agree
     # bit for bit, which the finite-difference lattices rely on
-    monkeypatch.setattr(coulomb, "_STEPS", {})
     cases = [
         (ChamberPoint(0.0, (1.0, 2.0)), (2, 2), (1, 0), 10.0),
         (ChamberPoint(-2.7, (-1.4, 2.0)), (2, 3), (1, 1), 8.8),
         (_PAIR, (4, 4), (0, 3), 12.5),
     ]
     for c, dims, m, kappa in cases:
-        coulomb._STEPS.clear()
         cold = rho(c, dims, m, kappa)
         assert rho(c, dims, m, kappa) == cold, (dims, m)
 
