@@ -4,6 +4,8 @@ Configuration comes from an optional key=value file plus command line
 flags; flags win.  Evaluation rows carry the quadrature's own absolute
 error estimate; a row whose integrals cannot meet rel_tol, or that
 vanishes within its estimate, stops the run with exit status 3.
+Each verification suite lists its checks as rows (name, computation,
+tolerance[, "above"]), and one function runs, times and scales them all.
 Verification reports are JSON with per-check tolerances, measured values
 and seconds, and the operator checks also report their evaluator calls;
 the exit status is zero exactly when every check passed.
@@ -14,6 +16,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -32,7 +35,6 @@ from .correspondence import (
 from .pde import (
     apply_bsa,
     build_bsa,
-    check_stats,
     euler_check,
     mobius_check,
     sle_pde_check,
@@ -59,8 +61,9 @@ SUITES = ("qg", "reduction", "pde", "cov", "asy", "infinity", "cyclic", "all")
 class RunConfig:
     """Parsed settings shared by all commands.
 
-    tol, when set, multiplies every upper tolerance in the verification
-    suites; x0 None means the automatic anchor.
+    tol multiplies every upper ("below") tolerance of the verification
+    suites; it is positive and finite, so an exact check's 0 stays 0.
+    x0 None means the automatic anchor.
     """
 
     kappa: float = 8.0
@@ -71,7 +74,7 @@ class RunConfig:
     x0: float = None
     d: int = 1
     rel_tol: float = 1e-9
-    tol: float = None
+    tol: float = 1.0
     seed: int = 2026
     out: str = ""
     format: str = "csv"
@@ -98,10 +101,10 @@ def _parse_anchor(text):
     return float(text)
 
 
-def _parse_rel_tol(text):
+def _parse_positive_finite(text):
     value = float(text)
-    if not value > 0:
-        raise ValueError("rel_tol must be positive")
+    if not 0 < value < math.inf:
+        raise ValueError("must be positive and finite")
     return value
 
 
@@ -120,8 +123,8 @@ _PARSERS = {
     "x": _parse_rows,
     "x0": _parse_anchor,
     "d": int,
-    "rel_tol": _parse_rel_tol,
-    "tol": float,
+    "rel_tol": _parse_positive_finite,
+    "tol": _parse_positive_finite,
     "seed": int,
     "out": str,
     "format": _parse_format,
@@ -284,36 +287,30 @@ def format_rows(rows, fmt):
 # -- verify ----------------------------------------------------------------
 
 
-def _check(name, measure, tolerance, direction="below"):
-    """The report of one check: measure() is its computation, and its
-    cost rides along."""
-    measured, cost = _costed(measure)
-    measured = float(measured)
+def _check(config, name, measure, tolerance, direction="below"):
+    """The report of one check: measure() is its computation, run inside
+    one eval_stats() block that times it and counts the evaluator calls of
+    its operator checks (reported as evals when there are any).  A "below"
+    tolerance is an upper bound, multiplied by config.tol; an "above" one
+    is a lower bound and stays as given."""
+    if direction == "below":
+        tolerance *= config.tol
+    start = time.perf_counter()
+    with eval_stats() as stats:
+        measured = float(measure())
+    seconds = time.perf_counter() - start
     passed = measured <= tolerance if direction == "below" else measured >= tolerance
-    return {
+    report = {
         "name": name,
         "tolerance": tolerance,
         "measured": measured,
         "passed": passed,
         "direction": direction,
-        **cost,
+        "seconds": seconds,
     }
-
-
-def _costed(run):
-    """run()'s result, and what it cost: the seconds it took and, when
-    operator checks inside it called their evaluator, those calls."""
-    start = time.perf_counter()
-    with check_stats() as stats:
-        result = run()
-    cost = {"seconds": time.perf_counter() - start}
     if stats.evals:
-        cost["evals"] = stats.evals
-    return result, cost
-
-
-def _scaled(config, tolerance):
-    return tolerance if config.tol is None else tolerance * config.tol
+        report["evals"] = stats.evals
+    return report
 
 
 def _relative(check):
@@ -356,10 +353,10 @@ def _qg_checks(config):
         return defects
 
     return [
-        _check("qg.binomial_factorials", binomial_factorials, 0.0),
-        _check("qg.integer_recurrence", integer_recurrence, 0.0),
-        _check("qg.multinomial_factorials", multinomial_factorials, 0.0),
-        _check("qg.module_relations", module_relations, 0.0),
+        ("qg.binomial_factorials", binomial_factorials, 0.0),
+        ("qg.integer_recurrence", integer_recurrence, 0.0),
+        ("qg.multinomial_factorials", multinomial_factorials, 0.0),
+        ("qg.module_relations", module_relations, 0.0),
     ]
 
 
@@ -395,9 +392,9 @@ def _reduction_checks(config):
         return 0
 
     return [
-        _check("reduction.contour_oracle", contour_oracle, _scaled(config, 1e-6)),
-        _check("reduction.vanishing", vanishing, 0.0),
-        _check("reduction.closed_form_gate", closed_form_gate, 0.0),
+        ("reduction.contour_oracle", contour_oracle, 1e-6),
+        ("reduction.vanishing", vanishing, 0.0),
+        ("reduction.closed_form_gate", closed_form_gate, 0.0),
     ]
 
 
@@ -415,11 +412,10 @@ def _pde_checks(config):
         return _relative(apply_bsa(op, vertex_prefactor((2, 3, 2), kappa), (0.0, 1.0, 2.5)))
 
     return [
-        _check("pde.growth_process_equation", growth, _scaled(config, 1e-8)),
-        _check("pde.operator_proportionality",
-               lambda: sle_proportionality_check(x, kappa, 2, seed=config.seed),
-               _scaled(config, 1e-11)),
-        _check("pde.vertex_prefactor_null", vertex_null, _scaled(config, 1e-12)),
+        ("pde.growth_process_equation", growth, 1e-8),
+        ("pde.operator_proportionality",
+         lambda: sle_proportionality_check(x, kappa, 2, seed=config.seed), 1e-11),
+        ("pde.vertex_prefactor_null", vertex_null, 1e-12),
     ]
 
 
@@ -442,19 +438,16 @@ def _cov_checks(config):
         )
 
     return [
-        _check("cov.translation", mobius((1.0, 3.0, 0.0, 1.0)), _scaled(config, 1e-8)),
-        _check("cov.scaling", mobius((1.7, 0.0, 0.0, 1.0)), _scaled(config, 1e-8)),
-        _check("cov.special_conformal", mobius((1.0, 0.0, 0.05, 1.0)), _scaled(config, 1e-6)),
-        _check("cov.translation_generator", lambda: _relative(translation_check(ev, grid)),
-               _scaled(config, 1e-8)),
-        _check("cov.euler_generator",
-               lambda: _relative(euler_check(ev, grid, -4.0 * h_weight(2, kappa))),
-               _scaled(config, 1e-8)),
-        _check("cov.rational_identity", rational_identity, _scaled(config, 1e-9)),
-        _check("cov.rational_identity_sensitivity",
-               lambda: special_conformal_identity_check((2, 2), seed=config.seed,
-                                                        perturbation=1e-3),
-               1e-4, direction="above"),
+        ("cov.translation", mobius((1.0, 3.0, 0.0, 1.0)), 1e-8),
+        ("cov.scaling", mobius((1.7, 0.0, 0.0, 1.0)), 1e-8),
+        ("cov.special_conformal", mobius((1.0, 0.0, 0.05, 1.0)), 1e-6),
+        ("cov.translation_generator", lambda: _relative(translation_check(ev, grid)), 1e-8),
+        ("cov.euler_generator",
+         lambda: _relative(euler_check(ev, grid, -4.0 * h_weight(2, kappa))), 1e-8),
+        ("cov.rational_identity", rational_identity, 1e-9),
+        ("cov.rational_identity_sensitivity",
+         lambda: special_conformal_identity_check((2, 2), seed=config.seed, perturbation=1e-3),
+         1e-4, "above"),
     ]
 
 
@@ -472,11 +465,9 @@ def _asy_checks(config):
         return abs(report["ratios"][1] / report["reference"] - 1.0)
 
     return [
-        _check("asy.pair_exponent", lambda: abs(pair()["exponent"] - pair()["exponent_ref"]),
-               _scaled(config, 1e-3)),
-        _check("asy.pair_constant", lambda: abs(pair()["ratios"][-1] / pair()["reference"] - 1.0),
-               _scaled(config, 1e-2)),
-        _check("asy.block_collapse", block_collapse, _scaled(config, 2e-2)),
+        ("asy.pair_exponent", lambda: abs(pair()["exponent"] - pair()["exponent_ref"]), 1e-3),
+        ("asy.pair_constant", lambda: abs(pair()["ratios"][-1] / pair()["reference"] - 1.0), 1e-2),
+        ("asy.block_collapse", block_collapse, 2e-2),
     ]
 
 
@@ -490,8 +481,8 @@ def _infinity_checks(config):
         return infinity_limit(w, "plus", 10.0, config.rel_tol)["relative_errors"][-1]
 
     return [
-        _check("infinity.two_point", two_point, _scaled(config, 2e-2)),
-        _check("infinity.three_point", three_point, _scaled(config, 2e-2)),
+        ("infinity.two_point", two_point, 2e-2),
+        ("infinity.three_point", three_point, 2e-2),
     ]
 
 
@@ -500,7 +491,7 @@ def _cyclic_checks(config):
         return sum(cyclic_constant(TensorSpace(dims)) != QScalar.q_power(expo)
                    for dims, expo in (((2, 2), -2), ((3, 3), -4), ((2, 2, 2, 2), -4)))
 
-    return [_check("cyclic.rotation_scalar", rotation_scalar, 0.0)]
+    return [("cyclic.rotation_scalar", rotation_scalar, 0.0)]
 
 
 _SUITE_BUILDERS = {
@@ -517,9 +508,7 @@ _SUITE_BUILDERS = {
 def cmd_verify(config, suite):
     """Run the named suite; returns the process exit status."""
     names = SUITES[:-1] if suite == "all" else (suite,)
-    checks = []
-    for name in names:
-        checks.extend(_SUITE_BUILDERS[name](config))
+    checks = [_check(config, *row) for name in names for row in _SUITE_BUILDERS[name](config)]
     checks.sort(key=lambda c: c["name"])
     report = {
         "suite": suite,

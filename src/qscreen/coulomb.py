@@ -65,12 +65,14 @@ class EvalStats:
     rho values (phi, F_anchor, F_hwv) adds |weight| times the estimate of
     every term.  grid_evals counts the nested sums the quadrature
     evaluated, and nodes their node evaluations: for each sum, the product
-    of its rules' lengths.
+    of its rules' lengths.  evals counts the evaluator calls of the
+    operator checks in pde, one per check.
     """
 
     err_est: float = 0.0
     grid_evals: int = 0
     nodes: int = 0
+    evals: int = 0
 
 
 _STATS = contextvars.ContextVar("qscreen_eval_stats", default=None)
@@ -86,15 +88,16 @@ def eval_stats():
         yield stats
     finally:
         _STATS.reset(token)
-        _record(stats.err_est, stats.grid_evals, stats.nodes)
+        _record(**vars(stats))
 
 
-def _record(err_est=0.0, grid_evals=0, nodes=0):
+def _record(err_est=0.0, grid_evals=0, nodes=0, evals=0):
     stats = _STATS.get()
     if stats is not None:
         stats.err_est += err_est
         stats.grid_evals += grid_evals
         stats.nodes += nodes
+        stats.evals += evals
 
 
 def _dims_counts(dims, m, n=None):

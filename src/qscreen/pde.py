@@ -16,20 +16,20 @@ scale, the largest |group sum| or |term|, so callers can judge it
 relatively.  The jet's error estimates propagate to the residual; where
 the scale does not exceed that estimate, F vanishes within its error
 estimate, no ratio of the two means anything, and the check raises.
-Evaluator calls are counted inside a check_stats() block.
+An enclosing coulomb.eval_stats() block counts each check's evaluator
+call in its evals.
 """
 
-import contextvars
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .coulomb import ChamberPoint, _check_increasing, _check_kappa, eval_stats, h_weight, rho
+from .coulomb import (ChamberPoint, _check_increasing, _check_kappa, _record, eval_stats,
+                      h_weight, rho)
 from .correspondence import F_hwv
 from .jet import Jet, JetPoint, exp_series, tables
 from .uqsl2 import is_hwv
@@ -106,34 +106,6 @@ def build_bsa(j, dims, kappa):
 # -- evaluator calls and jets ----------------------------------------------
 
 
-@dataclass
-class CheckStats:
-    """Evaluator calls made by the checks inside a check_stats() block."""
-
-    evals: int = 0
-
-
-_STATS = contextvars.ContextVar("qscreen_check_stats", default=None)
-
-
-@contextmanager
-def check_stats():
-    """Count the evaluator calls of the checks made inside the block."""
-    stats = CheckStats()
-    token = _STATS.set(stats)
-    try:
-        yield stats
-    finally:
-        _STATS.reset(token)
-
-
-def _call(f, y):
-    stats = _STATS.get()
-    if stats is not None:
-        stats.evals += 1
-    return f(y)
-
-
 def _multi_index(n, raised=()):
     # the multi-index over n points raising point i by k for (i, k) in raised
     alpha = [0] * n
@@ -153,7 +125,8 @@ def _operator_check(f, x, reads, groups_of):
     groups_of(jet) lists the operator's terms in groups, each term as
     (value, error estimate).
     """
-    jet = _call(f, JetPoint(x, reads))
+    _record(evals=1)
+    jet = f(JetPoint(x, reads))
     if not isinstance(jet, Jet):
         raise TypeError(
             "an evaluator called at a JetPoint must return a Jet of its Taylor"

@@ -342,8 +342,11 @@ def hwv_space_basis(space: TensorSpace, d: int) -> list[TensorVector]:
     The vectors come from fusion recursion over the factors (the
     Clebsch-Gordan fusion-tree basis) and are then echelon-normalized
     against ascending multi-index order, so the basis depends only on
-    the space it spans.
+    the space it spans.  d must be positive; a d above every summand
+    gives the empty basis.
     """
+    if d < 1:
+        raise ValueError(f"summand dimension d must be a positive integer, got {d}")
     vectors = _fused_hwvs(space.dims, d, {})
     cols = sorted({idx for v in vectors for idx in v.coeffs})
     canon, _ = _rref([[v.coeffs.get(i, Q_ZERO) for i in cols] for v in vectors],

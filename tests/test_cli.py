@@ -129,6 +129,8 @@ def test_vector_spec_rejections():
         vector_from_spec("hwv_pair:2,2,1", (2, 3))
     with pytest.raises(ValueError, match="basis vectors"):
         vector_from_spec("hwv:2,5", (2, 2))
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        vector_from_spec("hwv:0,0", (2, 2))
     with pytest.raises(ValueError, match="form kind"):
         vector_from_spec("hwv_pair")
 
@@ -310,6 +312,39 @@ def test_verify_reports_evaluator_calls_and_seconds(capsys):
     assert report["pde.vertex_prefactor_null"]["evals"] == 1
 
 
+def test_verify_tol_scales_every_upper_tolerance(capsys):
+    checks = []
+    for flags in ((), ("--tol", "2")):
+        code, out, _ = run(capsys, "verify", "cov", *flags)
+        assert code == 0
+        checks.append({c["name"]: c for c in json.loads(out)["checks"]})
+    default, doubled = checks
+    assert doubled.keys() == default.keys()
+    for name, check in default.items():
+        if check["direction"] == "below":
+            assert doubled[name]["tolerance"] == 2.0 * check["tolerance"], name
+    # a lower bound is not loosened by scaling it
+    sensitivity = "cov.rational_identity_sensitivity"
+    assert doubled[sensitivity]["direction"] == "above"
+    assert doubled[sensitivity]["tolerance"] == default[sensitivity]["tolerance"] == 1e-4
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+def test_verify_bad_tol_exits_2(tmp_path, capsys, bad):
+    # inf passes every check whatever it measures; 0, a negative T or nan
+    # fails every check that measures anything; 0*inf and 0*nan are nan
+    code, out, err = run(capsys, "verify", "cyclic", f"--tol={bad}")
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed = 1\ntol = {bad}\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "cyclic", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "run.cfg:2: bad value for 'tol'" in err
+
+
 def test_verify_failure_gives_nonzero_exit(capsys):
     code, out, _ = run(capsys, "verify", "reduction", "--tol", "1e-30")
     assert code == 1
@@ -346,6 +381,18 @@ def test_dump_basis_counts(capsys):
     code, out, _ = run(capsys, "dump-basis", "--dims", "2,2", "--d", "4")
     assert code == 0
     assert out.strip() == ""
+
+
+def test_dump_basis_refuses_a_nonpositive_d(capsys):
+    for bad in ("0", "-1"):
+        code, out, err = run(capsys, "dump-basis", "--dims", "2,2", f"--d={bad}")
+        assert code == 2, bad
+        assert out == ""
+        assert "must be a positive integer" in err
+    code, out, err = run(capsys, "eval", "--dims", "2,2", "--vector", "hwv:0,0", "--x", "0,1")
+    assert code == 2
+    assert out == ""
+    assert "must be a positive integer" in err
 
 
 def test_dump_basis_json(capsys):
@@ -403,7 +450,7 @@ def test_eval_unreachable_rel_tol_exits_3(capsys):
 def test_eval_bad_rel_tol_exits_2(capsys):
     # (2, 0) on dims (2, 2) vanishes exactly and runs no integral, so the
     # flag itself must be refused
-    for bad in ("0", "-1e-9", "nan"):
+    for bad in ("0", "-1e-9", "nan", "inf"):
         code, out, err = run(
             capsys, "eval", "--dims", "2,2", "--l", "2,0", "--x", "0,1", f"--rel-tol={bad}"
         )

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from closed_forms import fd_jets, hyp2f1
 
-from qscreen.coulomb import h_weight
+from qscreen.coulomb import eval_stats, h_weight
 from qscreen.correspondence import F_hwv
 from qscreen.jet import JetPoint
 from qscreen.pde import (
     _separated_points,
     apply_bsa,
     build_bsa,
-    check_stats,
     euler_check,
     mobius_check,
     sle_pde_check,
@@ -313,7 +312,7 @@ def test_jet_path_agrees_with_the_black_box_path(which, kappa, x, check, order):
         points.append(y)
         return F_hwv(vector, y, kappa)
 
-    with check_stats() as stats:
+    with eval_stats() as stats:
         residual, scale = _run_case(vector, kappa, x, check, jets)
     # one evaluator call, asking for a jet, and a jet comes back
     assert len(points) == 1 and isinstance(points[0], JetPoint)
@@ -325,7 +324,7 @@ def test_jet_path_agrees_with_the_black_box_path(which, kappa, x, check, order):
         plain.append(y)
         return F_hwv(vector, y, kappa)
 
-    with check_stats() as stats:
+    with eval_stats() as stats:
         fd_residual, fd_scale = _run_case(vector, kappa, x, check, fd_jets(values))
     assert stats.evals == 1
     assert len(plain) > 1 and all(type(y) is tuple for y in plain)
@@ -358,7 +357,7 @@ def test_plain_number_evaluators_are_refused():
     f = vertex_prefactor((2, 2), KAPPA)
     plain = lambda y: f(tuple(y))
     x = (0.3, 1.4)
-    with check_stats() as stats:
+    with eval_stats() as stats:
         for run in (lambda: apply_bsa(build_bsa(1, (2, 2), KAPPA), plain, x),
                     lambda: sle_pde_check(plain, x, KAPPA, 1),
                     lambda: translation_check(plain, x),

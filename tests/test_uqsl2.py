@@ -270,7 +270,12 @@ def _cg_multiplicity(dims, d):
                                   (3, 2, 2, 3, 2), (4, 4, 4, 4), (3,) * 5])
 def test_basis_sizes_are_clebsch_gordan_multiplicities(dims):
     top = 1 + sum(dd - 1 for dd in dims)
-    for d in range(0, top + 2):
+    # there is no summand M_d with d < 1; one above every summand (d = top
+    # + 1) has multiplicity zero and an empty basis
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            hwv_space_basis(TensorSpace(dims), d)
+    for d in range(1, top + 2):
         out = hwv_space_basis(TensorSpace(dims), d)
         assert len(out) == _cg_multiplicity(dims, d), d
         for v in out:
