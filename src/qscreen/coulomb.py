@@ -268,8 +268,9 @@ def _geometry(levels, x_ext, betas, kappa):
 
 
 # elements per array at the innermost level, counting a jet's coefficients:
-# bounds the memory a level holds
-_CHUNK_CAP = 1 << 16
+# a level sums a larger outer grid in chunks, so its arrays, and the
+# scratch arrays they are written into, stay below this size
+_CHUNK_CAP = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -334,7 +335,7 @@ def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
     for p in range(idx):
         g = levels[p].group
         if g != i:
-            lo_p, _, hi_p, _ = outer[p]
+            lo_p, hi_p, _, _ = outer[p]
             gap_p = geo.gaps[g - 1]
             # D = w - w_p
             inv = 1.0 / (lo + (hi_p + geo.between[i][g]))
@@ -344,65 +345,100 @@ def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
     return exp_series(jet.tables, log_series(jet.tables, shape, omega, moving))
 
 
-def _flat(a, shape):
-    # a over the grid of the given shape, flat: a view where a spans it
-    return (a if a.shape == shape else a + np.zeros(shape)).reshape(-1)
+# a level with fewer elements than this, counted as for _CHUNK_CAP, lets
+# its ufuncs allocate its arrays: the allocator keeps arrays this small in
+# the process, so they fault no pages, and a new one costs less than a
+# view of a scratch array
+_SCRATCH_MIN = 1 << 13
 
 
-def _level_sum(levels, idx, rules, outer, geo, jet):
+def _scratch(work, key, shape):
+    # an array of the given shape in work's buffer `key`: a buffer grows to
+    # the largest array asked of it and serves every chunk and every sum of
+    # the plan, so its pages are faulted in once, not at every chunk
+    size = math.prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _flat(a, shape, slot):
+    # a over the grid of the given shape, flat: a view where a spans it,
+    # else spread into slot, or into a new array where slot is None
+    if a.shape != shape:
+        if slot is None:
+            slot = np.empty(shape)
+        slot[...] = a
+        a = slot
+    return a.reshape(-1)
+
+
+def _level_sum(levels, idx, rules, outer, geo, jet, work, out):
     """Sum over the nodes of level idx, and nested inside it over every
-    later level, for each node of the outer grid.
+    later level, for each node of the outer grid, into out.
 
     A variable is carried as offsets, never as a position: lo is its
-    distance to its lower end (with log lo), hi to its group's upper
-    charge, up to its own upper end.  Every distance the integrand needs
-    is a sum of these and of gaps between the marked points, so none is
-    lost to cancellation however close a node sits to an end.  outer
-    holds (lo, log lo, hi, up) of each outer level, flat over the outer
-    grid; this level's arrays are (nodes, outer grid).
+    distance to its lower end, hi to its group's upper charge, up to its
+    own upper end (with log lo).  Every distance the integrand needs is a
+    sum of these and of gaps between the marked points, so none is lost
+    to cancellation however close a node sits to an end.  outer holds
+    (lo, hi, up, log lo) of each outer level, flat over the outer grid;
+    this level's arrays are (nodes, outer grid).
 
     The sums carry the Taylor jet of the integrand in the marked points
-    over the _JetPlan's index set: the result is (rows, coefficients,
-    outer grid), row 0 the sums and the last row the sums of the moduli of
+    over the _JetPlan's index set: out is (rows, coefficients, outer
+    grid), row 0 the sums and the last row the sums of the moduli of
     their terms.  The integrand is positive, so over the zero multi-index
     alone the two are one row, the value.
+
+    A level of _SCRATCH_MIN elements or more writes its arrays into the
+    plan's scratch arrays, work (_scratch): those it reads again after the
+    next level has run under keys (idx, name), its temporaries under names
+    that all levels share.  Nothing written into out is one of them.
     """
     lev, rule = levels[idx], rules[idx]
     n = len(rule[0])
     size = outer[0][0].size if outer else 1
-    rows, width = (2 if jet.tables.active else 1), jet.tables.size
+    rows, width = out.shape[:2]
     if n * size * width > _CHUNK_CAP and size > 1:
         step = max(1, _CHUNK_CAP // (n * width))
-        return np.concatenate([
-            _level_sum(levels, idx, rules,
-                       [tuple(a[s : s + step] for a in carried) for carried in outer], geo, jet)
-            for s in range(0, size, step)
-        ], axis=-1)
+        for s in range(0, size, step):
+            _level_sum(levels, idx, rules, [tuple(a[s : s + step] for a in carried) for carried in outer],
+                       geo, jet, work, out[..., s : s + step])
+        return
+    pooled = n * size * width >= _SCRATCH_MIN
     t, omt, logt, logw = (a[:, None] for a in rule)
-    if lev.top:
-        S = geo.gaps[lev.group - 1]
-        logS = math.log(S)
-    else:
-        S, logS = outer[-1][0], outer[-1][1]
     last = idx == len(levels) - 1
     shape = (n, size)
-    up = S * omt
-    hi = up if lev.top else outer[-1][2] + up
+    # where this level's offsets go; the innermost level passes on nothing
+    # and needs no log lo
+    own = _scratch(work, (idx, "own"), (3 if last else 4,) + shape) if pooled else (None,) * 4
     # the innermost level needs lo only for charges left of its interval
     # and for variables of earlier groups, unless a variable is raised
     needs_lo = (
         not last
+        or bool(jet.tables.active)
         or levels[0].group != lev.group
         or any(side == 0 for _, _, side, _ in geo.charges[idx])
-        or bool(jet.tables.active)
     )
-    lo = S * t if needs_lo else None
+    if lev.top:
+        # S is a number, and up and lo stay columns
+        S = geo.gaps[lev.group - 1]
+        logS = math.log(S)
+        up = hi = S * omt
+        lo = S * t if needs_lo else None
+    else:
+        S, hi_S, _, logS = outer[-1]
+        up = np.multiply(S, omt, out=own[2])
+        hi = np.add(hi_S, up, out=own[1])
+        lo = np.multiply(S, t, out=own[0]) if needs_lo else None
     # G, the log of weight times integrand, starts from the rule's column
     # and the row of the parent's offset; the envelope lo^(-env) splits
     # the same way
-    G = np.empty(shape)
+    G = _scratch(work, (idx, "G"), shape) if pooled else np.empty(shape)
     np.add(logw - lev.env * logt, (1.0 + lev.aL + lev.aR - lev.env) * logS, out=G)
-    tmp = np.empty(shape)
+    tmp = _scratch(work, "tmp", shape) if pooled else np.empty(shape)
     for beta, c, side, _ in geo.charges[idx]:
         dist = hi if side else lo
         np.log(np.add(dist, c, out=tmp) if c else dist, out=tmp)
@@ -416,13 +452,16 @@ def _level_sum(levels, idx, rules, outer, geo, jet):
         if levels[p].group == lev.group:
             if p == idx - 1:
                 continue
-            ancestor = ancestor + outer[p + 1][3]
+            scratch = _scratch(work, "ancestor", shape) if pooled else None
+            ancestor = np.add(ancestor, outer[p + 1][2], out=scratch)
             factor = ancestor
         else:
             gap = geo.between[lev.group][levels[p].group]
-            factor = np.add(lo, outer[p][2] + gap, out=tmp)
+            factor = np.add(lo, outer[p][1] + gap, out=tmp)
         if pairs is None:
-            pairs = factor.copy() if factor is tmp else factor
+            # an array of its own: the ancestors' sum grows in place
+            pairs = _scratch(work, "pairs", shape) if pooled else np.empty(shape)
+            pairs[...] = factor
         else:
             np.multiply(pairs, factor, out=pairs)
     if pairs is not None:
@@ -433,30 +472,39 @@ def _level_sum(levels, idx, rules, outer, geo, jet):
         np.multiply(pairs, geo.pair, out=pairs)
         np.add(G, pairs, out=G)
     np.exp(G, out=G)
-    # the inner levels hold the peak memory: release the temporaries first
-    tmp = pairs = ancestor = factor = None
     if not last:
-        carried = [tuple(_flat(a, shape) for a in c) for c in outer]
-        own = tuple(_flat(a, shape) for a in (lo, logS + logt, hi, up))
-        inner = _level_sum(levels, idx + 1, rules, carried + [own], geo, jet)
+        # every outer level's offsets spread over this level's nodes, then
+        # this level's own
+        if pooled:
+            spread = _scratch(work, (idx, "outer"), (len(outer), 4) + shape)
+            inner = _scratch(work, (idx, "inner"), (rows, width, n * size))
+        else:
+            spread, inner = ((None,) * 4,) * len(outer), np.empty((rows, width, n * size))
+        offsets = (*outer, (lo, hi, up, np.add(logS, logt, out=own[3])))
+        carried = [tuple(_flat(a, shape, slot) for a, slot in zip(arrays, slots))
+                   for arrays, slots in zip(offsets, (*spread, own))]
+        _level_sum(levels, idx + 1, rules, carried, geo, jet, work, inner)
     P = _level_series(jet, levels, idx, geo, lo, hi, outer, shape)
     if last:
-        out = np.zeros((rows, width, size))
         if P is None:
             out[:, 0] = G.sum(axis=0)
+            if width > 1:
+                out[:, 1:] = 0.0
         else:
             out[0] = np.einsum("cts,ts->cs", P, G)
             out[1] = np.einsum("cts,ts->cs", np.abs(P), G)
-        return out
+        return
     inner = inner.reshape((rows, width) + shape)
     if P is not None:
         inner = product(jet.tables, P, inner)
     inner *= G
-    return inner.sum(axis=2)
+    inner.sum(axis=2, out=out)
 
 
-def _nested(levels, rules, geo, jet):
-    return _level_sum(levels, 0, rules, [], geo, jet)[..., 0]
+def _nested(levels, rules, geo, jet, work):
+    out = np.empty((2 if jet.tables.active else 1, jet.tables.size, 1))
+    _level_sum(levels, 0, rules, [], geo, jet, work, out)
+    return out[..., 0]
 
 
 class QuadratureError(ArithmeticError):
@@ -515,8 +563,8 @@ def _check_budget(grids, head, note):
         raise QuadratureError(f"{head}: {size:.2e} nodes exceed the budget of {_GRID_BUDGET:.1e}{note}")
 
 
-def _summed(levels, grids, geo, jet):
-    sums = [_nested(levels, rules, geo, jet) for rules in grids]
+def _summed(levels, grids, geo, jet, work):
+    sums = [_nested(levels, rules, geo, jet, work) for rules in grids]
     _record(grid_evals=len(grids), nodes=sum(_nodes(rules) for rules in grids))
     return sums
 
@@ -542,7 +590,8 @@ def _halve(levels, steps, geo, rel_tol, head, jet):
     steps, floor = list(steps), len(levels) * _ROUNDING
     grids = _grids(levels, steps)
     _check_budget(grids, head, "")
-    value, *moved = _summed(levels, grids, geo, jet)
+    work = {}
+    value, *moved = _summed(levels, grids, geo, jet, work)
     while True:
         ests = [_relative_change(value, m) for m in moved]
         est = sum(ests) + floor
@@ -560,7 +609,7 @@ def _halve(levels, steps, geo, rel_tol, head, jet):
         finer[k] /= 2.0
         _check_budget(_grids(levels, finer), head, note)
         grids = [_grid(levels, steps, (j, k)) for j in range(len(levels)) if j != k]
-        *cross, new = _summed(levels, grids + [_grid(levels, finer, (k,))], geo, jet)
+        *cross, new = _summed(levels, grids + [_grid(levels, finer, (k,))], geo, jet, work)
         value = 0.5 * (value + moved[k])
         cross = iter(cross)
         moved = [new if j == k else 0.5 * (m + next(cross)) for j, m in enumerate(moved)]
