@@ -4,17 +4,18 @@ Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
 the screened integrals over nested ordered simplices (a tanh-sinh rule per
 screening variable; one loop halves a level's step on the full grid until
 the quadrature's own error estimate meets the requested tolerance, each
-halving summing only the nodes it adds, and starting the variables of
-one group from staggered steps so that their tensor grid does not
-alias), carrying their Taylor jet in the marked points through every
-level (a plain value is the jet over the zero multi-index alone, so one
-path serves both), the boundary fusion constants, conformal weight and
-exponent helpers, and a direct contour oracle that integrates the same
-density over explicitly constructed nested loops with the branch tracked
-along the path.  A value plans its steps from the start steps at every
-call, and a jet from the final steps of its own point's value plan, so
-every result depends on its arguments alone.  Everything here is
-numeric; the exact q-dependent factors live in correspondence.
+halving summing only the nodes it adds, every grid of a pass in one
+nested sum, and starting the variables of one group from staggered steps
+so that their tensor grid does not alias), carrying their Taylor jet in
+the marked points through every level (a plain value is the jet over the
+zero multi-index alone, so one path serves both), the boundary fusion
+constants, conformal weight and exponent helpers, and a direct contour
+oracle that integrates the same density over explicitly constructed
+nested loops with the branch tracked along the path.  A value plans its
+steps from the start steps at every call, and a jet from the final steps
+of its own point's value plan, so every result depends on its arguments
+alone.  Everything here is numeric; the exact q-dependent factors live
+in correspondence.
 """
 
 from __future__ import annotations
@@ -63,15 +64,17 @@ class EvalStats:
     err_est is the absolute error estimate of the values they returned
     (of a Jet, its value coefficient's): rho adds its own, and each sum of
     rho values (phi, F_anchor, F_hwv) adds |weight| times the estimate of
-    every term.  grid_evals counts the nested sums the quadrature
-    evaluated, and nodes their node evaluations: for each sum, the product
-    of its rules' lengths.  evals counts the evaluator calls of the
-    operator checks in pde, one per check.
+    every term.  grid_evals counts the grids the quadrature summed, and
+    nodes their node evaluations: for each grid, the product of its rules'
+    lengths.  passes counts the nested calls that summed them, one per
+    halving pass.  evals counts the evaluator calls of the operator checks
+    in pde, one per check.
     """
 
     err_est: float = 0.0
     grid_evals: int = 0
     nodes: int = 0
+    passes: int = 0
     evals: int = 0
 
 
@@ -91,12 +94,13 @@ def eval_stats():
         _record(**vars(stats))
 
 
-def _record(err_est=0.0, grid_evals=0, nodes=0, evals=0):
+def _record(err_est=0.0, grid_evals=0, nodes=0, passes=0, evals=0):
     stats = _STATS.get()
     if stats is not None:
         stats.err_est += err_est
         stats.grid_evals += grid_evals
         stats.nodes += nodes
+        stats.passes += passes
         stats.evals += evals
 
 
@@ -172,13 +176,13 @@ _LOG_LIGHT = math.log(1e-20)
 def _unit_rule_build(aL, aR, grow, h, shift):
     """Tanh-sinh rule sum_k w_k g(t_k) for int_0^1 t^aL (1-t)^aR g(t) dt.
 
-    The nodes sit at u = (k + shift) h.  Returns t, 1 - t, log t and log w:
-    t and 1 - t are each formed from u, so both keep full relative
-    precision at their end, and the endpoint powers are folded into the
-    weights in log space.  g may grow like (1-t)^(-grow) toward t = 1.
-    The weight of every node that is not kept is added to the outermost
-    kept node on its side, where g has reached its limit: that adds the
-    tails beyond the nodes analytically.
+    The nodes sit at u = (k + shift) h.  Returns one array of the rows t,
+    1 - t, log t and log w: t and 1 - t are each formed from u, so both
+    keep full relative precision at their end, and the endpoint powers are
+    folded into the weights in log space.  g may grow like (1-t)^(-grow)
+    toward t = 1.  The weight of every node that is not kept is added to
+    the outermost kept node on its side, where g has reached its limit:
+    that adds the tails beyond the nodes analytically.
     """
     if aL <= -1.0 or aR <= -1.0:
         raise ValueError("endpoint exponents must exceed -1")
@@ -196,7 +200,7 @@ def _unit_rule_build(aL, aR, grow, h, shift):
     logw[a] = np.logaddexp.reduce(logw[: a + 1])
     logw[b] = np.logaddexp.reduce(logw[b:])
     logt, log1mt, logw = logt[a : b + 1], log1mt[a : b + 1], logw[a : b + 1]
-    return np.exp(logt), np.exp(log1mt), logt, logw
+    return np.stack((np.exp(logt), np.exp(log1mt), logt, logw))
 
 
 def _unit_rule(level, h, shift):
@@ -335,7 +339,7 @@ def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
     for p in range(idx):
         g = levels[p].group
         if g != i:
-            lo_p, hi_p, _, _ = outer[p]
+            lo_p, hi_p = outer[p, 0], outer[p, 1]
             gap_p = geo.gaps[g - 1]
             # D = w - w_p
             inv = 1.0 / (lo + (hi_p + geo.between[i][g]))
@@ -354,8 +358,8 @@ _SCRATCH_MIN = 1 << 13
 
 def _scratch(work, key, shape):
     # an array of the given shape in work's buffer `key`: a buffer grows to
-    # the largest array asked of it and serves every chunk and every sum of
-    # the plan, so its pages are faulted in once, not at every chunk
+    # the largest array asked of it and serves every chunk and every pass
+    # of the plan, so its pages are faulted in once, not at every chunk
     size = math.prod(shape)
     buf = work.get(key)
     if buf is None or buf.size < size:
@@ -364,62 +368,95 @@ def _scratch(work, key, shape):
 
 
 def _flat(a, shape, slot):
-    # a over the grid of the given shape, flat: a view where a spans it,
-    # else spread into slot, or into a new array where slot is None
+    # a over a level's grid (copies, nodes, columns), as the next level's
+    # (copies, 1, columns): a view where a spans the grid, else spread
+    # into slot, or into a new array where slot is None
     if a.shape != shape:
         if slot is None:
             slot = np.empty(shape)
         slot[...] = a
         a = slot
-    return a.reshape(-1)
+    return a.reshape(shape[0], 1, -1)
 
 
-def _level_sum(levels, idx, rules, outer, geo, jet, work, out):
+@lru_cache(maxsize=None)
+def _spread(levels, jet):
+    """For each level idx, the offsets (p, field) of the levels p <= idx
+    that a later level reads, the fields 0 to 3 being lo, hi, up and log
+    lo.  A level reads its parent's lo, hi and log lo, the up of each
+    level of its group between the top and itself, and the hi of every
+    level of another group, with its lo as well when a jet is carried."""
+    reads = []
+    for q, lev in enumerate(levels):
+        fields = set()
+        for p in range(q):
+            if levels[p].group != lev.group:
+                fields.update(((p, 0), (p, 1)) if jet else ((p, 1),))
+                continue
+            if not levels[p].top:
+                fields.add((p, 2))
+            if p == q - 1:
+                fields.update(((p, 0), (p, 1), (p, 3)))
+        reads.append(fields)
+    later = [set().union(*reads[idx + 1:]) for idx in range(len(levels))]
+    return tuple(tuple(sorted(pf for pf in later[idx] if pf[0] <= idx)) for idx in range(len(levels)))
+
+
+def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
     """Sum over the nodes of level idx, and nested inside it over every
     later level, for each node of the outer grid, into out.
 
-    A variable is carried as offsets, never as a position: lo is its
-    distance to its lower end, hi to its group's upper charge, up to its
-    own upper end (with log lo).  Every distance the integrand needs is a
-    sum of these and of gaps between the marked points, so none is lost
-    to cancellation however close a node sits to an end.  outer holds
-    (lo, hi, up, log lo) of each outer level, flat over the outer grid;
-    this level's arrays are (nodes, outer grid).
+    The grids of a pass are copies of one another, stacked on the top
+    level's outer axis: rules[idx] is level idx's rule in every copy
+    (_padded), and a level's arrays are (copies, nodes, columns), the
+    columns running over the outer grid of each copy.  A variable is
+    carried as offsets, never as a position: lo is its distance to its
+    lower end, hi to its group's upper charge, up to its own upper end
+    (with log lo).  Every distance the integrand needs is a sum of these
+    and of gaps between the marked points, so none is lost to
+    cancellation however close a node sits to an end.  outer maps
+    (p, field) to the offsets of outer level p that a level from idx on
+    reads, each (copies, 1, columns), and spread lists them by level
+    (_spread).
 
     The sums carry the Taylor jet of the integrand in the marked points
-    over the _JetPlan's index set: out is (rows, coefficients, outer
-    grid), row 0 the sums and the last row the sums of the moduli of
+    over the _JetPlan's index set: out is (rows, coefficients, copies,
+    columns), row 0 the sums and the last row the sums of the moduli of
     their terms.  The integrand is positive, so over the zero multi-index
     alone the two are one row, the value.
 
-    A level of _SCRATCH_MIN elements or more writes its arrays into the
-    plan's scratch arrays, work (_scratch): those it reads again after the
-    next level has run under keys (idx, name), its temporaries under names
-    that all levels share.  Nothing written into out is one of them.
+    A level larger than _CHUNK_CAP sums whole copies at a time, or the
+    columns of one copy in chunks, so a chunk inside one copy broadcasts
+    that copy's rule as a column.  A level of _SCRATCH_MIN elements or
+    more writes its arrays into the plan's scratch arrays, work
+    (_scratch): those it reads again after the next level has run under
+    keys (idx, name), its temporaries under names that all levels share.
+    Nothing written into out is one of them.
     """
     lev, rule = levels[idx], rules[idx]
-    n = len(rule[0])
-    size = outer[0][0].size if outer else 1
-    rows, width = out.shape[:2]
-    if n * size * width > _CHUNK_CAP and size > 1:
-        step = max(1, _CHUNK_CAP // (n * width))
-        for s in range(0, size, step):
-            _level_sum(levels, idx, rules, [tuple(a[s : s + step] for a in carried) for carried in outer],
-                       geo, jet, work, out[..., s : s + step])
+    copies, n = rule.shape[1:3]
+    rows, width, _, size = out.shape
+    if n * copies * size * width > _CHUNK_CAP and copies * size > 1:
+        fit = _CHUNK_CAP // (n * size * width)
+        per, step = (fit, size) if fit else (1, max(1, _CHUNK_CAP // (n * width)))
+        for c in range(0, copies, per):
+            part = [r[:, c : c + per] for r in rules]
+            for s in range(0, size, step):
+                chunk = {k: a[c : c + per, :, s : s + step] for k, a in outer.items()}
+                _level_sum(levels, idx, part, spread, chunk, geo, jet, work,
+                           out[:, :, c : c + per, s : s + step])
         return
-    pooled = n * size * width >= _SCRATCH_MIN
-    t, omt, logt, logw = (a[:, None] for a in rule)
+    pooled = n * copies * size * width >= _SCRATCH_MIN
+    t, omt, logt, logwe = rule
     last = idx == len(levels) - 1
-    shape = (n, size)
-    # where this level's offsets go; the innermost level passes on nothing
-    # and needs no log lo
-    own = _scratch(work, (idx, "own"), (3 if last else 4,) + shape) if pooled else (None,) * 4
-    # the innermost level needs lo only for charges left of its interval
-    # and for variables of earlier groups, unless a variable is raised
+    shape = (copies, n, size)
+    keys = spread[idx]
+    # lo is needed for charges left of the interval, variables of earlier
+    # groups and a raised variable, and where a later level reads it
     needs_lo = (
-        not last
-        or bool(jet.tables.active)
+        bool(jet.tables.active)
         or levels[0].group != lev.group
+        or (idx, 0) in keys
         or any(side == 0 for _, _, side, _ in geo.charges[idx])
     )
     if lev.top:
@@ -429,21 +466,23 @@ def _level_sum(levels, idx, rules, outer, geo, jet, work, out):
         up = hi = S * omt
         lo = S * t if needs_lo else None
     else:
-        S, hi_S, _, logS = outer[-1]
+        S, hi_S, logS = outer[idx - 1, 0], outer[idx - 1, 1], outer[idx - 1, 3]
+        own = _scratch(work, (idx, "own"), (3,) + shape) if pooled else (None,) * 3
         up = np.multiply(S, omt, out=own[2])
         hi = np.add(hi_S, up, out=own[1])
         lo = np.multiply(S, t, out=own[0]) if needs_lo else None
     # G, the log of weight times integrand, starts from the rule's column
     # and the row of the parent's offset; the envelope lo^(-env) splits
-    # the same way
-    G = _scratch(work, (idx, "G"), shape) if pooled else np.empty(shape)
-    np.add(logw - lev.env * logt, (1.0 + lev.aL + lev.aR - lev.env) * logS, out=G)
-    tmp = _scratch(work, "tmp", shape) if pooled else np.empty(shape)
+    # the same way.  A top level's offsets are columns, so its G stays a
+    # column until the pair factors, the first terms to span the outer grid
+    full = _scratch(work, (idx, "G"), shape) if pooled else np.empty(shape)
+    G = np.add(logwe, (1.0 + lev.aL + lev.aR - lev.env) * logS, out=None if lev.top else full)
+    term = _scratch(work, "tmp", G.shape) if pooled else np.empty(G.shape)
     for beta, c, side, _ in geo.charges[idx]:
         dist = hi if side else lo
-        np.log(np.add(dist, c, out=tmp) if c else dist, out=tmp)
-        np.multiply(tmp, -beta, out=tmp)
-        np.add(G, tmp, out=G)
+        np.log(np.add(dist, c, out=term) if c else dist, out=term)
+        np.multiply(term, -beta, out=term)
+        np.add(G, term, out=G)
     # pair factors with every outer variable but the parent, which the
     # rule holds; they share one exponent, so one log of their product
     pairs = None
@@ -453,11 +492,11 @@ def _level_sum(levels, idx, rules, outer, geo, jet, work, out):
             if p == idx - 1:
                 continue
             scratch = _scratch(work, "ancestor", shape) if pooled else None
-            ancestor = np.add(ancestor, outer[p + 1][2], out=scratch)
+            ancestor = np.add(ancestor, outer[p + 1, 2], out=scratch)
             factor = ancestor
         else:
             gap = geo.between[lev.group][levels[p].group]
-            factor = np.add(lo, outer[p][1] + gap, out=tmp)
+            factor = np.add(lo, outer[p, 1] + gap, out=_scratch(work, "tmp", shape) if pooled else None)
         if pairs is None:
             # an array of its own: the ancestors' sum grows in place
             pairs = _scratch(work, "pairs", shape) if pooled else np.empty(shape)
@@ -470,41 +509,105 @@ def _level_sum(levels, idx, rules, outer, geo, jet, work, out):
         with np.errstate(divide="ignore"):
             np.log(pairs, out=pairs)
         np.multiply(pairs, geo.pair, out=pairs)
-        np.add(G, pairs, out=G)
+        G = np.add(G, pairs, out=full)
     np.exp(G, out=G)
     if not last:
-        # every outer level's offsets spread over this level's nodes, then
-        # this level's own
+        # the offsets later levels read, over this level's nodes: this
+        # level's own are views, but for log lo and a top level's columns,
+        # and the outer levels' are spread
+        fresh = [p < idx or lev.top or f == 3 for p, f in keys]
         if pooled:
-            spread = _scratch(work, (idx, "outer"), (len(outer), 4) + shape)
-            inner = _scratch(work, (idx, "inner"), (rows, width, n * size))
+            slots = iter(_scratch(work, (idx, "outer"), (sum(fresh),) + shape))
+            inner = _scratch(work, (idx, "inner"), (rows, width, copies, n * size))
         else:
-            spread, inner = ((None,) * 4,) * len(outer), np.empty((rows, width, n * size))
-        offsets = (*outer, (lo, hi, up, np.add(logS, logt, out=own[3])))
-        carried = [tuple(_flat(a, shape, slot) for a, slot in zip(arrays, slots))
-                   for arrays, slots in zip(offsets, (*spread, own))]
-        _level_sum(levels, idx + 1, rules, carried, geo, jet, work, inner)
+            slots, inner = iter(()), np.empty((rows, width, copies, n * size))
+        carried = {}
+        for (p, f), new in zip(keys, fresh):
+            slot = next(slots, None) if new else None
+            if p < idx:
+                a = outer[p, f]
+            else:
+                a = np.add(logS, logt, out=slot) if f == 3 else (lo, hi, up)[f]
+            carried[p, f] = _flat(a, shape, slot)
+        _level_sum(levels, idx + 1, rules, spread, carried, geo, jet, work, inner)
     P = _level_series(jet, levels, idx, geo, lo, hi, outer, shape)
     if last:
         if P is None:
-            out[:, 0] = G.sum(axis=0)
+            out[:, 0] = G.sum(axis=1)
             if width > 1:
                 out[:, 1:] = 0.0
         else:
-            out[0] = np.einsum("cts,ts->cs", P, G)
-            out[1] = np.einsum("cts,ts->cs", np.abs(P), G)
+            out[0] = np.einsum("cgts,gts->cgs", P, G)
+            out[1] = np.einsum("cgts,gts->cgs", np.abs(P), G)
         return
     inner = inner.reshape((rows, width) + shape)
     if P is not None:
         inner = product(jet.tables, P, inner)
     inner *= G
-    inner.sum(axis=2, out=out)
+    inner.sum(axis=3, out=out)
 
 
-def _nested(levels, rules, geo, jet, work):
-    out = np.empty((2 if jet.tables.active else 1, jet.tables.size, 1))
-    _level_sum(levels, 0, rules, [], geo, jet, work, out)
-    return out[..., 0]
+def _pieces(rule, shortest):
+    # the rule cut into about len / shortest runs of consecutive nodes
+    n = rule.shape[1]
+    parts = max(1, round(n / shortest))
+    cuts = [n * j // parts for j in range(parts + 1)]
+    return [rule[:, a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _padded(rules, env):
+    # the rules as (t, 1 - t, log t, log w - env log t) by (copies, nodes,
+    # 1), each padded at its end with copies of its last node at zero
+    # weight: a pad's t and logs stay finite, and its term is exactly zero
+    n = max(r.shape[1] for r in rules)
+    out = np.empty((4, len(rules), n, 1))
+    for c, r in enumerate(rules):
+        m = r.shape[1]
+        out[:, c, :m, 0] = r
+        if m < n:
+            out[:3, c, m:, 0] = r[:3, -1:]
+            out[3, c, m:, 0] = -np.inf
+    out[3] -= env * out[2]
+    return out
+
+
+@lru_cache(maxsize=256)
+def _stack(levels, grids):
+    """The grids of a pass as copies of one another: every level's rules
+    by copy (_padded), the index of each grid's first copy, and the
+    grids' node count.
+
+    A rule about p times as long as the shortest of its level is cut into
+    p copies of its grid, each with a p-th of its nodes, and the copies of
+    a grid add up to its sums: halving doubles one level of one grid, and
+    padding the others to it would double their nodes.  Plans at one
+    kappa meet the same passes again, and stacking costs about half a
+    small pass's sum, so the stacks are kept.
+    """
+    rules = [_rules(levels, grid) for grid in grids]
+    shortest = [min(len(grid[i][0]) for grid in rules) for i in range(len(levels))]
+    copies, starts = [], []
+    for grid in rules:
+        starts.append(len(copies))
+        copies.extend(itertools.product(*map(_pieces, grid, shortest)))
+    stacked = tuple(_padded(rule, lev.env) for rule, lev in zip(zip(*copies), levels))
+    starts = np.array(starts)
+    # every caller of a pass shares these arrays
+    for a in (*stacked, starts):
+        a.setflags(write=False)
+    return stacked, starts, sum(math.prod(len(r[0]) for r in grid) for grid in rules)
+
+
+def _nested(levels, grids, geo, jet, work):
+    """The sums of the grids of one pass, from one nested sum over all of
+    them stacked as copies on the top level's outer axis (_stack,
+    _level_sum), as (grids, rows, coefficients).
+    """
+    rules, starts, nodes = _stack(levels, tuple(grids))
+    out = np.empty((2 if jet.tables.active else 1, jet.tables.size, rules[0].shape[1], 1))
+    _level_sum(levels, 0, rules, _spread(levels, bool(jet.tables.active)), {}, geo, jet, work, out)
+    _record(grid_evals=len(grids), nodes=nodes, passes=1)
+    return np.add.reduceat(out[..., 0], starts, axis=2).transpose(2, 0, 1)
 
 
 class QuadratureError(ArithmeticError):
@@ -532,17 +635,20 @@ def _start_steps(levels):
     return steps
 
 
-def _grid(levels, steps, shifted=()):
-    # the rules of the grid at steps, with the nodes of the levels in
-    # shifted moved by half a step
-    return [_unit_rule(lev, h, 0.5 if k in shifted else 0.0)
-            for k, (lev, h) in enumerate(zip(levels, steps))]
+def _grid(steps, shifted=()):
+    # the grid at steps, with the nodes of the levels in shifted moved by
+    # half a step, as (step, shift) by level
+    return tuple((h, 0.5 if k in shifted else 0.0) for k, h in enumerate(steps))
 
 
-def _grids(levels, steps):
+def _grids(steps):
     # the grid at steps, then its copy with level k's nodes shifted by half
     # a step, for every k
-    return [_grid(levels, steps)] + [_grid(levels, steps, (k,)) for k in range(len(levels))]
+    return [_grid(steps)] + [_grid(steps, (k,)) for k in range(len(steps))]
+
+
+def _rules(levels, grid):
+    return [_unit_rule(lev, h, shift) for lev, (h, shift) in zip(levels, grid)]
 
 
 def _relative_change(value, moved):
@@ -553,20 +659,20 @@ def _relative_change(value, moved):
                for x, g, y in zip(value[0].tolist(), value[-1].tolist(), moved[0].tolist()))
 
 
-def _nodes(rules):
-    return math.prod(len(rule[0]) for rule in rules)
+def _nodes(levels, grid):
+    return math.prod(len(rule[0]) for rule in _rules(levels, grid))
 
 
-def _check_budget(grids, head, note):
-    size = max(_nodes(rules) for rules in grids)
+@lru_cache(maxsize=4096)
+def _largest(levels, steps):
+    # the nodes of the largest of the grid at steps and its shifted copies
+    return max(_nodes(levels, grid) for grid in _grids(steps))
+
+
+def _check_budget(levels, steps, head, note):
+    size = _largest(levels, tuple(steps))
     if size > _GRID_BUDGET:
         raise QuadratureError(f"{head}: {size:.2e} nodes exceed the budget of {_GRID_BUDGET:.1e}{note}")
-
-
-def _summed(levels, grids, geo, jet, work):
-    sums = [_nested(levels, rules, geo, jet, work) for rules in grids]
-    _record(grid_evals=len(grids), nodes=sum(_nodes(rules) for rules in grids))
-    return sums
 
 
 def _halve(levels, steps, geo, rel_tol, head, jet):
@@ -582,16 +688,17 @@ def _halve(levels, steps, geo, rel_tol, head, jet):
     the grid with both j and k shifted at the old steps, and only level
     k's copy at the new step is summed in full.  A pass thus sums about
     (l + 1) times the old grid's nodes where a full pass sums twice that,
-    and a plan costs about one full pass on its final grid.  No pass whose
-    full copies exceed the node budget is summed.  Returns the final
-    steps, the sum and its shifted copies, or raises when the largest
-    share cannot be halved.
+    and a plan costs about one full pass on its final grid.  A pass is one
+    call of _nested over all of its grids.  No pass whose full copies
+    exceed the node budget is summed.  Returns the final steps, the sum
+    and its shifted copies, or raises when the largest share cannot be
+    halved.
     """
     steps, floor = list(steps), len(levels) * _ROUNDING
-    grids = _grids(levels, steps)
-    _check_budget(grids, head, "")
+    _check_budget(levels, steps, head, "")
     work = {}
-    value, *moved = _summed(levels, grids, geo, jet, work)
+    sums = _nested(levels, _grids(steps), geo, jet, work)
+    value, moved = sums[0], sums[1:]
     while True:
         ests = [_relative_change(value, m) for m in moved]
         est = sum(ests) + floor
@@ -607,12 +714,12 @@ def _halve(levels, steps, geo, rel_tol, head, jet):
         note = f" after halving level {k} (estimate {ests[k]:.2e})"
         finer = steps.copy()
         finer[k] /= 2.0
-        _check_budget(_grids(levels, finer), head, note)
-        grids = [_grid(levels, steps, (j, k)) for j in range(len(levels)) if j != k]
-        *cross, new = _summed(levels, grids + [_grid(levels, finer, (k,))], geo, jet, work)
+        _check_budget(levels, finer, head, note)
+        grids = [_grid(finer, (k,)) if j == k else _grid(steps, (j, k)) for j in range(len(levels))]
+        sums = _nested(levels, grids, geo, jet, work)
         value = 0.5 * (value + moved[k])
-        cross = iter(cross)
-        moved = [new if j == k else 0.5 * (m + next(cross)) for j, m in enumerate(moved)]
+        moved = 0.5 * (moved + sums)
+        moved[k] = sums[k]
         steps = finer
 
 

@@ -22,7 +22,7 @@ from qscreen.coulomb import (
     rho,
 )
 from qscreen.correspondence import F_hwv
-from qscreen.jet import JetPoint
+from qscreen.jet import JetPoint, closure
 from qscreen.jet import tables as jet_tables
 from qscreen.pde import sle_pde_check, translation_check, vertex_prefactor
 from qscreen.qseries import KappaParams, eval_q, qfact
@@ -265,8 +265,8 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa):
     steps, value, moved = seen["out"]
     levels = seen["levels"]
     assert steps != tuple(seen["start"])
-    direct, *direct_moved = (coulomb._nested(levels, rules, seen["geo"], seen["jet"], {})[0, 0]
-                             for rules in coulomb._grids(levels, steps))
+    direct, *direct_moved = coulomb._nested(levels, coulomb._grids(steps), seen["geo"],
+                                            seen["jet"], {})[:, 0, 0]
     total = value[-1, 0]
     bound = total * (len(levels) * 4 * np.finfo(float).eps
                      + sum(_folded_share(lev, h) for lev, h in zip(levels, steps)))
@@ -320,8 +320,7 @@ def _shift_estimates(steps):
     geo = coulomb._geometry(levels, (_PAIR.x0,) + _PAIR.xs, betas, kappa)
     # the jet over the zero multi-index alone is the value
     plan = coulomb._JetPlan(jet_tables(((0, 0),)), ((),) * 3)
-    value, *moved = (coulomb._nested(levels, rules, geo, plan, {})[0, 0]
-                     for rules in coulomb._grids(levels, steps))
+    value, *moved = coulomb._nested(levels, coulomb._grids(steps), geo, plan, {})[:, 0, 0]
     ref = _selberg_pair(4, 5, kappa)
     pref = coulomb._x_prefactor(_PAIR.xs, dims, kappa)
     return [abs(m - value) / value for m in moved], abs(pref * value - ref) / ref
@@ -385,9 +384,9 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
     summed = []
     nested = coulomb._nested
 
-    def counting(levels, rules, geo, jet, work):
-        summed.append(math.prod(len(rule[0]) for rule in rules))
-        return nested(levels, rules, geo, jet, work)
+    def counting(levels, grids, geo, jet, work):
+        summed.extend(coulomb._nodes(levels, grid) for grid in grids)
+        return nested(levels, grids, geo, jet, work)
 
     monkeypatch.setattr(coulomb, "_nested", counting)
     with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=4 .*budget"):
@@ -423,6 +422,76 @@ def test_rho_bits_do_not_depend_on_the_chunk_size(monkeypatch):
     monkeypatch.setattr(coulomb, "_CHUNK_CAP", 1 << 10)
     monkeypatch.setattr(coulomb, "_SCRATCH_MIN", 0)
     assert run() == default
+
+
+@pytest.mark.parametrize("small_chunks", (False, True))
+@pytest.mark.parametrize(
+    "c, dims, m, kappa",
+    [
+        (ChamberPoint(0.0, (1.0,)), (3,), (1,), 9.0),
+        (ChamberPoint(-0.5, (0.0, 1.0, 2.0, 4.0)), (2, 2, 2, 2), (1, 0, 1, 0), 10.0),
+        (ChamberPoint(-0.5, (0.0, 1.0, 2.0)), (2, 2, 3), (0, 0, 2), 10.0),
+        (ChamberPoint(-3.25, (-1.4, -0.13)), (3, 3), (2, 1), 9.0),
+        (ChamberPoint(-1.0, (0.0, 1.0, 2.5, 4.0)), (2,) * 4, (1,) * 4, 10.0),
+    ],
+)
+def test_rho_pass_sums_each_grid_as_alone(monkeypatch, c, dims, m, kappa, small_chunks):
+    # a pass sums its grids in one nested call, as copies padded to the
+    # longest rule of each level, a halving's finer grid cut in two at its
+    # halved level; each grid's value, jet coefficients and sums of moduli
+    # are those of the grid summed alone, bit for bit but where a pad or a
+    # cut reorders a sum over the nodes, and within 1e-15 of the sums of
+    # moduli there
+    if small_chunks:
+        monkeypatch.setattr(coulomb, "_CHUNK_CAP", 1 << 10)
+        monkeypatch.setattr(coulomb, "_SCRATCH_MIN", 0)
+    n = len(dims)
+    betas = coulomb._betas(dims, kappa)
+    levels = coulomb._build_levels(m, betas, kappa)
+    geo = coulomb._geometry(levels, (c.x0,) + c.xs, betas, kappa)
+    steps = coulomb._start_steps(levels)
+    passes = [coulomb._grids(steps)]
+    for k in sorted({0, len(levels) - 1}):
+        finer = list(steps)
+        finer[k] /= 2.0
+        cross = [coulomb._grid(steps, (j, k)) for j in range(len(levels)) if j != k]
+        fine = coulomb._grid(finer, (k,))
+        # the finer grid holds about twice the nodes of each cross grid
+        assert all(1.8 <= coulomb._nodes(levels, fine) / coulomb._nodes(levels, g) <= 2.2 for g in cross)
+        passes.append(cross + [fine])
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    jets = [[(0,) * n], unit, [tuple(2 * a for a in unit[0]), tuple(map(max, unit[0], unit[-1]))]]
+    if small_chunks and len(levels) == 4:
+        # four-variable jets in chunks this small take seconds; the chunk
+        # test above cuts one into them
+        jets = jets[:1]
+    for reads in jets:
+        plan = coulomb._plan(closure(reads), (0.0,) * n)
+        for grids in passes:
+            batched = coulomb._nested(levels, grids, geo, plan, {})
+            assert batched.shape[0] == len(grids)
+            for j, (got, grid) in enumerate(zip(batched, grids)):
+                alone = coulomb._nested(levels, [grid], geo, plan, {})[0]
+                assert np.all(np.abs(got - alone) <= 1e-15 * alone[-1]), (reads, j, got, alone)
+
+
+def test_rho_counts_one_nested_call_per_pass(monkeypatch):
+    # the first pass sums the grid and its l shifted copies, and each
+    # halving l grids, each pass in one nested call; grid_evals and nodes
+    # count the grids and their own nodes, not the copies or the pads
+    calls = []
+    nested = coulomb._nested
+
+    def counting(levels, grids, geo, jet, work):
+        calls.append((len(grids), sum(coulomb._nodes(levels, grid) for grid in grids)))
+        return nested(levels, grids, geo, jet, work)
+
+    monkeypatch.setattr(coulomb, "_nested", counting)
+    with eval_stats() as stats:
+        rho(ChamberPoint(-0.5, (0.0, 1.0, 2.0, 4.0)), (2, 2, 2, 2), (1, 0, 1, 0), 10.0)
+    assert [g for g, _ in calls] == [3, 2, 2], calls
+    assert stats.passes == len(calls)
+    assert (stats.grid_evals, stats.nodes) == (7, 2757) == tuple(map(sum, zip(*calls)))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux does")
