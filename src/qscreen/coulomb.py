@@ -67,8 +67,9 @@ class EvalStats:
     every term.  grid_evals counts the grids the quadrature summed, and
     nodes their node evaluations: for each grid, the product of its rules'
     lengths.  passes counts the nested calls that summed them, one per
-    halving pass.  evals counts the evaluator calls of the operator checks
-    in pde, one per check.
+    halving pass.  A kept value plan counts its grids at every read, so a
+    repeated call counts the same.  evals counts the evaluator calls of
+    the operator checks in pde, one per check.
     """
 
     err_est: float = 0.0
@@ -728,36 +729,55 @@ def _head(levels, rel_tol):
 
 
 @lru_cache(maxsize=4096)
-def _value_steps(levels, geo, rel_tol):
-    # the final steps of the value's plan: levels and geo fix the value's
-    # nested sums, so these are a function of the arguments alone, and the
-    # jets at one point share one plan
+def _value_plan(levels, geo, rel_tol):
+    """The plain value's plan at a point: its final steps, its sums and
+    their shifted copies (read-only), and the (grid_evals, nodes, passes)
+    it summed.  levels and geo fix the value's nested sums, so the plan is
+    a function of the arguments alone, and the plain value and the jets
+    at one point read one plan.  Its run counts in no eval_stats() block:
+    _quadrature records the counts at every read.  A plan that fails is
+    not kept, so the sums it made count once, where they were made.
+    """
     n = len(geo.gaps)
-    plan = _plan(((0,) * n,), (0.0,) * n)
-    return _halve(levels, _start_steps(levels), geo, rel_tol, _head(levels, rel_tol), plan)[0]
+    plain = _plan(((0,) * n,), (0.0,) * n)
+    head = _head(levels, rel_tol)
+    stats, kept = EvalStats(), False
+    token = _STATS.set(stats)
+    try:
+        steps, value, moved = _halve(levels, _start_steps(levels), geo, rel_tol, head, plain)
+        kept = True
+    finally:
+        _STATS.reset(token)
+        if not kept:
+            _record(**vars(stats))
+    value.flags.writeable = moved.flags.writeable = False
+    return steps, value, moved, (stats.grid_evals, stats.nodes, stats.passes)
 
 
 def _quadrature(levels, geo, rel_tol, jet):
     """The nested sum's jet and every coefficient's absolute error
-    estimate, from one run of _halve.
+    estimate.
 
-    A plain value starts from _start_steps, and a jet over more than the
-    zero multi-index from the final steps of the value's plan at the same
-    point; its own run then holds every coefficient to rel_tol.  Either
-    depends on its arguments alone: a repeated call sums the same grids
-    and returns the same bits, whatever was evaluated before.  The error
-    of a tensor grid belongs to the levels one by one, so each is shifted
-    with every other level kept.  Two variables of one group at one step
-    alias: the distances between them depend on their offsets from the
-    shared end in sum, so the tensor trapezoid rule misses a ridge along
-    u_0 - u_1 = const, and each level's shift reports the joint error of
-    both.  Staggered start steps keep every ratio of a group's steps
-    irrational, so halving never brings a shared step back.  A
-    coefficient's estimate is the shifts' changes summed over the levels
-    plus the rounding floor of the sum of moduli.
+    A plain value is its point's value plan (_value_plan).  A jet over
+    more than the zero multi-index runs _halve from the final steps of
+    that plan, which holds every coefficient to rel_tol.  Either depends
+    on its arguments alone: a repeated call reads or sums the same grids
+    and returns the same bits, whatever was evaluated before, and it
+    counts the plan's grids whether the plan was summed or read.  The
+    error of a tensor grid belongs to the levels one by one, so each is
+    shifted with every other level kept.  Two variables of one group at
+    one step alias: the distances between them depend on their offsets
+    from the shared end in sum, so the tensor trapezoid rule misses a
+    ridge along u_0 - u_1 = const, and each level's shift reports the
+    joint error of both.  Staggered start steps keep every ratio of a
+    group's steps irrational, so halving never brings a shared step back.
+    A coefficient's estimate is the shifts' changes summed over the
+    levels plus the rounding floor of the sum of moduli.
     """
-    steps = _value_steps(levels, geo, rel_tol) if jet.tables.active else _start_steps(levels)
-    _, value, moved = _halve(levels, steps, geo, rel_tol, _head(levels, rel_tol), jet)
+    steps, value, moved, (grid_evals, nodes, passes) = _value_plan(levels, geo, rel_tol)
+    _record(grid_evals=grid_evals, nodes=nodes, passes=passes)
+    if jet.tables.active:
+        _, value, moved = _halve(levels, steps, geo, rel_tol, _head(levels, rel_tol), jet)
     change = sum(np.abs(m[0] - value[0]) for m in moved)
     return value[0], change + len(levels) * _ROUNDING * value[-1]
 

@@ -214,26 +214,39 @@ def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
     return _dense_primitive(a)
 
 
+def _dense_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when b divides a over Z, else None; a and b trimmed, and
+    b(0) nonzero as _to_dense leaves it.  In every exact division b's end
+    coefficients divide a's and b(1) divides a(1), so most inexact ones
+    stop before the first step."""
+    n, m = len(a), len(b)
+    if n < m or a[0] % b[0] or a[-1] % b[-1]:
+        return None
+    at_one = sum(b)
+    if at_one and sum(a) % at_one:
+        return None
+    r = a[:]
+    q = [0] * (n - m + 1)
+    for k in range(n - m, -1, -1):
+        c, rem = divmod(r[k + m - 1], b[-1])
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            r[k:k + m] = [x - c * y for x, y in zip(r[k:k + m], b)]
+    return q if not any(r[:m - 1]) else None
+
+
 def _dense_divexact(a: list[int], b: list[int]) -> list[int]:
     """Exact polynomial division a / b; raises if not exact."""
-    a = _dense_trim(a[:])
+    a = _dense_trim(a)
     b = _dense_trim(b)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     if not a:
         return []
-    q = [0] * (len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        la, lb = a[-1], b[-1]
-        if la % lb != 0:
-            raise ArithmeticError("inexact polynomial division")
-        c = la // lb
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-        a = _dense_trim(a)
-    if a:
+    q = _dense_quotient(a, b)
+    if q is None:
         raise ArithmeticError("inexact polynomial division")
     return q
 
@@ -258,6 +271,11 @@ class QScalar:
             return
         vn, dn = _to_dense(num)
         vd, dd = _to_dense(den)
+        quo = _dense_quotient(dn, dd)
+        if quo is not None:
+            # the quotient over 1 is canonical, and no gcd is needed
+            self.num, self.den = _from_dense(vn - vd, quo), ONE
+            return
         g = _dense_gcd(dn, dd)
         if len(g) > 1:
             dn = _dense_divexact(dn, g)

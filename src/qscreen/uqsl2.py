@@ -9,7 +9,10 @@ left, e_{l_n} (x) ... (x) e_{l_1}.
 Highest weight bases are built by fusion recursion: the vectors on n
 factors come from those on the first n-1 factors fused with M_{d_n}
 through the two-point Clebsch-Gordan vectors.  Their coefficients stay
-Laurent polynomials until one final echelon normalization.
+Laurent polynomials until one final echelon normalization.  Its forward
+pass only permutes the fusion vectors, whose leading columns differ, and
+its back substitution keeps them over denominator 1 and divides each row
+by its pivot exactly, with no polynomial gcd on these bases.
 """
 
 from __future__ import annotations
@@ -180,29 +183,49 @@ def hwv_pair(d1: int, d2: int, m: int) -> TensorVector:
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form in place terms; returns (rows, pivot cols)."""
+    """Reduced row echelon form over the first ncols columns: (the nonzero
+    rows, their pivot columns).
+
+    A forward pass finds the pivots: for each column it brings up the
+    first remaining row that is nonzero there and clears the column in
+    the rows below it.  Rows with distinct leading columns, such as the
+    fusion vectors, are only permuted.  Back substitution then runs from
+    the last pivot row up: each row subtracts multiples of the canonical
+    rows below it, which clears their pivot columns, and is divided by its
+    own pivot.  On Laurent-polynomial rows the subtractions stay over
+    denominator 1, and the QScalar constructor divides exactly before it
+    reduces, so only an entry its pivot does not divide pays a gcd.
+    """
     rows = [list(r) for r in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows))
                     if not rows[i][c].is_zero()), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            if not rows[i][c].is_zero():
+                f = rows[i][c] / top[c]
                 # x - f*0 is x: skipping it spares a gcd on each rational x
                 rows[i] = [x if y.is_zero() else x - f * y
-                           for x, y in zip(rows[i], rows[r])]
+                           for x, y in zip(rows[i], top)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    rows = rows[:len(pivots)]
+    for r in range(len(pivots) - 1, -1, -1):
+        row = rows[r]
+        for below, c in zip(rows[r + 1:], pivots[r + 1:]):
+            f = row[c]
+            if not f.is_zero():
+                row = [x if y.is_zero() else x - f * y
+                       for x, y in zip(row, below)]
+        p = row[pivots[r]]
+        rows[r] = [x if x.is_zero() else x / p for x in row]
+    return rows, pivots
 
 
 def _invert_matrix(mat):
@@ -298,7 +321,8 @@ def project(v: TensorVector, j: int, d: int):
             TensorVector(hat_space, hat_coeffs))
 
 
-def _fused_hwvs(dims: tuple, d: int, memo: dict) -> list[TensorVector]:
+@lru_cache(maxsize=1024)
+def _fused_hwvs(dims: tuple, d: int) -> tuple[TensorVector, ...]:
     """A basis, not normalized, of the highest weight vectors of weight
     q^(d-1) on the factors dims, with Laurent-polynomial coefficients.
 
@@ -306,11 +330,10 @@ def _fused_hwvs(dims: tuple, d: int, memo: dict) -> list[TensorVector]:
     factors spans a copy of M_d' through e_l -> F^l.u; fusing that copy
     with M_{d_n} by the pair vector of the summand M_d gives one vector.
     Over all d' and u these vectors form a basis, since the first n-1
-    factors are the direct sum of such copies.
+    factors are the direct sum of such copies.  The cache lets spaces
+    with common leading factors, such as (3,)^5 and (3,)^4, share their
+    sub-bases across calls.
     """
-    key = (dims, d)
-    if key in memo:
-        return memo[key]
     space = TensorSpace(dims)
     out = []
     if len(dims) == 1:
@@ -324,7 +347,7 @@ def _fused_hwvs(dims: tuple, d: int, memo: dict) -> list[TensorVector]:
             if m > dp - 1:
                 continue
             weights = _pair_weights(dp, dn, m)
-            for u in _fused_hwvs(head, dp, memo):
+            for u in _fused_hwvs(head, dp):
                 f_powers = [u]
                 for _ in range(max(l1 for l1, _ in weights)):
                     f_powers.append(act("F", f_powers[-1]))
@@ -332,8 +355,7 @@ def _fused_hwvs(dims: tuple, d: int, memo: dict) -> list[TensorVector]:
                     idx + (l2,): c * val
                     for (l1, l2), c in weights.items()
                     for idx, val in f_powers[l1].coeffs.items()}))
-    memo[key] = out
-    return out
+    return tuple(out)
 
 
 def hwv_space_basis(space: TensorSpace, d: int) -> list[TensorVector]:
@@ -347,7 +369,7 @@ def hwv_space_basis(space: TensorSpace, d: int) -> list[TensorVector]:
     """
     if d < 1:
         raise ValueError(f"summand dimension d must be a positive integer, got {d}")
-    vectors = _fused_hwvs(space.dims, d, {})
+    vectors = _fused_hwvs(space.dims, d)
     cols = sorted({idx for v in vectors for idx in v.coeffs})
     canon, _ = _rref([[v.coeffs.get(i, Q_ZERO) for i in cols] for v in vectors],
                      len(cols))

@@ -411,9 +411,13 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 @pytest.mark.parametrize("dims,d,name", [
     ("3,3,3,3", "3", "dump_basis_3333_d3.json"),
     ("2,2,2,3,3", "2", "dump_basis_22233_d2.json"),
+    ("3,3,3,3,3", "1", "dump_basis_33333_d1.json"),
+    ("2,2,2,2,2,2,2,2", "1", "dump_basis_22222222_d1.json"),
 ])
 def test_dump_basis_json_is_pinned(capsys, dims, d, name):
-    # recorded from the elimination kernel the fusion basis replaced
+    # the first two were recorded from the elimination kernel the fusion
+    # basis replaced, the last two from the fusion basis when its final
+    # normalization still reduced every entry by a gcd
     code, out, _ = run(capsys, "dump-basis", "--dims", dims, "--d", d,
                        "--format", "json")
     assert code == 0

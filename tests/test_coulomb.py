@@ -214,8 +214,9 @@ def test_rho_selberg_gate_four_variables():
 def test_rho_plan_node_counts():
     # the plan halves from staggered start steps, and each halving sums
     # only the nodes it adds (a plan on probes summed 9.3e7 nodes, one
-    # re-summing every pass 3.1e7); a plain value plans at every call, so a
-    # repeated call sums the same grids
+    # re-summing every pass 3.1e7); a plain value counts its plan's grids
+    # whether it sums them or reads the plan, so a repeated call counts the
+    # same grids
     ref = _selberg_pair(4, 5, 16.75)
     cold = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
     assert cold.nodes <= 2e7, cold
@@ -254,6 +255,7 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa):
     # plan's final steps they must equal the direct sums over _grids up to
     # rounding and the tail mass the coarser rules fold into other nodes
     halve, seen = coulomb._halve, {}
+    coulomb._value_plan.cache_clear()
 
     def keep(levels, steps, geo, rel_tol, head, jet):
         seen.update(levels=levels, start=steps, geo=geo, jet=jet)
@@ -381,6 +383,7 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
     # The third pass's grid holds 8.13e5 nodes and its copy with level 1
     # shifted 8.26e5, so the budget must bound the shifted copies too
     monkeypatch.setattr(coulomb, "_GRID_BUDGET", 8.2e5)
+    coulomb._value_plan.cache_clear()
     summed = []
     nested = coulomb._nested
 
@@ -421,6 +424,8 @@ def test_rho_bits_do_not_depend_on_the_chunk_size(monkeypatch):
     default = run()
     monkeypatch.setattr(coulomb, "_CHUNK_CAP", 1 << 10)
     monkeypatch.setattr(coulomb, "_SCRATCH_MIN", 0)
+    # the value plans too are summed again in small chunks
+    coulomb._value_plan.cache_clear()
     assert run() == default
 
 
@@ -481,6 +486,7 @@ def test_rho_counts_one_nested_call_per_pass(monkeypatch):
     # count the grids and their own nodes, not the copies or the pads
     calls = []
     nested = coulomb._nested
+    coulomb._value_plan.cache_clear()
 
     def counting(levels, grids, geo, jet, work):
         calls.append((len(grids), sum(coulomb._nodes(levels, grid) for grid in grids)))
@@ -505,9 +511,12 @@ def test_rho_faults_its_scratch_pages_in_once():
 
     args = (_PAIR, (5, 5), (0, 4), 16.75, 1e-7)
     rho(*args)
+    # warm rules, but a plan that is summed again
+    coulomb._value_plan.cache_clear()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rho(*args)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    coulomb._value_plan.cache_clear()
     tracemalloc.start()
     try:
         rho(*args)
@@ -567,6 +576,30 @@ def test_jets_at_one_point_share_the_value_plan(monkeypatch):
     planned = len(plain_runs)
     translation_check(ev, x)
     assert len(plain_runs) == planned, plain_runs[planned:]
+
+
+def test_jet_then_value_at_one_point_plan_the_value_once(monkeypatch):
+    # a jet starts from its point's value plan; the plain value at that
+    # point afterwards reads the same plan and sums no grid of its own
+    halve, runs = coulomb._halve, []
+
+    def counting(levels, steps, geo, rel_tol, head, jet):
+        runs.append(bool(jet.tables.active))
+        return halve(levels, steps, geo, rel_tol, head, jet)
+
+    monkeypatch.setattr(coulomb, "_halve", counting)
+    coulomb._value_plan.cache_clear()
+    c, dims, m, kappa = ChamberPoint(-0.6, (0.2, 1.9)), (2, 3), (1, 1), 9.4
+    rho(ChamberPoint(c.x0, JetPoint(c.xs, [(1, 0), (0, 1)])), dims, m, kappa)
+    with eval_stats() as stats:
+        value = rho(c, dims, m, kappa)
+    assert runs == [False, True], runs
+    assert stats.grid_evals > 0
+    coulomb._value_plan.cache_clear()
+    with eval_stats() as cold:
+        assert rho(c, dims, m, kappa) == value
+    assert runs == [False, True, False], runs
+    assert (cold.grid_evals, cold.nodes, cold.passes) == (stats.grid_evals, stats.nodes, stats.passes)
 
 
 def test_rho_deterministic():

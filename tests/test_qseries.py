@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from closed_forms import as_poly, is_poly, stretch
 from hypothesis import strategies as st
 
+from qscreen import qseries
 from qscreen.qseries import (
     KappaParams,
     LaurentPoly,
@@ -219,6 +221,20 @@ def test_polynomial_fast_path_matches_general_constructor(a, b, c, den):
     assert _same(x * r, QScalar(a * c, den))
     assert _same(r * x, QScalar(a * c, den))
     assert _same(-r, QScalar(-c, den))
+
+
+_nonzero = laurent_polys.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys, _nonzero, _nonzero)
+def test_exact_quotient_skips_the_gcd(a, b, c):
+    # a quotient that divides exactly is a over denominator 1, with no gcd
+    with mock.patch.object(qseries, "_dense_gcd", side_effect=AssertionError("gcd")):
+        assert _same(QScalar(a * b, b), qs(a))
+    # a common factor cancels whether or not the rest divides
+    assert _same(QScalar(a * c, b * c), QScalar(a, b))
+    assert QScalar(a, b) * QScalar(b) == QScalar(a)
 
 
 @given(st.integers(-20, 20), st.integers(-9, 9))

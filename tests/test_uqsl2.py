@@ -5,12 +5,16 @@ import random
 from itertools import product
 
 import pytest
-from closed_forms import hwv_basis_by_elimination
+from closed_forms import gauss_jordan, hwv_basis_by_elimination
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscreen.qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO
 from qscreen.uqsl2 import (
     TensorSpace,
     TensorVector,
+    _invert_matrix,
+    _rref,
     act,
     cyclic_constant,
     hwv_pair,
@@ -255,6 +259,70 @@ ELIMINATION_SPACES = [
 def test_fusion_basis_equals_elimination_reference(dims, d):
     space = TensorSpace(dims)
     assert hwv_space_basis(space, d) == hwv_basis_by_elimination(space, d)
+
+
+# -- exact elimination ----------------------------------------------------
+
+_polys = st.builds(LaurentPoly, st.dictionaries(st.integers(-2, 2), st.integers(1, 3)
+                                                | st.integers(-3, -1), min_size=1, max_size=3))
+_entries = st.one_of(
+    st.just(Q_ZERO),
+    _polys.map(QScalar.from_poly),
+    st.builds(QScalar, _polys, _polys),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """A small matrix over Q(q) with zero columns, rows that start at
+    different columns, a dependent and a zero row, in any row order, and
+    the number of leading columns to reduce over."""
+    width = draw(st.integers(1, 5))
+    zero_cols = draw(st.sets(st.integers(0, width - 1), max_size=width - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        lead = draw(st.integers(0, width - 1))
+        rows.append([Q_ZERO if c < lead or c in zero_cols else draw(_entries)
+                     for c in range(width)])
+    if draw(st.booleans()):
+        a, b = draw(_entries), draw(_entries)
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    if draw(st.booleans()):
+        rows.append([Q_ZERO] * width)
+    return draw(st.permutations(rows)), draw(st.integers(0, width))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_rref_equals_gauss_jordan(case):
+    # the reduced echelon form is unique: back substitution with exact
+    # division must give the normalize-then-clear elimination's rows
+    rows, ncols = case
+    assert _rref(rows, ncols) == gauss_jordan(rows, ncols)
+
+
+def _matmul(a, b):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), Q_ZERO)
+             for j in range(len(b[0]))] for row in a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.booleans())
+def test_invert_matrix_is_exact(mat, singular):
+    n = len(mat)
+    if singular and n > 1:
+        # the last row a combination of the others
+        mat = mat[:-1] + [[sum((QP(k) * row[j] for k, row in enumerate(mat[:-1])), Q_ZERO)
+                           for j in range(n)]]
+    if len(gauss_jordan(mat, n)[1]) < n:
+        with pytest.raises(ArithmeticError, match="singular"):
+            _invert_matrix(mat)
+        return
+    eye = [[Q_ONE if i == j else Q_ZERO for j in range(n)] for i in range(n)]
+    assert _matmul(_invert_matrix(mat), mat) == eye
 
 
 def _cg_multiplicity(dims, d):
