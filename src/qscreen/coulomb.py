@@ -12,10 +12,11 @@ zero multi-index alone, so one path serves both), the boundary fusion
 constants, conformal weight and exponent helpers, and a direct contour
 oracle that integrates the same density over explicitly constructed
 nested loops with the branch tracked along the path.  A value plans its
-steps from the start steps at every call, and a jet from the final steps
-of its own point's value plan, so every result depends on its arguments
-alone.  Everything here is numeric; the exact q-dependent factors live
-in correspondence.
+steps from the start steps once per (levels, geometry, rel_tol) and a
+repeated call reads that plan; a jet plans from the final steps of its
+own point's value plan, so every result depends on its arguments alone.
+Everything here is numeric; the exact q-dependent factors live in
+correspondence.
 """
 
 from __future__ import annotations
@@ -350,13 +351,6 @@ def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
     return exp_series(jet.tables, log_series(jet.tables, shape, omega, moving))
 
 
-# a level with fewer elements than this, counted as for _CHUNK_CAP, lets
-# its ufuncs allocate its arrays: the allocator keeps arrays this small in
-# the process, so they fault no pages, and a new one costs less than a
-# view of a scratch array
-_SCRATCH_MIN = 1 << 13
-
-
 def _scratch(work, key, shape):
     # an array of the given shape in work's buffer `key`: a buffer grows to
     # the largest array asked of it and serves every chunk and every pass
@@ -371,10 +365,8 @@ def _scratch(work, key, shape):
 def _flat(a, shape, slot):
     # a over a level's grid (copies, nodes, columns), as the next level's
     # (copies, 1, columns): a view where a spans the grid, else spread
-    # into slot, or into a new array where slot is None
+    # into slot
     if a.shape != shape:
-        if slot is None:
-            slot = np.empty(shape)
         slot[...] = a
         a = slot
     return a.reshape(shape[0], 1, -1)
@@ -428,26 +420,31 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
 
     A level larger than _CHUNK_CAP sums whole copies at a time, or the
     columns of one copy in chunks, so a chunk inside one copy broadcasts
-    that copy's rule as a column.  A level of _SCRATCH_MIN elements or
-    more writes its arrays into the plan's scratch arrays, work
-    (_scratch): those it reads again after the next level has run under
-    keys (idx, name), its temporaries under names that all levels share.
-    Nothing written into out is one of them.
+    that copy's rule as a column.  Such a chunk holds two columns or more,
+    a lone last column joining the chunk before it: numpy sums the nodes
+    of a single column pairwise but those of several in node order, so a
+    one-column chunk would change the bits of its sums.  A chunk that
+    cannot be cut further is summed whole.  Every level writes its arrays
+    into the plan's scratch arrays, work (_scratch): those it reads again
+    after the next level has run under keys (idx, name), its temporaries
+    under names that all levels share.  Nothing written into out is one of
+    them.
     """
     lev, rule = levels[idx], rules[idx]
     copies, n = rule.shape[1:3]
     rows, width, _, size = out.shape
-    if n * copies * size * width > _CHUNK_CAP and copies * size > 1:
+    if n * copies * size * width > _CHUNK_CAP:
         fit = _CHUNK_CAP // (n * size * width)
-        per, step = (fit, size) if fit else (1, max(1, _CHUNK_CAP // (n * width)))
-        for c in range(0, copies, per):
-            part = [r[:, c : c + per] for r in rules]
-            for s in range(0, size, step):
-                chunk = {k: a[c : c + per, :, s : s + step] for k, a in outer.items()}
-                _level_sum(levels, idx, part, spread, chunk, geo, jet, work,
-                           out[:, :, c : c + per, s : s + step])
-        return
-    pooled = n * copies * size * width >= _SCRATCH_MIN
+        per, step = (fit, size) if fit else (1, max(2, _CHUNK_CAP // (n * width)))
+        starts = range(0, max(1, size - 1), step)
+        if per < copies or len(starts) > 1:
+            for c in range(0, copies, per):
+                part = [r[:, c : c + per] for r in rules]
+                for s, e in zip(starts, [*starts[1:], size]):
+                    chunk = {k: a[c : c + per, :, s:e] for k, a in outer.items()}
+                    _level_sum(levels, idx, part, spread, chunk, geo, jet, work,
+                               out[:, :, c : c + per, s:e])
+            return
     t, omt, logt, logwe = rule
     last = idx == len(levels) - 1
     shape = (copies, n, size)
@@ -468,7 +465,7 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
         lo = S * t if needs_lo else None
     else:
         S, hi_S, logS = outer[idx - 1, 0], outer[idx - 1, 1], outer[idx - 1, 3]
-        own = _scratch(work, (idx, "own"), (3,) + shape) if pooled else (None,) * 3
+        own = _scratch(work, (idx, "own"), (3,) + shape)
         up = np.multiply(S, omt, out=own[2])
         hi = np.add(hi_S, up, out=own[1])
         lo = np.multiply(S, t, out=own[0]) if needs_lo else None
@@ -476,9 +473,9 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
     # and the row of the parent's offset; the envelope lo^(-env) splits
     # the same way.  A top level's offsets are columns, so its G stays a
     # column until the pair factors, the first terms to span the outer grid
-    full = _scratch(work, (idx, "G"), shape) if pooled else np.empty(shape)
+    full = _scratch(work, (idx, "G"), shape)
     G = np.add(logwe, (1.0 + lev.aL + lev.aR - lev.env) * logS, out=None if lev.top else full)
-    term = _scratch(work, "tmp", G.shape) if pooled else np.empty(G.shape)
+    term = _scratch(work, "tmp", G.shape)
     for beta, c, side, _ in geo.charges[idx]:
         dist = hi if side else lo
         np.log(np.add(dist, c, out=term) if c else dist, out=term)
@@ -492,15 +489,14 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
         if levels[p].group == lev.group:
             if p == idx - 1:
                 continue
-            scratch = _scratch(work, "ancestor", shape) if pooled else None
-            ancestor = np.add(ancestor, outer[p + 1, 2], out=scratch)
+            ancestor = np.add(ancestor, outer[p + 1, 2], out=_scratch(work, "ancestor", shape))
             factor = ancestor
         else:
             gap = geo.between[lev.group][levels[p].group]
-            factor = np.add(lo, outer[p, 1] + gap, out=_scratch(work, "tmp", shape) if pooled else None)
+            factor = np.add(lo, outer[p, 1] + gap, out=_scratch(work, "tmp", shape))
         if pairs is None:
             # an array of its own: the ancestors' sum grows in place
-            pairs = _scratch(work, "pairs", shape) if pooled else np.empty(shape)
+            pairs = _scratch(work, "pairs", shape)
             pairs[...] = factor
         else:
             np.multiply(pairs, factor, out=pairs)
@@ -517,14 +513,11 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
         # level's own are views, but for log lo and a top level's columns,
         # and the outer levels' are spread
         fresh = [p < idx or lev.top or f == 3 for p, f in keys]
-        if pooled:
-            slots = iter(_scratch(work, (idx, "outer"), (sum(fresh),) + shape))
-            inner = _scratch(work, (idx, "inner"), (rows, width, copies, n * size))
-        else:
-            slots, inner = iter(()), np.empty((rows, width, copies, n * size))
+        slots = iter(_scratch(work, (idx, "outer"), (sum(fresh),) + shape))
+        inner = _scratch(work, (idx, "inner"), (rows, width, copies, n * size))
         carried = {}
         for (p, f), new in zip(keys, fresh):
-            slot = next(slots, None) if new else None
+            slot = next(slots) if new else None
             if p < idx:
                 a = outer[p, f]
             else:

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from closed_forms import delta_scaling, selberg_oracle
 
@@ -400,10 +402,9 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
 
 def test_rho_bits_do_not_depend_on_the_chunk_size(monkeypatch):
     # a level sums its outer grid in chunks, column by column, and writes
-    # its arrays into the plan's scratch arrays; cut into many chunks, with
-    # every level in the scratch arrays, each value, jet coefficient and
-    # estimate keeps its bits, which a scratch array that aliases another
-    # or outlives its chunk would change
+    # its arrays into the plan's scratch arrays; cut into many chunks, each
+    # value, jet coefficient and estimate keeps its bits, which a scratch
+    # array that aliases another or outlives its chunk would change
     cases = [
         (_PAIR, (5, 5), (0, 4), 16.75, 1e-7, None),
         (_PAIR, (4, 4), (0, 3), 12.5, 1e-9, [(1, 0), (0, 1)]),
@@ -423,10 +424,49 @@ def test_rho_bits_do_not_depend_on_the_chunk_size(monkeypatch):
 
     default = run()
     monkeypatch.setattr(coulomb, "_CHUNK_CAP", 1 << 10)
-    monkeypatch.setattr(coulomb, "_SCRATCH_MIN", 0)
     # the value plans too are summed again in small chunks
     coulomb._value_plan.cache_clear()
     assert run() == default
+
+
+@st.composite
+def _chunk_cases(draw):
+    # 2 to 4 marked points, 1 to 3 screening variables on random
+    # intervals, kappa up to 4 past the convergence edge, and a plain
+    # value or one first-order jet
+    n = draw(st.integers(2, 4))
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    x0 = draw(st.floats(-2.0, 0.0))
+    xs = tuple(x0 + sum(gaps[: i + 1]) for i in range(n))
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n)))
+    m = [0] * n
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+        m[i] += 1
+    kappa = 4.0 * (max(dims) - 1) + draw(st.floats(0.5, 4.0))
+    read = draw(st.none() | st.integers(0, n - 1))
+    if read is not None:
+        xs = JetPoint(xs, [tuple(int(i == read) for i in range(n))])
+    return ChamberPoint(x0, xs), dims, tuple(m), kappa
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chunk_cases())
+# under 1 << 8 this case's last chunk of a level would hold one column,
+# whose nodes numpy sums pairwise, not in node order
+@example((ChamberPoint(0.0, (0.05, 1.1312438955933422)), (2, 2), (2, 0), 4.768809822266578))
+def test_rho_bits_do_not_depend_on_the_chunk_size_on_random_cases(case):
+    # the test above on drawn geometries: in chunks of 1 << 8 elements, the
+    # value or jet and its estimate keep their bits
+    def run():
+        coulomb._value_plan.cache_clear()
+        with eval_stats() as stats:
+            value = rho(*case, 1e-6)
+        return value, stats.err_est
+
+    default = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coulomb, "_CHUNK_CAP", 1 << 8)
+        assert run() == default
 
 
 @pytest.mark.parametrize("small_chunks", (False, True))
@@ -449,7 +489,6 @@ def test_rho_pass_sums_each_grid_as_alone(monkeypatch, c, dims, m, kappa, small_
     # moduli there
     if small_chunks:
         monkeypatch.setattr(coulomb, "_CHUNK_CAP", 1 << 10)
-        monkeypatch.setattr(coulomb, "_SCRATCH_MIN", 0)
     n = len(dims)
     betas = coulomb._betas(dims, kappa)
     levels = coulomb._build_levels(m, betas, kappa)
@@ -603,9 +642,9 @@ def test_jet_then_value_at_one_point_plan_the_value_once(monkeypatch):
 
 
 def test_rho_deterministic():
-    # a plain value plans its steps from the start steps at every call, so
-    # a repeated call must sum the same grids in the same order and agree
-    # bit for bit, which the finite-difference lattices rely on
+    # a plain value is planned once per (levels, geometry, rel_tol) and a
+    # repeated call reads that plan, so it must agree bit for bit with the
+    # first, which the finite-difference lattices rely on
     cases = [
         (ChamberPoint(0.0, (1.0, 2.0)), (2, 2), (1, 0), 10.0),
         (ChamberPoint(-2.7, (-1.4, 2.0)), (2, 3), (1, 1), 8.8),
