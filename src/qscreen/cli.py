@@ -116,7 +116,7 @@ def _parse_format(text):
 
 
 _PARSERS = {
-    "kappa": float,
+    "kappa": _parse_positive_finite,
     "dims": _parse_ints,
     "vector": str,
     "l": _parse_ints,

@@ -230,12 +230,6 @@ def _rephasing(m):
 # -- numeric evaluation ----------------------------------------------------
 
 
-# _rho depends on its arguments alone, so a cached term, estimates included,
-# is what a new call would return; the key holds the index set and the
-# anchor's motion, zero at a plain point, so plain calls share their entries
-_rho_cached = lru_cache(maxsize=4096)(_rho)
-
-
 def _evaluate(weights, c, dims, kappa, rel_tol, moves=None):
     # checked here too: a sum whose weights all vanish runs no integral
     _check_rel_tol(rel_tol)
@@ -246,7 +240,7 @@ def _evaluate(weights, c, dims, kappa, rel_tol, moves=None):
     total = np.zeros(len(index), dtype=complex)
     err = np.zeros(len(index))
     for m, w in weights:
-        value, est = _rho_cached(c, dims, m, kappa, rel_tol, index, moves)
+        value, est, _ = _rho(c, dims, m, kappa, rel_tol, index, moves)
         total += w * value
         err += abs(w) * est
     # the jet's value coefficient is what an eval_stats() block receives

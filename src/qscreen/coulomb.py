@@ -12,9 +12,10 @@ zero multi-index alone, so one path serves both), the boundary fusion
 constants, conformal weight and exponent helpers, and a direct contour
 oracle that integrates the same density over explicitly constructed
 nested loops with the branch tracked along the path.  A value plans its
-steps from the start steps once per (levels, geometry, rel_tol) and a
-repeated call reads that plan; a jet plans from the final steps of its
-own point's value plan, so every result depends on its arguments alone.
+steps from the start steps, and a jet from the final steps of the plain
+value at its point.  One cache keeps each result, value or jet, once per
+argument set, and every evaluator reads it, so a result depends on its
+arguments alone and a repeated call returns the same bits.
 Everything here is numeric; the exact q-dependent factors live in
 correspondence.
 """
@@ -68,9 +69,10 @@ class EvalStats:
     every term.  grid_evals counts the grids the quadrature summed, and
     nodes their node evaluations: for each grid, the product of its rules'
     lengths.  passes counts the nested calls that summed them, one per
-    halving pass.  A kept value plan counts its grids at every read, so a
-    repeated call counts the same.  evals counts the evaluator calls of
-    the operator checks in pde, one per check.
+    halving pass.  A kept rho result counts the grids it summed at every
+    read, so a repeated call to rho, phi, F_anchor or F_hwv counts the
+    same.  evals counts the evaluator calls of the operator checks in pde,
+    one per check.
     """
 
     err_est: float = 0.0
@@ -130,9 +132,9 @@ def _betas(dims, kappa):
 
 
 def _check_kappa(kappa):
-    # also rejects nan
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+    # also rejects nan; at kappa = inf the exact weights sit at q = 1
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
 
 
 def _check_convergent(dims, kappa):
@@ -721,60 +723,6 @@ def _head(levels, rel_tol):
     return f"rho with l={len(levels)} screening variables at rel_tol={rel_tol:g}"
 
 
-@lru_cache(maxsize=4096)
-def _value_plan(levels, geo, rel_tol):
-    """The plain value's plan at a point: its final steps, its sums and
-    their shifted copies (read-only), and the (grid_evals, nodes, passes)
-    it summed.  levels and geo fix the value's nested sums, so the plan is
-    a function of the arguments alone, and the plain value and the jets
-    at one point read one plan.  Its run counts in no eval_stats() block:
-    _quadrature records the counts at every read.  A plan that fails is
-    not kept, so the sums it made count once, where they were made.
-    """
-    n = len(geo.gaps)
-    plain = _plan(((0,) * n,), (0.0,) * n)
-    head = _head(levels, rel_tol)
-    stats, kept = EvalStats(), False
-    token = _STATS.set(stats)
-    try:
-        steps, value, moved = _halve(levels, _start_steps(levels), geo, rel_tol, head, plain)
-        kept = True
-    finally:
-        _STATS.reset(token)
-        if not kept:
-            _record(**vars(stats))
-    value.flags.writeable = moved.flags.writeable = False
-    return steps, value, moved, (stats.grid_evals, stats.nodes, stats.passes)
-
-
-def _quadrature(levels, geo, rel_tol, jet):
-    """The nested sum's jet and every coefficient's absolute error
-    estimate.
-
-    A plain value is its point's value plan (_value_plan).  A jet over
-    more than the zero multi-index runs _halve from the final steps of
-    that plan, which holds every coefficient to rel_tol.  Either depends
-    on its arguments alone: a repeated call reads or sums the same grids
-    and returns the same bits, whatever was evaluated before, and it
-    counts the plan's grids whether the plan was summed or read.  The
-    error of a tensor grid belongs to the levels one by one, so each is
-    shifted with every other level kept.  Two variables of one group at
-    one step alias: the distances between them depend on their offsets
-    from the shared end in sum, so the tensor trapezoid rule misses a
-    ridge along u_0 - u_1 = const, and each level's shift reports the
-    joint error of both.  Staggered start steps keep every ratio of a
-    group's steps irrational, so halving never brings a shared step back.
-    A coefficient's estimate is the shifts' changes summed over the
-    levels plus the rounding floor of the sum of moduli.
-    """
-    steps, value, moved, (grid_evals, nodes, passes) = _value_plan(levels, geo, rel_tol)
-    _record(grid_evals=grid_evals, nodes=nodes, passes=passes)
-    if jet.tables.active:
-        _, value, moved = _halve(levels, steps, geo, rel_tol, _head(levels, rel_tol), jet)
-    change = sum(np.abs(m[0] - value[0]) for m in moved)
-    return value[0], change + len(levels) * _ROUNDING * value[-1]
-
-
 def _check_rel_tol(rel_tol):
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
@@ -805,34 +753,84 @@ def _steady(plan, x_ext, dims, kappa, levels):
     return steady
 
 
-def _rho(c, dims, m, kappa, rel_tol, index, moves):
-    """The screened integral's Taylor jet in the marked points over the
-    closed index set `index`, with the anchor moving as sum_i moves[i] x_i,
-    and every coefficient's absolute error estimate, as arrays over the
-    index set.  Over ((0,) * n,) alone they hold the value and its
-    estimate.
+@lru_cache(maxsize=4096)
+def _rho_kept(c, dims, counts, kappa, rel_tol, index, moves):
+    """The one cache of rho results: _rho's jet and estimates (read-only),
+    the final steps of its plan, and the (grid_evals, nodes, passes) it
+    summed.
+
+    A plain value halves from the start steps.  A jet over more than the
+    zero multi-index halves from the final steps of its point's plain
+    entry, which it reads through _rho and so counts, and holds every
+    coefficient to rel_tol.  The error of a tensor grid belongs to the
+    levels one by one, so each is shifted with every other level kept.
+    Two variables of one group at one step alias: the distances between
+    them depend on their offsets from the shared end in sum, so the
+    tensor trapezoid rule misses a ridge along u_0 - u_1 = const, and each
+    level's shift reports the joint error of both.  Staggered start steps
+    keep every ratio of a group's steps irrational, so halving never
+    brings a shared step back.  A coefficient's estimate is the shifts'
+    changes summed over the levels plus the rounding floor of the sum of
+    moduli.
 
     The nested sums carry the distances that move with the nodes; the
     prefactor's pair distances and the interval every level scales with
     move with no node, so their jet multiplies the sums' once.
+
+    A result depends on its arguments alone, so a kept entry is what a new
+    call would return.  Its run counts in no eval_stats() block: _rho
+    records the counts at every read.  A call that fails is not kept, so
+    the sums it made count once, where they were made.
     """
     _check_rel_tol(rel_tol)
-    dims, counts = _dims_counts(dims, m, c.n)
     _check_convergent(dims, kappa)
-    pref = _x_prefactor(c.xs, dims, kappa)
     plan, tab = _plan(index, moves), jet_tables(index)
     x_ext = (c.x0,) + c.xs
     betas = _betas(dims, kappa)
     levels = _build_levels(counts, betas, kappa)
-    if levels:
-        geo = _geometry(levels, x_ext, betas, kappa)
-        value, est = _quadrature(levels, geo, rel_tol, plan)
-    else:
-        value, est = np.eye(1, tab.size)[0], np.zeros(tab.size)
-    if tab.active:
-        logs = log_series(tab, (), {}, _steady(plan, x_ext, dims, kappa, levels))
-        value, est = product(tab, exp_series(tab, logs), np.stack((value, est)))
-    return pref * value, pref * est
+    stats, kept = EvalStats(), False
+    token = _STATS.set(stats)
+    try:
+        if levels:
+            start = _start_steps(levels)
+            if tab.active:
+                plain = ChamberPoint(c.x0, tuple(c.xs))
+                start = _rho(plain, dims, counts, kappa, rel_tol, ((0,) * c.n,), (0.0,) * c.n)[2]
+            geo = _geometry(levels, x_ext, betas, kappa)
+            steps, value, moved = _halve(levels, start, geo, rel_tol, _head(levels, rel_tol), plan)
+            change = sum(np.abs(m[0] - value[0]) for m in moved)
+            value, est = value[0], change + len(levels) * _ROUNDING * value[-1]
+        else:
+            value, est, steps = np.eye(1, tab.size)[0], np.zeros(tab.size), ()
+        if tab.active:
+            logs = log_series(tab, (), {}, _steady(plan, x_ext, dims, kappa, levels))
+            value, est = product(tab, exp_series(tab, logs), np.stack((value, est)))
+        kept = True
+    finally:
+        _STATS.reset(token)
+        if not kept:
+            _record(**vars(stats))
+    pref = _x_prefactor(c.xs, dims, kappa)
+    value, est = pref * value, pref * est
+    value.flags.writeable = est.flags.writeable = False
+    return value, est, steps, (stats.grid_evals, stats.nodes, stats.passes)
+
+
+def _rho(c, dims, counts, kappa, rel_tol, index, moves):
+    """The screened integral's Taylor jet in the marked points over the
+    closed index set `index`, with the anchor moving as sum_i moves[i] x_i,
+    and every coefficient's absolute error estimate, as read-only arrays
+    over the index set, and the final steps of its plan.  Over
+    ((0,) * n,) alone the arrays hold the value and its estimate.  dims
+    and counts are tuples, as _dims_counts returns them.
+
+    Every call reads or makes the entry of _rho_kept and records the grids
+    it summed, so a repeated call returns the same bits and counts the
+    same grids, whatever was evaluated before.
+    """
+    value, est, steps, (grid_evals, nodes, passes) = _rho_kept(c, dims, counts, kappa, rel_tol, index, moves)
+    _record(grid_evals=grid_evals, nodes=nodes, passes=passes)
+    return value, est, steps
 
 
 def rho(c: ChamberPoint, dims, m, kappa, rel_tol: float = 1e-9) -> float:
@@ -846,11 +844,14 @@ def rho(c: ChamberPoint, dims, m, kappa, rel_tol: float = 1e-9) -> float:
     return the Taylor jet in them, the anchor held fixed, as a Jet whose
     coefficients each meet rel_tol against the sum of the moduli of their
     terms; a plain point is the jet over the zero multi-index, returned
-    as its one coefficient.
+    as its one coefficient.  A result is kept once per argument set: a
+    repeated call returns the same bits and counts the same grids.
     """
     jet = isinstance(c.xs, JetPoint)
     index = c.xs.index if jet else ((0,) * c.n,)
-    value, est = _rho(c, dims, m, kappa, rel_tol, index, (0.0,) * c.n)
+    # normalized before the lookup, so list arguments hash and share a key
+    dims, counts = _dims_counts(dims, m, c.n)
+    value, est, _ = _rho(c, dims, counts, kappa, rel_tol, index, (0.0,) * c.n)
     _record(float(est[0]))
     if not jet:
         return float(value[0])

@@ -387,8 +387,9 @@ class KappaParams:
     q_num: complex = field(init=False)
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        # at kappa = inf, q = 1 is a root of unity
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         object.__setattr__(self, "q_num",
                            cmath.exp(4j * math.pi / self.kappa))
 

@@ -463,6 +463,18 @@ def test_eval_bad_rel_tol_exits_2(capsys):
         assert "--rel-tol" in err
 
 
+def test_eval_bad_kappa_exits_2(capsys):
+    # at kappa = inf the exact weights sit at q = 1 and the integrals at
+    # zero exponents: the flag is refused, not evaluated to 0
+    for bad in ("inf", "0", "-8", "nan"):
+        code, out, err = run(
+            capsys, "eval", "--kappa", bad, "--dims", "2,2", "--l", "0,1", "--x", "0,1"
+        )
+        assert code == 2, bad
+        assert out == ""
+        assert "--kappa" in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from closed_forms import delta_scaling, reduction_entries_by_enumeration
 
+from qscreen import coulomb
 from qscreen.coulomb import (
     ChamberPoint,
     b_const,
     contour_phi_oracle,
     delta_fusion,
+    eval_stats,
     h_weight,
     rho,
 )
@@ -28,6 +30,7 @@ from qscreen.correspondence import (
     phi,
     reduction_coeffs,
 )
+from qscreen.jet import JetPoint
 from qscreen.qseries import KappaParams, QScalar, Q_ONE, eval_q, qbinom
 from qscreen.uqsl2 import (
     TensorSpace,
@@ -331,6 +334,8 @@ def test_f_hwv_anchor_independence():
     a = F_hwv(v, x, KAPPA, x0=-1.0)
     b = F_hwv(v, x, KAPPA, x0=-10.0)
     assert a == pytest.approx(b, rel=1e-8)
+    # the default anchor is -1 here; summed afresh, not read from the cache
+    coulomb._rho_kept.cache_clear()
     assert F_hwv(v, x, KAPPA) == a
 
 
@@ -342,6 +347,34 @@ def test_f_hwv_one_point_constant():
 def test_f_hwv_coordinates_must_increase():
     with pytest.raises(ValueError, match="increase"):
         F_hwv(hwv_pair(2, 2, 1), (1.0, 0.5), 8.0)
+
+
+@pytest.mark.parametrize("jet", (False, True))
+@pytest.mark.parametrize("name", ("rho", "phi", "F_anchor", "F_hwv"))
+def test_a_repeated_call_counts_the_grids_of_the_first(name, jet):
+    # every evaluator reads one kept rho result per argument set and counts
+    # the grids that result summed, whether it was summed or read; so a
+    # repeated call returns the same bits and counts what the first did,
+    # here on the trivial vector of (2, 2, 2, 2), as a value and as a
+    # first-order jet
+    dims, x = (2, 2, 2, 2), (0.0, 1.0, 2.0, 4.0)
+    if jet:
+        x = JetPoint(x, [tuple(int(i == j) for i in range(4)) for j in range(4)])
+    v = hwv_space_basis(TensorSpace(dims), 1)[0]
+    c = ChamberPoint(-1.0, x)
+    evaluate = {
+        "rho": lambda: rho(c, dims, (1, 0, 1, 0), KAPPA),
+        "phi": lambda: phi(c, dims, (1, 0, 1, 0), KAPPA),
+        "F_anchor": lambda: F_anchor(v, c, KAPPA),
+        "F_hwv": lambda: F_hwv(v, x, KAPPA),
+    }[name]
+    coulomb._rho_kept.cache_clear()
+    with eval_stats() as first:
+        value = evaluate()
+    with eval_stats() as again:
+        assert evaluate() == value
+    assert first.grid_evals > 0
+    assert vars(again) == vars(first)
 
 
 # -- mixed functions ---------------------------------------------------------

@@ -80,6 +80,8 @@ def test_integrand_rejects_bad_configurations():
         rho(c, (2, 2), (1, -1), 8.0)
     with pytest.raises(ValueError, match="kappa must be positive"):
         rho(c, (2, 2), (1, 0), 0.0)
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        rho(c, (2, 2), (1, 0), math.inf)
     # the oracle computes values only, and refuses a jet rather than drop it
     with pytest.raises(TypeError, match="JetPoint"):
         contour_phi_oracle(ChamberPoint(0.0, JetPoint((1.0, 2.0), [(1, 0)])), (2, 3), (1, 0), 10.0)
@@ -216,10 +218,11 @@ def test_rho_selberg_gate_four_variables():
 def test_rho_plan_node_counts():
     # the plan halves from staggered start steps, and each halving sums
     # only the nodes it adds (a plan on probes summed 9.3e7 nodes, one
-    # re-summing every pass 3.1e7); a plain value counts its plan's grids
-    # whether it sums them or reads the plan, so a repeated call counts the
-    # same grids
+    # re-summing every pass 3.1e7); a call counts its result's grids
+    # whether it sums them or reads the kept result, so a repeated call
+    # counts the same grids
     ref = _selberg_pair(4, 5, 16.75)
+    coulomb._rho_kept.cache_clear()
     cold = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
     assert cold.nodes <= 2e7, cold
     warm = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
@@ -257,7 +260,7 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa):
     # plan's final steps they must equal the direct sums over _grids up to
     # rounding and the tail mass the coarser rules fold into other nodes
     halve, seen = coulomb._halve, {}
-    coulomb._value_plan.cache_clear()
+    coulomb._rho_kept.cache_clear()
 
     def keep(levels, steps, geo, rel_tol, head, jet):
         seen.update(levels=levels, start=steps, geo=geo, jet=jet)
@@ -292,15 +295,19 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa):
 def test_rho_does_not_depend_on_earlier_calls(dims, m, kappa, first, second):
     # a plain value sums the same grids and returns the same bits whatever
     # points were evaluated before it; a jet starts from its own point's
-    # value plan, so its coefficients and estimates do not depend on them
+    # plain value, so its coefficients and estimates do not depend on them
     # either (a jet at (0; 1, 2.5) that started from the steps of the
-    # latest point moved by 5e-11 relative at first order, 3e-10 at second)
+    # latest point moved by 5e-11 relative at first order, 3e-10 at second).
+    # Every evaluation empties the kept results first, so each one sums,
+    # and only the state outside that cache could carry an earlier call
     def run(c):
+        coulomb._rho_kept.cache_clear()
         with eval_stats() as stats:
             value = rho(c, dims, m, kappa)
         return value, stats.grid_evals, stats.nodes
 
     def jets(c):
+        coulomb._rho_kept.cache_clear()
         return [rho(ChamberPoint(c.x0, JetPoint(c.xs, reads)), dims, m, kappa)
                 for reads in ([(1, 0), (0, 1)], [(2, 0), (1, 1), (0, 2)])]
 
@@ -385,7 +392,7 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
     # The third pass's grid holds 8.13e5 nodes and its copy with level 1
     # shifted 8.26e5, so the budget must bound the shifted copies too
     monkeypatch.setattr(coulomb, "_GRID_BUDGET", 8.2e5)
-    coulomb._value_plan.cache_clear()
+    coulomb._rho_kept.cache_clear()
     summed = []
     nested = coulomb._nested
 
@@ -413,6 +420,8 @@ def test_rho_bits_do_not_depend_on_the_chunk_size(monkeypatch):
     ]
 
     def run():
+        # every result is summed, none read from the cache
+        coulomb._rho_kept.cache_clear()
         results = []
         for c, dims, m, kappa, rel_tol, reads in cases:
             if reads:
@@ -424,8 +433,6 @@ def test_rho_bits_do_not_depend_on_the_chunk_size(monkeypatch):
 
     default = run()
     monkeypatch.setattr(coulomb, "_CHUNK_CAP", 1 << 10)
-    # the value plans too are summed again in small chunks
-    coulomb._value_plan.cache_clear()
     assert run() == default
 
 
@@ -458,7 +465,7 @@ def test_rho_bits_do_not_depend_on_the_chunk_size_on_random_cases(case):
     # the test above on drawn geometries: in chunks of 1 << 8 elements, the
     # value or jet and its estimate keep their bits
     def run():
-        coulomb._value_plan.cache_clear()
+        coulomb._rho_kept.cache_clear()
         with eval_stats() as stats:
             value = rho(*case, 1e-6)
         return value, stats.err_est
@@ -525,7 +532,7 @@ def test_rho_counts_one_nested_call_per_pass(monkeypatch):
     # count the grids and their own nodes, not the copies or the pads
     calls = []
     nested = coulomb._nested
-    coulomb._value_plan.cache_clear()
+    coulomb._rho_kept.cache_clear()
 
     def counting(levels, grids, geo, jet, work):
         calls.append((len(grids), sum(coulomb._nodes(levels, grid) for grid in grids)))
@@ -551,11 +558,11 @@ def test_rho_faults_its_scratch_pages_in_once():
     args = (_PAIR, (5, 5), (0, 4), 16.75, 1e-7)
     rho(*args)
     # warm rules, but a plan that is summed again
-    coulomb._value_plan.cache_clear()
+    coulomb._rho_kept.cache_clear()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rho(*args)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    coulomb._value_plan.cache_clear()
+    coulomb._rho_kept.cache_clear()
     tracemalloc.start()
     try:
         rho(*args)
@@ -575,10 +582,13 @@ def test_rho_faults_its_scratch_pages_in_once():
 )
 def test_rho_plain_value_is_the_zero_order_jet(c, dims, m, kappa):
     # a plain value is the jet over the zero multi-index: the same sums on
-    # the same grid from the same start steps
+    # the same grid from the same start steps.  Both share one kept
+    # result, so each is summed from an empty cache
     zero = (0,) * c.n
+    coulomb._rho_kept.cache_clear()
     with eval_stats() as plain:
         value = rho(c, dims, m, kappa)
+    coulomb._rho_kept.cache_clear()
     with eval_stats() as stats:
         jet = rho(ChamberPoint(c.x0, JetPoint(c.xs, [zero])), dims, m, kappa)
     assert jet.index == (zero,)
@@ -588,17 +598,19 @@ def test_rho_plain_value_is_the_zero_order_jet(c, dims, m, kappa):
 
 def test_f_hwv_plain_value_is_the_zero_order_jet():
     v, x, kappa = hwv_pair(3, 3, 2), (0.3, 1.7), 9.1
+    coulomb._rho_kept.cache_clear()
     with eval_stats() as plain:
         value = F_hwv(v, x, kappa)
+    coulomb._rho_kept.cache_clear()
     with eval_stats() as stats:
         jet = F_hwv(v, JetPoint(x, [(0, 0)]), kappa)
     assert jet[(0, 0)] == value and jet.errs[(0, 0)] == plain.err_est == stats.err_est
 
 
-def test_jets_at_one_point_share_the_value_plan(monkeypatch):
-    # every jet at a point starts from the final steps of the value's plan
-    # there; the SLE check plans the value once, and the translation check
-    # at the same point plans it no more
+def test_jets_at_one_point_share_the_plain_value(monkeypatch):
+    # every jet at a point starts from the final steps of the kept plain
+    # value there; the SLE check plans the value once, and the translation
+    # check at the same point plans it no more
     halve, plain_runs = coulomb._halve, []
 
     def counting(levels, steps, geo, rel_tol, head, jet):
@@ -607,6 +619,7 @@ def test_jets_at_one_point_share_the_value_plan(monkeypatch):
         return halve(levels, steps, geo, rel_tol, head, jet)
 
     monkeypatch.setattr(coulomb, "_halve", counting)
+    coulomb._rho_kept.cache_clear()
     v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
     ev = lambda y: F_hwv(v, y, 10.0)
     x = (-0.4, 0.85, 2.15, 3.7)
@@ -618,8 +631,9 @@ def test_jets_at_one_point_share_the_value_plan(monkeypatch):
 
 
 def test_jet_then_value_at_one_point_plan_the_value_once(monkeypatch):
-    # a jet starts from its point's value plan; the plain value at that
-    # point afterwards reads the same plan and sums no grid of its own
+    # a jet starts from its point's kept plain value; the plain value at
+    # that point afterwards reads the same entry, sums no grid of its own
+    # and counts the grids the entry summed
     halve, runs = coulomb._halve, []
 
     def counting(levels, steps, geo, rel_tol, head, jet):
@@ -627,31 +641,68 @@ def test_jet_then_value_at_one_point_plan_the_value_once(monkeypatch):
         return halve(levels, steps, geo, rel_tol, head, jet)
 
     monkeypatch.setattr(coulomb, "_halve", counting)
-    coulomb._value_plan.cache_clear()
+    coulomb._rho_kept.cache_clear()
     c, dims, m, kappa = ChamberPoint(-0.6, (0.2, 1.9)), (2, 3), (1, 1), 9.4
     rho(ChamberPoint(c.x0, JetPoint(c.xs, [(1, 0), (0, 1)])), dims, m, kappa)
     with eval_stats() as stats:
         value = rho(c, dims, m, kappa)
     assert runs == [False, True], runs
     assert stats.grid_evals > 0
-    coulomb._value_plan.cache_clear()
+    coulomb._rho_kept.cache_clear()
     with eval_stats() as cold:
         assert rho(c, dims, m, kappa) == value
     assert runs == [False, True, False], runs
     assert (cold.grid_evals, cold.nodes, cold.passes) == (stats.grid_evals, stats.nodes, stats.passes)
 
 
+def test_repeated_rho_jet_reads_its_kept_result(monkeypatch):
+    # a jet is kept like a value: a repeated call runs no halving, returns
+    # the same bits and counts the grids of the first
+    coulomb._rho_kept.cache_clear()
+    c = ChamberPoint(-0.6, JetPoint((0.2, 1.9), [(1, 0), (0, 1)]))
+    with eval_stats() as first:
+        jet = rho(c, (2, 3), (1, 1), 9.4)
+    assert first.grid_evals > 0
+    halve, runs = coulomb._halve, []
+
+    def counting(*args):
+        runs.append(args)
+        return halve(*args)
+
+    monkeypatch.setattr(coulomb, "_halve", counting)
+    with eval_stats() as again:
+        assert rho(c, (2, 3), (1, 1), 9.4) == jet
+    assert runs == []
+    assert vars(again) == vars(first)
+
+
+def test_rho_list_arguments_share_the_tuple_key():
+    # dims and m are normalized before the lookup, so lists hash and a
+    # call with tuples reads the same kept result
+    c = ChamberPoint(-0.5, (0.0, 1.0, 2.0, 4.0))
+    coulomb._rho_kept.cache_clear()
+    with eval_stats() as listed:
+        value = rho(c, [2, 2, 2, 2], [1, 0, 1, 0], 10.0)
+    with eval_stats() as tupled:
+        assert rho(c, (2, 2, 2, 2), (1, 0, 1, 0), 10.0) == value
+    assert vars(tupled) == vars(listed)
+    assert coulomb._rho_kept.cache_info().currsize == 1
+
+
 def test_rho_deterministic():
-    # a plain value is planned once per (levels, geometry, rel_tol) and a
-    # repeated call reads that plan, so it must agree bit for bit with the
-    # first, which the finite-difference lattices rely on
+    # a result is kept once per argument set and a repeated call reads it,
+    # so it must agree bit for bit with the first, which the
+    # finite-difference lattices rely on; a cold sum does too
     cases = [
         (ChamberPoint(0.0, (1.0, 2.0)), (2, 2), (1, 0), 10.0),
         (ChamberPoint(-2.7, (-1.4, 2.0)), (2, 3), (1, 1), 8.8),
         (_PAIR, (4, 4), (0, 3), 12.5),
     ]
     for c, dims, m, kappa in cases:
+        coulomb._rho_kept.cache_clear()
         cold = rho(c, dims, m, kappa)
+        assert rho(c, dims, m, kappa) == cold, (dims, m)
+        coulomb._rho_kept.cache_clear()
         assert rho(c, dims, m, kappa) == cold, (dims, m)
 
 

@@ -1,5 +1,6 @@
 """Tests for the differential operator and covariance checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -76,7 +77,8 @@ def test_bsa_rejects_bad_positions():
 
 def test_kappa_must_be_positive():
     f = vertex_prefactor((2, 2), KAPPA)
-    for kappa in (0.0, -3.0, float("nan")):
+    # at kappa = inf the weights would be evaluated at q = 1
+    for kappa in (0.0, -3.0, float("nan"), math.inf):
         with pytest.raises(ValueError, match="kappa"):
             build_bsa(1, (2, 2), kappa)
         with pytest.raises(ValueError, match="kappa"):

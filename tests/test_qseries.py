@@ -277,6 +277,9 @@ def test_kappa_params():
         KappaParams(0.0)
     with pytest.raises(ValueError):
         KappaParams(-4.0)
+    # q = exp(4 pi i / kappa) would be the root of unity 1
+    with pytest.raises(ValueError, match="finite"):
+        KappaParams(math.inf)
 
 
 def test_eval_q_values():
