@@ -15,7 +15,9 @@ nested loops with the branch tracked along the path.  A value plans its
 steps from the start steps, and a jet from the final steps of the plain
 value at its point.  One cache keeps each result, value or jet, once per
 argument set, and every evaluator reads it, so a result depends on its
-arguments alone and a repeated call returns the same bits.
+arguments alone and a repeated call returns the same bits.  Every plan
+writes the arrays of its sums and series into its thread's scratch
+arrays, which no result is a view of.
 Everything here is numeric; the exact q-dependent factors live in
 correspondence.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -32,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jet import Jet, JetPoint, exp_series, log_series, product
+from .jet import Jet, JetPoint, _scratch, exp_series, log_series, product
 from .jet import tables as jet_tables
 
 
@@ -314,10 +317,11 @@ def _motion(jet, terms):
     return out
 
 
-def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
+def _level_series(jet, levels, idx, geo, lo, hi, outer, shape, work):
     """Taylor coefficients of level idx's factor over its value, at every
-    node: the exponential of the log-series of the distances that move
-    with the node.  None when no variable is raised or no distance moves.
+    node, in work's scratch arrays: the exponential of the log-series of
+    the distances that move with the node.  None when no variable is
+    raised or no distance moves.
 
     With its unit coordinates fixed, a variable of group i sits at
     w = x_(i-1) + lo, and w moves with the points as
@@ -350,18 +354,7 @@ def _level_series(jet, levels, idx, geo, lo, hi, outer, shape):
             moving.append((geo.pair, inv, _motion(jet, ((g - 1, hi_p / gap_p), (g, lo_p / gap_p)))))
     if not moving:
         return None
-    return exp_series(jet.tables, log_series(jet.tables, shape, omega, moving))
-
-
-def _scratch(work, key, shape):
-    # an array of the given shape in work's buffer `key`: a buffer grows to
-    # the largest array asked of it and serves every chunk and every pass
-    # of the plan, so its pages are faulted in once, not at every chunk
-    size = math.prod(shape)
-    buf = work.get(key)
-    if buf is None or buf.size < size:
-        buf = work[key] = np.empty(size)
-    return buf[:size].reshape(shape)
+    return exp_series(jet.tables, log_series(jet.tables, shape, omega, moving, work), work)
 
 
 def _flat(a, shape, slot):
@@ -426,11 +419,11 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
     a lone last column joining the chunk before it: numpy sums the nodes
     of a single column pairwise but those of several in node order, so a
     one-column chunk would change the bits of its sums.  A chunk that
-    cannot be cut further is summed whole.  Every level writes its arrays
-    into the plan's scratch arrays, work (_scratch): those it reads again
-    after the next level has run under keys (idx, name), its temporaries
-    under names that all levels share.  Nothing written into out is one of
-    them.
+    cannot be cut further is summed whole.  Every level writes its arrays,
+    and the series of its jet, into the scratch arrays work (_scratch,
+    _work): those it reads again after the next level has run under keys
+    (idx, name), its temporaries under names that all levels share.
+    Nothing written into out is one of them.
     """
     lev, rule = levels[idx], rules[idx]
     copies, n = rule.shape[1:3]
@@ -526,19 +519,20 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
                 a = np.add(logS, logt, out=slot) if f == 3 else (lo, hi, up)[f]
             carried[p, f] = _flat(a, shape, slot)
         _level_sum(levels, idx + 1, rules, spread, carried, geo, jet, work, inner)
-    P = _level_series(jet, levels, idx, geo, lo, hi, outer, shape)
+    P = _level_series(jet, levels, idx, geo, lo, hi, outer, shape, work)
     if last:
         if P is None:
             out[:, 0] = G.sum(axis=1)
             if width > 1:
                 out[:, 1:] = 0.0
         else:
-            out[0] = np.einsum("cgts,gts->cgs", P, G)
-            out[1] = np.einsum("cgts,gts->cgs", np.abs(P), G)
+            np.einsum("cgts,gts->cgs", P, G, out=out[0])
+            # P is read no more: its moduli take its place
+            np.einsum("cgts,gts->cgs", np.abs(P, out=P), G, out=out[1])
         return
     inner = inner.reshape((rows, width) + shape)
     if P is not None:
-        inner = product(jet.tables, P, inner)
+        product(jet.tables, P, inner, work)
     inner *= G
     inner.sum(axis=3, out=out)
 
@@ -671,6 +665,20 @@ def _check_budget(levels, steps, head, note):
         raise QuadratureError(f"{head}: {size:.2e} nodes exceed the budget of {_GRID_BUDGET:.1e}{note}")
 
 
+# the scratch arrays of each thread (_work)
+_SCRATCH = threading.local()
+
+
+def _work():
+    # the calling thread's scratch arrays (_scratch): every plan of the
+    # thread writes its sums and series into them, so their pages are
+    # faulted in once per thread, not at every plan
+    work = getattr(_SCRATCH, "arrays", None)
+    if work is None:
+        work = _SCRATCH.arrays = {}
+    return work
+
+
 def _halve(levels, steps, geo, rel_tol, head, jet):
     """Halve the step of the level with the largest estimate until the
     relative estimates plus the rounding floor meet rel_tol.
@@ -692,7 +700,7 @@ def _halve(levels, steps, geo, rel_tol, head, jet):
     """
     steps, floor = list(steps), len(levels) * _ROUNDING
     _check_budget(levels, steps, head, "")
-    work = {}
+    work = _work()
     sums = _nested(levels, _grids(steps), geo, jet, work)
     value, moved = sums[0], sums[1:]
     while True:
@@ -729,19 +737,16 @@ def _check_rel_tol(rel_tol):
 
 
 def _steady(plan, x_ext, dims, kappa, levels):
-    # (exponent, 1 / D, -(motion of D)) of every distance that moves with
-    # no node: the prefactor's pairs, and the interval each level scales
-    # with, raised to the level's power, its pairs with the ancestors but
-    # the parent, and below the top the group's own upper charge
-    def between(a, b):
-        # for chamber coordinates a < b
-        return 1.0 / (x_ext[b] - x_ext[a]), _motion(plan, ((a, 1.0), (b, -1.0)))
-
+    # the distances that move with no node, side by side along one axis,
+    # as one log_series distance (exponents, 1 / D, -(motion of D)): the
+    # prefactor's pairs, and the interval each level scales with, raised
+    # to the level's power, its pairs with the ancestors but the parent,
+    # and below the top the group's own upper charge
     steady = []
     for i, k in itertools.combinations(range(len(dims)), 2):
         e = 2.0 * (dims[i] - 1) * (dims[k] - 1) / kappa
         if e:
-            steady.append((e, *between(i + 1, k + 1)))
+            steady.append((e, i + 1, k + 1))
     betas = _betas(dims, kappa)
     for idx, lev in enumerate(levels):
         i = lev.group
@@ -749,8 +754,15 @@ def _steady(plan, x_ext, dims, kappa, levels):
         e += (8.0 / kappa) * sum(1 for p in range(idx - 1) if levels[p].group == i)
         if not lev.top:
             e -= betas[i]
-        steady.append((e, *between(i - 1, i)))
-    return steady
+        steady.append((e, i - 1, i))
+    nu = {}
+    # D = x_b - x_a for chamber coordinates a < b
+    for d, (_, a, b) in enumerate(steady):
+        for place, rate in _motion(plan, ((a, 1.0), (b, -1.0))).items():
+            nu.setdefault(place, np.zeros(len(steady)))[d] = rate
+    exponents = np.array([e for e, _, _ in steady])
+    inv = np.array([1.0 / (x_ext[b] - x_ext[a]) for _, a, b in steady])
+    return exponents, inv, nu
 
 
 @lru_cache(maxsize=4096)
@@ -803,8 +815,12 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index, moves):
         else:
             value, est, steps = np.eye(1, tab.size)[0], np.zeros(tab.size), ()
         if tab.active:
-            logs = log_series(tab, (), {}, _steady(plan, x_ext, dims, kappa, levels))
-            value, est = product(tab, exp_series(tab, logs), np.stack((value, est)))
+            work = _work()
+            steady = _steady(plan, x_ext, dims, kappa, levels)
+            logs = log_series(tab, steady[0].shape, {}, [steady], work).sum(axis=1)
+            # product writes over the fresh stack: no kept array is a view
+            # of the scratch arrays
+            value, est = product(tab, exp_series(tab, logs, work), np.stack((value, est)), work)
         kept = True
     finally:
         _STATS.reset(token)

@@ -9,6 +9,13 @@ an absolute error estimate.
 
 The table-driven series operations act on arrays whose first axis runs
 over an index set and whose other axes, if any, over quadrature nodes.
+They write every array of coefficients, their results among them, into
+the scratch arrays of a dict work (_scratch), which the quadrature keeps
+for all its plans, so a result is a view that the next call with the
+same work writes over.  Each order of exp_series and product adds its
+terms directly when every coefficient has one, and contracts them
+against a dense weight matrix of the tables when one has several;
+log_series builds each distance's monomials along the tables' runs.
 """
 
 from __future__ import annotations
@@ -68,37 +75,101 @@ class Jet:
 
 
 @dataclass(frozen=True)
+class Terms:
+    """The terms weight_j * A[a_j] * B[b_j] of the coefficients of one total
+    order, at rows, each row's terms in turn.  When every row has one term
+    it adds that term, times weight (None: all ones), and dense is None;
+    else the rows contract the terms against dense, a (rows x terms)
+    weight matrix."""
+
+    rows: slice
+    a: np.ndarray
+    b: np.ndarray
+    weight: object
+    dense: object
+
+
+@dataclass(frozen=True)
 class Tables:
     """Index bookkeeping of the series operations on one index set.
 
     active lists the variables some multi-index raises, in the order of
-    the first-order multi-indices, and raised the places in active of
-    those that a multi-index of order two or more raises.  Entry k - 1 of
-    degrees covers the multi-indices of total order k: their positions,
-    the row of each one's parent (itself less one unit in its first
-    raised variable; -1 at order one) among the previous order's, that
-    variable's place in active, and the coefficient (-1)^(k+1)/k times the
-    multinomial, that of the logarithm's series.  exp (one entry per
-    order from two up) and product list (target, a, b) by target, exp
-    with its weights.
+    the first-order multi-indices, which sit at positions 1 to
+    len(active), and raised the places in active of those that a
+    multi-index of order two or more raises (_monomials builds the
+    monomials in them).  log_weight is the coefficient (-1)^(k+1)/k times
+    the multinomial of the logarithm's series at every position past the
+    first order.  exp holds the Terms of each order from two up, lowest
+    first, and product those of every order, highest first.
     """
 
-    size: int
+    index: tuple
     active: tuple
     raised: tuple
-    degrees: tuple
+    log_weight: np.ndarray
     exp: tuple
     product: tuple
 
+    @property
+    def size(self):
+        return len(self.index)
 
-def _grouped(triples):
-    triples.sort(key=lambda t: t[0])
-    targets = np.array([t[0] for t in triples], dtype=np.intp)
-    starts = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
-    return (targets[starts], starts,
-            np.array([t[1] for t in triples], dtype=np.intp),
-            np.array([t[2] for t in triples], dtype=np.intp),
-            np.array([t[3] for t in triples]) if len(triples[0]) > 3 else None)
+
+def _terms(rules, rows):
+    # the Terms of the (target, a, b, weight) rules of the targets at rows
+    rules.sort(key=lambda rule: rule[0])
+    targets, a, b, weight = (np.array(col) for col in zip(*rules))
+    a, b = a.astype(np.intp), b.astype(np.intp)
+    if len(targets) == rows.stop - rows.start:
+        return Terms(rows, a, b, None if np.all(weight == 1.0) else weight, None)
+    dense = np.zeros((rows.stop - rows.start, len(targets)))
+    dense[targets - rows.start, np.arange(len(targets))] = weight
+    return Terms(rows, a, b, None, dense)
+
+
+def _join(runs, key, a, b, apart=False):
+    # step (key, a, b) onto runs [key, a, b, length]: it lengthens the last
+    # run when it has the same key and a and b both follow on from it, and,
+    # if apart, b stays below the run's first a
+    last = runs[-1] if runs else None
+    if last and last[0] == key and last[1] + last[3] == a and last[2] + last[3] == b \
+            and not (apart and b >= last[1]):
+        last[3] += 1
+    else:
+        runs.append([key, a, b, 1])
+
+
+@lru_cache(maxsize=None)
+def _monomials(index, live):
+    """How log_series builds the monomials of a distance whose ratios vanish
+    but at the places raised[k] of tables(index) for k in live, in one
+    array: those of order one, then those of every multi-index of order
+    two and up that raises no other place, in the order of the index
+    set (Neidinger's table form).  Returns (runs, spans, count): for each
+    (k, rows, parents) of runs, in turn, the monomials at rows are those
+    at parents, each a multi-index less one unit in its first raised
+    variable, times the ratio of raised[live[k]], so a run reads no row it
+    writes; each (rows, to) of spans adds the monomials at rows to the
+    series at positions to, counted from the first past order one; count
+    is the number of monomials.
+    """
+    tab = tables(index)
+    pos = {alpha: p for p, alpha in enumerate(index)}
+    place = {v: k for k, v in enumerate(tab.active)}
+    slot = {tab.raised[k]: j for j, k in enumerate(live)}
+    first = 1 + len(tab.active)
+    row = {1 + p: j for p, j in slot.items()}
+    runs, spans = [], []
+    for p in range(first, len(index)):
+        alpha = index[p]
+        if all(place[v] in slot for v, a in enumerate(alpha) if a):
+            i = next(v for v, a in enumerate(alpha) if a)
+            parent = row[pos[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]]
+            row[p] = len(row)
+            _join(runs, slot[place[i]], row[p], parent, apart=True)
+            _join(spans, None, row[p], p - first)
+    return (tuple((k, slice(r, r + n), slice(q, q + n)) for k, r, q, n in runs),
+            tuple((slice(r, r + n), slice(to, to + n)) for _, r, to, n in spans), len(row))
 
 
 @lru_cache(maxsize=None)
@@ -109,101 +180,164 @@ def tables(index) -> Tables:
     active = tuple(next(v for v, a in enumerate(alpha) if a)
                    for alpha in index if sum(alpha) == 1)
     place = {i: a for a, i in enumerate(active)}
-    degrees = []
-    exp_rules = []
-    splits = []
+    raised = tuple(sorted({place[v] for alpha in index if sum(alpha) > 1
+                           for v, a in enumerate(alpha) if a}))
     order = sum(index[-1])
+    log_weight, exp, product = [], [], []
     for k in range(1, order + 1):
-        block = [alpha for alpha in index if sum(alpha) == k]
-        prev = {alpha: q for q, alpha in enumerate(a for a in index if sum(a) == k - 1)}
-        rows = []
-        for alpha in block:
-            i = next(v for v, a in enumerate(alpha) if a)
-            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            multinomial = math.factorial(k) // math.prod(math.factorial(a) for a in alpha)
-            rows.append((pos[alpha], prev[lower] if k > 1 else -1, place[i],
-                         (-1) ** (k + 1) / k * multinomial))
+        block = [p for p, alpha in enumerate(index) if sum(alpha) == k]
+        exp_rules, splits = [], []
+        for p in block:
+            alpha = index[p]
+            # the raised variable with the fewest units gives the fewest terms
+            i = min((v for v, a in enumerate(alpha) if a), key=lambda v: alpha[v])
+            if k > 1:
+                multinomial = math.factorial(k) // math.prod(map(math.factorial, alpha))
+                log_weight.append((-1) ** (k + 1) / k * multinomial)
             # alpha_i P_alpha = sum over beta <= alpha with beta_i >= 1 of
             # beta_i E_beta P_(alpha - beta); beta = alpha gives E_alpha
             for beta in index:
-                if beta[i] and beta != alpha and all(b <= a for b, a in zip(beta, alpha)):
-                    gamma = tuple(a - b for a, b in zip(alpha, beta))
-                    exp_rules.append((pos[alpha], pos[beta], pos[gamma], beta[i] / alpha[i]))
-            for beta in index:
                 if any(beta) and all(b <= a for b, a in zip(beta, alpha)):
-                    gamma = tuple(a - b for a, b in zip(alpha, beta))
-                    splits.append((pos[alpha], pos[beta], pos[gamma]))
-        degrees.append(tuple(np.array(col) for col in zip(*rows)))
-    exp_by_degree = []
-    for k in range(2, order + 1):
-        exp_by_degree.append(_grouped([r for r in exp_rules if sum(index[r[0]]) == k]))
-    raised = tuple(sorted({place[v] for alpha in index if sum(alpha) > 1
-                           for v, a in enumerate(alpha) if a}))
-    return Tables(len(index), active, raised, tuple(degrees), tuple(exp_by_degree),
-                  _grouped(splits) if splits else None)
+                    gamma = pos[tuple(a - b for a, b in zip(alpha, beta))]
+                    splits.append((p, pos[beta], gamma, 1.0))
+                    if beta[i] and beta != alpha:
+                        exp_rules.append((p, pos[beta], gamma, beta[i] / alpha[i]))
+        rows = slice(block[0], block[-1] + 1)
+        if k > 1:
+            exp.append(_terms(exp_rules, rows))
+        product.insert(0, _terms(splits, rows))
+    return Tables(index, active, raised, np.array(log_weight),
+                  tuple(exp), tuple(product))
 
 
-def log_series(tab, shape, omega, distances):
+def _scratch(work, key, shape):
+    # an array of the given shape in work's buffer `key`: a buffer grows to
+    # the largest array asked of it and serves every later call with the
+    # same work, so its pages are faulted in once, not at every call
+    size = math.prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _column(weights, ndim):
+    # weights along axis 0 of an array of ndim axes
+    return weights.reshape(weights.shape + (1,) * (ndim - 1))
+
+
+def _contract(terms, A, B, out, work):
+    # out += the terms' sums of weight * A[a] * B[:, b], by row of B and
+    # out, which have an axis ahead of A's: row 0 takes A, and row 1, if
+    # any, its moduli
+    nodes = A.shape[1:]
+    found = _scratch(work, "terms", (len(B), len(terms.a)) + nodes)
+    # mode="clip" writes into out unbuffered; the indices are in range
+    np.take(A, terms.a, axis=0, out=found[0], mode="clip")
+    if len(B) > 1:
+        np.abs(found[0], out=found[1])
+    found *= np.take(B, terms.b, axis=1, out=_scratch(work, "gathered", found.shape), mode="clip")
+    if terms.dense is None:
+        if terms.weight is not None:
+            found *= _column(terms.weight, 1 + len(nodes))
+        out += found
+        return
+    sums = _scratch(work, "sums", (len(B), len(terms.dense)) + nodes)
+    np.matmul(terms.dense, found.reshape(found.shape[:2] + (-1,)), out=sums.reshape(sums.shape[:2] + (-1,)))
+    out += sums
+
+
+def _joint(ndim, values):
+    # the shape that numbers and arrays of ndim axes broadcast to
+    joint = None
+    for value in values:
+        shape = getattr(value, "shape", ())
+        if shape and shape != joint:
+            joint = shape if joint is None else tuple(map(max, joint, shape))
+    return joint or (1,) * ndim
+
+
+def log_series(tab, shape, omega, distances, work):
     """Taylor coefficients of sum_d c_d log(D_d) less its value, with node
-    axes of the given shape, for distances D_d linear in the variables.
+    axes of the given shape, for distances D_d linear in the variables,
+    written into work's scratch arrays (_scratch).
 
     distances lists (c_d, inv_d, nu_d): the derivative of D_d over D_d is
     inv_d (omega - nu_d), where omega and every nu_d map a place in
-    tab.active to a rate, a number or a node array.  Order one gathers
-    omega's part over the distances first; higher orders multiply the
-    ratios of one distance at a time.  Entry 0 of the result is zero.
+    tab.active to a rate, and c_d, inv_d and every rate are numbers or
+    node arrays.  Order one gathers omega's part over the distances
+    first, in node arrays of its own.  Higher orders take each distance's
+    ratios inv_d (omega - nu_d) at the places of tab.raised that omega or
+    nu_d moves, times c_d, as its monomials of order one and build those
+    of every higher order in them (_monomials); their sum over the
+    distances, times tab.log_weight, is the rest of the series.  A
+    distance's ratios and monomials take the shape its operands
+    broadcast to, so a distance that moves with a column of nodes costs a
+    column.  Entry 0 of the result is zero.
     """
-    first = tab.degrees[0][0] if tab.degrees else ()
-    E = np.zeros((tab.size,) + shape)
+    E = _scratch(work, "log", (tab.size,) + shape)
+    E[...] = 0.0
     total = 0.0
     for c, inv, nu in distances:
         weight = c * inv
         total = total + weight
         for place, rate in nu.items():
-            E[first[place]] -= rate * weight
+            E[1 + place] -= rate * weight
     for place, rate in omega.items():
-        E[first[place]] += rate * total
+        E[1 + place] += rate * total
+    if not len(tab.log_weight):
+        return E
+    higher = E[1 + len(tab.active):]
+    moving = [omega[place] for place in tab.raised if place in omega]
     for c, inv, nu in distances:
-        ratios = {}
-        for place in tab.raised:
-            r = omega.get(place)
-            if place in nu:
-                r = -nu[place] if r is None else r - nu[place]
-            if r is not None:
-                ratios[place] = inv * r
-        mono = ratios
-        for where, parent, var, weight in tab.degrees[1:]:
-            prev, mono = mono, {}
-            for q, p in enumerate(where):
-                m = prev.get(parent[q])
-                r = ratios.get(var[q])
-                if m is not None and r is not None:
-                    mono[q] = m * r
-                    E[p] += (c * weight[q]) * mono[q]
+        live = tuple(k for k, place in enumerate(tab.raised) if place in omega or place in nu)
+        if not live:
+            continue
+        runs, spans, count = _monomials(tab.index, live)
+        rates = [nu[tab.raised[k]] for k in live if tab.raised[k] in nu]
+        # the arrays that exp_series writes into are free until then
+        mono = _scratch(work, "exp", (count,) + _joint(len(shape), [c, inv, *moving, *rates]))
+        ratios = _scratch(work, "terms", (len(live),) + mono.shape[1:])
+        for j, k in enumerate(live):
+            place = tab.raised[k]
+            if place not in nu:
+                ratios[j] = omega[place]
+            elif place in omega:
+                # a view, with no node axes as well
+                np.subtract(omega[place], nu[place], out=ratios[j, ...])
+            else:
+                np.negative(nu[place], out=ratios[j, ...])
+        ratios *= inv
+        np.multiply(ratios, c, out=mono[: len(live)])
+        for k, rows, parents in runs:
+            np.multiply(mono[parents], ratios[k], out=mono[rows])
+        for rows, to in spans:
+            higher[to] += mono[rows]
+    higher *= _column(tab.log_weight, E.ndim)
     return E
 
 
-def exp_series(tab, E):
-    """Taylor coefficients of exp(E) for E with a zero entry 0."""
-    P = E.copy()
+def exp_series(tab, E, work):
+    """Taylor coefficients of exp(E) for E with a zero entry 0, written
+    into work's scratch arrays: each order from two up adds its terms
+    (Griewank and Walther, Evaluating Derivatives, ch. 13) to E's own."""
+    P = _scratch(work, "exp", E.shape)
+    np.copyto(P, E)
     P[0] = 1.0
-    for targets, starts, a, b, weight in tab.exp:
-        terms = E[a] * P[b]
-        terms *= weight.reshape(weight.shape + (1,) * (terms.ndim - 1))
-        P[targets] += np.add.reduceat(terms, starts, axis=0)
+    for terms in tab.exp:
+        _contract(terms, E, P[None], P[None, terms.rows], work)
     return P
 
 
-def product(tab, P, J):
-    """Taylor coefficients of P * J for P with entry 0 equal to one.
+def product(tab, P, J, work):
+    """Taylor coefficients of P * J for P with entry 0 equal to one,
+    written over J, which it returns.
 
     J pairs a jet with a bound on the moduli of its terms along axis 0;
     row 1 of the result bounds the moduli of the product's terms with |P|.
-    The series run along axis 0 of P and axis 1 of J."""
-    out = J.copy()
-    if tab.product is not None:
-        targets, starts, a, b, _ = tab.product
-        Pa = P[a]
-        out[0, targets] += np.add.reduceat(Pa * J[0, b], starts, axis=0)
-        out[1, targets] += np.add.reduceat(np.abs(Pa) * J[1, b], starts, axis=0)
-    return out
+    The series run along axis 0 of P and axis 1 of J.  Orders go from the
+    highest down, so every term reads a coefficient of J not yet
+    overwritten."""
+    for terms in tab.product:
+        _contract(terms, P, J, J[:, terms.rows], work)
+    return J

@@ -290,7 +290,7 @@ def _exp_quadratic(coeffs):
                 p = pos.get(_multi_index(n, raised))
                 if p is not None:
                     E[p] += value
-        P = math.exp(s) * exp_series(tables(index), E)
+        P = math.exp(s) * exp_series(tables(index), E, {})
         return Jet(index, dict(zip(index, P.tolist())), dict.fromkeys(index, 0.0))
 
     return f

@@ -1,6 +1,7 @@
 """Tests for the Coulomb gas integrals and the contour oracle."""
 
 import cmath
+import itertools
 import math
 import sys
 
@@ -555,13 +556,16 @@ def test_rho_faults_its_scratch_pages_in_once():
     import resource
     import tracemalloc
 
+    def faults_of(*args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        rho(*args)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
     args = (_PAIR, (5, 5), (0, 4), 16.75, 1e-7)
     rho(*args)
     # warm rules, but a plan that is summed again
     coulomb._rho_kept.cache_clear()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    rho(*args)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    faults = faults_of(*args)
     coulomb._rho_kept.cache_clear()
     tracemalloc.start()
     try:
@@ -571,6 +575,48 @@ def test_rho_faults_its_scratch_pages_in_once():
         tracemalloc.stop()
     assert faults <= 10_000, faults
     assert peak <= 5.5 * 2**20, peak / 2**20
+
+    # a second-order jet writes its series into the scratch arrays too;
+    # when every series made its own temporaries, a warm plan made about
+    # 12 600 minor faults
+    xs = (0.0, 1.0, 2.0, 4.0)
+    reads = [alpha for alpha in itertools.product(range(3), repeat=4) if sum(alpha) <= 2]
+    jet = (ChamberPoint(-0.5, JetPoint(xs, reads)), (3, 2, 2, 3), (0, 2, 0, 1), 10.0, 1e-9)
+    rho(*jet)
+    # warm rules and the plain entry kept, but a jet plan summed again
+    coulomb._rho_kept.cache_clear()
+    rho(ChamberPoint(-0.5, xs), *jet[1:])
+    faults = faults_of(*jet)
+    assert faults <= 1_000, faults
+
+
+def test_kept_jets_survive_later_evaluations():
+    # a kept result owns its arrays: later evaluations write the scratch
+    # arrays at other shapes, over larger and smaller index sets at
+    # other points and in other spaces, and leave it as a cold sum makes it
+    coulomb._rho_kept.cache_clear()
+    second = [alpha for alpha in itertools.product(range(3), repeat=4) if sum(alpha) <= 2]
+    args = ((2, 2, 2, 2), (1, 0, 1, 0), 10.0, 1e-9, closure(second), (0.0,) * 4)
+    c = ChamberPoint(-0.5, (0.0, 1.0, 2.0, 4.0))
+    value, est, _ = coulomb._rho(c, *args)
+    kept = value.copy(), est.copy()
+    # smaller index sets first, so the scratch arrays are written over in
+    # place before a larger set makes them anew
+    later = [
+        (ChamberPoint(-0.5, (0.0, 1.0, 2.0)), (2, 2, 3), (0, 0, 2), [(1, 0, 0), (0, 0, 1)]),
+        (ChamberPoint(-0.5, (0.0, 1.5, 2.0, 4.5)), (2, 2, 2, 2), (1, 0, 1, 0), [(0, 1, 0, 0)]),
+        (ChamberPoint(-1.0, (0.0, 1.0, 2.5)), (3, 3, 3), (0, 1, 0),
+         [alpha for alpha in itertools.product(range(4), repeat=3) if sum(alpha) <= 3]),
+    ]
+    others = []
+    for point, dims, m, reads in later:
+        others.append(coulomb._rho(point, dims, m, 10.0, 1e-9, closure(reads), (0.0,) * point.n)[:2])
+    assert np.array_equal(value, kept[0]) and np.array_equal(est, kept[1])
+    for a, b in itertools.product((value, est), [a for pair in others for a in pair]):
+        assert not np.shares_memory(a, b)
+    coulomb._rho_kept.cache_clear()
+    cold, cold_est, _ = coulomb._rho(c, *args)
+    assert np.array_equal(cold, kept[0]) and np.array_equal(cold_est, kept[1])
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closed_forms import hyp2f1
 
@@ -58,8 +60,9 @@ def test_series_match_truncated_polynomial_arithmetic():
     ratios = rng.uniform(-0.5, 0.5, (3, 2))
     # ratio = inv * (omega - nu) with omega shared by the distances
     omega = {0: 0.25, 1: -0.125}
+    work = {}
     E = log_series(tab, (), omega, [(c, 2.0, {a: omega[a] - r[a] / 2.0 for a in (0, 1)})
-                                    for c, r in zip(coefs, ratios)])
+                                    for c, r in zip(coefs, ratios)], work)
     want = dict.fromkeys(index, 0.0)
     for c, r in zip(coefs, ratios):
         # log(1 + u) with u = r . delta, as a truncated series
@@ -70,7 +73,7 @@ def test_series_match_truncated_polynomial_arithmetic():
             for a, val in power.items():
                 want[a] += c * (-1) ** (k + 1) / k * val
     assert np.allclose([E[index.index(a)] for a in index], [want[a] for a in index], atol=1e-15)
-    P = exp_series(tab, E)
+    P = exp_series(tab, E, work)
     expo = {(0, 0): 1.0}
     term = {(0, 0): 1.0}
     nil = {a: E[index.index(a)] for a in index if any(a)}
@@ -80,11 +83,96 @@ def test_series_match_truncated_polynomial_arithmetic():
             expo[a] = expo.get(a, 0.0) + v
     assert np.allclose(P, [expo.get(a, 0.0) for a in index], atol=1e-15)
     J = rng.uniform(-1.0, 1.0, len(index))
-    got = product(tab, P, np.stack((J, np.abs(J))))
+    got = product(tab, P, np.stack((J, np.abs(J))), work)
     want = _poly_mul({a: P[i] for i, a in enumerate(index)},
                      {a: J[i] for i, a in enumerate(index)}, set(index))
     assert np.allclose(got[0], [want[a] for a in index], atol=1e-15)
     assert np.all(got[1] >= np.abs(got[0]) - 1e-15)
+
+
+# node axes (copies, nodes, columns) of the drawn cases
+_NODES = (2, 3, 4)
+
+
+@st.composite
+def _series_cases(draw):
+    # a closed index set over 1 to 4 points up to order 3, node axes () or
+    # _NODES, omega and one to four distances, each rate a number, a column,
+    # a row or a full array, some places left out of omega or of a nu
+    n = draw(st.integers(1, 4))
+    entry = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda a: sum(a) <= 3)
+    index = closure(draw(st.lists(entry, min_size=1, max_size=4)))
+    shape = draw(st.sampled_from(((), _NODES)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    forms = [()] if not shape else [(), (2, 3, 1), (2, 1, 4), _NODES]
+
+    def value(low, high):
+        form = forms[rng.integers(len(forms))]
+        v = rng.uniform(low, high, form) * rng.choice((-1.0, 1.0), form)
+        return float(v) if not form else v
+
+    places = range(len(tables(index).active))
+    omega = {p: value(0.0, 1.0) for p in places if rng.random() < 0.7}
+    distances = []
+    for _ in range(draw(st.integers(1, 4))):
+        nu = {p: value(0.0, 1.0) for p in places if rng.random() < 0.5}
+        distances.append((value(0.1, 2.0), value(0.2, 1.0), nu))
+    J = rng.uniform(-1.0, 1.0, (len(index),) + shape)
+    return index, shape, omega, distances, np.stack((J, np.abs(J) * rng.uniform(1.0, 2.0, J.shape)))
+
+
+def _truncated_log_exp(index, shape, omega, distances, modulus):
+    # sum_d c_d log(1 + inv_d (omega - nu_d) . delta) and its exponential,
+    # by polynomial arithmetic truncated to the index set; with modulus,
+    # every input and weight by its modulus, which bounds the sums of the
+    # moduli of their terms
+    tab = tables(index)
+    full = lambda v: np.broadcast_to(abs(v) if modulus else v, shape).astype(float)
+    unit = {p: tuple(int(k == v) for k in range(len(index[0]))) for p, v in enumerate(tab.active)}
+    log = {alpha: full(0.0) for alpha in index}
+    for c, inv, nu in distances:
+        u = {unit[p]: full(inv) * (full(omega.get(p, 0.0)) - full(nu.get(p, 0.0)) * (-1 if modulus else 1))
+             for p in unit}
+        power = {index[0]: full(1.0)}
+        for k in range(1, sum(index[-1]) + 1):
+            power = _poly_mul(power, u, set(index))
+            for alpha, v in power.items():
+                log[alpha] = log[alpha] + full(c) * ((1.0 if modulus else (-1) ** (k + 1)) / k) * v
+    exp, term = {index[0]: full(1.0)}, {index[0]: full(1.0)}
+    nil = {alpha: (np.abs(v) if modulus else v) for alpha, v in log.items() if any(alpha)}
+    for k in range(1, sum(index[-1]) + 1):
+        term = {alpha: v / k for alpha, v in _poly_mul(term, nil, set(index)).items()}
+        for alpha, v in term.items():
+            exp[alpha] = exp.get(alpha, full(0.0)) + v
+    return (np.array([log[alpha] for alpha in index]),
+            np.array([exp.get(alpha, full(0.0)) for alpha in index]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_cases(), _series_cases())
+def test_series_kernels_match_truncated_polynomial_arithmetic(first, second):
+    # log_series, exp_series and product on node arrays against truncated
+    # polynomial arithmetic, within 1e-15 of the sums of the moduli of the
+    # terms; two cases of different shapes share one work dict, so every
+    # scratch array is written over at a new shape
+    work = {}
+    for index, shape, omega, distances, J in (first, second):
+        tab = tables(index)
+        log, expo = _truncated_log_exp(index, shape, omega, distances, False)
+        log_bound, exp_bound = _truncated_log_exp(index, shape, omega, distances, True)
+        E = log_series(tab, shape, omega, distances, work)
+        assert E.shape == (len(index),) + shape
+        assert np.all(np.abs(E - log) <= 1e-15 * log_bound)
+        P = exp_series(tab, E, work)
+        assert np.all(np.abs(P - expo) <= 1e-15 * exp_bound)
+        got = product(tab, P, J.copy(), work)
+        by = lambda a, b: np.array([sum((a[index.index(beta)] * b[index.index(gamma)]
+                                         for beta in index for gamma in index
+                                         if tuple(x + y for x, y in zip(beta, gamma)) == alpha),
+                                        np.zeros(shape)) for alpha in index])
+        assert np.all(np.abs(got[0] - by(P, J[0])) <= 1e-15 * by(np.abs(P), np.abs(J[0])))
+        assert np.all(np.abs(got[1] - by(np.abs(P), J[1])) <= 1e-15 * by(np.abs(P), J[1]))
 
 
 # -- rho against the hypergeometric closed form ----------------------------
