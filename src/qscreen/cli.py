@@ -63,7 +63,8 @@ class RunConfig:
 
     tol multiplies every upper ("below") tolerance of the verification
     suites; it is positive and finite, so an exact check's 0 stays 0.
-    x0 None means the automatic anchor.
+    x0 is the anchor of eval's l rows, None meaning the automatic one;
+    vector rows refuse one, as a highest weight vector's F has none.
     """
 
     kappa: float = 8.0
@@ -222,6 +223,11 @@ def cmd_eval(config):
         dims = tuple(config.dims)
         label = "l=" + ",".join(str(k) for k in config.l)
     else:
+        if config.x0 is not None:
+            raise ValueError(
+                "--x0 applies to --l rows only: the F of a highest weight"
+                " vector does not depend on the anchor"
+            )
         v = vector_from_spec(config.vector, config.dims)
         dims = v.space.dims
         label = "v=" + config.vector
@@ -233,10 +239,8 @@ def cmd_eval(config):
                 c = ChamberPoint(anchor, pts)
                 value = complex(phi(c, dims, config.l, config.kappa, config.rel_tol))
             else:
-                value = complex(
-                    F_hwv(v, pts, config.kappa, config.rel_tol, x0=config.x0)
-                )
-                anchor = config.x0
+                value = complex(F_hwv(v, pts, config.kappa, config.rel_tol))
+                anchor = None
         # pde._estimated_F's test; an exact zero, with no estimate, still prints
         if stats.err_est > 0 and not abs(value) > stats.err_est:
             raise ArithmeticError(
@@ -438,7 +442,11 @@ def _cov_checks(config):
         )
 
     return [
-        ("cov.translation", mobius((1.0, 3.0, 0.0, 1.0)), 1e-8),
+        # rho reads differences of the points only and puts its nodes in
+        # gap-scaled unit coordinates, so no shift reaches the quadrature:
+        # this guards that it reads differences only.  A shift of e,
+        # unlike a small integer, at least rounds the differences
+        ("cov.translation", mobius((1.0, math.e, 0.0, 1.0)), 1e-8),
         ("cov.scaling", mobius((1.7, 0.0, 0.0, 1.0)), 1e-8),
         ("cov.special_conformal", mobius((1.0, 0.0, 0.05, 1.0)), 1e-6),
         ("cov.translation_generator", lambda: _relative(translation_check(ev, grid)), 1e-8),

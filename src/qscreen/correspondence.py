@@ -14,8 +14,9 @@ oracle.
 
 Vectors combine at the exact coefficient level before any quadrature
 runs.  Cancellations that close the integration surface for highest
-weight vectors are therefore exact, which is what makes the anchor drop
-out of F_hwv up to quadrature error only.
+weight vectors are therefore exact: no weight of such a vector keeps a
+screening variable between the anchor and the first point, so the anchor
+drops out of F_hwv exactly, before any quadrature.
 """
 
 from __future__ import annotations
@@ -230,17 +231,16 @@ def _rephasing(m):
 # -- numeric evaluation ----------------------------------------------------
 
 
-def _evaluate(weights, c, dims, kappa, rel_tol, moves=None):
+def _evaluate(weights, c, dims, kappa, rel_tol):
     # checked here too: a sum whose weights all vanish runs no integral
     _check_rel_tol(rel_tol)
     jet = isinstance(c.xs, JetPoint)
     # a plain point asks for the jet over the zero multi-index alone
     index = c.xs.index if jet else ((0,) * c.n,)
-    moves = tuple(moves) if jet and moves else (0.0,) * c.n
     total = np.zeros(len(index), dtype=complex)
     err = np.zeros(len(index))
     for m, w in weights:
-        value, est, _ = _rho(c, dims, m, kappa, rel_tol, index, moves)
+        value, est, _ = _rho(c, dims, m, kappa, rel_tol, index)
         total += w * value
         err += abs(w) * est
     # the jet's value coefficient is what an eval_stats() block receives
@@ -251,27 +251,48 @@ def _evaluate(weights, c, dims, kappa, rel_tol, moves=None):
 
 
 @lru_cache(maxsize=1024)
-def _kappa_weights(dims, coeffs, kappa):
-    """Per-assignment weights of the linear extension at the numeric q of
-    kappa, sorted by assignment, for the vector with the given frozenset
-    of (index, coefficient); the exact sums, rephasing included, are
-    formed first."""
+def _exact_weights(dims, coeffs):
+    """Per-assignment weights of the linear extension, sorted by
+    assignment, for the vector with the given frozenset of (index,
+    coefficient): the exact sums of its tables, rephasing included, with
+    the exact zeros dropped."""
     weights = {}
     for idx, cv in coeffs:
         for m, ck in _table_entries(dims, idx).items():
             prev = weights.get(m)
             weights[m] = ck * cv if prev is None else prev + ck * cv
-    kp = KappaParams(kappa)
     return tuple(
-        (m, eval_q(w * _rephasing(m), kp))
-        for m, w in sorted(weights.items())
-        if not w.is_zero()
+        (m, w * _rephasing(m)) for m, w in sorted(weights.items()) if not w.is_zero()
     )
+
+
+@lru_cache(maxsize=1024)
+def _kappa_weights(dims, coeffs, kappa):
+    """_exact_weights at the numeric q of kappa."""
+    kp = KappaParams(kappa)
+    return tuple((m, eval_q(w, kp)) for m, w in _exact_weights(dims, coeffs))
 
 
 @lru_cache(maxsize=1024)
 def _killed_by_E(dims, coeffs):
     return act("E", TensorVector(TensorSpace(dims), dict(coeffs))).is_zero()
+
+
+@lru_cache(maxsize=1024)
+def _check_anchor_free(dims, coeffs):
+    """Raise ArithmeticError when an exact weight survives at an
+    assignment with a screening variable on [x0, x_1].
+
+    For a vector killed by E the tables cancel every such weight, so no
+    integral of its sum reads the anchor, which carries no charge.  A
+    surviving one means the tables are wrong.
+    """
+    opened = [m for m, _ in _exact_weights(dims, coeffs) if m[0]]
+    if opened:
+        raise ArithmeticError(
+            f"the weights of the vector on dims={dims} keep the assignments"
+            f" {opened}, with a screening variable on [x0, x_1]"
+        )
 
 
 def phi(c: ChamberPoint, dims, l, kappa, rel_tol: float = 1e-9) -> complex:
@@ -296,18 +317,13 @@ def F_anchor(v: TensorVector, c: ChamberPoint, kappa,
     given as a JetPoint return the Taylor jet in them, with the anchor
     held fixed, as a Jet.
     """
-    return _linear_extension(v, c, kappa, rel_tol, None)
-
-
-def _linear_extension(v, c, kappa, rel_tol, moves):
-    # moves: how the anchor moves with the marked points, for a jet
     dims = v.space.dims
     if len(dims) != c.n:
         raise ValueError(
             f"vector lives on {len(dims)} points but the chamber has {c.n}"
         )
     weights = _kappa_weights(dims, frozenset(v.coeffs.items()), kappa)
-    return _evaluate(weights, c, dims, kappa, rel_tol, moves)
+    return _evaluate(weights, c, dims, kappa, rel_tol)
 
 
 def default_anchor(xs):
@@ -315,32 +331,22 @@ def default_anchor(xs):
     return xs[0] - ((xs[-1] - xs[0]) or 1.0)
 
 
-def _default_anchor_moves(n):
-    # default_anchor is 2 x_1 - x_n, or x_1 - 1 for a single point
-    if n == 1:
-        return (1.0,)
-    return (2.0,) + (0.0,) * (n - 2) + (-1.0,)
-
-
-def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9,
-          x0=None) -> complex:
+def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9) -> complex:
     """Function of a highest weight vector on the chamber itself.
 
-    x0 defaults to default_anchor(x); for a highest weight vector the
-    value does not depend on it up to quadrature error.  A JetPoint x
-    returns the Taylor jet of F in x as a Jet, with the default anchor
-    moving along, so translation and scaling act on every term alike.
+    The exact weights of such a vector keep no screening variable on
+    [x0, x_1] (_check_anchor_free), so F_anchor gives it the same bits at
+    every anchor; F_hwv evaluates it at default_anchor(x).  A JetPoint x
+    returns the Taylor jet of F in x as a Jet.
     """
-    if not _killed_by_E(v.space.dims, frozenset(v.coeffs.items())):
+    dims, coeffs = v.space.dims, frozenset(v.coeffs.items())
+    if not _killed_by_E(dims, coeffs):
         raise ValueError("not a highest weight vector (E.v != 0)")
+    _check_anchor_free(dims, coeffs)
     xs = tuple(float(xi) for xi in x)
     _check_increasing(xs)
-    if x0 is not None:
-        anchor, moves = float(x0), None
-    else:
-        anchor, moves = default_anchor(xs), _default_anchor_moves(len(xs))
     # a JetPoint x stays one in the chamber point
-    return _linear_extension(v, ChamberPoint(anchor, x), kappa, rel_tol, moves)
+    return F_anchor(v, ChamberPoint(default_anchor(xs), x), kappa, rel_tol)
 
 
 # -- collapse asymptotics and the point at infinity ------------------------

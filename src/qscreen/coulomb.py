@@ -284,40 +284,20 @@ def _geometry(levels, x_ext, betas, kappa):
 _CHUNK_CAP = 1 << 15
 
 
-@dataclass(frozen=True)
-class _JetPlan:
-    """What the levels need to carry a Taylor jet in the marked points:
-    the index set's tables, and moves[k], how chamber coordinate k (0 the
-    anchor, k the point x_k) moves with the active variables, as pairs
-    (place in the tables' active, derivative).  Over the zero multi-index
-    alone no variable is active, and the jet is the value."""
-
-    tables: object
-    moves: tuple
-
-
-@lru_cache(maxsize=None)
-def _plan(index, moves):
-    # the _JetPlan over the closed index set `index`, with the anchor
-    # moving as sum_i moves[i] x_i
-    tab = jet_tables(index)
-    anchor = tuple((a, moves[i]) for a, i in enumerate(tab.active) if moves[i])
-    points = (((tab.active.index(i), 1.0),) if i in tab.active else () for i in range(len(moves)))
-    return _JetPlan(tab, (anchor, *points))
-
-
-def _motion(jet, terms):
-    # sum_k a_k * (coordinate k's motion), per active variable, for pairs
-    # (k, a_k) of a coordinate and a number or node array
+def _motion(tab, terms):
+    # sum_k a_k * (coordinate k's motion), per place in tab.active, for
+    # pairs (k, a_k) of a chamber coordinate and a number or node array:
+    # the point x_k is variable k - 1 and moves at rate 1, and the anchor,
+    # coordinate 0, never moves
     out = {}
     for k, a in terms:
-        for place, rate in jet.moves[k]:
-            term = a if rate == 1.0 else rate * a
-            out[place] = out[place] + term if place in out else term
+        place = tab.place.get(k - 1)
+        if place is not None:
+            out[place] = out[place] + a if place in out else a
     return out
 
 
-def _level_series(jet, levels, idx, geo, lo, hi, outer, shape, work):
+def _level_series(tab, levels, idx, geo, lo, hi, outer, shape, work):
     """Taylor coefficients of level idx's factor over its value, at every
     node, in work's scratch arrays: the exponential of the log-series of
     the distances that move with the node.  None when no variable is
@@ -331,19 +311,19 @@ def _level_series(jet, levels, idx, geo, lo, hi, outer, shape, work):
     Distances that scale with the gap alone move with no node and are left
     to _rho: the level's interval, its own upper charge, its ancestors.
     """
-    if not jet.tables.active:
+    if not tab.active:
         return None
     lev = levels[idx]
     i = lev.group
     gap = geo.gaps[i - 1]
-    omega = _motion(jet, ((i - 1, hi / gap), (i, lo / gap)))
+    omega = _motion(tab, ((i - 1, hi / gap), (i, lo / gap)))
     # (exponent, 1 / D with D's sign, nu) of every distance that moves
     moving = []
     for beta, c, side, j in geo.charges[idx]:
         if j != i:
             # D = w - x_j on side 0, x_j - w on side 1
             inv = (-1.0 if side else 1.0) / ((hi if side else lo) + c)
-            moving.append((-beta, inv, dict(jet.moves[j])))
+            moving.append((-beta, inv, _motion(tab, ((j, 1.0),))))
     for p in range(idx):
         g = levels[p].group
         if g != i:
@@ -351,10 +331,10 @@ def _level_series(jet, levels, idx, geo, lo, hi, outer, shape, work):
             gap_p = geo.gaps[g - 1]
             # D = w - w_p
             inv = 1.0 / (lo + (hi_p + geo.between[i][g]))
-            moving.append((geo.pair, inv, _motion(jet, ((g - 1, hi_p / gap_p), (g, lo_p / gap_p)))))
+            moving.append((geo.pair, inv, _motion(tab, ((g - 1, hi_p / gap_p), (g, lo_p / gap_p)))))
     if not moving:
         return None
-    return exp_series(jet.tables, log_series(jet.tables, shape, omega, moving, work), work)
+    return exp_series(tab, log_series(tab, shape, omega, moving, work), work)
 
 
 def _flat(a, shape, slot):
@@ -390,7 +370,7 @@ def _spread(levels, jet):
     return tuple(tuple(sorted(pf for pf in later[idx] if pf[0] <= idx)) for idx in range(len(levels)))
 
 
-def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
+def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
     """Sum over the nodes of level idx, and nested inside it over every
     later level, for each node of the outer grid, into out.
 
@@ -407,11 +387,11 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
     reads, each (copies, 1, columns), and spread lists them by level
     (_spread).
 
-    The sums carry the Taylor jet of the integrand in the marked points
-    over the _JetPlan's index set: out is (rows, coefficients, copies,
-    columns), row 0 the sums and the last row the sums of the moduli of
-    their terms.  The integrand is positive, so over the zero multi-index
-    alone the two are one row, the value.
+    The sums carry the Taylor jet of the integrand in the marked points,
+    the anchor held fixed, over the index set of the jet tables tab: out
+    is (rows, coefficients, copies, columns), row 0 the sums and the last
+    row the sums of the moduli of their terms.  The integrand is positive,
+    so over the zero multi-index alone the two are one row, the value.
 
     A level larger than _CHUNK_CAP sums whole copies at a time, or the
     columns of one copy in chunks, so a chunk inside one copy broadcasts
@@ -437,7 +417,7 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
                 part = [r[:, c : c + per] for r in rules]
                 for s, e in zip(starts, [*starts[1:], size]):
                     chunk = {k: a[c : c + per, :, s:e] for k, a in outer.items()}
-                    _level_sum(levels, idx, part, spread, chunk, geo, jet, work,
+                    _level_sum(levels, idx, part, spread, chunk, geo, tab, work,
                                out[:, :, c : c + per, s:e])
             return
     t, omt, logt, logwe = rule
@@ -447,7 +427,7 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
     # lo is needed for charges left of the interval, variables of earlier
     # groups and a raised variable, and where a later level reads it
     needs_lo = (
-        bool(jet.tables.active)
+        bool(tab.active)
         or levels[0].group != lev.group
         or (idx, 0) in keys
         or any(side == 0 for _, _, side, _ in geo.charges[idx])
@@ -518,8 +498,8 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
             else:
                 a = np.add(logS, logt, out=slot) if f == 3 else (lo, hi, up)[f]
             carried[p, f] = _flat(a, shape, slot)
-        _level_sum(levels, idx + 1, rules, spread, carried, geo, jet, work, inner)
-    P = _level_series(jet, levels, idx, geo, lo, hi, outer, shape, work)
+        _level_sum(levels, idx + 1, rules, spread, carried, geo, tab, work, inner)
+    P = _level_series(tab, levels, idx, geo, lo, hi, outer, shape, work)
     if last:
         if P is None:
             out[:, 0] = G.sum(axis=1)
@@ -532,7 +512,7 @@ def _level_sum(levels, idx, rules, spread, outer, geo, jet, work, out):
         return
     inner = inner.reshape((rows, width) + shape)
     if P is not None:
-        product(jet.tables, P, inner, work)
+        product(tab, P, inner, work)
     inner *= G
     inner.sum(axis=3, out=out)
 
@@ -588,14 +568,14 @@ def _stack(levels, grids):
     return stacked, starts, sum(math.prod(len(r[0]) for r in grid) for grid in rules)
 
 
-def _nested(levels, grids, geo, jet, work):
+def _nested(levels, grids, geo, tab, work):
     """The sums of the grids of one pass, from one nested sum over all of
     them stacked as copies on the top level's outer axis (_stack,
     _level_sum), as (grids, rows, coefficients).
     """
     rules, starts, nodes = _stack(levels, tuple(grids))
-    out = np.empty((2 if jet.tables.active else 1, jet.tables.size, rules[0].shape[1], 1))
-    _level_sum(levels, 0, rules, _spread(levels, bool(jet.tables.active)), {}, geo, jet, work, out)
+    out = np.empty((2 if tab.active else 1, tab.size, rules[0].shape[1], 1))
+    _level_sum(levels, 0, rules, _spread(levels, bool(tab.active)), {}, geo, tab, work, out)
     _record(grid_evals=len(grids), nodes=nodes, passes=1)
     return np.add.reduceat(out[..., 0], starts, axis=2).transpose(2, 0, 1)
 
@@ -679,7 +659,7 @@ def _work():
     return work
 
 
-def _halve(levels, steps, geo, rel_tol, head, jet):
+def _halve(levels, steps, geo, rel_tol, head, tab):
     """Halve the step of the level with the largest estimate until the
     relative estimates plus the rounding floor meet rel_tol.
 
@@ -701,7 +681,7 @@ def _halve(levels, steps, geo, rel_tol, head, jet):
     steps, floor = list(steps), len(levels) * _ROUNDING
     _check_budget(levels, steps, head, "")
     work = _work()
-    sums = _nested(levels, _grids(steps), geo, jet, work)
+    sums = _nested(levels, _grids(steps), geo, tab, work)
     value, moved = sums[0], sums[1:]
     while True:
         ests = [_relative_change(value, m) for m in moved]
@@ -720,7 +700,7 @@ def _halve(levels, steps, geo, rel_tol, head, jet):
         finer[k] /= 2.0
         _check_budget(levels, finer, head, note)
         grids = [_grid(finer, (k,)) if j == k else _grid(steps, (j, k)) for j in range(len(levels))]
-        sums = _nested(levels, grids, geo, jet, work)
+        sums = _nested(levels, grids, geo, tab, work)
         value = 0.5 * (value + moved[k])
         moved = 0.5 * (moved + sums)
         moved[k] = sums[k]
@@ -736,7 +716,7 @@ def _check_rel_tol(rel_tol):
         raise ValueError("rel_tol must be positive")
 
 
-def _steady(plan, x_ext, dims, kappa, levels):
+def _steady(tab, x_ext, dims, kappa, levels):
     # the distances that move with no node, side by side along one axis,
     # as one log_series distance (exponents, 1 / D, -(motion of D)): the
     # prefactor's pairs, and the interval each level scales with, raised
@@ -758,7 +738,7 @@ def _steady(plan, x_ext, dims, kappa, levels):
     nu = {}
     # D = x_b - x_a for chamber coordinates a < b
     for d, (_, a, b) in enumerate(steady):
-        for place, rate in _motion(plan, ((a, 1.0), (b, -1.0))).items():
+        for place, rate in _motion(tab, ((a, 1.0), (b, -1.0))).items():
             nu.setdefault(place, np.zeros(len(steady)))[d] = rate
     exponents = np.array([e for e, _, _ in steady])
     inv = np.array([1.0 / (x_ext[b] - x_ext[a]) for _, a, b in steady])
@@ -766,16 +746,17 @@ def _steady(plan, x_ext, dims, kappa, levels):
 
 
 @lru_cache(maxsize=4096)
-def _rho_kept(c, dims, counts, kappa, rel_tol, index, moves):
+def _rho_kept(c, dims, counts, kappa, rel_tol, index):
     """The one cache of rho results: _rho's jet and estimates (read-only),
     the final steps of its plan, and the (grid_evals, nodes, passes) it
     summed.
 
     A plain value halves from the start steps.  A jet over more than the
-    zero multi-index halves from the final steps of its point's plain
-    entry, which it reads through _rho and so counts, and holds every
-    coefficient to rel_tol.  The error of a tensor grid belongs to the
-    levels one by one, so each is shifted with every other level kept.
+    zero multi-index, with the anchor held fixed, halves from the final
+    steps of its point's plain entry, which it reads through _rho and so
+    counts, and holds every coefficient to rel_tol.  The error of a tensor
+    grid belongs to the levels one by one, so each is shifted with every
+    other level kept.
     Two variables of one group at one step alias: the distances between
     them depend on their offsets from the shared end in sum, so the
     tensor trapezoid rule misses a ridge along u_0 - u_1 = const, and each
@@ -796,7 +777,7 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index, moves):
     """
     _check_rel_tol(rel_tol)
     _check_convergent(dims, kappa)
-    plan, tab = _plan(index, moves), jet_tables(index)
+    tab = jet_tables(index)
     x_ext = (c.x0,) + c.xs
     betas = _betas(dims, kappa)
     levels = _build_levels(counts, betas, kappa)
@@ -807,16 +788,16 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index, moves):
             start = _start_steps(levels)
             if tab.active:
                 plain = ChamberPoint(c.x0, tuple(c.xs))
-                start = _rho(plain, dims, counts, kappa, rel_tol, ((0,) * c.n,), (0.0,) * c.n)[2]
+                start = _rho(plain, dims, counts, kappa, rel_tol, ((0,) * c.n,))[2]
             geo = _geometry(levels, x_ext, betas, kappa)
-            steps, value, moved = _halve(levels, start, geo, rel_tol, _head(levels, rel_tol), plan)
+            steps, value, moved = _halve(levels, start, geo, rel_tol, _head(levels, rel_tol), tab)
             change = sum(np.abs(m[0] - value[0]) for m in moved)
             value, est = value[0], change + len(levels) * _ROUNDING * value[-1]
         else:
             value, est, steps = np.eye(1, tab.size)[0], np.zeros(tab.size), ()
         if tab.active:
             work = _work()
-            steady = _steady(plan, x_ext, dims, kappa, levels)
+            steady = _steady(tab, x_ext, dims, kappa, levels)
             logs = log_series(tab, steady[0].shape, {}, [steady], work).sum(axis=1)
             # product writes over the fresh stack: no kept array is a view
             # of the scratch arrays
@@ -832,19 +813,19 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index, moves):
     return value, est, steps, (stats.grid_evals, stats.nodes, stats.passes)
 
 
-def _rho(c, dims, counts, kappa, rel_tol, index, moves):
+def _rho(c, dims, counts, kappa, rel_tol, index):
     """The screened integral's Taylor jet in the marked points over the
-    closed index set `index`, with the anchor moving as sum_i moves[i] x_i,
-    and every coefficient's absolute error estimate, as read-only arrays
-    over the index set, and the final steps of its plan.  Over
-    ((0,) * n,) alone the arrays hold the value and its estimate.  dims
-    and counts are tuples, as _dims_counts returns them.
+    closed index set `index`, with the anchor held fixed, and every
+    coefficient's absolute error estimate, as read-only arrays over the
+    index set, and the final steps of its plan.  Over ((0,) * n,) alone
+    the arrays hold the value and its estimate.  dims and counts are
+    tuples, as _dims_counts returns them.
 
     Every call reads or makes the entry of _rho_kept and records the grids
     it summed, so a repeated call returns the same bits and counts the
     same grids, whatever was evaluated before.
     """
-    value, est, steps, (grid_evals, nodes, passes) = _rho_kept(c, dims, counts, kappa, rel_tol, index, moves)
+    value, est, steps, (grid_evals, nodes, passes) = _rho_kept(c, dims, counts, kappa, rel_tol, index)
     _record(grid_evals=grid_evals, nodes=nodes, passes=passes)
     return value, est, steps
 
@@ -867,7 +848,7 @@ def rho(c: ChamberPoint, dims, m, kappa, rel_tol: float = 1e-9) -> float:
     index = c.xs.index if jet else ((0,) * c.n,)
     # normalized before the lookup, so list arguments hash and share a key
     dims, counts = _dims_counts(dims, m, c.n)
-    value, est, _ = _rho(c, dims, counts, kappa, rel_tol, index, (0.0,) * c.n)
+    value, est, _ = _rho(c, dims, counts, kappa, rel_tol, index)
     _record(float(est[0]))
     if not jet:
         return float(value[0])

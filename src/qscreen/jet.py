@@ -95,16 +95,18 @@ class Tables:
 
     active lists the variables some multi-index raises, in the order of
     the first-order multi-indices, which sit at positions 1 to
-    len(active), and raised the places in active of those that a
-    multi-index of order two or more raises (_monomials builds the
-    monomials in them).  log_weight is the coefficient (-1)^(k+1)/k times
-    the multinomial of the logarithm's series at every position past the
-    first order.  exp holds the Terms of each order from two up, lowest
-    first, and product those of every order, highest first.
+    len(active), place maps each of them to its place in active, and
+    raised holds the places of those that a multi-index of order two or
+    more raises (_monomials builds the monomials in them).  log_weight is
+    the coefficient (-1)^(k+1)/k times the multinomial of the logarithm's
+    series at every position past the first order.  exp holds the Terms
+    of each order from two up, lowest first, and product those of every
+    order, highest first.
     """
 
     index: tuple
     active: tuple
+    place: dict
     raised: tuple
     log_weight: np.ndarray
     exp: tuple
@@ -155,18 +157,17 @@ def _monomials(index, live):
     """
     tab = tables(index)
     pos = {alpha: p for p, alpha in enumerate(index)}
-    place = {v: k for k, v in enumerate(tab.active)}
     slot = {tab.raised[k]: j for j, k in enumerate(live)}
     first = 1 + len(tab.active)
     row = {1 + p: j for p, j in slot.items()}
     runs, spans = [], []
     for p in range(first, len(index)):
         alpha = index[p]
-        if all(place[v] in slot for v, a in enumerate(alpha) if a):
+        if all(tab.place[v] in slot for v, a in enumerate(alpha) if a):
             i = next(v for v, a in enumerate(alpha) if a)
             parent = row[pos[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]]
             row[p] = len(row)
-            _join(runs, slot[place[i]], row[p], parent, apart=True)
+            _join(runs, slot[tab.place[i]], row[p], parent, apart=True)
             _join(spans, None, row[p], p - first)
     return (tuple((k, slice(r, r + n), slice(q, q + n)) for k, r, q, n in runs),
             tuple((slice(r, r + n), slice(to, to + n)) for _, r, to, n in spans), len(row))
@@ -206,7 +207,7 @@ def tables(index) -> Tables:
         if k > 1:
             exp.append(_terms(exp_rules, rows))
         product.insert(0, _terms(splits, rows))
-    return Tables(index, active, raised, np.array(log_weight),
+    return Tables(index, active, place, raised, np.array(log_weight),
                   tuple(exp), tuple(product))
 
 

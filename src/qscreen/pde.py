@@ -194,9 +194,9 @@ def apply_bsa(op, f, x):
     """Residual of the operator on the evaluator f at the point x.
 
     Returns (residual, scale).  The scale is the largest term that entered
-    the cancellation, so residual/scale is the meaningful smallness.  Any
-    auxiliary parameter of the evaluator (an anchor point for instance)
-    must stay fixed while the points move.
+    the cancellation, so residual/scale is the meaningful smallness.  f
+    is a function of the points alone, as F_hwv is: whatever else it reads
+    stays fixed while the points move.
     """
     x = tuple(float(xi) for xi in x)
     if len(x) != len(op.dims):

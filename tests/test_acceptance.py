@@ -19,6 +19,7 @@ from qscreen.coulomb import (
     rho,
 )
 from qscreen.correspondence import (
+    F_anchor,
     F_hwv,
     asymptotics_check,
     general_asymptotics_check,
@@ -232,11 +233,12 @@ def test_07_two_point_closed_form():
             rel = abs(val - ref) / abs(ref)
             worst = max(worst, rel)
             assert rel <= 1e-8, (kappa, x, rel)
-    a = F_hwv(v, (1.0, 3.0), KAPPA, x0=-1.0)
-    b = F_hwv(v, (1.0, 3.0), KAPPA, x0=-7.5)
-    drift = abs(a - b) / abs(a)
-    assert drift <= 1e-8
-    print(f"two-point closed form worst rel {worst:.2e}, anchor drift {drift:.2e}")
+    # no weight of v puts a variable left of x_1, so the anchor drops out
+    # exactly: F_anchor gives F_hwv's bits at every anchor
+    x = (1.0, 3.0)
+    for x0 in (x[0] - 1.0, x[0] - 7.5):
+        assert F_anchor(v, ChamberPoint(x0, x), KAPPA) == F_hwv(v, x, KAPPA)
+    print(f"two-point closed form worst rel {worst:.2e}, F_anchor bit-equal at two anchors")
 
 
 def test_08_pde_residuals():

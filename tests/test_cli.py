@@ -216,6 +216,23 @@ def test_eval_requires_exactly_one_mode(capsys):
     assert "no evaluation points" in err
 
 
+def test_eval_refuses_an_anchor_for_a_vector(capsys):
+    # a highest weight vector's F does not depend on the anchor; an l row
+    # takes one and prints it
+    code, out, err = run(
+        capsys, "eval", "--vector", "hwv_pair:2,2,1", "--kappa", "8", "--x", "0,1", "--x0", "-2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--x0 applies to --l rows only" in err and "does not depend on the anchor" in err
+    code, out, _ = run(
+        capsys, "eval", "--dims", "2,2", "--l", "0,1", "--kappa", "8", "--x", "0,1", "--x0", "-2",
+        "--format", "json",
+    )
+    assert code == 0
+    assert parse_rows(out, "json")[0]["x0"] == -2.0
+
+
 def test_eval_round_trip_is_exact(tmp_path):
     config = RunConfig(
         kappa=8.0,

@@ -1,7 +1,9 @@
 """Tests for the reduction tables and the functions built on them."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from qscreen.coulomb import (
 from qscreen.correspondence import (
     F_anchor,
     F_hwv,
+    _check_anchor_free,
+    _exact_weights,
     _prefix_states,
     _rephasing,
     asymptotics_check,
@@ -329,14 +333,44 @@ def test_f_hwv_requires_highest_weight():
 
 
 def test_f_hwv_anchor_independence():
-    v = hwv_pair(2, 3, 1)
-    x = (0.0, 1.0)
-    a = F_hwv(v, x, KAPPA, x0=-1.0)
-    b = F_hwv(v, x, KAPPA, x0=-10.0)
-    assert a == pytest.approx(b, rel=1e-8)
-    # the default anchor is -1 here; summed afresh, not read from the cache
-    coulomb._rho_kept.cache_clear()
-    assert F_hwv(v, x, KAPPA) == a
+    # the anchor drops out exactly: F_anchor at two anchors, neither the
+    # one F_hwv uses, sums afresh and gives F_hwv's bits, as a value and
+    # as a jet's coefficients and estimates
+    v = hwv_space_basis(TensorSpace((2, 2, 3)), 1)[0]
+    x = (0.0, 1.3, 2.0)
+    jx = JetPoint(x, [(0, 1, 1), (2, 0, 0)])
+    plain, jet = F_hwv(v, x, KAPPA), F_hwv(v, jx, KAPPA)
+    for x0 in (x[0] - 1.0, x[0] - 7.5):
+        assert F_anchor(v, ChamberPoint(x0, x), KAPPA) == plain
+        other = F_anchor(v, ChamberPoint(x0, jx), KAPPA)
+        assert other.coeffs == jet.coeffs and other.errs == jet.errs
+
+
+# the pinned dump-basis spaces and fourteen more, each over every d
+_ANCHOR_FREE_SPACES = sorted(
+    {tuple(json.loads(path.read_text(encoding="utf-8"))["dims"])
+     for path in (Path(__file__).resolve().parent / "data").glob("dump_basis_*.json")}
+    | {(2, 2), (2, 3), (2, 2, 2), (2, 3, 2), (3, 3), (4, 4), (2, 2, 2, 2), (3, 2, 2, 3),
+       (2, 2, 3, 3), (3, 3, 3), (4, 2, 3), (2, 2, 2, 2, 2), (3, 3, 3, 3), (2,) * 6}
+)
+
+
+def test_hwv_weights_keep_no_variable_left_of_the_first_point():
+    # the exact sums of every highest weight vector cancel each weight at
+    # an assignment with m_0 > 0, with no quadrature; a plain basis vector
+    # keeps them, and the check raises
+    assert len(_ANCHOR_FREE_SPACES) == 17
+    checked = 0
+    for dims in _ANCHOR_FREE_SPACES:
+        for d in range(sum(di - 1 for di in dims) + 1, 0, -2):
+            for v in hwv_space_basis(TensorSpace(dims), d):
+                _check_anchor_free(dims, frozenset(v.coeffs.items()))
+                checked += 1
+    assert checked == 245
+    plain = frozenset(TensorVector.basis(TensorSpace((2, 2)), (0, 1)).coeffs.items())
+    assert [m for m, _ in _exact_weights((2, 2), plain)] == [(0, 1), (1, 0)]
+    with pytest.raises(ArithmeticError, match=r"\[x0, x_1\]"):
+        _check_anchor_free((2, 2), plain)
 
 
 def test_f_hwv_one_point_constant():

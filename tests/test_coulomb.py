@@ -263,9 +263,9 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa):
     halve, seen = coulomb._halve, {}
     coulomb._rho_kept.cache_clear()
 
-    def keep(levels, steps, geo, rel_tol, head, jet):
-        seen.update(levels=levels, start=steps, geo=geo, jet=jet)
-        seen["out"] = halve(levels, steps, geo, rel_tol, head, jet)
+    def keep(levels, steps, geo, rel_tol, head, tab):
+        seen.update(levels=levels, start=steps, geo=geo, tab=tab)
+        seen["out"] = halve(levels, steps, geo, rel_tol, head, tab)
         return seen["out"]
 
     monkeypatch.setattr(coulomb, "_halve", keep)
@@ -274,7 +274,7 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa):
     levels = seen["levels"]
     assert steps != tuple(seen["start"])
     direct, *direct_moved = coulomb._nested(levels, coulomb._grids(steps), seen["geo"],
-                                            seen["jet"], {})[:, 0, 0]
+                                            seen["tab"], {})[:, 0, 0]
     total = value[-1, 0]
     bound = total * (len(levels) * 4 * np.finfo(float).eps
                      + sum(_folded_share(lev, h) for lev, h in zip(levels, steps)))
@@ -331,8 +331,8 @@ def _shift_estimates(steps):
     levels = coulomb._build_levels(counts, betas, kappa)
     geo = coulomb._geometry(levels, (_PAIR.x0,) + _PAIR.xs, betas, kappa)
     # the jet over the zero multi-index alone is the value
-    plan = coulomb._JetPlan(jet_tables(((0, 0),)), ((),) * 3)
-    value, *moved = coulomb._nested(levels, coulomb._grids(steps), geo, plan, {})[:, 0, 0]
+    tab = jet_tables(((0, 0),))
+    value, *moved = coulomb._nested(levels, coulomb._grids(steps), geo, tab, {})[:, 0, 0]
     ref = _selberg_pair(4, 5, kappa)
     pref = coulomb._x_prefactor(_PAIR.xs, dims, kappa)
     return [abs(m - value) / value for m in moved], abs(pref * value - ref) / ref
@@ -518,12 +518,12 @@ def test_rho_pass_sums_each_grid_as_alone(monkeypatch, c, dims, m, kappa, small_
         # test above cuts one into them
         jets = jets[:1]
     for reads in jets:
-        plan = coulomb._plan(closure(reads), (0.0,) * n)
+        tab = jet_tables(closure(reads))
         for grids in passes:
-            batched = coulomb._nested(levels, grids, geo, plan, {})
+            batched = coulomb._nested(levels, grids, geo, tab, {})
             assert batched.shape[0] == len(grids)
             for j, (got, grid) in enumerate(zip(batched, grids)):
-                alone = coulomb._nested(levels, [grid], geo, plan, {})[0]
+                alone = coulomb._nested(levels, [grid], geo, tab, {})[0]
                 assert np.all(np.abs(got - alone) <= 1e-15 * alone[-1]), (reads, j, got, alone)
 
 
@@ -596,7 +596,7 @@ def test_kept_jets_survive_later_evaluations():
     # other points and in other spaces, and leave it as a cold sum makes it
     coulomb._rho_kept.cache_clear()
     second = [alpha for alpha in itertools.product(range(3), repeat=4) if sum(alpha) <= 2]
-    args = ((2, 2, 2, 2), (1, 0, 1, 0), 10.0, 1e-9, closure(second), (0.0,) * 4)
+    args = ((2, 2, 2, 2), (1, 0, 1, 0), 10.0, 1e-9, closure(second))
     c = ChamberPoint(-0.5, (0.0, 1.0, 2.0, 4.0))
     value, est, _ = coulomb._rho(c, *args)
     kept = value.copy(), est.copy()
@@ -610,7 +610,7 @@ def test_kept_jets_survive_later_evaluations():
     ]
     others = []
     for point, dims, m, reads in later:
-        others.append(coulomb._rho(point, dims, m, 10.0, 1e-9, closure(reads), (0.0,) * point.n)[:2])
+        others.append(coulomb._rho(point, dims, m, 10.0, 1e-9, closure(reads))[:2])
     assert np.array_equal(value, kept[0]) and np.array_equal(est, kept[1])
     for a, b in itertools.product((value, est), [a for pair in others for a in pair]):
         assert not np.shares_memory(a, b)
@@ -659,10 +659,10 @@ def test_jets_at_one_point_share_the_plain_value(monkeypatch):
     # check at the same point plans it no more
     halve, plain_runs = coulomb._halve, []
 
-    def counting(levels, steps, geo, rel_tol, head, jet):
-        if not jet.tables.active:
+    def counting(levels, steps, geo, rel_tol, head, tab):
+        if not tab.active:
             plain_runs.append(steps)
-        return halve(levels, steps, geo, rel_tol, head, jet)
+        return halve(levels, steps, geo, rel_tol, head, tab)
 
     monkeypatch.setattr(coulomb, "_halve", counting)
     coulomb._rho_kept.cache_clear()
@@ -682,9 +682,9 @@ def test_jet_then_value_at_one_point_plan_the_value_once(monkeypatch):
     # and counts the grids the entry summed
     halve, runs = coulomb._halve, []
 
-    def counting(levels, steps, geo, rel_tol, head, jet):
-        runs.append(bool(jet.tables.active))
-        return halve(levels, steps, geo, rel_tol, head, jet)
+    def counting(levels, steps, geo, rel_tol, head, tab):
+        runs.append(bool(tab.active))
+        return halve(levels, steps, geo, rel_tol, head, tab)
 
     monkeypatch.setattr(coulomb, "_halve", counting)
     coulomb._rho_kept.cache_clear()
