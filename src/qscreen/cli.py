@@ -24,6 +24,7 @@ from functools import lru_cache
 
 from .coulomb import ChamberPoint, contour_phi_oracle, eval_stats, h_weight
 from .correspondence import (
+    F_anchor,
     F_hwv,
     asymptotics_check,
     default_anchor,
@@ -432,8 +433,11 @@ def _cov_checks(config):
     def mobius(mu):
         return lambda: mobius_check(v, mu, x, kappa, rel_tol)["deviation"]
 
-    ev = lambda y: F_hwv(v, y, kappa, rel_tol)
     grid = (0.0, 1.0, 2.0, 4.0)
+    # F_hwv fills its jets from the translation and Euler identities, so on
+    # it both generators hold by construction; F_anchor at a fixed anchor
+    # carries every direction through the quadrature
+    ev = lambda y: F_anchor(v, ChamberPoint(-1.0, y), kappa, rel_tol)
 
     def rational_identity():
         return max(

@@ -17,6 +17,13 @@ runs.  Cancellations that close the integration surface for highest
 weight vectors are therefore exact: no weight of such a vector keeps a
 screening variable between the anchor and the first point, so the anchor
 drops out of F_hwv exactly, before any quadrature.
+
+Every rho term of F_hwv then reads only differences of the points and is
+homogeneous of one degree.  So an F_hwv jet is built from n - 2
+directions: the quadrature carries the jet in all points but two, and the
+translation and Euler identities fill the coefficients of those two,
+their estimates propagated by moduli.  phi and F_anchor jets stay direct,
+every direction through the quadrature, as rho's do.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations, combinations_with_replacement
 from operator import add
 
 import numpy as np
@@ -36,6 +43,7 @@ from .coulomb import (
     _dims_counts,
     _record,
     _rho,
+    _rho_degree,
     b_const,
     delta_fusion,
     h_weight,
@@ -274,11 +282,6 @@ def _kappa_weights(dims, coeffs, kappa):
 
 
 @lru_cache(maxsize=1024)
-def _killed_by_E(dims, coeffs):
-    return act("E", TensorVector(TensorSpace(dims), dict(coeffs))).is_zero()
-
-
-@lru_cache(maxsize=1024)
 def _check_anchor_free(dims, coeffs):
     """Raise ArithmeticError when an exact weight survives at an
     assignment with a screening variable on [x0, x_1].
@@ -337,16 +340,91 @@ def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9) -> complex:
     The exact weights of such a vector keep no screening variable on
     [x0, x_1] (_check_anchor_free), so F_anchor gives it the same bits at
     every anchor; F_hwv evaluates it at default_anchor(x).  A JetPoint x
-    returns the Taylor jet of F in x as a Jet.
+    returns the Taylor jet of F in x as a Jet, built by _covariant_jet
+    from a quadrature jet over n - 2 of the points.
     """
     dims, coeffs = v.space.dims, frozenset(v.coeffs.items())
-    if not _killed_by_E(dims, coeffs):
+    if not is_hwv(v, None):
         raise ValueError("not a highest weight vector (E.v != 0)")
     _check_anchor_free(dims, coeffs)
     xs = tuple(float(xi) for xi in x)
     _check_increasing(xs)
-    # a JetPoint x stays one in the chamber point
-    return F_anchor(v, ChamberPoint(default_anchor(xs), x), kappa, rel_tol)
+    if not isinstance(x, JetPoint):
+        return F_anchor(v, ChamberPoint(default_anchor(xs), x), kappa, rel_tol)
+    return _covariant_jet(_kappa_weights(dims, coeffs, kappa), x, dims, kappa, rel_tol)
+
+
+def _held_pair(x):
+    """The two points a jet request x raises least, by the highest order
+    it raises each to; ties go to the pair farthest apart, then to the
+    lowest indices.  A single point is held alone, as (0, 0)."""
+    top = [max(alpha[i] for alpha in x.index) for i in range(len(x))]
+    return min(combinations(range(len(x)), 2), default=(0, 0),
+               key=lambda p: (max(top[p[0]], top[p[1]]), min(top[p[0]], top[p[1]]),
+                              x[p[0]] - x[p[1]]))
+
+
+def _covariant_jet(weights, x, dims, kappa, rel_tol):
+    """The jet of F at the JetPoint x from a quadrature jet over the points
+    other than the held pair (a, b), of the request's top order, and the
+    two identities every rho term obeys: it reads only differences of the
+    points, and it is homogeneous of the degree _rho_degree gives its
+    number of screening variables.  Terms of several degrees are filled
+    one degree at a time and summed.
+
+    For a multi-index beta, the coefficients c satisfy
+        sum_i (beta_i + 1) c_(beta + e_i) = 0                  (translation)
+        sum_(i != a) (x_i - x_a)(beta_i + 1) c_(beta + e_i)
+            = (degree - |beta|) c_beta                         (Euler about x_a)
+    Order by order, the Euler identity at beta = gamma - e_b gives every
+    gamma with gamma_a = 0 < gamma_b, and translation at beta = gamma - e_a
+    then every gamma with gamma_a > 0, by increasing gamma_a.  A filled
+    coefficient's estimate is the sum of the moduli of its terms' factors
+    times their estimates.
+    """
+    n, top = len(x), sum(x.index[-1])
+    a, b = _held_pair(x)
+    free = [i for i in range(n) if i not in (a, b)]
+    c = ChamberPoint(default_anchor(x), JetPoint(x, [(0,) * n] + _order(n, free, top)))
+    parts = {}
+    for m, w in weights:
+        parts.setdefault(sum(m), []).append((m, w))
+    coeffs, errs = dict.fromkeys(x.index, 0.0), dict.fromkeys(x.index, 0.0)
+    # with no weights the one empty sum still checks rel_tol
+    for ell, part in (parts or {0: []}).items():
+        degree = _rho_degree(dims, ell, kappa)
+        jet = _evaluate(part, c, dims, kappa, rel_tol)
+        value, est = dict(jet.coeffs), dict(jet.errs)
+        for k in range(1, top + 1):
+            raised = [g for g in _order(n, range(n), k) if g[a] or g[b]]
+            for gamma in sorted(raised, key=lambda g: (g[a], g[b])):
+                if gamma[a]:
+                    beta = _shifted(gamma, a, -1)
+                    terms = [(-(beta[i] + 1) / gamma[a], _shifted(beta, i, 1))
+                             for i in range(n) if i != a]
+                else:
+                    beta = _shifted(gamma, b, -1)
+                    over = (x[b] - x[a]) * gamma[b]
+                    terms = [((degree - k + 1) / over, beta)]
+                    terms += [(-(x[i] - x[a]) * (beta[i] + 1) / over, _shifted(beta, i, 1))
+                              for i in free]
+                value[gamma] = sum(f * value[alpha] for f, alpha in terms)
+                est[gamma] = sum(abs(f) * est[alpha] for f, alpha in terms)
+        for alpha in x.index:
+            coeffs[alpha] += value[alpha]
+            errs[alpha] += est[alpha]
+    return Jet(x.index, coeffs, errs)
+
+
+def _order(n, points, k):
+    # the multi-indices over n points of total order k that raise only
+    # the given points
+    return [tuple(combo.count(i) for i in range(n))
+            for combo in combinations_with_replacement(points, k)]
+
+
+def _shifted(alpha, i, by):
+    return alpha[:i] + (alpha[i] + by,) + alpha[i + 1:]
 
 
 # -- collapse asymptotics and the point at infinity ------------------------

@@ -167,6 +167,16 @@ def _x_prefactor(xs, dims, kappa):
     return total
 
 
+def _rho_degree(dims, ell, kappa):
+    """Degree of homogeneity of every rho with ell screening variables on
+    dims, read off the exponents it integrates: the prefactor's pair
+    powers, ell measures dw, the ell (d_i - 1) charges -4/kappa each and
+    the ell (ell - 1)/2 screening pairs 8/kappa each."""
+    pairs = sum(2.0 * (di - 1) * (dk - 1) / kappa for di, dk in itertools.combinations(dims, 2))
+    charge = sum(d - 1 for d in dims)
+    return pairs + ell * (1.0 - 4.0 * charge / kappa) + 4.0 * ell * (ell - 1) / kappa
+
+
 # Each level of the nested integral is int_0^1 t^aL (1-t)^aR g(t) dt.  The
 # double-exponential substitution t = 1/(1 + exp(-pi sinh u)) (Takahasi-Mori
 # 1974) turns it into an integral over the real line that decays double

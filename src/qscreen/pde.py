@@ -3,7 +3,12 @@
 Every operator check asks its evaluator once for the Taylor jet of its
 value: it calls it at a JetPoint that lists the multi-indices the
 operator reads, and the evaluator returns a Jet, each coefficient with
-its error estimate.  F_hwv differentiates under the screening integrals;
+its error estimate.  F_hwv differentiates under the screening integrals
+in n - 2 of the points.  It fills the coefficients of the other two from
+the translation and Euler identities, their estimates propagated by
+moduli, so translation_check and euler_check hold on it by construction.
+rho, phi and F_anchor jets stay direct, every point through the
+quadrature.
 vertex_prefactor and the test functions of sle_proportionality_check
 have exact jets.  An evaluator that returns anything else is refused.
 

@@ -148,13 +148,19 @@ def act(gen: str, v: TensorVector) -> TensorVector:
     return TensorVector(v.space, out)
 
 
-def is_hwv(v: TensorVector, d: int) -> bool:
-    """Exact check that v is annihilated by E and has K-eigenvalue q^(d-1)."""
-    if v.is_zero():
-        return True
+def is_hwv(v: TensorVector, d: int | None) -> bool:
+    """Exact check that v is annihilated by E and, unless d is None, has
+    K-eigenvalue q^(d-1).  The answer is cached per (dims, coefficients,
+    d), so a repeated check of one vector costs a lookup."""
+    return _hwv_test(v.space.dims, frozenset(v.coeffs.items()), d)
+
+
+@lru_cache(maxsize=1024)
+def _hwv_test(dims, coeffs, d):
+    v = TensorVector(TensorSpace(dims), dict(coeffs))
     if not act("E", v).is_zero():
         return False
-    return act("K", v) == v.scale(QScalar.q_power(d - 1))
+    return d is None or act("K", v) == v.scale(QScalar.q_power(d - 1))
 
 
 def _pair_weights(d1: int, d2: int, m: int) -> dict:

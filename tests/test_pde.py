@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from closed_forms import fd_jets, hyp2f1
 
-from qscreen.coulomb import eval_stats, h_weight
-from qscreen.correspondence import F_hwv
+from qscreen import coulomb
+from qscreen.coulomb import ChamberPoint, _rho_degree, eval_stats, h_weight
+from qscreen.correspondence import F_anchor, F_hwv
 from qscreen.jet import JetPoint
 from qscreen.pde import (
     _separated_points,
@@ -137,6 +138,32 @@ def test_quartet_function_satisfies_the_operator():
     assert abs(residual) / scale <= 1e-6
 
 
+@pytest.mark.parametrize("j, dims", [(1, (3, 2, 2, 3)), (3, (2, 2, 3, 3))])
+def test_bsa_at_a_d3_point(j, dims):
+    # the order-3 operators at a d = 3 point, on third-order jets of F;
+    # F_hwv holds x_1 and x_4 for j=1 and x_1 and x_3 for j=3, and holding
+    # x_1 and x_4 for j=3 would ask rho (0,0,1,2) for an order-3 jet in
+    # x_3, which raises QuadratureError at this kappa
+    v = hwv_space_basis(TensorSpace(dims), 1)[0]
+    residual, scale = apply_bsa(build_bsa(j, dims, KAPPA), lambda y: F_hwv(v, y, KAPPA),
+                                (0.0, 1.0, 2.0, 4.0))
+    assert abs(residual) <= 1e-8 * scale
+
+
+def test_sle_and_bsa_checks_share_their_rho_jets():
+    # at a (2,2,2,2) point, SLE j=1 and BSA j=2 both hold x_2 and x_4 and
+    # ask for the order-2 jet in x_1 and x_3, so the BSA check reads the
+    # rho results the SLE check kept
+    _, ev = quartet_function(KAPPA)
+    x = (0.0, 0.9, 2.1, 4.2)
+    misses = coulomb._rho_kept.cache_info().misses
+    sle_pde_check(ev, x, KAPPA, 1)
+    assert coulomb._rho_kept.cache_info().misses > misses
+    misses = coulomb._rho_kept.cache_info().misses
+    apply_bsa(build_bsa(2, (2, 2, 2, 2), KAPPA), ev, x)
+    assert coulomb._rho_kept.cache_info().misses == misses
+
+
 def test_apply_bsa_input_checks():
     op = build_bsa(2, (2, 3, 2), KAPPA)
     f = vertex_prefactor((2, 3, 2), KAPPA)
@@ -209,6 +236,23 @@ def test_euler_operator_with_known_degrees():
     two = lambda y: F_hwv(hwv_pair(2, 2, 1), y, 8.0)
     residual, scale = euler_check(two, (0.3, 1.4), 0.25)
     assert abs(residual) / scale <= 1e-8
+
+
+@pytest.mark.parametrize("dims, d", [((2, 2, 3), 1), ((2, 2, 2), 2), ((3, 3), 3)])
+def test_rho_degree_is_the_euler_degree(dims, d):
+    # the degree F_hwv fills its jets with, checked against the first-order
+    # jet that F_anchor carries through the quadrature in every point
+    v = hwv_space_basis(TensorSpace(dims), d)[0]
+    ell = (sum(di - 1 for di in dims) - (d - 1)) // 2
+    degree = _rho_degree(dims, ell, KAPPA)
+    if d == 1:
+        assert degree == pytest.approx(-sum(h_weight(di, KAPPA) for di in dims), abs=1e-14)
+    x = (0.0, 1.0, 2.5)[: len(dims)]
+    ev = lambda y: F_anchor(v, ChamberPoint(-1.0, y), KAPPA)
+    residual, scale = euler_check(ev, x, degree)
+    assert abs(residual) <= 1e-8 * scale
+    residual, scale = euler_check(ev, x, degree + 1e-3)
+    assert abs(residual) >= 1e-5 * scale
 
 
 # -- Mobius covariance -----------------------------------------------------

@@ -13,6 +13,7 @@ from qscreen.qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO
 from qscreen.uqsl2 import (
     TensorSpace,
     TensorVector,
+    _hwv_test,
     _invert_matrix,
     _rref,
     act,
@@ -245,6 +246,21 @@ def test_hwv_space_basis_weights():
     out4 = hwv_space_basis(TensorSpace((3, 3)), 1)
     assert len(out4) == 1
     assert is_hwv(out4[0], 1)
+
+
+def test_is_hwv_is_kept_per_vector_and_weight():
+    # E.v = 0 alone (d None) or with the K eigenvalue q^(d-1); a vector of
+    # two weights is killed by E but is no K eigenvector.  An equal vector
+    # built afresh reads the kept answer
+    space = TensorSpace((2, 2, 2, 2))
+    v = hwv_space_basis(space, 1)[0]
+    mixed = v + hwv_space_basis(space, 3)[0]
+    assert is_hwv(v, None) and is_hwv(v, 1) and not is_hwv(v, 3)
+    assert is_hwv(mixed, None) and not is_hwv(mixed, 1) and not is_hwv(mixed, 3)
+    assert not is_hwv(basis([2, 2, 2, 2], (1, 0, 0, 0)), None)
+    hits = _hwv_test.cache_info().hits
+    assert is_hwv(TensorVector(space, dict(v.coeffs)), 1)
+    assert _hwv_test.cache_info().hits == hits + 1
 
 
 # the spaces on which the elimination kernel takes at most half a second,
