@@ -416,7 +416,18 @@ def _pde_checks(config):
         op = build_bsa(2, (2, 3, 2), kappa)
         return _relative(apply_bsa(op, vertex_prefactor((2, 3, 2), kappa), (0.0, 1.0, 2.5)))
 
+    def d3_operators():
+        # the order-3 operators at d = 3 points, on third-order jets of F
+        worst = 0.0
+        cases = ((1, (3, 2, 2, 3), x), (3, (2, 2, 3, 3), x), (3, (2, 2, 3), (0.0, 1.0, 2.5)))
+        for j, dims, y in cases:
+            w = hwv_space_basis(TensorSpace(dims), 1)[0]
+            f = lambda z, w=w: F_hwv(w, z, kappa, config.rel_tol)
+            worst = max(worst, _relative(apply_bsa(build_bsa(j, dims, kappa), f, y)))
+        return worst
+
     return [
+        ("pde.bsa_at_d3_points", d3_operators, 1e-8),
         ("pde.growth_process_equation", growth, 1e-8),
         ("pde.operator_proportionality",
          lambda: sle_proportionality_check(x, kappa, 2, seed=config.seed), 1e-11),
@@ -436,7 +447,11 @@ def _cov_checks(config):
     grid = (0.0, 1.0, 2.0, 4.0)
     # F_hwv fills its jets from the translation and Euler identities, so on
     # it both generators hold by construction; F_anchor at a fixed anchor
-    # carries every direction through the quadrature
+    # carries every direction through rho's jet series.  rho's nodes sit
+    # in gap-scaled unit coordinates, so its jets obey both identities
+    # whatever the quadrature's steps: the generators guard the jet series
+    # (log_series, exp_series, product) and rho's reading of differences,
+    # not the quadrature's error
     ev = lambda y: F_anchor(v, ChamberPoint(-1.0, y), kappa, rel_tol)
 
     def rational_identity():

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations
 from operator import add
 
 import numpy as np
@@ -45,10 +45,9 @@ from .coulomb import (
     _rho,
     _rho_degree,
     b_const,
-    delta_fusion,
     h_weight,
 )
-from .jet import Jet, JetPoint
+from .jet import Jet, JetPoint, _order
 from .qseries import (
     KappaParams,
     LaurentPoly,
@@ -416,13 +415,6 @@ def _covariant_jet(weights, x, dims, kappa, rel_tol):
     return Jet(x.index, coeffs, errs)
 
 
-def _order(n, points, k):
-    # the multi-indices over n points of total order k that raise only
-    # the given points
-    return [tuple(combo.count(i) for i in range(n))
-            for combo in combinations_with_replacement(points, k)]
-
-
 def _shifted(alpha, i, by):
     return alpha[:i] + (alpha[i] + by,) + alpha[i + 1:]
 
@@ -493,7 +485,7 @@ def asymptotics_check(v: TensorVector, j, d, kappa,
         pts[j] = xi + sep / 2.0
         return tuple(pts)
 
-    exponent_ref = delta_fusion(d, dims[j - 1], dims[j], kappa)
+    exponent_ref = h_weight(d, kappa) - h_weight(dims[j - 1], kappa) - h_weight(dims[j], kappa)
     report = _collapse_series(v, points_at, exponent_ref, kappa, rel_tol)
     collapsed = tuple(base[: j - 1] + [xi] + base[j + 1:])
     report["reference"] = b_const(

@@ -886,13 +886,6 @@ def h_weight(d, kappa) -> float:
     return (d - 1) * (2.0 * (d + 1) - kappa) / (2.0 * kappa)
 
 
-def delta_fusion(d, d1, d2, kappa) -> float:
-    """Exponent governing the merging asymptotics of a neighbor pair."""
-    return (2.0 * (1 + d * d - d1 * d1 - d2 * d2) + kappa * (d1 + d2 - d - 1)) / (
-        2.0 * kappa
-    )
-
-
 class _Chain:
     """Accumulates quadrature nodes along one loop, with a zero-weight
     marker node at the reference point where the branch phase is fixed."""

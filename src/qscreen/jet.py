@@ -9,13 +9,13 @@ an absolute error estimate.
 
 The table-driven series operations act on arrays whose first axis runs
 over an index set and whose other axes, if any, over quadrature nodes.
-They write every array of coefficients, their results among them, into
-the scratch arrays of a dict work (_scratch), which the quadrature keeps
-for all its plans, so a result is a view that the next call with the
-same work writes over.  Each order of exp_series and product adds its
-terms directly when every coefficient has one, and contracts them
-against a dense weight matrix of the tables when one has several;
-log_series builds each distance's monomials along the tables' runs.
+They write their results, and the terms they gather, into the scratch
+arrays of a dict work (_scratch), which the quadrature keeps for all its
+plans, so a result is a view that the next call with the same work
+writes over.  Every order of exp_series and product contracts its terms
+against a dense weight matrix of the tables; log_series builds each
+distance's monomials along the tables' chain, as temporaries of the
+shape the distance's operands broadcast to.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -43,6 +44,13 @@ def closure(indices):
     if not seen:
         raise ValueError("a jet needs at least one multi-index")
     return tuple(sorted(seen, key=lambda alpha: (sum(alpha), alpha)))
+
+
+def _order(n, points, k):
+    # the multi-indices over n points of total order k that raise only
+    # the given points
+    return [tuple(combo.count(i) for i in range(n))
+            for combo in combinations_with_replacement(points, k)]
 
 
 class JetPoint(tuple):
@@ -76,17 +84,16 @@ class Jet:
 
 @dataclass(frozen=True)
 class Terms:
-    """The terms weight_j * A[a_j] * B[b_j] of the coefficients of one total
-    order, at rows, each row's terms in turn.  When every row has one term
-    it adds that term, times weight (None: all ones), and dense is None;
-    else the rows contract the terms against dense, a (rows x terms)
-    weight matrix."""
+    """The terms A[a_j] * B[b_j] of the coefficients of one total order,
+    at rows, sorted by row, and dense, the (rows x terms) weight matrix
+    the rows contract them against.  Every row reads every term of its
+    order, most at weight 0, so a non-finite term, which makes the sums
+    it enters non-finite anyway, reaches every row of its order."""
 
     rows: slice
     a: np.ndarray
     b: np.ndarray
-    weight: object
-    dense: object
+    dense: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,17 +104,21 @@ class Tables:
     the first-order multi-indices, which sit at positions 1 to
     len(active), place maps each of them to its place in active, and
     raised holds the places of those that a multi-index of order two or
-    more raises (_monomials builds the monomials in them).  log_weight is
-    the coefficient (-1)^(k+1)/k times the multinomial of the logarithm's
-    series at every position past the first order.  exp holds the Terms
-    of each order from two up, lowest first, and product those of every
-    order, highest first.
+    more raises.  chain lists (position, parent, place) for each position
+    of order two or more in turn: its parent is the multi-index less one
+    unit in its first raised variable, whose place links the two
+    (Neidinger's table form).  log_weight is the coefficient
+    (-1)^(k+1)/k times the multinomial of the logarithm's series at every
+    position past the first order.  exp holds the Terms of each order
+    from two up, lowest first, and product those of every order, highest
+    first.
     """
 
     index: tuple
     active: tuple
     place: dict
     raised: tuple
+    chain: tuple
     log_weight: np.ndarray
     exp: tuple
     product: tuple
@@ -121,56 +132,9 @@ def _terms(rules, rows):
     # the Terms of the (target, a, b, weight) rules of the targets at rows
     rules.sort(key=lambda rule: rule[0])
     targets, a, b, weight = (np.array(col) for col in zip(*rules))
-    a, b = a.astype(np.intp), b.astype(np.intp)
-    if len(targets) == rows.stop - rows.start:
-        return Terms(rows, a, b, None if np.all(weight == 1.0) else weight, None)
     dense = np.zeros((rows.stop - rows.start, len(targets)))
     dense[targets - rows.start, np.arange(len(targets))] = weight
-    return Terms(rows, a, b, None, dense)
-
-
-def _join(runs, key, a, b, apart=False):
-    # step (key, a, b) onto runs [key, a, b, length]: it lengthens the last
-    # run when it has the same key and a and b both follow on from it, and,
-    # if apart, b stays below the run's first a
-    last = runs[-1] if runs else None
-    if last and last[0] == key and last[1] + last[3] == a and last[2] + last[3] == b \
-            and not (apart and b >= last[1]):
-        last[3] += 1
-    else:
-        runs.append([key, a, b, 1])
-
-
-@lru_cache(maxsize=None)
-def _monomials(index, live):
-    """How log_series builds the monomials of a distance whose ratios vanish
-    but at the places raised[k] of tables(index) for k in live, in one
-    array: those of order one, then those of every multi-index of order
-    two and up that raises no other place, in the order of the index
-    set (Neidinger's table form).  Returns (runs, spans, count): for each
-    (k, rows, parents) of runs, in turn, the monomials at rows are those
-    at parents, each a multi-index less one unit in its first raised
-    variable, times the ratio of raised[live[k]], so a run reads no row it
-    writes; each (rows, to) of spans adds the monomials at rows to the
-    series at positions to, counted from the first past order one; count
-    is the number of monomials.
-    """
-    tab = tables(index)
-    pos = {alpha: p for p, alpha in enumerate(index)}
-    slot = {tab.raised[k]: j for j, k in enumerate(live)}
-    first = 1 + len(tab.active)
-    row = {1 + p: j for p, j in slot.items()}
-    runs, spans = [], []
-    for p in range(first, len(index)):
-        alpha = index[p]
-        if all(tab.place[v] in slot for v, a in enumerate(alpha) if a):
-            i = next(v for v, a in enumerate(alpha) if a)
-            parent = row[pos[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]]
-            row[p] = len(row)
-            _join(runs, slot[tab.place[i]], row[p], parent, apart=True)
-            _join(spans, None, row[p], p - first)
-    return (tuple((k, slice(r, r + n), slice(q, q + n)) for k, r, q, n in runs),
-            tuple((slice(r, r + n), slice(to, to + n)) for _, r, to, n in spans), len(row))
+    return Terms(rows, a.astype(np.intp), b.astype(np.intp), dense)
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +148,7 @@ def tables(index) -> Tables:
     raised = tuple(sorted({place[v] for alpha in index if sum(alpha) > 1
                            for v, a in enumerate(alpha) if a}))
     order = sum(index[-1])
-    log_weight, exp, product = [], [], []
+    chain, log_weight, exp, product = [], [], [], []
     for k in range(1, order + 1):
         block = [p for p, alpha in enumerate(index) if sum(alpha) == k]
         exp_rules, splits = [], []
@@ -193,6 +157,9 @@ def tables(index) -> Tables:
             # the raised variable with the fewest units gives the fewest terms
             i = min((v for v, a in enumerate(alpha) if a), key=lambda v: alpha[v])
             if k > 1:
+                first = next(v for v, a in enumerate(alpha) if a)
+                chain.append((p, pos[alpha[:first] + (alpha[first] - 1,) + alpha[first + 1:]],
+                              place[first]))
                 multinomial = math.factorial(k) // math.prod(map(math.factorial, alpha))
                 log_weight.append((-1) ** (k + 1) / k * multinomial)
             # alpha_i P_alpha = sum over beta <= alpha with beta_i >= 1 of
@@ -207,7 +174,7 @@ def tables(index) -> Tables:
         if k > 1:
             exp.append(_terms(exp_rules, rows))
         product.insert(0, _terms(splits, rows))
-    return Tables(index, active, place, raised, np.array(log_weight),
+    return Tables(index, active, place, raised, tuple(chain), np.array(log_weight),
                   tuple(exp), tuple(product))
 
 
@@ -222,15 +189,10 @@ def _scratch(work, key, shape):
     return buf[:size].reshape(shape)
 
 
-def _column(weights, ndim):
-    # weights along axis 0 of an array of ndim axes
-    return weights.reshape(weights.shape + (1,) * (ndim - 1))
-
-
 def _contract(terms, A, B, out, work):
-    # out += the terms' sums of weight * A[a] * B[:, b], by row of B and
-    # out, which have an axis ahead of A's: row 0 takes A, and row 1, if
-    # any, its moduli
+    # out += the terms' sums of dense-weighted A[a] * B[:, b], by row of B
+    # and out, which have an axis ahead of A's: row 0 takes A, and row 1,
+    # if any, its moduli
     nodes = A.shape[1:]
     found = _scratch(work, "terms", (len(B), len(terms.a)) + nodes)
     # mode="clip" writes into out unbuffered; the indices are in range
@@ -238,24 +200,9 @@ def _contract(terms, A, B, out, work):
     if len(B) > 1:
         np.abs(found[0], out=found[1])
     found *= np.take(B, terms.b, axis=1, out=_scratch(work, "gathered", found.shape), mode="clip")
-    if terms.dense is None:
-        if terms.weight is not None:
-            found *= _column(terms.weight, 1 + len(nodes))
-        out += found
-        return
     sums = _scratch(work, "sums", (len(B), len(terms.dense)) + nodes)
     np.matmul(terms.dense, found.reshape(found.shape[:2] + (-1,)), out=sums.reshape(sums.shape[:2] + (-1,)))
     out += sums
-
-
-def _joint(ndim, values):
-    # the shape that numbers and arrays of ndim axes broadcast to
-    joint = None
-    for value in values:
-        shape = getattr(value, "shape", ())
-        if shape and shape != joint:
-            joint = shape if joint is None else tuple(map(max, joint, shape))
-    return joint or (1,) * ndim
 
 
 def log_series(tab, shape, omega, distances, work):
@@ -267,14 +214,15 @@ def log_series(tab, shape, omega, distances, work):
     inv_d (omega - nu_d), where omega and every nu_d map a place in
     tab.active to a rate, and c_d, inv_d and every rate are numbers or
     node arrays.  Order one gathers omega's part over the distances
-    first, in node arrays of its own.  Higher orders take each distance's
-    ratios inv_d (omega - nu_d) at the places of tab.raised that omega or
-    nu_d moves, times c_d, as its monomials of order one and build those
-    of every higher order in them (_monomials); their sum over the
-    distances, times tab.log_weight, is the rest of the series.  A
-    distance's ratios and monomials take the shape its operands
-    broadcast to, so a distance that moves with a column of nodes costs a
-    column.  Entry 0 of the result is zero.
+    first.  Higher orders take each distance's ratios inv_d (omega - nu_d)
+    at the places of tab.raised that omega or nu_d moves.  c_d times a
+    ratio is a monomial of order one, and along tab.chain each monomial
+    of higher order is its parent's times the ratio of the place that
+    links them; a position whose parent or link has none has none.  The
+    monomials' sum over the distances, times tab.log_weight, is the rest
+    of the series.  A distance's ratios and monomials are temporaries of
+    the shape its operands broadcast to, so a distance that moves with a
+    column of nodes costs a column.  Entry 0 of the result is zero.
     """
     E = _scratch(work, "log", (tab.size,) + shape)
     E[...] = 0.0
@@ -286,35 +234,22 @@ def log_series(tab, shape, omega, distances, work):
             E[1 + place] -= rate * weight
     for place, rate in omega.items():
         E[1 + place] += rate * total
-    if not len(tab.log_weight):
+    if not tab.chain:
         return E
-    higher = E[1 + len(tab.active):]
-    moving = [omega[place] for place in tab.raised if place in omega]
     for c, inv, nu in distances:
-        live = tuple(k for k, place in enumerate(tab.raised) if place in omega or place in nu)
-        if not live:
-            continue
-        runs, spans, count = _monomials(tab.index, live)
-        rates = [nu[tab.raised[k]] for k in live if tab.raised[k] in nu]
-        # the arrays that exp_series writes into are free until then
-        mono = _scratch(work, "exp", (count,) + _joint(len(shape), [c, inv, *moving, *rates]))
-        ratios = _scratch(work, "terms", (len(live),) + mono.shape[1:])
-        for j, k in enumerate(live):
-            place = tab.raised[k]
-            if place not in nu:
-                ratios[j] = omega[place]
+        ratio = {}
+        for place in tab.raised:
+            if place in nu:
+                ratio[place] = (omega[place] - nu[place] if place in omega else -nu[place]) * inv
             elif place in omega:
-                # a view, with no node axes as well
-                np.subtract(omega[place], nu[place], out=ratios[j, ...])
-            else:
-                np.negative(nu[place], out=ratios[j, ...])
-        ratios *= inv
-        np.multiply(ratios, c, out=mono[: len(live)])
-        for k, rows, parents in runs:
-            np.multiply(mono[parents], ratios[k], out=mono[rows])
-        for rows, to in spans:
-            higher[to] += mono[rows]
-    higher *= _column(tab.log_weight, E.ndim)
+                ratio[place] = omega[place] * inv
+        # monomials by position
+        mono = {1 + place: r * c for place, r in ratio.items()}
+        for p, parent, place in tab.chain:
+            if parent in mono and place in ratio:
+                mono[p] = mono[parent] * ratio[place]
+                E[p] += mono[p]
+    E[1 + len(tab.active):] *= tab.log_weight.reshape((-1,) + (1,) * len(shape))
     return E
 
 

@@ -29,14 +29,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .coulomb import (ChamberPoint, _check_increasing, _check_kappa, _record, eval_stats,
                       h_weight, rho)
 from .correspondence import F_hwv
-from .jet import Jet, JetPoint, exp_series, tables
+from .jet import Jet, JetPoint, _order, exp_series, tables
 from .uqsl2 import is_hwv
 
 
@@ -211,11 +210,7 @@ def apply_bsa(op, f, x):
     j0 = op.j - 1
     n = len(x)
     others = [i for i in range(n) if i != j0]
-    reads = [
-        _multi_index(n, [(i, 1) for i in combo])
-        for k in range(op.order + 1)
-        for combo in combinations_with_replacement(others, k)
-    ]
+    reads = [alpha for k in range(op.order + 1) for alpha in _order(n, others, k)]
 
     def groups_of(jet):
         groups = []

@@ -68,6 +68,14 @@ def delta_scaling(l, dims, kappa) -> float:
     return (2.0 * cross - 4.0 * l * stot + 4.0 * l * (l - 1)) / kappa + l
 
 
+def delta_fusion(d, d1, d2, kappa) -> float:
+    """Exponent governing the merging asymptotics of a neighbor pair, in
+    closed form: h(d) - h(d1) - h(d2) for the Kac weights h."""
+    return (2.0 * (1 + d * d - d1 * d1 - d2 * d2) + kappa * (d1 + d2 - d - 1)) / (
+        2.0 * kappa
+    )
+
+
 def gauss_jordan(rows, ncols):
     """Reduced row echelon form of a matrix of QScalars over its first
     ncols columns: (the nonzero rows, their pivot columns).  The reference

@@ -308,6 +308,7 @@ def test_verify_reports_evaluator_calls_and_seconds(capsys):
     costed = {name for name in report
               if name.startswith("pde.") or name.endswith("_generator")}
     assert costed == {
+        "pde.bsa_at_d3_points",
         "pde.growth_process_equation",
         "pde.operator_proportionality",
         "pde.vertex_prefactor_null",
@@ -321,6 +322,7 @@ def test_verify_reports_evaluator_calls_and_seconds(capsys):
         else:
             assert "evals" not in check
     assert report["pde.growth_process_equation"]["evals"] == 2
+    assert report["pde.bsa_at_d3_points"]["evals"] == 3
     assert report["cov.translation_generator"]["evals"] == 1
     assert report["cov.euler_generator"]["evals"] == 1
     # 20 random functions, each through the direct equation and the composed

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import delta_scaling, reduction_entries_by_enumeration
+from closed_forms import delta_fusion, delta_scaling, reduction_entries_by_enumeration
 
 from qscreen import coulomb
 from qscreen.coulomb import (
     ChamberPoint,
     b_const,
     contour_phi_oracle,
-    delta_fusion,
     eval_stats,
     h_weight,
     rho,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import delta_scaling, selberg_oracle
+from closed_forms import delta_fusion, delta_scaling, selberg_oracle
 
 from qscreen import coulomb
 from qscreen.coulomb import (
@@ -19,7 +19,6 @@ from qscreen.coulomb import (
     _anchored_log,
     b_const,
     contour_phi_oracle,
-    delta_fusion,
     eval_stats,
     h_weight,
     rho,
@@ -847,6 +846,13 @@ def test_delta_fusion_values():
     for kappa in (8.0, 10.0):
         assert delta_fusion(1, 2, 2, kappa) == pytest.approx((kappa - 6.0) / kappa)
         assert delta_fusion(3, 2, 2, kappa) == pytest.approx(2.0 / kappa)
+    # the closed form is the difference of Kac weights that asymptotics_check uses
+    for kappa in (6.5, 8.0, 10.0, 12.0, 16.75, 20.0):
+        for d1, d2 in itertools.product(range(1, 6), repeat=2):
+            for d in range(abs(d1 - d2) + 1, d1 + d2, 2):
+                h_form = h_weight(d, kappa) - h_weight(d1, kappa) - h_weight(d2, kappa)
+                gap = abs(h_form - delta_fusion(d, d1, d2, kappa))
+                assert gap <= 1e-15 * max(1.0, abs(h_form))
 
 
 def test_delta_scaling_matches_weight_difference():

@@ -96,11 +96,12 @@ _NODES = (2, 3, 4)
 
 @st.composite
 def _series_cases(draw):
-    # a closed index set over 1 to 4 points up to order 3, node axes () or
-    # _NODES, omega and one to four distances, each rate a number, a column,
-    # a row or a full array, some places left out of omega or of a nu
+    # a closed index set over 1 to 4 points up to order 4, the order of the
+    # operator at a d = 4 point, node axes () or _NODES, omega and one to
+    # four distances, each rate a number, a column, a row or a full array,
+    # some places left out of omega or of a nu
     n = draw(st.integers(1, 4))
-    entry = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda a: sum(a) <= 3)
+    entry = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(lambda a: sum(a) <= 4)
     index = closure(draw(st.lists(entry, min_size=1, max_size=4)))
     shape = draw(st.sampled_from(((), _NODES)))
     seed = draw(st.integers(0, 2**32 - 1))

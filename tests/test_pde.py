@@ -138,15 +138,15 @@ def test_quartet_function_satisfies_the_operator():
     assert abs(residual) / scale <= 1e-6
 
 
-@pytest.mark.parametrize("j, dims", [(1, (3, 2, 2, 3)), (3, (2, 2, 3, 3))])
+@pytest.mark.parametrize("j, dims", [(1, (3, 2, 2, 3)), (3, (2, 2, 3, 3)), (3, (2, 2, 3))])
 def test_bsa_at_a_d3_point(j, dims):
     # the order-3 operators at a d = 3 point, on third-order jets of F;
-    # F_hwv holds x_1 and x_4 for j=1 and x_1 and x_3 for j=3, and holding
-    # x_1 and x_4 for j=3 would ask rho (0,0,1,2) for an order-3 jet in
-    # x_3, which raises QuadratureError at this kappa
+    # F_hwv holds x_1 and x_4 for j=1 on (3,2,2,3) and x_1 and x_3 for j=3
+    # on (2,2,3,3), and holding x_1 and x_4 there would ask rho (0,0,1,2)
+    # for an order-3 jet in x_3, which raises QuadratureError at this kappa
     v = hwv_space_basis(TensorSpace(dims), 1)[0]
-    residual, scale = apply_bsa(build_bsa(j, dims, KAPPA), lambda y: F_hwv(v, y, KAPPA),
-                                (0.0, 1.0, 2.0, 4.0))
+    x = (0.0, 1.0, 2.5) if len(dims) == 3 else (0.0, 1.0, 2.0, 4.0)
+    residual, scale = apply_bsa(build_bsa(j, dims, KAPPA), lambda y: F_hwv(v, y, KAPPA), x)
     assert abs(residual) <= 1e-8 * scale
 
 
