@@ -1,7 +1,9 @@
 """Batch front end: evaluate functions, run verification suites, dump bases.
 
 Configuration comes from an optional key=value file plus command line
-flags; flags win.  Evaluation rows carry the quadrature's own absolute
+flags; flags win.  Each command accepts exactly the keys it reads
+(_COMMAND_KEYS): any other key, as a flag or as a file line, exits with
+status 2.  Evaluation rows carry the quadrature's own absolute
 error estimate; a row whose integrals cannot meet rel_tol, or that
 vanishes within its estimate, stops the run with exit status 3.
 Each verification suite lists its checks as rows (name, computation,
@@ -55,12 +57,10 @@ from .uqsl2 import (
     hwv_space_basis,
 )
 
-SUITES = ("qg", "reduction", "pde", "cov", "asy", "infinity", "cyclic", "all")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed settings shared by all commands.
+    """Parsed settings of every command; each command reads only its own
+    keys (_COMMAND_KEYS) and leaves the others at their defaults.
 
     tol multiplies every upper ("below") tolerance of the verification
     suites; it is positive and finite, so an exact check's 0 stays 0.
@@ -132,9 +132,17 @@ _PARSERS = {
     "format": _parse_format,
 }
 
+# the keys each command reads, in the order its --help lists them
+_COMMAND_KEYS = {
+    "eval": ("kappa", "dims", "vector", "l", "x", "x0", "rel_tol", "out", "format"),
+    "verify": ("rel_tol", "tol", "seed", "out"),
+    "dump-basis": ("dims", "d", "out", "format"),
+}
 
-def load_config(path):
-    """Parse a key=value file; '#' starts a comment, unknown keys fail."""
+
+def load_config(path, keys=_PARSERS):
+    """Parse a key=value file; '#' starts a comment, and a key outside
+    keys fails with its path:line."""
     values = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -145,7 +153,7 @@ def load_config(path):
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key = key.strip().replace("-", "_")
-            if key not in _PARSERS:
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
             try:
                 values[key] = _PARSERS[key](value.strip())
@@ -530,11 +538,12 @@ _SUITE_BUILDERS = {
     "infinity": _infinity_checks,
     "cyclic": _cyclic_checks,
 }
+SUITES = (*_SUITE_BUILDERS, "all")
 
 
 def cmd_verify(config, suite):
     """Run the named suite; returns the process exit status."""
-    names = SUITES[:-1] if suite == "all" else (suite,)
+    names = _SUITE_BUILDERS if suite == "all" else (suite,)
     checks = [_check(config, *row) for name in names for row in _SUITE_BUILDERS[name](config)]
     checks.sort(key=lambda c: c["name"])
     report = {
@@ -587,17 +596,17 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _add_flags(parser):
+def _add_flags(parser, keys):
     parser.add_argument("--config", help="key=value file, '#' starts a comment")
-    for key in _PARSERS:
+    for key in keys:
         parser.add_argument("--" + key.replace("_", "-"))
 
 
-def _config_from_args(args):
+def _config_from_args(args, keys):
     values = {}
     if args.config:
-        values.update(load_config(args.config))
-    for key in _PARSERS:
+        values.update(load_config(args.config, keys))
+    for key in keys:
         raw = getattr(args, key)
         if raw is None:
             continue
@@ -614,15 +623,17 @@ def main(argv=None):
         description="evaluate covariant boundary functions and run checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_eval = sub.add_parser("eval", help="evaluate a function on chamber points")
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
-    p_dump = sub.add_parser("dump-basis", help="print a highest weight basis")
-    for p in (p_eval, p_verify, p_dump):
-        _add_flags(p)
+    for command, text in (("eval", "evaluate a function on chamber points"),
+                          ("verify", "run a verification suite"),
+                          ("dump-basis", "print a highest weight basis")):
+        # no abbreviations: eval's --dims would take a --d
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        if command == "verify":
+            p.add_argument("suite", choices=SUITES)
+        _add_flags(p, _COMMAND_KEYS[command])
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(args, _COMMAND_KEYS[args.command])
         if args.command == "eval":
             cmd_eval(config)
             return 0

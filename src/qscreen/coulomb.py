@@ -157,13 +157,21 @@ def _check_increasing(xs):
         raise ValueError("coordinates must be finite and increase strictly")
 
 
+def _pair_exponents(dims, kappa):
+    # the prefactor's power 2 (d_i - 1)(d_k - 1)/kappa of x_k - x_i, as
+    # (i, k, e) for i < k with e != 0
+    pairs = []
+    for i, k in itertools.combinations(range(len(dims)), 2):
+        e = 2.0 * (dims[i] - 1) * (dims[k] - 1) / kappa
+        if e:
+            pairs.append((i, k, e))
+    return pairs
+
+
 def _x_prefactor(xs, dims, kappa):
     total = 1.0
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            e = 2.0 * (dims[i] - 1) * (dims[j] - 1) / kappa
-            if e:
-                total *= (xs[j] - xs[i]) ** e
+    for i, k, e in _pair_exponents(dims, kappa):
+        total *= (xs[k] - xs[i]) ** e
     return total
 
 
@@ -172,7 +180,7 @@ def _rho_degree(dims, ell, kappa):
     dims, read off the exponents it integrates: the prefactor's pair
     powers, ell measures dw, the ell (d_i - 1) charges -4/kappa each and
     the ell (ell - 1)/2 screening pairs 8/kappa each."""
-    pairs = sum(2.0 * (di - 1) * (dk - 1) / kappa for di, dk in itertools.combinations(dims, 2))
+    pairs = sum(e for _, _, e in _pair_exponents(dims, kappa))
     charge = sum(d - 1 for d in dims)
     return pairs + ell * (1.0 - 4.0 * charge / kappa) + 4.0 * ell * (ell - 1) / kappa
 
@@ -694,6 +702,10 @@ def _halve(levels, steps, geo, rel_tol, head, tab):
     sums = _nested(levels, _grids(steps), geo, tab, work)
     value, moved = sums[0], sums[1:]
     while True:
+        # value only ever becomes the mean of itself and a shifted copy, so
+        # once not finite it stays so
+        if not np.isfinite(value).all():
+            raise QuadratureError(f"{head}: the nested sums are not finite")
         ests = [_relative_change(value, m) for m in moved]
         est = sum(ests) + floor
         if est <= rel_tol:
@@ -732,11 +744,7 @@ def _steady(tab, x_ext, dims, kappa, levels):
     # prefactor's pairs, and the interval each level scales with, raised
     # to the level's power, its pairs with the ancestors but the parent,
     # and below the top the group's own upper charge
-    steady = []
-    for i, k in itertools.combinations(range(len(dims)), 2):
-        e = 2.0 * (dims[i] - 1) * (dims[k] - 1) / kappa
-        if e:
-            steady.append((e, i + 1, k + 1))
+    steady = [(e, i + 1, k + 1) for i, k, e in _pair_exponents(dims, kappa)]
     betas = _betas(dims, kappa)
     for idx, lev in enumerate(levels):
         i = lev.group

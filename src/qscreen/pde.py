@@ -238,7 +238,8 @@ def sle_pde_check(f, x, kappa, j):
     """Second order growth process equation applied directly at x.
 
     kappa/2 d^2/dx_j^2 + sum_{i != j} (2/(x_i-x_j) d/dx_i - 2hw/(x_i-x_j)^2)
-    with hw = (6-kappa)/(2 kappa); all points carry that same weight.
+    with hw = h_weight(2, kappa) = (6-kappa)/(2 kappa); all points carry
+    that same weight.
     Returns (residual, scale) like apply_bsa.
     """
     x = tuple(float(xi) for xi in x)
@@ -246,7 +247,7 @@ def sle_pde_check(f, x, kappa, j):
     if not 1 <= j <= len(x):
         raise ValueError(f"position {j} out of range for n={len(x)}")
     _check_kappa(kappa)
-    hw = (6.0 - kappa) / (2.0 * kappa)
+    hw = h_weight(2, kappa)
     n = len(x)
     j0 = j - 1
     others = [i for i in range(n) if i != j0]

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -103,6 +104,115 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert code == 0
     rows = parse_rows(out, "json")
     assert rows[0]["kappa"] == 10.0
+
+
+# a valid value of every key that some command does not read, and each
+# command's argv before its flags
+_SAMPLE = {
+    "kappa": "8", "dims": "2,2", "vector": "hwv_pair:2,2,1", "l": "0,1", "x": "0,1",
+    "x0": "-1", "d": "1", "rel_tol": "1e-9", "tol": "1", "seed": "1", "format": "json",
+}
+_COMMAND = {"eval": ("eval",), "verify": ("verify", "cyclic"), "dump-basis": ("dump-basis",)}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMAND_KEYS))
+def test_help_lists_exactly_the_keys_a_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--config"} | {_flag(k) for k in cli._COMMAND_KEYS[command]}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, keys in cli._COMMAND_KEYS.items()
+    for key in cli._PARSERS if key not in keys
+])
+def test_commands_refuse_the_keys_they_do_not_read(tmp_path, capsys, command, key):
+    # as a flag (no abbreviation either: eval's --dims would take a --d)
+    # and as a line of a config file; both exit 2
+    with pytest.raises(SystemExit) as exc:
+        main([*_COMMAND[command], _flag(key), _SAMPLE[key]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {_flag(key)}" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# {command}\n{key} = {_SAMPLE[key]}\n", encoding="utf-8")
+    code, out, err = run(capsys, *_COMMAND[command], "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"run.cfg:2: unknown key '{key}'" in err
+
+
+def _values(out):
+    return [(r["re"], r["im"], r["err_est"]) for r in json.loads(out)]
+
+
+def _measures(out):
+    # the seed a report echoes and the seconds are left out
+    return [(c["name"], c["tolerance"], c["measured"]) for c in json.loads(out)["checks"]]
+
+
+def _written(out):
+    # stdout and every file written to the working directory, which is
+    # then emptied
+    files = {}
+    for path in sorted(os.listdir()):
+        with open(path, encoding="utf-8") as handle:
+            files[path] = handle.read()
+        os.remove(path)
+    return out, files
+
+
+_VECTOR = ("--vector", "hwv_pair:2,2,1", "--x", "0,1", "--format", "json")
+_COUNTS = ("--dims", "2,2", "--l", "1,0", "--x", "0,1", "--format", "json")
+# (argv before the key, key, two values, what the key moves)
+_MOVES = [
+    (("eval", *_VECTOR), "kappa", "8", "10", _values),
+    (("eval", "--kappa", "10", "--l", "0,1", "--x", "0,1", "--format", "json"), "dims", "2,2", "2,3",
+     _values),
+    (("eval", "--x", "0,1", "--format", "json"), "vector", "hwv_pair:2,2,1", "hwv_pair:2,2,0",
+     _values),
+    (("eval", "--dims", "2,2", "--x", "0,1", "--format", "json"), "l", "1,0", "0,1", _values),
+    (("eval", "--vector", "hwv_pair:2,2,1", "--format", "json"), "x", "0,1", "0,2", _values),
+    (("eval", *_COUNTS), "x0", "-1", "-2", _values),
+    (("eval", *_VECTOR, "--kappa", "8"), "rel_tol", "1e-9", "1e-4", _values),
+    (("eval", *_VECTOR), "out", "a.json", "b.json", _written),
+    (("eval", "--vector", "hwv_pair:2,2,1", "--x", "0,1"), "format", "csv", "json", _written),
+    (("verify", "reduction"), "rel_tol", "1e-9", "1e-6", _measures),
+    (("verify", "infinity"), "tol", "1", "2", _measures),
+    (("verify", "cov"), "seed", "1", "2", _measures),
+    (("verify", "cyclic"), "out", "a.json", "b.json", _written),
+    (("dump-basis", "--dims", "2,2"), "d", "1", "3", _written),
+    (("dump-basis", "--d", "1"), "dims", "2,2", "2,2,2,2", _written),
+    (("dump-basis", "--dims", "2,2"), "out", "a.txt", "b.txt", _written),
+    (("dump-basis", "--dims", "2,2"), "format", "csv", "json", _written),
+]
+
+
+def test_the_moves_cover_every_key():
+    covered = {}
+    for argv, key, *_ in _MOVES:
+        covered.setdefault(argv[0], set()).add(key)
+    assert covered == {c: set(keys) for c, keys in cli._COMMAND_KEYS.items()}
+    # --config aside, 17 settable keys across the three commands
+    assert sum(map(len, cli._COMMAND_KEYS.values())) == len(_MOVES) == 17
+
+
+@pytest.mark.parametrize("argv, key, a, b, moved", _MOVES,
+                         ids=[f"{argv[0]}-{key}" for argv, key, *_ in _MOVES])
+def test_every_key_a_command_reads_moves_its_output(tmp_path, monkeypatch, capsys,
+                                                    argv, key, a, b, moved):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for value in (a, b):
+        code, out, _ = run(capsys, *argv, f"{_flag(key)}={value}")
+        assert code == 0
+        outputs.append(moved(out))
+    assert outputs[0] != outputs[1]
 
 
 # -- vector specs ----------------------------------------------------------
@@ -372,10 +482,15 @@ def test_verify_failure_gives_nonzero_exit(capsys):
 
 
 def test_verify_reports_no_kappa(capsys):
-    # every suite fixes its own kappa, so the report carries none
-    code, out, _ = run(capsys, "verify", "cyclic", "--kappa", "6")
+    # every suite fixes its own kappa, so the report carries none and
+    # verify refuses the flag
+    code, out, _ = run(capsys, "verify", "cyclic")
     assert code == 0
     assert "kappa" not in json.loads(out)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "cyclic", "--kappa", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kappa 6" in capsys.readouterr().err
 
 
 def test_verify_writes_report_file(tmp_path, capsys):

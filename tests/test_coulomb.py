@@ -386,6 +386,26 @@ def test_rho_unreachable_rel_tol_raises():
     assert stats.grid_evals == 0 and stats.nodes == 0, stats
 
 
+def test_rho_raises_on_sums_that_are_not_finite(monkeypatch):
+    # one nan in a node's moving series makes the nested sums nan; a nan
+    # sum of moduli must not count as a level that has converged
+    series, calls = coulomb.exp_series, []
+
+    def poisoned(*args):
+        out = series(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            out[-1].flat[0] = math.nan
+        return out
+
+    monkeypatch.setattr(coulomb, "exp_series", poisoned)
+    coulomb._rho_kept.cache_clear()
+    reads = [alpha for alpha in itertools.product(range(3), repeat=4) if sum(alpha) <= 2]
+    c = ChamberPoint(-1.0, JetPoint((0.0, 1.0, 2.0, 4.0), reads))
+    with pytest.raises(QuadratureError, match=r"l=2 .*nested sums are not finite"):
+        rho(c, (2, 2, 2, 2), (0, 1, 1, 0), 10.0)
+
+
 def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
     # the four-variable grid that meets 1e-9 holds about 3e6 nodes; under
     # a smaller budget the plan raises, and no grid it sums exceeds it.
