@@ -580,7 +580,15 @@ def cmd_dump_basis(config):
             + "\n"
         )
     else:
-        text = "".join(line + "\n" for line in lines)
+        # one row per nonzero coefficient: the vector's position in the
+        # basis (hwv:d,k) and the basis index l_1,..,l_n (basis:...)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["vector", "index", "coefficient"])
+        for k, v in enumerate(basis):
+            for idx in sorted(v.coeffs):
+                writer.writerow([k, ",".join(map(str, idx)), repr(v.coeffs[idx])])
+        text = buf.getvalue()
     _emit(text, config.out)
     return lines
 

@@ -2,8 +2,9 @@
 
 Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
 the screened integrals over nested ordered simplices (a tanh-sinh rule per
-screening variable; one loop halves a level's step on the full grid until
-the quadrature's own error estimate meets the requested tolerance, each
+screening variable, stopping at each end where the tail it folds onto its
+outermost node is exact; one loop halves a level's step on the full grid
+until the quadrature's own error estimate meets the requested tolerance, each
 halving summing only the nodes it adds, every grid of a pass in one
 nested sum, and starting the variables of one group from staggered steps
 so that their tensor grid does not alias), carrying their Taylor jet in
@@ -191,14 +192,26 @@ def _rho_degree(dims, ell, kappa):
 # exponentially, whatever the endpoint powers; the trapezoidal rule with
 # step h in u then converges like exp(-c/h).
 
-# nodes nearer than exp(_LOG_EDGE) to an end of (0, 1), or lighter than
-# exp(_LOG_LIGHT) times the heaviest node, are not kept
+# no node nearer than exp(_LOG_EDGE) to an end of (0, 1) is kept, the float
+# floor, nor a node lighter than exp(_LOG_LIGHT) times the heaviest.  Above
+# that floor each end stops at its first node at or beyond the edge that
+# _log_edge derives, where the tail folded onto that node moves a sum by
+# about _TAIL relative, far below the rounding of a nested sum (_ROUNDING)
 _LOG_EDGE = math.log(1e-300)
 _LOG_LIGHT = math.log(1e-20)
+_TAIL = 1e-19
+
+
+def _log_edge(a, b):
+    # log tau for an end where the weight goes like s^a in the distance s
+    # to it and the integrand differs from its limit by O(s^b): the tail
+    # within tau of the end holds about tau^(1 + a) of the weight, and
+    # folded onto a node at or beyond tau it misplaces about tau^b of that
+    return max(_LOG_EDGE, math.log(_TAIL) / (1.0 + a + b))
 
 
 @lru_cache(maxsize=None)
-def _unit_rule_build(aL, aR, grow, h, shift):
+def _unit_rule_build(aL, aR, grow, pair, h, shift):
     """Tanh-sinh rule sum_k w_k g(t_k) for int_0^1 t^aL (1-t)^aR g(t) dt.
 
     The nodes sit at u = (k + shift) h.  Returns one array of the rows t,
@@ -206,8 +219,20 @@ def _unit_rule_build(aL, aR, grow, h, shift):
     keep full relative precision at their end, and the endpoint powers are
     folded into the weights in log space.  g may grow like (1-t)^(-grow)
     toward t = 1.  The weight of every node that is not kept is added to
-    the outermost kept node on its side, where g has reached its limit:
-    that adds the tails beyond the nodes analytically.
+    the outermost kept node on its side, where g has nearly reached its
+    limit: that adds the tails beyond the nodes analytically.
+
+    Each end stops at its first node at or beyond the edge
+    tau = exp(_log_edge(a, b)), so at every step the fold moves the sum by
+    about tau^(1 + a + b) <= _TAIL relative.  (At its last node inside
+    tau, up to a step further in, the fold would move it by up to
+    _TAIL^(1 - h).)  a is the end's weight exponent: aL at t -> 0,
+    aR - grow at t -> 1.  b is the power at which g approaches its limit
+    there: min(1, pair), pair being 8/kappa, as no variable brings a term
+    that is not analytic to a marked point slower than
+    1 - beta + 8/kappa >= 8/kappa; but 0 where g grows, as that growth is
+    already in a.  A charge at a distance delta beyond the end of an
+    interval of length gap scales the move by up to (gap / delta)^b.
     """
     if aL <= -1.0 or aR <= -1.0:
         raise ValueError("endpoint exponents must exceed -1")
@@ -220,7 +245,13 @@ def _unit_rule_build(aL, aR, grow, h, shift):
     log1mt = -np.logaddexp(0.0, s)
     logw = np.log(h * math.pi * np.cosh(u)) + (1.0 + aL) * logt + (1.0 + aR) * log1mt
     heavy = logw - grow * log1mt >= logw.max() + _LOG_LIGHT
-    kept = np.flatnonzero((logt >= _LOG_EDGE) & (log1mt >= _LOG_EDGE) & heavy)
+    rate = min(1.0, pair)
+    # a node is kept when its inner neighbour lies inside the edge, so
+    # the outermost kept node sits at or beyond it
+    inside = (np.append(logt[1:], 0.0) >= _log_edge(aL, rate)) & (
+        np.insert(log1mt[:-1], 0, 0.0) >= _log_edge(aR - grow, 0.0 if grow else rate))
+    floor = (logt >= _LOG_EDGE) & (log1mt >= _LOG_EDGE)
+    kept = np.flatnonzero(inside & floor & heavy)
     a, b = kept[0], kept[-1]
     logw[a] = np.logaddexp.reduce(logw[: a + 1])
     logw[b] = np.logaddexp.reduce(logw[b:])
@@ -229,7 +260,7 @@ def _unit_rule_build(aL, aR, grow, h, shift):
 
 
 def _unit_rule(level, h, shift):
-    return _unit_rule_build(level.aL, level.aR, level.grow, h, shift)
+    return _unit_rule_build(level.aL, level.aR, level.grow, level.pair, h, shift)
 
 
 @dataclass(frozen=True)
@@ -242,6 +273,8 @@ class _Level:
     # an inner variable's integrand grows toward its upper end like the
     # group's upper charge, where its ancestors may all have piled up
     grow: float
+    # 8/kappa, the power of every pair of screening variables
+    pair: float
 
 
 def _build_levels(counts, betas, kappa):
@@ -257,7 +290,8 @@ def _build_levels(counts, betas, kappa):
             env = k * (1.0 - betas[i - 1]) + (8.0 / kappa) * (0.5 * k * (k - 1) + k)
             aL = -betas[i - 1] + env
             aR = -betas[i] if r == mi else 8.0 / kappa
-            levels.append(_Level(i, r == mi, aL, aR, env, 0.0 if r == mi else betas[i]))
+            grow = 0.0 if r == mi else betas[i]
+            levels.append(_Level(i, r == mi, aL, aR, env, grow, 8.0 / kappa))
     return tuple(levels)
 
 

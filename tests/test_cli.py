@@ -21,7 +21,7 @@ from qscreen.cli import (
     main,
     vector_from_spec,
 )
-from qscreen.uqsl2 import hwv_pair, is_hwv
+from qscreen.uqsl2 import TensorSpace, hwv_pair, hwv_space_basis, is_hwv
 
 
 def run(capsys, *argv):
@@ -156,6 +156,16 @@ def _measures(out):
     return [(c["name"], c["tolerance"], c["measured"]) for c in json.loads(out)["checks"]]
 
 
+def _basis_read(out):
+    # a dump-basis output read as the format it claims: JSON, or CSV rows
+    # under the header vector,index,coefficient; the number of vectors
+    if out.startswith("{"):
+        return "json", json.loads(out)["count"]
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["vector", "index", "coefficient"]
+    return "csv", len({r[0] for r in rows})
+
+
 def _written(out):
     # stdout and every file written to the working directory, which is
     # then emptied
@@ -189,7 +199,7 @@ _MOVES = [
     (("dump-basis", "--dims", "2,2"), "d", "1", "3", _written),
     (("dump-basis", "--d", "1"), "dims", "2,2", "2,2,2,2", _written),
     (("dump-basis", "--dims", "2,2"), "out", "a.txt", "b.txt", _written),
-    (("dump-basis", "--dims", "2,2"), "format", "csv", "json", _written),
+    (("dump-basis", "--dims", "2,2"), "format", "csv", "json", _basis_read),
 ]
 
 
@@ -506,15 +516,25 @@ def test_verify_writes_report_file(tmp_path, capsys):
 
 
 def test_dump_basis_counts(capsys):
-    code, out, _ = run(capsys, "dump-basis", "--dims", "2,2", "--d", "1")
+    for dims, d, count in (("2,2", "1", 1), ("2,2,2,2", "1", 2), ("2,2", "4", 0)):
+        code, out, _ = run(capsys, "dump-basis", "--dims", dims, "--d", d)
+        assert code == 0
+        assert _basis_read(out) == ("csv", count), (dims, d)
+
+
+def test_dump_basis_csv_rows_are_the_coefficients(capsys):
+    # one row per nonzero coefficient, (vector, index, coefficient), in
+    # the forms that hwv:d,k and basis:l_1,..,l_n read
+    code, out, _ = run(capsys, "dump-basis", "--dims", "2,3,2", "--d", "3")
     assert code == 0
-    assert len(out.strip().splitlines()) == 1
-    code, out, _ = run(capsys, "dump-basis", "--dims", "2,2,2,2", "--d", "1")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 2
-    code, out, _ = run(capsys, "dump-basis", "--dims", "2,2", "--d", "4")
-    assert code == 0
-    assert out.strip() == ""
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    basis = hwv_space_basis(TensorSpace((2, 3, 2)), 3)
+    assert len(basis) == 2
+    assert len(rows) == sum(len(v.coeffs) for v in basis)
+    for k, v in enumerate(basis):
+        mine = {r[1]: r[2] for r in rows if r[0] == str(k)}
+        assert mine == {",".join(map(str, idx)): repr(c) for idx, c in v.coeffs.items()}
+        assert vector_from_spec(f"hwv:3,{k}", (2, 3, 2)) == v
 
 
 def test_dump_basis_refuses_a_nonpositive_d(capsys):
