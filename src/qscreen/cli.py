@@ -42,6 +42,7 @@ from .pde import (
     mobius_check,
     sle_pde_check,
     sle_proportionality_check,
+    special_conformal_check,
     special_conformal_identity_check,
     translation_check,
     vertex_prefactor,
@@ -425,17 +426,32 @@ def _pde_checks(config):
         return _relative(apply_bsa(op, vertex_prefactor((2, 3, 2), kappa), (0.0, 1.0, 2.5)))
 
     def d3_operators():
-        # the order-3 operators at d = 3 points, on third-order jets of F
+        # the order-3 operators at d = 3 points, on third-order jets of F.
+        # F_hwv fills a trivial F at three points from its value alone, so
+        # the (2,2,3) case reads F_anchor's jets at a fixed anchor, every
+        # point through the quadrature
+        anchored = lambda w, z: F_anchor(w, ChamberPoint(-1.0, z), kappa, config.rel_tol)
+        hwv = lambda w, z: F_hwv(w, z, kappa, config.rel_tol)
         worst = 0.0
-        cases = ((1, (3, 2, 2, 3), x), (3, (2, 2, 3, 3), x), (3, (2, 2, 3), (0.0, 1.0, 2.5)))
-        for j, dims, y in cases:
+        cases = ((1, (3, 2, 2, 3), x, hwv), (3, (2, 2, 3, 3), x, hwv),
+                 (3, (2, 2, 3), (0.0, 1.0, 2.5), anchored))
+        for j, dims, y, f in cases:
             w = hwv_space_basis(TensorSpace(dims), 1)[0]
-            f = lambda z, w=w: F_hwv(w, z, kappa, config.rel_tol)
-            worst = max(worst, _relative(apply_bsa(build_bsa(j, dims, kappa), f, y)))
+            op = build_bsa(j, dims, kappa)
+            worst = max(worst, _relative(apply_bsa(op, lambda z, w=w, f=f: f(w, z), y)))
         return worst
+
+    def d4_operator():
+        # the order-4 operator at a d = 4 point, at kappa = 14 and a fixed
+        # rel_tol of 1e-6: at 1e-9 it sums about four times the nodes
+        dims = (4, 2, 2, 4)
+        w = hwv_space_basis(TensorSpace(dims), 1)[0]
+        f = lambda z: F_hwv(w, z, 14.0, 1e-6)
+        return _relative(apply_bsa(build_bsa(1, dims, 14.0), f, x))
 
     return [
         ("pde.bsa_at_d3_points", d3_operators, 1e-8),
+        ("pde.bsa_at_d4_point", d4_operator, 1e-8),
         ("pde.growth_process_equation", growth, 1e-8),
         ("pde.operator_proportionality",
          lambda: sle_proportionality_check(x, kappa, 2, seed=config.seed), 1e-11),
@@ -453,14 +469,16 @@ def _cov_checks(config):
         return lambda: mobius_check(v, mu, x, kappa, rel_tol)["deviation"]
 
     grid = (0.0, 1.0, 2.0, 4.0)
-    # F_hwv fills its jets from the translation and Euler identities, so on
-    # it both generators hold by construction; F_anchor at a fixed anchor
-    # carries every direction through rho's jet series.  rho's nodes sit
-    # in gap-scaled unit coordinates, so its jets obey both identities
-    # whatever the quadrature's steps: the generators guard the jet series
-    # (log_series, exp_series, product) and rho's reading of differences,
-    # not the quadrature's error
+    # F_hwv fills its jets from the Ward identities, so on it every
+    # generator holds by construction; F_anchor at a fixed anchor carries
+    # every direction through rho's jet series.  rho's nodes sit in
+    # gap-scaled unit coordinates, so its jets obey translation and Euler
+    # whatever the quadrature's steps: those generators guard the jet
+    # series (log_series, exp_series, product) and rho's reading of
+    # differences, not the quadrature's error.  The special conformal one
+    # holds only for the sum of the terms, so it also reads their weights
     ev = lambda y: F_anchor(v, ChamberPoint(-1.0, y), kappa, rel_tol)
+    weights = (h_weight(2, kappa),) * len(grid)
 
     def rational_identity():
         return max(
@@ -479,6 +497,8 @@ def _cov_checks(config):
         ("cov.translation_generator", lambda: _relative(translation_check(ev, grid)), 1e-8),
         ("cov.euler_generator",
          lambda: _relative(euler_check(ev, grid, -4.0 * h_weight(2, kappa))), 1e-8),
+        ("cov.special_conformal_generator",
+         lambda: _relative(special_conformal_check(ev, grid, weights)), 1e-8),
         ("cov.rational_identity", rational_identity, 1e-9),
         ("cov.rational_identity_sensitivity",
          lambda: special_conformal_identity_check((2, 2), seed=config.seed, perturbation=1e-3),

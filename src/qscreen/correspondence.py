@@ -19,11 +19,13 @@ screening variable between the anchor and the first point, so the anchor
 drops out of F_hwv exactly, before any quadrature.
 
 Every rho term of F_hwv then reads only differences of the points and is
-homogeneous of one degree.  So an F_hwv jet is built from n - 2
-directions: the quadrature carries the jet in all points but two, and the
-translation and Euler identities fill the coefficients of those two,
-their estimates propagated by moduli.  phi and F_anchor jets stay direct,
-every direction through the quadrature, as rho's do.
+homogeneous of one degree, and the F of a trivial vector is also special
+conformal covariant.  So an F_hwv jet is built from n - 3 directions for
+a trivial vector and n - 2 for any other: the quadrature carries the jet
+in the other points, asked for rel_tol / L with L the Lebesgue factor of
+the held ones, and the Ward identities fill the coefficients of the held
+points, their estimates propagated by moduli.  phi and F_anchor jets stay
+direct, every direction through the quadrature, as rho's do.
 """
 
 from __future__ import annotations
@@ -339,8 +341,9 @@ def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9) -> complex:
     The exact weights of such a vector keep no screening variable on
     [x0, x_1] (_check_anchor_free), so F_anchor gives it the same bits at
     every anchor; F_hwv evaluates it at default_anchor(x).  A JetPoint x
-    returns the Taylor jet of F in x as a Jet, built by _covariant_jet
-    from a quadrature jet over n - 2 of the points.
+    returns the Taylor jet of F in x as a Jet, built by _ward_jet from a
+    quadrature jet over n - 3 of the points for a vector of the trivial
+    subrepresentation and n - 2 for any other, asked for rel_tol / L.
     """
     dims, coeffs = v.space.dims, frozenset(v.coeffs.items())
     if not is_hwv(v, None):
@@ -350,40 +353,56 @@ def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9) -> complex:
     _check_increasing(xs)
     if not isinstance(x, JetPoint):
         return F_anchor(v, ChamberPoint(default_anchor(xs), x), kappa, rel_tol)
-    return _covariant_jet(_kappa_weights(dims, coeffs, kappa), x, dims, kappa, rel_tol)
+    return _ward_jet(_kappa_weights(dims, coeffs, kappa), x, dims, kappa, rel_tol,
+                     3 if is_hwv(v, 1) else 2)
 
 
-def _held_pair(x):
-    """The two points a jet request x raises least, by the highest order
-    it raises each to; ties go to the pair farthest apart, then to the
-    lowest indices.  A single point is held alone, as (0, 0)."""
-    top = [max(alpha[i] for alpha in x.index) for i in range(len(x))]
-    return min(combinations(range(len(x)), 2), default=(0, 0),
-               key=lambda p: (max(top[p[0]], top[p[1]]), min(top[p[0]], top[p[1]]),
-                              x[p[0]] - x[p[1]]))
+def _lagrange(y, held, t):
+    # the Lagrange basis of the held points of y, at t
+    return [math.prod((t - y[g]) / (y[h] - y[g]) for g in held if g != h) for h in held]
 
 
-def _covariant_jet(weights, x, dims, kappa, rel_tol):
+def _ward_jet(weights, x, dims, kappa, rel_tol, identities):
     """The jet of F at the JetPoint x from a quadrature jet over the points
-    other than the held pair (a, b), of the request's top order, and the
-    two identities every rho term obeys: it reads only differences of the
-    points, and it is homogeneous of the degree _rho_degree gives its
-    number of screening variables.  Terms of several degrees are filled
-    one degree at a time and summed.
+    not held, of the request's top order, and the first `identities` of
+    the three global Ward identities (translation, Euler, special
+    conformal).  With y = x - mean(x), D the degree _rho_degree gives and
+    h_i = h_weight(d_i), they read, for every multi-index beta,
+        sum_i y_i^k (beta_i + 1) c_(beta + e_i) = R_k(beta)     (k = 0, 1, 2)
+        R_0 = 0,  R_1 = (D - |beta|) c_beta,
+        R_2 = -sum_i [2 y_i (beta_i + h_i) c_beta + (beta_i - 1 + 2 h_i) c_(beta - e_i)].
+    Every rho term obeys the first two, so terms of several degrees are
+    filled one degree at a time and summed; the third holds for the sum of
+    a trivial vector's terms, which share one degree.
 
-    For a multi-index beta, the coefficients c satisfy
-        sum_i (beta_i + 1) c_(beta + e_i) = 0                  (translation)
-        sum_(i != a) (x_i - x_a)(beta_i + 1) c_(beta + e_i)
-            = (degree - |beta|) c_beta                         (Euler about x_a)
-    Order by order, the Euler identity at beta = gamma - e_b gives every
-    gamma with gamma_a = 0 < gamma_b, and translation at beta = gamma - e_a
-    then every gamma with gamma_a > 0, by increasing gamma_a.  A filled
-    coefficient's estimate is the sum of the moduli of its terms' factors
-    times their estimates.
+    min(identities, n) points are held: those of least Lebesgue factor
+    L = sum_f sum_h |l_h(y_f)|, over the free points f and the Lagrange
+    basis l_h of the held ones, ties going to the lowest indices.  For each
+    beta, by increasing order in the held points, the identities are a
+    Vandermonde system in the c_(beta + e_h), solved by the coefficients of
+    the l_h.  A filled coefficient's estimate is the sum of the moduli of
+    its terms' factors times their estimates; the free points' terms enter
+    with factors l_h(y_f), so the quadrature is asked for rel_tol / max(1, L).
     """
     n, top = len(x), sum(x.index[-1])
-    a, b = _held_pair(x)
-    free = [i for i in range(n) if i not in (a, b)]
+    mean = math.fsum(x) / n
+    y = [xi - mean for xi in x]
+    spread, held = min((sum(abs(l) for f in range(n) if f not in held
+                            for l in _lagrange(y, held, y[f])), held)
+                       for held in combinations(range(n), min(identities, n)))
+    free = [i for i in range(n) if i not in held]
+    inverse = []
+    for h in held:
+        # the power coefficients of l_h, one row of the Vandermonde inverse
+        row = [1.0]
+        for g in held:
+            if g != h:
+                row = [(lo - y[g] * hi) / (y[h] - y[g]) for lo, hi in zip([0.0] + row, row + [0.0])]
+        inverse.append(row)
+    reach = {f: _lagrange(y, held, y[f]) for f in free}
+    hw = [h_weight(d, kappa) for d in dims]
+    betas = sorted((b for k in range(top) for b in _order(n, range(n), k)),
+                   key=lambda b: sum(b[h] for h in held))
     c = ChamberPoint(default_anchor(x), JetPoint(x, [(0,) * n] + _order(n, free, top)))
     parts = {}
     for m, w in weights:
@@ -392,23 +411,24 @@ def _covariant_jet(weights, x, dims, kappa, rel_tol):
     # with no weights the one empty sum still checks rel_tol
     for ell, part in (parts or {0: []}).items():
         degree = _rho_degree(dims, ell, kappa)
-        jet = _evaluate(part, c, dims, kappa, rel_tol)
+        jet = _evaluate(part, c, dims, kappa, rel_tol / max(1.0, spread))
         value, est = dict(jet.coeffs), dict(jet.errs)
-        for k in range(1, top + 1):
-            raised = [g for g in _order(n, range(n), k) if g[a] or g[b]]
-            for gamma in sorted(raised, key=lambda g: (g[a], g[b])):
-                if gamma[a]:
-                    beta = _shifted(gamma, a, -1)
-                    terms = [(-(beta[i] + 1) / gamma[a], _shifted(beta, i, 1))
-                             for i in range(n) if i != a]
-                else:
-                    beta = _shifted(gamma, b, -1)
-                    over = (x[b] - x[a]) * gamma[b]
-                    terms = [((degree - k + 1) / over, beta)]
-                    terms += [(-(x[i] - x[a]) * (beta[i] + 1) / over, _shifted(beta, i, 1))
-                              for i in free]
-                value[gamma] = sum(f * value[alpha] for f, alpha in terms)
-                est[gamma] = sum(abs(f) * est[alpha] for f, alpha in terms)
+        for beta in betas:
+            sides = [{}, {beta: degree - sum(beta)},
+                     {beta: -2.0 * sum(yi * (b + hi) for yi, b, hi in zip(y, beta, hw))}]
+            for i in range(n):
+                if beta[i]:
+                    sides[2][_shifted(beta, i, -1)] = -(beta[i] - 1 + 2.0 * hw[i])
+            for p, (row, h) in enumerate(zip(inverse, held)):
+                terms = {}
+                for wk, side in zip(row, sides):
+                    for alpha, f in side.items():
+                        terms[alpha] = terms.get(alpha, 0.0) + wk * f
+                for f in free:
+                    terms[_shifted(beta, f, 1)] = -reach[f][p] * (beta[f] + 1)
+                gamma = _shifted(beta, h, 1)
+                value[gamma] = sum(f * value[alpha] for alpha, f in terms.items()) / gamma[h]
+                est[gamma] = sum(abs(f) * est[alpha] for alpha, f in terms.items()) / gamma[h]
         for alpha in x.index:
             coeffs[alpha] += value[alpha]
             errs[alpha] += est[alpha]

@@ -4,25 +4,28 @@ Every operator check asks its evaluator once for the Taylor jet of its
 value: it calls it at a JetPoint that lists the multi-indices the
 operator reads, and the evaluator returns a Jet, each coefficient with
 its error estimate.  F_hwv differentiates under the screening integrals
-in n - 2 of the points.  It fills the coefficients of the other two from
-the translation and Euler identities, their estimates propagated by
-moduli, so translation_check and euler_check hold on it by construction.
-rho, phi and F_anchor jets stay direct, every point through the
-quadrature.
+in n - 3 of the points for a trivial vector and n - 2 for any other,
+asked for rel_tol / L with L the Lebesgue factor of the held points.  It
+fills the coefficients of the held points from the global Ward
+identities, their estimates propagated by moduli, so translation_check,
+euler_check and, for a trivial vector, special_conformal_check hold on
+it by construction; at three points it fills a trivial F from its value
+alone, so a check there reads F_anchor at a fixed anchor.  rho, phi and
+F_anchor jets stay direct, every point through the quadrature.
 vertex_prefactor and the test functions of sle_proportionality_check
 have exact jets.  An evaluator that returns anything else is refused.
 
 Each operator is one formula applied to the jet.  It lists its terms in
 groups: one per composition of an annihilating operator, whose first
 order pieces L_{-n} act on jets through the jets of their coefficients
-and d/dx_i, and a single group for the growth process, translation and
-Euler operators.  The residual is the sum of the terms.  It comes with a
-scale, the largest |group sum| or |term|, so callers can judge it
-relatively.  The jet's error estimates propagate to the residual; where
-the scale does not exceed that estimate, F vanishes within its error
-estimate, no ratio of the two means anything, and the check raises.
-An enclosing coulomb.eval_stats() block counts each check's evaluator
-call in its evals.
+and d/dx_i, and a single group for the growth process, translation,
+Euler and special conformal operators.  The residual is the sum of the
+terms.  It comes with a scale, the largest |group sum| or |term|, so
+callers can judge it relatively.  The jet's error estimates propagate to
+the residual; where the scale does not exceed that estimate, F vanishes
+within its error estimate, no ratio of the two means anything, and the
+check raises.  An enclosing coulomb.eval_stats() block counts each
+check's evaluator call in its evals.
 """
 
 import math
@@ -344,6 +347,25 @@ def euler_check(f, x, degree):
     def groups_of(jet):
         terms = [_term(jet, x[i], alpha) for i, alpha in enumerate(firsts)]
         terms.append(_term(jet, -degree, _multi_index(n)))
+        return [terms]
+
+    return _operator_check(f, x, [_multi_index(n)] + firsts, groups_of)
+
+
+def special_conformal_check(f, x, weights):
+    """Special conformal generator sum_i (x_i**2 d/dx_i + 2 h_i x_i) at x,
+    with h_i the weights; it holds for the function of a vector that spans
+    a trivial subrepresentation, not for its rho terms one by one."""
+    x = tuple(float(xi) for xi in x)
+    _check_increasing(x)
+    n = len(x)
+    if len(weights) != n:
+        raise ValueError(f"{len(weights)} weights for {n} points")
+    firsts = [_multi_index(n, [(i, 1)]) for i in range(n)]
+
+    def groups_of(jet):
+        terms = [_term(jet, x[i] ** 2, alpha) for i, alpha in enumerate(firsts)]
+        terms += [_term(jet, 2.0 * h * xi, _multi_index(n)) for h, xi in zip(weights, x)]
         return [terms]
 
     return _operator_check(f, x, [_multi_index(n)] + firsts, groups_of)

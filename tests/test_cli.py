@@ -429,11 +429,13 @@ def test_verify_reports_evaluator_calls_and_seconds(capsys):
               if name.startswith("pde.") or name.endswith("_generator")}
     assert costed == {
         "pde.bsa_at_d3_points",
+        "pde.bsa_at_d4_point",
         "pde.growth_process_equation",
         "pde.operator_proportionality",
         "pde.vertex_prefactor_null",
         "cov.translation_generator",
         "cov.euler_generator",
+        "cov.special_conformal_generator",
     }
     for name, check in report.items():
         assert check["seconds"] >= 0.0
@@ -443,8 +445,10 @@ def test_verify_reports_evaluator_calls_and_seconds(capsys):
             assert "evals" not in check
     assert report["pde.growth_process_equation"]["evals"] == 2
     assert report["pde.bsa_at_d3_points"]["evals"] == 3
+    assert report["pde.bsa_at_d4_point"]["evals"] == 1
     assert report["cov.translation_generator"]["evals"] == 1
     assert report["cov.euler_generator"]["evals"] == 1
+    assert report["cov.special_conformal_generator"]["evals"] == 1
     # 20 random functions, each through the direct equation and the composed
     # operator
     assert report["pde.operator_proportionality"]["evals"] == 40

@@ -9,7 +9,7 @@ import pytest
 from closed_forms import fd_jets, hyp2f1
 
 from qscreen import coulomb
-from qscreen.coulomb import ChamberPoint, _rho_degree, eval_stats, h_weight
+from qscreen.coulomb import ChamberPoint, _rho_degree, eval_stats, h_weight, rho
 from qscreen.correspondence import F_anchor, F_hwv
 from qscreen.jet import JetPoint
 from qscreen.pde import (
@@ -20,6 +20,7 @@ from qscreen.pde import (
     mobius_check,
     sle_pde_check,
     sle_proportionality_check,
+    special_conformal_check,
     special_conformal_identity_check,
     translation_check,
     vertex_prefactor,
@@ -141,19 +142,32 @@ def test_quartet_function_satisfies_the_operator():
 @pytest.mark.parametrize("j, dims", [(1, (3, 2, 2, 3)), (3, (2, 2, 3, 3)), (3, (2, 2, 3))])
 def test_bsa_at_a_d3_point(j, dims):
     # the order-3 operators at a d = 3 point, on third-order jets of F;
-    # F_hwv holds x_1 and x_4 for j=1 on (3,2,2,3) and x_1 and x_3 for j=3
-    # on (2,2,3,3), and holding x_1 and x_4 there would ask rho (0,0,1,2)
-    # for an order-3 jet in x_3, which raises QuadratureError at this kappa
+    # F_hwv holds x_1, x_3 and x_4 at these four points and carries x_2
+    # through the quadrature.  At three points it fills a trivial F from
+    # its value alone, so the (2,2,3) case reads F_anchor's jets at a
+    # fixed anchor, every point through the quadrature
     v = hwv_space_basis(TensorSpace(dims), 1)[0]
-    x = (0.0, 1.0, 2.5) if len(dims) == 3 else (0.0, 1.0, 2.0, 4.0)
-    residual, scale = apply_bsa(build_bsa(j, dims, KAPPA), lambda y: F_hwv(v, y, KAPPA), x)
+    if len(dims) == 3:
+        x, f = (0.0, 1.0, 2.5), lambda y: F_anchor(v, ChamberPoint(-1.0, y), KAPPA)
+    else:
+        x, f = (0.0, 1.0, 2.0, 4.0), lambda y: F_hwv(v, y, KAPPA)
+    residual, scale = apply_bsa(build_bsa(j, dims, KAPPA), f, x)
+    assert abs(residual) <= 1e-8 * scale
+
+
+def test_bsa_at_a_d4_point():
+    # the order-4 operator at a d = 4 point, at kappa = 14 and rel_tol 1e-6:
+    # the jet F_hwv asks the quadrature for has 5 of its 35 coefficients
+    v = hwv_space_basis(TensorSpace((4, 2, 2, 4)), 1)[0]
+    op = build_bsa(1, v.space.dims, 14.0)
+    residual, scale = apply_bsa(op, lambda y: F_hwv(v, y, 14.0, 1e-6), (0.0, 1.0, 2.0, 4.0))
     assert abs(residual) <= 1e-8 * scale
 
 
 def test_sle_and_bsa_checks_share_their_rho_jets():
-    # at a (2,2,2,2) point, SLE j=1 and BSA j=2 both hold x_2 and x_4 and
-    # ask for the order-2 jet in x_1 and x_3, so the BSA check reads the
-    # rho results the SLE check kept
+    # at a (2,2,2,2) point, SLE j=1 and BSA j=2 both hold x_1, x_3 and x_4
+    # and ask for the order-2 jet in x_2, so the BSA check reads the rho
+    # results the SLE check kept
     _, ev = quartet_function(KAPPA)
     x = (0.0, 0.9, 2.1, 4.2)
     misses = coulomb._rho_kept.cache_info().misses
@@ -255,6 +269,22 @@ def test_rho_degree_is_the_euler_degree(dims, d):
     assert abs(residual) >= 1e-5 * scale
 
 
+def test_special_conformal_generator_holds_for_the_sum_alone():
+    # the third Ward identity, on F_anchor's first-order jets, which carry
+    # every point through the quadrature; a single rho term of the same
+    # vector misses it by a third of its scale
+    v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
+    x, weights = (0.0, 1.0, 2.0, 4.0), (h_weight(2, KAPPA),) * 4
+    ev = lambda y: F_anchor(v, ChamberPoint(-1.0, y), KAPPA)
+    residual, scale = special_conformal_check(ev, x, weights)
+    assert abs(residual) <= 1e-8 * scale
+    term = lambda y: rho(ChamberPoint(-1.0, y), v.space.dims, (0, 0, 1, 1), KAPPA)
+    residual, scale = special_conformal_check(term, x, weights)
+    assert abs(residual) >= 1e-1 * scale
+    with pytest.raises(ValueError, match="weights"):
+        special_conformal_check(ev, x, weights[:3])
+
+
 # -- Mobius covariance -----------------------------------------------------
 
 
@@ -276,6 +306,14 @@ def test_mobius_special_conformal():
     x = (-1.5, -0.5, 0.5, 1.5)
     report = mobius_check(v, (1.0, 0.0, 0.05, 1.0), x, KAPPA)
     assert report["deviation"] <= 1e-6
+
+
+def test_mobius_covariance_at_d3_points():
+    v = hwv_space_basis(TensorSpace((3, 2, 2, 3)), 1)[0]
+    x = (-1.5, -0.5, 0.5, 1.5)
+    assert mobius_check(v, (1.0, 3.0, 0.0, 1.0), x, KAPPA)["deviation"] <= 1e-8
+    assert mobius_check(v, (1.7, 0.0, 0.0, 1.0), x, KAPPA)["deviation"] <= 1e-8
+    assert mobius_check(v, (1.0, 0.0, 0.05, 1.0), x, KAPPA)["deviation"] <= 1e-6
 
 
 def test_mobius_rejections():
