@@ -141,7 +141,7 @@ _COMMAND_KEYS = {
 }
 
 
-def load_config(path, keys=_PARSERS):
+def load_config(path, keys):
     """Parse a key=value file; '#' starts a comment, and a key outside
     keys fails with its path:line."""
     values = {}

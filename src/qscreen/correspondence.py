@@ -23,8 +23,9 @@ homogeneous of one degree, and the F of a trivial vector is also special
 conformal covariant.  So an F_hwv jet is built from n - 3 directions for
 a trivial vector and n - 2 for any other: the quadrature carries the jet
 in the other points, asked for rel_tol / L with L the Lebesgue factor of
-the held ones, and the Ward identities fill the coefficients of the held
-points, their estimates propagated by moduli.  phi and F_anchor jets stay
+the held ones, and the Ward identities L_{-1}, L_0 and L_1 of
+jet.generator_terms fill the coefficients of the held points, their
+estimates propagated by moduli.  phi and F_anchor jets stay
 direct, every direction through the quadrature, as rho's do.
 """
 
@@ -49,7 +50,7 @@ from .coulomb import (
     b_const,
     h_weight,
 )
-from .jet import Jet, JetPoint, _order
+from .jet import Jet, JetPoint, _order, generator_terms
 from .qseries import (
     KappaParams,
     LaurentPoly,
@@ -365,24 +366,26 @@ def _lagrange(y, held, t):
 def _ward_jet(weights, x, dims, kappa, rel_tol, identities):
     """The jet of F at the JetPoint x from a quadrature jet over the points
     not held, of the request's top order, and the first `identities` of
-    the three global Ward identities (translation, Euler, special
-    conformal).  With y = x - mean(x), D the degree _rho_degree gives and
-    h_i = h_weight(d_i), they read, for every multi-index beta,
-        sum_i y_i^k (beta_i + 1) c_(beta + e_i) = R_k(beta)     (k = 0, 1, 2)
-        R_0 = 0,  R_1 = (D - |beta|) c_beta,
-        R_2 = -sum_i [2 y_i (beta_i + h_i) c_beta + (beta_i - 1 + 2 h_i) c_(beta - e_i)].
-    Every rho term obeys the first two, so terms of several degrees are
-    filled one degree at a time and summed; the third holds for the sum of
-    a trivial vector's terms, which share one degree.
+    the three global Ward identities L_{-1} F = 0 (translation), L_0 F = 0
+    (Euler) and L_1 F = 0 (special conformal), with L_p as
+    jet.generator_terms gives it about z = mean(x) over every point.  L_1
+    has the weights h_i = h_weight(d_i) and L_0 weights that sum to -D, D
+    the degree _rho_degree gives.  With y = x - mean(x), the coefficient
+    beta of L_p F holds -sum_i y_i^(1+p) (beta_i + 1) c_(beta + e_i) and
+    terms in c_beta and lower.  Every rho term obeys the first two, so
+    terms of several degrees are filled one degree at a time and summed;
+    the third holds for the sum of a trivial vector's terms, which share
+    one degree.
 
     min(identities, n) points are held: those of least Lebesgue factor
     L = sum_f sum_h |l_h(y_f)|, over the free points f and the Lagrange
     basis l_h of the held ones, ties going to the lowest indices.  For each
-    beta, by increasing order in the held points, the identities are a
-    Vandermonde system in the c_(beta + e_h), solved by the coefficients of
-    the l_h.  A filled coefficient's estimate is the sum of the moduli of
-    its terms' factors times their estimates; the free points' terms enter
-    with factors l_h(y_f), so the quadrature is asked for rel_tol / max(1, L).
+    beta, by increasing order in the held points, the identities less
+    their held unknowns c_(beta + e_h) are a Vandermonde system in those
+    unknowns, solved by the coefficients of the l_h.  A filled
+    coefficient's estimate is the sum of the moduli of its terms' factors
+    times their estimates; the free points' terms enter with factors
+    l_h(y_f), so the quadrature is asked for rel_tol / max(1, L).
     """
     n, top = len(x), sum(x.index[-1])
     mean = math.fsum(x) / n
@@ -399,7 +402,6 @@ def _ward_jet(weights, x, dims, kappa, rel_tol, identities):
             if g != h:
                 row = [(lo - y[g] * hi) / (y[h] - y[g]) for lo, hi in zip([0.0] + row, row + [0.0])]
         inverse.append(row)
-    reach = {f: _lagrange(y, held, y[f]) for f in free}
     hw = [h_weight(d, kappa) for d in dims]
     betas = sorted((b for k in range(top) for b in _order(n, range(n), k)),
                    key=lambda b: sum(b[h] for h in held))
@@ -410,23 +412,24 @@ def _ward_jet(weights, x, dims, kappa, rel_tol, identities):
     coeffs, errs = dict.fromkeys(x.index, 0.0), dict.fromkeys(x.index, 0.0)
     # with no weights the one empty sum still checks rel_tol
     for ell, part in (parts or {0: []}).items():
-        degree = _rho_degree(dims, ell, kappa)
+        ward = ((-1, hw), (0, (-_rho_degree(dims, ell, kappa),) + (0.0,) * (n - 1)), (1, hw))
         jet = _evaluate(part, c, dims, kappa, rel_tol / max(1.0, spread))
         value, est = dict(jet.coeffs), dict(jet.errs)
         for beta in betas:
-            sides = [{}, {beta: degree - sum(beta)},
-                     {beta: -2.0 * sum(yi * (b + hi) for yi, b, hi in zip(y, beta, hw))}]
-            for i in range(n):
-                if beta[i]:
-                    sides[2][_shifted(beta, i, -1)] = -(beta[i] - 1 + 2.0 * hw[i])
-            for p, (row, h) in enumerate(zip(inverse, held)):
+            unknowns = [_shifted(beta, h, 1) for h in held]
+            # sum_h y_h^(1+p) (beta_h + 1) c_(beta + e_h) = side_p
+            sides = []
+            for p, w in ward[:identities]:
+                side = {}
+                for _, alpha, f in generator_terms(p, mean, x, w, beta, range(n)):
+                    if alpha not in unknowns:
+                        side[alpha] = side.get(alpha, 0.0) + f
+                sides.append(side)
+            for row, h, gamma in zip(inverse, held, unknowns):
                 terms = {}
                 for wk, side in zip(row, sides):
                     for alpha, f in side.items():
                         terms[alpha] = terms.get(alpha, 0.0) + wk * f
-                for f in free:
-                    terms[_shifted(beta, f, 1)] = -reach[f][p] * (beta[f] + 1)
-                gamma = _shifted(beta, h, 1)
                 value[gamma] = sum(f * value[alpha] for alpha, f in terms.items()) / gamma[h]
                 est[gamma] = sum(abs(f) * est[alpha] for alpha, f in terms.items()) / gamma[h]
         for alpha in x.index:

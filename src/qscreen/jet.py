@@ -16,6 +16,15 @@ writes over.  Every order of exp_series and product contracts its terms
 against a dense weight matrix of the tables; log_series builds each
 distance's monomials along the tables' chain, as temporaries of the
 shape the distance's operands broadcast to.
+
+generator_terms is the one rule for the first order operators
+L_p = -sum_{i in S} ((x_i - z)^(1+p) d/dx_i + (1+p) w_i (x_i - z)^p) on
+Taylor coefficients.  The Benoit-Saint-Aubin operators (pde.apply_bsa)
+compose their L_{-n} about a marked point; the three global Ward checks
+(pde.translation_check, euler_check, special_conformal_check) are
+L_{-1}, L_0 and L_1 about the origin; and the F_hwv fill
+(correspondence._ward_jet) solves L_{-1}, L_0 and L_1 about mean(x) for
+the coefficients of its held points.
 """
 
 from __future__ import annotations
@@ -51,6 +60,35 @@ def _order(n, points, k):
     # the given points
     return [tuple(combo.count(i) for i in range(n))
             for combo in combinations_with_replacement(points, k)]
+
+
+def generator_terms(p, z, x, weights, beta, points):
+    """The coefficient beta of the Taylor jet at x of L_p f, where
+
+        L_p = -sum_{i in points} ((x_i - z)**(1+p) d/dx_i + (1+p) w_i (x_i - z)**p)
+
+    with the centre z held fixed and w the weights, as triples (i, alpha,
+    factor) for the points i: that coefficient is the sum of factor * f_alpha
+    over them, f_alpha the Taylor coefficients of f at x.  Each product
+    takes the binomial series of its coefficient in x_i; for p >= -1 the
+    series stop at order 1+p and p, so x_i = z is allowed there.  A term
+    whose binomial coefficient or weight vanishes gives no triple.
+    """
+    triples = []
+    for i in points:
+        y = x[i] - z
+        # binom(1+p, m) and (1+p) w_i binom(p, m) at m = 0, 1, ..
+        grow, scale = 1.0, (1 + p) * weights[i]
+        for m in range(beta[i] + 1):
+            low = beta[i] - m
+            if grow:
+                triples.append((i, beta[:i] + (low + 1,) + beta[i + 1:],
+                                -grow * (low + 1) * y ** (1 + p - m)))
+            if scale:
+                triples.append((i, beta[:i] + (low,) + beta[i + 1:], -scale * y ** (p - m)))
+            grow *= (1 + p - m) / (m + 1)
+            scale *= (p - m) / (m + 1)
+    return triples
 
 
 class JetPoint(tuple):

@@ -3,29 +3,31 @@
 Every operator check asks its evaluator once for the Taylor jet of its
 value: it calls it at a JetPoint that lists the multi-indices the
 operator reads, and the evaluator returns a Jet, each coefficient with
-its error estimate.  F_hwv differentiates under the screening integrals
-in n - 3 of the points for a trivial vector and n - 2 for any other,
-asked for rel_tol / L with L the Lebesgue factor of the held points.  It
-fills the coefficients of the held points from the global Ward
-identities, their estimates propagated by moduli, so translation_check,
+its error estimate.  F_hwv fills its held points' coefficients from the
+global Ward identities (correspondence._ward_jet), so translation_check,
 euler_check and, for a trivial vector, special_conformal_check hold on
 it by construction; at three points it fills a trivial F from its value
 alone, so a check there reads F_anchor at a fixed anchor.  rho, phi and
-F_anchor jets stay direct, every point through the quadrature.
-vertex_prefactor and the test functions of sle_proportionality_check
-have exact jets.  An evaluator that returns anything else is refused.
+F_anchor jets stay direct.  vertex_prefactor and the test functions of
+sle_proportionality_check have exact jets.  An evaluator that returns
+anything else is refused.
 
-Each operator is one formula applied to the jet.  It lists its terms in
-groups: one per composition of an annihilating operator, whose first
-order pieces L_{-n} act on jets through the jets of their coefficients
-and d/dx_i, and a single group for the growth process, translation,
-Euler and special conformal operators.  The residual is the sum of the
-terms.  It comes with a scale, the largest |group sum| or |term|, so
-callers can judge it relatively.  The jet's error estimates propagate to
-the residual; where the scale does not exceed that estimate, F vanishes
-within its error estimate, no ratio of the two means anything, and the
-check raises.  An enclosing coulomb.eval_stats() block counts each
-check's evaluator call in its evals.
+An operator lists its terms in groups, each term a linear form
+{alpha: factor} over the jet.  Its first order pieces all come from
+jet.generator_terms, the one rule for L_p.  An annihilating operator
+composes its L_{-n} about the marked point, one group per composition
+and one term per outer point.  translation_check, euler_check and
+special_conformal_check are -L_{-1}, -L_0 and -L_1 about the origin over
+every point, one term per (point, multi-index), Euler's degree the first
+point's weight.  The growth process equation keeps its direct formula,
+the reference that sle_proportionality_check holds the composed operator
+against.  The residual is the sum of the terms.  It comes with a scale,
+the largest |group sum| or |term|, so callers can judge it relatively.
+The jet's error estimates propagate to the residual; where the scale
+does not exceed that estimate, F vanishes within its error estimate, no
+ratio of the two means anything, and the check raises.  An enclosing
+coulomb.eval_stats() block counts each check's evaluator call in its
+evals.
 """
 
 import math
@@ -38,7 +40,7 @@ import numpy as np
 from .coulomb import (ChamberPoint, _check_increasing, _check_kappa, _record, eval_stats,
                       h_weight, rho)
 from .correspondence import F_hwv
-from .jet import Jet, JetPoint, _order, exp_series, tables
+from .jet import Jet, JetPoint, exp_series, generator_terms, tables
 from .uqsl2 import is_hwv
 
 
@@ -61,7 +63,6 @@ class BsaOperator:
     """Annihilating operator of order dims[j-1] attached to position j."""
 
     j: int
-    order: int
     dims: tuple
     kappa: float
     compositions: tuple
@@ -107,7 +108,7 @@ def build_bsa(j, dims, kappa):
         power = d - k
         coefficient = float(rational) * (-4.0 / kappa) ** power
         terms.append(BsaTerm(comp, rational, power, coefficient))
-    return BsaOperator(j, d, dims, float(kappa), tuple(terms))
+    return BsaOperator(j, dims, float(kappa), tuple(terms))
 
 
 # -- evaluator calls and jets ----------------------------------------------
@@ -121,29 +122,31 @@ def _multi_index(n, raised=()):
     return tuple(alpha)
 
 
-def _term(jet, factor, alpha):
-    """factor times the Taylor coefficient alpha, with its error."""
-    return factor * jet.coeffs[alpha], abs(factor) * jet.errs[alpha]
-
-
-def _operator_check(f, x, reads, groups_of):
+def _operator_check(f, x, groups_at):
     """Residual and scale of an operator on the jet of f at x.
 
-    groups_of(jet) lists the operator's terms in groups, each term as
-    (value, error estimate).
+    groups_at(x) lists the operator's terms in groups, each term a linear
+    form {alpha: factor} over the Taylor coefficients f_alpha of f at x:
+    its value is the sum of factor * f_alpha, its error estimate that of
+    |factor| times the estimates.
     """
+    x = tuple(float(xi) for xi in x)
+    _check_increasing(x)
+    groups = groups_at(x)
     _record(evals=1)
-    jet = f(JetPoint(x, reads))
+    jet = f(JetPoint(x, [alpha for group in groups for form in group for alpha in form]))
     if not isinstance(jet, Jet):
         raise TypeError(
             "an evaluator called at a JetPoint must return a Jet of its Taylor"
             f" coefficients, not {type(jet).__name__}"
         )
-    groups = groups_of(jet)
-    sums = [sum(value for value, _ in group) for group in groups]
+    terms = [[(sum(k * jet.coeffs[alpha] for alpha, k in form.items()),
+               sum(abs(k) * jet.errs[alpha] for alpha, k in form.items())) for form in group]
+             for group in groups]
+    sums = [sum(value for value, _ in group) for group in terms]
     scale = max(max([abs(s)] + [abs(value) for value, _ in group])
-                for s, group in zip(sums, groups))
-    err = sum(e for group in groups for _, e in group)
+                for s, group in zip(sums, terms))
+    err = sum(e for group in terms for _, e in group)
     if not scale > err:
         raise ValueError(
             "F vanishes within its error estimate under this operator: its"
@@ -155,46 +158,10 @@ def _operator_check(f, x, reads, groups_of):
 # -- the operators on jets -------------------------------------------------
 
 
-def _power_series(dy, q, order):
-    # Taylor coefficients of (dy + t)**q in t up to t**order
-    out, c = [], 1.0
-    for m in range(order + 1):
-        out.append(c * dy ** (q - m))
-        c *= (q - m) / (m + 1)
-    return out
-
-
-def _lower(p, jet, j0, x, weights):
-    """L_p on a jet: the jet of L_p f on one total order less, and the
-    terms of (L_p f)(x), one per point i other than j0, as (value, error).
-
-    L_p = -sum_{i != j0} ((x_i-x_j0)**(1+p) d/dx_i + (1+p) h_i (x_i-x_j0)**p),
-    each product taken with the Taylor jet of the coefficient in x_i."""
-    coeffs, errs = jet.coeffs, jet.errs
-    top = max(sum(alpha) for alpha in jet.index)
-    target = [alpha for alpha in jet.index if sum(alpha) < top]
-    out = dict.fromkeys(target, 0.0)
-    out_err = dict.fromkeys(target, 0.0)
-    pieces = []
-    for i in range(len(x)):
-        if i == j0:
-            continue
-        dy = x[i] - x[j0]
-        grow = _power_series(dy, 1 + p, top)
-        scale = [(1 + p) * weights[i] * c for c in _power_series(dy, p, top)]
-        for alpha in target:
-            value = err = 0.0
-            for m in range(alpha[i] + 1):
-                beta = alpha[:i] + (alpha[i] - m,) + alpha[i + 1:]
-                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                d = beta[i] + 1
-                value += grow[m] * d * coeffs[up] + scale[m] * coeffs[beta]
-                err += abs(grow[m]) * d * errs[up] + abs(scale[m]) * errs[beta]
-            out[alpha] -= value
-            out_err[alpha] += err
-            if not any(alpha):
-                pieces.append((-value, err))
-    return Jet(tuple(target), out, out_err), pieces
+def _add(form, factor, other):
+    # form += factor * other, for linear forms {alpha: factor}
+    for alpha, k in other.items():
+        form[alpha] = form.get(alpha, 0.0) + factor * k
 
 
 def apply_bsa(op, f, x):
@@ -205,28 +172,38 @@ def apply_bsa(op, f, x):
     is a function of the points alone, as F_hwv is: whatever else it reads
     stays fixed while the points move.
     """
-    x = tuple(float(xi) for xi in x)
     if len(x) != len(op.dims):
         raise ValueError(f"point has {len(x)} coordinates, operator wants {len(op.dims)}")
-    _check_increasing(x)
     weights = tuple(h_weight(d_, op.kappa) for d_ in op.dims)
     j0 = op.j - 1
-    n = len(x)
-    others = [i for i in range(n) if i != j0]
-    reads = [alpha for k in range(op.order + 1) for alpha in _order(n, others, k)]
 
-    def groups_of(jet):
+    def groups_at(x):
+        z, others = x[j0], [i for i in range(len(x)) if i != j0]
+        memo = {}
+
+        def lowered(suffix, beta):
+            # the coefficient beta of L_{-n_1} .. L_{-n_k} f for the suffix
+            # (n_1, .., n_k) of a composition, as a form over the jet of f
+            if not suffix:
+                return {beta: 1.0}
+            if (suffix, beta) not in memo:
+                form = memo[suffix, beta] = {}
+                for _, alpha, factor in generator_terms(-suffix[0], z, x, weights, beta, others):
+                    _add(form, factor, lowered(suffix[1:], alpha))
+            return memo[suffix, beta]
+
         groups = []
         for term in op.compositions:
-            inner = jet
-            for n_a in reversed(term.factors[1:]):
-                inner, _ = _lower(-n_a, inner, j0, x, weights)
-            _, pieces = _lower(-term.factors[0], inner, j0, x, weights)
-            c = term.coefficient
-            groups.append([(c * value, abs(c) * err) for value, err in pieces])
+            # one piece per outer point i of the first factor L_{-n_1}
+            pieces = {}
+            for i, alpha, factor in generator_terms(-term.factors[0], z, x, weights,
+                                                    _multi_index(len(x)), others):
+                _add(pieces.setdefault(i, {}), term.coefficient * factor,
+                     lowered(term.factors[1:], alpha))
+            groups.append(list(pieces.values()))
         return groups
 
-    return _operator_check(f, x, reads, groups_of)
+    return _operator_check(f, x, groups_at)
 
 
 def vertex_prefactor(dims, kappa):
@@ -245,28 +222,24 @@ def sle_pde_check(f, x, kappa, j):
     that same weight.
     Returns (residual, scale) like apply_bsa.
     """
-    x = tuple(float(xi) for xi in x)
-    _check_increasing(x)
     if not 1 <= j <= len(x):
         raise ValueError(f"position {j} out of range for n={len(x)}")
     _check_kappa(kappa)
     hw = h_weight(2, kappa)
-    n = len(x)
     j0 = j - 1
-    others = [i for i in range(n) if i != j0]
-    origin = _multi_index(n)
-    reads = [origin, _multi_index(n, [(j0, 2)])] + [_multi_index(n, [(i, 1)]) for i in others]
 
-    def groups_of(jet):
+    def groups_at(x):
+        n = len(x)
         # the second derivative is twice its Taylor coefficient
-        terms = [_term(jet, kappa, _multi_index(n, [(j0, 2)]))]
-        for i in others:
-            dy = x[i] - x[j0]
-            terms.append(_term(jet, 2.0 / dy, _multi_index(n, [(i, 1)])))
-            terms.append(_term(jet, -2.0 * hw / dy**2, origin))
+        terms = [{_multi_index(n, [(j0, 2)]): kappa}]
+        for i in range(n):
+            if i != j0:
+                dy = x[i] - x[j0]
+                terms.append({_multi_index(n, [(i, 1)]): 2.0 / dy})
+                terms.append({_multi_index(n): -2.0 * hw / dy**2})
         return [terms]
 
-    return _operator_check(f, x, reads, groups_of)
+    return _operator_check(f, x, groups_at)
 
 
 _PROPORTIONALITY_SAMPLES = 20
@@ -325,50 +298,31 @@ def sle_proportionality_check(x, kappa, j, seed=7):
     return worst
 
 
+def _global_check(f, x, p, weights):
+    # -L_p about the origin over every point, one term per (point, multi-index)
+    return _operator_check(f, x, lambda x: [[
+        {alpha: -factor} for _, alpha, factor
+        in generator_terms(p, 0.0, x, weights, _multi_index(len(x)), range(len(x)))]])
+
+
 def translation_check(f, x):
-    """Sum of all first derivatives at x; scale is the largest one."""
-    x = tuple(float(xi) for xi in x)
-    _check_increasing(x)
-    reads = [_multi_index(len(x), [(i, 1)]) for i in range(len(x))]
-
-    def groups_of(jet):
-        return [[_term(jet, 1.0, alpha) for alpha in reads]]
-
-    return _operator_check(f, x, reads, groups_of)
+    """Sum of all first derivatives at x, -L_{-1} F; scale is the largest one."""
+    return _global_check(f, x, -1, (0.0,) * len(x))
 
 
 def euler_check(f, x, degree):
-    """Euler operator sum x_i d/dx_i minus the homogeneity degree."""
-    x = tuple(float(xi) for xi in x)
-    _check_increasing(x)
-    n = len(x)
-    firsts = [_multi_index(n, [(i, 1)]) for i in range(n)]
-
-    def groups_of(jet):
-        terms = [_term(jet, x[i], alpha) for i, alpha in enumerate(firsts)]
-        terms.append(_term(jet, -degree, _multi_index(n)))
-        return [terms]
-
-    return _operator_check(f, x, [_multi_index(n)] + firsts, groups_of)
+    """Euler operator sum x_i d/dx_i minus the homogeneity degree: -L_0 F
+    with the weight -degree on the first point and 0 on the others."""
+    return _global_check(f, x, 0, (-degree,) + (0.0,) * (len(x) - 1))
 
 
 def special_conformal_check(f, x, weights):
     """Special conformal generator sum_i (x_i**2 d/dx_i + 2 h_i x_i) at x,
-    with h_i the weights; it holds for the function of a vector that spans
-    a trivial subrepresentation, not for its rho terms one by one."""
-    x = tuple(float(xi) for xi in x)
-    _check_increasing(x)
-    n = len(x)
-    if len(weights) != n:
-        raise ValueError(f"{len(weights)} weights for {n} points")
-    firsts = [_multi_index(n, [(i, 1)]) for i in range(n)]
-
-    def groups_of(jet):
-        terms = [_term(jet, x[i] ** 2, alpha) for i, alpha in enumerate(firsts)]
-        terms += [_term(jet, 2.0 * h * xi, _multi_index(n)) for h, xi in zip(weights, x)]
-        return [terms]
-
-    return _operator_check(f, x, [_multi_index(n)] + firsts, groups_of)
+    -L_1 F with h_i the weights; it holds for the function of a vector that
+    spans a trivial subrepresentation, not for its rho terms one by one."""
+    if len(weights) != len(x):
+        raise ValueError(f"{len(weights)} weights for {len(x)} points")
+    return _global_check(f, x, 1, weights)
 
 
 def mobius_check(v, mu, x, kappa, rel_tol=1e-9):

@@ -71,7 +71,7 @@ def test_load_config_file(tmp_path):
         "format = json\n",
         encoding="utf-8",
     )
-    values = load_config(path)
+    values = load_config(path, cli._COMMAND_KEYS["eval"])
     assert values == {
         "kappa": 8.0,
         "dims": (2, 2),
@@ -85,13 +85,13 @@ def test_load_config_reports_position(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("kappa = 8\nplume = 3\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad.cfg:2: unknown key 'plume'"):
-        load_config(path)
+        load_config(path, cli._COMMAND_KEYS["eval"])
     path.write_text("dims 2,2\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad.cfg:1: expected key=value"):
-        load_config(path)
+        load_config(path, cli._COMMAND_KEYS["eval"])
     path.write_text("seed = soon\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad.cfg:1: bad value for 'seed'"):
-        load_config(path)
+        load_config(path, cli._COMMAND_KEYS["verify"])
 
 
 def test_flags_override_config_file(tmp_path, capsys):

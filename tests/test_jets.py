@@ -3,6 +3,7 @@ rho and F_hwv against closed forms."""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from closed_forms import hyp2f1
 
 from qscreen.coulomb import ChamberPoint, eval_stats, h_weight, rho
 from qscreen.correspondence import F_hwv
-from qscreen.jet import Jet, JetPoint, closure, exp_series, log_series, product, tables
+from qscreen.jet import (Jet, JetPoint, closure, exp_series, generator_terms, log_series,
+                        product, tables)
 from qscreen.uqsl2 import hwv_pair
 
 
@@ -174,6 +176,111 @@ def test_series_kernels_match_truncated_polynomial_arithmetic(first, second):
                                         np.zeros(shape)) for alpha in index])
         assert np.all(np.abs(got[0] - by(P, J[0])) <= 1e-15 * by(np.abs(P), np.abs(J[0])))
         assert np.all(np.abs(got[1] - by(np.abs(P), J[1])) <= 1e-15 * by(np.abs(P), J[1]))
+
+
+# -- the generators L_p on Taylor coefficients -----------------------------
+
+
+def _put(want, alpha, value):
+    # add value to the entry alpha of a form held as {alpha: [value, bound]},
+    # the bound summing the moduli of what entered it
+    entry = want.setdefault(alpha, [0.0, 0.0])
+    entry[0] += value
+    entry[1] += abs(value)
+
+
+def _matches(triples, want):
+    # the (point, alpha, factor) triples sum to the form want, entry by entry
+    got = {}
+    for _, alpha, factor in triples:
+        got[alpha] = got.get(alpha, 0.0) + factor
+    return set(got) <= set(want) and all(abs(got.get(alpha, 0.0) - value) <= 1e-13 * bound
+                                         for alpha, (value, bound) in want.items())
+
+
+def _raised(beta, i, by):
+    return beta[:i] + (beta[i] + by,) + beta[i + 1:]
+
+
+def _random_index(rng, n, points, top):
+    beta = [0] * n
+    for _ in range(rng.randint(0, top)):
+        beta[rng.choice(points)] += 1
+    return tuple(beta)
+
+
+def test_generators_hold_the_ward_identities():
+    # the coefficient beta of L_{-1} f, L_0 f and L_1 f about z over every
+    # point, with y = x - z and weights w, is R_k - sum_i y_i^k (beta_i + 1)
+    # c_(beta + e_i) for k = 0, 1, 2, where
+    #   R_0 = 0,  R_1 = -(|beta| + sum_i w_i) c_beta,
+    #   R_2 = -sum_i [2 y_i (beta_i + w_i) c_beta + (beta_i - 1 + 2 w_i) c_(beta - e_i)];
+    # at random beta up to order 3, y and w, and about the origin on the grid
+    # (0, 1, 2, 4), where a point sits at the centre and no factor may
+    # divide by zero
+    rng = random.Random(3)
+    draws = []
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        draws.append((rng.uniform(-2.0, 2.0), [rng.uniform(-3.0, 3.0) for _ in range(n)]))
+    draws += [(0.0, [0.0, 1.0, 2.0, 4.0])] * 20
+    for z, x in draws:
+        n = len(x)
+        beta = _random_index(rng, n, range(n), 3)
+        w = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        y = [xi - z for xi in x]
+        for k in range(3):
+            want = {}
+            for i in range(n):
+                _put(want, _raised(beta, i, 1), -y[i] ** k * (beta[i] + 1))
+                if k == 1:
+                    _put(want, beta, -beta[i])
+                    _put(want, beta, -w[i])
+                if k == 2:
+                    _put(want, beta, -2.0 * y[i] * beta[i])
+                    _put(want, beta, -2.0 * y[i] * w[i])
+                    if beta[i]:
+                        _put(want, _raised(beta, i, -1), -(beta[i] - 1))
+                        _put(want, _raised(beta, i, -1), -2.0 * w[i])
+            assert _matches(generator_terms(k - 1, z, x, w, beta, range(n)), want)
+
+
+def _series_by_division(y, q, order):
+    # Taylor coefficients of (y + t)**q in t up to t**order for an integer
+    # q: (y + t)**|q| by polynomial products, then for q < 0 its reciprocal
+    # by series division
+    poly = [1.0]
+    for _ in range(abs(q)):
+        poly = [y * a + b for a, b in zip(poly + [0.0], [0.0] + poly)]
+    poly += [0.0] * order
+    if q >= 0:
+        return poly[: order + 1]
+    inverse = [1.0 / poly[0]]
+    for k in range(1, order + 1):
+        inverse.append(-sum(poly[m] * inverse[k - m] for m in range(1, k + 1)) / poly[0])
+    return inverse
+
+
+@pytest.mark.parametrize("p", [-1, -2, -3, -4])
+def test_generators_expand_the_binomial_series(p):
+    # L_p of the Benoit-Saint-Aubin operators, centred at one marked point
+    # and summed over the others: (y + t)**(1+p) d/dt + (1+p) w (y + t)**p
+    # multiply the jet through their Taylor series in t
+    rng = random.Random(-p)
+    x = (-0.7, 0.4, 1.3, 2.9)
+    for j in range(4):
+        others = [i for i in range(4) if i != j]
+        for _ in range(20):
+            beta = _random_index(rng, 4, others, 4)
+            w = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+            want = {}
+            for i in others:
+                grow = _series_by_division(x[i] - x[j], 1 + p, beta[i])
+                scale = _series_by_division(x[i] - x[j], p, beta[i])
+                for m in range(beta[i] + 1):
+                    _put(want, _raised(beta, i, 1 - m), -grow[m] * (beta[i] - m + 1))
+                    _put(want, _raised(beta, i, -m), -(1 + p) * w[i] * scale[m])
+            assert _matches(generator_terms(p, x[j], x, w, beta, others), want)
 
 
 # -- rho against the hypergeometric closed form ----------------------------

@@ -196,6 +196,8 @@ def test_apply_bsa_input_checks():
         translation_check(f, nan_point)
     with pytest.raises(ValueError, match="increase"):
         euler_check(f, nan_point, 0.0)
+    with pytest.raises(ValueError, match="increase"):
+        special_conformal_check(f, nan_point, (0.1,) * 3)
     inf_point = (0.0, 1.0, float("inf"))
     with pytest.raises(ValueError, match="finite"):
         apply_bsa(op, f, inf_point)
@@ -205,6 +207,8 @@ def test_apply_bsa_input_checks():
         translation_check(f, inf_point)
     with pytest.raises(ValueError, match="finite"):
         euler_check(f, (float("-inf"), 1.0, 2.0), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        special_conformal_check(f, inf_point, (0.1,) * 3)
 
 
 # -- the second order growth process equation ------------------------------
@@ -361,7 +365,8 @@ def _quartet_vector(k):
 _GRID = (0.0, 1.0, 2.0, 4.0)
 _QUARTET_DEGREE = -4.0 * h_weight(2, KAPPA)
 # every F_hwv evaluator the operator checks of test_pde and test_acceptance
-# see: (vector, kappa, point, check, total order of the operator)
+# see, and the special conformal generator on two of them: (vector, kappa,
+# point, check, total order of the operator)
 F_HWV_CASES = (
     [(("quartet", 0), KAPPA, _GRID, ("bsa", j), 2) for j in (1, 2, 3, 4)]
     + [(("quartet", 1), KAPPA, _GRID, ("bsa", j), 2) for j in (1, 2, 3, 4)]
@@ -370,6 +375,8 @@ F_HWV_CASES = (
     + [(("quartet", k), KAPPA, _GRID, ("euler", _QUARTET_DEGREE), 1) for k in (0, "sum")]
     + [(("pair",), 8.0, (0.3, 1.4), ("translation",), 1),
        (("pair",), 8.0, (0.3, 1.4), ("euler", 0.25), 1)]
+    + [(("quartet", 0), KAPPA, _GRID, ("special_conformal", (h_weight(2, KAPPA),) * 4), 1),
+       (("pair",), 8.0, (0.3, 1.4), ("special_conformal", (h_weight(2, 8.0),) * 2), 1)]
 )
 # the finite-difference reference's error: its fourth order stencils
 # extrapolated over two strides leave about 1e-7 of the scale at total order
@@ -384,6 +391,8 @@ def _run_case(vector, kappa, x, check, f):
         return sle_pde_check(f, x, kappa, check[1])
     if check[0] == "translation":
         return translation_check(f, x)
+    if check[0] == "special_conformal":
+        return special_conformal_check(f, x, check[1])
     return euler_check(f, x, check[1])
 
 
@@ -430,6 +439,8 @@ def test_vanishing_function_raises_instead_of_a_ratio():
         apply_bsa(build_bsa(2, v.space.dims, 6.0), lambda y: F_hwv(v, y, 6.0), _GRID)
     with pytest.raises(ValueError, match="F vanishes within its error estimate"):
         translation_check(lambda y: F_hwv(v, y, 6.0), _GRID)
+    with pytest.raises(ValueError, match="F vanishes within its error estimate"):
+        special_conformal_check(lambda y: F_hwv(v, y, 6.0), _GRID, (h_weight(2, 6.0),) * 4)
     # nearby it does not
     residual, scale = sle_pde_check(lambda y: F_hwv(v, y, 6.5), _GRID, 6.5, 1)
     assert abs(residual) <= 1e-8 * scale
@@ -445,10 +456,11 @@ def test_plain_number_evaluators_are_refused():
         for run in (lambda: apply_bsa(build_bsa(1, (2, 2), KAPPA), plain, x),
                     lambda: sle_pde_check(plain, x, KAPPA, 1),
                     lambda: translation_check(plain, x),
-                    lambda: euler_check(plain, x, 0.0)):
+                    lambda: euler_check(plain, x, 0.0),
+                    lambda: special_conformal_check(plain, x, (0.1, 0.2))):
             with pytest.raises(TypeError, match="must return a Jet"):
                 run()
-    assert stats.evals == 4
+    assert stats.evals == 5
 
 
 # -- the four-point function against the hypergeometric solutions ---------
