@@ -219,9 +219,10 @@ def cmd_eval(config):
 
     Returns the rows and writes them in the configured format.  err_est
     is the quadrature's own absolute error estimate of the row: the sum of
-    |weight| * estimate over its integrals.  A row whose modulus does not
-    exceed a nonzero err_est vanishes within it, and raises ArithmeticError
-    before any row is written.
+    |weight| * estimate over its integrals.  nodes, grids and passes count
+    what the quadrature summed for the row, as its eval_stats() block
+    does.  A row whose modulus does not exceed a nonzero err_est vanishes
+    within it, and raises ArithmeticError before any row is written.
     """
     if not config.x:
         raise ValueError("no evaluation points given (key x)")
@@ -267,6 +268,9 @@ def cmd_eval(config):
                 "re": value.real,
                 "im": value.imag,
                 "err_est": stats.err_est,
+                "nodes": stats.nodes,
+                "grids": stats.grid_evals,
+                "passes": stats.passes,
             }
         )
     _emit(format_rows(rows, config.format), config.out)
@@ -282,7 +286,7 @@ def format_rows(rows, fmt):
     writer.writerow(
         ["kappa", "dims", "config", "x0"]
         + [f"x_{i + 1}" for i in range(n)]
-        + ["re", "im", "err_est"]
+        + ["re", "im", "err_est", "nodes", "grids", "passes"]
     )
     for r in rows:
         writer.writerow(
@@ -294,6 +298,7 @@ def format_rows(rows, fmt):
             ]
             + [repr(xi) for xi in r["x"]]
             + [repr(r["re"]), repr(r["im"]), repr(r["err_est"])]
+            + [str(r[key]) for key in ("nodes", "grids", "passes")]
         )
     return buf.getvalue()
 

@@ -1,13 +1,16 @@
 """Coulomb gas integrals on the real chamber.
 
 Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
-the screened integrals over nested ordered simplices (a tanh-sinh rule per
-screening variable, stopping at each end where the tail it folds onto its
-outermost node is exact; one loop halves a level's step on the full grid
-until the quadrature's own error estimate meets the requested tolerance, each
-halving summing only the nodes it adds, every grid of a pass in one
-nested sum, and starting the variables of one group from staggered steps
-so that their tensor grid does not alias), carrying their Taylor jet in
+the screened integrals over nested ordered simplices (each interval's
+variables nested outward from its middle one, the pivot, which ranges over
+the whole interval: those above it upward, toward x_i, those below it
+downward; a tanh-sinh rule per screening variable, stopping at each end
+where the tail it folds onto its outermost node is exact; one loop halves
+a level's step on the full grid until the quadrature's own error estimate
+meets the requested tolerance, each halving summing only the nodes it
+adds, every grid of a pass in one nested sum, and starting the variables
+of one group from staggered steps so that their tensor grid does not
+alias), carrying their Taylor jet in
 the marked points through every level (a plain value is the jet over the
 zero multi-index alone, so one path serves both), the boundary fusion
 constants, conformal weight and exponent helpers, and a direct contour
@@ -265,33 +268,74 @@ def _unit_rule(level, h, shift):
 
 @dataclass(frozen=True)
 class _Level:
+    """One screening variable of the nested sum, in group i: its interval
+    is (x_(i-1), x_i).
+
+    A group's pivot (_pivot) ranges over the whole interval; parent is
+    None.  Every other variable nests inside its parent, the level of
+    index parent: downward over (x_(i-1), parent), or, when mirrored,
+    upward over (parent, x_i).  Its rule's t runs from the end it nests
+    from (x_(i-1), or x_i when mirrored), whose power aL is, to the
+    parent, whose pair power aR is; a pivot's runs from x_(i-1) to x_i.
+    """
+
     group: int
-    top: bool
+    parent: int | None
+    mirrored: bool
     aL: float
     aR: float
-    env: float
-    # an inner variable's integrand grows toward its upper end like the
-    # group's upper charge, where its ancestors may all have piled up
+    # the growth exponents of the variables nested inside a level at each
+    # end of its rule, which aL and aR hold but its weights do not: only a
+    # pivot has variables at both
+    envL: float
+    envR: float
+    # a variable's integrand grows toward its parent like the charge at
+    # the interval's far end, where its ancestors may all have piled up
     grow: float
     # 8/kappa, the power of every pair of screening variables
     pair: float
 
+    @property
+    def pivot(self):
+        return self.parent is None
+
+
+def _pivot(m):
+    # the rank, counted from the top, of the variable that an interval of
+    # m variables nests from: the middle one, whose rule holds both end
+    # charges with the volume of the variables on either side, so that it
+    # puts few nodes near either charge
+    return (m - 1) // 2
+
+
+def _envelope(k, beta, pair):
+    # the growth exponent of the integral of k variables nested toward an
+    # end that holds the charge beta: k measure factors, k powers of the
+    # charge and C(k,2)+k vanishing pair factors
+    return k * (1.0 - beta) + pair * (0.5 * k * (k - 1) + k)
+
 
 def _build_levels(counts, betas, kappa):
-    # integration proceeds outermost first within each group: the variable
-    # nearest x_i ranges over (x_{i-1}, x_i), each one below it over
-    # (x_{i-1}, w_above).  env is the growth exponent of the nested inner
-    # integral at the lower end: k inner variables contribute k measure
-    # factors, k lower-endpoint powers and C(k,2)+k vanishing pair factors.
+    # integration proceeds group by group, each from its pivot: then the
+    # variables above it, each over (the one below, x_i), and then those
+    # below it, each over (x_(i-1), the one above).  At most two variables
+    # make the pivot the top one and the rest a chain below it
+    pair = 8.0 / kappa
     levels = []
     for i, mi in enumerate(counts, start=1):
-        for r in range(mi, 0, -1):
-            k = r - 1
-            env = k * (1.0 - betas[i - 1]) + (8.0 / kappa) * (0.5 * k * (k - 1) + k)
-            aL = -betas[i - 1] + env
-            aR = -betas[i] if r == mi else 8.0 / kappa
-            grow = 0.0 if r == mi else betas[i]
-            levels.append(_Level(i, r == mi, aL, aR, env, grow, 8.0 / kappa))
+        if not mi:
+            continue
+        below, above = mi - 1 - _pivot(mi), _pivot(mi)
+        lo, hi = betas[i - 1], betas[i]
+        envL, envR = _envelope(below, lo, pair), _envelope(above, hi, pair)
+        pivot = len(levels)
+        levels.append(_Level(i, None, False, -lo + envL, -hi + envR, envL, envR, 0.0, pair))
+        for mirrored, count, near, far in ((True, above, hi, lo), (False, below, lo, hi)):
+            parent = pivot
+            for k in range(count - 1, -1, -1):
+                env = _envelope(k, near, pair)
+                levels.append(_Level(i, parent, mirrored, -near + env, pair, env, 0.0, far, pair))
+                parent = len(levels) - 1
     return tuple(levels)
 
 
@@ -299,10 +343,10 @@ def _build_levels(counts, betas, kappa):
 class _Geometry:
     """The chamber as the levels see it.  charges[idx] lists, for every
     charge that level idx does not fold into its rule, (beta, c, side, j):
-    the distance to the point x_j is c + lo (side 0, charges left of the
-    interval) or c + hi (side 1, charges at or right of its upper end).
-    between[i][g] is x_{i-1} - x_g, the gap from group g's upper end to
-    group i's lower."""
+    the distance to the point x_j is c + lo (side 0, charges at or left of
+    the interval's lower end) or c + hi (side 1, charges at or right of its
+    upper end).  between[i][g] is x_{i-1} - x_g, the gap from group g's
+    upper end to group i's lower."""
 
     gaps: tuple
     charges: tuple
@@ -315,9 +359,12 @@ def _geometry(levels, x_ext, betas, kappa):
     charges = []
     for lev in levels:
         i = lev.group
+        # a rule holds the charge at the end its variable nests from, and
+        # a pivot's both
+        held = (i - 1, i) if lev.pivot else (i if lev.mirrored else i - 1,)
         own = []
         for j, beta in enumerate(betas):
-            if not beta or j == i - 1 or (j == i and lev.top):
+            if not beta or j in held:
                 continue
             if j < i:
                 own.append((beta, x_ext[i - 1] - x_ext[j], 0, j))
@@ -361,7 +408,8 @@ def _level_series(tab, levels, idx, geo, lo, hi, outer, shape, work):
     x_j or to an outer variable then moves by omega less that point's
     motion nu, and d log D = (omega - nu) / D stays below 1 / gap.
     Distances that scale with the gap alone move with no node and are left
-    to _rho: the level's interval, its own upper charge, its ancestors.
+    to _rho: the level's interval, its own end charges, the variables of
+    its group.
     """
     if not tab.active:
         return None
@@ -372,7 +420,7 @@ def _level_series(tab, levels, idx, geo, lo, hi, outer, shape, work):
     # (exponent, 1 / D with D's sign, nu) of every distance that moves
     moving = []
     for beta, c, side, j in geo.charges[idx]:
-        if j != i:
+        if not i - 1 <= j <= i:
             # D = w - x_j on side 0, x_j - w on side 1
             inv = (-1.0 if side else 1.0) / ((hi if side else lo) + c)
             moving.append((-beta, inv, _motion(tab, ((j, 1.0),))))
@@ -402,10 +450,11 @@ def _flat(a, shape, slot):
 @lru_cache(maxsize=None)
 def _spread(levels, jet):
     """For each level idx, the offsets (p, field) of the levels p <= idx
-    that a later level reads, the fields 0 to 3 being lo, hi, up and log
-    lo.  A level reads its parent's lo, hi and log lo, the up of each
-    level of its group between the top and itself, and the hi of every
-    level of another group, with its lo as well when a jet is carried."""
+    that a later level reads, the fields 0 to 4 being lo, hi, span, log lo
+    and log hi.  A level reads its parent's lo and hi, and the log of the
+    one at the end it nests from; the span of every earlier level of its
+    group but the pivot; and the hi of every level of another group, with
+    its lo as well when a jet is carried."""
     reads = []
     for q, lev in enumerate(levels):
         fields = set()
@@ -413,10 +462,10 @@ def _spread(levels, jet):
             if levels[p].group != lev.group:
                 fields.update(((p, 0), (p, 1)) if jet else ((p, 1),))
                 continue
-            if not levels[p].top:
+            if not levels[p].pivot:
                 fields.add((p, 2))
-            if p == q - 1:
-                fields.update(((p, 0), (p, 1), (p, 3)))
+            if p == lev.parent:
+                fields.update(((p, 0), (p, 1), (p, 4 if lev.mirrored else 3)))
         reads.append(fields)
     later = [set().union(*reads[idx + 1:]) for idx in range(len(levels))]
     return tuple(tuple(sorted(pf for pf in later[idx] if pf[0] <= idx)) for idx in range(len(levels)))
@@ -426,18 +475,20 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
     """Sum over the nodes of level idx, and nested inside it over every
     later level, for each node of the outer grid, into out.
 
-    The grids of a pass are copies of one another, stacked on the top
+    The grids of a pass are copies of one another, stacked on the first
     level's outer axis: rules[idx] is level idx's rule in every copy
     (_padded), and a level's arrays are (copies, nodes, columns), the
-    columns running over the outer grid of each copy.  A variable is
-    carried as offsets, never as a position: lo is its distance to its
-    lower end, hi to its group's upper charge, up to its own upper end
-    (with log lo).  Every distance the integrand needs is a sum of these
-    and of gaps between the marked points, so none is lost to
-    cancellation however close a node sits to an end.  outer maps
-    (p, field) to the offsets of outer level p that a level from idx on
-    reads, each (copies, 1, columns), and spread lists them by level
-    (_spread).
+    columns running over the outer grid of each copy.  A variable of group
+    i is carried as offsets, never as a position: lo is its distance to
+    x_(i-1), hi to x_i, span to its parent (with the logs of lo and hi).
+    A level forms its offset from the end it nests from as the parent's
+    offset from that end times t, and the one from the other end as the
+    parent's plus the span; a mirrored level thus swaps lo and hi.  Every
+    distance the integrand needs is a sum of these and of gaps between the
+    marked points, so none is lost to cancellation however close a node
+    sits to an end.  outer maps (p, field) to the offsets of outer level p
+    that a level from idx on reads, each (copies, 1, columns), and spread
+    lists them by level (_spread).
 
     The sums carry the Taylor jet of the integrand in the marked points,
     the anchor held fixed, over the index set of the jet tables tab: out
@@ -476,32 +527,38 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
     last = idx == len(levels) - 1
     shape = (copies, n, size)
     keys = spread[idx]
-    # lo is needed for charges left of the interval, variables of earlier
-    # groups and a raised variable, and where a later level reads it
-    needs_lo = (
-        bool(tab.active)
-        or levels[0].group != lev.group
-        or (idx, 0) in keys
-        or any(side == 0 for _, _, side, _ in geo.charges[idx])
-    )
-    if lev.top:
-        # S is a number, and up and lo stay columns
+    # an offset is needed for a raised variable, for charges on its side
+    # of the interval, and where a later level reads it; lo for variables
+    # of earlier groups too
+    sides = {side for _, _, side, _ in geo.charges[idx]}
+    needs_lo = bool(tab.active) or 0 in sides or (idx, 0) in keys or levels[0].group != lev.group
+    if lev.pivot:
+        # S is a number, and the offsets stay columns
         S = geo.gaps[lev.group - 1]
         logS = math.log(S)
-        up = hi = S * omt
+        span = hi = S * omt
         lo = S * t if needs_lo else None
     else:
-        S, hi_S, logS = outer[idx - 1, 0], outer[idx - 1, 1], outer[idx - 1, 3]
+        # a mirrored level is a downward one with lo and hi swapped: its t
+        # runs from x_i, and S is its parent's hi
+        if lev.mirrored:
+            near, far, log_near, needed = 1, 0, 4, bool(tab.active) or 1 in sides or (idx, 1) in keys
+        else:
+            near, far, log_near, needed = 0, 1, 3, needs_lo
+        S, far_S, logS = outer[lev.parent, near], outer[lev.parent, far], outer[lev.parent, log_near]
         own = _scratch(work, (idx, "own"), (3,) + shape)
-        up = np.multiply(S, omt, out=own[2])
-        hi = np.add(hi_S, up, out=own[1])
-        lo = np.multiply(S, t, out=own[0]) if needs_lo else None
+        span = np.multiply(S, omt, out=own[2])
+        far_off = np.add(far_S, span, out=own[1])
+        near_off = np.multiply(S, t, out=own[0]) if needed else None
+        lo, hi = (far_off, near_off) if lev.mirrored else (near_off, far_off)
     # G, the log of weight times integrand, starts from the rule's column
-    # and the row of the parent's offset; the envelope lo^(-env) splits
-    # the same way.  A top level's offsets are columns, so its G stays a
-    # column until the pair factors, the first terms to span the outer grid
+    # and the row of the parent's offset; the envelopes t^(-envL) and
+    # (1 - t)^(-envR) split the same way.  A pivot's offsets are columns,
+    # so its G stays a column until the pair factors, the first terms to
+    # span the outer grid
     full = _scratch(work, (idx, "G"), shape)
-    G = np.add(logwe, (1.0 + lev.aL + lev.aR - lev.env) * logS, out=None if lev.top else full)
+    G = np.add(logwe, (1.0 + lev.aL + lev.aR - lev.envL - lev.envR) * logS,
+               out=None if lev.pivot else full)
     term = _scratch(work, "tmp", G.shape)
     for beta, c, side, _ in geo.charges[idx]:
         dist = hi if side else lo
@@ -511,18 +568,10 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
     # pair factors with every outer variable but the parent, which the
     # rule holds; they share one exponent, so one log of their product
     pairs = None
-    ancestor = up
-    for p in range(idx - 1, -1, -1):
-        if levels[p].group == lev.group:
-            if p == idx - 1:
-                continue
-            ancestor = np.add(ancestor, outer[p + 1, 2], out=_scratch(work, "ancestor", shape))
-            factor = ancestor
-        else:
-            gap = geo.between[lev.group][levels[p].group]
-            factor = np.add(lo, outer[p, 1] + gap, out=_scratch(work, "tmp", shape))
+    for factor in _pair_distances(levels, idx, lo, span, outer, geo, work, shape):
         if pairs is None:
-            # an array of its own: the ancestors' sum grows in place
+            # an array of its own: each distance is written over the one
+            # before it
             pairs = _scratch(work, "pairs", shape)
             pairs[...] = factor
         else:
@@ -537,9 +586,10 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
     np.exp(G, out=G)
     if not last:
         # the offsets later levels read, over this level's nodes: this
-        # level's own are views, but for log lo and a top level's columns,
-        # and the outer levels' are spread
-        fresh = [p < idx or lev.top or f == 3 for p, f in keys]
+        # level's own are views, but for the logs and a pivot's columns,
+        # and the outer levels' are spread.  A level's log is that of its
+        # offset from the end it nests from, but for a pivot's log hi
+        fresh = [p < idx or lev.pivot or f >= 3 for p, f in keys]
         slots = iter(_scratch(work, (idx, "outer"), (sum(fresh),) + shape))
         inner = _scratch(work, (idx, "inner"), (rows, width, copies, n * size))
         carried = {}
@@ -547,8 +597,10 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
             slot = next(slots) if new else None
             if p < idx:
                 a = outer[p, f]
+            elif f >= 3:
+                a = np.add(logS, np.log(omt) if lev.pivot and f == 4 else logt, out=slot)
             else:
-                a = np.add(logS, logt, out=slot) if f == 3 else (lo, hi, up)[f]
+                a = (lo, hi, span)[f]
             carried[p, f] = _flat(a, shape, slot)
         _level_sum(levels, idx + 1, rules, spread, carried, geo, tab, work, inner)
     P = _level_series(tab, levels, idx, geo, lo, hi, outer, shape, work)
@@ -569,6 +621,30 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
     inner.sum(axis=3, out=out)
 
 
+def _pair_distances(levels, idx, lo, span, outer, geo, work, shape):
+    # the distances from level idx's variable to every outer variable but
+    # its parent, each written over the one before where it can: to each
+    # ancestor beyond the parent, the spans along the chain summed; to each
+    # earlier variable on the other side of the pivot, its distance to the
+    # pivot plus their spans; to a variable of another group, lo plus that
+    # variable's hi and the gap between the groups
+    lev = levels[idx]
+    if not lev.pivot:
+        dist, a = span, lev.parent
+        while not levels[a].pivot:
+            dist = np.add(dist, outer[a, 2], out=_scratch(work, "ancestor", shape))
+            yield dist
+            a = levels[a].parent
+        for q in range(a + 1, idx):
+            if levels[q].mirrored != lev.mirrored:
+                dist = np.add(dist, outer[q, 2], out=_scratch(work, "across", shape))
+                yield dist
+    for p in range(idx - 1, -1, -1):
+        g = levels[p].group
+        if g != lev.group:
+            yield np.add(lo, outer[p, 1] + geo.between[lev.group][g], out=_scratch(work, "tmp", shape))
+
+
 def _pieces(rule, shortest):
     # the rule cut into about len / shortest runs of consecutive nodes
     n = rule.shape[1]
@@ -577,10 +653,11 @@ def _pieces(rule, shortest):
     return [rule[:, a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _padded(rules, env):
-    # the rules as (t, 1 - t, log t, log w - env log t) by (copies, nodes,
-    # 1), each padded at its end with copies of its last node at zero
-    # weight: a pad's t and logs stay finite, and its term is exactly zero
+def _padded(rules, lev):
+    # the rules of level lev as (t, 1 - t, log t, log w - envL log t
+    # - envR log(1 - t)) by (copies, nodes, 1), each padded at its end with
+    # copies of its last node at zero weight: a pad's t and logs stay
+    # finite, and its term is exactly zero
     n = max(r.shape[1] for r in rules)
     out = np.empty((4, len(rules), n, 1))
     for c, r in enumerate(rules):
@@ -589,7 +666,9 @@ def _padded(rules, env):
         if m < n:
             out[:3, c, m:, 0] = r[:3, -1:]
             out[3, c, m:, 0] = -np.inf
-    out[3] -= env * out[2]
+    out[3] -= lev.envL * out[2]
+    if lev.envR:
+        out[3] -= lev.envR * np.log(out[1])
     return out
 
 
@@ -612,7 +691,7 @@ def _stack(levels, grids):
     for grid in rules:
         starts.append(len(copies))
         copies.extend(itertools.product(*map(_pieces, grid, shortest)))
-    stacked = tuple(_padded(rule, lev.env) for rule, lev in zip(zip(*copies), levels))
+    stacked = tuple(_padded(rule, lev) for rule, lev in zip(zip(*copies), levels))
     starts = np.array(starts)
     # every caller of a pass shares these arrays
     for a in (*stacked, starts):
@@ -622,7 +701,7 @@ def _stack(levels, grids):
 
 def _nested(levels, grids, geo, tab, work):
     """The sums of the grids of one pass, from one nested sum over all of
-    them stacked as copies on the top level's outer axis (_stack,
+    them stacked as copies on the first level's outer axis (_stack,
     _level_sum), as (grids, rows, coefficients).
     """
     rules, starts, nodes = _stack(levels, tuple(grids))
@@ -640,9 +719,9 @@ class QuadratureError(ArithmeticError):
 # nodes
 _MIN_STEP = 2.0 ** -6
 _GRID_BUDGET = 2.5e8
-# a plan starts the j-th level from the top of a group of m levels at
-# _START_STEP * 2^(-j/m), so no two levels of a group ever share a step or
-# sit in a rational step ratio
+# a plan starts the j-th level of a group of m levels, counted in nesting
+# order from the pivot, at _START_STEP * 2^(-j/m), so no two levels of a
+# group ever share a step or sit in a rational step ratio
 _START_STEP = 0.5
 # relative rounding error of the nested sum, per level
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
@@ -652,7 +731,7 @@ def _start_steps(levels):
     size = Counter(lev.group for lev in levels)
     steps, j = [], 0
     for lev in levels:
-        j = 0 if lev.top else j + 1
+        j = 0 if lev.pivot else j + 1
         steps.append(_START_STEP * 2.0 ** (-j / size[lev.group]))
     return steps
 
@@ -776,16 +855,17 @@ def _steady(tab, x_ext, dims, kappa, levels):
     # the distances that move with no node, side by side along one axis,
     # as one log_series distance (exponents, 1 / D, -(motion of D)): the
     # prefactor's pairs, and the interval each level scales with, raised
-    # to the level's power, its pairs with the ancestors but the parent,
-    # and below the top the group's own upper charge
+    # to the level's power, its pairs with the earlier variables of its
+    # group but the parent, and but for a pivot the charge at the end of
+    # the interval its rule does not hold
     steady = [(e, i + 1, k + 1) for i, k, e in _pair_exponents(dims, kappa)]
     betas = _betas(dims, kappa)
     for idx, lev in enumerate(levels):
         i = lev.group
-        e = 1.0 + lev.aL + lev.aR - lev.env
-        e += (8.0 / kappa) * sum(1 for p in range(idx - 1) if levels[p].group == i)
-        if not lev.top:
-            e -= betas[i]
+        e = 1.0 + lev.aL + lev.aR - lev.envL - lev.envR
+        e += (8.0 / kappa) * sum(1 for p in range(idx) if levels[p].group == i and p != lev.parent)
+        if not lev.pivot:
+            e -= betas[i - 1] if lev.mirrored else betas[i]
         steady.append((e, i - 1, i))
     nu = {}
     # D = x_b - x_a for chamber coordinates a < b
@@ -810,11 +890,11 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index):
     grid belongs to the levels one by one, so each is shifted with every
     other level kept.
     Two variables of one group at one step alias: the distances between
-    them depend on their offsets from the shared end in sum, so the
-    tensor trapezoid rule misses a ridge along u_0 - u_1 = const, and each
-    level's shift reports the joint error of both.  Staggered start steps
-    keep every ratio of a group's steps irrational, so halving never
-    brings a shared step back.  A coefficient's estimate is the shifts'
+    them depend on their offsets from a shared end or from the pivot in
+    sum, so the tensor trapezoid rule misses a ridge along
+    u_0 - u_1 = const, and each level's shift reports the joint error of
+    both.  Staggered start steps keep every ratio of a group's steps
+    irrational, so halving never brings a shared step back.  A coefficient's estimate is the shifts'
     changes summed over the levels plus the rounding floor of the sum of
     moduli.
 

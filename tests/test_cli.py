@@ -21,6 +21,8 @@ from qscreen.cli import (
     main,
     vector_from_spec,
 )
+from qscreen.correspondence import default_anchor, phi
+from qscreen.coulomb import ChamberPoint, eval_stats
 from qscreen.uqsl2 import TensorSpace, hwv_pair, hwv_space_basis, is_hwv
 
 
@@ -40,7 +42,7 @@ def parse_rows(text, fmt):
     header = next(reader, None)
     if header is None:
         return []
-    n = len(header) - 7
+    n = len(header) - 10
     return [
         {
             "kappa": float(cells[0]),
@@ -51,6 +53,9 @@ def parse_rows(text, fmt):
             "re": float(cells[4 + n]),
             "im": float(cells[5 + n]),
             "err_est": float(cells[6 + n]),
+            "nodes": int(cells[7 + n]),
+            "grids": int(cells[8 + n]),
+            "passes": int(cells[9 + n]),
         }
         for cells in reader
     ]
@@ -274,6 +279,30 @@ def test_eval_two_point_closed_form(capsys):
     assert row["err_est"] <= 1e-8
     assert row["dims"] == (2, 2)
     assert row["x0"] is None
+
+
+def test_eval_rows_report_what_they_summed(capsys):
+    # each row carries the node, grid and pass counts of its own
+    # eval_stats() block, under CSV columns after err_est and the same
+    # JSON keys; a kept result counts the grids it summed at every read,
+    # so the counts of a fresh block around the same evaluation are the
+    # row's
+    argv = ("eval", "--dims", "2,3", "--l", "1,1", "--kappa", "9.4", "--x", "0.2,1.9;0.5,1.7")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header = next(csv.reader(io.StringIO(out)))
+    assert header == ["kappa", "dims", "config", "x0", "x_1", "x_2", "re", "im", "err_est",
+                      "nodes", "grids", "passes"]
+    rows = parse_rows(out, "csv")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and parse_rows(out, "json") == rows
+    for row in rows:
+        with eval_stats() as stats:
+            phi(ChamberPoint(row["x0"] if row["x0"] is not None else default_anchor(row["x"]),
+                             row["x"]), (2, 3), (1, 1), 9.4)
+        assert (row["nodes"], row["grids"], row["passes"]) == (
+            stats.nodes, stats.grid_evals, stats.passes), row
+        assert row["nodes"] > 0 and row["passes"] > 0
 
 
 def test_eval_prefactor_only(capsys):

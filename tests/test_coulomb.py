@@ -245,15 +245,74 @@ def test_rho_plan_node_counts():
     # only the nodes it adds (a plan on probes summed 9.3e7 nodes, one
     # re-summing every pass 3.1e7), on rules that stop where their folded
     # tails are exact (rules that kept every node to 1e-300 from each end
-    # summed 1.62e7 in the same 21 grids); a call counts its result's grids
-    # whether it sums them or reads the kept result, so a repeated call
-    # counts the same grids
+    # summed 1.62e7 in 21 grids), with the variables nested from the middle
+    # one (nested from the top, 9.49e6 in 21 grids); a call counts its
+    # result's grids whether it sums them or reads the kept result, so a
+    # repeated call counts the same grids
     ref = _selberg_pair(4, 5, 16.75)
     coulomb._rho_kept.cache_clear()
     cold = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
-    assert cold.nodes <= 1e7 and cold.grid_evals <= 21, cold
+    assert cold.nodes <= 6e6 and cold.grid_evals <= 21, cold
     warm = _assert_gate(_PAIR, (5, 5), (0, 4), 16.75, 1e-9, ref)
     assert (warm.grid_evals, warm.nodes) == (cold.grid_evals, cold.nodes), (warm, cold)
+
+
+@pytest.mark.parametrize(
+    "ell, kappa, rel_tol, bound",
+    [
+        # nested from the top, these summed 1.78e5, 9.49e6 and 3.00e7 nodes
+        (3, 12.5, 1e-9, 9e4),
+        (4, 16.75, 1e-9, 6e6),
+        (5, 20.5, 1e-4, 2.5e7),
+    ],
+)
+def test_rho_selberg_gate_node_bounds(ell, kappa, rel_tol, bound):
+    # cold, on the two-point form: the error against the Selberg product
+    # is within the plan's own estimate, the estimate within rel_tol, and
+    # the nodes summed within the bound that nesting each interval from
+    # its middle variable meets
+    coulomb._rho_kept.cache_clear()
+    d = ell + 1
+    with eval_stats() as stats:
+        val = rho(_PAIR, (d, d), (0, ell), kappa, rel_tol)
+    rel = abs(val - _selberg_pair(ell, d, kappa)) / abs(val)
+    est = stats.err_est / abs(val)
+    assert rel <= est <= rel_tol, (rel, est)
+    assert stats.nodes <= bound, stats
+
+
+def _chain_levels(counts, betas, kappa):
+    # the levels of every interval nested from its top variable down, each
+    # over (x_(i-1), the one above): (group, top, aL, aR, env, grow, pair)
+    levels = []
+    for i, mi in enumerate(counts, start=1):
+        for r in range(mi, 0, -1):
+            k = r - 1
+            env = k * (1.0 - betas[i - 1]) + (8.0 / kappa) * (0.5 * k * (k - 1) + k)
+            aL = -betas[i - 1] + env
+            aR = -betas[i] if r == mi else 8.0 / kappa
+            grow = 0.0 if r == mi else betas[i]
+            levels.append((i, r == mi, aL, aR, env, grow, 8.0 / kappa))
+    return levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=4), st.data())
+def test_build_levels_keeps_the_chain_up_to_two_variables(counts, data):
+    # an interval of at most two variables nests from its top one, so its
+    # levels are those of the chain field for field, and its results keep
+    # their bits
+    dims = data.draw(st.lists(st.sampled_from((1, 2, 3, 4)), min_size=len(counts),
+                              max_size=len(counts)))
+    kappa = 4.0 * (max(dims) - 1) + data.draw(st.floats(0.05, 4.0))
+    betas = coulomb._betas(dims, kappa)
+    levels = coulomb._build_levels(tuple(counts), betas, kappa)
+    chain = _chain_levels(counts, betas, kappa)
+    assert len(levels) == len(chain)
+    for idx, (lev, (group, top, aL, aR, env, grow, pair)) in enumerate(zip(levels, chain)):
+        assert (lev.group, lev.pivot, lev.aL, lev.aR, lev.envL, lev.grow, lev.pair) == (
+            group, top, aL, aR, env, grow, pair), (idx, lev)
+        assert lev.parent == (None if top else idx - 1) and not lev.mirrored and lev.envR == 0.0
 
 
 @pytest.mark.parametrize(
@@ -334,31 +393,34 @@ def test_rho_does_not_depend_on_earlier_calls(dims, m, kappa, first, second):
     assert jets(first) == before_jets
 
 
-def _shift_estimates(steps):
+def _shift_estimates(steps, ell=4, d=5, kappa=16.75):
     # the relative change of each level's half-step shift, and the error
-    # against the Selberg product, of the four-variable two-point form at
-    # fixed steps
-    dims, counts, kappa = (5, 5), (0, 4), 16.75
+    # against the Selberg product, of the two-point form with ell
+    # variables, four by default, at fixed steps
+    dims, counts = (d, d), (0, ell)
     betas = coulomb._betas(dims, kappa)
     levels = coulomb._build_levels(counts, betas, kappa)
     geo = coulomb._geometry(levels, (_PAIR.x0,) + _PAIR.xs, betas, kappa)
     # the jet over the zero multi-index alone is the value
     tab = jet_tables(((0, 0),))
     value, *moved = coulomb._nested(levels, coulomb._grids(steps), geo, tab, {})[:, 0, 0]
-    ref = _selberg_pair(4, 5, kappa)
+    ref = _selberg_pair(ell, d, kappa)
     pref = coulomb._x_prefactor(_PAIR.xs, dims, kappa)
     return [abs(m - value) / value for m in moved], abs(pref * value - ref) / ref
 
 
 def test_rho_shared_step_aliases_across_a_group():
-    # levels 0 and 1 are nested variables of one group; at one step the
-    # tensor grid misses a ridge along u_0 - u_1 = const, and both shifts
-    # report the same joint error
-    ests, _ = _shift_estimates((1 / 8, 1 / 8, 1 / 4, 1 / 4))
+    # levels 0 and 1 are nested variables of one group, the pivot and the
+    # variable below it; at one step the tensor grid misses a ridge along
+    # u_0 - u_1 = const, and both shifts report the same joint error.  With
+    # four variables nested from the top, steps (1/8, 1/8, 1/4, 1/4) showed
+    # it; nested from the middle, those levels' errors there are below
+    # 2e-13, so the two-variable form, nested as before, shows it
+    ests, _ = _shift_estimates((0.15, 0.15), ell=2, d=6, kappa=20.5)
     assert abs(ests[0] - ests[1]) <= 0.1 * max(ests[0], ests[1]), ests
     assert min(ests[0], ests[1]) >= 1e-8, ests
     # an irrational step ratio removes it
-    ests, err = _shift_estimates((1 / 8, 2 ** -3.5, 1 / 4, 1 / 4))
+    ests, err = _shift_estimates((0.15, 0.15 * 2 ** -0.5), ell=2, d=6, kappa=20.5)
     assert max(ests[0], ests[1], err) <= 1e-12, (ests, err)
 
 
@@ -435,11 +497,13 @@ def test_rho_second_order_jet_across_a_shared_point():
 
 
 def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
-    # the four-variable grid that meets 1e-9 holds about 3e6 nodes; under
-    # a smaller budget the plan raises, and no grid it sums exceeds it.
-    # The third pass's grid holds 8.13e5 nodes and its copy with level 1
-    # shifted 8.26e5, so the budget must bound the shifted copies too
-    monkeypatch.setattr(coulomb, "_GRID_BUDGET", 8.2e5)
+    # the four-variable grid that meets 1e-9 holds about 1.06e6 nodes;
+    # under a smaller budget the plan raises, and no grid it sums exceeds
+    # it.  The fourth pass's grid holds 1.065e6 nodes and its copy with
+    # level 1 shifted 1.094e6, so the budget must bound the shifted copies
+    # too (nested from the top, the third pass's 8.13e5 and 8.26e5 were
+    # pinned by a budget of 8.2e5)
+    monkeypatch.setattr(coulomb, "_GRID_BUDGET", 1.08e6)
     coulomb._rho_kept.cache_clear()
     summed = []
     nested = coulomb._nested
@@ -451,7 +515,7 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
     monkeypatch.setattr(coulomb, "_nested", counting)
     with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=4 .*budget"):
         rho(_PAIR, (5, 5), (0, 4), 16.75)
-    assert summed and max(summed) <= 8.2e5, summed
+    assert summed and max(summed) <= 1.08e6, summed
     assert stats.nodes == sum(summed), stats
 
 
@@ -584,6 +648,51 @@ def test_rho_derived_edges_agree_with_the_float_floor(case):
     assume(derived is not None and floor is not None)
     (value, est), (value_floor, est_floor) = derived, floor
     assert np.all(np.abs(value - value_floor) <= est + est_floor), (value, value_floor, est, est_floor)
+
+
+@st.composite
+def _pivot_cases(draw):
+    # 1 to 3 marked points with gaps from 1e-2 to 3, charges of dimension
+    # 2 to 5, one interval holding 3 or 4 variables and sometimes another
+    # one a single variable, kappa 0.05 to 1.5 past the convergence edge,
+    # and a value or the first-order jet in every point
+    n = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.floats(1e-2, 3.0), min_size=n, max_size=n))
+    x0 = draw(st.floats(-2.0, 0.0))
+    xs = tuple(x0 + sum(gaps[: i + 1]) for i in range(n))
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3, 4, 5)), min_size=n, max_size=n)))
+    m = [0] * n
+    m[draw(st.integers(0, n - 1))] = draw(st.integers(3, 4))
+    if n > 1 and draw(st.booleans()):
+        m[draw(st.sampled_from([i for i in range(n) if not m[i]]))] = 1
+    kappa = 4.0 * (max(dims) - 1) + draw(st.floats(0.05, 1.5))
+    return ChamberPoint(x0, xs), dims, tuple(m), kappa, 1e-6, _orders(n, draw(st.integers(0, 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_pivot_cases())
+# four variables between two d = 5 charges near the edge, with the jet
+@example((ChamberPoint(-1.0, (0.0, 0.7)), (5, 5), (0, 4), 16.1, 1e-6, _orders(2, 1)))
+def test_rho_pivot_nesting_agrees_with_the_chain(case):
+    # nesting each interval from its middle variable changes the grids,
+    # not the integral: against every interval nested from its top
+    # variable (the pivot rule returning 0), each value and first-order
+    # jet coefficient agrees within the sum of both estimates
+    def run():
+        _clear_rules()
+        try:
+            return coulomb._rho(*case)[:2]
+        except QuadratureError:
+            return None
+
+    pivot = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coulomb, "_pivot", lambda m: 0)
+        chain = run()
+    _clear_rules()
+    assume(pivot is not None and chain is not None)
+    (value, est), (value_chain, est_chain) = pivot, chain
+    assert np.all(np.abs(value - value_chain) <= est + est_chain), (value, value_chain, est, est_chain)
 
 
 @pytest.mark.parametrize("small_chunks", (False, True))
