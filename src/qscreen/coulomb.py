@@ -8,20 +8,21 @@ downward; a tanh-sinh rule per screening variable, stopping at each end
 where the tail it folds onto its outermost node is exact; one loop halves
 a level's step on the full grid until the quadrature's own error estimate
 meets the requested tolerance, each halving summing only the nodes it
-adds, every grid of a pass in one nested sum, and starting the variables
-of one group from staggered steps so that their tensor grid does not
+adds, every grid of a pass in one nested sum, and starting each level
+at the step where its double-exponential error meets that tolerance,
+the variables of one group staggered so that their tensor grid does not
 alias), carrying their Taylor jet in
 the marked points through every level (a plain value is the jet over the
 zero multi-index alone, so one path serves both), the boundary fusion
 constants, conformal weight and exponent helpers, and a direct contour
 oracle that integrates the same density over explicitly constructed
 nested loops with the branch tracked along the path.  A value plans its
-steps from the start steps, and a jet from the final steps of the plain
-value at its point.  One cache keeps each result, value or jet, once per
-argument set, and every evaluator reads it, so a result depends on its
-arguments alone and a repeated call returns the same bits.  Every plan
-writes the arrays of its sums and series into its thread's scratch
-arrays, which no result is a view of.
+steps from the start steps for its rel_tol, and a jet from the final
+steps of the plain value at its point.  One cache keeps each result,
+value or jet, once per argument set, and every evaluator reads it, so a
+result depends on its arguments alone and a repeated call returns the
+same bits.  Every plan writes the arrays of its sums and series into its
+thread's scratch arrays, which no result is a view of.
 Everything here is numeric; the exact q-dependent factors live in
 correspondence.
 """
@@ -719,20 +720,32 @@ class QuadratureError(ArithmeticError):
 # nodes
 _MIN_STEP = 2.0 ** -6
 _GRID_BUDGET = 2.5e8
-# a plan starts the j-th level of a group of m levels, counted in nesting
-# order from the pivot, at _START_STEP * 2^(-j/m), so no two levels of a
-# group ever share a step or sit in a rational step ratio
+# no start step exceeds _START_STEP (_start_steps)
 _START_STEP = 0.5
 # relative rounding error of the nested sum, per level
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
-def _start_steps(levels):
+def _start_steps(levels, rel_tol):
+    """The steps a plain plan starts from, by level.
+
+    A tanh-sinh level's error falls like exp(-pi^2 / (2h)) (Takahasi and
+    Mori), so it meets rel_tol at h* = pi^2 / (2 ln(1 / rel_tol)).  The
+    j-th of a group's m levels, counted in nesting order from the pivot,
+    starts at base * 2^(j/m), with base = h* capped at
+    _START_STEP * 2^(-(m-1)/m): no start step exceeds _START_STEP, and no
+    two levels of a group ever share a step or sit in a rational step
+    ratio.  From rel_tol >= e^(-pi^2) on, base is the cap.
+    """
     size = Counter(lev.group for lev in levels)
+    h_star = math.pi ** 2 / (-2.0 * math.log(rel_tol)) if rel_tol < 1.0 else math.inf
     steps, j = [], 0
     for lev in levels:
+        m = size[lev.group]
         j = 0 if lev.pivot else j + 1
-        steps.append(_START_STEP * 2.0 ** (-j / size[lev.group]))
+        # min(h*, cap) * 2^(j/m), with the cap's factor folded in, so the
+        # last level's capped step is _START_STEP to the bit
+        steps.append(min(h_star * 2.0 ** (j / m), _START_STEP * 2.0 ** ((j + 1 - m) / m)))
     return steps
 
 
@@ -796,12 +809,13 @@ def _halve(levels, steps, geo, rel_tol, head, tab):
 
     The first pass sums the grid at the start steps and, for every level
     k, its copy with level k's nodes shifted by half a step, which differs
-    by twice that level's error.  Halving level k adds no node the sums do
-    not hold: the grid at h_k / 2 is the grid at h_k and its copy shifted
-    in k, at half the weight, so the new value is the mean of the two.
-    Each other level j's copy is likewise the mean of its old copy and
-    the grid with both j and k shifted at the old steps, and only level
-    k's copy at the new step is summed in full.  A pass thus sums about
+    by twice that level's error; from _start_steps most plain plans meet
+    rel_tol there, and halve no level.  Halving level k adds no node the
+    sums do not hold: the grid at h_k / 2 is the grid at h_k and its copy
+    shifted in k, at half the weight, so the new value is the mean of the
+    two.  Each other level j's copy is likewise the mean of its old copy
+    and the grid with both j and k shifted at the old steps, and only
+    level k's copy at the new step is summed in full.  A pass thus sums about
     (l + 1) times the old grid's nodes where a full pass sums twice that,
     and a plan costs about one full pass on its final grid.  A pass is one
     call of _nested over all of its grids.  No pass whose full copies
@@ -883,20 +897,20 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index):
     the final steps of its plan, and the (grid_evals, nodes, passes) it
     summed.
 
-    A plain value halves from the start steps.  A jet over more than the
-    zero multi-index, with the anchor held fixed, halves from the final
-    steps of its point's plain entry, which it reads through _rho and so
-    counts, and holds every coefficient to rel_tol.  The error of a tensor
-    grid belongs to the levels one by one, so each is shifted with every
-    other level kept.
+    A plain value halves from the start steps for its rel_tol
+    (_start_steps).  A jet over more than the zero multi-index, with the
+    anchor held fixed, halves from the final steps of its point's plain
+    entry, which it reads through _rho and so counts, and holds every
+    coefficient to rel_tol.  The error of a tensor grid belongs to the
+    levels one by one, so each is shifted with every other level kept.
     Two variables of one group at one step alias: the distances between
     them depend on their offsets from a shared end or from the pivot in
     sum, so the tensor trapezoid rule misses a ridge along
     u_0 - u_1 = const, and each level's shift reports the joint error of
-    both.  Staggered start steps keep every ratio of a group's steps
-    irrational, so halving never brings a shared step back.  A coefficient's estimate is the shifts'
-    changes summed over the levels plus the rounding floor of the sum of
-    moduli.
+    both.  Start steps a factor 2^(1/m) apart keep every ratio of a
+    group's steps irrational, so halving never brings a shared step back.
+    A coefficient's estimate is the shifts' changes summed over the levels
+    plus the rounding floor of the sum of moduli.
 
     The nested sums carry the distances that move with the nodes; the
     prefactor's pair distances and the interval every level scales with
@@ -917,7 +931,7 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index):
     token = _STATS.set(stats)
     try:
         if levels:
-            start = _start_steps(levels)
+            start = _start_steps(levels, rel_tol)
             if tab.active:
                 plain = ChamberPoint(c.x0, tuple(c.xs))
                 start = _rho(plain, dims, counts, kappa, rel_tol, ((0,) * c.n,))[2]

@@ -21,7 +21,7 @@ from qscreen.cli import (
     main,
     vector_from_spec,
 )
-from qscreen.correspondence import default_anchor, phi
+from qscreen.correspondence import F_hwv, default_anchor, phi
 from qscreen.coulomb import ChamberPoint, eval_stats
 from qscreen.uqsl2 import TensorSpace, hwv_pair, hwv_space_basis, is_hwv
 
@@ -340,20 +340,26 @@ def test_eval_saturated_counts_give_zero(capsys):
 
 
 def test_eval_refuses_a_row_that_vanishes_within_its_estimate(capsys):
-    # the trivial vector's function nearly vanishes here: the row was
-    # 1.95e-9+3.38e-9i against an err_est of 1.06e-7
+    # the trivial vector's function nearly vanishes here (the row was
+    # 1.95e-9+3.38e-9i against an err_est of 1.06e-7 when the plans started
+    # from steps of 1/2); the message gives the value and estimate that F
+    # returns at the point
+    dims, x = (2,) * 6, (0.0, 1.3, 2.0, 3.3, 4.0, 5.3)
+    with eval_stats() as stats:
+        value = complex(F_hwv(vector_from_spec("trivial:0", dims), x, 6.0, 1e-9))
+    assert 0 < abs(value) <= stats.err_est
     code, out, err = run(
         capsys,
         "eval",
         "--kappa", "6",
-        "--dims", "2,2,2,2,2,2",
+        "--dims", ",".join(map(str, dims)),
         "--vector", "trivial:0",
-        "--x", "0,1.3,2,3.3,4,5.3",
+        "--x", ",".join(map(str, x)),
     )
     assert code == 3
     assert out == ""
     assert "vanishes within its error estimate" in err
-    assert "|value| = 3.90e-09" in err and "estimate 1.06e-07" in err
+    assert f"|value| = {abs(value):.2e}" in err and f"estimate {stats.err_est:.2e}" in err
 
 
 def test_eval_requires_exactly_one_mode(capsys):
