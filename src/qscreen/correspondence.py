@@ -312,6 +312,11 @@ def phi(c: ChamberPoint, dims, l, kappa, rel_tol: float = 1e-9) -> complex:
     return _evaluate(weights, c, dims, kappa, rel_tol)
 
 
+def _check_points(dims, n):
+    if len(dims) != n:
+        raise ValueError(f"vector lives on {len(dims)} points but the chamber has {n}")
+
+
 def F_anchor(v: TensorVector, c: ChamberPoint, kappa,
              rel_tol: float = 1e-9) -> complex:
     """Linear extension of the basis functions to a tensor vector.
@@ -323,10 +328,7 @@ def F_anchor(v: TensorVector, c: ChamberPoint, kappa,
     held fixed, as a Jet.
     """
     dims = v.space.dims
-    if len(dims) != c.n:
-        raise ValueError(
-            f"vector lives on {len(dims)} points but the chamber has {c.n}"
-        )
+    _check_points(dims, c.n)
     weights = _kappa_weights(dims, frozenset(v.coeffs.items()), kappa)
     return _evaluate(weights, c, dims, kappa, rel_tol)
 
@@ -347,6 +349,7 @@ def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9) -> complex:
     subrepresentation and n - 2 for any other, asked for rel_tol / L.
     """
     dims, coeffs = v.space.dims, frozenset(v.coeffs.items())
+    _check_points(dims, len(x))
     if not is_hwv(v, None):
         raise ValueError("not a highest weight vector (E.v != 0)")
     _check_anchor_free(dims, coeffs)

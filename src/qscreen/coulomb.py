@@ -4,25 +4,25 @@ Evaluates the positive integrand on configurations x0 < x_1 < ... < x_n,
 the screened integrals over nested ordered simplices (each interval's
 variables nested outward from its middle one, the pivot, which ranges over
 the whole interval: those above it upward, toward x_i, those below it
-downward; a tanh-sinh rule per screening variable, stopping at each end
-where the tail it folds onto its outermost node is exact; one loop halves
-a level's step on the full grid until the quadrature's own error estimate
+downward; per screening variable a tanh-sinh rule, stopping at each end
+where the tail it folds onto its outermost node is exact, and one list of
+the integrand's factors that the rule does not hold; one loop halves a
+level's step on the full grid until the quadrature's own error estimate
 meets the requested tolerance, each halving summing only the nodes it
-adds, every grid of a pass in one nested sum, and starting each level
-at the step where its double-exponential error meets that tolerance,
-the variables of one group staggered so that their tensor grid does not
-alias), carrying their Taylor jet in
-the marked points through every level (a plain value is the jet over the
-zero multi-index alone, so one path serves both), the boundary fusion
-constants, conformal weight and exponent helpers, and a direct contour
-oracle that integrates the same density over explicitly constructed
-nested loops with the branch tracked along the path.  A value plans its
-steps from the start steps for its rel_tol, and a jet from the final
-steps of the plain value at its point.  One cache keeps each result,
-value or jet, once per argument set, and every evaluator reads it, so a
-result depends on its arguments alone and a repeated call returns the
-same bits.  Every plan writes the arrays of its sums and series into its
-thread's scratch arrays, which no result is a view of.
+adds, every grid of a pass in one nested sum, and starting each level at
+the step where its double-exponential error meets that tolerance, the
+variables of one group staggered so that their tensor grid does not
+alias), carrying their Taylor jet in the marked points through every level
+(a plain value is the jet over the zero multi-index alone, so one path
+serves both), the boundary fusion constants, conformal weight and exponent
+helpers, and a direct contour oracle that integrates the same density over
+explicitly constructed nested loops with the branch tracked along the
+path.  A value plans its steps from the start steps for its rel_tol, and a
+jet from the final steps of the plain value at its point.  One cache keeps
+each result, value or jet, once per argument set, and every evaluator
+reads it, so a result depends on its arguments alone and a repeated call
+returns the same bits.  Every plan writes the arrays of its sums and
+series into its thread's scratch arrays, which no result is a view of.
 Everything here is numeric; the exact q-dependent factors live in
 correspondence.
 """
@@ -278,6 +278,22 @@ class _Level:
     upward over (parent, x_i).  Its rule's t runs from the end it nests
     from (x_(i-1), or x_i when mirrored), whose power aL is, to the
     parent, whose pair power aR is; a pivot's runs from x_(i-1) to x_i.
+
+    factors lists as (exponent, kind, k) the charges and earlier variables
+    whose factor the rule does not hold: "charge" the charge at x_k; "span"
+    the variable reached by adding level k's span to the distance of the
+    factor before it, the first from the level's own span, one per earlier
+    variable of the group but the parent; "group" level k of another
+    group.  power is that of the level's own interval.
+
+    With its unit coordinates fixed, the variable sits at w = x_(i-1) + lo
+    and moves with the points as omega = (hi dx_(i-1) + lo dx_i) / gap_i.
+    A distance D to a charge at x_j or to a variable of another group
+    moves by omega less that point's motion nu, so d log D =
+    (omega - nu) / D stays below 1 / gap; the nested sums carry the jet
+    of these factors (_moves).  The rest, the interval, the pairs within
+    the group and a charge at an end of it, scale with the gap alone and
+    move with no node: _rho_kept multiplies in their jet once (_steady).
     """
 
     group: int
@@ -295,10 +311,23 @@ class _Level:
     grow: float
     # 8/kappa, the power of every pair of screening variables
     pair: float
+    factors: tuple
 
     @property
     def pivot(self):
         return self.parent is None
+
+    @property
+    def power(self):
+        # the measure and the powers the rule holds, less the envelopes
+        # its weights do not
+        return 1.0 + self.aL + self.aR - self.envL - self.envR
+
+
+def _moves(lev, kind, k):
+    # whether a factor of lev moves with the node: the charges off its
+    # interval's ends and the variables of other groups
+    return kind == "group" or kind == "charge" and not lev.group - 1 <= k <= lev.group
 
 
 def _pivot(m):
@@ -316,6 +345,24 @@ def _envelope(k, beta, pair):
     return k * (1.0 - beta) + pair * (0.5 * k * (k - 1) + k)
 
 
+def _factors(earlier, i, parent, mirrored, betas, pair):
+    # a new level's factors (_Level.factors) after the levels `earlier`: a
+    # rule holds the charge at the end its variable nests from, a pivot's
+    # both, and its parent.  The spans run up the parent chain to the
+    # pivot, then out along the other side; the other groups come last,
+    # latest first
+    held = (i - 1, i) if parent is None else (i if mirrored else i - 1,)
+    factors = [(-beta, "charge", j) for j, beta in enumerate(betas) if beta and j not in held]
+    if parent is not None:
+        a = parent
+        while not earlier[a].pivot:
+            factors.append((pair, "span", a))
+            a = earlier[a].parent
+        factors += [(pair, "span", q) for q in range(a + 1, len(earlier)) if earlier[q].mirrored != mirrored]
+    factors += [(pair, "group", p) for p in reversed(range(len(earlier))) if earlier[p].group != i]
+    return tuple(factors)
+
+
 def _build_levels(counts, betas, kappa):
     # integration proceeds group by group, each from its pivot: then the
     # variables above it, each over (the one below, x_i), and then those
@@ -330,52 +377,16 @@ def _build_levels(counts, betas, kappa):
         lo, hi = betas[i - 1], betas[i]
         envL, envR = _envelope(below, lo, pair), _envelope(above, hi, pair)
         pivot = len(levels)
-        levels.append(_Level(i, None, False, -lo + envL, -hi + envR, envL, envR, 0.0, pair))
+        levels.append(_Level(i, None, False, -lo + envL, -hi + envR, envL, envR, 0.0, pair,
+                             _factors(levels, i, None, False, betas, pair)))
         for mirrored, count, near, far in ((True, above, hi, lo), (False, below, lo, hi)):
             parent = pivot
             for k in range(count - 1, -1, -1):
                 env = _envelope(k, near, pair)
-                levels.append(_Level(i, parent, mirrored, -near + env, pair, env, 0.0, far, pair))
+                levels.append(_Level(i, parent, mirrored, -near + env, pair, env, 0.0, far, pair,
+                                     _factors(levels, i, parent, mirrored, betas, pair)))
                 parent = len(levels) - 1
     return tuple(levels)
-
-
-@dataclass(frozen=True)
-class _Geometry:
-    """The chamber as the levels see it.  charges[idx] lists, for every
-    charge that level idx does not fold into its rule, (beta, c, side, j):
-    the distance to the point x_j is c + lo (side 0, charges at or left of
-    the interval's lower end) or c + hi (side 1, charges at or right of its
-    upper end).  between[i][g] is x_{i-1} - x_g, the gap from group g's
-    upper end to group i's lower."""
-
-    gaps: tuple
-    charges: tuple
-    between: tuple
-    pair: float
-
-
-def _geometry(levels, x_ext, betas, kappa):
-    gaps = tuple(b - a for a, b in zip(x_ext, x_ext[1:]))
-    charges = []
-    for lev in levels:
-        i = lev.group
-        # a rule holds the charge at the end its variable nests from, and
-        # a pivot's both
-        held = (i - 1, i) if lev.pivot else (i if lev.mirrored else i - 1,)
-        own = []
-        for j, beta in enumerate(betas):
-            if not beta or j in held:
-                continue
-            if j < i:
-                own.append((beta, x_ext[i - 1] - x_ext[j], 0, j))
-            else:
-                own.append((beta, x_ext[j] - x_ext[i], 1, j))
-        charges.append(tuple(own))
-    between = tuple(
-        tuple(x_ext[i - 1] - x_ext[g] for g in range(i)) for i in range(len(x_ext))
-    )
-    return _Geometry(gaps, tuple(charges), between, 8.0 / kappa)
 
 
 # elements per array at the innermost level, counting a jet's coefficients:
@@ -397,47 +408,6 @@ def _motion(tab, terms):
     return out
 
 
-def _level_series(tab, levels, idx, geo, lo, hi, outer, shape, work):
-    """Taylor coefficients of level idx's factor over its value, at every
-    node, in work's scratch arrays: the exponential of the log-series of
-    the distances that move with the node.  None when no variable is
-    raised or no distance moves.
-
-    With its unit coordinates fixed, a variable of group i sits at
-    w = x_(i-1) + lo, and w moves with the points as
-    omega = (hi dx_(i-1) + lo dx_i) / gap_i.  A distance D to a charge at
-    x_j or to an outer variable then moves by omega less that point's
-    motion nu, and d log D = (omega - nu) / D stays below 1 / gap.
-    Distances that scale with the gap alone move with no node and are left
-    to _rho: the level's interval, its own end charges, the variables of
-    its group.
-    """
-    if not tab.active:
-        return None
-    lev = levels[idx]
-    i = lev.group
-    gap = geo.gaps[i - 1]
-    omega = _motion(tab, ((i - 1, hi / gap), (i, lo / gap)))
-    # (exponent, 1 / D with D's sign, nu) of every distance that moves
-    moving = []
-    for beta, c, side, j in geo.charges[idx]:
-        if not i - 1 <= j <= i:
-            # D = w - x_j on side 0, x_j - w on side 1
-            inv = (-1.0 if side else 1.0) / ((hi if side else lo) + c)
-            moving.append((-beta, inv, _motion(tab, ((j, 1.0),))))
-    for p in range(idx):
-        g = levels[p].group
-        if g != i:
-            lo_p, hi_p = outer[p, 0], outer[p, 1]
-            gap_p = geo.gaps[g - 1]
-            # D = w - w_p
-            inv = 1.0 / (lo + (hi_p + geo.between[i][g]))
-            moving.append((geo.pair, inv, _motion(tab, ((g - 1, hi_p / gap_p), (g, lo_p / gap_p)))))
-    if not moving:
-        return None
-    return exp_series(tab, log_series(tab, shape, omega, moving, work), work)
-
-
 def _flat(a, shape, slot):
     # a over a level's grid (copies, nodes, columns), as the next level's
     # (copies, 1, columns): a view where a spans the grid, else spread
@@ -453,26 +423,25 @@ def _spread(levels, jet):
     """For each level idx, the offsets (p, field) of the levels p <= idx
     that a later level reads, the fields 0 to 4 being lo, hi, span, log lo
     and log hi.  A level reads its parent's lo and hi, and the log of the
-    one at the end it nests from; the span of every earlier level of its
-    group but the pivot; and the hi of every level of another group, with
-    its lo as well when a jet is carried."""
+    one at the end it nests from; the span that each of its "span" factors
+    adds; and the hi of the level of each "group" factor, with its lo as
+    well when a jet is carried."""
     reads = []
-    for q, lev in enumerate(levels):
+    for lev in levels:
         fields = set()
-        for p in range(q):
-            if levels[p].group != lev.group:
-                fields.update(((p, 0), (p, 1)) if jet else ((p, 1),))
-                continue
-            if not levels[p].pivot:
-                fields.add((p, 2))
-            if p == lev.parent:
-                fields.update(((p, 0), (p, 1), (p, 4 if lev.mirrored else 3)))
+        if not lev.pivot:
+            fields.update(((lev.parent, 0), (lev.parent, 1), (lev.parent, 4 if lev.mirrored else 3)))
+        for _, kind, k in lev.factors:
+            if kind == "span":
+                fields.add((k, 2))
+            elif kind == "group":
+                fields.update(((k, 0), (k, 1)) if jet else ((k, 1),))
         reads.append(fields)
     later = [set().union(*reads[idx + 1:]) for idx in range(len(levels))]
     return tuple(tuple(sorted(pf for pf in later[idx] if pf[0] <= idx)) for idx in range(len(levels)))
 
 
-def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
+def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
     """Sum over the nodes of level idx, and nested inside it over every
     later level, for each node of the outer grid, into out.
 
@@ -485,17 +454,21 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
     A level forms its offset from the end it nests from as the parent's
     offset from that end times t, and the one from the other end as the
     parent's plus the span; a mirrored level thus swaps lo and hi.  Every
-    distance the integrand needs is a sum of these and of gaps between the
-    marked points, so none is lost to cancellation however close a node
-    sits to an end.  outer maps (p, field) to the offsets of outer level p
-    that a level from idx on reads, each (copies, 1, columns), and spread
-    lists them by level (_spread).
+    distance of a factor (_Level.factors) is a sum of these and of gaps
+    between the chamber coordinates x, so none is lost to cancellation
+    however close a node sits to an end; each is formed once.  outer maps
+    (p, field) to the offsets of outer level p that a level from idx on
+    reads, each (copies, 1, columns), and spread lists them by level
+    (_spread).
 
     The sums carry the Taylor jet of the integrand in the marked points,
     the anchor held fixed, over the index set of the jet tables tab: out
     is (rows, coefficients, copies, columns), row 0 the sums and the last
     row the sums of the moduli of their terms.  The integrand is positive,
-    so over the zero multi-index alone the two are one row, the value.
+    so over the zero multi-index alone the two are one row, the value.  A
+    level's own factor in the jet is the exponential of the log-series of
+    its moving factors (_moves, log_series), each given as its exponent,
+    1 / D with D's sign and the motion of its charge or variable.
 
     A level larger than _CHUNK_CAP sums whole copies at a time, or the
     columns of one copy in chunks, so a chunk inside one copy broadcasts
@@ -521,36 +494,34 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
                 part = [r[:, c : c + per] for r in rules]
                 for s, e in zip(starts, [*starts[1:], size]):
                     chunk = {k: a[c : c + per, :, s:e] for k, a in outer.items()}
-                    _level_sum(levels, idx, part, spread, chunk, geo, tab, work,
+                    _level_sum(levels, idx, part, spread, chunk, x, tab, work,
                                out[:, :, c : c + per, s:e])
             return
     t, omt, logt, logwe = rule
     last = idx == len(levels) - 1
     shape = (copies, n, size)
     keys = spread[idx]
-    # an offset is needed for a raised variable, for charges on its side
-    # of the interval, and where a later level reads it; lo for variables
-    # of earlier groups too
-    sides = {side for _, _, side, _ in geo.charges[idx]}
-    needs_lo = bool(tab.active) or 0 in sides or (idx, 0) in keys or levels[0].group != lev.group
+    i = lev.group
+    # an offset is needed for a raised variable, for the factors that read
+    # it (hi the charges at or right of x_i, lo the rest but the spans),
+    # and where a later level reads it
+    sides = {int(kind == "charge" and k >= i) for _, kind, k in lev.factors if kind != "span"}
+    needs = [bool(tab.active) or f in sides or (idx, f) in keys for f in (0, 1)]
     if lev.pivot:
         # S is a number, and the offsets stay columns
-        S = geo.gaps[lev.group - 1]
+        S = x[i] - x[i - 1]
         logS = math.log(S)
         span = hi = S * omt
-        lo = S * t if needs_lo else None
+        lo = S * t if needs[0] else None
     else:
         # a mirrored level is a downward one with lo and hi swapped: its t
         # runs from x_i, and S is its parent's hi
-        if lev.mirrored:
-            near, far, log_near, needed = 1, 0, 4, bool(tab.active) or 1 in sides or (idx, 1) in keys
-        else:
-            near, far, log_near, needed = 0, 1, 3, needs_lo
+        near, far, log_near = (1, 0, 4) if lev.mirrored else (0, 1, 3)
         S, far_S, logS = outer[lev.parent, near], outer[lev.parent, far], outer[lev.parent, log_near]
         own = _scratch(work, (idx, "own"), (3,) + shape)
         span = np.multiply(S, omt, out=own[2])
         far_off = np.add(far_S, span, out=own[1])
-        near_off = np.multiply(S, t, out=own[0]) if needed else None
+        near_off = np.multiply(S, t, out=own[0]) if needs[near] else None
         lo, hi = (far_off, near_off) if lev.mirrored else (near_off, far_off)
     # G, the log of weight times integrand, starts from the rule's column
     # and the row of the parent's offset; the envelopes t^(-envL) and
@@ -558,31 +529,46 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
     # so its G stays a column until the pair factors, the first terms to
     # span the outer grid
     full = _scratch(work, (idx, "G"), shape)
-    G = np.add(logwe, (1.0 + lev.aL + lev.aR - lev.envL - lev.envR) * logS,
-               out=None if lev.pivot else full)
+    G = np.add(logwe, lev.power * logS, out=None if lev.pivot else full)
     term = _scratch(work, "tmp", G.shape)
-    for beta, c, side, _ in geo.charges[idx]:
-        dist = hi if side else lo
-        np.log(np.add(dist, c, out=term) if c else dist, out=term)
-        np.multiply(term, -beta, out=term)
-        np.add(G, term, out=G)
-    # pair factors with every outer variable but the parent, which the
-    # rule holds; they share one exponent, so one log of their product
-    pairs = None
-    for factor in _pair_distances(levels, idx, lo, span, outer, geo, work, shape):
+    # the moving factors, charges by point, then other groups' variables
+    # earliest first; the pair factors share one exponent, so one log of
+    # their product
+    moving, groups, pairs, dist = [], [], None, span
+    for e, kind, k in lev.factors:
+        if kind == "charge":
+            # D = w - x_k left of the interval, x_k - w right of it: an
+            # offset plus c, x_k's distance to the interval's end
+            right = k >= i
+            D, c = (hi, x[k] - x[i]) if right else (lo, x[i - 1] - x[k])
+            D = np.add(D, c, out=term) if c else D
+            if tab.active and _moves(lev, kind, k):
+                moving.append((e, (-1.0 if right else 1.0) / D, _motion(tab, ((k, 1.0),))))
+            np.add(G, np.multiply(np.log(D, out=term), e, out=term), out=G)
+            continue
+        if kind == "span":
+            D = dist = np.add(dist, outer[k, 2], out=_scratch(work, "spans", shape))
+        else:
+            # D = w - w_k, lo plus its hi and the gap between the groups
+            g = levels[k].group
+            D = np.add(lo, outer[k, 1] + (x[i - 1] - x[g]), out=_scratch(work, "tmp", shape))
+            if tab.active:
+                gap = x[g] - x[g - 1]
+                groups.append((e, 1.0 / D, _motion(tab, ((g - 1, outer[k, 1] / gap), (g, outer[k, 0] / gap)))))
         if pairs is None:
             # an array of its own: each distance is written over the one
             # before it
             pairs = _scratch(work, "pairs", shape)
-            pairs[...] = factor
+            pairs[...] = D
         else:
-            np.multiply(pairs, factor, out=pairs)
+            np.multiply(pairs, D, out=pairs)
+    moving += reversed(groups)
     if pairs is not None:
         # a product that underflowed to zero leaves a term far below
         # rounding: its log is -inf and the term exactly zero
         with np.errstate(divide="ignore"):
             np.log(pairs, out=pairs)
-        np.multiply(pairs, geo.pair, out=pairs)
+        np.multiply(pairs, lev.pair, out=pairs)
         G = np.add(G, pairs, out=full)
     np.exp(G, out=G)
     if not last:
@@ -603,8 +589,12 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
             else:
                 a = (lo, hi, span)[f]
             carried[p, f] = _flat(a, shape, slot)
-        _level_sum(levels, idx + 1, rules, spread, carried, geo, tab, work, inner)
-    P = _level_series(tab, levels, idx, geo, lo, hi, outer, shape, work)
+        _level_sum(levels, idx + 1, rules, spread, carried, x, tab, work, inner)
+    P = None
+    if moving:
+        gap = x[i] - x[i - 1]
+        omega = _motion(tab, ((i - 1, hi / gap), (i, lo / gap)))
+        P = exp_series(tab, log_series(tab, shape, omega, moving, work), work)
     if last:
         if P is None:
             out[:, 0] = G.sum(axis=1)
@@ -620,30 +610,6 @@ def _level_sum(levels, idx, rules, spread, outer, geo, tab, work, out):
         product(tab, P, inner, work)
     inner *= G
     inner.sum(axis=3, out=out)
-
-
-def _pair_distances(levels, idx, lo, span, outer, geo, work, shape):
-    # the distances from level idx's variable to every outer variable but
-    # its parent, each written over the one before where it can: to each
-    # ancestor beyond the parent, the spans along the chain summed; to each
-    # earlier variable on the other side of the pivot, its distance to the
-    # pivot plus their spans; to a variable of another group, lo plus that
-    # variable's hi and the gap between the groups
-    lev = levels[idx]
-    if not lev.pivot:
-        dist, a = span, lev.parent
-        while not levels[a].pivot:
-            dist = np.add(dist, outer[a, 2], out=_scratch(work, "ancestor", shape))
-            yield dist
-            a = levels[a].parent
-        for q in range(a + 1, idx):
-            if levels[q].mirrored != lev.mirrored:
-                dist = np.add(dist, outer[q, 2], out=_scratch(work, "across", shape))
-                yield dist
-    for p in range(idx - 1, -1, -1):
-        g = levels[p].group
-        if g != lev.group:
-            yield np.add(lo, outer[p, 1] + geo.between[lev.group][g], out=_scratch(work, "tmp", shape))
 
 
 def _pieces(rule, shortest):
@@ -700,14 +666,14 @@ def _stack(levels, grids):
     return stacked, starts, sum(math.prod(len(r[0]) for r in grid) for grid in rules)
 
 
-def _nested(levels, grids, geo, tab, work):
+def _nested(levels, grids, x, tab, work):
     """The sums of the grids of one pass, from one nested sum over all of
     them stacked as copies on the first level's outer axis (_stack,
     _level_sum), as (grids, rows, coefficients).
     """
     rules, starts, nodes = _stack(levels, tuple(grids))
     out = np.empty((2 if tab.active else 1, tab.size, rules[0].shape[1], 1))
-    _level_sum(levels, 0, rules, _spread(levels, bool(tab.active)), {}, geo, tab, work, out)
+    _level_sum(levels, 0, rules, _spread(levels, bool(tab.active)), {}, x, tab, work, out)
     _record(grid_evals=len(grids), nodes=nodes, passes=1)
     return np.add.reduceat(out[..., 0], starts, axis=2).transpose(2, 0, 1)
 
@@ -803,7 +769,7 @@ def _work():
     return work
 
 
-def _halve(levels, steps, geo, rel_tol, head, tab):
+def _halve(levels, steps, x, rel_tol, head, tab):
     """Halve the step of the level with the largest estimate until the
     relative estimates plus the rounding floor meet rel_tol.
 
@@ -826,7 +792,7 @@ def _halve(levels, steps, geo, rel_tol, head, tab):
     steps, floor = list(steps), len(levels) * _ROUNDING
     _check_budget(levels, steps, head, "")
     work = _work()
-    sums = _nested(levels, _grids(steps), geo, tab, work)
+    sums = _nested(levels, _grids(steps), x, tab, work)
     value, moved = sums[0], sums[1:]
     while True:
         # value only ever becomes the mean of itself and a shifted copy, so
@@ -849,7 +815,7 @@ def _halve(levels, steps, geo, rel_tol, head, tab):
         finer[k] /= 2.0
         _check_budget(levels, finer, head, note)
         grids = [_grid(finer, (k,)) if j == k else _grid(steps, (j, k)) for j in range(len(levels))]
-        sums = _nested(levels, grids, geo, tab, work)
+        sums = _nested(levels, grids, x, tab, work)
         value = 0.5 * (value + moved[k])
         moved = 0.5 * (moved + sums)
         moved[k] = sums[k]
@@ -869,18 +835,15 @@ def _steady(tab, x_ext, dims, kappa, levels):
     # the distances that move with no node, side by side along one axis,
     # as one log_series distance (exponents, 1 / D, -(motion of D)): the
     # prefactor's pairs, and the interval each level scales with, raised
-    # to the level's power, its pairs with the earlier variables of its
-    # group but the parent, and but for a pivot the charge at the end of
-    # the interval its rule does not hold
+    # to the level's power plus the exponents of its factors that do not
+    # move (_moves), the pairs within its group and the charge at an end
     steady = [(e, i + 1, k + 1) for i, k, e in _pair_exponents(dims, kappa)]
-    betas = _betas(dims, kappa)
-    for idx, lev in enumerate(levels):
-        i = lev.group
-        e = 1.0 + lev.aL + lev.aR - lev.envL - lev.envR
-        e += (8.0 / kappa) * sum(1 for p in range(idx) if levels[p].group == i and p != lev.parent)
-        if not lev.pivot:
-            e -= betas[i - 1] if lev.mirrored else betas[i]
-        steady.append((e, i - 1, i))
+    for lev in levels:
+        e = lev.power + lev.pair * sum(kind == "span" for _, kind, _ in lev.factors)
+        for exponent, kind, k in lev.factors:
+            if kind == "charge" and not _moves(lev, kind, k):
+                e += exponent
+        steady.append((e, lev.group - 1, lev.group))
     nu = {}
     # D = x_b - x_a for chamber coordinates a < b
     for d, (_, a, b) in enumerate(steady):
@@ -912,9 +875,8 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index):
     A coefficient's estimate is the shifts' changes summed over the levels
     plus the rounding floor of the sum of moduli.
 
-    The nested sums carry the distances that move with the nodes; the
-    prefactor's pair distances and the interval every level scales with
-    move with no node, so their jet multiplies the sums' once.
+    The nested sums carry the factors that move with the nodes (_Level);
+    the jet of the rest and of the prefactor multiplies theirs once.
 
     A result depends on its arguments alone, so a kept entry is what a new
     call would return.  Its run counts in no eval_stats() block: _rho
@@ -925,8 +887,7 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index):
     _check_convergent(dims, kappa)
     tab = jet_tables(index)
     x_ext = (c.x0,) + c.xs
-    betas = _betas(dims, kappa)
-    levels = _build_levels(counts, betas, kappa)
+    levels = _build_levels(counts, _betas(dims, kappa), kappa)
     stats, kept = EvalStats(), False
     token = _STATS.set(stats)
     try:
@@ -935,8 +896,7 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index):
             if tab.active:
                 plain = ChamberPoint(c.x0, tuple(c.xs))
                 start = _rho(plain, dims, counts, kappa, rel_tol, ((0,) * c.n,))[2]
-            geo = _geometry(levels, x_ext, betas, kappa)
-            steps, value, moved = _halve(levels, start, geo, rel_tol, _head(levels, rel_tol), tab)
+            steps, value, moved = _halve(levels, start, x_ext, rel_tol, _head(levels, rel_tol), tab)
             change = sum(np.abs(m[0] - value[0]) for m in moved)
             value, est = value[0], change + len(levels) * _ROUNDING * value[-1]
         else:

@@ -33,7 +33,6 @@ evals.
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,15 +45,11 @@ from .uqsl2 import is_hwv
 
 @dataclass(frozen=True)
 class BsaTerm:
-    """One composition L_{-n_1}..L_{-n_k} with its coefficient.
-
-    The full coefficient is rational * (-4/kappa)**power with rational a
-    positive fraction, so the sign is (-1)**power.
-    """
+    """One composition L_{-n_1}..L_{-n_k} of d with its coefficient, a
+    positive number times (-4/kappa)**(d-k) (build_bsa), so of sign
+    (-1)**(d-k)."""
 
     factors: tuple
-    rational: Fraction
-    power: int
     coefficient: float
 
 
@@ -104,10 +99,8 @@ def build_bsa(j, dims, kappa):
         for m in range(k - 1):
             part += comp[m]
             denom *= part * (d - part)
-        rational = Fraction(math.factorial(d - 1) ** 2, denom)
-        power = d - k
-        coefficient = float(rational) * (-4.0 / kappa) ** power
-        terms.append(BsaTerm(comp, rational, power, coefficient))
+        coefficient = math.factorial(d - 1) ** 2 / denom * (-4.0 / kappa) ** (d - k)
+        terms.append(BsaTerm(comp, coefficient))
     return BsaOperator(j, dims, float(kappa), tuple(terms))
 
 

@@ -305,6 +305,23 @@ def test_f_anchor_rejects_mismatched_chamber():
         F_anchor(v, C3, KAPPA)
 
 
+@pytest.mark.parametrize("points", (3, 5))
+@pytest.mark.parametrize("jet", (False, True))
+def test_f_hwv_and_f_anchor_reject_a_wrong_number_of_points(points, jet):
+    # the (2,2,2,2) trivial vector lives on four points; three or five, as
+    # a plain point or a JetPoint, raise the same ValueError from both
+    # evaluators before any weight or integral is formed
+    v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
+    x = tuple(float(k) for k in range(points))
+    if jet:
+        x = JetPoint(x, [(1,) + (0,) * (points - 1)])
+    message = f"vector lives on 4 points but the chamber has {points}"
+    with pytest.raises(ValueError, match=message):
+        F_hwv(v, x, KAPPA)
+    with pytest.raises(ValueError, match=message):
+        F_anchor(v, ChamberPoint(-1.0, x), KAPPA)
+
+
 # -- highest weight vector functions ---------------------------------------
 
 

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -352,6 +353,53 @@ def test_build_levels_keeps_the_chain_up_to_two_variables(counts, data):
         assert lev.parent == (None if top else idx - 1) and not lev.mirrored and lev.envR == 0.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4), st.data())
+def test_level_factors_cover_every_pair_and_charge_once(counts, data):
+    # each level lists the factors of the integrand that its rule does not
+    # hold.  Over all levels, every pair of screening variables is a parent
+    # link or a pair factor exactly once, every (variable, nonzero charge)
+    # is held by the variable's rule or is a charge factor exactly once,
+    # and the exponents _steady gives plus those of the moving factors sum
+    # to the degree of homogeneity
+    n = len(counts)
+    dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    kappa = 4.0 * (max(dims) - 1) + data.draw(st.floats(0.05, 3.0))
+    betas = coulomb._betas(dims, kappa)
+    levels = coulomb._build_levels(tuple(counts), betas, kappa)
+    pairs, charges, moving = Counter(), Counter(), []
+    for idx, lev in enumerate(levels):
+        i = lev.group
+        held = (i - 1, i) if lev.pivot else (i if lev.mirrored else i - 1,)
+        charges.update((idx, j) for j in held if betas[j])
+        if not lev.pivot:
+            pairs[frozenset((idx, lev.parent))] += 1
+        # a span factor adds level k's span to the distance before it: up
+        # the chain it reaches k's parent, across the pivot k itself
+        reached = lev.parent
+        for e, kind, k in lev.factors:
+            if kind == "charge":
+                assert e == -betas[k], (idx, lev.factors)
+                charges[idx, k] += 1
+            elif kind == "span":
+                assert levels[k].group == i and reached in (k, levels[k].parent), (idx, lev.factors)
+                reached = levels[k].parent if k == reached else k
+                pairs[frozenset((idx, reached))] += 1
+            else:
+                assert levels[k].group != i, (idx, lev.factors)
+                pairs[frozenset((idx, k))] += 1
+            if coulomb._moves(lev, kind, k):
+                moving.append(e)
+    ell = len(levels)
+    assert pairs == Counter(map(frozenset, itertools.combinations(range(ell), 2)))
+    assert charges == Counter((idx, j) for idx in range(ell) for j, b in enumerate(betas) if b)
+    x = tuple(float(k) for k in range(n + 1))
+    steady = coulomb._steady(jet_tables(((0,) * n,)), x, dims, kappa, levels)[0]
+    degree = coulomb._rho_degree(dims, ell, kappa)
+    scale = np.abs(steady).sum() + sum(map(abs, moving)) + abs(degree)
+    assert abs(steady.sum() + sum(moving) - degree) <= 1e-13 * scale, (steady, moving, degree)
+
+
 @pytest.mark.parametrize(
     "c, dims, m, kappa, rel_tol",
     [
@@ -378,9 +426,9 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa, r
     halve, seen = coulomb._halve, {}
     coulomb._rho_kept.cache_clear()
 
-    def keep(levels, steps, geo, rel_tol, head, tab):
-        seen.update(levels=levels, start=steps, geo=geo, tab=tab)
-        seen["out"] = halve(levels, steps, geo, rel_tol, head, tab)
+    def keep(levels, steps, x, rel_tol, head, tab):
+        seen.update(levels=levels, start=steps, x=x, tab=tab)
+        seen["out"] = halve(levels, steps, x, rel_tol, head, tab)
         return seen["out"]
 
     monkeypatch.setattr(coulomb, "_halve", keep)
@@ -388,7 +436,7 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa, r
     steps, value, moved = seen["out"]
     levels = seen["levels"]
     assert steps != tuple(seen["start"])
-    direct, *direct_moved = coulomb._nested(levels, coulomb._grids(steps), seen["geo"],
+    direct, *direct_moved = coulomb._nested(levels, coulomb._grids(steps), seen["x"],
                                             seen["tab"], {})[:, 0, 0]
     est = sum(abs(a[0, 0] - value[0, 0]) for a in moved)
     bound = value[-1, 0] * len(levels) * 4 * np.finfo(float).eps + 1e-3 * est
@@ -443,10 +491,10 @@ def _shift_estimates(steps, ell=4, d=5, kappa=16.75):
     dims, counts = (d, d), (0, ell)
     betas = coulomb._betas(dims, kappa)
     levels = coulomb._build_levels(counts, betas, kappa)
-    geo = coulomb._geometry(levels, (_PAIR.x0,) + _PAIR.xs, betas, kappa)
+    x = (_PAIR.x0,) + _PAIR.xs
     # the jet over the zero multi-index alone is the value
     tab = jet_tables(((0, 0),))
-    value, *moved = coulomb._nested(levels, coulomb._grids(steps), geo, tab, {})[:, 0, 0]
+    value, *moved = coulomb._nested(levels, coulomb._grids(steps), x, tab, {})[:, 0, 0]
     ref = _selberg_pair(ell, d, kappa)
     pref = coulomb._x_prefactor(_PAIR.xs, dims, kappa)
     return [abs(m - value) / value for m in moved], abs(pref * value - ref) / ref
@@ -786,7 +834,7 @@ def test_rho_pass_sums_each_grid_as_alone(monkeypatch, c, dims, m, kappa, small_
     n = len(dims)
     betas = coulomb._betas(dims, kappa)
     levels = coulomb._build_levels(m, betas, kappa)
-    geo = coulomb._geometry(levels, (c.x0,) + c.xs, betas, kappa)
+    x = (c.x0,) + c.xs
     steps = coulomb._start_steps(levels, 1e-9)
     passes = [coulomb._grids(steps)]
     for k in sorted({0, len(levels) - 1}):
@@ -814,10 +862,10 @@ def test_rho_pass_sums_each_grid_as_alone(monkeypatch, c, dims, m, kappa, small_
     for reads in jets:
         tab = jet_tables(closure(reads))
         for grids in passes:
-            batched = coulomb._nested(levels, grids, geo, tab, {})
+            batched = coulomb._nested(levels, grids, x, tab, {})
             assert batched.shape[0] == len(grids)
             for j, (got, grid) in enumerate(zip(batched, grids)):
-                alone = coulomb._nested(levels, [grid], geo, tab, {})[0]
+                alone = coulomb._nested(levels, [grid], x, tab, {})[0]
                 assert np.all(np.abs(got - alone) <= 1e-15 * alone[-1]), (reads, j, got, alone)
 
 

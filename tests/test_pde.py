@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,28 +38,24 @@ def quartet_function(kappa):
 
 
 def test_bsa_order_two_terms():
+    # (d-1)!^2 / prod (n_1+..+n_m)(n_(m+1)+..+n_k) times (-4/kappa)^(d-k):
+    # 1 for (1, 1) and -4/8 for (2,)
     op = build_bsa(1, (2, 2), 8.0)
-    by_factors = {t.factors: t for t in op.compositions}
-    assert set(by_factors) == {(1, 1), (2,)}
-    assert by_factors[(1, 1)].rational == Fraction(1)
-    assert by_factors[(1, 1)].coefficient == 1.0
-    assert by_factors[(2,)].rational == Fraction(1)
-    assert by_factors[(2,)].coefficient == -0.5
+    by_factors = {t.factors: t.coefficient for t in op.compositions}
+    assert by_factors == {(1, 1): 1.0, (2,): -0.5}
 
 
 def test_bsa_order_three_terms():
+    # 2!^2 / (1 * 2 * 2 * 1) = 1 for (1, 1, 1), 4 / (1 * 2) = 2 for (1, 2)
+    # and (2, 1), 4 for (3,), each times (-4/kappa)^(3-k)
     op = build_bsa(2, (2, 3, 2), KAPPA)
-    by_factors = {t.factors: (t.rational, t.power) for t in op.compositions}
-    assert by_factors == {
-        (1, 1, 1): (Fraction(1), 0),
-        (1, 2): (Fraction(2), 1),
-        (2, 1): (Fraction(2), 1),
-        (3,): (Fraction(4), 2),
-    }
-    for t in op.compositions:
-        assert t.coefficient == pytest.approx(
-            float(t.rational) * (-4.0 / KAPPA) ** t.power
-        )
+    by_factors = {t.factors: t.coefficient for t in op.compositions}
+    g = -4.0 / KAPPA
+    assert by_factors.keys() == {(1, 1, 1), (1, 2), (2, 1), (3,)}
+    assert by_factors[(1, 1, 1)] == 1.0
+    assert by_factors[(1, 2)] == pytest.approx(2 * g)
+    assert by_factors[(2, 1)] == pytest.approx(2 * g)
+    assert by_factors[(3,)] == pytest.approx(4 * g ** 2)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
