@@ -5,23 +5,25 @@ the screened integrals over nested ordered simplices (each interval's
 variables nested outward from its middle one, the pivot, which ranges over
 the whole interval: those above it upward, toward x_i, those below it
 downward; per screening variable a tanh-sinh rule, stopping at each end
-where the tail it folds onto its outermost node is exact, and one list of
-the integrand's factors that the rule does not hold; one loop halves a
-level's step on the full grid until the quadrature's own error estimate
-meets the requested tolerance, each halving summing only the nodes it
-adds, every grid of a pass in one nested sum, and starting each level at
-the step where its double-exponential error meets that tolerance, the
-variables of one group staggered so that their tensor grid does not
-alias), carrying their Taylor jet in the marked points through every level
-(a plain value is the jet over the zero multi-index alone, so one path
-serves both), the boundary fusion constants, conformal weight and exponent
-helpers, and a direct contour oracle that integrates the same density over
-explicitly constructed nested loops with the branch tracked along the
-path.  A value plans its steps from the start steps for its rel_tol, and a
-jet from the final steps of the plain value at its point.  One cache keeps
-each result, value or jet, once per argument set, and every evaluator
-reads it, so a result depends on its arguments alone and a repeated call
-returns the same bits.  Every plan writes the arrays of its sums and
+where the tail it folds onto its outermost node moves the sum by at most
+a hundredth of the requested tolerance, a bound the error estimate
+includes, and one list of the integrand's factors that the rule does not
+hold; one loop halves a level's step on the full grid until the
+quadrature's own error estimate meets that tolerance, each halving
+summing only the nodes it adds, every grid of a pass in one nested sum,
+and starting each level at the step where its double-exponential error
+meets that tolerance, the variables of one group staggered so that
+their tensor grid does not alias), carrying their Taylor jet in the marked
+points through every level (a plain value is the jet over the zero
+multi-index alone, so one path serves both), the boundary fusion
+constants, conformal weight and exponent helpers, and a direct contour
+oracle that integrates the same density over explicitly constructed
+nested loops with the branch tracked along the path.  A value plans its
+steps from the start steps for its rel_tol, and a jet from the final
+steps of the plain value at its point.  One cache keeps each result,
+value or jet, once per argument set, and every evaluator reads it, so a
+result depends on its arguments alone and a repeated call returns the
+same bits.  Every plan writes the arrays of its sums and
 series into its thread's scratch arrays, which no result is a view of.
 Everything here is numeric; the exact q-dependent factors live in
 correspondence.
@@ -197,25 +199,48 @@ def _rho_degree(dims, ell, kappa):
 # step h in u then converges like exp(-c/h).
 
 # no node nearer than exp(_LOG_EDGE) to an end of (0, 1) is kept, the float
-# floor, nor a node lighter than exp(_LOG_LIGHT) times the heaviest.  Above
-# that floor each end stops at its first node at or beyond the edge that
-# _log_edge derives, where the tail folded onto that node moves a sum by
-# about _TAIL relative, far below the rounding of a nested sum (_ROUNDING)
+# floor.  Above it each end stops at its first node at or beyond the edge
+# that _log_edge derives from the plan's tail (_plan_tail), where the tail
+# folded onto that node moves a sum by about the tail relative, and no node
+# lighter than the tail times the heaviest is kept
 _LOG_EDGE = math.log(1e-300)
-_LOG_LIGHT = math.log(1e-20)
-_TAIL = 1e-19
 
 
-def _log_edge(a, b):
+def _log_edge(a, b, tail):
     # log tau for an end where the weight goes like s^a in the distance s
     # to it and the integrand differs from its limit by O(s^b): the tail
     # within tau of the end holds about tau^(1 + a) of the weight, and
-    # folded onto a node at or beyond tau it misplaces about tau^b of that
-    return max(_LOG_EDGE, math.log(_TAIL) / (1.0 + a + b))
+    # folded onto a node at or beyond tau it misplaces about tau^b of that,
+    # tau^(1 + a + b) = tail in all
+    return max(_LOG_EDGE, math.log(tail) / (1.0 + a + b))
+
+
+def _plan_tail(x, betas, counts, rel_tol):
+    """The tail of a plan's rules (_unit_rule_build), and the bound on the
+    relative move of its sum that their folds make, for the l screening
+    variables counts places in the chamber coordinates x.
+
+    Each of a grid's l levels folds two ends, at each end moving the sum
+    by up to tail * G relative: G = max(1, gap_i / delta_i) over the
+    occupied intervals i, delta_i being the distance from interval i to
+    the nearest charge off it.  The tail is the power of ten at or below
+    1e-2 * rel_tol / (2 l G), so the bound 2 l tail G stays a hundredth of
+    rel_tol, and nearby points share their rules.  A rel_tol above 1 asks
+    no more than 1 does.
+    """
+    G = 1.0
+    for i, m in enumerate(counts, start=1):
+        for j, beta in enumerate(betas):
+            if m and beta and not i - 1 <= j <= i:
+                delta = x[i - 1] - x[j] if j < i else x[j] - x[i]
+                G = max(G, (x[i] - x[i - 1]) / delta)
+    ell = sum(counts)
+    tail = 10.0 ** math.floor(math.log10(1e-2 * min(rel_tol, 1.0) / (2 * ell * G)))
+    return tail, 2 * ell * tail * G
 
 
 @lru_cache(maxsize=None)
-def _unit_rule_build(aL, aR, grow, pair, h, shift):
+def _unit_rule_build(aL, aR, grow, pair, tail, h, shift):
     """Tanh-sinh rule sum_k w_k g(t_k) for int_0^1 t^aL (1-t)^aR g(t) dt.
 
     The nodes sit at u = (k + shift) h.  Returns one array of the rows t,
@@ -227,16 +252,18 @@ def _unit_rule_build(aL, aR, grow, pair, h, shift):
     limit: that adds the tails beyond the nodes analytically.
 
     Each end stops at its first node at or beyond the edge
-    tau = exp(_log_edge(a, b)), so at every step the fold moves the sum by
-    about tau^(1 + a + b) <= _TAIL relative.  (At its last node inside
-    tau, up to a step further in, the fold would move it by up to
-    _TAIL^(1 - h).)  a is the end's weight exponent: aL at t -> 0,
-    aR - grow at t -> 1.  b is the power at which g approaches its limit
-    there: min(1, pair), pair being 8/kappa, as no variable brings a term
-    that is not analytic to a marked point slower than
-    1 - beta + 8/kappa >= 8/kappa; but 0 where g grows, as that growth is
-    already in a.  A charge at a distance delta beyond the end of an
-    interval of length gap scales the move by up to (gap / delta)^b.
+    tau = exp(_log_edge(a, b, tail)), so at every step the fold moves the
+    sum by about tau^(1 + a + b) <= tail relative; a node lighter than
+    tail times the heaviest, its growth toward t = 1 counted, is folded
+    too.  (At its last node inside tau, up to a step further in, the fold
+    would move it by up to tail^(1 - h).)  a is the end's weight
+    exponent: aL at t -> 0, aR - grow at t -> 1.  b is the power at which
+    g approaches its limit there: min(1, pair), pair being 8/kappa, as no
+    variable brings a term that is not analytic to a marked point slower
+    than 1 - beta + 8/kappa >= 8/kappa; but 0 where g grows, as that growth
+    is already in a.  A charge at a distance delta beyond the end of an
+    interval of length gap scales the move by up to (gap / delta)^b, which
+    _plan_tail bounds.
     """
     if aL <= -1.0 or aR <= -1.0:
         raise ValueError("endpoint exponents must exceed -1")
@@ -248,12 +275,12 @@ def _unit_rule_build(aL, aR, grow, pair, h, shift):
     logt = -np.logaddexp(0.0, -s)
     log1mt = -np.logaddexp(0.0, s)
     logw = np.log(h * math.pi * np.cosh(u)) + (1.0 + aL) * logt + (1.0 + aR) * log1mt
-    heavy = logw - grow * log1mt >= logw.max() + _LOG_LIGHT
+    heavy = logw - grow * log1mt >= logw.max() + math.log(tail)
     rate = min(1.0, pair)
     # a node is kept when its inner neighbour lies inside the edge, so
     # the outermost kept node sits at or beyond it
-    inside = (np.append(logt[1:], 0.0) >= _log_edge(aL, rate)) & (
-        np.insert(log1mt[:-1], 0, 0.0) >= _log_edge(aR - grow, 0.0 if grow else rate))
+    inside = (np.append(logt[1:], 0.0) >= _log_edge(aL, rate, tail)) & (
+        np.insert(log1mt[:-1], 0, 0.0) >= _log_edge(aR - grow, 0.0 if grow else rate, tail))
     floor = (logt >= _LOG_EDGE) & (log1mt >= _LOG_EDGE)
     kept = np.flatnonzero(inside & floor & heavy)
     a, b = kept[0], kept[-1]
@@ -264,7 +291,7 @@ def _unit_rule_build(aL, aR, grow, pair, h, shift):
 
 
 def _unit_rule(level, h, shift):
-    return _unit_rule_build(level.aL, level.aR, level.grow, level.pair, h, shift)
+    return _unit_rule_build(level.aL, level.aR, level.grow, level.pair, level.tail, h, shift)
 
 
 @dataclass(frozen=True)
@@ -284,7 +311,8 @@ class _Level:
     the variable reached by adding level k's span to the distance of the
     factor before it, the first from the level's own span, one per earlier
     variable of the group but the parent; "group" level k of another
-    group.  power is that of the level's own interval.
+    group.  power is that of the level's own interval.  tail is the plan's
+    (_plan_tail), where its rules stop.
 
     With its unit coordinates fixed, the variable sits at w = x_(i-1) + lo
     and moves with the points as omega = (hi dx_(i-1) + lo dx_i) / gap_i.
@@ -312,6 +340,7 @@ class _Level:
     # 8/kappa, the power of every pair of screening variables
     pair: float
     factors: tuple
+    tail: float
 
     @property
     def pivot(self):
@@ -363,7 +392,7 @@ def _factors(earlier, i, parent, mirrored, betas, pair):
     return tuple(factors)
 
 
-def _build_levels(counts, betas, kappa):
+def _build_levels(counts, betas, kappa, tail):
     # integration proceeds group by group, each from its pivot: then the
     # variables above it, each over (the one below, x_i), and then those
     # below it, each over (x_(i-1), the one above).  At most two variables
@@ -378,13 +407,13 @@ def _build_levels(counts, betas, kappa):
         envL, envR = _envelope(below, lo, pair), _envelope(above, hi, pair)
         pivot = len(levels)
         levels.append(_Level(i, None, False, -lo + envL, -hi + envR, envL, envR, 0.0, pair,
-                             _factors(levels, i, None, False, betas, pair)))
+                             _factors(levels, i, None, False, betas, pair), tail))
         for mirrored, count, near, far in ((True, above, hi, lo), (False, below, lo, hi)):
             parent = pivot
             for k in range(count - 1, -1, -1):
                 env = _envelope(k, near, pair)
                 levels.append(_Level(i, parent, mirrored, -near + env, pair, env, 0.0, far, pair,
-                                     _factors(levels, i, parent, mirrored, betas, pair)))
+                                     _factors(levels, i, parent, mirrored, betas, pair), tail))
                 parent = len(levels) - 1
     return tuple(levels)
 
@@ -769,9 +798,10 @@ def _work():
     return work
 
 
-def _halve(levels, steps, x, rel_tol, head, tab):
+def _halve(levels, steps, x, rel_tol, floor, head, tab):
     """Halve the step of the level with the largest estimate until the
-    relative estimates plus the rounding floor meet rel_tol.
+    relative estimates plus floor, the rounding floor and the bound on the
+    rules' folds, meet rel_tol.
 
     The first pass sums the grid at the start steps and, for every level
     k, its copy with level k's nodes shifted by half a step, which differs
@@ -789,7 +819,7 @@ def _halve(levels, steps, x, rel_tol, head, tab):
     and its shifted copies, or raises when the largest share cannot be
     halved.
     """
-    steps, floor = list(steps), len(levels) * _ROUNDING
+    steps = list(steps)
     _check_budget(levels, steps, head, "")
     work = _work()
     sums = _nested(levels, _grids(steps), x, tab, work)
@@ -873,7 +903,8 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index):
     both.  Start steps a factor 2^(1/m) apart keep every ratio of a
     group's steps irrational, so halving never brings a shared step back.
     A coefficient's estimate is the shifts' changes summed over the levels
-    plus the rounding floor of the sum of moduli.
+    plus the floor, the rounding floor and the bound on the rules' folds
+    (_plan_tail), of the sum of moduli.
 
     The nested sums carry the factors that move with the nodes (_Level);
     the jet of the rest and of the prefactor multiplies theirs once.
@@ -887,18 +918,21 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index):
     _check_convergent(dims, kappa)
     tab = jet_tables(index)
     x_ext = (c.x0,) + c.xs
-    levels = _build_levels(counts, _betas(dims, kappa), kappa)
+    betas, levels = _betas(dims, kappa), ()
     stats, kept = EvalStats(), False
     token = _STATS.set(stats)
     try:
-        if levels:
+        if any(counts):
+            tail, fold = _plan_tail(x_ext, betas, counts, rel_tol)
+            levels = _build_levels(counts, betas, kappa, tail)
+            floor = len(levels) * _ROUNDING + fold
             start = _start_steps(levels, rel_tol)
             if tab.active:
                 plain = ChamberPoint(c.x0, tuple(c.xs))
                 start = _rho(plain, dims, counts, kappa, rel_tol, ((0,) * c.n,))[2]
-            steps, value, moved = _halve(levels, start, x_ext, rel_tol, _head(levels, rel_tol), tab)
+            steps, value, moved = _halve(levels, start, x_ext, rel_tol, floor, _head(levels, rel_tol), tab)
             change = sum(np.abs(m[0] - value[0]) for m in moved)
-            value, est = value[0], change + len(levels) * _ROUNDING * value[-1]
+            value, est = value[0], change + floor * value[-1]
         else:
             value, est, steps = np.eye(1, tab.size)[0], np.zeros(tab.size), ()
         if tab.active:

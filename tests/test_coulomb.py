@@ -162,6 +162,14 @@ def _selberg_pair(ell, d, kappa):
     return ref * (x2 - x1) ** delta_scaling(ell, (d, d), kappa)
 
 
+def _plan_levels(c, dims, m, kappa, rel_tol):
+    # the levels of the plan of rho(c, dims, m, kappa, rel_tol), whose
+    # rules stop at the tail that plan derives
+    betas = coulomb._betas(dims, kappa)
+    tail, _ = coulomb._plan_tail((c.x0,) + c.xs, betas, m, rel_tol)
+    return coulomb._build_levels(m, betas, kappa, tail)
+
+
 def _assert_gate(c, dims, m, kappa, rel_tol, ref, floor=_ORACLE_FLOOR):
     with eval_stats() as stats:
         val = rho(c, dims, m, kappa, rel_tol)
@@ -204,19 +212,19 @@ def test_rho_selberg_gate_two_point(ell, edge):
 @pytest.mark.parametrize("ell", (1, 2, 3))
 def test_rho_selberg_gate_fattest_tails(ell):
     # at kappa = 4(d - 1) + 0.05 the charged endpoint powers are within
-    # 0.013 of -1: a rule at the start steps for 1e-9 folds 54 % (l = 1)
-    # to 74 % of its weight onto its outermost nodes, and the gate holds
+    # 0.013 of -1: a rule at the start steps for 1e-9 folds 62 % (l = 1)
+    # to 82 % of its weight onto its outermost nodes, and the gate holds
     d = ell + 1
     kappa = 4.0 * (d - 1) + 0.05
-    levels = coulomb._build_levels((0, ell), coulomb._betas((d, d), kappa), kappa)
+    levels = _plan_levels(_PAIR, (d, d), (0, ell), kappa, 1e-9)
     assert max(map(_folded_share, levels, coulomb._start_steps(levels, 1e-9))) > 0.4
     _assert_gate(_PAIR, (d, d), (0, ell), kappa, 1e-9, _selberg_pair(ell, d, kappa))
 
 
 def test_rho_selberg_gate_mass_beyond_the_nodes():
-    # at d = 5, kappa = 16.5 a rule stops about 1e-37 from each charged
-    # end, and the tail beyond it holds 1 to 6 % of the rule's weight,
-    # which the rule must add back
+    # at d = 5, kappa = 16.5 a rule at the start steps for 1e-9 stops
+    # about 6e-25 from each charged end, and the tail beyond it holds 15 %
+    # of the rule's weight, which the rule must add back
     kappa = 16.5
     c = ChamberPoint(0.0, (1.0,))
     _assert_gate(c, (5,), (1,), kappa, 1e-9, _selberg_one(1, 5, kappa))
@@ -259,23 +267,10 @@ def test_rho_plan_node_counts():
     assert (warm.grid_evals, warm.nodes) == (cold.grid_evals, cold.nodes), (warm, cold)
 
 
-@pytest.mark.parametrize(
-    "ell, kappa, rel_tol, bound",
-    [
-        # nested from the top, the first three summed 1.78e5, 9.49e6 and
-        # 3.00e7 nodes; started from steps of 1/2 and below, the second and
-        # the last 5.74e6 and 4.65e7
-        (3, 12.5, 1e-9, 9e4),
-        (4, 16.75, 1e-9, 4e6),
-        (5, 20.5, 1e-4, 2.5e7),
-        (5, 20.5, 1e-6, 3e7),
-    ],
-)
-def test_rho_selberg_gate_node_bounds(ell, kappa, rel_tol, bound):
-    # cold, on the two-point form: the error against the Selberg product
-    # is within the plan's own estimate, the estimate within rel_tol, and
-    # the nodes summed within the bound that nesting each interval from
-    # its middle variable, and starting from the steps for rel_tol, meet
+def _cold_selberg_pair(ell, kappa, rel_tol):
+    # rho on the two-point form, cold: the error against the Selberg
+    # product is within the plan's own estimate, and the estimate within
+    # rel_tol; returns the plan's counts
     coulomb._rho_kept.cache_clear()
     d = ell + 1
     with eval_stats() as stats:
@@ -283,7 +278,40 @@ def test_rho_selberg_gate_node_bounds(ell, kappa, rel_tol, bound):
     rel = abs(val - _selberg_pair(ell, d, kappa)) / abs(val)
     est = stats.err_est / abs(val)
     assert rel <= est <= rel_tol, (rel, est)
+    return stats
+
+
+@pytest.mark.parametrize(
+    "ell, kappa, rel_tol, bound",
+    [
+        # nested from the top, the first three summed 1.78e5, 9.49e6 and
+        # 3.00e7 nodes; started from steps of 1/2 and below, the second and
+        # the last 5.74e6 and 4.65e7; on rules that stopped at a tail of
+        # 1e-19, all four 58 947, 3 422 870, 22 730 739 and 22 730 739
+        (3, 12.5, 1e-9, 4.7e4),
+        (4, 16.75, 1e-9, 2.6e6),
+        (5, 20.5, 1e-4, 7.2e6),
+        (5, 20.5, 1e-6, 1.2e7),
+    ],
+    ids=["l3-12.5-1e-09", "l4-16.75-1e-09", "l5-20.5-1e-04", "l5-20.5-1e-06"],
+)
+def test_rho_selberg_gate_node_bounds(ell, kappa, rel_tol, bound):
+    # cold, on the two-point form, the nodes summed are within the bound
+    # that nesting each interval from its middle variable, starting from
+    # the steps for rel_tol and stopping each rule at the tail for rel_tol
+    # meet (about 1.2 times the counts they sum)
+    stats = _cold_selberg_pair(ell, kappa, rel_tol)
     assert stats.nodes <= bound, stats
+
+
+def test_rho_looser_rel_tol_sums_fewer_nodes():
+    # l = 5 at 1e-4 and 1e-6 start from the same capped steps and halve no
+    # level; their rules stop at the tail for their own rel_tol, so the
+    # looser plan sums fewer nodes (at a tail of 1e-19 both summed
+    # 22 730 739)
+    loose = _cold_selberg_pair(5, 20.5, 1e-4)
+    tight = _cold_selberg_pair(5, 20.5, 1e-6)
+    assert loose.nodes < tight.nodes, (loose, tight)
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,9 +327,9 @@ def test_start_steps_are_capped_and_staggered(counts, data):
                               max_size=len(counts)))
     kappa = 4.0 * (max(dims) - 1) + data.draw(st.floats(0.05, 4.0))
     rel_tol = 10.0 ** data.draw(st.floats(-14.0, -2.0))
-    levels = coulomb._build_levels(tuple(counts), coulomb._betas(dims, kappa), kappa)
+    levels = coulomb._build_levels(tuple(counts), coulomb._betas(dims, kappa), kappa, 1e-12)
     steps = coulomb._start_steps(levels, rel_tol)
-    again = coulomb._build_levels(tuple(counts), coulomb._betas(dims, kappa), kappa)
+    again = coulomb._build_levels(tuple(counts), coulomb._betas(dims, kappa), kappa, 1e-12)
     assert coulomb._start_steps(again, rel_tol) == steps
     assert len(steps) == len(levels) and all(0.0 < h <= 0.5 for h in steps), steps
     for tol in (rel_tol, 1.0, 10.0):
@@ -344,7 +372,7 @@ def test_build_levels_keeps_the_chain_up_to_two_variables(counts, data):
                               max_size=len(counts)))
     kappa = 4.0 * (max(dims) - 1) + data.draw(st.floats(0.05, 4.0))
     betas = coulomb._betas(dims, kappa)
-    levels = coulomb._build_levels(tuple(counts), betas, kappa)
+    levels = coulomb._build_levels(tuple(counts), betas, kappa, 1e-12)
     chain = _chain_levels(counts, betas, kappa)
     assert len(levels) == len(chain)
     for idx, (lev, (group, top, aL, aR, env, grow, pair)) in enumerate(zip(levels, chain)):
@@ -366,7 +394,7 @@ def test_level_factors_cover_every_pair_and_charge_once(counts, data):
     dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
     kappa = 4.0 * (max(dims) - 1) + data.draw(st.floats(0.05, 3.0))
     betas = coulomb._betas(dims, kappa)
-    levels = coulomb._build_levels(tuple(counts), betas, kappa)
+    levels = coulomb._build_levels(tuple(counts), betas, kappa, 1e-12)
     pairs, charges, moving = Counter(), Counter(), []
     for idx, lev in enumerate(levels):
         i = lev.group
@@ -426,9 +454,9 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa, r
     halve, seen = coulomb._halve, {}
     coulomb._rho_kept.cache_clear()
 
-    def keep(levels, steps, x, rel_tol, head, tab):
+    def keep(levels, steps, x, rel_tol, floor, head, tab):
         seen.update(levels=levels, start=steps, x=x, tab=tab)
-        seen["out"] = halve(levels, steps, x, rel_tol, head, tab)
+        seen["out"] = halve(levels, steps, x, rel_tol, floor, head, tab)
         return seen["out"]
 
     monkeypatch.setattr(coulomb, "_halve", keep)
@@ -487,10 +515,10 @@ def test_rho_does_not_depend_on_earlier_calls(dims, m, kappa, first, second):
 def _shift_estimates(steps, ell=4, d=5, kappa=16.75):
     # the relative change of each level's half-step shift, and the error
     # against the Selberg product, of the two-point form with ell
-    # variables, four by default, at fixed steps
+    # variables, four by default, at fixed steps, on the rules of a plan
+    # at rel_tol 1e-12
     dims, counts = (d, d), (0, ell)
-    betas = coulomb._betas(dims, kappa)
-    levels = coulomb._build_levels(counts, betas, kappa)
+    levels = _plan_levels(_PAIR, dims, counts, kappa, 1e-12)
     x = (_PAIR.x0,) + _PAIR.xs
     # the jet over the zero multi-index alone is the value
     tab = jet_tables(((0, 0),))
@@ -588,13 +616,13 @@ def test_rho_second_order_jet_across_a_shared_point():
 
 
 def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
-    # the four-variable grid that meets 1e-9 holds about 6.5e5 nodes;
+    # the four-variable grid that meets 1e-9 holds about 4.2e5 nodes;
     # under a smaller budget the plan raises, and no grid it sums exceeds
-    # it.  The second pass's grid holds 648 440 nodes and its copies with
-    # level 0 or 3 shifted 673 380 and 680 862, so the budget must bound
-    # the shifted copies too (started from steps of 1/2 and below, the
-    # fourth pass's 1.065e6 and 1.094e6 were pinned by a budget of 1.08e6)
-    monkeypatch.setattr(coulomb, "_GRID_BUDGET", 6.6e5)
+    # it.  The second pass's grid holds 419 796 nodes and its copies with
+    # level 2 or 3 shifted 430 560 and 443 118, so the budget must bound
+    # the shifted copies too (on rules that stopped at a tail of 1e-19,
+    # 648 440 against 673 380 and 680 862 were pinned by a budget of 6.6e5)
+    monkeypatch.setattr(coulomb, "_GRID_BUDGET", 4.3e5)
     coulomb._rho_kept.cache_clear()
     summed = []
     nested = coulomb._nested
@@ -606,7 +634,7 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
     monkeypatch.setattr(coulomb, "_nested", counting)
     with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=4 .*budget"):
         rho(_PAIR, (5, 5), (0, 4), 16.75)
-    assert summed and max(summed) <= 6.6e5, summed
+    assert summed and max(summed) <= 4.3e5, summed
     assert stats.nodes == sum(summed), stats
 
 
@@ -717,13 +745,19 @@ def _edge_cases(draw):
 # node sat far inside the edge, and the charge 1e-3 beyond the lower end
 # made the integrand reach its limit slowly
 @example((ChamberPoint(0.0, (0.5, 0.501, 1.251)), (3, 2, 2), (0, 0, 1), 8.0625, 1e-6, _orders(3, 2)))
+# the charge at x_2, 1/512 beyond the end of an interval of length 1,
+# scales the move of the folds by up to gap / delta = 512: with that
+# factor left out of the plan's tail, the value moved by 4.4e-7 against
+# summed estimates of 2.3e-8
+@example((ChamberPoint(0.0, (1.0, 1.001953125)), (2, 3), (1, 0), 9.0, 1e-6, _orders(2, 0)))
 def test_rho_derived_edges_agree_with_the_float_floor(case):
     # every rule stops at its first node beyond the edge where the tail
-    # folded onto it moves a sum by about 1e-19 relative; with every edge
-    # at the float floor instead, each value and jet coefficient must agree
-    # within the sum of both estimates.  At the float floor the nodes
-    # nearest a point shared by two intervals can overflow a second-order
-    # series, which then is not finite and raises
+    # folded onto it moves a sum by about the plan's tail relative, at
+    # most a hundredth of rel_tol; with every edge at the float floor
+    # instead, each value and jet coefficient must agree within the sum of
+    # both estimates.  At the float floor the nodes nearest a point shared
+    # by two intervals can overflow a second-order series, which then is
+    # not finite and raises
     def run():
         _clear_rules()
         try:
@@ -736,7 +770,7 @@ def test_rho_derived_edges_agree_with_the_float_floor(case):
     # floor does, so it is not summed there
     if derived is not None:
         with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
-            patch.setattr(coulomb, "_log_edge", lambda a, b: coulomb._LOG_EDGE)
+            patch.setattr(coulomb, "_log_edge", lambda a, b, tail: coulomb._LOG_EDGE)
             floor = run()
     _clear_rules()
     assume(derived is not None and floor is not None)
@@ -832,8 +866,7 @@ def test_rho_pass_sums_each_grid_as_alone(monkeypatch, c, dims, m, kappa, small_
     if small_chunks:
         monkeypatch.setattr(coulomb, "_CHUNK_CAP", 1 << 10)
     n = len(dims)
-    betas = coulomb._betas(dims, kappa)
-    levels = coulomb._build_levels(m, betas, kappa)
+    levels = _plan_levels(c, dims, m, kappa, 1e-9)
     x = (c.x0,) + c.xs
     steps = coulomb._start_steps(levels, 1e-9)
     passes = [coulomb._grids(steps)]
@@ -889,7 +922,7 @@ def test_rho_counts_one_nested_call_per_pass(monkeypatch):
         rho(ChamberPoint(-0.5, (0.0, 0.01, 2.0, 4.0)), (2, 2, 2, 2), (1, 0, 1, 0), 10.0)
     assert [g for g, _ in calls] == [3, 2, 2], calls
     assert stats.passes == len(calls)
-    assert (stats.grid_evals, stats.nodes) == (7, 8317) == tuple(map(sum, zip(*calls)))
+    assert (stats.grid_evals, stats.nodes) == (7, 6717) == tuple(map(sum, zip(*calls)))
 
 
 def test_rho_plain_plan_meets_its_rel_tol_in_one_pass():
@@ -1015,10 +1048,10 @@ def test_jets_at_one_point_share_the_plain_value(monkeypatch):
     # check at the same point plans it no more
     halve, plain_runs = coulomb._halve, []
 
-    def counting(levels, steps, geo, rel_tol, head, tab):
+    def counting(levels, steps, geo, rel_tol, floor, head, tab):
         if not tab.active:
             plain_runs.append(steps)
-        return halve(levels, steps, geo, rel_tol, head, tab)
+        return halve(levels, steps, geo, rel_tol, floor, head, tab)
 
     monkeypatch.setattr(coulomb, "_halve", counting)
     coulomb._rho_kept.cache_clear()
@@ -1038,9 +1071,9 @@ def test_jet_then_value_at_one_point_plan_the_value_once(monkeypatch):
     # and counts the grids the entry summed
     halve, runs = coulomb._halve, []
 
-    def counting(levels, steps, geo, rel_tol, head, tab):
+    def counting(levels, steps, geo, rel_tol, floor, head, tab):
         runs.append(bool(tab.active))
-        return halve(levels, steps, geo, rel_tol, head, tab)
+        return halve(levels, steps, geo, rel_tol, floor, head, tab)
 
     monkeypatch.setattr(coulomb, "_halve", counting)
     coulomb._rho_kept.cache_clear()
