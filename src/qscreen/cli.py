@@ -30,7 +30,6 @@ from .correspondence import (
     F_hwv,
     asymptotics_check,
     default_anchor,
-    general_asymptotics_check,
     infinity_limit,
     phi,
     reduction_coeffs,
@@ -498,7 +497,7 @@ def _cov_checks(config):
         # unlike a small integer, at least rounds the differences
         ("cov.translation", mobius((1.0, math.e, 0.0, 1.0)), 1e-8),
         ("cov.scaling", mobius((1.7, 0.0, 0.0, 1.0)), 1e-8),
-        ("cov.special_conformal", mobius((1.0, 0.0, 0.05, 1.0)), 1e-6),
+        ("cov.special_conformal", mobius((1.0, 0.0, 0.05, 1.0)), 1e-8),
         ("cov.translation_generator", lambda: _relative(translation_check(ev, grid)), 1e-8),
         ("cov.euler_generator",
          lambda: _relative(euler_check(ev, grid, -4.0 * h_weight(2, kappa))), 1e-8),
@@ -517,32 +516,31 @@ def _asy_checks(config):
     # both pair checks read one report: the first is timed with it
     @lru_cache(maxsize=None)
     def pair():
-        return asymptotics_check(hwv_pair(2, 2, 1), 1, 1, kappa, config.rel_tol)
+        return asymptotics_check(hwv_pair(2, 2, 1), 1, 2, 1, (0.0, 1.0), kappa, config.rel_tol)
 
     def block_collapse():
         tau = hwv_space_basis(TensorSpace((2, 2, 2)), 2)[0]
-        report = general_asymptotics_check(tau, 1, 3, 2, (0.0, 0.4, 1.0), kappa, config.rel_tol)
+        report = asymptotics_check(tau, 1, 3, 2, (0.0, 0.4, 1.0), kappa, config.rel_tol)
         return abs(report["ratios"][1] / report["reference"] - 1.0)
 
     return [
-        ("asy.pair_exponent", lambda: abs(pair()["exponent"] - pair()["exponent_ref"]), 1e-3),
-        ("asy.pair_constant", lambda: abs(pair()["ratios"][-1] / pair()["reference"] - 1.0), 1e-2),
-        ("asy.block_collapse", block_collapse, 2e-2),
+        ("asy.pair_exponent", lambda: abs(pair()["exponent"] - pair()["exponent_ref"]), 1e-8),
+        ("asy.pair_constant", lambda: abs(pair()["ratios"][-1] / pair()["reference"] - 1.0), 1e-8),
+        ("asy.block_collapse", block_collapse, 1e-8),
     ]
 
 
 def _infinity_checks(config):
-    def two_point():
-        return max(infinity_limit(hwv_pair(2, 2, 1), side, 8.0, config.rel_tol)
-                   ["relative_errors"][-1] for side in ("plus", "minus"))
-
-    def three_point():
-        w = hwv_space_basis(TensorSpace((2, 2, 3)), 1)[0]
-        return infinity_limit(w, "plus", 10.0, config.rel_tol)["relative_errors"][-1]
+    def worst(dims, kappa):
+        # both sides of the first trivial vector
+        v = hwv_space_basis(TensorSpace(dims), 1)[0]
+        return max(infinity_limit(v, side, kappa, config.rel_tol)["relative_error"]
+                   for side in ("plus", "minus"))
 
     return [
-        ("infinity.two_point", two_point, 2e-2),
-        ("infinity.three_point", three_point, 2e-2),
+        ("infinity.two_point", lambda: worst((2, 2), 8.0), 1e-8),
+        ("infinity.three_point", lambda: worst((2, 2, 3), 10.0), 1e-8),
+        ("infinity.four_point", lambda: worst((3, 2, 2, 3), 10.0), 1e-8),
     ]
 
 

@@ -60,21 +60,17 @@ from .qseries import (
     _qmultinom_poly,
     qbinom,
     qfact,
-    qint,
 )
 from .uqsl2 import (
     Q_COMM,
-    TensorSpace,
     TensorVector,
-    act,
     is_hwv,
-    project,
+    project_block,
     r_minus,
     r_plus,
 )
 
 _SEPARATIONS = (1e-2, 1e-3, 1e-4)
-_S_VALUES = (1e2, 1e3, 1e4)
 
 
 # -- reduction of basis functions to real integrals ------------------------
@@ -458,76 +454,79 @@ def _power_fit(seps, values):
         math.log(mags[i + 1] / mags[i]) / math.log(seps[i + 1] / seps[i])
         for i in range(len(seps) - 1)
     )
-    if len(slopes) == 1:
-        return slopes, slopes[0]
     # the leading correction to each slope shrinks by the separation ratio
     r = seps[-1] / seps[-2]
     return slopes, slopes[-1] + (slopes[-1] - slopes[-2]) * r / (1.0 - r)
 
 
-def _collapse_series(v, points_at, exponent_ref, kappa, rel_tol):
-    """F_anchor of v at points_at(s) for each separation s in _SEPARATIONS,
-    the ratios after dividing out s**exponent_ref, and the fitted power."""
-    values = []
-    ratios = []
-    for sep in _SEPARATIONS:
-        val = F_anchor(v, ChamberPoint(0.0, points_at(sep)), kappa, rel_tol)
-        values.append(val)
-        ratios.append(val / sep ** exponent_ref)
-    slopes, fit = _power_fit(_SEPARATIONS, values)
-    return {
-        "separations": _SEPARATIONS,
-        "values": tuple(values),
-        "ratios": tuple(ratios),
-        "slopes": slopes,
-        "exponent": fit,
-        "exponent_ref": exponent_ref,
-        "constant": ratios[-1],
-    }
-
-
-def asymptotics_check(v: TensorVector, j, d, kappa,
+def asymptotics_check(v: TensorVector, j, k, d, eta, kappa,
                       rel_tol: float = 1e-9) -> dict:
-    """Collapse the neighbor pair (j, j+1) and compare with the predicted
-    power law and constant.
+    """Collapse the points x_j..x_k at the fixed ratios eta and compare
+    with the predicted power law and constant.
 
-    Returns a report with the values at each separation, the ratios after
-    dividing out the predicted power, the fitted exponent, and the
-    reference constant built from the reduced vector.
+    The points sit at 1..n, and the block at xi - sep/2 + eta * sep about
+    its midpoint xi, for each separation sep of _SEPARATIONS.  v must lie
+    in the d summand of the block: uqsl2.project_block splits it into
+    paths (tau, hat), and F[v] / sep^(h_d - sum of the block's h_i) tends
+    to the reference, the sum over paths of F_hwv(tau, eta) times F_anchor
+    of hat with the block replaced by xi.  A pair is the block (j, j+1)
+    with eta = (0, 1), where F_hwv(tau, eta) is b_const.  The report holds
+    the values and ratios at each separation, their pairwise log-log
+    slopes, the exponent extrapolated from them, the predicted one and the
+    reference.
     """
     dims = v.space.dims
     n = len(dims)
-    pi_image, hat = project(v, j, d)
-    if pi_image != v:
-        raise ValueError(
-            f"vector is not in the d={d} summand of the pair ({j}, {j + 1})"
-        )
-    xi = j + 0.5
+    paths = project_block(v, j, k, d)
+    eta = tuple(float(e) for e in eta)
+    if len(eta) != k - j + 1:
+        raise ValueError(f"expected {k - j + 1} ratios, got {len(eta)}")
+    if eta[0] != 0.0 or eta[-1] != 1.0:
+        raise ValueError("ratios must start at 0 and end at 1")
+    if any(not a < b for a, b in zip(eta, eta[1:])):
+        raise ValueError("ratios must increase strictly")
+    exponent_ref = h_weight(d, kappa) - sum(
+        h_weight(dims[i], kappa) for i in range(j - 1, k)
+    )
+    xi = (j + k) / 2.0
     base = [float(i) for i in range(1, n + 1)]
-
-    def points_at(sep):
-        pts = list(base)
-        pts[j - 1] = xi - sep / 2.0
-        pts[j] = xi + sep / 2.0
-        return tuple(pts)
-
-    exponent_ref = h_weight(d, kappa) - h_weight(dims[j - 1], kappa) - h_weight(dims[j], kappa)
-    report = _collapse_series(v, points_at, exponent_ref, kappa, rel_tol)
-    collapsed = tuple(base[: j - 1] + [xi] + base[j + 1:])
-    report["reference"] = b_const(
-        d, dims[j - 1], dims[j], kappa, rel_tol
-    ) * F_anchor(hat, ChamberPoint(0.0, collapsed), kappa, rel_tol)
-    return report
+    values = []
+    for sep in _SEPARATIONS:
+        pts = base[: j - 1] + [xi - sep / 2.0 + e * sep for e in eta] + base[k:]
+        values.append(F_anchor(v, ChamberPoint(0.0, tuple(pts)), kappa, rel_tol))
+    slopes, fit = _power_fit(_SEPARATIONS, values)
+    collapsed = ChamberPoint(0.0, tuple(base[: j - 1] + [xi] + base[k:]))
+    return {
+        "separations": _SEPARATIONS,
+        "eta": eta,
+        "values": tuple(values),
+        "ratios": tuple(z / sep ** exponent_ref for z, sep in zip(values, _SEPARATIONS)),
+        "slopes": slopes,
+        "exponent": fit,
+        "exponent_ref": exponent_ref,
+        "reference": sum(F_hwv(tau, eta, kappa, rel_tol)
+                         * F_anchor(hat, collapsed, kappa, rel_tol)
+                         for tau, hat in paths),
+    }
 
 
 def infinity_limit(v: TensorVector, side, kappa,
                    rel_tol: float = 1e-9) -> dict:
-    """Send the outermost point to infinity and compare the rescaled trend
-    against the function with one variable less.
+    """Send the outermost point to infinity and compare the limit with the
+    function with one point less.
 
     side selects which end escapes: "plus" sends the last point to
     +infinity, "minus" the first point to -infinity.  Requires a vector of
-    the trivial subrepresentation, so both sides are anchor free.
+    the trivial subrepresentation, so both sides are anchor free and F is
+    Moebius covariant.  The finite points sit at 1..n-1, and the limit is
+    read exactly, with no extrapolation: mu(z) = -1/(z - c) keeps the
+    order of the points and sends the escaping one to 0, so for "plus",
+    with c = x_1 - 1, lim s^(2 h_n) F(x', s) = prod_(i<n) |x_i -
+    c|^(-2 h_i) F(mu(x'), 0), one F_hwv call; "minus" takes c = x_(n-1) +
+    1 and F(0, mu(x')).  The reference is the edge constant times F_hwv
+    of r_plus(v) or r_minus(v) at the finite points.  The report holds
+    the side, the limit, the constant, the reference and the relative
+    error of the limit against the reference.
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
@@ -543,123 +542,25 @@ def infinity_limit(v: TensorVector, side, kappa,
         d_edge = dims[-1]
         reduced = r_plus(v)
         edge_scalar = Q_COMM ** (d_edge - 1) * qfact(d_edge - 1) ** 2
+        c = finite[0] - 1.0
     else:
         d_edge = dims[0]
         reduced = r_minus(v)
         drop = QScalar.from_poly(LaurentPoly({-2: 1, 0: -1}))
         edge_scalar = drop ** (d_edge - 1) * qfact(d_edge - 1) ** 2
+        c = finite[-1] + 1.0
     constant = eval_q(edge_scalar, kp) * b_const(1, d_edge, d_edge, kappa, rel_tol)
-    exponent = 2.0 * h_weight(d_edge, kappa)
-    scaled = []
-    for s in _S_VALUES:
-        pts = finite + (s,) if side == "plus" else (-s,) + finite
-        scaled.append(s ** exponent * F_hwv(v, pts, kappa, rel_tol))
+    images = tuple(-1.0 / (x - c) for x in finite)
+    pts = images + (0.0,) if side == "plus" else (0.0,) + images
+    jacobian = math.prod(abs(x - c) ** (-2.0 * h_weight(di, kappa))
+                         for x, di in zip(finite, reduced.space.dims))
+    limit = jacobian * F_hwv(v, pts, kappa, rel_tol)
     reference = constant * F_hwv(reduced, finite, kappa, rel_tol)
     denom = abs(reference)
-    if denom > 0.0:
-        errors = tuple(abs(z - reference) / denom for z in scaled)
-    else:
-        errors = tuple(abs(z) for z in scaled)
     return {
         "side": side,
-        "s_values": _S_VALUES,
-        "scaled": tuple(scaled),
+        "limit": limit,
         "constant": constant,
         "reference": reference,
-        "relative_errors": errors,
+        "relative_error": abs(limit - reference) / denom if denom > 0.0 else abs(limit),
     }
-
-
-def _block_decompose(v, j, k):
-    """Split v into a single outer basis configuration and the vector it
-    carries on the block of positions j..k."""
-    if v.is_zero():
-        raise ValueError("zero vector has no block decomposition")
-    dims = v.space.dims
-    outer_set = {idx[: j - 1] + idx[k:] for idx in v.coeffs}
-    if len(outer_set) != 1:
-        raise ValueError(
-            "vector is not a basis tensor outside the collapsing block"
-        )
-    outer = next(iter(outer_set))
-    block_space = TensorSpace(dims[j - 1: k])
-    block = TensorVector(
-        block_space, {idx[j - 1: k]: cv for idx, cv in v.coeffs.items()}
-    )
-    return outer, block
-
-
-def _ladder_root(u, d):
-    """Write u as F^l applied to a highest weight vector of weight d.
-
-    Returns (l, tau0); raises if u does not lie in one irreducible ladder.
-    """
-    chain = [u]
-    w = u
-    while not act("E", w).is_zero():
-        w = act("E", w)
-        chain.append(w)
-    l = len(chain) - 1
-    top = chain[-1]
-    if not is_hwv(top, d):
-        raise ValueError(
-            f"block vector is not generated from a d={d} highest weight vector"
-        )
-    ladder = Q_ONE
-    for t in range(1, l + 1):
-        ladder = ladder * qint(t) * qint(d - t)
-    tau0 = top.scale(ladder.inverse())
-    check = tau0
-    for _ in range(l):
-        check = act("F", check)
-    if check != u:
-        raise ValueError(
-            "block vector is not a ladder descendant of a highest weight vector"
-        )
-    return l, tau0
-
-
-def general_asymptotics_check(v: TensorVector, j, k, d, eta, kappa,
-                              rel_tol: float = 1e-9) -> dict:
-    """Collapse the points x_j..x_k at fixed ratios and compare with the
-    product of the block function and the reduced function.
-
-    The vector must carry plain basis indices outside the block and a
-    ladder descendant of a d-dimensional highest weight vector on it.
-    """
-    dims = v.space.dims
-    n = len(dims)
-    if not 1 <= j < k <= n:
-        raise ValueError(f"block ({j}, {k}) out of range for n={n}")
-    outer, block = _block_decompose(v, j, k)
-    l, tau0 = _ladder_root(block, d)
-    eta = tuple(float(e) for e in eta)
-    if len(eta) != k - j + 1:
-        raise ValueError(f"expected {k - j + 1} ratios, got {len(eta)}")
-    if eta[0] != 0.0 or eta[-1] != 1.0:
-        raise ValueError("ratios must start at 0 and end at 1")
-    if any(not a < b for a, b in zip(eta, eta[1:])):
-        raise ValueError("ratios must increase strictly")
-    exponent_ref = h_weight(d, kappa) - sum(
-        h_weight(dims[i], kappa) for i in range(j - 1, k)
-    )
-    xi = (j + k) / 2.0
-    base = [float(i) for i in range(1, n + 1)]
-
-    def points_at(sep):
-        pts = list(base)
-        for off, e in enumerate(eta):
-            pts[j - 1 + off] = xi - sep / 2.0 + e * sep
-        return tuple(pts)
-
-    report = _collapse_series(v, points_at, exponent_ref, kappa, rel_tol)
-    block_value = F_hwv(tau0, eta, kappa, rel_tol)
-    hat_space = TensorSpace(dims[: j - 1] + (d,) + dims[k:])
-    hat = TensorVector.basis(hat_space, outer[: j - 1] + (l,) + outer[j - 1:])
-    collapsed = tuple(base[: j - 1] + [xi] + base[k:])
-    report["eta"] = eta
-    report["reference"] = block_value * F_anchor(
-        hat, ChamberPoint(0.0, collapsed), kappa, rel_tol
-    )
-    report["block_value"] = block_value
-    return report

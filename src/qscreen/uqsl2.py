@@ -327,6 +327,56 @@ def project(v: TensorVector, j: int, d: int):
             TensorVector(hat_space, hat_coeffs))
 
 
+def project_block(v: TensorVector, j: int, k: int, d: int):
+    """Split off the M_d component of the block of positions j..k.
+
+    Fuses the block left to right by repeated project(w, j, d') calls,
+    one path per chain of channels d'.  A path carries its reduced
+    vector w, whose slot j stands for the block fused so far, and that
+    block's highest weight vector tau, which grows at each step as
+    sum_(l1, l2) hwv_pair(d', d_next, m)[(l1, l2)] F^l1.tau (x) e_l2, so
+    that project's map F^l.tau -> e_l holds at every step.  The last step
+    keeps the channel d alone.
+
+    Returns ((tau, hat), ...) over the paths with a nonzero hat: tau is a
+    highest weight vector of weight q^(d-1) on the block's factors, hat
+    lives where the block is replaced by a single tensorand of dimension
+    d, and v is the sum over paths of hat with each e_l at position j
+    read as F^l.tau.  Raises ValueError unless v lies in the d summand
+    of the block, that is unless the last step keeps all of every w.
+    """
+    dims = v.space.dims
+    n = len(dims)
+    if not 1 <= j < k <= n:
+        raise ValueError(f"block ({j}, {k}) out of range for n={n}")
+    paths = [(TensorVector.basis(TensorSpace(dims[j - 1:j]), (0,)), v)]
+    for p in range(j, k):
+        d2, last = dims[p], p == k - 1
+        grown = []
+        for tau, w in paths:
+            d1 = w.space.dims[j - 1]
+            parts = [(m, *project(w, j, d1 + d2 - 1 - 2 * m))
+                     for m in range(min(d1, d2))
+                     if not last or d1 + d2 - 1 - 2 * m == d]
+            if last and (not parts or parts[0][1] != w):
+                raise ValueError(
+                    f"vector is not in the d={d} summand of the block ({j}, {k})")
+            for m, _, hat in parts:
+                if hat.is_zero():
+                    continue
+                pair = hwv_pair(d1, d2, m)
+                powers = [tau]
+                for _ in range(max(l1 for l1, _ in pair.coeffs)):
+                    powers.append(act("F", powers[-1]))
+                grown.append((TensorVector(
+                    TensorSpace(tau.space.dims + (d2,)),
+                    {idx + (l2,): c * val
+                     for (l1, l2), c in pair.coeffs.items()
+                     for idx, val in powers[l1].coeffs.items()}), hat))
+        paths = grown
+    return tuple(paths)
+
+
 @lru_cache(maxsize=1024)
 def _fused_hwvs(dims: tuple, d: int) -> tuple[TensorVector, ...]:
     """A basis, not normalized, of the highest weight vectors of weight

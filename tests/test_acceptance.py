@@ -22,7 +22,6 @@ from qscreen.correspondence import (
     F_anchor,
     F_hwv,
     asymptotics_check,
-    general_asymptotics_check,
     infinity_limit,
     phi,
 )
@@ -294,41 +293,36 @@ def test_09_mobius_covariance():
 
 
 def test_10_collapse_asymptotics():
-    lower = asymptotics_check(hwv_pair(2, 2, 1), 1, 1, KAPPA)
+    lower = asymptotics_check(hwv_pair(2, 2, 1), 1, 2, 1, (0.0, 1.0), KAPPA)
     gap = abs(lower["exponent"] - (KAPPA - 6.0) / KAPPA)
-    assert gap <= 1e-3
+    assert gap <= 1e-8
     drift = abs(lower["ratios"][1] / lower["reference"] - 1.0)
-    assert drift <= 1e-2
+    assert drift <= 1e-8
 
     upper = asymptotics_check(TensorVector.basis(TensorSpace((2, 2)), (0, 0)),
-                              1, 3, KAPPA)
+                              1, 2, 3, (0.0, 1.0), KAPPA)
     gap3 = abs(upper["exponent"] - 2.0 / KAPPA)
-    assert gap3 <= 1e-3
+    assert gap3 <= 1e-8
     drift3 = abs(upper["ratios"][1] / upper["reference"] - 1.0)
-    assert drift3 <= 1e-2
+    assert drift3 <= 1e-8
 
     tau = hwv_space_basis(TensorSpace((2, 2, 2)), 2)[0]
-    triple = general_asymptotics_check(tau, 1, 3, 2, (0.0, 0.4, 1.0), KAPPA)
+    triple = asymptotics_check(tau, 1, 3, 2, (0.0, 0.4, 1.0), KAPPA)
     drift_triple = abs(triple["ratios"][1] / triple["reference"] - 1.0)
-    assert drift_triple <= 2e-2
+    assert drift_triple <= 1e-8
     print(f"fusion exponents off by {gap:.2e} and {gap3:.2e}, constants off by"
           f" {drift:.2e} / {drift3:.2e}, three-point {drift_triple:.2e}")
 
 
 def test_11_point_at_infinity():
     worst = 0.0
-    v2 = hwv_pair(2, 2, 1)
-    for side in ("plus", "minus"):
-        report = infinity_limit(v2, side, 8.0)
-        err = report["relative_errors"][-1]
-        worst = max(worst, err)
-        assert err <= 2e-2, (2, side, err)
-    for v4 in hwv_space_basis(QUARTET, 1):
-        report = infinity_limit(v4, "plus", KAPPA)
-        err = report["relative_errors"][-1]
-        worst = max(worst, err)
-        assert err <= 2e-2, (4, err)
-    print(f"point at infinity worst rel {worst:.2e} at s = 1e4")
+    cases = [(hwv_pair(2, 2, 1), 8.0)] + [(v4, KAPPA) for v4 in hwv_space_basis(QUARTET, 1)]
+    for v, kappa in cases:
+        for side in ("plus", "minus"):
+            err = infinity_limit(v, side, kappa)["relative_error"]
+            worst = max(worst, err)
+            assert err <= 1e-9, (v.space.dims, side, err)
+    print(f"point at infinity worst rel {worst:.2e}")
 
 
 def test_12_cyclic_permutation_scalar():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from closed_forms import delta_fusion, delta_scaling, reduction_entries_by_enumeration
 
-from qscreen import coulomb
+from qscreen import correspondence, coulomb
 from qscreen.coulomb import (
     ChamberPoint,
     b_const,
@@ -29,7 +29,6 @@ from qscreen.correspondence import (
     _rephasing,
     asymptotics_check,
     default_anchor,
-    general_asymptotics_check,
     infinity_limit,
     phi,
     reduction_coeffs,
@@ -42,6 +41,7 @@ from qscreen.uqsl2 import (
     hwv_pair,
     hwv_space_basis,
     is_hwv,
+    project,
 )
 
 KAPPA = 10.0
@@ -522,7 +522,7 @@ def test_alpha_three_point_matches_linear_extension():
 
 
 def test_asymptotics_pure_power_pair():
-    report = asymptotics_check(hwv_pair(2, 2, 1), 1, 1, KAPPA)
+    report = asymptotics_check(hwv_pair(2, 2, 1), 1, 2, 1, (0.0, 1.0), KAPPA)
     assert report["exponent_ref"] == pytest.approx((KAPPA - 6.0) / KAPPA)
     assert report["exponent"] == pytest.approx(report["exponent_ref"], abs=1e-8)
     assert report["reference"] == pytest.approx(b_const(1, 2, 2, KAPPA), rel=1e-12)
@@ -532,7 +532,7 @@ def test_asymptotics_pure_power_pair():
 
 def test_asymptotics_upper_summand_is_flat():
     v = TensorVector.basis(TensorSpace((2, 2)), (0, 0))
-    report = asymptotics_check(v, 1, 3, KAPPA)
+    report = asymptotics_check(v, 1, 2, 3, (0.0, 1.0), KAPPA)
     assert report["exponent_ref"] == pytest.approx(2.0 / KAPPA)
     assert report["exponent"] == pytest.approx(2.0 / KAPPA, abs=1e-8)
     assert report["reference"] == pytest.approx(1.0, rel=1e-12)
@@ -543,37 +543,61 @@ def test_asymptotics_upper_summand_is_flat():
 def test_asymptotics_rejects_wrong_summand():
     v = TensorVector.basis(TensorSpace((2, 2)), (0, 0))
     with pytest.raises(ValueError, match="summand"):
-        asymptotics_check(v, 1, 1, KAPPA)
+        asymptotics_check(v, 1, 2, 1, (0.0, 1.0), KAPPA)
 
 
 def test_asymptotics_four_point_collapse():
     v = tensor_product(hwv_pair(2, 2, 1), hwv_pair(2, 2, 1))
     assert is_hwv(v, 1)
-    report = asymptotics_check(v, 1, 1, KAPPA)
+    report = asymptotics_check(v, 1, 2, 1, (0.0, 1.0), KAPPA)
     mid = report["ratios"][1]
-    assert abs(mid / report["reference"] - 1.0) <= 1e-2
-    assert report["exponent"] == pytest.approx(report["exponent_ref"], abs=1e-3)
+    assert abs(mid / report["reference"] - 1.0) <= 1e-8
+    assert report["exponent"] == pytest.approx(report["exponent_ref"], abs=1e-7)
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 2, 2), (3, 3, 3, 3)], ids=["3,3,2,2", "3,3,3,3"])
+def test_asymptotics_d3_channel(dims):
+    # the d = 3 images of the trivial vectors under the pair (x_1, x_2);
+    # the leading correction goes like sep^2
+    images = [project(w, 1, 3)[0] for w in hwv_space_basis(TensorSpace(dims), 1)]
+    images = [pi for pi in images if not pi.is_zero()]
+    assert images
+    for pi in images:
+        report = asymptotics_check(pi, 1, 2, 3, (0.0, 1.0), KAPPA)
+        assert abs(report["ratios"][-1] / report["reference"] - 1.0) <= 1e-8
+        assert report["exponent"] == pytest.approx(report["exponent_ref"], abs=1e-6)
 
 
 # -- multi-point collapse --------------------------------------------------
 
 
 def test_general_collapse_matches_pair_specialization():
-    v = hwv_pair(2, 2, 1)
-    pair = asymptotics_check(v, 1, 1, KAPPA)
-    gen = general_asymptotics_check(v, 1, 2, 1, (0.0, 1.0), KAPPA)
-    for a, b in zip(gen["ratios"], pair["ratios"]):
-        assert a == pytest.approx(b, rel=1e-10)
-    assert gen["reference"] == pytest.approx(pair["reference"], rel=1e-8)
+    # at a pair the one check's reference is b_const times the collapsed
+    # F of project's image, to the bit
+    v = tensor_product(hwv_pair(2, 2, 1), hwv_pair(2, 2, 1))
+    report = asymptotics_check(v, 1, 2, 1, (0.0, 1.0), KAPPA)
+    hat = project(v, 1, 1)[1]
+    collapsed = F_anchor(hat, ChamberPoint(0.0, (1.5, 3.0, 4.0)), KAPPA)
+    assert report["reference"] == b_const(1, 2, 2, KAPPA) * collapsed
 
 
 def test_general_three_point_collapse():
     tau = hwv_space_basis(TensorSpace((2, 2, 2)), 2)[0]
-    report = general_asymptotics_check(tau, 1, 3, 2, (0.0, 0.4, 1.0), KAPPA)
+    report = asymptotics_check(tau, 1, 3, 2, (0.0, 0.4, 1.0), KAPPA)
     assert report["exponent_ref"] == pytest.approx(-2.0 * h_weight(2, KAPPA))
-    assert report["exponent"] == pytest.approx(report["exponent_ref"], abs=1e-3)
+    assert report["exponent"] == pytest.approx(report["exponent_ref"], abs=1e-10)
     mid = report["ratios"][1]
-    assert abs(mid / report["reference"] - 1.0) <= 2e-2
+    assert abs(mid / report["reference"] - 1.0) <= 1e-10
+
+
+def test_block_collapse_with_a_mixed_context():
+    # the trivial vectors of (2,2,2,2) are no single basis tensor outside
+    # the block x_1..x_3; the leading correction is linear in sep
+    for v in hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1):
+        report = asymptotics_check(v, 1, 3, 2, (0.0, 0.4, 1.0), KAPPA)
+        errs = [abs(r / report["reference"] - 1.0) for r in report["ratios"]]
+        assert errs[-1] <= 1e-4
+        assert errs[1] >= 5.0 * errs[-1]
 
 
 def test_general_collapse_rejects_malformed_vectors():
@@ -581,37 +605,42 @@ def test_general_collapse_rejects_malformed_vectors():
     mixed_outer = TensorVector.basis(space, (0, 0, 0)) + TensorVector.basis(
         space, (0, 1, 1)
     ).scale(QScalar.q_power(1))
-    with pytest.raises(ValueError, match="outside the collapsing block"):
-        general_asymptotics_check(mixed_outer, 1, 2, 1, (0.0, 1.0), KAPPA)
+    with pytest.raises(ValueError, match="summand of the block"):
+        asymptotics_check(mixed_outer, 1, 2, 1, (0.0, 1.0), KAPPA)
     pair_space = TensorSpace((2, 2))
     not_ladder = TensorVector.basis(pair_space, (0, 0)) + TensorVector.basis(
         pair_space, (1, 1)
     )
-    with pytest.raises(ValueError, match="highest weight"):
-        general_asymptotics_check(not_ladder, 1, 2, 2, (0.0, 1.0), KAPPA)
+    with pytest.raises(ValueError, match="summand of the block"):
+        asymptotics_check(not_ladder, 1, 2, 2, (0.0, 1.0), KAPPA)
     with pytest.raises(ValueError, match="ratios"):
-        general_asymptotics_check(hwv_pair(2, 2, 1), 1, 2, 1, (0.0, 0.5), KAPPA)
+        asymptotics_check(hwv_pair(2, 2, 1), 1, 2, 1, (0.0, 0.5), KAPPA)
+    with pytest.raises(ValueError, match="out of range"):
+        asymptotics_check(hwv_pair(2, 2, 1), 2, 3, 1, (0.0, 1.0), KAPPA)
 
 
 # -- the point at infinity -------------------------------------------------
 
 
-def test_infinity_limit_two_point_both_sides():
+def test_infinity_limit_two_point_both_sides(monkeypatch):
+    calls = []
+    counted = lambda *args: calls.append(args) or F_hwv(*args)
+    monkeypatch.setattr(correspondence, "F_hwv", counted)
     v = hwv_pair(2, 2, 1)
     for side in ("plus", "minus"):
         report = infinity_limit(v, side, 8.0)
         assert report["reference"] == pytest.approx(math.pi, rel=1e-9)
-        errs = report["relative_errors"]
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] <= 2e-2
+        assert report["relative_error"] <= 1e-9
+    # one evaluation at the Moebius image and one of the reference per side
+    assert len(calls) == 4
 
 
-def test_infinity_limit_three_point_trend():
-    v = hwv_space_basis(TensorSpace((2, 2, 3)), 1)[0]
-    report = infinity_limit(v, "plus", KAPPA)
-    errs = report["relative_errors"]
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[2] <= 2e-2
+@pytest.mark.parametrize("dims", [(2, 2, 3), (2, 2, 2, 2), (3, 2, 2, 3)],
+                         ids=["2,2,3", "2,2,2,2", "3,2,2,3"])
+def test_infinity_limit_is_exact_on_every_trivial_vector(dims):
+    for v in hwv_space_basis(TensorSpace(dims), 1):
+        for side in ("plus", "minus"):
+            assert infinity_limit(v, side, KAPPA)["relative_error"] <= 1e-9
 
 
 def test_infinity_limit_rejects_nontrivial_vectors():

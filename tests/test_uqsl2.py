@@ -22,6 +22,7 @@ from qscreen.uqsl2 import (
     hwv_space_basis,
     is_hwv,
     project,
+    project_block,
     r_minus,
     r_minus_inv,
     r_plus,
@@ -207,6 +208,55 @@ def test_project_is_idempotent():
         pi, hat = project(v, 1, d)
         pi2, hat2 = project(pi, 1, d)
         assert pi2 == pi and hat2 == hat
+
+
+def _unfused(paths, j, dims):
+    # the sum over paths of hat with each e_l at position j read as F^l.tau
+    out = TensorVector(TensorSpace(dims))
+    for tau, hat in paths:
+        powers = [tau]
+        for _ in range(hat.space.dims[j - 1] - 1):
+            powers.append(act("F", powers[-1]))
+        out = out + TensorVector(out.space, {
+            idx[:j - 1] + b + idx[j:]: c * cb
+            for idx, c in hat.coeffs.items()
+            for b, cb in powers[idx[j - 1]].coeffs.items()})
+    return out
+
+
+@pytest.mark.parametrize("dims,j,k,d", [((2, 2, 2, 2), 1, 3, 2), ((2, 2, 2, 2), 2, 4, 2),
+                                        ((3, 2, 2, 3), 1, 3, 3), ((3, 3, 3, 3), 1, 3, 3),
+                                        ((2, 2, 2), 1, 3, 2)])
+def test_project_block_rebuilds_the_vector(dims, j, k, d):
+    # a trivial vector lies in the d summand of a block that leaves out
+    # one point of dimension d; a block of every point takes the highest
+    # weight vectors of weight d
+    vectors = hwv_space_basis(TensorSpace(dims), d if k - j + 1 == len(dims) else 1)
+    assert vectors
+    for v in vectors:
+        paths = project_block(v, j, k, d)
+        assert paths
+        for tau, hat in paths:
+            assert is_hwv(tau, d) and tau.space.dims == dims[j - 1:k]
+            assert hat.space.dims == dims[:j - 1] + (d,) + dims[k:]
+        assert _unfused(paths, j, dims) == v
+
+
+def test_project_block_at_a_pair_is_project():
+    v = hwv_pair(2, 2, 1)
+    (tau, hat), = project_block(v, 1, 2, 1)
+    assert tau == v and hat == project(v, 1, 1)[1]
+
+
+def test_project_block_refuses_other_summands():
+    v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
+    with pytest.raises(ValueError, match="d=4 summand of the block"):
+        project_block(v, 1, 3, 4)
+    # no chain of channels of three d = 2 points reaches d = 3
+    with pytest.raises(ValueError, match="d=3 summand of the block"):
+        project_block(v, 1, 3, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        project_block(v, 3, 3, 2)
 
 
 # -- invariant vectors ----------------------------------------------------
