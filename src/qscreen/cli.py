@@ -55,6 +55,7 @@ from .uqsl2 import (
     cyclic_constant,
     hwv_pair,
     hwv_space_basis,
+    project,
 )
 
 @dataclass(frozen=True)
@@ -523,10 +524,32 @@ def _asy_checks(config):
         report = asymptotics_check(tau, 1, 3, 2, (0.0, 0.4, 1.0), kappa, config.rel_tol)
         return abs(report["ratios"][1] / report["reference"] - 1.0)
 
+    # the checks above collapse every point of their vector, so F is an
+    # exact power of the separation and they read only homogeneity; the
+    # two below keep points outside the pair, so their reference holds a
+    # fusion constant times the collapsed F of other points
+    def constant(v, d):
+        report = asymptotics_check(v, 1, 2, d, (0.0, 1.0), kappa, config.rel_tol)
+        return abs(report["ratios"][-1] / report["reference"] - 1.0)
+
+    def four_point_pair():
+        # hwv_pair(2, 2, 1) on (x_1, x_2) times hwv_pair(2, 2, 1) on (x_3, x_4)
+        half = hwv_pair(2, 2, 1).coeffs.items()
+        v = TensorVector(TensorSpace((2, 2, 2, 2)),
+                         {a + b: ca * cb for a, ca in half for b, cb in half})
+        return constant(v, 1)
+
+    def d3_channel():
+        # the d = 3 images under the pair (x_1, x_2) of the trivial vectors
+        images = (project(w, 1, 3)[0] for w in hwv_space_basis(TensorSpace((3, 3, 2, 2)), 1))
+        return max(constant(pi, 3) for pi in images if not pi.is_zero())
+
     return [
         ("asy.pair_exponent", lambda: abs(pair()["exponent"] - pair()["exponent_ref"]), 1e-8),
         ("asy.pair_constant", lambda: abs(pair()["ratios"][-1] / pair()["reference"] - 1.0), 1e-8),
         ("asy.block_collapse", block_collapse, 1e-8),
+        ("asy.four_point_pair", four_point_pair, 1e-8),
+        ("asy.d3_channel", d3_channel, 1e-8),
     ]
 
 

@@ -6,11 +6,13 @@ integrals for real ordered ones.  The table is a triangular-array sum
 over the ways each group spreads its loops over the slots at or left of
 it.  A recursion over groups builds it, with the tuple of partial slot
 totals as its state, so tables that share their first groups share
-those states.  The bookkeeping is easy to get wrong, so every build of a
-one- or two-group table is compared against an independently coded
-closed form, and the test suite checks longer tables against a
-slot-by-slot enumeration and low orders against the direct contour
-oracle.
+those states.  They share their exact products too: each set of groups
+has one prefactor, which multiplies each distinct state polynomial once,
+and equal entries of any tables are one QScalar.  The bookkeeping is
+easy to get wrong, so every build of a one- or two-group table is
+compared against an independently coded closed form, and the test suite
+checks longer tables against a slot-by-slot enumeration and low orders
+against the direct contour oracle.
 
 Vectors combine at the exact coefficient level before any quadrature
 runs.  Cancellations that close the integration surface for highest
@@ -97,12 +99,31 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
+@lru_cache(maxsize=None)
 def _group_prefactor(d, l):
     """Ladder product for one group; contains an exact zero once l >= d."""
     out = QScalar.q_power(l * (l - 1) // 2)
     for t in range(1, l + 1):
         out = out * (QScalar.q_power(d - t) - QScalar.q_power(t - d))
     return out
+
+
+@lru_cache(maxsize=None)
+def _groups_prefactor(groups):
+    """Product of the group prefactors over the sorted (d, l) pairs with
+    l > 0, shared by every table with the same groups in any order."""
+    pref = Q_ONE
+    for d, l in groups:
+        pref = pref * _group_prefactor(d, l)
+    return pref
+
+
+@lru_cache(maxsize=None)
+def _products(pref):
+    """The entries pref * poly that any table has made so far, keyed by
+    the Laurent polynomial poly, one dict per prefactor: equal entries
+    of any tables are one immutable QScalar."""
+    return {}
 
 
 def _append_group(states, dims, s):
@@ -166,19 +187,23 @@ def _general_entries(dims, counts):
     polynomial of the reassignments that reach it.  The states of the
     proper prefixes are cached; the last group's are not, since
     _table_entries keeps the finished table.  The product of the group
-    prefactors multiplies every entry once at the end.
+    prefactors is built once per set of groups with l > 0, and it
+    multiplies each distinct state polynomial once over all tables
+    (_products), not once per entry.
     """
-    pref = Q_ONE
-    for d, l in zip(dims, counts):
-        pref = pref * _group_prefactor(d, l)
+    pref = _groups_prefactor(tuple(sorted((d, l) for d, l in zip(dims, counts) if l)))
     if pref.is_zero():
         return {}
     states = _append_group(
         _prefix_states(dims[:-1], counts[:-1]), dims[:-1], counts[-1]
     )
+    made = _products(pref)
     out = {}
     for m, poly in states.items():
-        val = pref * QScalar.from_poly(LaurentPoly(poly))
+        poly = LaurentPoly(poly)
+        val = made.get(poly)
+        if val is None:
+            val = made[poly] = pref * QScalar.from_poly(poly)
         if not val.is_zero():
             out[m] = val
     return out

@@ -5,7 +5,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from qscreen.correspondence import _compositions, _group_prefactor
 from qscreen.jet import Jet
 from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qmultinom
 from qscreen.uqsl2 import TensorVector, act
@@ -139,9 +138,19 @@ def hwv_basis_by_elimination(space, d):
             for row in canon]
 
 
+def ladder_prefactor(d, l):
+    """q^(l(l-1)/2) prod_(t=1..l) (q^(d-t) - q^(t-d)), the prefactor of a
+    group of dimension d with l loops; its factor at t = d is zero."""
+    out = LaurentPoly.q_power(l * (l - 1) // 2)
+    for t in range(1, l + 1):
+        out = out * (LaurentPoly.q_power(d - t) - LaurentPoly.q_power(t - d))
+    return QScalar.from_poly(out)
+
+
 def reduction_entries_by_enumeration(dims, counts):
     """Triangular-array sum over loop reassignments, one slot assignment
-    at a time.
+    at a time, coded apart from the package: its own prefactor and its
+    own compositions.
 
     Group i distributes its counts[i] loops over slots 1..i; slot j
     collects the loops of all groups at or beyond it.  Each reassignment
@@ -151,11 +160,13 @@ def reduction_entries_by_enumeration(dims, counts):
     n = len(dims)
     pref = Q_ONE
     for d, l in zip(dims, counts):
-        pref = pref * _group_prefactor(d, l)
+        pref = pref * ladder_prefactor(d, l)
     if pref.is_zero():
         return {}
     entries = {}
-    slot_choices = [_compositions(counts[i], i + 1) for i in range(n)]
+    # every way to spread counts[i] loops over slots 0..i
+    slot_choices = [[k for k in product(range(counts[i] + 1), repeat=i + 1)
+                     if sum(k) == counts[i]] for i in range(n)]
     for arrays in product(*slot_choices):
         mult = Q_ONE
         expo = 0

@@ -23,10 +23,15 @@ from qscreen.coulomb import (
 from qscreen.correspondence import (
     F_anchor,
     F_hwv,
+    _append_group,
     _check_anchor_free,
     _exact_weights,
+    _group_prefactor,
+    _groups_prefactor,
     _prefix_states,
+    _products,
     _rephasing,
+    _table_entries,
     asymptotics_check,
     default_anchor,
     infinity_limit,
@@ -144,6 +149,45 @@ def test_reduction_tables_share_prefix_states():
     reduction_coeffs((3, 3, 3, 6), (2, 2, 1, 1))
     reduction_coeffs((3, 3, 3, 6), (2, 2, 1, 3))
     assert _prefix_states.cache_info().misses == misses
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), min_size=1, max_size=6),
+       st.data())
+def test_shared_prefactor_is_the_product_of_the_groups_in_any_order(groups, data):
+    # the groups with l >= d make the product an exact zero
+    product = Q_ONE
+    for d, l in data.draw(st.permutations(groups), label="order"):
+        product = product * _group_prefactor(d, l)
+    assert _groups_prefactor(tuple(sorted(g for g in groups if g[1]))) == product
+    assert product.is_zero() == any(l >= d for d, l in groups)
+
+
+def test_reduction_tables_share_their_products():
+    # the 2142 entries of the (3,)^5 trivial support hold 216 distinct
+    # values; each product of a prefactor and a state polynomial is made
+    # once
+    dims = (3,) * 5
+    support = sorted({idx for v in hwv_space_basis(TensorSpace(dims), 1) for idx in v.coeffs})
+    values = [c for idx in support for c in reduction_coeffs(dims, idx).entries.values()]
+    assert len(values) == 2142
+    assert len({id(c) for c in values}) <= 310
+
+
+def test_equal_state_polynomials_under_different_prefactors():
+    # the last group's dimension enters the prefactor but not the states,
+    # so these two tables multiply the same polynomials by different
+    # prefactors; built cold in one process, each must keep its own
+    tables = [((2, 3, 2), (1, 1, 1)), ((2, 3, 3), (1, 1, 1))]
+    states = [_append_group(_prefix_states(dims[:-1], counts[:-1]), dims[:-1], counts[-1])
+              for dims, counts in tables]
+    assert states[0] == states[1]
+    assert _group_prefactor(2, 1) != _group_prefactor(3, 1)
+    _table_entries.cache_clear()
+    _products.cache_clear()
+    for dims, counts in tables:
+        assert reduction_coeffs(dims, counts).entries == (
+            reduction_entries_by_enumeration(dims, counts))
 
 
 def test_reduction_rejects_empty_dims():
