@@ -28,6 +28,8 @@ from .coulomb import ChamberPoint, contour_phi_oracle, eval_stats, h_weight
 from .correspondence import (
     F_anchor,
     F_hwv,
+    _closed_form_entries,
+    _general_entries,
     asymptotics_check,
     default_anchor,
     infinity_limit,
@@ -405,10 +407,14 @@ def _reduction_checks(config):
         return defects
 
     def closed_form_gate():
-        # building any small table runs the exact closed-form comparison
-        reduction_coeffs((2, 3), (1, 2))
-        reduction_coeffs((3,), (2,))
-        return 0
+        # the recursion's one- and two-group tables against the closed
+        # forms coded apart from it, for d 1..5 and l 0..4: the number
+        # of tables that differ
+        cases = [((d,), (l,)) for d in range(1, 6) for l in range(5)]
+        cases += [((d1, d2), (l1, l2)) for d1, d2, l1, l2
+                  in itertools.product(range(1, 6), range(1, 6), range(5), range(5))]
+        return sum(_general_entries(dims, l) != _closed_form_entries(dims, l)
+                   for dims, l in cases)
 
     return [
         ("reduction.contour_oracle", contour_oracle, 1e-6),

@@ -5,14 +5,14 @@ through an exact coefficient table that trades the nested contour
 integrals for real ordered ones.  The table is a triangular-array sum
 over the ways each group spreads its loops over the slots at or left of
 it.  A recursion over groups builds it, with the tuple of partial slot
-totals as its state, so tables that share their first groups share
-those states.  They share their exact products too: each set of groups
-has one prefactor, which multiplies each distinct state polynomial once,
-and equal entries of any tables are one QScalar.  The bookkeeping is
-easy to get wrong, so every build of a one- or two-group table is
-compared against an independently coded closed form, and the test suite
-checks longer tables against a slot-by-slot enumeration and low orders
-against the direct contour oracle.
+totals as its state; each group reads its moves from one table per
+(earlier dims, loops).  The tables share their exact products: each set
+of groups has one prefactor, which multiplies each distinct state
+polynomial once, and equal entries of any tables are one QScalar.  The
+bookkeeping is easy to get wrong, so `verify` compares the one- and
+two-group tables with independently coded closed forms, and the test
+suite checks longer tables against a slot-by-slot enumeration and low
+orders against the direct contour oracle.
 
 Vectors combine at the exact coefficient level before any quadrature
 runs.  Cancellations that close the integration surface for highest
@@ -126,18 +126,13 @@ def _products(pref):
     return {}
 
 
-def _append_group(states, dims, s):
-    """States after one more group, the group i = len(dims), with s loops.
-
-    states pairs the partial slot totals M of groups 0..i-1 with their
-    Laurent polynomial as (exponent, coefficient) pairs; the result maps
-    the new totals to {exponent: coefficient}.  The group spreads its
-    loops over slots 0..i as a composition k with prefix sums P; the
-    assignment gains the q-multinomial of k, a q-power of k alone for the
-    crossings inside the group and with the earlier groups' charges, and
-    q^(-2 P[j] M[j]) for the group's loops left of slot j against the
-    earlier loops in it.
-    """
+@lru_cache(maxsize=None)
+def _moves(dims, s):
+    """The ways group i = len(dims) spreads its s loops over slots 0..i,
+    shared by every table whose groups before it have the dimensions
+    dims: each composition k with its own q-power, the doubled nonzero
+    prefix sums as (slot, 2 P[j]) pairs and the terms of its
+    q-multinomial."""
     i = len(dims)
     # tail[j]: the charges that the group's loops in slot j cross, the
     # sum of d_g - 1 over j <= g < i
@@ -148,31 +143,38 @@ def _append_group(states, dims, s):
     for k in _compositions(s, i + 1):
         own = sum(kj * tj for kj, tj in zip(k, tail))
         own -= (s * s - sum(p * p for p in k)) // 2
-        prefix = list(accumulate(k[:-1], initial=0))
-        moves.append((k, own, prefix, _qmultinom_poly(k).coeffs.items()))
+        # P[j] for the slots j < i that hold earlier loops
+        prefix = tuple((j, 2 * p) for j, p in enumerate(accumulate(k[:-2], initial=0)) if p)
+        moves.append((k, own, prefix, tuple(_qmultinom_poly(k).coeffs.items())))
+    return tuple(moves)
+
+
+def _append_group(states, dims, s):
+    """States after one more group, the group i = len(dims), with s loops.
+
+    states maps the partial slot totals M of groups 0..i-1 to their
+    Laurent polynomial as {exponent: coefficient}, and so does the
+    result for the new totals.  The group spreads its loops over slots
+    0..i as a composition k with prefix sums P; the assignment gains the
+    q-multinomial of k, a q-power of k alone for the crossings inside the
+    group and with the earlier groups' charges, and q^(-2 P[j] M[j]) for
+    the group's loops left of slot j against the earlier loops in it.
+    The moves come from _moves, built once per (dims, s), and a state's
+    crossings sum over the nonzero P[j] alone.
+    """
+    moves = _moves(dims, s)
     out = {}
-    for state, poly in states:
+    for state, poly in states.items():
         for k, own, prefix, mult in moves:
-            shift = own - 2 * sum(p * mj for p, mj in zip(prefix, state))
+            shift = own
+            for j, p2 in prefix:
+                shift -= p2 * state[j]
             acc = out.setdefault(tuple(map(add, state + (0,), k)), {})
-            for e1, v1 in poly:
+            for e1, v1 in poly.items():
                 for e2, v2 in mult:
                     e = e1 + e2 + shift
                     acc[e] = acc.get(e, 0) + v1 * v2
     return out
-
-
-@lru_cache(maxsize=None)
-def _prefix_states(dims, counts):
-    """The states after the groups of a proper prefix of a table, shared
-    by every table that starts with it."""
-    if not counts:
-        return (((), ((0, 1),)),)
-    states = _append_group(
-        _prefix_states(dims[:-1], counts[:-1]), dims[:-1], counts[-1]
-    )
-    # tuples of pairs hold a cached state in less memory than dicts
-    return tuple((m, tuple(poly.items())) for m, poly in states.items())
 
 
 def _general_entries(dims, counts):
@@ -184,19 +186,17 @@ def _general_entries(dims, counts):
     are the assignment m.  The q-power of a reassignment depends on the
     earlier groups only through their partial slot totals, so the state
     after each group is the tuple of those totals with the summed Laurent
-    polynomial of the reassignments that reach it.  The states of the
-    proper prefixes are cached; the last group's are not, since
-    _table_entries keeps the finished table.  The product of the group
-    prefactors is built once per set of groups with l > 0, and it
+    polynomial of the reassignments that reach it.  The product of the
+    group prefactors is built once per set of groups with l > 0, and it
     multiplies each distinct state polynomial once over all tables
     (_products), not once per entry.
     """
     pref = _groups_prefactor(tuple(sorted((d, l) for d, l in zip(dims, counts) if l)))
     if pref.is_zero():
         return {}
-    states = _append_group(
-        _prefix_states(dims[:-1], counts[:-1]), dims[:-1], counts[-1]
-    )
+    states = {(): {0: 1}}
+    for i, s in enumerate(counts):
+        states = _append_group(states, dims[:i], s)
     made = _products(pref)
     out = {}
     for m, poly in states.items():
@@ -226,24 +226,17 @@ def _closed_form_entries(dims, counts):
     return out
 
 
-@lru_cache(maxsize=None)
-def _table_entries(dims, counts):
-    entries = _general_entries(dims, counts)
-    if len(dims) <= 2 and entries != _closed_form_entries(dims, counts):
-        raise ArithmeticError(
-            f"reduction table for dims={dims}, l={counts} fails the"
-            " closed-form cross-check"
-        )
-    return entries
+# each table is built once per (dims, counts)
+_table_entries = lru_cache(maxsize=None)(_general_entries)
 
 
 def reduction_coeffs(dims, l) -> ReductionTable:
     """Exact table taking one basis function to the real integrals.
 
-    Each table is built once per (dims, l) and cached.  One- and two-group
-    tables are checked against independent closed forms when built and
-    must match exactly; a mismatch means the triangular array itself is
-    wrong and raises instead of returning bad data.
+    Each table is built once per (dims, l) and cached.  `verify
+    reduction.closed_form_gate` compares one- and two-group tables with
+    independent closed forms, and the tests compare longer ones with a
+    slot-by-slot enumeration.
     """
     dims, counts = _dims_counts(dims, l)
     entries = dict(_table_entries(dims, counts))

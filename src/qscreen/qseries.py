@@ -8,7 +8,11 @@ from them, and the bridge to numeric evaluation at q = exp(4*pi*i/kappa).
 A Laurent polynomial over denominator 1 is already in canonical form, so
 sums, products and negatives of such scalars are built without the
 polynomial gcd that reduces a true quotient; the q-binomials and
-q-multinomials come from the q-Pascal recurrence and never divide.
+q-multinomials come from the q-Pascal recurrence and never divide.  In
+the same way a product with a one-term factor (a monomial a*q^e) is an
+exponent shift and a coefficient scale, and neither it nor a negative can
+hold a zero coefficient, so both are built through the trusted
+LaurentPoly._trusted without the zero trim.
 """
 
 from __future__ import annotations
@@ -32,13 +36,22 @@ class LaurentPoly:
     """Laurent polynomial in q with arbitrary-precision integer coefficients.
 
     Stored as a map exponent -> coefficient with no zero entries.  Immutable
-    by convention: no method mutates self.
+    by convention: no method mutates self.  Results that cannot hold a
+    zero, such as monomial products and negatives, skip the trim through
+    _trusted, as QScalar._canonical skips the reduction.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         self.coeffs = _dict_trim(coeffs or {})
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        """Wrap a map that holds no zero coefficient, skipping the trim."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -57,7 +70,8 @@ class LaurentPoly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.coeffs == {0: 1}
+        c = self.coeffs
+        return len(c) == 1 and c.get(0) == 1
 
     def min_exp(self) -> int:
         if not self.coeffs:
@@ -78,15 +92,22 @@ class LaurentPoly:
         return LaurentPoly(c)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -v for e, v in self.coeffs.items()})
+        return LaurentPoly._trusted({e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial: an exponent shift and a scale, with no zero made
+            ((s, v),) = a.items()
+            return LaurentPoly._trusted({e + s: v * w for e, w in b.items()})
         c: dict[int, int] = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
+        for e1, v1 in a.items():
+            for e2, v2 in b.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + v1 * v2
         return LaurentPoly(c)

@@ -109,7 +109,10 @@ def act(gen: str, v: TensorVector) -> TensorVector:
 
     E carries K's on the factors right of it in printed order (lower
     positions), F carries Kinv's on the factors left of it (higher
-    positions).
+    positions).  Factor b of an index has K-weight d_b - 1 - 2 l_b, and
+    one pass over the factors builds the K exponent that each position
+    carries: the running sum of the weights below it for E, the total
+    less the running sum up to it for F.
     """
     dims = v.space.dims
     n = len(dims)
@@ -126,23 +129,23 @@ def act(gen: str, v: TensorVector) -> TensorVector:
             accumulate(idx, QScalar.q_power(e) * c)
     elif gen == "E":
         for idx, c in v.coeffs.items():
+            kexp = 0
             for a in range(n):
                 la = idx[a]
-                if la == 0:
-                    continue
-                kexp = sum(dims[b] - 1 - 2 * idx[b] for b in range(a))
-                factor = qint(la) * qint(dims[a] - la) * QScalar.q_power(kexp)
-                new = idx[:a] + (la - 1,) + idx[a + 1:]
-                accumulate(new, factor * c)
+                if la:
+                    factor = qint(la) * qint(dims[a] - la) * QScalar.q_power(kexp)
+                    new = idx[:a] + (la - 1,) + idx[a + 1:]
+                    accumulate(new, factor * c)
+                kexp += dims[a] - 1 - 2 * la
     elif gen == "F":
         for idx, c in v.coeffs.items():
+            kexp = -sum(dims[b] - 1 - 2 * idx[b] for b in range(n))
             for a in range(n):
                 la = idx[a]
-                if la == dims[a] - 1:
-                    continue
-                kexp = -sum(dims[b] - 1 - 2 * idx[b] for b in range(a + 1, n))
-                new = idx[:a] + (la + 1,) + idx[a + 1:]
-                accumulate(new, QScalar.q_power(kexp) * c)
+                kexp += dims[a] - 1 - 2 * la
+                if la != dims[a] - 1:
+                    new = idx[:a] + (la + 1,) + idx[a + 1:]
+                    accumulate(new, QScalar.q_power(kexp) * c)
     else:
         raise ValueError(f"unknown generator {gen!r}")
     return TensorVector(v.space, out)

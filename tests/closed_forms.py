@@ -6,7 +6,7 @@ from functools import cache
 from itertools import product
 
 from qscreen.jet import Jet
-from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qmultinom
+from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qint, qmultinom
 from qscreen.uqsl2 import TensorVector, act
 
 
@@ -26,6 +26,39 @@ def as_poly(x) -> LaurentPoly:
 def stretch(p, m) -> LaurentPoly:
     """The Laurent polynomial p with q -> q^m (exponents multiplied by m)."""
     return LaurentPoly({k * m: v for k, v in p.coeffs.items()})
+
+
+def poly_product_by_double_loop(a, b) -> dict:
+    """The coefficients of the product of two Laurent polynomials, summed
+    term by term over both factors, with the zero ones dropped."""
+    out = {}
+    for e1, v1 in a.coeffs.items():
+        for e2, v2 in b.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def act_by_resumming(gen, v):
+    """E, F or K on v through the iterated coproduct, the K exponent that
+    each position carries summed afresh over the factors it covers: those
+    below it for E, those above it for F, all of them for K."""
+    dims = v.space.dims
+    n = len(dims)
+    out = {}
+    for idx, c in v.coeffs.items():
+        weight = [dims[b] - 1 - 2 * idx[b] for b in range(n)]
+        if gen == "K":
+            terms = [(idx, QScalar.q_power(sum(weight)))]
+        elif gen == "E":
+            terms = [(idx[:a] + (idx[a] - 1,) + idx[a + 1:],
+                      qint(idx[a]) * qint(dims[a] - idx[a]) * QScalar.q_power(sum(weight[:a])))
+                     for a in range(n) if idx[a]]
+        else:
+            terms = [(idx[:a] + (idx[a] + 1,) + idx[a + 1:], QScalar.q_power(-sum(weight[a + 1:])))
+                     for a in range(n) if idx[a] < dims[a] - 1]
+        for new, factor in terms:
+            out[new] = out.get(new, Q_ZERO) + factor * c
+    return TensorVector(v.space, out)
 
 
 def selberg_oracle(l, alpha, beta, gamma) -> float:

@@ -28,7 +28,7 @@ from qscreen.correspondence import (
     _exact_weights,
     _group_prefactor,
     _groups_prefactor,
-    _prefix_states,
+    _moves,
     _products,
     _rephasing,
     _table_entries,
@@ -129,9 +129,9 @@ def test_reduction_entries_conserve_and_dominate(dims, data):
     ],
 )
 def test_reduction_tables_equal_enumeration_reference(dims, d):
-    # the runtime cross-check covers one and two groups; longer tables are
-    # compared here with the slot-by-slot enumeration on every index of a
-    # highest weight basis
+    # verify compares the one- and two-group tables with closed forms;
+    # longer tables are compared here with the slot-by-slot enumeration
+    # on every index of a highest weight basis
     basis = hwv_space_basis(TensorSpace(dims), d)
     support = sorted({idx for v in basis for idx in v.coeffs})
     assert support
@@ -141,14 +141,27 @@ def test_reduction_tables_equal_enumeration_reference(dims, d):
         ), idx
 
 
-def test_reduction_tables_share_prefix_states():
-    # a table reuses the states of its first groups, which do not depend
-    # on the dimensions of the groups after them
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.data())
+def test_reduction_tables_equal_enumeration_on_random_counts(dims, data):
+    # every group's moves come from one table per (earlier dims, count);
+    # up to four loops a group and below its dimension, so that no
+    # prefactor vanishes
+    dims = tuple(dims)
+    counts = tuple(data.draw(st.integers(0, min(4, d - 1)), label=f"l_{i}")
+                   for i, d in enumerate(dims))
+    assert reduction_coeffs(dims, counts).entries == (
+        reduction_entries_by_enumeration(dims, counts))
+
+
+def test_reduction_tables_share_moves():
+    # a group's moves depend on its loops and on the dimensions of the
+    # groups before it alone, so these tables read the first one's moves
     reduction_coeffs((3, 3, 3, 5), (2, 2, 1, 1))
-    misses = _prefix_states.cache_info().misses
+    misses = _moves.cache_info().misses
     reduction_coeffs((3, 3, 3, 6), (2, 2, 1, 1))
-    reduction_coeffs((3, 3, 3, 6), (2, 2, 1, 3))
-    assert _prefix_states.cache_info().misses == misses
+    reduction_coeffs((3, 3, 3, 7), (2, 2, 1, 1))
+    assert _moves.cache_info().misses == misses
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,8 +192,11 @@ def test_equal_state_polynomials_under_different_prefactors():
     # so these two tables multiply the same polynomials by different
     # prefactors; built cold in one process, each must keep its own
     tables = [((2, 3, 2), (1, 1, 1)), ((2, 3, 3), (1, 1, 1))]
-    states = [_append_group(_prefix_states(dims[:-1], counts[:-1]), dims[:-1], counts[-1])
-              for dims, counts in tables]
+    states = []
+    for dims, counts in tables:
+        states.append({(): {0: 1}})
+        for i, s in enumerate(counts):
+            states[-1] = _append_group(states[-1], dims[:i], s)
     assert states[0] == states[1]
     assert _group_prefactor(2, 1) != _group_prefactor(3, 1)
     _table_entries.cache_clear()

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
-from closed_forms import as_poly, is_poly, stretch
+from closed_forms import as_poly, is_poly, poly_product_by_double_loop, stretch
 from hypothesis import strategies as st
 
 from qscreen import qseries
@@ -235,6 +235,27 @@ def test_exact_quotient_skips_the_gcd(a, b, c):
     # a common factor cancels whether or not the rest divides
     assert _same(QScalar(a * c, b * c), QScalar(a, b))
     assert QScalar(a, b) * QScalar(b) == QScalar(a)
+
+
+# the units and coefficients beyond 2^64
+_wide = st.one_of(st.sampled_from([1, -1]), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-12, 12), _wide, max_size=6),
+       st.dictionaries(st.integers(-12, 12), _wide.filter(bool), min_size=1, max_size=1),
+       st.booleans())
+def test_monomial_product_is_the_double_loop(coeffs, term, left):
+    # a one-term factor on either side shifts the exponents and scales the
+    # coefficients of the other; the product, built without the zero
+    # trim, holds no zero coefficient, and neither does a negative
+    p, m = LaurentPoly(coeffs), LaurentPoly(term)
+    got = m * p if left else p * m
+    assert got.coeffs == poly_product_by_double_loop(m, p)
+    assert 0 not in got.coeffs.values()
+    assert _same(got, LaurentPoly(poly_product_by_double_loop(p, m)))
+    assert 0 not in (-got).coeffs.values()
+    assert _same(-(-got), got)
 
 
 @given(st.integers(-20, 20), st.integers(-9, 9))

@@ -5,7 +5,7 @@ import random
 from itertools import product
 
 import pytest
-from closed_forms import gauss_jordan, hwv_basis_by_elimination
+from closed_forms import act_by_resumming, gauss_jordan, hwv_basis_by_elimination
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +69,22 @@ def test_pair_action_examples():
     fw = act("F", w)
     assert fw == (basis([2, 2], (0, 1))
                   + basis([2, 2], (1, 0)).scale(QP(-1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=6), st.data())
+def test_act_matches_resummed_k_exponents(dims, data):
+    # act builds each position's K exponent in one pass over the factors;
+    # the reference sums it afresh for every position
+    space = TensorSpace(tuple(dims))
+    coeffs = data.draw(st.dictionaries(
+        st.tuples(*(st.integers(0, d - 1) for d in dims)),
+        st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), min_size=1, max_size=3)
+        .map(lambda c: QScalar.from_poly(LaurentPoly(c))),
+        max_size=8), label="coeffs")
+    v = TensorVector(space, coeffs)
+    for gen in ("E", "F", "K"):
+        assert act(gen, v) == act_by_resumming(gen, v)
 
 
 def test_unknown_generator_rejected():
