@@ -200,7 +200,9 @@ def _general_entries(dims, counts):
     made = _products(pref)
     out = {}
     for m, poly in states.items():
-        poly = LaurentPoly(poly)
+        # a state's coefficients are sums of products of q-multinomial
+        # terms, all positive, so the map holds no zero to trim
+        poly = LaurentPoly._trusted(poly)
         val = made.get(poly)
         if val is None:
             val = made[poly] = pref * QScalar.from_poly(poly)

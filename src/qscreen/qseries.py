@@ -6,9 +6,13 @@ two value types (LaurentPoly, QScalar), the q-combinatorial functions built
 from them, and the bridge to numeric evaluation at q = exp(4*pi*i/kappa).
 
 A Laurent polynomial over denominator 1 is already in canonical form, so
-sums, products and negatives of such scalars are built without the
-polynomial gcd that reduces a true quotient; the q-binomials and
-q-multinomials come from the q-Pascal recurrence and never divide.  In
+sums, differences, products and negatives of such scalars are built
+without the polynomial gcd that reduces a true quotient, a difference in
+one pass over the numerators with no negated copy.  The quotient of two
+such scalars goes straight to the constructor, whose exact division
+needs no gcd, with no product by the denominators 1; only a quotient
+that is not exact pays the gcd.  The q-binomials and q-multinomials come
+from the q-Pascal recurrence and never divide.  In
 the same way a product with a one-term factor (a monomial a*q^e) is an
 exponent shift and a coefficient scale, and neither it nor a negative can
 hold a zero coefficient, so both are built through the trusted
@@ -349,6 +353,12 @@ class QScalar:
         return QScalar._canonical(-self.num, self.den)
 
     def __sub__(self, other: "QScalar") -> "QScalar":
+        if self.den.is_one() and other.den.is_one():
+            # one pass over the numerators, with no negated copy
+            c = dict(self.num.coeffs)
+            for e, v in other.num.coeffs.items():
+                c[e] = c.get(e, 0) - v
+            return QScalar.from_poly(LaurentPoly(c))
         return self + (-other)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
@@ -359,6 +369,9 @@ class QScalar:
     def __truediv__(self, other: "QScalar") -> "QScalar":
         if other.is_zero():
             raise ZeroDivisionError("QScalar division by zero")
+        if self.den.is_one() and other.den.is_one():
+            # the constructor's exact quotient, with no product by 1
+            return QScalar(self.num, other.num)
         return QScalar(self.num * other.den, self.den * other.num)
 
     def inverse(self) -> "QScalar":

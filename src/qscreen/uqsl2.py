@@ -9,10 +9,13 @@ left, e_{l_n} (x) ... (x) e_{l_1}.
 Highest weight bases are built by fusion recursion: the vectors on n
 factors come from those on the first n-1 factors fused with M_{d_n}
 through the two-point Clebsch-Gordan vectors.  Their coefficients stay
-Laurent polynomials until one final echelon normalization.  Its forward
-pass only permutes the fusion vectors, whose leading columns differ, and
-its back substitution keeps them over denominator 1 and divides each row
-by its pivot exactly, with no polynomial gcd on these bases.
+Laurent polynomials, held as plain exponent maps {idx: {e: c}} that F
+acts on directly, until one final echelon normalization, which wraps
+each entry in a QScalar once.  Its forward pass only permutes the fusion
+vectors, whose leading columns differ, and its back substitution keeps
+them over denominator 1, where QScalar's difference and quotient skip
+the general formulas, and divides each row by its pivot exactly, with no
+polynomial gcd on these bases.
 """
 
 from __future__ import annotations
@@ -201,9 +204,11 @@ def _rref(rows, ncols):
     fusion vectors, are only permuted.  Back substitution then runs from
     the last pivot row up: each row subtracts multiples of the canonical
     rows below it, which clears their pivot columns, and is divided by its
-    own pivot.  On Laurent-polynomial rows the subtractions stay over
-    denominator 1, and the QScalar constructor divides exactly before it
-    reduces, so only an entry its pivot does not divide pays a gcd.
+    own pivot.  On Laurent-polynomial rows the products and subtractions
+    stay over denominator 1, a subtraction in one pass over the
+    numerators, and a division goes straight to the QScalar constructor,
+    which divides exactly before it reduces, so only an entry its pivot
+    does not divide pays a gcd.
     """
     rows = [list(r) for r in rows]
     pivots = []
@@ -380,24 +385,49 @@ def project_block(v: TensorVector, j: int, k: int, d: int):
     return tuple(paths)
 
 
+def _f_on_laurent(dims: tuple, vec: dict) -> dict:
+    """F on a vector of exponent maps {idx: {e: c}}, as act("F") does on
+    Laurent-polynomial coefficients: the term at index idx moves to each
+    raised index with its exponents shifted by the K exponent F carries
+    there, and the terms that reach one index sum into one map.  No map
+    of vec is changed, and no zero coefficient or empty map is kept."""
+    n = len(dims)
+    out: dict[tuple, dict] = {}
+    for idx, poly in vec.items():
+        kexp = -sum(dims[b] - 1 - 2 * idx[b] for b in range(n))
+        for a in range(n):
+            la = idx[a]
+            kexp += dims[a] - 1 - 2 * la
+            if la != dims[a] - 1:
+                acc = out.setdefault(idx[:a] + (la + 1,) + idx[a + 1:], {})
+                for e, c in poly.items():
+                    e += kexp
+                    acc[e] = acc.get(e, 0) + c
+    trimmed = ((idx, {e: c for e, c in acc.items() if c}) for idx, acc in out.items())
+    return {idx: poly for idx, poly in trimmed if poly}
+
+
 @lru_cache(maxsize=1024)
-def _fused_hwvs(dims: tuple, d: int) -> tuple[TensorVector, ...]:
+def _fused_hwvs(dims: tuple, d: int) -> tuple[dict, ...]:
     """A basis, not normalized, of the highest weight vectors of weight
-    q^(d-1) on the factors dims, with Laurent-polynomial coefficients.
+    q^(d-1) on the factors dims, each an exponent map {idx: {e: c}} of
+    its Laurent-polynomial coefficients.
 
     Each highest weight vector u of weight q^(d'-1) on the first n-1
     factors spans a copy of M_d' through e_l -> F^l.u; fusing that copy
-    with M_{d_n} by the pair vector of the summand M_d gives one vector.
-    Over all d' and u these vectors form a basis, since the first n-1
-    factors are the direct sum of such copies.  The cache lets spaces
-    with common leading factors, such as (3,)^5 and (3,)^4, share their
-    sub-bases across calls.
+    with M_{d_n} by the pair vector of the summand M_d gives one vector,
+    whose coefficient at idx + (l2,) is the numerator of the pair weight
+    at (l1, l2) times that of F^l1.u at idx.  Over all d' and u these
+    vectors form a basis, since the first n-1 factors are the direct sum
+    of such copies.  The F powers act on the maps (_f_on_laurent), with
+    no QScalar per term.  The cache lets spaces with common leading
+    factors, such as (3,)^5 and (3,)^4, share their sub-bases across
+    calls, so the maps it hands out are never changed.
     """
-    space = TensorSpace(dims)
     out = []
     if len(dims) == 1:
         if d == dims[0]:
-            out.append(TensorVector.basis(space, (0,)))
+            out.append({(0,): {0: 1}})
     else:
         head, dn = dims[:-1], dims[-1]
         for m in range(dn):
@@ -405,15 +435,15 @@ def _fused_hwvs(dims: tuple, d: int) -> tuple[TensorVector, ...]:
             # M_d sits in M_dp (x) M_dn at this m only if m < min(dp, dn)
             if m > dp - 1:
                 continue
-            weights = _pair_weights(dp, dn, m)
+            weights = [(l1, l2, c.num) for (l1, l2), c in _pair_weights(dp, dn, m).items()]
+            top = max(l1 for l1, _, _ in weights)
             for u in _fused_hwvs(head, dp):
                 f_powers = [u]
-                for _ in range(max(l1 for l1, _ in weights)):
-                    f_powers.append(act("F", f_powers[-1]))
-                out.append(TensorVector(space, {
-                    idx + (l2,): c * val
-                    for (l1, l2), c in weights.items()
-                    for idx, val in f_powers[l1].coeffs.items()}))
+                for _ in range(top):
+                    f_powers.append(_f_on_laurent(head, f_powers[-1]))
+                out.append({idx + (l2,): (w * LaurentPoly._trusted(poly)).coeffs
+                            for l1, l2, w in weights
+                            for idx, poly in f_powers[l1].items()})
     return tuple(out)
 
 
@@ -423,15 +453,17 @@ def hwv_space_basis(space: TensorSpace, d: int) -> list[TensorVector]:
     The vectors come from fusion recursion over the factors (the
     Clebsch-Gordan fusion-tree basis) and are then echelon-normalized
     against ascending multi-index order, so the basis depends only on
-    the space it spans.  d must be positive; a d above every summand
-    gives the empty basis.
+    the space it spans.  Each entry of the fusion vectors becomes a
+    QScalar once, for the echelon step.  d must be positive; a d above
+    every summand gives the empty basis.
     """
     if d < 1:
         raise ValueError(f"summand dimension d must be a positive integer, got {d}")
     vectors = _fused_hwvs(space.dims, d)
-    cols = sorted({idx for v in vectors for idx in v.coeffs})
-    canon, _ = _rref([[v.coeffs.get(i, Q_ZERO) for i in cols] for v in vectors],
-                     len(cols))
+    cols = sorted({idx for v in vectors for idx in v})
+    rows = [[QScalar.from_poly(LaurentPoly._trusted(v[i])) if i in v else Q_ZERO
+             for i in cols] for v in vectors]
+    canon, _ = _rref(rows, len(cols))
     return [TensorVector(space, {cols[i]: val for i, val in enumerate(row)
                                  if not val.is_zero()})
             for row in canon]

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from qscreen import cli
+from qscreen import cli, uqsl2
 from qscreen.cli import (
     RunConfig,
     _parse_ints,
@@ -606,16 +606,38 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
     ("2,2,2,3,3", "2", "dump_basis_22233_d2.json"),
     ("3,3,3,3,3", "1", "dump_basis_33333_d1.json"),
     ("2,2,2,2,2,2,2,2", "1", "dump_basis_22222222_d1.json"),
+    ("3,2,2,3,2", "2", "dump_basis_32232_d2.json"),
 ])
 def test_dump_basis_json_is_pinned(capsys, dims, d, name):
     # the first two were recorded from the elimination kernel the fusion
-    # basis replaced, the last two from the fusion basis when its final
-    # normalization still reduced every entry by a gcd
+    # basis replaced, the next two from the fusion basis when its final
+    # normalization still reduced every entry by a gcd, and the last, in
+    # which 26 of the 57 entries have a denominator, from the fusion basis
+    # when it still raised its vectors with act("F") on QScalars
     code, out, _ = run(capsys, "dump-basis", "--dims", dims, "--d", d,
                        "--format", "json")
     assert code == 0
     with open(os.path.join(DATA, name), "rb") as handle:
         assert out.encode("utf-8") == handle.read()
+
+
+def test_cached_fusion_maps_are_never_changed(capsys):
+    # the fusion cache hands every caller the same maps: (3,)^4 with d = 3
+    # reads the head maps (3,)^5 with d = 1 was built from, and a change
+    # to them would show in the second build of (3,)^5
+    uqsl2._fused_hwvs.cache_clear()
+    builds = []
+    for dims, d, name in (("3,3,3,3,3", "1", "dump_basis_33333_d1.json"),
+                          ("3,3,3,3", "3", "dump_basis_3333_d3.json"),
+                          ("3,3,3,3,3", "1", "dump_basis_33333_d1.json")):
+        code, out, _ = run(capsys, "dump-basis", "--dims", dims, "--d", d,
+                           "--format", "json")
+        assert code == 0
+        with open(os.path.join(DATA, name), "rb") as handle:
+            assert out.encode("utf-8") == handle.read()
+        builds.append(out)
+    assert builds[0] == builds[2]
+    assert uqsl2._fused_hwvs.cache_info().hits > 0
 
 
 # -- error paths -----------------------------------------------------------

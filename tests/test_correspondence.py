@@ -154,6 +154,22 @@ def test_reduction_tables_equal_enumeration_on_random_counts(dims, data):
         reduction_entries_by_enumeration(dims, counts))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)), min_size=1, max_size=4))
+def test_state_maps_hold_only_positive_coefficients(groups):
+    # _general_entries wraps each final state map without the zero trim,
+    # which holds because every coefficient is a sum of products of
+    # q-multinomial terms; counts at or above a group's dimension are kept,
+    # as _append_group does not read the prefactor
+    dims = tuple(d for d, _ in groups)
+    states = {(): {0: 1}}
+    for i, (_, s) in enumerate(groups):
+        states = _append_group(states, dims[:i], s)
+        assert states
+        assert all(poly and all(c > 0 for c in poly.values())
+                   for poly in states.values())
+
+
 def test_reduction_tables_share_moves():
     # a group's moves depend on its loops and on the dimensions of the
     # groups before it alone, so these tables read the first one's moves
@@ -490,14 +506,14 @@ def test_hwv_weights_keep_no_variable_left_of_the_first_point():
     # the exact sums of every highest weight vector cancel each weight at
     # an assignment with m_0 > 0, with no quadrature; a plain basis vector
     # keeps them, and the check raises
-    assert len(_ANCHOR_FREE_SPACES) == 17
+    assert len(_ANCHOR_FREE_SPACES) == 18
     checked = 0
     for dims in _ANCHOR_FREE_SPACES:
         for d in range(sum(di - 1 for di in dims) + 1, 0, -2):
             for v in hwv_space_basis(TensorSpace(dims), d):
                 _check_anchor_free(dims, frozenset(v.coeffs.items()))
                 checked += 1
-    assert checked == 245
+    assert checked == 263
     plain = frozenset(TensorVector.basis(TensorSpace((2, 2)), (0, 1)).coeffs.items())
     assert [m for m, _ in _exact_weights((2, 2), plain)] == [(0, 1), (1, 0)]
     with pytest.raises(ArithmeticError, match=r"\[x0, x_1\]"):

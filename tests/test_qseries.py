@@ -237,6 +237,32 @@ def test_exact_quotient_skips_the_gcd(a, b, c):
     assert QScalar(a, b) * QScalar(b) == QScalar(a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys, laurent_polys, _nonzero, _nonzero)
+def test_denominator_one_difference_and_quotient_are_the_general_formulas(a, b, c, f):
+    # - of two scalars over 1 is one pass over the numerators, and / goes
+    # to the constructor's exact quotient; both equal the formulas over
+    # the denominators, which reduce a quotient that is not exact by the gcd
+    def general_sub(x, y):
+        return QScalar(x.num * y.den - y.num * x.den, x.den * y.den)
+
+    def general_div(x, y):
+        return QScalar(x.num * y.den, x.den * y.num)
+
+    x, y, z = qs(a), qs(b), qs(c)
+    assert _same(x - y, general_sub(x, y))
+    assert _same(x - x, general_sub(x, x))
+    assert (x - x).is_zero()
+    assert _same(x / z, general_div(x, z))
+    # an exact quotient, and one that is exact only after the common
+    # factor f cancels
+    exact = qs(a * c)
+    assert _same(exact / z, general_div(exact, z))
+    assert (exact / z).den.is_one()
+    assert _same(qs(b * f) / qs(c * f), general_div(qs(b * f), qs(c * f)))
+    assert _same(qs(b * f) / qs(c * f), QScalar(b, c))
+
+
 # the units and coefficients beyond 2^64
 _wide = st.one_of(st.sampled_from([1, -1]), st.integers(-(2**80), 2**80))
 

@@ -14,6 +14,7 @@ from qscreen.uqsl2 import (
     TensorSpace,
     TensorVector,
     _hwv_test,
+    _f_on_laurent,
     _invert_matrix,
     _rref,
     act,
@@ -85,6 +86,26 @@ def test_act_matches_resummed_k_exponents(dims, data):
     v = TensorVector(space, coeffs)
     for gen in ("E", "F", "K"):
         assert act(gen, v) == act_by_resumming(gen, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=6), st.data())
+def test_f_on_exponent_maps_is_act_f(dims, data):
+    # the fusion raises its vectors on exponent maps; small coefficients
+    # make the terms that meet at one index cancel often
+    dims = tuple(dims)
+    maps = data.draw(st.dictionaries(
+        st.tuples(*(st.integers(0, d - 1) for d in dims)),
+        st.dictionaries(st.integers(-4, 4), st.integers(-2, 2).filter(bool),
+                        min_size=1, max_size=3),
+        max_size=8), label="maps")
+    before = {idx: dict(poly) for idx, poly in maps.items()}
+    got = _f_on_laurent(dims, maps)
+    assert maps == before
+    want = act("F", TensorVector(TensorSpace(dims), {
+        idx: QScalar.from_poly(LaurentPoly(poly)) for idx, poly in maps.items()}))
+    assert all(c.den.is_one() for c in want.coeffs.values())
+    assert got == {idx: c.num.coeffs for idx, c in want.coeffs.items()}
 
 
 def test_unknown_generator_rejected():
@@ -334,7 +355,7 @@ def test_is_hwv_is_kept_per_vector_and_weight():
 ELIMINATION_SPACES = [
     ((2,) * n, d) for n in range(2, 7) for d in range(n % 2 + 1, n + 2, 2)
 ] + [((3,) * 4, 1), ((3,) * 4, 3), ((2, 2, 2, 3, 3), 2), ((2, 2, 2, 2, 3), 1),
-     ((3, 2, 3, 2), 1)]
+     ((3, 2, 3, 2), 1), ((3, 2, 2, 3, 2), 2)]
 
 
 @pytest.mark.parametrize("dims,d", ELIMINATION_SPACES)
