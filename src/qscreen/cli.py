@@ -677,15 +677,23 @@ def _config_from_args(args, keys):
     return replace(RunConfig(), **values)
 
 
+_COMMANDS = (("eval", "evaluate a function on chamber points"),
+             ("verify", "run a verification suite"),
+             ("dump-basis", "print a highest weight basis"))
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="qscreen",
         description="evaluate covariant boundary functions and run checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in (("eval", "evaluate a function on chamber points"),
-                          ("verify", "run a verification suite"),
-                          ("dump-basis", "print a highest weight basis")):
+    # only the subparser the first argument names; all of them when it
+    # names none, so the help and the error for an unknown command list
+    # every command
+    named = [row for row in _COMMANDS if argv[:1] == [row[0]]]
+    for command, text in named or _COMMANDS:
         # no abbreviations: eval's --dims would take a --d
         p = sub.add_parser(command, help=text, allow_abbrev=False)
         if command == "verify":

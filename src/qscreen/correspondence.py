@@ -62,6 +62,7 @@ from .qseries import (
     _qmultinom_poly,
     qbinom,
     qfact,
+    shared_denominator,
 )
 from .uqsl2 import (
     Q_COMM,
@@ -281,14 +282,17 @@ def _exact_weights(dims, coeffs):
     """Per-assignment weights of the linear extension, sorted by
     assignment, for the vector with the given frozenset of (index,
     coefficient): the exact sums of its tables, rephasing included, with
-    the exact zeros dropped."""
+    the exact zeros dropped.  The tables act and sum on the coefficients'
+    numerators over their shared denominator D (shared_denominator), and
+    each weight is divided by D once."""
+    numerators, D = shared_denominator(coeffs)
     weights = {}
-    for idx, cv in coeffs:
+    for idx, cv in numerators.items():
         for m, ck in _table_entries(dims, idx).items():
             prev = weights.get(m)
             weights[m] = ck * cv if prev is None else prev + ck * cv
     return tuple(
-        (m, w * _rephasing(m)) for m, w in sorted(weights.items()) if not w.is_zero()
+        (m, w * _rephasing(m) / D) for m, w in sorted(weights.items()) if not w.is_zero()
     )
 
 

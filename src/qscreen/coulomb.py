@@ -244,10 +244,10 @@ def _unit_rule_build(aL, aR, grow, pair, tail, h, shift):
     """Tanh-sinh rule sum_k w_k g(t_k) for int_0^1 t^aL (1-t)^aR g(t) dt.
 
     The nodes sit at u = (k + shift) h.  Returns one array of the rows t,
-    1 - t, log t and log w: t and 1 - t are each formed from u, so both
-    keep full relative precision at their end, and the endpoint powers are
-    folded into the weights in log space.  g may grow like (1-t)^(-grow)
-    toward t = 1.  The weight of every node that is not kept is added to
+    1 - t, log t and log w, written into it over the kept nodes: t and
+    1 - t are each formed from u, so both keep full relative precision at
+    their end, and the endpoint powers are folded into the weights in log
+    space.  g may grow like (1-t)^(-grow) toward t = 1.  The weight of every node that is not kept is added to
     the outermost kept node on its side, where g has nearly reached its
     limit: that adds the tails beyond the nodes analytically.
 
@@ -263,7 +263,8 @@ def _unit_rule_build(aL, aR, grow, pair, tail, h, shift):
     than 1 - beta + 8/kappa >= 8/kappa; but 0 where g grows, as that growth
     is already in a.  A charge at a distance delta beyond the end of an
     interval of length gap scales the move by up to (gap / delta)^b, which
-    _plan_tail bounds.
+    _plan_tail bounds.  The tests of both edges, the weight and the float
+    floor are and-ed into one mask in place.
     """
     if aL <= -1.0 or aR <= -1.0:
         raise ValueError("endpoint exponents must exceed -1")
@@ -275,19 +276,29 @@ def _unit_rule_build(aL, aR, grow, pair, tail, h, shift):
     logt = -np.logaddexp(0.0, -s)
     log1mt = -np.logaddexp(0.0, s)
     logw = np.log(h * math.pi * np.cosh(u)) + (1.0 + aL) * logt + (1.0 + aR) * log1mt
-    heavy = logw - grow * log1mt >= logw.max() + math.log(tail)
+    keep = logw - grow * log1mt >= logw.max() + math.log(tail)
     rate = min(1.0, pair)
     # a node is kept when its inner neighbour lies inside the edge, so
-    # the outermost kept node sits at or beyond it
-    inside = (np.append(logt[1:], 0.0) >= _log_edge(aL, rate, tail)) & (
-        np.insert(log1mt[:-1], 0, 0.0) >= _log_edge(aR - grow, 0.0 if grow else rate, tail))
-    floor = (logt >= _LOG_EDGE) & (log1mt >= _LOG_EDGE)
-    kept = np.flatnonzero(inside & floor & heavy)
+    # the outermost kept node sits at or beyond it; past the last node
+    # t = 1, and before the first 1 - t = 1
+    edge = _log_edge(aL, rate, tail)
+    keep[:-1] &= logt[1:] >= edge
+    keep[-1] &= 0.0 >= edge
+    edge = _log_edge(aR - grow, 0.0 if grow else rate, tail)
+    keep[1:] &= log1mt[:-1] >= edge
+    keep[0] &= 0.0 >= edge
+    keep &= logt >= _LOG_EDGE
+    keep &= log1mt >= _LOG_EDGE
+    kept = np.flatnonzero(keep)
     a, b = kept[0], kept[-1]
     logw[a] = np.logaddexp.reduce(logw[: a + 1])
     logw[b] = np.logaddexp.reduce(logw[b:])
-    logt, log1mt, logw = logt[a : b + 1], log1mt[a : b + 1], logw[a : b + 1]
-    return np.stack((np.exp(logt), np.exp(log1mt), logt, logw))
+    out = np.empty((4, b + 1 - a))
+    np.exp(logt[a : b + 1], out=out[0])
+    np.exp(log1mt[a : b + 1], out=out[1])
+    out[2] = logt[a : b + 1]
+    out[3] = logw[a : b + 1]
+    return out
 
 
 def _unit_rule(level, h, shift):
@@ -490,6 +501,16 @@ def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
     reads, each (copies, 1, columns), and spread lists them by level
     (_spread).
 
+    G holds, per node, the log of the rule's weight times the factors the
+    rule does not hold, and then their exponential.  A level's integral
+    scales with S, its parent's offset from the end it nests from, to the
+    level's power (_Level.power), one number per column: that column
+    factor stays out of G and multiplies the column sums, every row, once
+    the node sum is done.  A pivot's S is its interval's gap, a number,
+    and its G holds the power.  At the last level of a plain value nothing
+    reads an offset after its last factor, so that factor's log is written
+    over it, and a chunk touches a few arrays of its size.
+
     The sums carry the Taylor jet of the integrand in the marked points,
     the anchor held fixed, over the index set of the jet tables tab: out
     is (rows, coefficients, copies, columns), row 0 the sums and the last
@@ -552,43 +573,53 @@ def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
         far_off = np.add(far_S, span, out=own[1])
         near_off = np.multiply(S, t, out=own[0]) if needs[near] else None
         lo, hi = (far_off, near_off) if lev.mirrored else (near_off, far_off)
-    # G, the log of weight times integrand, starts from the rule's column
-    # and the row of the parent's offset; the envelopes t^(-envL) and
+    # G starts from the rule's column; the envelopes t^(-envL) and
     # (1 - t)^(-envR) split the same way.  A pivot's offsets are columns,
-    # so its G stays a column until the pair factors, the first terms to
-    # span the outer grid
+    # so its G, with its power of S, stays a column until the pair
+    # factors, the first terms to span the outer grid.  Another level's G
+    # is the rule's own column until its first term, and is written into
+    # full from then on, or into that term's buffer where the term is a
+    # spare offset
     full = _scratch(work, (idx, "G"), shape)
-    G = np.add(logwe, lev.power * logS, out=None if lev.pivot else full)
-    term = _scratch(work, "tmp", G.shape)
+    G = np.add(logwe, lev.power * logS) if lev.pivot else logwe
+    term = _scratch(work, "tmp", span.shape)
+    # a spare offset is one nothing reads after its last factor: its log
+    # is written over it, and the spans after the first run in the span's
+    # own buffer
+    spare = last and not tab.active and not lev.pivot
+    final = {int(kind == "charge" and k >= i): j for j, (_, kind, k) in enumerate(lev.factors)
+             if kind != "span"}
+    spans = own[2] if spare else _scratch(work, "spans", shape)
     # the moving factors, charges by point, then other groups' variables
     # earliest first; the pair factors share one exponent, so one log of
-    # their product
+    # their product, whose first distance is written into it
     moving, groups, pairs, dist = [], [], None, span
-    for e, kind, k in lev.factors:
+    for j, (e, kind, k) in enumerate(lev.factors):
         if kind == "charge":
             # D = w - x_k left of the interval, x_k - w right of it: an
             # offset plus c, x_k's distance to the interval's end
             right = k >= i
             D, c = (hi, x[k] - x[i]) if right else (lo, x[i - 1] - x[k])
-            D = np.add(D, c, out=term) if c else D
+            log = D if spare and final[right] == j else term
+            D = np.add(D, c, out=log) if c else D
             if tab.active and _moves(lev, kind, k):
                 moving.append((e, (-1.0 if right else 1.0) / D, _motion(tab, ((k, 1.0),))))
-            np.add(G, np.multiply(np.log(D, out=term), e, out=term), out=G)
+            np.multiply(np.log(D, out=log), e, out=log)
+            G = np.add(G, log, out=(full if log is term else log) if G is logwe else G)
             continue
+        into = _scratch(work, "pairs", shape) if pairs is None else None
         if kind == "span":
-            D = dist = np.add(dist, outer[k, 2], out=_scratch(work, "spans", shape))
+            D = dist = np.add(dist, outer[k, 2], out=spans if into is None else into)
         else:
             # D = w - w_k, lo plus its hi and the gap between the groups
             g = levels[k].group
-            D = np.add(lo, outer[k, 1] + (x[i - 1] - x[g]), out=_scratch(work, "tmp", shape))
+            D = np.add(lo, outer[k, 1] + (x[i - 1] - x[g]),
+                       out=_scratch(work, "tmp", shape) if into is None else into)
             if tab.active:
                 gap = x[g] - x[g - 1]
                 groups.append((e, 1.0 / D, _motion(tab, ((g - 1, outer[k, 1] / gap), (g, outer[k, 0] / gap)))))
         if pairs is None:
-            # an array of its own: each distance is written over the one
-            # before it
-            pairs = _scratch(work, "pairs", shape)
-            pairs[...] = D
+            pairs = D
         else:
             np.multiply(pairs, D, out=pairs)
     moving += reversed(groups)
@@ -598,8 +629,8 @@ def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
         with np.errstate(divide="ignore"):
             np.log(pairs, out=pairs)
         np.multiply(pairs, lev.pair, out=pairs)
-        G = np.add(G, pairs, out=full)
-    np.exp(G, out=G)
+        G = np.add(G, pairs, out=G if G is not logwe and G.shape == shape else full)
+    G = np.exp(G, out=None if G is logwe else G)
     if not last:
         # the offsets later levels read, over this level's nodes: this
         # level's own are views, but for the logs and a pivot's columns,
@@ -633,12 +664,15 @@ def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
             np.einsum("cgts,gts->cgs", P, G, out=out[0])
             # P is read no more: its moduli take its place
             np.einsum("cgts,gts->cgs", np.abs(P, out=P), G, out=out[1])
-        return
-    inner = inner.reshape((rows, width) + shape)
-    if P is not None:
-        product(tab, P, inner, work)
-    inner *= G
-    inner.sum(axis=3, out=out)
+    else:
+        inner = inner.reshape((rows, width) + shape)
+        if P is not None:
+            product(tab, P, inner, work)
+        inner *= G
+        inner.sum(axis=3, out=out)
+    if not lev.pivot:
+        # the column factor S^power, in every row
+        out *= np.exp(lev.power * logS).reshape(copies, size)
 
 
 def _pieces(rule, shortest):

@@ -370,8 +370,9 @@ class QScalar:
         if other.is_zero():
             raise ZeroDivisionError("QScalar division by zero")
         if self.den.is_one() and other.den.is_one():
-            # the constructor's exact quotient, with no product by 1
-            return QScalar(self.num, other.num)
+            # the constructor's exact quotient, with no product by 1, and
+            # x / 1 is x
+            return self if other.num.is_one() else QScalar(self.num, other.num)
         return QScalar(self.num * other.den, self.den * other.num)
 
     def inverse(self) -> "QScalar":
@@ -410,6 +411,19 @@ class QScalar:
 
 Q_ZERO = QScalar.from_int(0)
 Q_ONE = QScalar.from_int(1)
+
+
+def shared_denominator(items) -> tuple[dict, QScalar]:
+    """(numerators, D) for (key, QScalar) pairs, each value the key's
+    numerator over D: when every value has the denominator D, the
+    numerators over 1, so that sums and products of them take the
+    denominator-1 paths; otherwise the values as they stand, over D = 1,
+    which is also the shared D of Laurent polynomials."""
+    items = dict(items)
+    dens = {v.den for v in items.values()}
+    if len(dens) != 1:
+        return items, Q_ONE
+    return {k: QScalar.from_poly(v.num) for k, v in items.items()}, QScalar.from_poly(dens.pop())
 
 
 @dataclass(frozen=True)

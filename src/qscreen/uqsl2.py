@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO, qbinom, qfact, qint
+from .qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO, qbinom, qfact, qint, shared_denominator
 
 Q_COMM = QScalar.from_poly(LaurentPoly({1: 1, -1: -1}))  # q - 1/q
 
@@ -163,7 +163,9 @@ def is_hwv(v: TensorVector, d: int | None) -> bool:
 
 @lru_cache(maxsize=1024)
 def _hwv_test(dims, coeffs, d):
-    v = TensorVector(TensorSpace(dims), dict(coeffs))
+    # E and K act linearly, so on the numerators over a shared denominator
+    # (shared_denominator) alike
+    v = TensorVector(TensorSpace(dims), shared_denominator(coeffs)[0])
     if not act("E", v).is_zero():
         return False
     return d is None or act("K", v) == v.scale(QScalar.q_power(d - 1))

@@ -5,6 +5,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
+import numpy as np
+
+from qscreen.coulomb import _LOG_EDGE, _log_edge
 from qscreen.jet import Jet
 from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qint, qmultinom
 from qscreen.uqsl2 import TensorVector, act
@@ -222,6 +225,32 @@ def reduction_entries_by_enumeration(dims, counts):
         if not val.is_zero():
             out[m] = val
     return out
+
+
+def unit_rule_by_stacking(aL, aR, grow, pair, tail, h, shift):
+    """coulomb._unit_rule_build as first written, with its edge masks
+    shifted by np.append and np.insert and its rows joined by np.stack:
+    the reference its in-place form must match bit for bit."""
+    if aL <= -1.0 or aR <= -1.0:
+        raise ValueError("endpoint exponents must exceed -1")
+    u_lo = -math.asinh(80.0 / (math.pi * (1.0 + aL)))
+    u_hi = math.asinh(80.0 / (math.pi * (1.0 + aR)))
+    u = (np.arange(math.floor(u_lo / h - shift), math.ceil(u_hi / h - shift) + 1) + shift) * h
+    s = math.pi * np.sinh(u)
+    logt = -np.logaddexp(0.0, -s)
+    log1mt = -np.logaddexp(0.0, s)
+    logw = np.log(h * math.pi * np.cosh(u)) + (1.0 + aL) * logt + (1.0 + aR) * log1mt
+    heavy = logw - grow * log1mt >= logw.max() + math.log(tail)
+    rate = min(1.0, pair)
+    inside = (np.append(logt[1:], 0.0) >= _log_edge(aL, rate, tail)) & (
+        np.insert(log1mt[:-1], 0, 0.0) >= _log_edge(aR - grow, 0.0 if grow else rate, tail))
+    floor = (logt >= _LOG_EDGE) & (log1mt >= _LOG_EDGE)
+    kept = np.flatnonzero(inside & floor & heavy)
+    a, b = kept[0], kept[-1]
+    logw[a] = np.logaddexp.reduce(logw[: a + 1])
+    logw[b] = np.logaddexp.reduce(logw[b:])
+    logt, log1mt, logw = logt[a : b + 1], log1mt[a : b + 1], logw[a : b + 1]
+    return np.stack((np.exp(logt), np.exp(log1mt), logt, logw))
 
 
 def _gamma(x) -> float:

@@ -133,6 +133,34 @@ def test_help_lists_exactly_the_keys_a_command_reads(capsys, command):
     assert listed == {"--help", "--config"} | {_flag(k) for k in cli._COMMAND_KEYS[command]}
 
 
+def test_top_level_help_lists_the_three_commands(capsys):
+    # main builds only the subparser its first argument names, and all of
+    # them when it names none
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{eval,verify,dump-basis}" in out
+    for command in ("eval", "verify", "dump-basis"):
+        assert re.search(rf"^\s+{command}\s+\w", out, re.M), command
+
+
+def test_an_unknown_command_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--kappa", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument command: invalid choice: 'evaluate'" in err
+    assert "'eval', 'verify', 'dump-basis'" in err
+
+
+def test_verify_help_lists_the_suites(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(cli.SUITES) + "}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command, key", [
     (command, key) for command, keys in cli._COMMAND_KEYS.items()
     for key in cli._PARSERS if key not in keys

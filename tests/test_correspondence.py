@@ -1,9 +1,7 @@
 """Tests for the reduction tables and the functions built on them."""
 
 import itertools
-import json
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +37,7 @@ from qscreen.correspondence import (
     reduction_coeffs,
 )
 from qscreen.jet import JetPoint
-from qscreen.qseries import KappaParams, QScalar, Q_ONE, eval_q, qbinom
+from qscreen.qseries import KappaParams, LaurentPoly, QScalar, Q_ONE, eval_q, qbinom
 from qscreen.uqsl2 import (
     TensorSpace,
     TensorVector,
@@ -493,13 +491,14 @@ def test_f_hwv_jets_match_full_index_jets(dims, kappa, x, reads, weights):
         assert jet.errs[alpha] <= 1e-6 * max(abs(jet[alpha]), abs(jet[point.index[0]]))
 
 
-# the pinned dump-basis spaces and fourteen more, each over every d
-_ANCHOR_FREE_SPACES = sorted(
-    {tuple(json.loads(path.read_text(encoding="utf-8"))["dims"])
-     for path in (Path(__file__).resolve().parent / "data").glob("dump_basis_*.json")}
-    | {(2, 2), (2, 3), (2, 2, 2), (2, 3, 2), (3, 3), (4, 4), (2, 2, 2, 2), (3, 2, 2, 3),
-       (2, 2, 3, 3), (3, 3, 3), (4, 2, 3), (2, 2, 2, 2, 2), (3, 3, 3, 3), (2,) * 6}
-)
+# the spaces of the dump-basis JSON pinned in tests/data when this list
+# was written, and fourteen more, each over every d; listed here, so that
+# a newly pinned JSON leaves the counts below as they are
+_ANCHOR_FREE_SPACES = [
+    (2, 2), (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (2,) * 8,
+    (2, 2, 2, 3, 3), (2, 2, 3, 3), (2, 3), (2, 3, 2), (3, 2, 2, 3), (3, 2, 2, 3, 2),
+    (3, 3), (3, 3, 3), (3, 3, 3, 3), (3, 3, 3, 3, 3), (4, 2, 3), (4, 4),
+]
 
 
 def test_hwv_weights_keep_no_variable_left_of_the_first_point():
@@ -518,6 +517,54 @@ def test_hwv_weights_keep_no_variable_left_of_the_first_point():
     assert [m for m, _ in _exact_weights((2, 2), plain)] == [(0, 1), (1, 0)]
     with pytest.raises(ArithmeticError, match=r"\[x0, x_1\]"):
         _check_anchor_free((2, 2), plain)
+
+
+def _weights_by_the_general_formula(dims, coeffs):
+    # the sum over the coefficients of each table entry times the
+    # coefficient, in full QScalar arithmetic, times the rephasing
+    weights = {}
+    for idx, cv in coeffs:
+        for m, ck in reduction_coeffs(dims, idx).entries.items():
+            weights[m] = weights.get(m, QScalar.from_int(0)) + ck * cv
+    return tuple((m, w * _rephasing(m)) for m, w in sorted(weights.items()) if not w.is_zero())
+
+
+# (1 + 2q) / (3 + q^2 - q^3): a scalar with a denominator that no table
+# entry divides
+_RATIONAL = QScalar(LaurentPoly({0: 1, 1: 2}), LaurentPoly({0: 3, 2: 1, 3: -1}))
+
+
+@pytest.mark.parametrize("v", [
+    hwv_pair(5, 5, 4),
+    hwv_pair(4, 4, 3),
+    hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[1],
+    hwv_space_basis(TensorSpace((3, 2, 2, 3)), 3)[0],
+], ids=["pair-554", "pair-443", "trivial-2222", "d3-3223"])
+def test_exact_weights_on_one_denominator_are_the_general_ones(v):
+    # the weights are summed on the numerators over the coefficients'
+    # shared denominator D and divided by D once: those of v.scale(s) are
+    # exactly s times those of v, and both are what the general formula
+    # gives
+    dims = v.space.dims
+    coeffs = frozenset(v.coeffs.items())
+    assert len({c.den for _, c in coeffs}) == 1
+    weights = _exact_weights(dims, coeffs)
+    assert weights and weights == _weights_by_the_general_formula(dims, coeffs)
+    scaled = frozenset(v.scale(_RATIONAL).coeffs.items())
+    assert not any(c.den.is_one() for _, c in scaled)
+    assert _exact_weights(dims, scaled) == tuple((m, _RATIONAL * w) for m, w in weights)
+    assert _exact_weights(dims, scaled) == _weights_by_the_general_formula(dims, scaled)
+
+
+def test_exact_weights_on_two_denominators_are_the_general_ones():
+    # coefficients that share no denominator are summed as they stand
+    pair = frozenset(hwv_pair(3, 2, 1).coeffs.items())
+    assert len({c.den for _, c in pair}) == 2
+    half = QScalar(LaurentPoly({0: 1}), LaurentPoly({0: 1, 2: 1}))
+    plain = frozenset({(0, 1, 1): _RATIONAL, (0, 2, 0): half, (1, 1, 0): Q_ONE}.items())
+    for dims, coeffs in (((3, 2), pair), ((2, 3, 2), plain)):
+        weights = _exact_weights(dims, coeffs)
+        assert weights and weights == _weights_by_the_general_formula(dims, coeffs)
 
 
 def test_f_hwv_one_point_constant():

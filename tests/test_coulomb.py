@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import delta_fusion, delta_scaling, fd_jets, selberg_oracle
+from closed_forms import delta_fusion, delta_scaling, fd_jets, selberg_oracle, unit_rule_by_stacking
 
 from qscreen import coulomb
 from qscreen.coulomb import (
@@ -242,6 +242,40 @@ def _folded_share(lev, h):
     own = np.exp(np.log(h * math.pi * np.cosh(u)) + (1.0 + lev.aL) * logt + (1.0 + lev.aR) * log1mt)
     w = np.exp(logw)
     return float((w[0] - own[0] + w[-1] - own[-1]) / w.sum())
+
+
+def test_unit_rule_build_matches_the_stacked_reference_bit_for_bit():
+    # the rule masks its edges in place and writes its rows into one
+    # array; the reference shifts them by np.append and np.insert and
+    # stacks them.  Where the reference raises, so does the rule
+    build = coulomb._unit_rule_build.__wrapped__
+    exps = (-0.94, -0.3, 0.9, 3.0)
+    for args in itertools.product(exps, exps, (0.0, 0.3, 1.7), (0.25, 0.5, 1.0, 2.0),
+                                  (1e-3, 1e-7, 1e-12, 1e-16), (1 / 64, 0.1, 0.25, 0.5), (0.0, 0.5)):
+        try:
+            ref = unit_rule_by_stacking(*args)
+        except (ArithmeticError, IndexError) as exc:
+            with pytest.raises(type(exc)):
+                build(*args)
+            continue
+        got = build(*args)
+        assert got.shape == ref.shape and np.array_equal(got, ref), args
+
+
+def test_rho_jet_sums_of_moduli_are_the_value_at_the_zero_index():
+    # the integrand is positive, so over the zero multi-index the sums of
+    # the moduli of the terms, which the estimates scale with, are the
+    # sums themselves in every grid of a pass: a level's column factor
+    # S^power multiplies both rows.  Two groups, a mirrored level and
+    # three nested ones, carrying a first-order jet
+    c, dims, counts, kappa = ChamberPoint(-1.0, (0.0, 1.0, 2.5)), (2, 4, 3), (0, 1, 3), 12.6
+    levels = _plan_levels(c, dims, counts, kappa, 1e-6)
+    assert sum(not lev.pivot for lev in levels) == 2
+    tab = jet_tables(closure([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    grids = coulomb._grids(coulomb._start_steps(levels, 1e-6))
+    sums = coulomb._nested(levels, grids, (c.x0,) + c.xs, tab, {})
+    assert sums.shape == (len(grids), 2, tab.size)
+    np.testing.assert_allclose(sums[:, -1, 0], sums[:, 0, 0], rtol=1e-14, atol=0.0)
 
 
 def test_rho_selberg_gate_four_variables():

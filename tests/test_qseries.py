@@ -21,6 +21,7 @@ from qscreen.qseries import (
     qfact,
     qint,
     qmultinom,
+    shared_denominator,
 )
 
 Q = LaurentPoly.q_power
@@ -347,3 +348,20 @@ def test_laurent_poly_stretch_and_shift():
     assert p * LaurentPoly.q_power(2) == Q(4) + Q(2, 3) + Q(1)
     assert stretch(p, 2) == Q(4) + Q(0, 3) + Q(-2)
     assert stretch(p, 1) == p
+
+
+def test_shared_denominator_splits_only_a_shared_one():
+    one = qs(LaurentPoly.const(1))
+    den = LaurentPoly({0: 3, 2: 1})
+    values = {"a": QScalar(Q(1) + Q(0, 2), den), "b": QScalar(LaurentPoly({-1: 5}), den)}
+    numerators, D = shared_denominator(values.items())
+    assert D == qs(den) and all(n.den.is_one() for n in numerators.values())
+    assert {k: n / D for k, n in numerators.items()} == values
+    # Laurent polynomials share D = 1, and dividing by it returns x itself
+    laurent = {"a": qint(3), "b": qbinom(4, 2)}
+    assert shared_denominator(laurent.items()) == (laurent, one)
+    assert all(x / one is x for x in laurent.values())
+    # no shared denominator: the values stand, over 1
+    mixed = dict(values, c=qint(2))
+    assert shared_denominator(mixed.items()) == (mixed, one)
+    assert shared_denominator(()) == ({}, one)

@@ -335,6 +335,22 @@ def test_hwv_space_basis_weights():
     assert is_hwv(out4[0], 1)
 
 
+def test_is_hwv_acts_on_the_numerators_of_a_shared_denominator():
+    # hwv_pair(5, 5, 4) has five coefficients over one denominator; the
+    # check acts on their numerators, and still tells a rational vector
+    # that E does not kill
+    v = hwv_pair(5, 5, 4)
+    assert len(v.coeffs) == 5 and len({c.den for c in v.coeffs.values()}) == 1
+    assert not next(iter(v.coeffs.values())).den.is_one()
+    assert is_hwv(v, None) and is_hwv(v, 1) and not is_hwv(v, 3)
+    s = QScalar(LaurentPoly({0: 1, 1: 2}), LaurentPoly({0: 3, 2: 1}))
+    assert is_hwv(v.scale(s), 1)
+    off = TensorVector(v.space, {idx: c for idx, c in v.coeffs.items() if idx != (0, 4)})
+    assert not act("E", off).is_zero() and not is_hwv(off, None)
+    lone = TensorVector(TensorSpace((2, 3)), {(1, 0): s, (0, 1): s})
+    assert not is_hwv(lone, None)
+
+
 def test_is_hwv_is_kept_per_vector_and_weight():
     # E.v = 0 alone (d None) or with the K eigenvalue q^(d-1); a vector of
     # two weights is killed by E but is no K eigenvector.  An equal vector
