@@ -682,30 +682,41 @@ _COMMANDS = (("eval", "evaluate a function on chamber points"),
              ("dump-basis", "print a highest weight basis"))
 
 
+def _command_parser(parser, command):
+    # the arguments of one command, into a parser that takes no
+    # abbreviations: eval's --dims would take a --d
+    if command == "verify":
+        parser.add_argument("suite", choices=SUITES)
+    _add_flags(parser, _COMMAND_KEYS[command])
+    return parser
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = argparse.ArgumentParser(
-        prog="qscreen",
-        description="evaluate covariant boundary functions and run checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # only the subparser the first argument names; all of them when it
-    # names none, so the help and the error for an unknown command list
-    # every command
-    named = [row for row in _COMMANDS if argv[:1] == [row[0]]]
-    for command, text in named or _COMMANDS:
-        # no abbreviations: eval's --dims would take a --d
-        p = sub.add_parser(command, help=text, allow_abbrev=False)
-        if command == "verify":
-            p.add_argument("suite", choices=SUITES)
-        _add_flags(p, _COMMAND_KEYS[command])
-    args = parser.parse_args(argv)
+    command = argv[0] if argv else None
+    if command in _COMMAND_KEYS:
+        # the parser of the command the first argument names, alone: its
+        # help reads as the full parser's subcommand help
+        parser = argparse.ArgumentParser(prog=f"qscreen {command}", allow_abbrev=False)
+        args = _command_parser(parser, command).parse_args(argv[1:])
+    else:
+        # --help, an unknown command or none: the help and the error list
+        # every command
+        parser = argparse.ArgumentParser(
+            prog="qscreen",
+            description="evaluate covariant boundary functions and run checks",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, text in _COMMANDS:
+            _command_parser(sub.add_parser(name, help=text, allow_abbrev=False), name)
+        args = parser.parse_args(argv)
+        command = args.command
     try:
-        config = _config_from_args(args, _COMMAND_KEYS[args.command])
-        if args.command == "eval":
+        config = _config_from_args(args, _COMMAND_KEYS[command])
+        if command == "eval":
             cmd_eval(config)
             return 0
-        if args.command == "verify":
+        if command == "verify":
             return cmd_verify(config, args.suite)
         cmd_dump_basis(config)
         return 0

@@ -67,6 +67,7 @@ from .qseries import (
 from .uqsl2 import (
     Q_COMM,
     TensorVector,
+    _hwv_test,
     is_hwv,
     project_block,
     r_minus,
@@ -368,17 +369,23 @@ def F_hwv(v: TensorVector, x, kappa, rel_tol: float = 1e-9) -> complex:
     quadrature jet over n - 3 of the points for a vector of the trivial
     subrepresentation and n - 2 for any other, asked for rel_tol / L.
     """
-    dims, coeffs = v.space.dims, frozenset(v.coeffs.items())
+    return _F_hwv(v.space.dims, frozenset(v.coeffs.items()), x, kappa, rel_tol)
+
+
+def _F_hwv(dims, coeffs, x, kappa, rel_tol):
+    # F_hwv of the vector on dims whose (index, coefficient) pairs the
+    # caller gathered once into the frozenset coeffs, the key of every
+    # cache it reads
     _check_points(dims, len(x))
-    if not is_hwv(v, None):
+    if not _hwv_test(dims, coeffs, None):
         raise ValueError("not a highest weight vector (E.v != 0)")
     _check_anchor_free(dims, coeffs)
     xs = tuple(float(xi) for xi in x)
     _check_increasing(xs)
+    weights = _kappa_weights(dims, coeffs, kappa)
     if not isinstance(x, JetPoint):
-        return F_anchor(v, ChamberPoint(default_anchor(xs), x), kappa, rel_tol)
-    return _ward_jet(_kappa_weights(dims, coeffs, kappa), x, dims, kappa, rel_tol,
-                     3 if is_hwv(v, 1) else 2)
+        return _evaluate(weights, ChamberPoint(default_anchor(xs), x), dims, kappa, rel_tol)
+    return _ward_jet(weights, x, dims, kappa, rel_tol, 3 if _hwv_test(dims, coeffs, 1) else 2)
 
 
 def _lagrange(y, held, t):

@@ -20,11 +20,15 @@ constants, conformal weight and exponent helpers, and a direct contour
 oracle that integrates the same density over explicitly constructed
 nested loops with the branch tracked along the path.  A value plans its
 steps from the start steps for its rel_tol, and a jet from the final
-steps of the plain value at its point.  One cache keeps each result,
-value or jet, once per argument set, and every evaluator reads it, so a
-result depends on its arguments alone and a repeated call returns the
-same bits.  Every plan writes the arrays of its sums and
-series into its thread's scratch arrays, which no result is a view of.
+steps of the plain value at its point.  Each level structure, the
+levels of one (dims, counts, kappa, tail), is planned once (_Plan): its
+levels, start steps and each level's fixed program, so a pass derives
+nothing from the structure and costs its array operations.  One cache
+keeps each result, value or jet, once per argument set, and every
+evaluator reads it, so a result depends on its arguments alone and a
+repeated call returns the same bits.  Every plan writes the arrays of
+its sums and series into its thread's scratch arrays, which no result
+is a view of.
 Everything here is numeric; the exact q-dependent factors live in
 correspondence.
 """
@@ -35,7 +39,7 @@ import contextvars
 import itertools
 import math
 import threading
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -164,6 +168,7 @@ def _check_increasing(xs):
         raise ValueError("coordinates must be finite and increase strictly")
 
 
+@lru_cache(maxsize=1024)
 def _pair_exponents(dims, kappa):
     # the prefactor's power 2 (d_i - 1)(d_k - 1)/kappa of x_k - x_i, as
     # (i, k, e) for i < k with e != 0
@@ -172,7 +177,7 @@ def _pair_exponents(dims, kappa):
         e = 2.0 * (dims[i] - 1) * (dims[k] - 1) / kappa
         if e:
             pairs.append((i, k, e))
-    return pairs
+    return tuple(pairs)
 
 
 def _x_prefactor(xs, dims, kappa):
@@ -448,42 +453,104 @@ def _motion(tab, terms):
     return out
 
 
-def _flat(a, shape, slot):
-    # a over a level's grid (copies, nodes, columns), as the next level's
-    # (copies, 1, columns): a view where a spans the grid, else spread
-    # into slot
-    if a.shape != shape:
-        slot[...] = a
-        a = slot
-    return a.reshape(shape[0], 1, -1)
+# A level's program (_program): what _level_sum decides from the level
+# structure and the jet tables alone.  needs: whether it forms its offset
+# from the end it nests from; parent: the keys of the parent's offsets
+# from that end and the other, and of the log of the first; charges:
+# (exponent, right of the interval, log written over the offset read,
+# motion in a jet) per charge; pairs: (kind, key of the outer offset read,
+# scratch key of the distance or None for the span's buffer, motion in a
+# jet) per pair factor; carried: the ((p, field), fresh) later levels
+# read; omega: the level's own motion; diffs: what it reads of x (_at)
+_Step = namedtuple("_Step", "lev pivot power last needs parent charges pairs carried fresh omega diffs")
+
+
+def _at(step, x):
+    # what a level reads of x, once per nested call: its gap (a pivot's
+    # log too), each charge's and other group's distance, and that gap
+    i = step.lev.group
+    gap = x[i] - x[i - 1]
+    cs, gs = step.diffs
+    return (gap, math.log(gap) if step.pivot else None, [x[a] - x[b] for a, b in cs],
+            [None if g is None else (x[i - 1] - x[g], x[g] - x[g - 1]) for g in gs])
+
+
+def _program(levels, tab):
+    # each level's _Step for the jet tables tab.  A level reads its
+    # parent's lo, hi and log at the end it nests from (fields 0 to 4: lo,
+    # hi, span, log lo, log hi), each "span" factor's span, and each
+    # "group" factor's hi, with its lo in a jet
+    jet = bool(tab.active)
+    # the place of chamber coordinate k, the variable k - 1
+    place = {v + 1: p for v, p in tab.place.items()}.get
+    reads = []
+    for lev in levels:
+        fields = set() if lev.pivot else {(lev.parent, 0), (lev.parent, 1), (lev.parent, 4 if lev.mirrored else 3)}
+        for _, kind, k in lev.factors:
+            if kind != "charge":
+                fields.update(((k, 2),) if kind == "span" else ((k, 0), (k, 1)) if jet else ((k, 1),))
+        reads.append(fields)
+    steps = []
+    for idx, lev in enumerate(levels):
+        keys = sorted(pf for pf in set().union(*reads[idx + 1:]) if pf[0] <= idx)
+        i, last, near = lev.group, idx == len(levels) - 1, int(lev.mirrored)
+        # the last factor on each side, hi the charges at or right of x_i
+        final = {int(kind == "charge" and k >= i): j for j, (_, kind, k) in enumerate(lev.factors) if kind != "span"}
+        spare = last and not jet and not lev.pivot
+        charges, cs, pairs, gs = [], [], [], []
+        for j, (e, kind, k) in enumerate(lev.factors):
+            if kind == "charge":
+                moves = jet and _moves(lev, kind, k)
+                charges.append((e, k >= i, spare and final[k >= i] == j, _motion(tab, ((k, 1.0),)) if moves else None))
+                cs.append((k, i) if k >= i else (i - 1, k))
+                continue
+            g = levels[k].group if kind == "group" else None
+            motion = tuple((place(c), (k, f)) for c, f in ((g - 1, 1), (g, 0)) if place(c) is not None) if jet and g else None
+            pairs.append((kind, (k, 1 if g else 2), "tmp" if g else None if spare else "spans", motion))
+            gs.append(g)
+        if pairs:  # the first distance is written into the product
+            pairs[0] = (*pairs[0][:2], "pairs", pairs[0][3])
+        carried = [(pf, pf[0] < idx or lev.pivot or pf[1] >= 3) for pf in keys]
+        # an offset is needed for a raised variable, for the factors that
+        # read it and where a later level reads it
+        steps.append(_Step(lev, lev.pivot, lev.power, last, jet or near in final or (idx, near) in keys,
+                           () if lev.pivot else tuple((lev.parent, f) for f in (near, 1 - near, 3 + near)),
+                           tuple(charges), tuple(pairs), tuple(carried), sum(new for _, new in carried),
+                           tuple((place(c), f) for c, f in ((i - 1, 1), (i, 0)) if jet and place(c) is not None),
+                           (tuple(cs), tuple(gs))))
+    return tuple(steps)
+
+
+class _Plan:
+    """One level structure of rho, built once per (dims, counts, kappa,
+    tail) (_plan) and hashed by identity, so the caches of its passes
+    (_stack, _largest) hash no level: its levels, start steps per rel_tol
+    and each level's program (_Step) per set of variables a jet raises."""
+
+    def __init__(self, levels):
+        self.levels, self._starts, self._programs = levels, {}, {}
+
+    def start(self, rel_tol):
+        if rel_tol not in self._starts:
+            self._starts[rel_tol] = tuple(_start_steps(self.levels, rel_tol))
+        return self._starts[rel_tol]
+
+    def program(self, tab):
+        if tab.active not in self._programs:
+            self._programs[tab.active] = _program(self.levels, tab)
+        return self._programs[tab.active]
 
 
 @lru_cache(maxsize=None)
-def _spread(levels, jet):
-    """For each level idx, the offsets (p, field) of the levels p <= idx
-    that a later level reads, the fields 0 to 4 being lo, hi, span, log lo
-    and log hi.  A level reads its parent's lo and hi, and the log of the
-    one at the end it nests from; the span that each of its "span" factors
-    adds; and the hi of the level of each "group" factor, with its lo as
-    well when a jet is carried."""
-    reads = []
-    for lev in levels:
-        fields = set()
-        if not lev.pivot:
-            fields.update(((lev.parent, 0), (lev.parent, 1), (lev.parent, 4 if lev.mirrored else 3)))
-        for _, kind, k in lev.factors:
-            if kind == "span":
-                fields.add((k, 2))
-            elif kind == "group":
-                fields.update(((k, 0), (k, 1)) if jet else ((k, 1),))
-        reads.append(fields)
-    later = [set().union(*reads[idx + 1:]) for idx in range(len(levels))]
-    return tuple(tuple(sorted(pf for pf in later[idx] if pf[0] <= idx)) for idx in range(len(levels)))
+def _plan(dims, counts, kappa, tail):
+    return _Plan(_build_levels(counts, _betas(dims, kappa), kappa, tail))
 
 
-def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
+def _level_sum(steps, at, idx, rules, outer, tab, work, out):
     """Sum over the nodes of level idx, and nested inside it over every
-    later level, for each node of the outer grid, into out.
+    later level, for each node of the outer grid, into out, by executing
+    the level's program steps[idx] (_Step) on the numbers at[idx] it reads
+    of the chamber coordinates (_at).
 
     The grids of a pass are copies of one another, stacked on the first
     level's outer axis: rules[idx] is level idx's rule in every copy
@@ -498,8 +565,7 @@ def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
     between the chamber coordinates x, so none is lost to cancellation
     however close a node sits to an end; each is formed once.  outer maps
     (p, field) to the offsets of outer level p that a level from idx on
-    reads, each (copies, 1, columns), and spread lists them by level
-    (_spread).
+    reads, each (copies, 1, columns).
 
     G holds, per node, the log of the rule's weight times the factors the
     rule does not hold, and then their exponential.  A level's integral
@@ -532,46 +598,34 @@ def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
     (idx, name), its temporaries under names that all levels share.
     Nothing written into out is one of them.
     """
-    lev, rule = levels[idx], rules[idx]
-    copies, n = rule.shape[1:3]
+    step, (t, omt, logt, logwe) = steps[idx], rules[idx]
+    copies, n = t.shape[:2]
     rows, width, _, size = out.shape
     if n * copies * size * width > _CHUNK_CAP:
         fit = _CHUNK_CAP // (n * size * width)
-        per, step = (fit, size) if fit else (1, max(2, _CHUNK_CAP // (n * width)))
-        starts = range(0, max(1, size - 1), step)
+        per, stride = (fit, size) if fit else (1, max(2, _CHUNK_CAP // (n * width)))
+        starts = range(0, max(1, size - 1), stride)
         if per < copies or len(starts) > 1:
             for c in range(0, copies, per):
-                part = [r[:, c : c + per] for r in rules]
+                part = [[a[c : c + per] for a in r] for r in rules]
                 for s, e in zip(starts, [*starts[1:], size]):
                     chunk = {k: a[c : c + per, :, s:e] for k, a in outer.items()}
-                    _level_sum(levels, idx, part, spread, chunk, x, tab, work,
-                               out[:, :, c : c + per, s:e])
+                    _level_sum(steps, at, idx, part, chunk, tab, work, out[:, :, c : c + per, s:e])
             return
-    t, omt, logt, logwe = rule
-    last = idx == len(levels) - 1
-    shape = (copies, n, size)
-    keys = spread[idx]
-    i = lev.group
-    # an offset is needed for a raised variable, for the factors that read
-    # it (hi the charges at or right of x_i, lo the rest but the spans),
-    # and where a later level reads it
-    sides = {int(kind == "charge" and k >= i) for _, kind, k in lev.factors if kind != "span"}
-    needs = [bool(tab.active) or f in sides or (idx, f) in keys for f in (0, 1)]
-    if lev.pivot:
-        # S is a number, and the offsets stay columns
-        S = x[i] - x[i - 1]
-        logS = math.log(S)
-        span = hi = S * omt
-        lo = S * t if needs[0] else None
+    lev, shape = step.lev, (copies, n, size)
+    gap, logS, cs, gs = at[idx]
+    if step.pivot:
+        # S is the gap, a number, and the offsets stay columns
+        span = hi = gap * omt
+        lo = gap * t if step.needs else None
     else:
         # a mirrored level is a downward one with lo and hi swapped: its t
         # runs from x_i, and S is its parent's hi
-        near, far, log_near = (1, 0, 4) if lev.mirrored else (0, 1, 3)
-        S, far_S, logS = outer[lev.parent, near], outer[lev.parent, far], outer[lev.parent, log_near]
+        S, far_S, logS = (outer[key] for key in step.parent)
         own = _scratch(work, (idx, "own"), (3,) + shape)
         span = np.multiply(S, omt, out=own[2])
         far_off = np.add(far_S, span, out=own[1])
-        near_off = np.multiply(S, t, out=own[0]) if needs[near] else None
+        near_off = np.multiply(S, t, out=own[0]) if step.needs else None
         lo, hi = (far_off, near_off) if lev.mirrored else (near_off, far_off)
     # G starts from the rule's column; the envelopes t^(-envL) and
     # (1 - t)^(-envR) split the same way.  A pivot's offsets are columns,
@@ -581,43 +635,31 @@ def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
     # full from then on, or into that term's buffer where the term is a
     # spare offset
     full = _scratch(work, (idx, "G"), shape)
-    G = np.add(logwe, lev.power * logS) if lev.pivot else logwe
+    G = np.add(logwe, step.power * logS) if step.pivot else logwe
     term = _scratch(work, "tmp", span.shape)
-    # a spare offset is one nothing reads after its last factor: its log
-    # is written over it, and the spans after the first run in the span's
-    # own buffer
-    spare = last and not tab.active and not lev.pivot
-    final = {int(kind == "charge" and k >= i): j for j, (_, kind, k) in enumerate(lev.factors)
-             if kind != "span"}
-    spans = own[2] if spare else _scratch(work, "spans", shape)
     # the moving factors, charges by point, then other groups' variables
     # earliest first; the pair factors share one exponent, so one log of
     # their product, whose first distance is written into it
     moving, groups, pairs, dist = [], [], None, span
-    for j, (e, kind, k) in enumerate(lev.factors):
-        if kind == "charge":
-            # D = w - x_k left of the interval, x_k - w right of it: an
-            # offset plus c, x_k's distance to the interval's end
-            right = k >= i
-            D, c = (hi, x[k] - x[i]) if right else (lo, x[i - 1] - x[k])
-            log = D if spare and final[right] == j else term
-            D = np.add(D, c, out=log) if c else D
-            if tab.active and _moves(lev, kind, k):
-                moving.append((e, (-1.0 if right else 1.0) / D, _motion(tab, ((k, 1.0),))))
-            np.multiply(np.log(D, out=log), e, out=log)
-            G = np.add(G, log, out=(full if log is term else log) if G is logwe else G)
-            continue
-        into = _scratch(work, "pairs", shape) if pairs is None else None
+    for (e, right, over, motion), c in zip(step.charges, cs):
+        # D = w - x_k left of the interval, x_k - w right of it: an offset
+        # plus c, x_k's distance to the interval's end
+        D = hi if right else lo
+        log = D if over else term
+        D = np.add(D, c, out=log) if c else D
+        if motion is not None:
+            moving.append((e, (-1.0 if right else 1.0) / D, motion))
+        np.multiply(np.log(D, out=log), e, out=log)
+        G = np.add(G, log, out=(full if log is term else log) if G is logwe else G)
+    for (kind, key, into, motion), cg in zip(step.pairs, gs):
+        into = own[2] if into is None else _scratch(work, into, shape)
         if kind == "span":
-            D = dist = np.add(dist, outer[k, 2], out=spans if into is None else into)
+            D = dist = np.add(dist, outer[key], out=into)
         else:
             # D = w - w_k, lo plus its hi and the gap between the groups
-            g = levels[k].group
-            D = np.add(lo, outer[k, 1] + (x[i - 1] - x[g]),
-                       out=_scratch(work, "tmp", shape) if into is None else into)
-            if tab.active:
-                gap = x[g] - x[g - 1]
-                groups.append((e, 1.0 / D, _motion(tab, ((g - 1, outer[k, 1] / gap), (g, outer[k, 0] / gap)))))
+            D = np.add(lo, outer[key] + cg[0], out=into)
+            if motion is not None:
+                groups.append((lev.pair, 1.0 / D, {place: outer[k] / cg[1] for place, k in motion}))
         if pairs is None:
             pairs = D
         else:
@@ -631,33 +673,35 @@ def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
         np.multiply(pairs, lev.pair, out=pairs)
         G = np.add(G, pairs, out=G if G is not logwe and G.shape == shape else full)
     G = np.exp(G, out=None if G is logwe else G)
-    if not last:
+    if not step.last:
         # the offsets later levels read, over this level's nodes: this
         # level's own are views, but for the logs and a pivot's columns,
         # and the outer levels' are spread.  A level's log is that of its
         # offset from the end it nests from, but for a pivot's log hi
-        fresh = [p < idx or lev.pivot or f >= 3 for p, f in keys]
-        slots = iter(_scratch(work, (idx, "outer"), (sum(fresh),) + shape))
+        slots = iter(_scratch(work, (idx, "outer"), (step.fresh,) + shape))
         inner = _scratch(work, (idx, "inner"), (rows, width, copies, n * size))
         carried = {}
-        for (p, f), new in zip(keys, fresh):
+        for (p, f), new in step.carried:
             slot = next(slots) if new else None
             if p < idx:
                 a = outer[p, f]
             elif f >= 3:
-                a = np.add(logS, np.log(omt) if lev.pivot and f == 4 else logt, out=slot)
+                a = np.add(logS, np.log(omt) if step.pivot and f == 4 else logt, out=slot)
             else:
                 a = (lo, hi, span)[f]
-            carried[p, f] = _flat(a, shape, slot)
-        _level_sum(levels, idx + 1, rules, spread, carried, x, tab, work, inner)
+            # as the next level's (copies, 1, columns), spread where a column
+            if a.shape != shape:
+                slot[...] = a
+                a = slot
+            carried[p, f] = a.reshape(copies, 1, -1)
+        _level_sum(steps, at, idx + 1, rules, carried, tab, work, inner)
     P = None
     if moving:
-        gap = x[i] - x[i - 1]
-        omega = _motion(tab, ((i - 1, hi / gap), (i, lo / gap)))
+        omega = {place: (lo, hi)[f] / gap for place, f in step.omega}
         P = exp_series(tab, log_series(tab, shape, omega, moving, work), work)
-    if last:
+    if step.last:
         if P is None:
-            out[:, 0] = G.sum(axis=1)
+            out[:, 0] = np.add.reduce(G, axis=1)
             if width > 1:
                 out[:, 1:] = 0.0
         else:
@@ -669,10 +713,10 @@ def _level_sum(levels, idx, rules, spread, outer, x, tab, work, out):
         if P is not None:
             product(tab, P, inner, work)
         inner *= G
-        inner.sum(axis=3, out=out)
-    if not lev.pivot:
+        np.add.reduce(inner, axis=3, out=out)
+    if not step.pivot:
         # the column factor S^power, in every row
-        out *= np.exp(lev.power * logS).reshape(copies, size)
+        out *= np.exp(step.power * logS).reshape(copies, size)
 
 
 def _pieces(rule, shortest):
@@ -703,10 +747,10 @@ def _padded(rules, lev):
 
 
 @lru_cache(maxsize=256)
-def _stack(levels, grids):
+def _stack(plan, grids):
     """The grids of a pass as copies of one another: every level's rules
-    by copy (_padded), the index of each grid's first copy, and the
-    grids' node count.
+    by copy (_padded) as its four rows, the index of each grid's first
+    copy, and the grids' node count.
 
     A rule about p times as long as the shortest of its level is cut into
     p copies of its grid, each with a p-th of its nodes, and the copies of
@@ -715,6 +759,7 @@ def _stack(levels, grids):
     kappa meet the same passes again, and stacking costs about half a
     small pass's sum, so the stacks are kept.
     """
+    levels = plan.levels
     rules = [_rules(levels, grid) for grid in grids]
     shortest = [min(len(grid[i][0]) for grid in rules) for i in range(len(levels))]
     copies, starts = [], []
@@ -726,17 +771,19 @@ def _stack(levels, grids):
     # every caller of a pass shares these arrays
     for a in (*stacked, starts):
         a.setflags(write=False)
-    return stacked, starts, sum(math.prod(len(r[0]) for r in grid) for grid in rules)
+    return tuple(tuple(a) for a in stacked), starts, sum(math.prod(len(r[0]) for r in grid) for grid in rules)
 
 
-def _nested(levels, grids, x, tab, work):
+def _nested(plan, grids, x, tab, work):
     """The sums of the grids of one pass, from one nested sum over all of
     them stacked as copies on the first level's outer axis (_stack,
-    _level_sum), as (grids, rows, coefficients).
+    _level_sum), as (grids, rows, coefficients).  The plan's program for
+    tab reads its numbers of x here, once for every chunk.
     """
-    rules, starts, nodes = _stack(levels, tuple(grids))
-    out = np.empty((2 if tab.active else 1, tab.size, rules[0].shape[1], 1))
-    _level_sum(levels, 0, rules, _spread(levels, bool(tab.active)), {}, x, tab, work, out)
+    rules, starts, nodes = _stack(plan, tuple(grids))
+    steps = plan.program(tab)
+    out = np.empty((2 if tab.active else 1, tab.size, len(rules[0][0]), 1))
+    _level_sum(steps, [_at(step, x) for step in steps], 0, rules, {}, tab, work, out)
     _record(grid_evals=len(grids), nodes=nodes, passes=1)
     return np.add.reduceat(out[..., 0], starts, axis=2).transpose(2, 0, 1)
 
@@ -807,13 +854,13 @@ def _nodes(levels, grid):
 
 
 @lru_cache(maxsize=4096)
-def _largest(levels, steps):
+def _largest(plan, steps):
     # the nodes of the largest of the grid at steps and its shifted copies
-    return max(_nodes(levels, grid) for grid in _grids(steps))
+    return max(_nodes(plan.levels, grid) for grid in _grids(steps))
 
 
-def _check_budget(levels, steps, head, note):
-    size = _largest(levels, tuple(steps))
+def _check_budget(plan, steps, head, note):
+    size = _largest(plan, tuple(steps))
     if size > _GRID_BUDGET:
         raise QuadratureError(f"{head}: {size:.2e} nodes exceed the budget of {_GRID_BUDGET:.1e}{note}")
 
@@ -832,7 +879,7 @@ def _work():
     return work
 
 
-def _halve(levels, steps, x, rel_tol, floor, head, tab):
+def _halve(plan, steps, x, rel_tol, floor, head, tab):
     """Halve the step of the level with the largest estimate until the
     relative estimates plus floor, the rounding floor and the bound on the
     rules' folds, meet rel_tol.
@@ -854,9 +901,9 @@ def _halve(levels, steps, x, rel_tol, floor, head, tab):
     halved.
     """
     steps = list(steps)
-    _check_budget(levels, steps, head, "")
+    _check_budget(plan, steps, head, "")
     work = _work()
-    sums = _nested(levels, _grids(steps), x, tab, work)
+    sums = _nested(plan, _grids(steps), x, tab, work)
     value, moved = sums[0], sums[1:]
     while True:
         # value only ever becomes the mean of itself and a shifted copy, so
@@ -877,9 +924,9 @@ def _halve(levels, steps, x, rel_tol, floor, head, tab):
         note = f" after halving level {k} (estimate {ests[k]:.2e})"
         finer = steps.copy()
         finer[k] /= 2.0
-        _check_budget(levels, finer, head, note)
-        grids = [_grid(finer, (k,)) if j == k else _grid(steps, (j, k)) for j in range(len(levels))]
-        sums = _nested(levels, grids, x, tab, work)
+        _check_budget(plan, finer, head, note)
+        grids = [_grid(finer, (k,)) if j == k else _grid(steps, (j, k)) for j in range(len(steps))]
+        sums = _nested(plan, grids, x, tab, work)
         value = 0.5 * (value + moved[k])
         moved = 0.5 * (moved + sums)
         moved[k] = sums[k]
@@ -958,13 +1005,14 @@ def _rho_kept(c, dims, counts, kappa, rel_tol, index):
     try:
         if any(counts):
             tail, fold = _plan_tail(x_ext, betas, counts, rel_tol)
-            levels = _build_levels(counts, betas, kappa, tail)
+            plan = _plan(dims, counts, kappa, tail)
+            levels = plan.levels
             floor = len(levels) * _ROUNDING + fold
-            start = _start_steps(levels, rel_tol)
+            start = plan.start(rel_tol)
             if tab.active:
                 plain = ChamberPoint(c.x0, tuple(c.xs))
                 start = _rho(plain, dims, counts, kappa, rel_tol, ((0,) * c.n,))[2]
-            steps, value, moved = _halve(levels, start, x_ext, rel_tol, floor, _head(levels, rel_tol), tab)
+            steps, value, moved = _halve(plan, start, x_ext, rel_tol, floor, _head(levels, rel_tol), tab)
             change = sum(np.abs(m[0] - value[0]) for m in moved)
             value, est = value[0], change + floor * value[-1]
         else:

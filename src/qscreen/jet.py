@@ -234,10 +234,10 @@ def _contract(terms, A, B, out, work):
     nodes = A.shape[1:]
     found = _scratch(work, "terms", (len(B), len(terms.a)) + nodes)
     # mode="clip" writes into out unbuffered; the indices are in range
-    np.take(A, terms.a, axis=0, out=found[0], mode="clip")
+    A.take(terms.a, axis=0, out=found[0], mode="clip")
     if len(B) > 1:
         np.abs(found[0], out=found[1])
-    found *= np.take(B, terms.b, axis=1, out=_scratch(work, "gathered", found.shape), mode="clip")
+    found *= B.take(terms.b, axis=1, out=_scratch(work, "gathered", found.shape), mode="clip")
     sums = _scratch(work, "sums", (len(B), len(terms.dense)) + nodes)
     np.matmul(terms.dense, found.reshape(found.shape[:2] + (-1,)), out=sums.reshape(sums.shape[:2] + (-1,)))
     out += sums

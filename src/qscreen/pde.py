@@ -38,9 +38,9 @@ import numpy as np
 
 from .coulomb import (ChamberPoint, _check_increasing, _check_kappa, _record, eval_stats,
                       h_weight, rho)
-from .correspondence import F_hwv
+from .correspondence import _F_hwv
 from .jet import Jet, JetPoint, exp_series, generator_terms, tables
-from .uqsl2 import is_hwv
+from .uqsl2 import _hwv_test
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,9 @@ def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
     a, b, c, d = (float(t) for t in mu)
     if a * d - b * c <= 0:
         raise ValueError("the map must be orientation preserving")
-    if not is_hwv(v, 1):
+    # the key of every cache the checks and the evaluations read, formed once
+    dims, coeffs = v.space.dims, frozenset(v.coeffs.items())
+    if not _hwv_test(dims, coeffs, 1):
         raise ValueError("vector is not in the trivial subrepresentation")
     x = tuple(float(xi) for xi in x)
     _check_increasing(x)
@@ -341,10 +343,10 @@ def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
             raise ValueError("map does not preserve the ordering of the points")
     det = a * d - b * c
     prefactor = 1.0
-    for xi, dim in zip(x, v.space.dims):
+    for xi, dim in zip(x, dims):
         prefactor *= (det / (c * xi + d) ** 2) ** h_weight(dim, kappa)
-    value = _estimated_F(v, x, kappa, rel_tol)
-    transformed = prefactor * _estimated_F(v, mapped, kappa, rel_tol)
+    value = _estimated_F(dims, coeffs, x, kappa, rel_tol)
+    transformed = prefactor * _estimated_F(dims, coeffs, mapped, kappa, rel_tol)
     return {
         "mu": (a, b, c, d),
         "points": x,
@@ -355,10 +357,11 @@ def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
     }
 
 
-def _estimated_F(v, x, kappa, rel_tol):
-    # F at x, refused where its modulus does not exceed its error estimate
+def _estimated_F(dims, coeffs, x, kappa, rel_tol):
+    # F_hwv at x of the vector on dims with the (index, coefficient) pairs
+    # coeffs, refused where its modulus does not exceed its error estimate
     with eval_stats() as stats:
-        value = F_hwv(v, x, kappa, rel_tol)
+        value = _F_hwv(dims, coeffs, x, kappa, rel_tol)
     if not abs(value) > stats.err_est:
         raise ValueError(
             f"F vanishes within its error estimate at {x}: |F| = {abs(value):.2e}"

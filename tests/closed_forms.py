@@ -2,13 +2,15 @@
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 
 import numpy as np
 
-from qscreen.coulomb import _LOG_EDGE, _log_edge
-from qscreen.jet import Jet
+from qscreen import coulomb
+from qscreen.coulomb import _LOG_EDGE, _log_edge, _moves
+from qscreen.jet import Jet, _scratch, exp_series, log_series
+from qscreen.jet import product as series_product
 from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qint, qmultinom
 from qscreen.uqsl2 import TensorVector, act
 
@@ -251,6 +253,218 @@ def unit_rule_by_stacking(aL, aR, grow, pair, tail, h, shift):
     logw[b] = np.logaddexp.reduce(logw[b:])
     logt, log1mt, logw = logt[a : b + 1], log1mt[a : b + 1], logw[a : b + 1]
     return np.stack((np.exp(logt), np.exp(log1mt), logt, logw))
+
+
+# -- the nested sum that re-derives each level's program at every call -----
+#
+# coulomb._level_sum executes the program its plan (coulomb._Plan) derived
+# once per level; level_sum_reference re-derives it at every level call,
+# with _spread, _flat and _motion as they were, and is the reference its
+# sums must match bit for bit.
+
+
+def _motion(tab, terms):
+    # sum_k a_k * (coordinate k's motion), per place in tab.active, for
+    # pairs (k, a_k) of a chamber coordinate and a number or node array:
+    # the point x_k is variable k - 1 and moves at rate 1, and the anchor,
+    # coordinate 0, never moves
+    out = {}
+    for k, a in terms:
+        place = tab.place.get(k - 1)
+        if place is not None:
+            out[place] = out[place] + a if place in out else a
+    return out
+
+
+def _flat(a, shape, slot):
+    # a over a level's grid (copies, nodes, columns), as the next level's
+    # (copies, 1, columns): a view where a spans the grid, else spread
+    # into slot
+    if a.shape != shape:
+        slot[...] = a
+        a = slot
+    return a.reshape(shape[0], 1, -1)
+
+
+@lru_cache(maxsize=None)
+def spread_reference(levels, jet):
+    """For each level idx, the offsets (p, field) of the levels p <= idx
+    that a later level reads, the fields 0 to 4 being lo, hi, span, log lo
+    and log hi.  A level reads its parent's lo and hi, and the log of the
+    one at the end it nests from; the span that each of its "span" factors
+    adds; and the hi of the level of each "group" factor, with its lo as
+    well when a jet is carried."""
+    reads = []
+    for lev in levels:
+        fields = set()
+        if not lev.pivot:
+            fields.update(((lev.parent, 0), (lev.parent, 1), (lev.parent, 4 if lev.mirrored else 3)))
+        for _, kind, k in lev.factors:
+            if kind == "span":
+                fields.add((k, 2))
+            elif kind == "group":
+                fields.update(((k, 0), (k, 1)) if jet else ((k, 1),))
+        reads.append(fields)
+    later = [set().union(*reads[idx + 1:]) for idx in range(len(levels))]
+    return tuple(tuple(sorted(pf for pf in later[idx] if pf[0] <= idx)) for idx in range(len(levels)))
+
+
+def level_sum_reference(levels, idx, rules, spread, outer, x, tab, work, out):
+    """coulomb._level_sum as it was before its plan: every call re-derives
+    its level's program from the levels, spread (spread_reference) and the
+    jet tables tab, and reads x at every chunk."""
+    lev, rule = levels[idx], rules[idx]
+    copies, n = rule.shape[1:3]
+    rows, width, _, size = out.shape
+    if n * copies * size * width > coulomb._CHUNK_CAP:
+        fit = coulomb._CHUNK_CAP // (n * size * width)
+        per, step = (fit, size) if fit else (1, max(2, coulomb._CHUNK_CAP // (n * width)))
+        starts = range(0, max(1, size - 1), step)
+        if per < copies or len(starts) > 1:
+            for c in range(0, copies, per):
+                part = [r[:, c : c + per] for r in rules]
+                for s, e in zip(starts, [*starts[1:], size]):
+                    chunk = {k: a[c : c + per, :, s:e] for k, a in outer.items()}
+                    level_sum_reference(levels, idx, part, spread, chunk, x, tab, work,
+                                        out[:, :, c : c + per, s:e])
+            return
+    t, omt, logt, logwe = rule
+    last = idx == len(levels) - 1
+    shape = (copies, n, size)
+    keys = spread[idx]
+    i = lev.group
+    # an offset is needed for a raised variable, for the factors that read
+    # it (hi the charges at or right of x_i, lo the rest but the spans),
+    # and where a later level reads it
+    sides = {int(kind == "charge" and k >= i) for _, kind, k in lev.factors if kind != "span"}
+    needs = [bool(tab.active) or f in sides or (idx, f) in keys for f in (0, 1)]
+    if lev.pivot:
+        # S is a number, and the offsets stay columns
+        S = x[i] - x[i - 1]
+        logS = math.log(S)
+        span = hi = S * omt
+        lo = S * t if needs[0] else None
+    else:
+        # a mirrored level is a downward one with lo and hi swapped: its t
+        # runs from x_i, and S is its parent's hi
+        near, far, log_near = (1, 0, 4) if lev.mirrored else (0, 1, 3)
+        S, far_S, logS = outer[lev.parent, near], outer[lev.parent, far], outer[lev.parent, log_near]
+        own = _scratch(work, (idx, "own"), (3,) + shape)
+        span = np.multiply(S, omt, out=own[2])
+        far_off = np.add(far_S, span, out=own[1])
+        near_off = np.multiply(S, t, out=own[0]) if needs[near] else None
+        lo, hi = (far_off, near_off) if lev.mirrored else (near_off, far_off)
+    # G starts from the rule's column; the envelopes t^(-envL) and
+    # (1 - t)^(-envR) split the same way.  A pivot's offsets are columns,
+    # so its G, with its power of S, stays a column until the pair
+    # factors, the first terms to span the outer grid.  Another level's G
+    # is the rule's own column until its first term, and is written into
+    # full from then on, or into that term's buffer where the term is a
+    # spare offset
+    full = _scratch(work, (idx, "G"), shape)
+    G = np.add(logwe, lev.power * logS) if lev.pivot else logwe
+    term = _scratch(work, "tmp", span.shape)
+    # a spare offset is one nothing reads after its last factor: its log
+    # is written over it, and the spans after the first run in the span's
+    # own buffer
+    spare = last and not tab.active and not lev.pivot
+    final = {int(kind == "charge" and k >= i): j for j, (_, kind, k) in enumerate(lev.factors)
+             if kind != "span"}
+    spans = own[2] if spare else _scratch(work, "spans", shape)
+    # the moving factors, charges by point, then other groups' variables
+    # earliest first; the pair factors share one exponent, so one log of
+    # their product, whose first distance is written into it
+    moving, groups, pairs, dist = [], [], None, span
+    for j, (e, kind, k) in enumerate(lev.factors):
+        if kind == "charge":
+            # D = w - x_k left of the interval, x_k - w right of it: an
+            # offset plus c, x_k's distance to the interval's end
+            right = k >= i
+            D, c = (hi, x[k] - x[i]) if right else (lo, x[i - 1] - x[k])
+            log = D if spare and final[right] == j else term
+            D = np.add(D, c, out=log) if c else D
+            if tab.active and _moves(lev, kind, k):
+                moving.append((e, (-1.0 if right else 1.0) / D, _motion(tab, ((k, 1.0),))))
+            np.multiply(np.log(D, out=log), e, out=log)
+            G = np.add(G, log, out=(full if log is term else log) if G is logwe else G)
+            continue
+        into = _scratch(work, "pairs", shape) if pairs is None else None
+        if kind == "span":
+            D = dist = np.add(dist, outer[k, 2], out=spans if into is None else into)
+        else:
+            # D = w - w_k, lo plus its hi and the gap between the groups
+            g = levels[k].group
+            D = np.add(lo, outer[k, 1] + (x[i - 1] - x[g]),
+                       out=_scratch(work, "tmp", shape) if into is None else into)
+            if tab.active:
+                gap = x[g] - x[g - 1]
+                groups.append((e, 1.0 / D, _motion(tab, ((g - 1, outer[k, 1] / gap), (g, outer[k, 0] / gap)))))
+        if pairs is None:
+            pairs = D
+        else:
+            np.multiply(pairs, D, out=pairs)
+    moving += reversed(groups)
+    if pairs is not None:
+        # a product that underflowed to zero leaves a term far below
+        # rounding: its log is -inf and the term exactly zero
+        with np.errstate(divide="ignore"):
+            np.log(pairs, out=pairs)
+        np.multiply(pairs, lev.pair, out=pairs)
+        G = np.add(G, pairs, out=G if G is not logwe and G.shape == shape else full)
+    G = np.exp(G, out=None if G is logwe else G)
+    if not last:
+        # the offsets later levels read, over this level's nodes: this
+        # level's own are views, but for the logs and a pivot's columns,
+        # and the outer levels' are spread.  A level's log is that of its
+        # offset from the end it nests from, but for a pivot's log hi
+        fresh = [p < idx or lev.pivot or f >= 3 for p, f in keys]
+        slots = iter(_scratch(work, (idx, "outer"), (sum(fresh),) + shape))
+        inner = _scratch(work, (idx, "inner"), (rows, width, copies, n * size))
+        carried = {}
+        for (p, f), new in zip(keys, fresh):
+            slot = next(slots) if new else None
+            if p < idx:
+                a = outer[p, f]
+            elif f >= 3:
+                a = np.add(logS, np.log(omt) if lev.pivot and f == 4 else logt, out=slot)
+            else:
+                a = (lo, hi, span)[f]
+            carried[p, f] = _flat(a, shape, slot)
+        level_sum_reference(levels, idx + 1, rules, spread, carried, x, tab, work, inner)
+    P = None
+    if moving:
+        gap = x[i] - x[i - 1]
+        omega = _motion(tab, ((i - 1, hi / gap), (i, lo / gap)))
+        P = exp_series(tab, log_series(tab, shape, omega, moving, work), work)
+    if last:
+        if P is None:
+            out[:, 0] = G.sum(axis=1)
+            if width > 1:
+                out[:, 1:] = 0.0
+        else:
+            np.einsum("cgts,gts->cgs", P, G, out=out[0])
+            # P is read no more: its moduli take its place
+            np.einsum("cgts,gts->cgs", np.abs(P, out=P), G, out=out[1])
+    else:
+        inner = inner.reshape((rows, width) + shape)
+        if P is not None:
+            series_product(tab, P, inner, work)
+        inner *= G
+        inner.sum(axis=3, out=out)
+    if not lev.pivot:
+        # the column factor S^power, in every row
+        out *= np.exp(lev.power * logS).reshape(copies, size)
+
+
+def nested_reference(levels, grids, x, tab, work):
+    """coulomb._nested on level_sum_reference: the sums of the grids of
+    one pass, as (grids, rows, coefficients)."""
+    rows, starts, _ = coulomb._stack(coulomb._Plan(levels), tuple(grids))
+    rules = [np.stack(r) for r in rows]
+    out = np.empty((2 if tab.active else 1, tab.size, rules[0].shape[1], 1))
+    level_sum_reference(levels, 0, rules, spread_reference(levels, bool(tab.active)), {}, x, tab,
+                        work, out)
+    return np.add.reduceat(out[..., 0], starts, axis=2).transpose(2, 0, 1)
 
 
 def _gamma(x) -> float:

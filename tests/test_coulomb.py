@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import delta_fusion, delta_scaling, fd_jets, selberg_oracle, unit_rule_by_stacking
+from closed_forms import (delta_fusion, delta_scaling, fd_jets, nested_reference, selberg_oracle,
+                          unit_rule_by_stacking)
 
 from qscreen import coulomb
 from qscreen.coulomb import (
@@ -24,7 +25,7 @@ from qscreen.coulomb import (
     h_weight,
     rho,
 )
-from qscreen.correspondence import F_hwv
+from qscreen.correspondence import F_hwv, _kappa_weights
 from qscreen.jet import JetPoint, closure
 from qscreen.jet import tables as jet_tables
 from qscreen.pde import sle_pde_check, translation_check, vertex_prefactor
@@ -262,6 +263,84 @@ def test_unit_rule_build_matches_the_stacked_reference_bit_for_bit():
         assert got.shape == ref.shape and np.array_equal(got, ref), args
 
 
+
+@pytest.mark.parametrize(
+    "c, dims, counts, kappa",
+    [
+        # l = 1: a pivot alone, charges on both sides
+        (ChamberPoint(-0.5, (0.0, 0.8, 2.0, 4.0)), (2, 2, 2, 2), (0, 0, 1, 0), 10.0),
+        # l = 2: two groups, each with a group factor and charges beyond
+        # both ends of its interval
+        (ChamberPoint(-0.5, (0.0, 0.01, 2.0, 4.0)), (2, 2, 2, 2), (1, 0, 1, 0), 10.0),
+        # l = 3: a pivot with a variable on each side, and a second group
+        (ChamberPoint(-3.25, (-1.4, -0.13)), (3, 3), (2, 1), 9.0),
+        # l = 4: two groups, a mirrored level, a pair across a pivot and
+        # pairs to another group
+        (ChamberPoint(-1.0, (0.0, 1.0, 2.5)), (2, 4, 3), (0, 1, 3), 12.6),
+    ],
+)
+def test_nested_sums_match_the_reference_bit_for_bit(c, dims, counts, kappa):
+    # each level executes the program its plan derived once; the
+    # reference re-derives it at every level call.  A plain value and
+    # jets of order 1 and 2, on the first pass and on a halving of the
+    # first level and of the last, give the same bits
+    levels = _plan_levels(c, dims, counts, kappa, 1e-9)
+    plan, x, n = coulomb._Plan(levels), (c.x0,) + c.xs, len(dims)
+    steps = coulomb._start_steps(levels, 1e-9)
+    passes = [coulomb._grids(steps)]
+    for k in sorted({0, len(levels) - 1}):
+        finer = list(steps)
+        finer[k] /= 2.0
+        passes.append([coulomb._grid(finer, (k,)) if j == k else coulomb._grid(steps, (j, k))
+                       for j in range(len(levels))])
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for reads in ([(0,) * n], unit, [tuple(2 * a for a in unit[-1]), tuple(map(max, unit[0], unit[-1]))]):
+        tab = jet_tables(closure(reads))
+        for grids in passes:
+            got = coulomb._nested(plan, grids, x, tab, {})
+            ref = nested_reference(levels, grids, x, tab, {})
+            assert got.shape == ref.shape and np.array_equal(got, ref), (reads, grids)
+
+
+def test_chunked_first_pass_matches_the_reference_bit_for_bit():
+    # the first pass of the four-variable two-point form at kappa = 16.75
+    # sums its last levels in chunks of whole copies and of columns
+    levels = _plan_levels(_PAIR, (5, 5), (0, 4), 16.75, 1e-9)
+    grids = coulomb._grids(coulomb._start_steps(levels, 1e-9))
+    x, tab = (_PAIR.x0,) + _PAIR.xs, jet_tables(((0, 0),))
+    plan = coulomb._Plan(levels)
+    rows = coulomb._stack(plan, tuple(grids))[0]
+    assert len(rows[-1][0]) * math.prod(r[0].shape[1] for r in rows) > coulomb._CHUNK_CAP
+    got = coulomb._nested(plan, grids, x, tab, {})
+    assert np.array_equal(got, nested_reference(levels, grids, x, tab, {}))
+
+
+def test_each_level_structure_builds_its_plan_once():
+    # F of the (2,2,2,2) trivial vector at x and at three Moebius images,
+    # at one kappa: every rho term whose counts and rule tail match share
+    # one plan, built once, and a repeated evaluation builds none
+    v = hwv_space_basis(TensorSpace((2, 2, 2, 2)), 1)[0]
+    kappa, x = 10.0, (0.0, 1.0, 2.0, 4.0)
+    maps = ((1.0, 3.0, 0.0, 1.0), (1.7, 0.0, 0.0, 1.0), (1.0, 0.0, 0.05, 1.0))
+    points = [x] + [tuple((a * xi + b) / (cc * xi + d) for xi in x) for a, b, cc, d in maps]
+    counts = [m for m, _ in _kappa_weights(v.space.dims, frozenset(v.coeffs.items()), kappa)]
+    assert all(map(any, counts))
+    betas = coulomb._betas(v.space.dims, kappa)
+    # F_hwv's anchor is default_anchor(x)
+    keys = {(m, coulomb._plan_tail((xs[0] - (xs[-1] - xs[0]),) + xs, betas, m, 1e-9)[0])
+            for xs in points for m in counts}
+    terms = len(points) * len(counts)
+    coulomb._rho_kept.cache_clear()
+    coulomb._plan.cache_clear()
+    values = [F_hwv(v, xs, kappa) for xs in points]
+    info = coulomb._plan.cache_info()
+    assert info.misses == info.currsize == len(keys) < terms == info.misses + info.hits, (info, keys)
+    coulomb._rho_kept.cache_clear()
+    assert [F_hwv(v, xs, kappa) for xs in points] == values
+    again = coulomb._plan.cache_info()
+    assert (again.misses, again.hits) == (info.misses, info.hits + terms), (info, again)
+
+
 def test_rho_jet_sums_of_moduli_are_the_value_at_the_zero_index():
     # the integrand is positive, so over the zero multi-index the sums of
     # the moduli of the terms, which the estimates scale with, are the
@@ -273,7 +352,7 @@ def test_rho_jet_sums_of_moduli_are_the_value_at_the_zero_index():
     assert sum(not lev.pivot for lev in levels) == 2
     tab = jet_tables(closure([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     grids = coulomb._grids(coulomb._start_steps(levels, 1e-6))
-    sums = coulomb._nested(levels, grids, (c.x0,) + c.xs, tab, {})
+    sums = coulomb._nested(coulomb._Plan(levels), grids, (c.x0,) + c.xs, tab, {})
     assert sums.shape == (len(grids), 2, tab.size)
     np.testing.assert_allclose(sums[:, -1, 0], sums[:, 0, 0], rtol=1e-14, atol=0.0)
 
@@ -488,17 +567,17 @@ def test_rho_composed_sums_are_the_direct_sums(monkeypatch, c, dims, m, kappa, r
     halve, seen = coulomb._halve, {}
     coulomb._rho_kept.cache_clear()
 
-    def keep(levels, steps, x, rel_tol, floor, head, tab):
-        seen.update(levels=levels, start=steps, x=x, tab=tab)
-        seen["out"] = halve(levels, steps, x, rel_tol, floor, head, tab)
+    def keep(plan, steps, x, rel_tol, floor, head, tab):
+        seen.update(plan=plan, start=steps, x=x, tab=tab)
+        seen["out"] = halve(plan, steps, x, rel_tol, floor, head, tab)
         return seen["out"]
 
     monkeypatch.setattr(coulomb, "_halve", keep)
     rho(c, dims, m, kappa, rel_tol)
     steps, value, moved = seen["out"]
-    levels = seen["levels"]
+    levels = seen["plan"].levels
     assert steps != tuple(seen["start"])
-    direct, *direct_moved = coulomb._nested(levels, coulomb._grids(steps), seen["x"],
+    direct, *direct_moved = coulomb._nested(seen["plan"], coulomb._grids(steps), seen["x"],
                                             seen["tab"], {})[:, 0, 0]
     est = sum(abs(a[0, 0] - value[0, 0]) for a in moved)
     bound = value[-1, 0] * len(levels) * 4 * np.finfo(float).eps + 1e-3 * est
@@ -556,7 +635,7 @@ def _shift_estimates(steps, ell=4, d=5, kappa=16.75):
     x = (_PAIR.x0,) + _PAIR.xs
     # the jet over the zero multi-index alone is the value
     tab = jet_tables(((0, 0),))
-    value, *moved = coulomb._nested(levels, coulomb._grids(steps), x, tab, {})[:, 0, 0]
+    value, *moved = coulomb._nested(coulomb._Plan(levels), coulomb._grids(steps), x, tab, {})[:, 0, 0]
     ref = _selberg_pair(ell, d, kappa)
     pref = coulomb._x_prefactor(_PAIR.xs, dims, kappa)
     return [abs(m - value) / value for m in moved], abs(pref * value - ref) / ref
@@ -661,9 +740,9 @@ def test_rho_budget_raises_before_summing_an_oversized_grid(monkeypatch):
     summed = []
     nested = coulomb._nested
 
-    def counting(levels, grids, geo, jet, work):
-        summed.extend(coulomb._nodes(levels, grid) for grid in grids)
-        return nested(levels, grids, geo, jet, work)
+    def counting(plan, grids, geo, jet, work):
+        summed.extend(coulomb._nodes(plan.levels, grid) for grid in grids)
+        return nested(plan, grids, geo, jet, work)
 
     monkeypatch.setattr(coulomb, "_nested", counting)
     with eval_stats() as stats, pytest.raises(QuadratureError, match=r"l=4 .*budget"):
@@ -920,6 +999,7 @@ def test_rho_pass_sums_each_grid_as_alone(monkeypatch, c, dims, m, kappa, small_
                 low, high = (2 * b.shape[1] - 4, 2 * b.shape[1]) if i == k else (b.shape[1] - 1, b.shape[1] + 1)
                 assert low <= a.shape[1] <= high, (k, i, a.shape, b.shape)
         passes.append(cross + [fine])
+    plan = coulomb._Plan(levels)
     unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     jets = [[(0,) * n], unit, [tuple(2 * a for a in unit[0]), tuple(map(max, unit[0], unit[-1]))]]
     if small_chunks and len(levels) == 4:
@@ -929,10 +1009,10 @@ def test_rho_pass_sums_each_grid_as_alone(monkeypatch, c, dims, m, kappa, small_
     for reads in jets:
         tab = jet_tables(closure(reads))
         for grids in passes:
-            batched = coulomb._nested(levels, grids, x, tab, {})
+            batched = coulomb._nested(plan, grids, x, tab, {})
             assert batched.shape[0] == len(grids)
             for j, (got, grid) in enumerate(zip(batched, grids)):
-                alone = coulomb._nested(levels, [grid], x, tab, {})[0]
+                alone = coulomb._nested(plan, [grid], x, tab, {})[0]
                 assert np.all(np.abs(got - alone) <= 1e-15 * alone[-1]), (reads, j, got, alone)
 
 
@@ -947,9 +1027,9 @@ def test_rho_counts_one_nested_call_per_pass(monkeypatch):
     nested = coulomb._nested
     coulomb._rho_kept.cache_clear()
 
-    def counting(levels, grids, geo, jet, work):
-        calls.append((len(grids), sum(coulomb._nodes(levels, grid) for grid in grids)))
-        return nested(levels, grids, geo, jet, work)
+    def counting(plan, grids, geo, jet, work):
+        calls.append((len(grids), sum(coulomb._nodes(plan.levels, grid) for grid in grids)))
+        return nested(plan, grids, geo, jet, work)
 
     monkeypatch.setattr(coulomb, "_nested", counting)
     with eval_stats() as stats:
@@ -1082,10 +1162,10 @@ def test_jets_at_one_point_share_the_plain_value(monkeypatch):
     # check at the same point plans it no more
     halve, plain_runs = coulomb._halve, []
 
-    def counting(levels, steps, geo, rel_tol, floor, head, tab):
+    def counting(plan, steps, geo, rel_tol, floor, head, tab):
         if not tab.active:
             plain_runs.append(steps)
-        return halve(levels, steps, geo, rel_tol, floor, head, tab)
+        return halve(plan, steps, geo, rel_tol, floor, head, tab)
 
     monkeypatch.setattr(coulomb, "_halve", counting)
     coulomb._rho_kept.cache_clear()
@@ -1105,9 +1185,9 @@ def test_jet_then_value_at_one_point_plan_the_value_once(monkeypatch):
     # and counts the grids the entry summed
     halve, runs = coulomb._halve, []
 
-    def counting(levels, steps, geo, rel_tol, floor, head, tab):
+    def counting(plan, steps, geo, rel_tol, floor, head, tab):
         runs.append(bool(tab.active))
-        return halve(levels, steps, geo, rel_tol, floor, head, tab)
+        return halve(plan, steps, geo, rel_tol, floor, head, tab)
 
     monkeypatch.setattr(coulomb, "_halve", counting)
     coulomb._rho_kept.cache_clear()
