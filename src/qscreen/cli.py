@@ -3,7 +3,13 @@
 Configuration comes from an optional key=value file plus command line
 flags; flags win.  Each command accepts exactly the keys it reads
 (_COMMAND_KEYS): any other key, as a flag or as a file line, exits with
-status 2.  Evaluation rows carry the quadrature's own absolute
+status 2.  A small reader takes the one grammar the commands have, with
+no argparse to import or build: the command, then in any order
+--config and the command's keys as --key value or --key=value (the
+last one given wins; a value may start with a single "-"), verify's one
+suite, and -h or --help.  It writes the help and the usage errors
+itself, in argparse's layout at 80 columns; help exits 0 and a usage
+error 2.  Evaluation rows carry the quadrature's own absolute
 error estimate; a row whose integrals cannot meet rel_tol, or that
 vanishes within its estimate, stops the run with exit status 3.
 Each verification suite lists its checks as rows (name, computation,
@@ -13,7 +19,6 @@ and seconds, and the operator checks also report their evaluator calls;
 the exit status is zero exactly when every check passed.
 """
 
-import argparse
 import csv
 import io
 import itertools
@@ -23,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .coulomb import ChamberPoint, contour_phi_oracle, eval_stats, h_weight
 from .correspondence import (
@@ -656,12 +662,6 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _add_flags(parser, keys):
-    parser.add_argument("--config", help="key=value file, '#' starts a comment")
-    for key in keys:
-        parser.add_argument("--" + key.replace("_", "-"))
-
-
 def _config_from_args(args, keys):
     values = {}
     if args.config:
@@ -680,37 +680,124 @@ def _config_from_args(args, keys):
 _COMMANDS = (("eval", "evaluate a function on chamber points"),
              ("verify", "run a verification suite"),
              ("dump-basis", "print a highest weight basis"))
+_CHOICES = "{" + ",".join(name for name, _ in _COMMANDS) + "}"
+_SUITE_CHOICES = "{" + ",".join(SUITES) + "}"
+_TOP_HELP = "".join([
+    f"usage: qscreen [-h] {_CHOICES} ...\n\n",
+    "evaluate covariant boundary functions and run checks\n\n",
+    f"positional arguments:\n  {_CHOICES}\n",
+    *(f"    {name:<20}{text}\n" for name, text in _COMMANDS),
+    "\noptions:\n  -h, --help            show this help message and exit\n",
+])
+# help and usage are laid out for 80 columns, as argparse lays them out
+_WIDTH = 78
 
 
-def _command_parser(parser, command):
-    # the arguments of one command, into a parser that takes no
-    # abbreviations: eval's --dims would take a --d
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _usage(command):
+    """The usage line(s) of one command: the flags wrap under its name,
+    and verify's suite takes a line of its own once they wrap."""
+    prog = f"usage: qscreen {command}"
+    flags = ["[-h]", "[--config CONFIG]"]
+    flags += [f"[{_flag(key)} {key.upper()}]" for key in _COMMAND_KEYS[command]]
+    suite = [_SUITE_CHOICES] if command == "verify" else []
+    line = " ".join([prog, *flags, *suite])
+    if len(line) <= _WIDTH:
+        return line
+    indent = " " * (len(prog) + 1)
+    lines = [prog]
+    for word in flags:
+        if len(lines[-1]) + 1 + len(word) > _WIDTH:
+            lines.append(indent + word)
+        else:
+            lines[-1] += " " + word
+    return "\n".join(lines + [indent + word for word in suite])
+
+
+def _command_help(command):
+    rows = [("-h, --help", "show this help message and exit"),
+            ("--config CONFIG", "key=value file, '#' starts a comment")]
+    rows += [(f"{_flag(key)} {key.upper()}", "") for key in _COMMAND_KEYS[command]]
+    heads = [head for head, _ in rows]
+    text = _usage(command) + "\n\n"
     if command == "verify":
-        parser.add_argument("suite", choices=SUITES)
-    _add_flags(parser, _COMMAND_KEYS[command])
-    return parser
+        heads.append(_SUITE_CHOICES)
+        text += f"positional arguments:\n  {_SUITE_CHOICES}\n\n"
+    # the help text starts two columns after the longest head, at most at 24
+    col = min(max(map(len, heads)) + 4, 24)
+    text += "options:\n"
+    return text + "".join(f"  {head:<{col - 2}}{help_}\n" if help_ else f"  {head}\n"
+                          for head, help_ in rows)
+
+
+def _fail(command, message):
+    """Write the usage of a command, of qscreen itself when None, and the
+    message to stderr, and exit 2."""
+    if command is None:
+        usage, prog = _TOP_HELP.partition("\n")[0], "qscreen"
+    else:
+        usage, prog = _usage(command), f"qscreen {command}"
+    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read_flags(command, words):
+    """The words after a command, read in order: -h or --help prints the
+    command's help and exits 0; --key value and --key=value set --config
+    or a key of the command, the last one given winning; verify's first
+    word that does not start with "-" names its suite.  Every other word
+    is unrecognized.  A flag with no value, a suite outside SUITES, no
+    suite or an unrecognized word prints the usage and an error and
+    exits 2.  Returns the values by name, None where a flag is not given,
+    and the suite."""
+    names = {"--config": "config", **{_flag(key): key for key in _COMMAND_KEYS[command]}}
+    values = dict.fromkeys(names.values())
+    suite, extras = None, []
+    i = 0
+    while i < len(words):
+        word = words[i]
+        i += 1
+        if word in ("-h", "--help"):
+            sys.stdout.write(_command_help(command))
+            raise SystemExit(0)
+        name, eq, value = word.partition("=")
+        if name in names:
+            if not eq:
+                # the next word, unless there is none or it is a flag
+                if i == len(words) or words[i].startswith("--") or words[i] == "-h":
+                    _fail(command, f"argument {name}: expected one argument")
+                value = words[i]
+                i += 1
+            values[names[name]] = value
+        elif command == "verify" and suite is None and not word.startswith("-"):
+            if word not in SUITES:
+                choices = ", ".join(repr(s) for s in SUITES)
+                _fail(command, f"argument suite: invalid choice: {word!r} (choose from {choices})")
+            suite = word
+        else:
+            extras.append(word)
+    if command == "verify" and suite is None:
+        _fail(command, "the following arguments are required: suite")
+    if extras:
+        _fail(command, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values, suite=suite)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
-    if command in _COMMAND_KEYS:
-        # the parser of the command the first argument names, alone: its
-        # help reads as the full parser's subcommand help
-        parser = argparse.ArgumentParser(prog=f"qscreen {command}", allow_abbrev=False)
-        args = _command_parser(parser, command).parse_args(argv[1:])
-    else:
-        # --help, an unknown command or none: the help and the error list
-        # every command
-        parser = argparse.ArgumentParser(
-            prog="qscreen",
-            description="evaluate covariant boundary functions and run checks",
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
-        for name, text in _COMMANDS:
-            _command_parser(sub.add_parser(name, help=text, allow_abbrev=False), name)
-        args = parser.parse_args(argv)
-        command = args.command
+    if command in ("-h", "--help"):
+        sys.stdout.write(_TOP_HELP)
+        raise SystemExit(0)
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    if command not in _COMMAND_KEYS:
+        choices = ", ".join(repr(name) for name, _ in _COMMANDS)
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    args = _read_flags(command, argv[1:])
     try:
         config = _config_from_args(args, _COMMAND_KEYS[command])
         if command == "eval":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO, qbinom, qfact, qint, shared_denominator
 
@@ -184,13 +185,34 @@ def _pair_weights(d1: int, d2: int, m: int) -> dict:
 
 def hwv_pair(d1: int, d2: int, m: int) -> TensorVector:
     """Highest weight vector generating the d = d1+d2-1-2m summand of the
-    two-point tensor product."""
+    two-point tensor product.
+
+    Its (l1, l2) coefficient, _pair_weights' over [m]! [d1-1]! [d2-1]!
+    (q - 1/q)^m, is (-1)^l1 q^(l1 (d1-l1)) over (q - 1/q)^m and the
+    q-integers [1..l1], [1..l2], [d1-l1..d1-1] and [d2-l2..d2-1].  With
+    t = q^2, [k] = q^(1-k) (1 + t + ... + t^(k-1)) and q - 1/q =
+    -q^-1 (1 - t), so the coefficient is built in canonical form with no
+    gcd: a signed monomial over the product of those polynomials in t,
+    whose constant term is 1.
+    """
     if not 0 <= m <= min(d1, d2) - 1:
         raise ValueError(f"no summand with m={m} in dims ({d1},{d2})")
-    scale = (qfact(m) * qfact(d1 - 1) * qfact(d2 - 1) * Q_COMM ** m).inverse()
-    return TensorVector(TensorSpace((d1, d2)),
-                        {pi: c * scale
-                         for pi, c in _pair_weights(d1, d2, m).items()})
+    coeffs = {}
+    for l1 in range(max(0, m - (d2 - 1)), min(m, d1 - 1) + 1):
+        l2 = m - l1
+        ks = [*range(2, l1 + 1), *range(2, l2 + 1),
+              *range(max(2, d1 - l1), d1), *range(max(2, d2 - l2), d2)]
+        den = [1]  # coefficients of 1, t, t^2, ...
+        for k in ks:
+            # times 1 - t^k, then summed as a series: times 1 + ... + t^(k-1)
+            den = list(accumulate(a - b for a, b in zip(den + [0] * k, [0] * k + den)))[:-1]
+        for _ in range(m):
+            den = [a - b for a, b in zip(den + [0], [0] + den)]
+        num = {l1 * (d1 - l1) + sum(ks) - len(ks) + m: (-1) ** (l1 + m)}
+        coeffs[(l1, l2)] = QScalar._canonical(
+            LaurentPoly._trusted(num),
+            LaurentPoly._trusted({2 * j: c for j, c in enumerate(den) if c}))
+    return TensorVector(TensorSpace((d1, d2)), coeffs)
 
 
 # -- exact linear algebra over QScalar ------------------------------------

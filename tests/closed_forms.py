@@ -11,8 +11,8 @@ from qscreen import coulomb
 from qscreen.coulomb import _LOG_EDGE, _log_edge, _moves
 from qscreen.jet import Jet, _scratch, exp_series, log_series
 from qscreen.jet import product as series_product
-from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qint, qmultinom
-from qscreen.uqsl2 import TensorVector, act
+from qscreen.qseries import Q_ONE, Q_ZERO, LaurentPoly, QScalar, qfact, qint, qmultinom
+from qscreen.uqsl2 import Q_COMM, TensorSpace, TensorVector, _pair_weights, act
 
 
 def is_poly(x) -> bool:
@@ -174,6 +174,15 @@ def hwv_basis_by_elimination(space, d):
     return [TensorVector(space, {col_idx[i]: val for i, val in enumerate(row)
                                  if not val.is_zero()})
             for row in canon]
+
+
+def hwv_pair_reference(d1, d2, m):
+    """hwv_pair(d1, d2, m) as _pair_weights' Laurent polynomials times
+    the QScalar 1/([m]! [d1-1]! [d2-1]! (q - 1/q)^m), each product reduced
+    by the general QScalar constructor."""
+    scale = (qfact(m) * qfact(d1 - 1) * qfact(d2 - 1) * Q_COMM ** m).inverse()
+    return TensorVector(TensorSpace((d1, d2)),
+                        {pi: c * scale for pi, c in _pair_weights(d1, d2, m).items()})
 
 
 def ladder_prefactor(d, l):

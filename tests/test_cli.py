@@ -180,6 +180,53 @@ def test_commands_refuse_the_keys_they_do_not_read(tmp_path, capsys, command, ke
     assert f"run.cfg:2: unknown key '{key}'" in err
 
 
+def _outcome(capsys, argv):
+    # the exit status, whether main returns it or exits with it, and the
+    # text written to stdout and stderr
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_PAIR = ("eval", "--dims", "2,2", "--l", "0,1", "--format", "json")
+# (argv, an argv it must read exactly as, or None; its exit status; a
+# fragment of what it writes)
+_GRAMMAR = {
+    "key=value": (("dump-basis", "--dims=2,2", "--format=json"),
+                  ("dump-basis", "--dims", "2,2", "--format", "json"), 0, '"count": 1'),
+    "negative-values": ((*_PAIR, "--x0", "-2", "--x", "0,1"), (*_PAIR, "--x0=-2", "--x=0,1"),
+                        0, '"x0": -2.0'),
+    "negative-points": ((*_PAIR, "--x", "-1.5,0.3"), (*_PAIR, "--x=-1.5,0.3"),
+                        0, '"x": [\n      -1.5,\n      0.3\n    ]'),
+    "last-one-wins": (("dump-basis", "--dims", "2,2", "--dims", "2,2,2,2", "--format", "json"),
+                      ("dump-basis", "--dims", "2,2,2,2", "--format", "json"), 0, '"count": 2'),
+    "trailing-flag": (("eval", "--x", "0,1", "--kappa"), None, 2,
+                      "qscreen eval: error: argument --kappa: expected one argument"),
+    "flag-for-value": (("eval", "--kappa", "--x", "0,1"), None, 2,
+                       "qscreen eval: error: argument --kappa: expected one argument"),
+    "short-help": (("verify", "-h"), ("verify", "--help"), 0, "usage: qscreen verify"),
+    "short-top-help": (("-h",), ("--help",), 0, "usage: qscreen [-h]"),
+    "second-suite": (("verify", "cyclic", "cyclic"), None, 2, "unrecognized arguments: cyclic"),
+    "no-suite": (("verify", "--seed", "1"), None, 2, "the following arguments are required: suite"),
+    "no-command": ((), None, 2, "the following arguments are required: command"),
+}
+
+
+@pytest.mark.parametrize("argv, same, status, fragment", _GRAMMAR.values(), ids=list(_GRAMMAR))
+def test_the_flag_grammar(capsys, argv, same, status, fragment):
+    outcome = _outcome(capsys, argv)
+    assert outcome[0] == status
+    assert fragment in outcome[1] + outcome[2]
+    # an error writes the usage and its message to stderr alone; help and
+    # output go to stdout alone
+    assert not outcome[1 if status == 2 else 2]
+    if same is not None:
+        assert _outcome(capsys, same) == outcome
+
+
 def _values(out):
     return [(r["re"], r["im"], r["err_est"]) for r in json.loads(out)]
 
@@ -719,13 +766,22 @@ def test_eval_bad_kappa_exits_2(capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # and an eval, flags read and all, loads neither argparse nor the
+    # gettext it imports
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, qscreen.cli; print('scipy' in sys.modules)"
+    code = (
+        "import contextlib, io, sys, qscreen.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = qscreen.cli.main(['eval', '--vector', 'hwv_pair:2,2,1', '--kappa', '8',"
+        " '--x', '0,1'])\n"
+        "print(status, 'argparse' in sys.modules, 'gettext' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "0", "False", "False"]
 
 
 def test_removed_quadrature_flags_are_rejected(capsys):

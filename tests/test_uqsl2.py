@@ -5,7 +5,12 @@ import random
 from itertools import product
 
 import pytest
-from closed_forms import act_by_resumming, gauss_jordan, hwv_basis_by_elimination
+from closed_forms import (
+    act_by_resumming,
+    gauss_jordan,
+    hwv_basis_by_elimination,
+    hwv_pair_reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -181,6 +186,20 @@ def test_hwv_pair_is_highest_weight(d1, d2):
         assert not v.is_zero()
         assert act("E", v).is_zero()
         assert act("K", v) == v.scale(QP(d - 1))
+
+
+@pytest.mark.parametrize("d1", range(1, 7))
+@pytest.mark.parametrize("d2", range(1, 7))
+def test_hwv_pair_is_the_reduced_reference(d1, d2):
+    # each coefficient, built in canonical form, is the one the general
+    # constructor reduces to: equal, with the same hash and repr
+    for m in range(min(d1, d2)):
+        got, want = hwv_pair(d1, d2, m).coeffs, hwv_pair_reference(d1, d2, m).coeffs
+        assert got.keys() == want.keys()
+        for idx, c in want.items():
+            assert got[idx] == c, (d1, d2, m, idx)
+            assert hash(got[idx]) == hash(c)
+            assert repr(got[idx]) == repr(c)
 
 
 def test_submodule_vector_examples():
