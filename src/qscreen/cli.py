@@ -234,7 +234,9 @@ def cmd_eval(config):
     """
     if not config.x:
         raise ValueError("no evaluation points given (key x)")
-    if bool(config.vector) == bool(config.l):
+    if not config.vector and not config.l:
+        raise ValueError("give a vector spec or screening counts l")
+    if config.vector and config.l:
         raise ValueError("give either a vector spec or screening counts l, not both")
     if config.l:
         if not config.dims:

@@ -67,8 +67,7 @@ from .qseries import (
 from .uqsl2 import (
     Q_COMM,
     TensorVector,
-    _hwv_test,
-    is_hwv,
+    _hwv_weights,
     project_block,
     r_minus,
     r_plus,
@@ -377,7 +376,8 @@ def _F_hwv(dims, coeffs, x, kappa, rel_tol):
     # caller gathered once into the frozenset coeffs, the key of every
     # cache it reads
     _check_points(dims, len(x))
-    if not _hwv_test(dims, coeffs, None):
+    hwv_weights = _hwv_weights(dims, coeffs)
+    if hwv_weights is None:
         raise ValueError("not a highest weight vector (E.v != 0)")
     _check_anchor_free(dims, coeffs)
     xs = tuple(float(xi) for xi in x)
@@ -385,7 +385,7 @@ def _F_hwv(dims, coeffs, x, kappa, rel_tol):
     weights = _kappa_weights(dims, coeffs, kappa)
     if not isinstance(x, JetPoint):
         return _evaluate(weights, ChamberPoint(default_anchor(xs), x), dims, kappa, rel_tol)
-    return _ward_jet(weights, x, dims, kappa, rel_tol, 3 if _hwv_test(dims, coeffs, 1) else 2)
+    return _ward_jet(weights, x, dims, kappa, rel_tol, 3 if hwv_weights <= {0} else 2)
 
 
 def _lagrange(y, held, t):
@@ -561,22 +561,17 @@ def infinity_limit(v: TensorVector, side, kappa,
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    if not is_hwv(v, 1):
-        raise ValueError("vector is not in the trivial subrepresentation")
+    # r_plus and r_minus refuse a vector that is not trivial or has one tensorand
+    reduced = r_plus(v) if side == "plus" else r_minus(v)
     dims = v.space.dims
-    n = len(dims)
-    if n < 2:
-        raise ValueError("need at least two tensorands")
     kp = KappaParams(kappa)
-    finite = tuple(float(i) for i in range(1, n))
+    finite = tuple(float(i) for i in range(1, len(dims)))
     if side == "plus":
         d_edge = dims[-1]
-        reduced = r_plus(v)
         edge_scalar = Q_COMM ** (d_edge - 1) * qfact(d_edge - 1) ** 2
         c = finite[0] - 1.0
     else:
         d_edge = dims[0]
-        reduced = r_minus(v)
         drop = QScalar.from_poly(LaurentPoly({-2: 1, 0: -1}))
         edge_scalar = drop ** (d_edge - 1) * qfact(d_edge - 1) ** 2
         c = finite[-1] + 1.0

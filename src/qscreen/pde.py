@@ -40,7 +40,7 @@ from .coulomb import (ChamberPoint, _check_increasing, _check_kappa, _record, ev
                       h_weight, rho)
 from .correspondence import _F_hwv
 from .jet import Jet, JetPoint, exp_series, generator_terms, tables
-from .uqsl2 import _hwv_test
+from .uqsl2 import _hwv_weights
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,8 @@ def mobius_check(v, mu, x, kappa, rel_tol=1e-9):
         raise ValueError("the map must be orientation preserving")
     # the key of every cache the checks and the evaluations read, formed once
     dims, coeffs = v.space.dims, frozenset(v.coeffs.items())
-    if not _hwv_test(dims, coeffs, 1):
+    weights = _hwv_weights(dims, coeffs)
+    if weights is None or not weights <= {0}:
         raise ValueError("vector is not in the trivial subrepresentation")
     x = tuple(float(xi) for xi in x)
     _check_increasing(x)

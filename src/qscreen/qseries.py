@@ -116,9 +116,6 @@ class LaurentPoly:
                 c[e] = c.get(e, 0) + v1 * v2
         return LaurentPoly(c)
 
-    def scale(self, a: int) -> "LaurentPoly":
-        return LaurentPoly({e: a * v for e, v in self.coeffs.items()})
-
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative power of a LaurentPoly (use QScalar)")

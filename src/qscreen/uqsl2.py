@@ -16,6 +16,10 @@ vectors, whose leading columns differ, and its back substitution keeps
 them over denominator 1, where QScalar's difference and quotient skip
 the general formulas, and divides each row by its pivot exactly, with no
 polynomial gcd on these bases.
+
+One cached gate per vector, _hwv_weights, tells every evaluator, check
+and rotation map whether it is a highest weight or a trivial vector: E
+acts once, and the K-weights are read off the indices.
 """
 
 from __future__ import annotations
@@ -108,11 +112,16 @@ class TensorVector:
         return f"<TensorVector {self.space.dims}: {self}>"
 
 
+def _weight(dims: tuple, idx: tuple) -> int:
+    """The K-weight w of e_idx, K e_idx = q^w e_idx."""
+    return sum(d - 1 - 2 * l for d, l in zip(dims, idx))
+
+
 def act(gen: str, v: TensorVector) -> TensorVector:
-    """Action of a generator E, F, K or Kinv through the iterated coproduct.
+    """Action of a generator E, F or K through the iterated coproduct.
 
     E carries K's on the factors right of it in printed order (lower
-    positions), F carries Kinv's on the factors left of it (higher
+    positions), F carries K^-1's on the factors left of it (higher
     positions).  Factor b of an index has K-weight d_b - 1 - 2 l_b, and
     one pass over the factors builds the K exponent that each position
     carries: the running sum of the weights below it for E, the total
@@ -126,11 +135,9 @@ def act(gen: str, v: TensorVector) -> TensorVector:
         if not c.is_zero():
             out[idx] = out.get(idx, Q_ZERO) + c
 
-    if gen in ("K", "Kinv"):
-        sgn = 1 if gen == "K" else -1
+    if gen == "K":
         for idx, c in v.coeffs.items():
-            e = sgn * sum(dims[i] - 1 - 2 * idx[i] for i in range(n))
-            accumulate(idx, QScalar.q_power(e) * c)
+            accumulate(idx, QScalar.q_power(_weight(dims, idx)) * c)
     elif gen == "E":
         for idx, c in v.coeffs.items():
             kexp = 0
@@ -143,7 +150,7 @@ def act(gen: str, v: TensorVector) -> TensorVector:
                 kexp += dims[a] - 1 - 2 * la
     elif gen == "F":
         for idx, c in v.coeffs.items():
-            kexp = -sum(dims[b] - 1 - 2 * idx[b] for b in range(n))
+            kexp = -_weight(dims, idx)
             for a in range(n):
                 la = idx[a]
                 kexp += dims[a] - 1 - 2 * la
@@ -157,19 +164,24 @@ def act(gen: str, v: TensorVector) -> TensorVector:
 
 def is_hwv(v: TensorVector, d: int | None) -> bool:
     """Exact check that v is annihilated by E and, unless d is None, has
-    K-eigenvalue q^(d-1).  The answer is cached per (dims, coefficients,
-    d), so a repeated check of one vector costs a lookup."""
-    return _hwv_test(v.space.dims, frozenset(v.coeffs.items()), d)
+    K-eigenvalue q^(d-1).  It reads _hwv_weights, kept per vector and
+    not per d, so a further check of one vector costs a lookup."""
+    weights = _hwv_weights(v.space.dims, frozenset(v.coeffs.items()))
+    return weights is not None and (d is None or weights <= {d - 1})
 
 
 @lru_cache(maxsize=1024)
-def _hwv_test(dims, coeffs, d):
-    # E and K act linearly, so on the numerators over a shared denominator
-    # (shared_denominator) alike
+def _hwv_weights(dims, coeffs):
+    """None unless E kills the vector with (index, coefficient) pairs
+    coeffs, else the set of the K-weights of its indices: within {d - 1}
+    for a highest weight vector of weight q^(d-1), within {0} for a
+    trivial one, whose F v is then a highest weight vector of weight q^-2,
+    so zero at generic q.  E acts on the numerators over a shared
+    denominator (shared_denominator)."""
     v = TensorVector(TensorSpace(dims), shared_denominator(coeffs)[0])
     if not act("E", v).is_zero():
-        return False
-    return d is None or act("K", v) == v.scale(QScalar.q_power(d - 1))
+        return None
+    return frozenset(_weight(dims, idx) for idx, _ in coeffs)
 
 
 def _pair_weights(d1: int, d2: int, m: int) -> dict:
@@ -418,7 +430,7 @@ def _f_on_laurent(dims: tuple, vec: dict) -> dict:
     n = len(dims)
     out: dict[tuple, dict] = {}
     for idx, poly in vec.items():
-        kexp = -sum(dims[b] - 1 - 2 * idx[b] for b in range(n))
+        kexp = -_weight(dims, idx)
         for a in range(n):
             la = idx[a]
             kexp += dims[a] - 1 - 2 * la
@@ -496,50 +508,37 @@ def hwv_space_basis(space: TensorSpace, d: int) -> list[TensorVector]:
 # -- trivial subrepresentation and the cyclic structure -------------------
 
 
-def _require_trivial(v: TensorVector):
-    if (not act("E", v).is_zero() or not act("F", v).is_zero()
-            or act("K", v) != v):
-        raise ValueError("not a trivial-subrepresentation vector")
-
-
-def _require_hwv(u: TensorVector, d: int):
-    if not is_hwv(u, d):
-        raise ValueError(f"not a highest weight vector of weight q^{d - 1}")
-
-
 def r_plus(v: TensorVector) -> TensorVector:
     """Component of an invariant vector at e_{d_n - 1} in the last tensorand
     (leftmost printed); a highest weight vector of weight d_n in the
     remaining factors."""
-    _require_trivial(v)
-    dims = v.space.dims
-    if len(dims) < 2:
-        raise ValueError("need at least two tensorands")
-    d = dims[-1]
-    sub = TensorSpace(dims[:-1])
-    coeffs = {idx[:-1]: c for idx, c in v.coeffs.items()
-              if idx[-1] == d - 1}
-    return TensorVector(sub, coeffs)
+    return _edge_component(v, -1)
 
 
 def r_minus(v: TensorVector) -> TensorVector:
     """Component of an invariant vector at e_{d_1 - 1} in the first
-    tensorand (rightmost printed)."""
-    _require_trivial(v)
+    tensorand (rightmost printed), as r_plus at the other end."""
+    return _edge_component(v, 0)
+
+
+def _edge_component(v, end):
+    # the body of r_plus (end -1) and r_minus (end 0)
+    if not is_hwv(v, 1):
+        raise ValueError("not a trivial-subrepresentation vector")
     dims = v.space.dims
     if len(dims) < 2:
         raise ValueError("need at least two tensorands")
-    d = dims[0]
-    sub = TensorSpace(dims[1:])
-    coeffs = {idx[1:]: c for idx, c in v.coeffs.items()
-              if idx[0] == d - 1}
-    return TensorVector(sub, coeffs)
+    top = dims[end] - 1
+    rest = slice(None, -1) if end == -1 else slice(1, None)
+    return TensorVector(TensorSpace(dims[rest]),
+                        {idx[rest]: c for idx, c in v.coeffs.items() if idx[end] == top})
 
 
 def r_minus_inv(u: TensorVector, d: int) -> TensorVector:
     """Rebuild the invariant vector with M_d as the first tensorand
     (rightmost printed)."""
-    _require_hwv(u, d)
+    if not is_hwv(u, d):
+        raise ValueError(f"not a highest weight vector of weight q^{d - 1}")
     space = TensorSpace((d,) + u.space.dims)
     coeffs: dict[tuple, QScalar] = {}
     w = u

@@ -446,6 +446,19 @@ def test_eval_requires_exactly_one_mode(capsys):
     assert "no evaluation points" in err
 
 
+def test_eval_tells_no_function_from_two(capsys):
+    # neither a vector nor screening counts, and both, each exit 2 with
+    # their own message
+    code, out, err = run(capsys, "eval", "--x", "0,1")
+    assert code == 2 and out == ""
+    assert err == "error: give a vector spec or screening counts l\n"
+    code, out, err = run(
+        capsys, "eval", "--x", "0,1", "--vector", "hwv_pair:2,2,1", "--dims", "2,2", "--l", "0,1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: give either a vector spec or screening counts l, not both\n"
+
+
 def test_eval_refuses_an_anchor_for_a_vector(capsys):
     # a highest weight vector's F does not depend on the anchor; an l row
     # takes one and prints it

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import delta_fusion, delta_scaling, reduction_entries_by_enumeration
+from closed_forms import (
+    ANCHOR_FREE_SPACES,
+    delta_fusion,
+    delta_scaling,
+    reduction_entries_by_enumeration,
+)
 
 from qscreen import correspondence, coulomb
 from qscreen.coulomb import (
@@ -491,23 +496,13 @@ def test_f_hwv_jets_match_full_index_jets(dims, kappa, x, reads, weights):
         assert jet.errs[alpha] <= 1e-6 * max(abs(jet[alpha]), abs(jet[point.index[0]]))
 
 
-# the spaces of the dump-basis JSON pinned in tests/data when this list
-# was written, and fourteen more, each over every d; listed here, so that
-# a newly pinned JSON leaves the counts below as they are
-_ANCHOR_FREE_SPACES = [
-    (2, 2), (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (2,) * 8,
-    (2, 2, 2, 3, 3), (2, 2, 3, 3), (2, 3), (2, 3, 2), (3, 2, 2, 3), (3, 2, 2, 3, 2),
-    (3, 3), (3, 3, 3), (3, 3, 3, 3), (3, 3, 3, 3, 3), (4, 2, 3), (4, 4),
-]
-
-
 def test_hwv_weights_keep_no_variable_left_of_the_first_point():
     # the exact sums of every highest weight vector cancel each weight at
     # an assignment with m_0 > 0, with no quadrature; a plain basis vector
     # keeps them, and the check raises
-    assert len(_ANCHOR_FREE_SPACES) == 18
+    assert len(ANCHOR_FREE_SPACES) == 18
     checked = 0
-    for dims in _ANCHOR_FREE_SPACES:
+    for dims in ANCHOR_FREE_SPACES:
         for d in range(sum(di - 1 for di in dims) + 1, 0, -2):
             for v in hwv_space_basis(TensorSpace(dims), d):
                 _check_anchor_free(dims, frozenset(v.coeffs.items()))

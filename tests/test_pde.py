@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from closed_forms import fd_jets, hyp2f1
 
-from qscreen import coulomb
+from qscreen import coulomb, uqsl2
 from qscreen.coulomb import ChamberPoint, _rho_degree, eval_stats, h_weight, rho
 from qscreen.correspondence import F_anchor, F_hwv
 from qscreen.jet import JetPoint
@@ -313,6 +313,23 @@ def test_mobius_covariance_at_d3_points():
     assert mobius_check(v, (1.0, 3.0, 0.0, 1.0), x, KAPPA)["deviation"] <= 1e-8
     assert mobius_check(v, (1.7, 0.0, 0.0, 1.0), x, KAPPA)["deviation"] <= 1e-8
     assert mobius_check(v, (1.0, 0.0, 0.05, 1.0), x, KAPPA)["deviation"] <= 1e-6
+
+
+def test_jets_and_mobius_checks_of_one_vector_run_the_gate_once(monkeypatch):
+    # the Ward-filled jets of F_hwv (3 identities for a trivial vector) and
+    # the Moebius checks read one kept gate, which acts with E alone
+    v, ev = quartet_function(KAPPA)
+    x = (-1.5, -0.5, 0.5, 1.5)
+    gens = []
+    act = uqsl2.act
+    monkeypatch.setattr(uqsl2, "act", lambda gen, w: gens.append(gen) or act(gen, w))
+    uqsl2._hwv_weights.cache_clear()
+    translation_check(ev, x)
+    euler_check(ev, x, -sum(h_weight(d, KAPPA) for d in v.space.dims))
+    mobius_check(v, (1.7, 0.0, 0.0, 1.0), x, KAPPA)
+    mobius_check(v, (1.0, 0.0, 0.05, 1.0), x, KAPPA)
+    info = uqsl2._hwv_weights.cache_info()
+    assert (info.misses, gens) == (1, ["E"]) and info.hits >= 3
 
 
 def test_mobius_rejections():

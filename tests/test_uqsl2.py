@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 from closed_forms import (
+    ANCHOR_FREE_SPACES,
     act_by_resumming,
     gauss_jordan,
     hwv_basis_by_elimination,
@@ -14,12 +15,12 @@ from closed_forms import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscreen.qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO
+from qscreen.qseries import LaurentPoly, QScalar, Q_ONE, Q_ZERO, qint
 from qscreen.uqsl2 import (
     TensorSpace,
     TensorVector,
-    _hwv_test,
     _f_on_laurent,
+    _hwv_weights,
     _invert_matrix,
     _rref,
     act,
@@ -124,7 +125,6 @@ RELATION_SPACES = [(2,), (4,), (2, 2), (3, 2), (2, 2, 2), (4, 3), (2, 3, 2),
 
 @pytest.mark.parametrize("dims", RELATION_SPACES)
 def test_defining_relations(dims):
-    comm = QScalar.from_poly(LaurentPoly({1: 1, -1: -1}))
     rng = random.Random(7)
     space = TensorSpace(tuple(dims))
     vectors = [TensorVector.basis(space, i) for i in product(*map(range, space.dims))]
@@ -134,10 +134,10 @@ def test_defining_relations(dims):
     for v in vectors:
         assert act("K", act("E", v)) == act("E", act("K", v)).scale(QP(2))
         assert act("K", act("F", v)) == act("F", act("K", v)).scale(QP(-2))
+        # [E, F] = (K - K^-1)/(q - 1/q) is [w] on e_idx of K-weight w
         lhs = act("E", act("F", v)) - act("F", act("E", v))
-        rhs = (act("K", v) - act("Kinv", v)).scale(comm.inverse())
-        assert lhs == rhs
-        assert act("K", act("Kinv", v)) == v
+        weight = lambda idx: sum(d - 1 - 2 * l for d, l in zip(dims, idx))
+        assert lhs == TensorVector(space, {idx: c * qint(weight(idx)) for idx, c in v.coeffs.items()})
 
 
 def test_action_splits_through_tensor_blocks():
@@ -372,17 +372,63 @@ def test_is_hwv_acts_on_the_numerators_of_a_shared_denominator():
 
 def test_is_hwv_is_kept_per_vector_and_weight():
     # E.v = 0 alone (d None) or with the K eigenvalue q^(d-1); a vector of
-    # two weights is killed by E but is no K eigenvector.  An equal vector
-    # built afresh reads the kept answer
+    # two weights is killed by E but is no K eigenvector.  The gate runs
+    # once per vector, whatever d is asked, and an equal vector built
+    # afresh reads the kept answer
     space = TensorSpace((2, 2, 2, 2))
     v = hwv_space_basis(space, 1)[0]
     mixed = v + hwv_space_basis(space, 3)[0]
+    _hwv_weights.cache_clear()
     assert is_hwv(v, None) and is_hwv(v, 1) and not is_hwv(v, 3)
+    assert _hwv_weights.cache_info().misses == 1
     assert is_hwv(mixed, None) and not is_hwv(mixed, 1) and not is_hwv(mixed, 3)
     assert not is_hwv(basis([2, 2, 2, 2], (1, 0, 0, 0)), None)
-    hits = _hwv_test.cache_info().hits
+    assert _hwv_weights.cache_info().misses == 3
+    hits = _hwv_weights.cache_info().hits
     assert is_hwv(TensorVector(space, dict(v.coeffs)), 1)
-    assert _hwv_test.cache_info().hits == hits + 1
+    assert _hwv_weights.cache_info().hits == hits + 1
+    assert _hwv_weights.cache_info().misses == 3
+
+
+def _gate_inputs():
+    # every vector of every summand of the anchor-free spaces, every basis
+    # vector of (2,3,2), a sum of two weights, a rational multiple and zero
+    for dims in ANCHOR_FREE_SPACES:
+        for d in range(sum(di - 1 for di in dims) + 1, 0, -2):
+            yield from hwv_space_basis(TensorSpace(dims), d)
+    yield from (basis([2, 3, 2], idx) for idx in product(range(2), range(3), range(2)))
+    space = TensorSpace((2, 2, 2, 2))
+    yield hwv_space_basis(space, 1)[0] + hwv_space_basis(space, 3)[1]
+    yield hwv_space_basis(space, 1)[1].scale(QScalar(LaurentPoly({0: 1, 1: 2}),
+                                                     LaurentPoly({0: 3, 2: 1, 3: -1})))
+    yield TensorVector(TensorSpace((2, 3, 2)), {})
+
+
+def test_the_gate_agrees_with_an_independent_action():
+    # is_hwv at every d against E and K acting through the resummed
+    # coproduct; a vector the gate calls trivial is also killed by F, and
+    # r_plus and r_minus take exactly those vectors
+    inputs = list(_gate_inputs())
+    assert len(inputs) == 263 + 12 + 3
+    trivial = 0
+    for v in inputs:
+        kills = act_by_resumming("E", v).is_zero()
+        kv = act_by_resumming("K", v)
+        top = sum(di - 1 for di in v.space.dims) + 1
+        assert is_hwv(v, None) == kills
+        for d in range(1, top + 2):
+            assert is_hwv(v, d) == (kills and kv == v.scale(QP(d - 1))), (v, d)
+        if not is_hwv(v, 1):
+            for r in (r_plus, r_minus):
+                with pytest.raises(ValueError, match="^not a trivial-subrepresentation vector$"):
+                    r(v)
+            continue
+        trivial += 1
+        assert act_by_resumming("F", v).is_zero()
+        assert r_plus(v).space.dims == v.space.dims[:-1]
+        assert r_minus(v).space.dims == v.space.dims[1:]
+    # the 40 trivial basis vectors of the spaces, the multiple and zero
+    assert trivial == 42
 
 
 # the spaces on which the elimination kernel takes at most half a second,
